@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.simulator.engine import SimulationResult
+if TYPE_CHECKING:  # pragma: no cover - the engine imports this package
+    from repro.simulator.engine import SimulationResult
 
 
 def mean(values: Sequence[float]) -> float:

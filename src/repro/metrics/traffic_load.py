@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.simulator.engine import SimulationResult
+if TYPE_CHECKING:  # pragma: no cover - the engine imports this package
+    from repro.simulator.engine import SimulationResult
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,13 @@ observation therefore agree by construction;
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from repro.routing.budgets import ROLE_NAMES, VcBudget
-from repro.simulator.engine import SimulationResult
 from repro.topology.mesh import Mesh2D
+
+if TYPE_CHECKING:  # pragma: no cover - the engine imports this package
+    from repro.simulator.engine import SimulationResult
 
 
 def vc_usage_percent(result: SimulationResult) -> list[float]:

@@ -124,6 +124,14 @@ WORKLOADS: tuple[Workload, ...] = (
         "op": "construction", "algorithm": "duato-nbc", "width": 10,
         "vcs": 24, "message_length": 100, "builds": 3,
     }),
+    # Constructions per second at the campaign-cell (6x6) and paper
+    # (10x10) mesh sizes, 24 VCs: what every short cell pays before its
+    # first cycle.  The fabric is lazy, so this must stay independent of
+    # the VC budget (it was ~9 ms / ~26 ms per build when eager).
+    Workload("engine_build", "ops", {
+        "op": "construction", "algorithm": "duato-nbc", "widths": [6, 10],
+        "vcs": 24, "message_length": 4, "builds": 50,
+    }),
     # Campaign-scale path: spec -> grid -> store round-trip per cell.
     # Times the orchestration overhead (key hashing, JSONL appends,
     # store puts) on top of the small engine runs, which the
@@ -321,17 +329,21 @@ def _ops_runner(params: dict):
         from repro.simulator.config import SimConfig
         from repro.simulator.engine import Simulation
 
-        cfg = SimConfig(
-            width=params["width"], vcs_per_channel=params["vcs"],
-            message_length=params["message_length"],
-        )
+        configs = [
+            SimConfig(
+                width=width, vcs_per_channel=params["vcs"],
+                message_length=params["message_length"],
+            )
+            for width in params.get("widths") or [params["width"]]
+        ]
         builds = params["builds"]
 
         def run() -> None:
-            for _ in range(builds):
-                Simulation(cfg, make_algorithm(params["algorithm"]))
+            for cfg in configs:
+                for _ in range(builds):
+                    Simulation(cfg, make_algorithm(params["algorithm"]))
 
-        return run, builds
+        return run, builds * len(configs)
     if op == "campaign":
         import tempfile
 

@@ -9,14 +9,15 @@ Two classic output-analysis tools, applied to the engine's windowed
   width-proxy ``SSE(d) / (n - d)^2`` over the retained batch means.
   Applied to fixed-width window means this is the windowed analogue of
   MSER-5 batching: the window width plays the role of the batch size.
-* **Batch-means confidence intervals** (:func:`batch_means_ci`) — a
-  two-sided 95% CI over the batch means, using the exact Student-t
-  quantile for up to 30 batches and the normal quantile beyond.
+* **Batch-means confidence intervals** (:func:`batch_means_ci`,
+  re-exported from :mod:`repro.metrics.confidence`) — a two-sided 95%
+  CI over the batch means, using the exact Student-t quantile for up to
+  30 batches and the normal quantile beyond.
 
 :func:`analyze_profile` combines the two into a per-profile verdict on
 whether the configured ``warmup`` is adequate, surfaced by ``python -m
 repro.obs converge``; the engine's ``cycles_mode="auto"`` early stop
-imports :func:`batch_means_ci` for its convergence check.
+takes the same :func:`batch_means_ci` from the metrics layer.
 
 Everything here is pure arithmetic over the deterministic simulation —
 same profile, same seed, same verdict, on every machine.
@@ -27,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.metrics.confidence import batch_means_ci, t_critical
+
 __all__ = [
     "ConvergeVerdict",
     "analyze_profile",
@@ -35,40 +38,6 @@ __all__ = [
     "render_verdicts",
     "t_critical",
 ]
-
-#: Two-sided 95% Student-t critical values for df = 1..30; beyond that
-#: the normal quantile (1.96) is within half a percent.
-_T_95 = (
-    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
-    2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101,
-    2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052,
-    2.048, 2.045, 2.042,
-)
-
-
-def t_critical(df: int) -> float:
-    """Two-sided 95% Student-t critical value for *df* degrees of freedom."""
-    if df < 1:
-        raise ValueError("t_critical needs df >= 1")
-    return _T_95[df - 1] if df <= len(_T_95) else 1.96
-
-
-def batch_means_ci(means: list[float]) -> tuple[float, float]:
-    """Mean and 95% CI half-width of a set of batch means.
-
-    Returns ``(mean, half_width)``; the half-width is NaN below two
-    batches (no variance estimate exists).
-    """
-    k = len(means)
-    if k == 0:
-        return float("nan"), float("nan")
-    mean = sum(means) / k
-    if k < 2:
-        return mean, float("nan")
-    var = sum((m - mean) ** 2 for m in means) / (k - 1)
-    half = t_critical(k - 1) * math.sqrt(var / k)
-    return mean, half
-
 
 def mser_truncation(values: list[float], *, max_frac: float = 0.5) -> int:
     """MSER truncation index over a sequence of batch means.

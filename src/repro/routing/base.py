@@ -21,11 +21,14 @@ and, for hop-based schemes, :meth:`min_class`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.faults.pattern import FaultPattern
 from repro.routing.budgets import (
     ROLE_CLASS,
     ROLE_RING,
     VcBudget,
+    VcSet,
 )
 from repro.simulator.message import (
     RING_EW,
@@ -37,8 +40,10 @@ from repro.simulator.message import (
 from repro.topology.directions import DIRECTIONS, EAST, NORTH, SOUTH, WEST
 from repro.topology.mesh import Mesh2D, direction_of_hop
 
-#: A candidate tier: ``[(direction, (vc, vc, ...)), ...]``.
-Tier = list[tuple[int, tuple[int, ...]]]
+#: A candidate tier: ``[(direction, VcSet), ...]``.  Tiers that depend
+#: only on geometry are cached and shared, so they are tuples; treat
+#: every tier (and tier list) as read-only.
+Tier = Sequence[tuple[int, VcSet]]
 
 
 class RoutingError(RuntimeError):
@@ -79,6 +84,12 @@ class RoutingAlgorithm:
         self.faults = faults
         self.budget = self.build_budget(mesh, total_vcs)
         self.class_caps = 0
+        self._max_class = self.budget.max_class
+        # Memo tables fill on first use, so a short run pays only for
+        # the (node, dst) pairs and tiers it actually routes.
+        self._geometry: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._adaptive_tiers: dict[tuple[int, ...], Tier] = {}
+        self._labels: tuple[int, ...] = ()
         self._post_prepare()
 
     def _post_prepare(self) -> None:
@@ -93,7 +104,7 @@ class RoutingAlgorithm:
     # ------------------------------------------------------------------
     # Candidate generation
     # ------------------------------------------------------------------
-    def candidate_tiers(self, msg: Message, node: int) -> list[Tier]:
+    def candidate_tiers(self, msg: Message, node: int) -> Sequence[Tier]:
         """Tiers of output-VC candidates for the header of *msg* at *node*.
 
         Handles fault blocking generically: when every minimal direction
@@ -101,17 +112,44 @@ class RoutingAlgorithm:
         transit; otherwise the fault-free minimal directions are passed to
         the subclass.
         """
-        mesh = self.mesh
-        faulty = self.faults.faulty_mask
-        mdirs = mesh.minimal_directions(node, msg.dst)
-        neighbors = mesh.neighbor_table(node)
-        free_dirs = tuple(d for d in mdirs if not faulty[neighbors[d]])
+        mdirs, free_dirs = self.minimal_dirs(node, msg.dst)
         route_dirs = self.route_dirs(msg, node, mdirs, free_dirs)
         if route_dirs and self._may_exit_ring(msg, node):
             if msg.ring is not None:
                 msg.ring = None  # ring exit: minimal routing resumes
             return self.tiers_for(msg, node, route_dirs)
         return [self._ring_tier(msg, node, mdirs)]
+
+    def minimal_dirs(
+        self, node: int, dst: int
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(mdirs, free_dirs)``: the minimal directions from *node* to
+        *dst* and the subset whose neighbor is healthy (memoised)."""
+        key = node * self.mesh.n_nodes + dst
+        hit = self._geometry.get(key)
+        if hit is None:
+            mdirs = free_dirs = self.mesh.minimal_directions(node, dst)
+            if self.faults.n_faulty:
+                faulty = self.faults.faulty_mask
+                neighbors = self.mesh.neighbor_table(node)
+                free_dirs = tuple(d for d in mdirs if not faulty[neighbors[d]])
+            hit = self._geometry[key] = (mdirs, free_dirs)
+        return hit
+
+    def adaptive_tier(self, dirs: tuple[int, ...]) -> Tier:
+        """The adaptive pool on every direction of *dirs* (shared)."""
+        tier = self._adaptive_tiers.get(dirs)
+        if tier is None:
+            adaptive = self.budget.adaptive_vcs
+            tier = self._adaptive_tiers[dirs] = tuple((d, adaptive) for d in dirs)
+        return tier
+
+    def _label_table(self) -> tuple[int, ...]:
+        """Build the per-node checkerboard labels (first use only; hot
+        callers read ``self._labels or self._label_table()``)."""
+        mesh = self.mesh
+        self._labels = tuple(mesh.checkerboard_label(n) for n in mesh.nodes())
+        return self._labels
 
     def route_dirs(
         self,
@@ -143,7 +181,9 @@ class RoutingAlgorithm:
             return True
         return self.mesh.distance(node, msg.dst) < msg.ring_entry_dist
 
-    def tiers_for(self, msg: Message, node: int, dirs: tuple[int, ...]) -> list[Tier]:
+    def tiers_for(
+        self, msg: Message, node: int, dirs: tuple[int, ...]
+    ) -> Sequence[Tier]:
         """Candidate tiers over fault-free minimal directions *dirs*."""
         raise NotImplementedError
 
@@ -199,8 +239,7 @@ class RoutingAlgorithm:
                     f"degenerate single-node fault chain at node {node}"
                 )
         direction = direction_of_hop(mesh, node, nxt)
-        ring_vc = self.budget.ring_vcs[msg.ring_class]
-        return [(direction, (ring_vc,))]
+        return [(direction, self.budget.ring_sets[msg.ring_class])]
 
     # ------------------------------------------------------------------
     # Per-hop bookkeeping
@@ -234,7 +273,7 @@ class RoutingAlgorithm:
         # Hop counters advance on every non-ring hop (including adaptive
         # class-I hops, so a later escape into the hop classes stays legal).
         msg.counted_hops += 1
-        if self.mesh.checkerboard_label(node):
+        if (self._labels or self._label_table())[node]:
             msg.neg_hops += 1
         self._account(msg, node, direction, vc)
 
@@ -244,10 +283,9 @@ class RoutingAlgorithm:
     # ------------------------------------------------------------------
     def _capped(self, lo: int) -> int:
         """Saturate a class index at the top class, counting overflows."""
-        max_class = self.budget.max_class
-        if lo > max_class:
+        if lo > self._max_class:
             self.class_caps += 1
-            return max_class
+            return self._max_class
         return lo
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

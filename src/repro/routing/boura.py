@@ -74,13 +74,9 @@ class BouraFaultTolerant(BouraAdaptive):
         return self._unsafe
 
     def candidate_tiers(self, msg: Message, node: int) -> list[Tier]:
-        mesh = self.mesh
-        faulty = self.faults.faulty_mask
         unsafe = self._unsafe
-        mdirs = mesh.minimal_directions(node, msg.dst)
-        neighbors = mesh.neighbor_table(node)
-
-        free_dirs = tuple(d for d in mdirs if not faulty[neighbors[d]])
+        mdirs, free_dirs = self.minimal_dirs(node, msg.dst)
+        neighbors = self.mesh.neighbor_table(node)
         if not free_dirs or not self._may_exit_ring(msg, node):
             return [self._ring_tier(msg, node, mdirs)]
         if msg.ring is not None:

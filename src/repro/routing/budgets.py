@@ -13,6 +13,11 @@ A :class:`VcBudget` assigns every VC index of a physical channel a role:
 The same layout applies to every physical channel in the network; the
 paper equalizes all algorithms at 24 VCs per channel for "almost equal
 hardware cost".
+
+Every VC tuple a budget hands out is a :class:`VcSet` — a plain tuple
+(ordering, equality and iteration unchanged) that also carries its
+bitmask, which is what the engine's free-mask VC allocation intersects
+with a port's free bits (DESIGN.md §3.1).
 """
 
 from __future__ import annotations
@@ -36,6 +41,26 @@ class VcBudgetError(ValueError):
     """The requested VC count cannot accommodate the algorithm's needs."""
 
 
+class VcSet(tuple):
+    """An ordered tuple of VC indices plus ``mask``, the OR of their bits.
+
+    Tier entries are ``(direction, VcSet)`` pairs: routing code and tests
+    treat the set as the tuple it is, the engine reads ``mask``.  Tuple
+    order is the allocation order (the k-th free VC is counted along the
+    tuple, not along the bit positions).
+    """
+
+    mask: int
+
+    def __new__(cls, vcs=()) -> VcSet:
+        self = super().__new__(cls, vcs)
+        mask = 0
+        for v in self:
+            mask |= 1 << v
+        self.mask = mask
+        return self
+
+
 @dataclass(frozen=True)
 class VcBudget:
     """Per-physical-channel virtual-channel layout.
@@ -53,20 +78,25 @@ class VcBudget:
         Duato class II when the escape algorithm is XY.
     ring_vcs:
         ``ring_vcs[c]`` is the VC index reserved for ring class *c*
-        (``RING_WE`` .. ``RING_SN``).
+        (``RING_WE`` .. ``RING_SN``); ``ring_sets[c]`` is the same VC as
+        a one-element :class:`VcSet` for ring tiers.
+    ejection_vcs:
+        Every VC index: the candidate row of a header at its destination.
     group_vcs:
         Optional named VC groups (used by Boura's partition).
     """
 
     total: int
-    class_vcs: tuple[tuple[int, ...], ...] = ()
-    adaptive_vcs: tuple[int, ...] = ()
-    escape_vcs: tuple[int, ...] = ()
+    class_vcs: tuple[VcSet, ...] = ()
+    adaptive_vcs: VcSet = VcSet()
+    escape_vcs: VcSet = VcSet()
     ring_vcs: tuple[int, ...] = ()
-    group_vcs: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    group_vcs: dict[str, VcSet] = field(default_factory=dict)
     role_of: tuple[int, ...] = ()
     class_of: tuple[int, ...] = ()
-    _range_cache: dict[tuple[int, int], tuple[int, ...]] = field(
+    ring_sets: tuple[VcSet, ...] = ()
+    ejection_vcs: VcSet = VcSet()
+    _range_cache: dict[tuple[int, int], VcSet] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -79,7 +109,7 @@ class VcBudget:
         """Highest hop-class index (-1 if the budget has no classes)."""
         return len(self.class_vcs) - 1
 
-    def class_range_vcs(self, lo: int, hi: int) -> tuple[int, ...]:
+    def class_range_vcs(self, lo: int, hi: int) -> VcSet:
         """All VC indices of classes ``lo..hi`` inclusive (cached)."""
         key = (lo, hi)
         cached = self._range_cache.get(key)
@@ -87,8 +117,7 @@ class VcBudget:
             vcs: list[int] = []
             for c in range(lo, hi + 1):
                 vcs.extend(self.class_vcs[c])
-            cached = tuple(vcs)
-            self._range_cache[key] = cached
+            cached = self._range_cache[key] = VcSet(vcs)
         return cached
 
     def validate(self) -> None:
@@ -127,13 +156,15 @@ def _finalize(
         role[v] = ROLE_RING
     budget = VcBudget(
         total=total,
-        class_vcs=tuple(tuple(v) for v in class_vcs),
-        adaptive_vcs=tuple(adaptive),
-        escape_vcs=tuple(escape),
+        class_vcs=tuple(VcSet(v) for v in class_vcs),
+        adaptive_vcs=VcSet(adaptive),
+        escape_vcs=VcSet(escape),
         ring_vcs=tuple(ring),
-        group_vcs=dict(groups or {}),
+        group_vcs={name: VcSet(v) for name, v in (groups or {}).items()},
         role_of=tuple(role),
         class_of=tuple(cls),
+        ring_sets=tuple(VcSet((v,)) for v in ring),
+        ejection_vcs=VcSet(range(total)),
     )
     budget.validate()
     return budget

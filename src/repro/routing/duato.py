@@ -13,6 +13,8 @@ channels and extra virtual channels are allocated to class I".
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.routing.base import RoutingAlgorithm, Tier
 from repro.routing.budgets import ROLE_ADAPTIVE, VcBudget, adaptive_escape_budget, hop_class_budget
 from repro.routing.hop_based import Nbc, Pbc
@@ -31,45 +33,39 @@ class DuatoXY(RoutingAlgorithm):
     def build_budget(self, mesh: Mesh2D, total_vcs: int) -> VcBudget:
         return adaptive_escape_budget(total_vcs, escape=self.escape_count)
 
-    def candidate_tiers(self, msg: Message, node: int) -> list[Tier]:
+    def candidate_tiers(self, msg: Message, node: int) -> Sequence[Tier]:
         # The escape network must stay deadlock-free on its own; masking
         # the escape hop to "first *fault-free* minimal direction" lets it
         # turn Y-before-X around a fault region and close a channel cycle
         # (found by repro.verify).  So the escape layer is the *fortified*
         # e-cube: strict XY while the XY hop is alive, the B-C fault ring
         # when it is not.
-        mesh = self.mesh
-        faulty = self.faults.faulty_mask
-        mdirs = mesh.minimal_directions(node, msg.dst)
-        neighbors = mesh.neighbor_table(node)
-        free_dirs = tuple(d for d in mdirs if not faulty[neighbors[d]])
+        mdirs, free_dirs = self.minimal_dirs(node, msg.dst)
         if not free_dirs or not self._may_exit_ring(msg, node):
             return [self._ring_tier(msg, node, mdirs)]
         if msg.ring is not None:
             msg.ring = None  # ring exit: minimal routing resumes
         if free_dirs[0] == mdirs[0]:
             return self.tiers_for(msg, node, free_dirs)
-        tier1: Tier = [(d, self.budget.adaptive_vcs) for d in free_dirs]
-        return [tier1, self._ring_tier(msg, node, mdirs)]
+        return [self.adaptive_tier(free_dirs), self._ring_tier(msg, node, mdirs)]
 
-    def tiers_for(self, msg: Message, node: int, dirs: tuple[int, ...]) -> list[Tier]:
-        adaptive = self.budget.adaptive_vcs
-        tier1: Tier = [(d, adaptive) for d in dirs]
+    def tiers_for(
+        self, msg: Message, node: int, dirs: tuple[int, ...]
+    ) -> Sequence[Tier]:
         # Escape: dimension order prefers correcting x first.
         # minimal_directions() lists the x direction first when present,
         # so dirs[0] is the XY choice among the fault-free directions.
         tier2: Tier = [(dirs[0], self.budget.escape_vcs)]
-        return [tier1, tier2]
+        return [self.adaptive_tier(dirs), tier2]
 
 
 class _DuatoHop:
     """Mixin turning a hop scheme into Duato class II under adaptive VCs."""
 
-    def tiers_for(self, msg: Message, node: int, dirs: tuple[int, ...]) -> list[Tier]:
-        adaptive = self.budget.adaptive_vcs
-        tier1: Tier = [(d, adaptive) for d in dirs]
-        tier2 = self.class_tier(msg, node, dirs)
-        return [tier1, tier2]
+    def tiers_for(
+        self, msg: Message, node: int, dirs: tuple[int, ...]
+    ) -> Sequence[Tier]:
+        return [self.adaptive_tier(dirs), self.class_tier(msg, node, dirs)]
 
 
 class DuatoPbc(_DuatoHop, Pbc):
@@ -104,6 +100,6 @@ class DuatoNbc(_DuatoHop, Nbc):
         # exhibits one on a fault-free 4x4).  Advance the floor here.
         if (
             self.budget.role_of[vc] == ROLE_ADAPTIVE
-            and self.mesh.checkerboard_label(node)
+            and (self._labels or self._label_table())[node]
         ):
             msg.cls = self._capped(msg.cls + 1)

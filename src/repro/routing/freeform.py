@@ -14,6 +14,8 @@ hop, at most :attr:`FullyAdaptive.max_misroutes` times per message
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.routing.base import RoutingAlgorithm, Tier
 from repro.routing.budgets import VcBudget, free_pool_budget
 from repro.simulator.message import Message
@@ -30,9 +32,10 @@ class MinimalAdaptive(RoutingAlgorithm):
     def build_budget(self, mesh: Mesh2D, total_vcs: int) -> VcBudget:
         return free_pool_budget(total_vcs)
 
-    def tiers_for(self, msg: Message, node: int, dirs: tuple[int, ...]) -> list[Tier]:
-        adaptive = self.budget.adaptive_vcs
-        return [[(d, adaptive) for d in dirs]]
+    def tiers_for(
+        self, msg: Message, node: int, dirs: tuple[int, ...]
+    ) -> Sequence[Tier]:
+        return (self.adaptive_tier(dirs),)
 
 
 class FullyAdaptive(MinimalAdaptive):
@@ -42,21 +45,29 @@ class FullyAdaptive(MinimalAdaptive):
     deadlock_free = False
     max_misroutes = 10
 
-    def tiers_for(self, msg: Message, node: int, dirs: tuple[int, ...]) -> list[Tier]:
-        adaptive = self.budget.adaptive_vcs
-        tiers = [[(d, adaptive) for d in dirs]]
-        if msg.misroutes < self.max_misroutes:
+    def _post_prepare(self) -> None:
+        self._detour_tiers: dict[tuple[int, tuple[int, ...]], Sequence[Tier]] = {}
+
+    def tiers_for(
+        self, msg: Message, node: int, dirs: tuple[int, ...]
+    ) -> Sequence[Tier]:
+        if msg.misroutes >= self.max_misroutes:
+            return (self.adaptive_tier(dirs),)
+        key = (node, dirs)
+        tiers = self._detour_tiers.get(key)
+        if tiers is None:
+            adaptive = self.budget.adaptive_vcs
             neighbors = self.mesh.neighbor_table(node)
             faulty = self.faults.faulty_mask
-            detour = [
+            detour = tuple(
                 (d, adaptive)
                 for d in DIRECTIONS
                 if d not in dirs and neighbors[d] >= 0 and not faulty[neighbors[d]]
-            ]
-            if detour:
-                tiers.append(detour)
+            )
+            tiers = (self.adaptive_tier(dirs),) + ((detour,) if detour else ())
+            self._detour_tiers[key] = tiers
         return tiers
 
     def _account(self, msg: Message, node: int, direction: int, vc: int) -> None:
-        if direction not in self.mesh.minimal_directions(node, msg.dst):
+        if direction not in self.minimal_dirs(node, msg.dst)[0]:
             msg.misroutes += 1

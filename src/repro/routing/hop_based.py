@@ -19,6 +19,8 @@ These come from Boppana & Chalasani's deadlock-free design framework [9]:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.routing.base import RoutingAlgorithm, Tier
 from repro.routing.budgets import VcBudget, hop_class_budget
 from repro.simulator.message import Message
@@ -49,15 +51,28 @@ class _HopScheme(RoutingAlgorithm):
     def new_message(self, msg: Message) -> None:
         msg.cards = self.max_cards(msg) if self.bonus_cards else 0
 
+    def _post_prepare(self) -> None:
+        self._class_tiers: dict[tuple[tuple[int, ...], int, int], Tier] = {}
+
     def class_tier(self, msg: Message, node: int, dirs: tuple[int, ...]) -> Tier:
-        """The hop-class candidate tier: classes ``lo .. lo + cards``."""
+        """The hop-class candidate tier: classes ``lo .. lo + cards``.
+
+        The tier itself is shared per ``(dirs, lo, hi)``; the class-cap
+        accounting in ``min_class``/``_capped`` still runs every call.
+        """
         lo = self.min_class(msg, node)
         hi = self._capped(lo + msg.cards)
-        vcs = self.budget.class_range_vcs(lo, hi)
-        return [(d, vcs) for d in dirs]
+        key = (dirs, lo, hi)
+        tier = self._class_tiers.get(key)
+        if tier is None:
+            vcs = self.budget.class_range_vcs(lo, hi)
+            tier = self._class_tiers[key] = tuple((d, vcs) for d in dirs)
+        return tier
 
-    def tiers_for(self, msg: Message, node: int, dirs: tuple[int, ...]) -> list[Tier]:
-        return [self.class_tier(msg, node, dirs)]
+    def tiers_for(
+        self, msg: Message, node: int, dirs: tuple[int, ...]
+    ) -> Sequence[Tier]:
+        return (self.class_tier(msg, node, dirs),)
 
 
 class PHop(_HopScheme):
@@ -105,7 +120,7 @@ class NHop(_HopScheme):
         from a label-1 node start with a negative hop.
         """
         length = self.mesh.distance(src, dst)
-        if self.mesh.checkerboard_label(src):
+        if (self._labels or self._label_table())[src]:
             return (length + 1) // 2
         return length // 2
 
@@ -116,7 +131,7 @@ class NHop(_HopScheme):
         # >= negative hops taken; strictly above the previous class when
         # the upcoming hop is negative (all hops out of a label-1 node are
         # negative, so negativity is a property of the current node).
-        bump = 1 if self.mesh.checkerboard_label(node) else 0
+        bump = (self._labels or self._label_table())[node]
         return self._capped(max(msg.neg_hops, msg.cls + bump))
 
 

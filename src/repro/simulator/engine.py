@@ -12,7 +12,9 @@ Router model (DESIGN.md §3.1): per cycle, every router performs
 3. **traversal** — winning flits move to the downstream buffer (arriving
    next cycle), credits flow back, tail flits release channels.
 
-Only busy virtual channels are visited, so cost scales with traffic.
+Only busy virtual channels are visited and a virtual channel object
+exists only once a message has been granted it, so both construction
+and per-cycle cost scale with traffic, not with the VC budget.
 All randomness is seeded from ``SimConfig.seed`` (a ``random.Random``
 for choices plus a NumPy generator for the hot per-cycle service-order
 permutations — ~3x faster than ``random.shuffle`` at saturation); busy
@@ -30,7 +32,10 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.faults.pattern import FaultPattern
+from repro.metrics.confidence import batch_means_ci
+from repro.routing.budgets import ROLE_NAMES, ROLE_RING
 from repro.simulator.config import SimConfig
+from repro.simulator import deadlock
 from repro.simulator.deadlock import DeadlockError
 from repro.simulator.message import BODY, HEAD, TAIL, Message
 from repro.topology.directions import LOCAL, OPPOSITE
@@ -67,13 +72,14 @@ ENGINE_VERSION = 2
 class InputVC:
     """One virtual channel on the input side of a router port."""
 
-    __slots__ = ("node", "port", "vc", "buffer", "msg", "out_ovc", "up_ovc",
-                 "blocked_since")
+    __slots__ = ("node", "port", "vc", "key", "buffer", "msg", "out_ovc",
+                 "up_ovc", "blocked_since")
 
     def __init__(self, node: int, port: int, vc: int) -> None:
         self.node = node
         self.port = port
         self.vc = vc
+        self.key = node * 5 + port  # physical-port index (switch stamps)
         self.buffer: deque = deque()
         self.msg: Message | None = None  # message whose flit is at the front
         self.out_ovc: OutputVC | None = None  # allocated output VC
@@ -87,14 +93,18 @@ class InputVC:
 class OutputVC:
     """One virtual channel on the output side of a router port."""
 
-    __slots__ = ("node", "port", "vc", "credits", "owner", "down_invc",
-                 "is_ejection")
+    __slots__ = ("node", "port", "vc", "key", "bit", "credits", "owner",
+                 "down_invc", "is_ejection")
 
     def __init__(self, node: int, port: int, vc: int, credits: int,
                  is_ejection: bool) -> None:
         self.node = node
         self.port = port
         self.vc = vc
+        self.key = node * 5 + port  # physical-port index (stamps, free mask)
+        self.bit = 1 << vc  # this VC's bit in the port's free mask
+        # Ejection VCs never spend credits: theirs stay at the initial
+        # value as an always-truthy sentinel for the switch ready filter.
         self.credits = credits
         self.owner: InputVC | None = None
         self.down_invc: InputVC | None = None
@@ -203,28 +213,28 @@ class Simulation:
     :class:`repro.obs.TelemetryRegistry`; the engine then publishes
     cycle-stamped counters (injections, flit hops, blocked-header cycles,
     per-role VC occupancy, f-ring traversals, watchdog drains — see
-    ``docs/observability.md``).  With ``telemetry=None`` (the default)
-    every publish site reduces to a single attribute check, so the hot
-    path is unchanged.
+    ``docs/observability.md``).  With no observer attached (the
+    default) each phase makes one "is anything attached?" test per call
+    and its per-flit loops carry no hook test at all.
     """
 
     __slots__ = (
         "config", "mesh", "faults", "algorithm", "pattern",
         "rng", "_perm_rng", "cycle", "_msg_counter", "_hop_cap",
-        "_timeout", "_healthy", "_arrivals", "_queues", "_streams",
+        "_timeout", "_arrivals", "_queues", "_streams",
         "_inj_pending", "_needs_routing", "_active",
         "total_generated", "total_delivered", "total_dropped",
         "_auto", "_win", "_win_lat_sum", "_win_lat_cnt",
         "tracer", "telemetry", "profiler", "result",
-        "_invcs", "_ovcs", "_role_of", "_ring_role",
+        "_invcs", "_ovcs", "_free", "_in_last", "_out_last", "_eject_tiers",
+        "_role_of",
         "_t_generated", "_t_injected", "_t_delivered", "_t_flit_hops",
-        "_t_ejected", "_t_blocked", "_t_drain_deadlock",
-        "_t_drain_livelock", "_t_alloc_role", "_t_busy_role",
+        "_t_ejected", "_t_blocked", "_t_drain", "_t_alloc_role", "_t_busy_role",
         "_t_latency", "_g_inflight", "_t_node_hops", "_t_node_blocked",
         "_s_ejected", "_s_delivered", "_s_latency", "_s_blocked",
         "_s_busy_role", "_t_fring",
         "blame", "_b_blocked", "_b_grant", "_b_ring", "_b_finalize",
-        "_b_drop", "_b_role_of", "_b_ring_role",
+        "_b_drop",
     )
 
     def __init__(
@@ -261,10 +271,22 @@ class Simulation:
             else max(1000, 25 * config.message_length)
         )
 
-        self._build_fabric()
+        # Lazy fabric (DESIGN.md §3.1): flat (node, port, vc) tables
+        # whose entries materialise on first grant or accessor call.  An
+        # absent VC is idle with full credits; _free holds one bit per
+        # output VC of a port (set <=> owner is None); the stamp lists
+        # record the last cycle each physical port carried a flit.
+        V = config.vcs_per_channel
+        ports = self.mesh.n_nodes * 5
+        self._invcs: list[InputVC | None] = [None] * (ports * V)
+        self._ovcs: list[OutputVC | None] = [None] * (ports * V)
+        self._free = [(1 << V) - 1] * ports
+        self._in_last = [-1] * ports
+        self._out_last = [-1] * ports
+        self._eject_tiers = (((LOCAL, algorithm.budget.ejection_vcs),),)
+        self._role_of = algorithm.budget.role_of  # observers classify grants
 
         healthy = self.faults.healthy_nodes
-        self._healthy = healthy
         self._arrivals = ExponentialArrivals(
             healthy, config.injection_rate, self.rng
         )
@@ -295,7 +317,6 @@ class Simulation:
         self.tracer = None
 
         #: Optional telemetry registry (see :mod:`repro.obs.telemetry`).
-        #: ``None`` keeps every publish site a no-op attribute check.
         self.telemetry = None
         if telemetry is not None:
             self.attach_telemetry(telemetry)
@@ -306,8 +327,6 @@ class Simulation:
         self.profiler = None
 
         #: Optional latency-blame recorder (see :mod:`repro.obs.blame`).
-        #: ``None`` keeps every publish site a no-op attribute check,
-        #: like telemetry.
         self.blame = None
 
         self.result = SimulationResult(
@@ -321,39 +340,38 @@ class Simulation:
         )
 
     # ------------------------------------------------------------------
-    # Fabric construction
+    # Fabric access (materialises VCs on first touch)
     # ------------------------------------------------------------------
-    def _build_fabric(self) -> None:
-        cfg = self.config
-        mesh = self.mesh
-        V = cfg.vcs_per_channel
-        depth = cfg.buffer_depth
-        self._invcs = [
-            [[InputVC(n, p, v) for v in range(V)] for p in range(5)]
-            for n in mesh.nodes()
-        ]
-        self._ovcs = [
-            [
-                [OutputVC(n, p, v, depth, p == LOCAL) for v in range(V)]
-                for p in range(5)
-            ]
-            for n in mesh.nodes()
-        ]
-        for node, direction, dst in mesh.channels():
-            in_port = OPPOSITE[direction]
-            for v in range(V):
-                ovc = self._ovcs[node][direction][v]
-                invc = self._invcs[dst][in_port][v]
+    def output_vc(self, node: int, port: int, vc: int) -> OutputVC:
+        """The output VC at ``(node, port, vc)``, created on first use
+        together with the downstream input VC it feeds."""
+        V = self.config.vcs_per_channel
+        idx = (node * 5 + port) * V + vc
+        ovc = self._ovcs[idx]
+        if ovc is None:
+            ovc = self._ovcs[idx] = OutputVC(
+                node, port, vc, self.config.buffer_depth, port == LOCAL
+            )
+            dst = self.mesh.neighbor(node, port) if port != LOCAL else -1
+            if dst >= 0:
+                invc = InputVC(dst, OPPOSITE[port], vc)
+                self._invcs[invc.key * V + vc] = invc
                 ovc.down_invc = invc
                 invc.up_ovc = ovc
-
-    def output_vc(self, node: int, port: int, vc: int) -> OutputVC:
-        """Accessor used by diagnostics (deadlock analysis, tests)."""
-        return self._ovcs[node][port][vc]
+        return ovc
 
     def input_vc(self, node: int, port: int, vc: int) -> InputVC:
-        """Accessor used by diagnostics (deadlock analysis, tests)."""
-        return self._invcs[node][port][vc]
+        """The input VC at ``(node, port, vc)``, created on first use
+        (with its upstream output VC when the port faces a neighbor)."""
+        idx = (node * 5 + port) * self.config.vcs_per_channel + vc
+        invc = self._invcs[idx]
+        if invc is None:
+            up = self.mesh.neighbor(node, port) if port != LOCAL else -1
+            if up >= 0:
+                invc = self.output_vc(up, OPPOSITE[port], vc).down_invc
+            else:
+                invc = self._invcs[idx] = InputVC(node, port, vc)
+        return invc
 
     def iter_blocked_headers(self):
         """Input VCs whose header is awaiting an output VC."""
@@ -376,12 +394,7 @@ class Simulation:
         sweep (the same pass Figure 3's ``collect_vc_stats`` uses), so
         per-role occupancy and ``vc_busy`` agree by construction.
         """
-        from repro.routing.budgets import ROLE_NAMES, ROLE_RING
-
         self.telemetry = registry
-        budget = self.algorithm.budget
-        self._role_of = budget.role_of if budget is not None else ()
-        self._ring_role = ROLE_RING
         c = registry.counter
         self._t_generated = c("engine.messages.generated")
         self._t_injected = c("engine.messages.injected")
@@ -389,22 +402,14 @@ class Simulation:
         self._t_flit_hops = c("engine.flits.hops")
         self._t_ejected = c("engine.flits.ejected")
         self._t_blocked = c("engine.headers.blocked_cycles")
-        self._t_drain_deadlock = c("engine.drains.deadlock")
-        self._t_drain_livelock = c("engine.drains.livelock")
-        self._t_alloc_role = tuple(
-            c(f"engine.vc_alloc.{name}") for name in ROLE_NAMES
-        )
-        self._t_busy_role = tuple(
-            c(f"engine.vc_busy.{name}") for name in ROLE_NAMES
-        )
+        self._t_drain = (c("engine.drains.deadlock"), c("engine.drains.livelock"))
+        self._t_alloc_role = tuple(c(f"engine.vc_alloc.{r}") for r in ROLE_NAMES)
+        self._t_busy_role = tuple(c(f"engine.vc_busy.{r}") for r in ROLE_NAMES)
         self._t_latency = registry.histogram("engine.latency")
         self._g_inflight = registry.gauge("engine.inflight_flits")
-        self._t_node_hops = registry.labeled_counter(
-            "engine.node_flit_hops", self.mesh.n_nodes
-        )
-        self._t_node_blocked = registry.labeled_counter(
-            "engine.node_blocked", self.mesh.n_nodes
-        )
+        per_node = registry.labeled_counter
+        self._t_node_hops = per_node("engine.node_flit_hops", self.mesh.n_nodes)
+        self._t_node_blocked = per_node("engine.node_blocked", self.mesh.n_nodes)
         # Windowed time series (the `obs timeline` surface): same events
         # as the run-cumulative counters above, bucketed into
         # fixed-width cycle windows.
@@ -415,7 +420,7 @@ class Simulation:
         self._s_latency = s("engine.series.latency.sum", w)
         self._s_blocked = s("engine.series.headers.blocked_cycles", w)
         self._s_busy_role = tuple(
-            s(f"engine.series.vc_busy.{name}", w) for name in ROLE_NAMES
+            s(f"engine.series.vc_busy.{r}", w) for r in ROLE_NAMES
         )
         self._t_fring: dict[int, object] = {}
 
@@ -443,15 +448,10 @@ class Simulation:
         The recorder only *receives* counts and draws no RNG, so an
         attached run is bit-identical to a detached one — the same
         contract (and A/B twin test) as telemetry.  Methods are bound
-        once here; detached runs pay one ``is not None`` check per site.
+        once here and called only from the ``_observe_*`` helpers.
         """
-        from repro.routing.budgets import ROLE_RING
-
         self.blame = recorder
         recorder.bind_mesh(self.mesh)
-        budget = self.algorithm.budget
-        self._b_role_of = budget.role_of if budget is not None else ()
-        self._b_ring_role = ROLE_RING
         self._b_blocked = recorder.header_blocked
         self._b_grant = recorder.route_granted
         self._b_ring = recorder.ring_granted
@@ -471,8 +471,109 @@ class Simulation:
         return counter
 
     # ------------------------------------------------------------------
+    # Observer publishes (docs/observability.md): each phase tests
+    # _observing() once per call and reaches these helpers only when an
+    # observer is attached; the per-hook guards live here (REP009/REP017).
+    # ------------------------------------------------------------------
+    def _observing(self) -> bool:
+        return (
+            self.tracer is not None
+            or self.telemetry is not None
+            or self.blame is not None
+        )
+
+    def _observe_inject(self, cycle: int, msg: Message, node: int) -> None:
+        if self.tracer is not None:
+            self.tracer.record(cycle, "inject", msg.id, node)
+        if self.telemetry is not None:
+            self._t_injected.inc(cycle)
+
+    def _observe_blocked(self, cycle: int, msg: Message, node: int) -> None:
+        if self.telemetry is not None:
+            self._t_blocked.inc(cycle)
+            self._t_node_blocked.inc(cycle, node)
+            self._s_blocked.add(cycle)
+        if self.blame is not None:
+            self._b_blocked(msg)
+
+    def _observe_grant(self, cycle: int, msg: Message, ovc: OutputVC) -> None:
+        if self.tracer is not None:
+            self.tracer.record(cycle, "alloc", msg.id, ovc.node, (ovc.port, ovc.vc))
+        if ovc.is_ejection:
+            return
+        role = self._role_of[ovc.vc]
+        on_ring = role == ROLE_RING and msg.ring is not None
+        if self.telemetry is not None:
+            self._t_alloc_role[role].inc(cycle)
+            if on_ring:
+                self._fring_counter(msg.ring).inc(cycle)
+        if self.blame is not None:
+            if on_ring:
+                self._b_ring(msg)
+            else:
+                self._b_grant(msg)
+
+    def _observe_move(self, cycle: int, flit: tuple, node: int, ejected: bool) -> None:
+        if self.tracer is not None:
+            self.tracer.record(cycle, "move", flit[0].id, node, flit[1])
+        if self.telemetry is not None:
+            self._t_flit_hops.inc(cycle)
+            self._t_node_hops.inc(cycle, node)
+            if ejected:
+                self._t_ejected.inc(cycle)
+                self._s_ejected.add(cycle)
+
+    def _observe_deliver(self, cycle: int, msg: Message) -> None:
+        if self.tracer is not None:
+            self.tracer.record(cycle, "deliver", msg.id, msg.dst)
+        if self.telemetry is not None:
+            self._t_delivered.inc(cycle)
+            self._t_latency.observe(cycle, cycle - msg.created)
+            self._s_delivered.add(cycle)
+            self._s_latency.add(cycle, cycle - msg.created)
+        if self.blame is not None:
+            self._b_finalize(msg, cycle)
+
+    def _observe_drain(self, msg: Message, livelock: bool) -> None:
+        if self.tracer is not None:
+            cause = "livelock" if livelock else "deadlock"
+            self.tracer.record(self.cycle, "drain", msg.id, msg.src, cause)
+        if self.telemetry is not None:
+            self._t_drain[livelock].inc(self.cycle)
+        if self.blame is not None:
+            self._b_drop(msg)
+
+    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
+    def _cycle(self) -> None:
+        """Advance one cycle: the body :meth:`run` and :meth:`step` share."""
+        cfg = self.config
+        cycle = self.cycle
+        profiler = self.profiler
+        if profiler is not None:
+            profiler.start_cycle(cycle)
+        # The router pipeline, in _PH_GENERATE.._PH_SWITCH order.
+        for phase, advance in enumerate(
+            (self._generate, self._inject, self._route, self._switch_and_traverse)
+        ):
+            advance(cycle)
+            if profiler is not None:
+                profiler.lap(phase)
+        if cycle % _WATCHDOG_INTERVAL == 0:
+            self._watchdog(cycle)
+            if profiler is not None:
+                profiler.lap(_PH_WATCHDOG)
+        if cycle >= cfg.warmup and (
+            cfg.collect_vc_stats or self.telemetry is not None
+        ):
+            self._collect_vc(cycle)
+            if profiler is not None:
+                profiler.lap(_PH_COLLECT_VC)
+        if profiler is not None:
+            profiler.end_cycle(self)
+        self.cycle = cycle + 1
+
     def run(self) -> SimulationResult:
         """Run the configured number of cycles and return the statistics.
 
@@ -483,37 +584,10 @@ class Simulation:
         cycles actually measured.  ``cfg.cycles`` remains the bound.
         """
         cfg = self.config
-        collect_vc = cfg.collect_vc_stats or self.telemetry is not None
         auto = self._auto
         win = self._win
-        profiler = self.profiler
         for _ in range(cfg.cycles):
-            cycle = self.cycle
-            if profiler is not None:
-                profiler.start_cycle(cycle)
-            self._generate(cycle)
-            if profiler is not None:
-                profiler.lap(_PH_GENERATE)
-            self._inject(cycle)
-            if profiler is not None:
-                profiler.lap(_PH_INJECT)
-            self._route(cycle)
-            if profiler is not None:
-                profiler.lap(_PH_ROUTE)
-            self._switch_and_traverse(cycle)
-            if profiler is not None:
-                profiler.lap(_PH_SWITCH)
-            if cycle % _WATCHDOG_INTERVAL == 0:
-                self._watchdog(cycle)
-                if profiler is not None:
-                    profiler.lap(_PH_WATCHDOG)
-            if collect_vc and cycle >= cfg.warmup:
-                self._collect_vc(cycle)
-                if profiler is not None:
-                    profiler.lap(_PH_COLLECT_VC)
-            if profiler is not None:
-                profiler.end_cycle(self)
-            self.cycle += 1
+            self._cycle()
             if (
                 auto
                 and self.cycle % win == 0
@@ -532,36 +606,8 @@ class Simulation:
         in :meth:`run`, so incremental test drivers see every cycle
         they ask for.
         """
-        cfg = self.config
-        collect_vc = cfg.collect_vc_stats or self.telemetry is not None
-        profiler = self.profiler
         for _ in range(cycles):
-            cycle = self.cycle
-            if profiler is not None:
-                profiler.start_cycle(cycle)
-            self._generate(cycle)
-            if profiler is not None:
-                profiler.lap(_PH_GENERATE)
-            self._inject(cycle)
-            if profiler is not None:
-                profiler.lap(_PH_INJECT)
-            self._route(cycle)
-            if profiler is not None:
-                profiler.lap(_PH_ROUTE)
-            self._switch_and_traverse(cycle)
-            if profiler is not None:
-                profiler.lap(_PH_SWITCH)
-            if cycle % _WATCHDOG_INTERVAL == 0:
-                self._watchdog(cycle)
-                if profiler is not None:
-                    profiler.lap(_PH_WATCHDOG)
-            if collect_vc and cycle >= cfg.warmup:
-                self._collect_vc(cycle)
-                if profiler is not None:
-                    profiler.lap(_PH_COLLECT_VC)
-            if profiler is not None:
-                profiler.end_cycle(self)
-            self.cycle += 1
+            self._cycle()
 
     # ------------------------------------------------------------------
     # Phase 0: traffic generation
@@ -599,6 +645,7 @@ class Simulation:
         depth = self.config.buffer_depth
         inj_vcs = self.config.injection_vcs
         rng = self.rng
+        observed = self._observing()
         done_nodes = []
         for node in self._inj_pending:
             queue = self._queues[node]
@@ -606,13 +653,12 @@ class Simulation:
             # Bind queued messages to free injection VCs.
             if queue and len(streams) < inj_vcs:
                 used = {s.invc.vc for s in streams}
-                local = self._invcs[node][LOCAL]
                 for v in range(inj_vcs):
                     if not queue:
                         break
                     if v in used:
                         continue
-                    invc = local[v]
+                    invc = self.input_vc(node, LOCAL, v)
                     if invc.msg is None and not invc.buffer:
                         streams.append(_Stream(invc, queue.popleft()))
             # Move one flit across the injection link.
@@ -626,114 +672,96 @@ class Simulation:
                     else (ready[0] if ready else None)
                 )
             if s is not None:
-                self._emit_flit(s, cycle)
-                if s.sent == s.msg.length:
+                msg = s.msg
+                invc = s.invc
+                if s.sent == 0:
+                    msg.injected = cycle
+                    if observed:
+                        self._observe_inject(cycle, msg, node)
+                s.sent += 1
+                if s.sent == msg.length:  # (a single flit is head and tail)
+                    invc.buffer.append((msg, TAIL))
                     streams.remove(s)
+                else:
+                    invc.buffer.append((msg, HEAD if s.sent == 1 else BODY))
+                if invc.msg is None:
+                    invc.msg = msg
+                    invc.blocked_since = cycle
+                    self._needs_routing[invc] = None
             if not queue and not streams:
                 done_nodes.append(node)
         for node in done_nodes:
             del self._inj_pending[node]
 
-    def _emit_flit(self, s: _Stream, cycle: int) -> None:
-        msg = s.msg
-        if s.sent == 0:
-            kind = HEAD
-            msg.injected = cycle
-        elif s.sent == msg.length - 1:
-            kind = TAIL
-        else:
-            kind = BODY
-        if msg.length == 1:
-            kind = TAIL  # single-flit message: the head is also the tail
-            msg.injected = cycle
-        invc = s.invc
-        invc.buffer.append((msg, kind))
-        s.sent += 1
-        if kind == HEAD or msg.length == 1:
-            if self.tracer is not None:
-                self.tracer.record(cycle, "inject", msg.id, invc.node)
-            if self.telemetry is not None:
-                self._t_injected.inc(cycle)
-        if invc.msg is None:
-            invc.msg = msg
-            invc.blocked_since = cycle
-            self._needs_routing[invc] = None
-
     # ------------------------------------------------------------------
     # Phase 2: routing + VC allocation
     # ------------------------------------------------------------------
     def _route(self, cycle: int) -> None:
-        if not self._needs_routing:
+        needs = self._needs_routing
+        if not needs:
             return
-        rng = self.rng
-        items = list(self._needs_routing)
+        items = list(needs)
         if len(items) > 1:
             order = self._perm_rng.permutation(len(items)).tolist()
             items = [items[i] for i in order]
+        observed = self._observing()
+        rng = self.rng
         alg = self.algorithm
+        free = self._free
+        eject = self._eject_tiers
         V = self.config.vcs_per_channel
         for invc in items:
-            if invc not in self._needs_routing:  # drained meanwhile
+            if invc not in needs:  # drained meanwhile
                 continue
             msg = invc.msg
             node = invc.node
             if msg.hops >= self._hop_cap:
                 self._drain(msg, livelock=True)
                 continue
-            if node == msg.dst:
-                tiers = [[(LOCAL, range(V))]]
-            else:
-                tiers = alg.candidate_tiers(msg, node)
-            granted: OutputVC | None = None
-            ovcs_node = self._ovcs[node]
+            tiers = eject if node == msg.dst else alg.candidate_tiers(msg, node)
+            # A tier's free candidates are the set bits of (port free
+            # mask & VcSet mask) over its entries; the winner is the k-th
+            # of them in tier order, k from the same draw as if they had
+            # been listed one by one (DESIGN.md §3.1).
+            base = node * 5
             for tier in tiers:
-                free: list[OutputVC] = []
+                total = 0
                 for direction, vcs in tier:
-                    row = ovcs_node[direction]
-                    for v in vcs:
-                        ovc = row[v]
-                        if ovc.owner is None:
-                            free.append(ovc)
-                if free:
-                    granted = (
-                        free[rng.randrange(len(free))] if len(free) > 1 else free[0]
-                    )
+                    total += (free[base + direction] & vcs.mask).bit_count()
+                if total:
                     break
-            if granted is None:
-                if self.telemetry is not None:
-                    self._t_blocked.inc(cycle)
-                    self._t_node_blocked.inc(cycle, node)
-                    self._s_blocked.add(cycle)
-                if self.blame is not None:
-                    self._b_blocked(msg)
+            else:
+                if observed:
+                    self._observe_blocked(cycle, msg, node)
                 continue
+            k = rng.randrange(total) if total > 1 else 0
+            for direction, vcs in tier:
+                avail = free[base + direction] & vcs.mask
+                n = avail.bit_count()
+                if k < n:
+                    break
+                k -= n
+            if n == len(vcs):  # whole set free: the k-th is positional
+                vc = vcs[k]
+            else:
+                for vc in vcs:
+                    if avail >> vc & 1:
+                        if k == 0:
+                            break
+                        k -= 1
+            granted = self._ovcs[(base + direction) * V + vc]
+            if granted is None:
+                granted = self.output_vc(node, direction, vc)
+            free[granted.key] &= ~granted.bit
             granted.owner = invc
             invc.out_ovc = granted
             invc.blocked_since = -1
-            del self._needs_routing[invc]
+            del needs[invc]
             self._active[invc] = None
-            if self.tracer is not None:
-                self.tracer.record(
-                    cycle, "alloc", msg.id, node, (granted.port, granted.vc)
-                )
-            if self.telemetry is not None and not granted.is_ejection:
-                role = self._role_of[granted.vc]
-                self._t_alloc_role[role].inc(cycle)
-                if role == self._ring_role and msg.ring is not None:
-                    self._fring_counter(msg.ring).inc(cycle)
-            if self.blame is not None and not granted.is_ejection:
-                # Ring classification matches the f-ring telemetry above.
-                role_of = self._b_role_of
-                if (
-                    role_of
-                    and role_of[granted.vc] == self._b_ring_role
-                    and msg.ring is not None
-                ):
-                    self._b_ring(msg)
-                else:
-                    self._b_grant(msg)
-            if not granted.is_ejection:
-                alg.on_vc_allocated(msg, node, granted.port, granted.vc)
+            if observed:
+                self._observe_grant(cycle, msg, granted)
+            if direction != LOCAL:
+                alg.on_vc_allocated(msg, node, direction, vc)
 
     # ------------------------------------------------------------------
     # Phase 3: switch allocation + traversal
@@ -741,99 +769,89 @@ class Simulation:
     def _switch_and_traverse(self, cycle: int) -> None:
         if not self._active:
             return
-        rng = self.rng
         cfg = self.config
         measuring = cycle >= cfg.warmup
         node_stats = cfg.collect_node_stats and measuring
+        # Ejection VCs keep their credit sentinel, so one test covers both.
         cands = [
-            invc
-            for invc in self._active
-            if invc.buffer
-            and (invc.out_ovc.is_ejection or invc.out_ovc.credits > 0)
+            invc for invc in self._active
+            if invc.buffer and invc.out_ovc.credits
         ]
         if len(cands) > 1:
             order = self._perm_rng.permutation(len(cands)).tolist()
             cands = [cands[i] for i in order]
-        in_used: set[tuple[int, int]] = set()
-        out_used: set[tuple[int, int]] = set()
-        arrivals: list[tuple[InputVC, Message, int]] = []
+        observed = self._observing()
+        in_last = self._in_last
+        out_last = self._out_last
+        free = self._free
         result = self.result
         node_load = result.node_load
-        latency_samples = (
-            result.latency_samples if cfg.collect_latency_samples else None
-        )
+        arrivals: list[tuple[InputVC, tuple]] = []
         for invc in cands:
             ovc = invc.out_ovc
-            ik = (invc.node, invc.port)
-            ok = (ovc.node, ovc.port)
-            if ik in in_used or ok in out_used:
+            in_port = invc.key
+            out_port = ovc.key
+            # One flit per input port and per output port per cycle.
+            if in_last[in_port] == cycle or out_last[out_port] == cycle:
                 continue
-            in_used.add(ik)
-            out_used.add(ok)
-            msg, kind = invc.buffer.popleft()
+            in_last[in_port] = out_last[out_port] = cycle
+            flit = invc.buffer.popleft()
             if invc.up_ovc is not None:
                 invc.up_ovc.credits += 1
             if node_stats:
                 node_load[invc.node] += 1
-            if self.tracer is not None:
-                self.tracer.record(cycle, "move", msg.id, invc.node, kind)
-            if self.telemetry is not None:
-                self._t_flit_hops.inc(cycle)
-                self._t_node_hops.inc(cycle, invc.node)
+            if observed:
+                self._observe_move(cycle, flit, invc.node, ovc.is_ejection)
             if ovc.is_ejection:
                 if measuring:
                     result.delivered_flits += 1
-                if self.telemetry is not None:
-                    self._t_ejected.inc(cycle)
-                    self._s_ejected.add(cycle)
-                if kind == TAIL:
-                    msg.delivered = cycle
-                    self.total_delivered += 1
-                    if self._auto:
-                        self._auto_observe(cycle, cycle - msg.created)
-                    if self.tracer is not None:
-                        self.tracer.record(cycle, "deliver", msg.id, invc.node)
-                    if self.telemetry is not None:
-                        self._t_delivered.inc(cycle)
-                        self._t_latency.observe(cycle, cycle - msg.created)
-                        self._s_delivered.add(cycle)
-                        self._s_latency.add(cycle, cycle - msg.created)
-                    if self.blame is not None:
-                        self._b_finalize(msg, cycle)
-                    if measuring:
-                        result.delivered += 1
-                        lat = msg.delivered - msg.created
-                        if latency_samples is not None:
-                            latency_samples.append(lat)
-                        result.latency_sum += lat
-                        result.latency_sq_sum += lat * lat
-                        if lat > result.latency_max:
-                            result.latency_max = lat
-                        result.network_latency_sum += msg.delivered - msg.injected
-                        result.hops_sum += msg.hops
-                    ovc.owner = None
-                    self._retire_front(invc, cycle)
+                if flit[1] != TAIL:
+                    continue
+                self._deliver(flit[0], cycle, observed)
             else:
                 ovc.credits -= 1
-                arrivals.append((ovc.down_invc, msg, kind))
-                if kind == TAIL:
-                    ovc.owner = None
-                    self._retire_front(invc, cycle)
-        for invc, msg, kind in arrivals:
-            invc.buffer.append((msg, kind))
+                arrivals.append((ovc.down_invc, flit))
+                if flit[1] != TAIL:
+                    continue
+            ovc.owner = None  # the tail left: release the channel
+            free[out_port] |= ovc.bit
+            self._retire_front(invc, cycle)
+        for invc, flit in arrivals:
+            invc.buffer.append(flit)
             if invc.msg is None:
-                invc.msg = msg
+                invc.msg = flit[0]
                 invc.blocked_since = cycle
                 self._needs_routing[invc] = None
 
+    def _deliver(self, msg: Message, cycle: int, observed: bool) -> None:
+        """Account the delivery of *msg* (its tail was just ejected)."""
+        msg.delivered = cycle
+        self.total_delivered += 1
+        latency = cycle - msg.created
+        if self._auto:
+            self._auto_observe(cycle, latency)
+        if observed:
+            self._observe_deliver(cycle, msg)
+        if cycle >= self.config.warmup:
+            result = self.result
+            result.delivered += 1
+            if self.config.collect_latency_samples:
+                result.latency_samples.append(latency)
+            result.latency_sum += latency
+            result.latency_sq_sum += latency * latency
+            if latency > result.latency_max:
+                result.latency_max = latency
+            result.network_latency_sum += cycle - msg.injected
+            result.hops_sum += msg.hops
+
     def _retire_front(self, invc: InputVC, cycle: int) -> None:
-        """The front message's tail just left *invc*: promote or idle."""
+        """The front message left *invc* (tail sent, or drained): promote
+        the next buffered message to the routing queue, or go idle."""
         invc.out_ovc = None
         self._active.pop(invc, None)
         if invc.buffer:
-            front_msg, front_kind = invc.buffer[0]
             # In-order wormhole delivery: the next flit must be a header.
-            invc.msg = front_msg
+            invc.msg = invc.buffer[0][0]
             invc.blocked_since = cycle
             self._needs_routing[invc] = None
         else:
@@ -876,8 +894,6 @@ class Simulation:
             if cnts[i] == 0:
                 return False  # an empty batch: not in steady state
             means.append(sums[i] / cnts[i])
-        from repro.obs.converge import batch_means_ci
-
         mean, half_width = batch_means_ci(means)
         return mean > 0 and half_width <= cfg.ci_rel_tol * mean
 
@@ -903,9 +919,7 @@ class Simulation:
                 # the timeout alone is not proof: confirm with the exact
                 # wait-for-graph analysis and raise only on a true
                 # circular wait.  Plain starvation is counted and rearmed.
-                from repro.simulator.deadlock import find_dependency_cycle
-
-                found = find_dependency_cycle(self)
+                found = deadlock.find_dependency_cycle(self)
                 if found is not None:
                     msg = invc.msg
                     raise DeadlockError(
@@ -933,18 +947,8 @@ class Simulation:
         """Remove every flit of *msg* from the network (recovery)."""
         msg.dropped = True
         self.total_dropped += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                self.cycle, "drain", msg.id, msg.src,
-                "livelock" if livelock else "deadlock",
-            )
-        if self.telemetry is not None:
-            if livelock:
-                self._t_drain_livelock.inc(self.cycle)
-            else:
-                self._t_drain_deadlock.inc(self.cycle)
-        if self.blame is not None:
-            self._b_drop(msg)
+        if self._observing():
+            self._observe_drain(msg, livelock)
         if self.cycle >= self.config.warmup:
             if livelock:
                 self.result.dropped_livelock += 1
@@ -952,115 +956,111 @@ class Simulation:
                 self.result.dropped_deadlock += 1
         # Stop the injection stream, if still feeding.
         streams = self._streams[msg.src]
-        for s in list(streams):
-            if s.msg is msg:
-                streams.remove(s)
+        streams[:] = [s for s in streams if s.msg is not msg]
         # Sweep every busy input VC for this message's flits.
-        for invc in list(self._active) + list(self._needs_routing):
-            if invc.msg is not msg and not any(
-                f[0] is msg for f in invc.buffer
-            ):
-                continue
+        for invc in (*self._active, *self._needs_routing):
             removed = sum(1 for f in invc.buffer if f[0] is msg)
             if removed:
                 invc.buffer = deque(f for f in invc.buffer if f[0] is not msg)
                 if invc.up_ovc is not None:
                     invc.up_ovc.credits += removed
             if invc.msg is msg:
-                if invc.out_ovc is not None:
-                    invc.out_ovc.owner = None
-                    invc.out_ovc = None
-                self._active.pop(invc, None)
+                ovc = invc.out_ovc
+                if ovc is not None:
+                    ovc.owner = None
+                    self._free[ovc.key] |= ovc.bit
                 self._needs_routing.pop(invc, None)
-                if invc.buffer:
-                    front_msg, _ = invc.buffer[0]
-                    invc.msg = front_msg
-                    invc.blocked_since = self.cycle
-                    self._needs_routing[invc] = None
-                else:
-                    invc.msg = None
+                self._retire_front(invc, self.cycle)
 
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     def _collect_vc(self, cycle: int) -> None:
-        if self.telemetry is None:
+        # One sweep feeds Figure 3's vc_busy and the telemetry per-role
+        # occupancy counters, so the two views agree by construction
+        # (reconcile_vc_usage checks this).
+        busy = [
+            invc.vc
+            for source in (self._needs_routing, self._active)
+            for invc in source
+            if invc.port != LOCAL
+        ]
+        if self.config.collect_vc_stats:
             vc_busy = self.result.vc_busy
-            for invc in self._needs_routing:
-                if invc.port != LOCAL:
-                    vc_busy[invc.vc] += 1
-            for invc in self._active:
-                if invc.port != LOCAL:
-                    vc_busy[invc.vc] += 1
-            return
-        # Telemetry attached: the same sweep also feeds the per-role
-        # occupancy counters, so Figure 3's vc_busy and the telemetry
-        # view agree by construction (reconcile_vc_usage checks this).
-        track = self.config.collect_vc_stats
-        vc_busy = self.result.vc_busy
-        role_of = self._role_of
-        busy_role = self._t_busy_role
-        s_busy_role = self._s_busy_role
-        for source in (self._needs_routing, self._active):
-            for invc in source:
-                if invc.port != LOCAL:
-                    vc = invc.vc
-                    if track:
-                        vc_busy[vc] += 1
-                    role = role_of[vc]
-                    busy_role[role].inc(cycle)
-                    s_busy_role[role].add(cycle)
+            for vc in busy:
+                vc_busy[vc] += 1
+        if self.telemetry is not None:
+            role_of = self._role_of
+            busy_role = self._t_busy_role
+            s_busy_role = self._s_busy_role
+            for vc in busy:
+                role = role_of[vc]
+                busy_role[role].inc(cycle)
+                s_busy_role[role].add(cycle)
 
     def check_invariants(self) -> None:
         """Verify internal consistency (used by the test suite).
 
-        Checks credit accounting, ownership symmetry and busy-set
-        membership; raises :class:`AssertionError` with a description on
-        the first violation.
+        Checks credit accounting, ownership symmetry, busy-set
+        membership and the lazy-fabric state: every busy VC is the
+        materialised table entry, a port's free-mask bit is set exactly
+        when that output VC has no owner (an absent VC is idle with full
+        credits), and ejection VCs still hold their credit sentinel.
+        Raises :class:`AssertionError` with a description on the first
+        violation.
         """
         depth = self.config.buffer_depth
-        for node in self.mesh.nodes():
-            for port in range(5):
-                for invc in self._invcs[node][port]:
-                    if invc.buffer:
-                        assert invc.msg is not None, (
-                            f"{invc!r} holds flits but has no front message"
-                        )
-                    if invc.msg is not None:
-                        in_routing = invc in self._needs_routing
-                        in_active = invc in self._active
-                        assert in_routing != in_active, (
-                            f"{invc!r} busy but in routing={in_routing}, "
-                            f"active={in_active}"
-                        )
-                        assert len(invc.buffer) <= depth, f"{invc!r} overflow"
-                        if in_active:
-                            assert invc.out_ovc is not None
-                            assert invc.out_ovc.owner is invc
-                    else:
-                        assert not invc.buffer, f"{invc!r} idle with flits"
-                        assert invc.out_ovc is None
-                for ovc in self._ovcs[node][port]:
-                    if ovc.owner is not None:
-                        assert ovc.owner.out_ovc is ovc, (
-                            f"{ovc!r} owner does not point back"
-                        )
-                    if ovc.down_invc is not None:
-                        expect = depth - len(ovc.down_invc.buffer)
-                        assert ovc.credits == expect, (
-                            f"{ovc!r} credits {ovc.credits} != {expect}"
-                        )
+        V = self.config.vcs_per_channel
+        for invc in (*self._active, *self._needs_routing):
+            assert self._invcs[invc.key * V + invc.vc] is invc, (
+                f"{invc!r} is busy but not the materialised table entry"
+            )
+        for invc in self._invcs:
+            if invc is None:
+                continue
+            if invc.msg is not None:
+                in_routing = invc in self._needs_routing
+                in_active = invc in self._active
+                assert in_routing != in_active, (
+                    f"{invc!r} busy but in routing={in_routing}, "
+                    f"active={in_active}"
+                )
+                assert len(invc.buffer) <= depth, f"{invc!r} overflow"
+                if in_active:
+                    assert invc.out_ovc is not None
+                    assert invc.out_ovc.owner is invc
+            else:
+                assert not invc.buffer, f"{invc!r} idle with flits"
+                assert invc.out_ovc is None
+        for idx, ovc in enumerate(self._ovcs):
+            port, vc = divmod(idx, V)
+            is_free = bool(self._free[port] >> vc & 1)
+            if ovc is None:
+                assert is_free, f"absent output VC {idx} marked owned"
+                continue
+            assert is_free == (ovc.owner is None), (
+                f"{ovc!r} free-mask bit {is_free} disagrees with its owner"
+            )
+            if ovc.owner is not None:
+                assert ovc.owner.out_ovc is ovc, (
+                    f"{ovc!r} owner does not point back"
+                )
+            if ovc.is_ejection:
+                assert ovc.credits == depth, (
+                    f"{ovc!r} ejection credit sentinel was spent"
+                )
+            elif ovc.down_invc is not None:
+                expect = depth - len(ovc.down_invc.buffer)
+                assert ovc.credits == expect, (
+                    f"{ovc!r} credits {ovc.credits} != {expect}"
+                )
 
     def flits_in_network(self) -> int:
         """Flits currently buffered anywhere (conservation checks)."""
-        total = 0
-        seen = set()
-        for invc in list(self._active) + list(self._needs_routing):
-            if id(invc) in seen:
-                continue
-            seen.add(id(invc))
-            total += len(invc.buffer)
-        return total
+        # A busy input VC is in exactly one of the two sets (invariant).
+        return sum(len(invc.buffer) for invc in self._active) + sum(
+            len(invc.buffer) for invc in self._needs_routing
+        )
 
     def messages_pending(self) -> int:
         """Messages generated but not yet fully injected."""

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.topology.directions import (
-    DIRECTIONS,
-    EAST,
-    NORTH,
-    SOUTH,
-    WEST,
-    direction_delta,
+from repro.topology.directions import DIRECTIONS, EAST, NORTH, SOUTH, WEST
+
+
+#: ``_MINIMAL_DIRS[sign(dx) + 1][sign(dy) + 1]``: the (shared) tuple of
+#: distance-reducing directions for a signed offset, x direction first.
+_MINIMAL_DIRS = tuple(
+    tuple(x_dirs + y_dirs for y_dirs in ((SOUTH,), (), (NORTH,)))
+    for x_dirs in ((WEST,), (), (EAST,))
 )
 
 
@@ -33,7 +34,7 @@ class Mesh2D:
         Number of rows (the y extent); defaults to ``width``.
     """
 
-    __slots__ = ("width", "height", "n_nodes", "_neighbors")
+    __slots__ = ("width", "height", "n_nodes", "_neighbors", "_xy")
 
     def __init__(self, width: int, height: int | None = None) -> None:
         if height is None:
@@ -45,10 +46,13 @@ class Mesh2D:
         self.n_nodes = width * height
         # Precomputed neighbor table: _neighbors[node][direction] is the
         # neighboring node id or -1 at the mesh edge.  This is the hot-path
-        # lookup for routing and f-ring construction.
+        # lookup for routing and f-ring construction; _xy[node] is its
+        # (x, y), so distance/offsets never divide or bounds-check.
         table = []
+        xy = []
         for node in range(self.n_nodes):
             x, y = node % width, node // width
+            xy.append((x, y))
             row = [-1, -1, -1, -1]
             if x + 1 < width:
                 row[EAST] = node + 1
@@ -60,6 +64,7 @@ class Mesh2D:
                 row[SOUTH] = node - width
             table.append(tuple(row))
         self._neighbors = tuple(table)
+        self._xy = tuple(xy)
 
     # ------------------------------------------------------------------
     # Addressing
@@ -74,7 +79,7 @@ class Mesh2D:
         """``(x, y)`` coordinates of *node*."""
         if not (0 <= node < self.n_nodes):
             raise ValueError(f"node {node} outside mesh with {self.n_nodes} nodes")
-        return node % self.width, node // self.width
+        return self._xy[node]
 
     def in_bounds(self, x: int, y: int) -> bool:
         """Whether ``(x, y)`` is a valid coordinate in this mesh."""
@@ -113,14 +118,14 @@ class Mesh2D:
 
     def distance(self, a: int, b: int) -> int:
         """Manhattan (minimal-path) distance between nodes *a* and *b*."""
-        ax, ay = self.coordinates(a)
-        bx, by = self.coordinates(b)
+        ax, ay = self._xy[a]
+        bx, by = self._xy[b]
         return abs(ax - bx) + abs(ay - by)
 
     def offsets(self, src: int, dst: int) -> tuple[int, int]:
         """Signed ``(dx, dy)`` offset from *src* to *dst*."""
-        sx, sy = self.coordinates(src)
-        dx, dy = self.coordinates(dst)
+        sx, sy = self._xy[src]
+        dx, dy = self._xy[dst]
         return dx - sx, dy - sy
 
     def minimal_directions(self, src: int, dst: int) -> tuple[int, ...]:
@@ -129,17 +134,9 @@ class Mesh2D:
         Empty iff ``src == dst``; has one element when the nodes share a row
         or column, two otherwise.
         """
-        dx, dy = self.offsets(src, dst)
-        dirs = []
-        if dx > 0:
-            dirs.append(EAST)
-        elif dx < 0:
-            dirs.append(WEST)
-        if dy > 0:
-            dirs.append(NORTH)
-        elif dy < 0:
-            dirs.append(SOUTH)
-        return tuple(dirs)
+        sx, sy = self._xy[src]
+        dx, dy = self._xy[dst]
+        return _MINIMAL_DIRS[(dx > sx) - (dx < sx) + 1][(dy > sy) - (dy < sy) + 1]
 
     def step(self, node: int, direction: int) -> int:
         """Like :meth:`neighbor` but raises at the mesh edge."""
@@ -172,7 +169,7 @@ class Mesh2D:
     # ------------------------------------------------------------------
     def checkerboard_label(self, node: int) -> int:
         """2-coloring label used by the negative-hop scheme (0 or 1)."""
-        x, y = self.coordinates(node)
+        x, y = self._xy[node]
         return (x + y) & 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -191,10 +188,7 @@ class Mesh2D:
 
 def direction_of_hop(mesh: Mesh2D, src: int, dst: int) -> int:
     """Direction of the mesh link from *src* to adjacent node *dst*."""
-    sx, sy = mesh.coordinates(src)
-    dx, dy = mesh.coordinates(dst)
-    step = (dx - sx, dy - sy)
-    for direction in DIRECTIONS:
-        if direction_delta(direction) == step:
-            return direction
+    row = mesh.neighbor_table(src)
+    if dst >= 0 and dst in row:
+        return row.index(dst)
     raise ValueError(f"nodes {src} and {dst} are not mesh-adjacent")

@@ -554,11 +554,11 @@ class CdgChecker:
     # Tier validation (the runtime half of the tier-shape invariant)
     # ------------------------------------------------------------------
     def _tier_error(self, tiers: object) -> str | None:
-        if not isinstance(tiers, list) or not tiers:
-            return f"candidate_tiers returned {type(tiers).__name__}, not a non-empty list"
+        if not isinstance(tiers, (list, tuple)) or not tiers:
+            return f"candidate_tiers returned {type(tiers).__name__}, not a non-empty sequence"
         for tier in tiers:
-            if not isinstance(tier, list) or not tier:
-                return f"tier is {type(tier).__name__}, not a non-empty list"
+            if not isinstance(tier, (list, tuple)) or not tier:
+                return f"tier is {type(tier).__name__}, not a non-empty sequence"
             for pair in tier:
                 if not (isinstance(pair, tuple) and len(pair) == 2):
                     return f"tier entry {pair!r} is not a (direction, vcs) pair"

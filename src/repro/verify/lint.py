@@ -53,6 +53,16 @@ _IMPORT_BOUNDARIES: dict[str, tuple[str, ...]] = {
         "repro.routing",
         "repro.experiments",
     ),
+    # The engine never imports the observability layer — observers attach
+    # through the nullable hooks — and that holds for function-level
+    # imports too (shared arithmetic lives in repro.metrics).
+    "repro/simulator/": ("repro.obs",),
+}
+
+#: Carve-outs from the catalog above: the cycle-safe span constructors
+#: may cross into the simulator, and REP017 polices exactly which names.
+_IMPORT_BOUNDARY_EXEMPT: dict[str, tuple[str, ...]] = {
+    "repro/simulator/": ("repro.obs.spans",),
 }
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
@@ -192,9 +202,11 @@ def _rule_unseeded_random(mod: _Module) -> list[Finding]:
 # ----------------------------------------------------------------------
 def _rule_import_boundaries(mod: _Module) -> list[Finding]:
     forbidden: tuple[str, ...] = ()
+    exempt: tuple[str, ...] = ()
     for prefix, banned in _IMPORT_BOUNDARIES.items():
         if prefix in mod.path:
             forbidden = banned
+            exempt = _IMPORT_BOUNDARY_EXEMPT.get(prefix, ())
             break
     if not forbidden:
         return []
@@ -206,6 +218,8 @@ def _rule_import_boundaries(mod: _Module) -> list[Finding]:
         elif isinstance(node, ast.ImportFrom) and node.module:
             targets = [node.module]
         for target in targets:
+            if target in exempt:
+                continue
             for banned in forbidden:
                 if target == banned or target.startswith(banned + "."):
                     found.append(Finding(
@@ -272,7 +286,7 @@ def _rule_algorithm_declarations(mods: list[_Module]) -> list[Finding]:
 
 
 # ----------------------------------------------------------------------
-# REP005 — tier-returning methods carry the list[Tier] annotation
+# REP005 — tier-returning methods carry the Sequence[Tier] annotation
 # ----------------------------------------------------------------------
 def _rule_tier_annotations(mod: _Module) -> list[Finding]:
     if "repro/routing/" not in mod.path:
@@ -284,12 +298,12 @@ def _rule_tier_annotations(mod: _Module) -> list[Finding]:
         if node.name not in ("tiers_for", "candidate_tiers"):
             continue
         annotation = _annotation_text(node.returns)
-        if annotation != "list[Tier]":
+        if annotation not in ("Sequence[Tier]", "list[Tier]"):
             found.append(Finding(
                 "REP005", mod.path, node.lineno, node.col_offset,
-                f"{node.name}() must be annotated '-> list[Tier]' "
-                f"(found {annotation or 'no annotation'!r}); the tier shape "
-                "is a checked engine contract",
+                f"{node.name}() must be annotated '-> Sequence[Tier]' (or "
+                f"'-> list[Tier]'; found {annotation or 'no annotation'!r}); "
+                "the tier shape is a checked engine contract",
             ))
     return found
 
@@ -1288,7 +1302,8 @@ RULES: dict[str, tuple[str, str, object]] = {
     ),
     "REP003": (
         "module",
-        "layer import boundaries (routing/topology/faults stay pure)",
+        "layer import boundaries (routing/topology/faults stay pure; "
+        "repro.simulator never imports repro.obs, even inside a function)",
         _rule_import_boundaries,
     ),
     "REP004": (
@@ -1298,7 +1313,7 @@ RULES: dict[str, tuple[str, str, object]] = {
     ),
     "REP005": (
         "module",
-        "tiers_for/candidate_tiers annotated '-> list[Tier]'",
+        "tiers_for/candidate_tiers annotated '-> Sequence[Tier]' (or list[Tier])",
         _rule_tier_annotations,
     ),
     "REP006": (

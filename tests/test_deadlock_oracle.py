@@ -38,6 +38,20 @@ def block_header(sim: Simulation, node: int, dst: int, msg_id: int):
     return invc
 
 
+def own(sim: Simulation, node: int, port: int, vc: int, owner) -> None:
+    """Hand-assign the owner of output VC ``(node, port, vc)``.
+
+    The engine allocates VCs from a per-port free mask (bit set <=>
+    ``owner is None``), so a test that writes ``owner`` directly must
+    clear the bit too or the allocator would grant the VC again and
+    ``check_invariants`` would flag the mismatch.  ``output_vc``
+    materialises the (lazy) VC first.
+    """
+    ovc = sim.output_vc(node, port, vc)
+    ovc.owner = owner
+    sim._free[ovc.key] &= ~ovc.bit
+
+
 class TestCircularWait:
     def test_two_vc_circular_wait_returns_cycle(self):
         """A holds what B wants and vice versa -> the cycle, exactly."""
@@ -50,10 +64,10 @@ class TestCircularWait:
         invc_b = block_header(sim, mesh.node_id(1, 0), mesh.node_id(0, 1), 1)
         for d, vcs in (t for tier in sim.algorithm.candidate_tiers(invc_a.msg, invc_a.node) for t in tier):
             for v in vcs:
-                sim.output_vc(invc_a.node, d, v).owner = invc_b
+                own(sim, invc_a.node, d, v, invc_b)
         for d, vcs in (t for tier in sim.algorithm.candidate_tiers(invc_b.msg, invc_b.node) for t in tier):
             for v in vcs:
-                sim.output_vc(invc_b.node, d, v).owner = invc_a
+                own(sim, invc_b.node, d, v, invc_a)
 
         cycle = find_dependency_cycle(sim)
         assert cycle is not None
@@ -67,7 +81,7 @@ class TestCircularWait:
             for tier in sim.algorithm.candidate_tiers(invc.msg, invc.node):
                 for d, vcs in tier:
                     for v in vcs:
-                        sim.output_vc(invc.node, d, v).owner = other
+                        own(sim, invc.node, d, v, other)
         cycle = find_dependency_cycle(sim)
         for node, port, vc in cycle:
             assert 0 <= node < sim.mesh.n_nodes
@@ -84,7 +98,7 @@ class TestCongestionOnly:
         for tier in sim.algorithm.candidate_tiers(invc_a.msg, invc_a.node):
             for d, vcs in tier:
                 for v in vcs:
-                    sim.output_vc(invc_a.node, d, v).owner = invc_b
+                    own(sim, invc_a.node, d, v, invc_b)
         # B's candidates stay unowned: the wait-for graph is A -> B only.
         assert find_dependency_cycle(sim) is None
 
@@ -97,8 +111,22 @@ class TestCongestionOnly:
         for tier in sim.algorithm.candidate_tiers(invc_a.msg, invc_a.node):
             for d, vcs in tier:
                 for v in vcs:
-                    sim.output_vc(invc_a.node, d, v).owner = mover
+                    own(sim, invc_a.node, d, v, mover)
         assert find_dependency_cycle(sim) is None
 
     def test_empty_network_returns_none(self):
         assert find_dependency_cycle(make_sim()) is None
+
+
+def test_own_keeps_the_free_mask_in_step():
+    """A hand-owned VC is never granted: the blocked header stays blocked."""
+    sim = make_sim()
+    invc_a = block_header(sim, 0, 3, 0)
+    holder = sim.input_vc(1, LOCAL, 0)
+    for tier in sim.algorithm.candidate_tiers(invc_a.msg, invc_a.node):
+        for d, vcs in tier:
+            for v in vcs:
+                own(sim, invc_a.node, d, v, holder)
+    sim.step(3)
+    assert invc_a in sim._needs_routing
+    assert invc_a.out_ovc is None

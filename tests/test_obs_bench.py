@@ -119,6 +119,14 @@ def test_campaign_workload_runs_grid_through_store():
     assert metrics["seconds"] > 0
 
 
+def test_engine_build_workload_counts_constructions_at_both_sizes():
+    (w,) = [w for w in WORKLOADS if w.name == "engine_build"]
+    metrics = run_suite(workloads=(w,), repeats=1)["engine_build"]
+    # 50 builds at 6x6 + 50 at 10x10, 24 VCs each.
+    assert metrics["ops"] == 100
+    assert metrics["ops_per_sec"] > 0
+
+
 def test_verify_check_corpus_workload_runs_the_model_checker():
     (w,) = [w for w in WORKLOADS if w.name == "verify_check_corpus"]
     metrics = run_suite(workloads=(w,), repeats=1)["verify_check_corpus"]

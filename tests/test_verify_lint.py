@@ -75,6 +75,30 @@ class TestImportBoundaries:
         findings = lint_source(src, path="src/repro/topology/x.py", select={"REP003"})
         assert rules_of(findings) == {"REP003"}
 
+    def test_simulator_function_level_obs_import_flagged(self):
+        src = (
+            "def _ci_converged(self):\n"
+            "    from repro.obs.converge import batch_means_ci\n"
+            "    return batch_means_ci([])\n"
+        )
+        findings = lint_source(src, path="src/repro/simulator/x.py", select={"REP003"})
+        assert rules_of(findings) == {"REP003"}
+        assert "repro.obs.converge" in findings[0].message
+
+    def test_simulator_module_level_obs_import_flagged(self):
+        src = "import repro.obs\n"
+        findings = lint_source(src, path="src/repro/simulator/x.py", select={"REP003"})
+        assert rules_of(findings) == {"REP003"}
+
+    def test_simulator_may_import_metrics_and_cycle_safe_spans(self):
+        src = (
+            "from repro.metrics.confidence import batch_means_ci\n"
+            "def attach(self):\n"
+            "    from repro.routing.budgets import ROLE_RING\n"
+            "    from repro.obs.spans import make_span\n"
+        )
+        assert lint_source(src, path="src/repro/simulator/x.py", select={"REP003"}) == []
+
 
 class TestAlgorithmDeclarations:
     def test_missing_declarations_flagged(self):
