@@ -16,7 +16,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments.campaign import CampaignRunner, CampaignSpec
+from repro.campaigns import CampaignRunner, CampaignSpec
 from repro.experiments.fig_sweep import run_sweep
 from repro.experiments.profiles import SMOKE_PROFILE
 from repro.store import CachedEvaluator, ResultStore

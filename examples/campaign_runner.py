@@ -12,7 +12,7 @@ Run:  python examples/campaign_runner.py
 import tempfile
 from pathlib import Path
 
-from repro.experiments.campaign import CampaignRunner, CampaignSpec, load_campaign
+from repro.campaigns import CampaignRunner, CampaignSpec, load_campaign
 from repro.simulator import SimConfig
 
 spec = CampaignSpec(

@@ -26,7 +26,6 @@ engine version yields different keys and therefore a fresh plan.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -43,7 +42,7 @@ from repro.campaigns.spec import (
 from repro.core.evaluator import Evaluator
 from repro.simulator.engine import ENGINE_VERSION
 from repro.store.backend import ResultStore
-from repro.store.keys import algorithm_token, canonical_json, run_key
+from repro.store.keys import algorithm_token, content_digest, run_key
 
 __all__ = ["CampaignDB", "CampaignPlan", "store_digest"]
 
@@ -60,7 +59,7 @@ def store_digest(store: ResultStore) -> str:
     shard-and-merge executor.
     """
     rows = sorted(store.rows(), key=lambda row: row["key"])
-    return hashlib.sha256(canonical_json(rows).encode("utf-8")).hexdigest()
+    return content_digest(rows)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from functools import partial
 from pathlib import Path
 
 from repro.campaigns.spec import (
@@ -38,9 +39,17 @@ from repro.campaigns.spec import (
     draw_cases,
     execute_cell,
 )
-from repro.obs.profile import clock
+from repro.experiments.parallel import (
+    collect_cells,
+    parallel_map,
+    pool_safe_instrument,
+    timed_cell,
+    worker_evaluator,
+)
+from repro.obs.manifest import ManifestWriter
+from repro.obs.telemetry import series_snapshot
 from repro.store.backend import ResultStore, store_dir_of
-from repro.store.cache import make_evaluator
+from repro.store.cache import CacheStats, make_evaluator
 from repro.util.serialization import pattern_to_dict
 
 __all__ = [
@@ -79,53 +88,59 @@ def read_results_jsonl(path: Path | str) -> list[dict]:
     return rows
 
 
+def campaign_cells(
+    evaluator, cases: dict, keys, *, manifest=None, trace_context=None
+):
+    """Run campaign cells one by one, yielding each finished cell.
+
+    Every cell goes through :func:`~repro.experiments.parallel.
+    timed_cell` (timing, cache delta, manifest events); its ``value`` is
+    the ``results.jsonl`` row.  *trace_context* is the campaign's
+    ``(trace_id, root_span_id)``: when set, each cell carries a ``cell``
+    span keyed by its id, a direct child of the campaign root — no
+    worker- or shard-level parent, so ids do not depend on the dispatch.
+    """
+    for key in keys:
+        cid = cell_id(key)
+        span = None
+        if trace_context is not None:
+            span = {
+                "name": "cell",
+                "trace_id": trace_context[0],
+                "parent_id": trace_context[1],
+                "key": cid,
+            }
+        yield timed_cell(
+            cid, partial(_cell_row, evaluator, cases, key, cid), evaluator,
+            manifest=manifest, span=span,
+        )
+
+
+def _cell_row(evaluator, cases: dict, key: dict, cid: str) -> tuple[dict, int]:
+    row = execute_cell(evaluator, cases, key)
+    row["id"] = cid
+    return row, row["cycles"]
+
+
 def _campaign_worker(
     args: tuple[dict, list[dict], str | None, bool],
-) -> dict:
-    """Pool worker: run a chunk of campaign cells, return finished rows.
+) -> tuple[list[dict], dict | None]:
+    """Pool worker: run a chunk of campaign cells, return them finished.
 
     Only the parent writes ``results.jsonl`` and ``events.jsonl``; the
-    worker ships each cell's wall seconds home alongside the rows, plus
-    its telemetry snapshot (when the parent asked for one — fresh
-    registry per worker, merged by the parent) and its evaluator's cache
-    counters.  When a store directory is given, the shared
-    :class:`~repro.store.ResultStore` is the cross-process dedup point —
-    a cell simulated by any worker (or any earlier figure run) is a
-    cache hit everywhere else.
+    worker ships the finished cells home with its telemetry snapshot
+    (fresh registry per worker, merged by the parent).  When a store
+    directory is given, the shared :class:`~repro.store.ResultStore` is
+    the cross-process dedup point — a cell simulated by any worker (or
+    any earlier figure run) is a cache hit everywhere else.
     """
-    import os
-
-    from repro.experiments.parallel import _worker_registry, \
-        evaluator_cache_dict
-
     spec_payload, keys, store_dir, with_telemetry = args
     spec = CampaignSpec.from_dict(spec_payload)
-    registry, instrument = _worker_registry(with_telemetry)
-    evaluator = make_evaluator(
-        spec.config, seed=spec.seed, store=store_dir, instrument=instrument
+    registry, evaluator = worker_evaluator(
+        spec.config, spec.seed, store_dir, with_telemetry
     )
-    cases = draw_cases(evaluator, spec)
-    rows = []
-    cells = []
-    for key in keys:
-        t0 = clock()
-        row = execute_cell(evaluator, cases, key)
-        row["id"] = cell_id(key)
-        rows.append(row)
-        cells.append(
-            {
-                "id": row["id"],
-                "seconds": clock() - t0,
-                "cycles": row["cycles"],
-            }
-        )
-    return {
-        "rows": rows,
-        "cells": cells,
-        "pid": os.getpid(),
-        "snapshot": None if registry is None else registry.snapshot(),
-        "cache": evaluator_cache_dict(evaluator),
-    }
+    cells = list(campaign_cells(evaluator, draw_cases(evaluator, spec), keys))
+    return cells, None if registry is None else registry.snapshot()
 
 
 class CampaignRunner:
@@ -204,117 +219,69 @@ class CampaignRunner:
         configured, and worker telemetry snapshots merge into the
         parent instrument's registry.
         """
-
-        from repro.experiments.parallel import (
-            cache_delta,
-            evaluator_cache_dict,
-            merge_worker_output,
-            pool_safe_instrument,
-        )
-        from repro.obs.manifest import ManifestWriter
-        from repro.obs.telemetry import series_snapshot
-        from repro.store.cache import CacheStats
-
         self.write_manifest()
         done = self.completed_ids() if resume else set()
         pending = [
             key for key in self.spec.job_keys() if cell_id(key) not in done
         ]
-        executed = 0
-        cache_totals = CacheStats()
-        have_cache = False
-        pool = (
-            workers > 1
-            and len(pending) > 1
-            and pool_safe_instrument(self.instrument)
-        )
+        if len(pending) <= 1 or not pool_safe_instrument(self.instrument):
+            workers = 1  # nothing to fan out, or a tracer that cannot merge
         registry = getattr(self.instrument, "telemetry", None)
+        cache_totals = CacheStats() if self.store is not None else None
         with ManifestWriter(self.events_path) as events, \
                 self.results_path.open("a" if resume else "w") as sink:
             events.run_start(
                 self.spec.name,
                 kind="campaign",
-                workers=workers if pool else 1,
+                workers=max(workers, 1),
                 store=store_dir_of(self.store),
                 pending=len(pending),
                 resumed=len(done),
             )
-
-            def _emit(row: dict) -> None:
-                sink.write(json.dumps(row) + "\n")
+            for cell in self._cells(pending, workers, events):
+                sink.write(json.dumps(cell["value"]) + "\n")
                 sink.flush()
                 if progress:
-                    progress(f"[{self.spec.name}] {row['id']}")
-
-            if pool:
-                from repro.experiments.parallel import parallel_map
-
-                n_chunks = min(workers, len(pending))
-                size = -(-len(pending) // n_chunks)  # ceil division
-                chunks = [
-                    pending[i : i + size] for i in range(0, len(pending), size)
-                ]
-                spec_payload = self.spec.to_dict()
-                store_dir = store_dir_of(self.store)
-                with_telemetry = registry is not None
-                jobs = [
-                    (spec_payload, chunk, store_dir, with_telemetry)
-                    for chunk in chunks
-                ]
-                for data in parallel_map(
-                    _campaign_worker, jobs, workers, label=self.spec.name
-                ):
-                    for row, cell in zip(data["rows"], data["cells"]):
-                        _emit(row)
-                        executed += 1
-                        events.cell_finish(
-                            cell["id"], seconds=cell["seconds"],
-                            worker=data["pid"], cycles=cell["cycles"],
-                        )
-                    merge_worker_output(self.instrument, data)
-                    if data["cache"] is not None:
-                        have_cache = True
-                        cache_totals.add(data["cache"])
-            else:
-                run_before = evaluator_cache_dict(self._evaluator)
-                for key in pending:
-                    cid = cell_id(key)
-                    events.cell_start(cid)
-                    before = evaluator_cache_dict(self._evaluator)
-                    t0 = clock()
-                    row = self._run_job(key)
-                    row["id"] = cid
-                    _emit(row)
-                    executed += 1
-                    events.cell_finish(
-                        cid,
-                        seconds=clock() - t0,
-                        cycles=row["cycles"],
-                        cache=cache_delta(
-                            before, evaluator_cache_dict(self._evaluator)
-                        ),
-                    )
-                run_delta = cache_delta(
-                    run_before, evaluator_cache_dict(self._evaluator)
-                )
-                if run_delta is not None:
-                    have_cache = True
-                    cache_totals.add(run_delta)
+                    progress(f"[{self.spec.name}] {cell['id']}")
+                if cache_totals is not None:
+                    cache_totals.add(cell["cache"])
             series = (
                 series_snapshot(registry) if registry is not None else None
             )
             events.run_finish(
-                status="ok",
-                cache=cache_totals.as_dict() if have_cache else None,
+                cache=None if cache_totals is None else cache_totals.as_dict(),
                 telemetry_digest=(
                     registry.digest() if registry is not None else None
                 ),
                 telemetry_series=series or None,
             )
-        return executed
+        return len(pending)
 
-    def _run_job(self, key: dict) -> dict:
-        return execute_cell(self._evaluator, self._cases, key)
+    def _cells(self, pending: list[dict], workers: int, events):
+        """Finished cells of *pending*, in order: run here against the
+        runner's own evaluator, or in *workers* pool chunks."""
+        if workers <= 1:
+            yield from campaign_cells(
+                self._evaluator, self._cases, pending, manifest=events
+            )
+            return
+        size = -(-len(pending) // workers)  # ceil division
+        shared = (
+            store_dir_of(self.store),
+            getattr(self.instrument, "telemetry", None) is not None,
+        )
+        spec_payload = self.spec.to_dict()
+        jobs = [
+            (spec_payload, pending[i : i + size], *shared)
+            for i in range(0, len(pending), size)
+        ]
+        for cells, snapshot in parallel_map(
+            _campaign_worker, jobs, workers, label=self.spec.name
+        ):
+            collect_cells(
+                cells, snapshot, instrument=self.instrument, manifest=events
+            )
+            yield from cells
 
     # ------------------------------------------------------------------
     def load_results(self) -> list[dict]:

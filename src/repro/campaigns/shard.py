@@ -41,8 +41,10 @@ import json
 from pathlib import Path
 
 from repro.campaigns.db import CampaignDB, store_digest
-from repro.campaigns.spec import CampaignSpec, cell_id, draw_cases, \
-    execute_cell
+from repro.campaigns.runner import campaign_cells
+from repro.campaigns.spec import CELL_FIELDS, CampaignSpec, draw_cases
+from repro.experiments.parallel import parallel_map, worker_evaluator
+from repro.obs.manifest import ManifestWriter, read_manifest
 from repro.obs.profile import clock
 from repro.obs.spans import (
     make_span,
@@ -75,6 +77,62 @@ def partition_cells(cells: list[dict], n_shards: int) -> list[list[dict]]:
     return [cells[i::n_shards] for i in range(n_shards)]
 
 
+def _execute(
+    spec: CampaignSpec,
+    coords: list[dict],
+    store: ResultStore,
+    events_path: Path,
+    *,
+    kind: str,
+    with_telemetry: bool,
+    trace_context: tuple[str, str | None] | None,
+    root_start: float | None = None,
+    progress=None,
+    **meta,
+):
+    """Run *coords* against *store*, logging one run to *events_path*.
+
+    The one executor behind a shard (own store, own manifest) and the
+    sequential campaign (the campaign's store and manifest): a fresh
+    evaluator and registry, every cell through
+    :func:`~repro.campaigns.runner.campaign_cells`, each cell's span
+    written as it finishes.  *root_start* makes this run the whole
+    campaign: its ``campaign`` root span (started then) closes the run.
+    Returns ``(registry, cells, spans)``.
+    """
+    registry, evaluator = worker_evaluator(
+        spec.config, spec.seed, store, with_telemetry
+    )
+    cases = draw_cases(evaluator, spec)
+    cells, spans = [], []
+    with ManifestWriter(events_path) as events:
+        events.run_start(
+            spec.name, kind=kind, store=str(store.root),
+            pending=len(coords), **meta,
+        )
+        for cell in campaign_cells(
+            evaluator, cases, coords, manifest=events,
+            trace_context=trace_context,
+        ):
+            cells.append({k: cell[k] for k in ("id", "seconds", "cycles")})
+            if cell["span"] is not None:
+                spans.append(cell["span"])
+                events.span(cell["span"])
+            if progress:
+                progress(f"[{spec.name}] {cell['id']}")
+        if root_start is not None:
+            spans.append(_campaign_root_span(
+                spec.name, *trace_context, root_start, shards=1
+            ))
+            events.span(spans[-1])
+        events.run_finish(
+            telemetry_digest=(
+                registry.merge_digest() if registry is not None else None
+            ),
+        )
+    return registry, cells, spans
+
+
 def run_shard(
     spec: CampaignSpec,
     coords: list[dict],
@@ -92,70 +150,21 @@ def run_shard(
         telemetry.json  registry snapshot (when *with_telemetry*)
 
     *trace_context* is the campaign's ``(trace_id, root_span_id)``; when
-    set, every cell records a ``cell`` span (keyed by cell id, a direct
-    child of the campaign root — no shard-level parent, so ids do not
-    depend on the sharding) into the shard manifest for the merge step
-    to replay.
+    set, every cell's ``cell`` span lands in the shard manifest for the
+    merge step to replay.
 
     Returns a JSON-safe summary (shard root, per-cell timings, counts)
     — the contract a remote host would ship home alongside the
     directory itself.
     """
-
-    from repro.experiments.parallel import _worker_registry
-    from repro.obs.manifest import ManifestWriter
-    from repro.store.cache import make_evaluator
-
     shard_root = Path(shard_root)
     shard_root.mkdir(parents=True, exist_ok=True)
     store = ResultStore(shard_root / "store")
-    registry, instrument = _worker_registry(with_telemetry)
-    evaluator = make_evaluator(
-        spec.config, seed=spec.seed, store=store, instrument=instrument
+    registry, cells, _ = _execute(
+        spec, coords, store, shard_root / "events.jsonl",
+        kind="campaign-shard", with_telemetry=with_telemetry,
+        trace_context=trace_context,
     )
-    cases = draw_cases(evaluator, spec)
-    cells = []
-    with ManifestWriter(shard_root / "events.jsonl") as events:
-        events.run_start(
-            spec.name, kind="campaign-shard", store=str(store.root),
-            pending=len(coords),
-        )
-        for key in coords:
-            cid = cell_id(key)
-            events.cell_start(cid)
-            t0 = clock()
-            row = execute_cell(evaluator, cases, key)
-            t1 = clock()
-            cells.append(
-                {
-                    "id": cid,
-                    "seconds": t1 - t0,
-                    "cycles": row["cycles"],
-                }
-            )
-            events.cell_finish(
-                cid, seconds=cells[-1]["seconds"], cycles=row["cycles"]
-            )
-            if trace_context is not None:
-                trace_id, root_id = trace_context
-                events.span(
-                    make_span(
-                        "cell",
-                        trace_id=trace_id,
-                        parent_id=root_id,
-                        kind="clock",
-                        start=t0,
-                        end=t1,
-                        key=cid,
-                        attrs={"id": cid, "cycles": row["cycles"]},
-                    )
-                )
-        events.run_finish(
-            status="ok",
-            telemetry_digest=(
-                registry.merge_digest() if registry is not None else None
-            ),
-        )
     if registry is not None:
         (shard_root / "telemetry.json").write_text(
             json.dumps(registry.snapshot())
@@ -178,9 +187,7 @@ def _shard_worker(
         coords,
         shard_root,
         with_telemetry=with_telemetry,
-        trace_context=(
-            tuple(trace_context) if trace_context is not None else None
-        ),
+        trace_context=trace_context,
     )
 
 
@@ -204,8 +211,6 @@ def merge_shards(
     digest, and the merged span digest — the values a proof-of-equality
     check compares against a sequential run.
     """
-    from repro.obs.manifest import ManifestWriter, read_manifest
-
     merged_rows = 0
     cell_events: list[dict] = []
     shard_spans: list[dict] = []
@@ -293,15 +298,8 @@ def run_campaign(
     and, when *telemetry* is on, the merged registry digest.
     """
 
-    from repro.experiments.parallel import _worker_registry, parallel_map
-    from repro.obs.manifest import ManifestWriter
-
     plan = db.plan()
-    missing = [
-        {k: c[k] for k in ("algorithm", "rate", "n_faults",
-                           "fault_set", "repeat")}
-        for c in plan.missing
-    ]
+    missing = [{f: c[f] for f in CELL_FIELDS} for c in plan.missing]
     db.save()
     summary = {
         "name": db.spec.name,
@@ -314,53 +312,11 @@ def run_campaign(
     root_id = make_span_id(trace_id, None, "campaign")
     t_campaign0 = clock()
     if shards <= 1:
-        registry, instrument = _worker_registry(telemetry)
-        from repro.store.cache import make_evaluator
-
-        evaluator = make_evaluator(
-            db.spec.config, seed=db.spec.seed, store=db.store,
-            instrument=instrument,
+        registry, _, spans = _execute(
+            db.spec, missing, db.store, db.events_path, kind="campaign",
+            with_telemetry=telemetry, trace_context=(trace_id, root_id),
+            root_start=t_campaign0, progress=progress, resumed=plan.done,
         )
-        cases = draw_cases(evaluator, db.spec)
-        spans: list[dict] = []
-        with ManifestWriter(db.events_path) as events:
-            events.run_start(
-                db.spec.name, kind="campaign", workers=1,
-                store=str(db.store.root), pending=len(missing),
-                resumed=plan.done,
-            )
-            for key in missing:
-                cid = cell_id(key)
-                events.cell_start(cid)
-                t0 = clock()
-                row = execute_cell(evaluator, cases, key)
-                t1 = clock()
-                events.cell_finish(
-                    cid, seconds=t1 - t0,
-                    cycles=row["cycles"],
-                )
-                spans.append(
-                    make_span(
-                        "cell", trace_id=trace_id, parent_id=root_id,
-                        kind="clock", start=t0, end=t1, key=cid,
-                        attrs={"id": cid, "cycles": row["cycles"]},
-                    )
-                )
-                if progress:
-                    progress(f"[{db.spec.name}] {cid}")
-            spans.append(
-                _campaign_root_span(
-                    db, trace_id, root_id, t_campaign0, shards=1,
-                )
-            )
-            for span in merge_spans(spans):
-                events.span(span)
-            events.run_finish(
-                status="ok",
-                telemetry_digest=(
-                    registry.merge_digest() if registry is not None else None
-                ),
-            )
         summary["telemetry_digest"] = (
             registry.merge_digest() if registry is not None else None
         )
@@ -388,7 +344,7 @@ def run_campaign(
 
         registry = TelemetryRegistry()
     root_span = _campaign_root_span(
-        db, trace_id, root_id, t_campaign0, shards=shards,
+        db.spec.name, trace_id, root_id, t_campaign0, shards=shards
     )
     merge = merge_shards(
         db, shard_roots, registry=registry, spans=[root_span]
@@ -407,7 +363,7 @@ def run_campaign(
 
 
 def _campaign_root_span(
-    db: CampaignDB, trace_id: str, root_id: str, t0: float, *, shards: int
+    name: str, trace_id: str, root_id: str, t0: float, *, shards: int
 ) -> dict:
     """The campaign-level root span (parent of every cell span)."""
     return make_span(
@@ -418,5 +374,5 @@ def _campaign_root_span(
         kind="clock",
         start=t0,
         end=clock(),
-        attrs={"name": db.spec.name, "shards": shards},
+        attrs={"name": name, "shards": shards},
     )

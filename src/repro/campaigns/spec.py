@@ -7,10 +7,6 @@ other piece of :mod:`repro.campaigns` — the :class:`~repro.campaigns.db.
 CampaignDB` key table, the shard executor, the query arrays — derives
 from a spec deterministically, so two hosts holding the same spec agree
 on every cell without exchanging anything else.
-
-This module is the historical core of
-:mod:`repro.experiments.campaign`, which now re-exports it for
-compatibility.
 """
 
 from __future__ import annotations

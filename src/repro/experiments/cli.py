@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.experiments.ablations import ABLATIONS, run_ablation
@@ -45,7 +46,7 @@ def _span_scope(trace, name: str):
     sequential paths hang their ``cell.*`` spans off it, with identical
     deterministic ids either way.
     """
-    from contextlib import contextmanager, nullcontext
+    from contextlib import contextmanager
 
     if trace is None:
         return nullcontext()
@@ -166,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         help="process-pool size for the figure grids and campaigns "
-        "(registered profiles only; default 1)",
+        "(default 1)",
     )
     parser.add_argument(
         "--store",
@@ -247,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.experiment == "campaign":
-        from repro.experiments.campaign import CampaignRunner, CampaignSpec
+        from repro.campaigns import CampaignRunner, CampaignSpec
 
         if args.spec is None:
             parser.error("campaign requires --spec FILE")
@@ -332,86 +333,74 @@ def main(argv: list[str] | None = None) -> int:
     if "budgets" in wanted:
         print(print_budgets(profile.config.width, profile.config.vcs_per_channel))
         print()
-    if "fig1" in wanted or "fig2" in wanted:
-        with _span_scope(trace, "fig1-fig2"):
-            sweep = run_sweep(
-                profile, algorithms, seed=args.seed, progress=progress,
-                workers=args.workers, store=store, instrument=instrument,
-                manifest=manifest, spans=spans_rec,
-            )
-        _dump(args.out, f"sweep_{profile.name}", sweep.to_payload())
-        if "fig1" in wanted:
-            print(print_fig1(sweep))
+    run = dict(
+        seed=args.seed, progress=progress, workers=args.workers, store=store,
+        instrument=instrument, manifest=manifest, spans=spans_rec,
+    )
+    # Leaving this block on an exception (a cell that raised) closes
+    # the manifest with run-finish status="error" on the way out.
+    with manifest if manifest is not None else nullcontext():
+        if "fig1" in wanted or "fig2" in wanted:
+            with _span_scope(trace, "fig1-fig2"):
+                sweep = run_sweep(profile, algorithms, **run)
+            _dump(args.out, f"sweep_{profile.name}", sweep.to_payload())
+            if "fig1" in wanted:
+                print(print_fig1(sweep))
+                print()
+            if "fig2" in wanted:
+                print(print_fig2(sweep))
+                print()
+        if "fig3" in wanted:
+            with _span_scope(trace, "fig3"):
+                usage = run_vc_usage(profile, algorithms, **run)
+            _dump(args.out, f"fig3_{profile.name}", usage.to_payload())
+            print(print_fig3(usage))
             print()
-        if "fig2" in wanted:
-            print(print_fig2(sweep))
+        if "fig4" in wanted or "fig5" in wanted:
+            with _span_scope(trace, "fig4-fig5"):
+                study = run_fault_study(profile, algorithms, **run)
+            _dump(args.out, f"faults_{profile.name}", study.to_payload())
+            if "fig4" in wanted:
+                print(print_fig4(study))
+                print()
+            if "fig5" in wanted:
+                print(print_fig5(study))
+                print()
+        if "fig6" in wanted:
+            with _span_scope(trace, "fig6"):
+                fring = run_fring_study(profile, algorithms, **run)
+            _dump(args.out, f"fig6_{profile.name}", fring.to_payload())
+            print(print_fig6(fring))
             print()
-    if "fig3" in wanted:
-        with _span_scope(trace, "fig3"):
-            usage = run_vc_usage(
-                profile, algorithms, seed=args.seed, progress=progress,
-                workers=args.workers, store=store, instrument=instrument,
-                manifest=manifest, spans=spans_rec,
-            )
-        _dump(args.out, f"fig3_{profile.name}", usage.to_payload())
-        print(print_fig3(usage))
-        print()
-    if "fig4" in wanted or "fig5" in wanted:
-        with _span_scope(trace, "fig4-fig5"):
-            study = run_fault_study(
-                profile, algorithms, seed=args.seed, progress=progress,
-                workers=args.workers, store=store, instrument=instrument,
-                manifest=manifest, spans=spans_rec,
-            )
-        _dump(args.out, f"faults_{profile.name}", study.to_payload())
-        if "fig4" in wanted:
-            print(print_fig4(study))
-            print()
-        if "fig5" in wanted:
-            print(print_fig5(study))
-            print()
-    if "fig6" in wanted:
-        with _span_scope(trace, "fig6"):
-            fring = run_fring_study(
-                profile, algorithms, seed=args.seed, progress=progress,
-                workers=args.workers, store=store, instrument=instrument,
-                manifest=manifest, spans=spans_rec,
-            )
-        _dump(args.out, f"fig6_{profile.name}", fring.to_payload())
-        print(print_fig6(fring))
-        print()
+        if manifest is not None:
+            from repro.obs.spans import make_span, merge_spans
+            from repro.obs.telemetry import series_snapshot
 
-    if manifest is not None:
-        from repro.obs.spans import make_span, merge_spans
-        from repro.obs.telemetry import series_snapshot
-
-        spans_rec.add(make_span(
-            args.experiment,
-            trace_id=trace.trace_id,
-            parent_id=None,
-            span_id=trace.span_id,
-            kind="clock",
-            start=t_trace0,
-            end=clock(),
-            attrs={"profile": profile_name, "workers": args.workers},
-        ))
-        merged_spans = merge_spans(spans_rec.spans)
-        for span in merged_spans:
-            manifest.span(span)
-        series = (
-            series_snapshot(telemetry) if telemetry is not None else None
-        )
-        manifest.run_finish(
-            status="ok",
-            telemetry_digest=(
-                telemetry.digest() if telemetry is not None else None
-            ),
-            telemetry_series=series or None,
-        )
-        manifest.close()
-        print(f"[manifest: {manifest.events_written} events "
-              f"({len(merged_spans)} spans, trace {trace.trace_id}) -> "
-              f"{manifest.path}]")
+            spans_rec.add(make_span(
+                args.experiment,
+                trace_id=trace.trace_id,
+                parent_id=None,
+                span_id=trace.span_id,
+                kind="clock",
+                start=t_trace0,
+                end=clock(),
+                attrs={"profile": profile_name, "workers": args.workers},
+            ))
+            merged_spans = merge_spans(spans_rec.spans)
+            for span in merged_spans:
+                manifest.span(span)
+            series = (
+                series_snapshot(telemetry) if telemetry is not None else None
+            )
+            manifest.run_finish(
+                telemetry_digest=(
+                    telemetry.digest() if telemetry is not None else None
+                ),
+                telemetry_series=series or None,
+            )
+            print(f"[manifest: {manifest.events_written} events "
+                  f"({len(merged_spans)} spans, trace {trace.trace_id}) -> "
+                  f"{manifest.path}]")
     if telemetry is not None:
         print(telemetry.render(prefix="engine."))
         print()

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.evaluator import FaultCase
 from repro.experiments.ascii_plot import line_chart, table
+from repro.experiments.parallel import run_per_algorithm
 from repro.experiments.profiles import Profile
 from repro.metrics.aggregate import AggregateResult
-from repro.obs.profile import clock
 from repro.routing.registry import display_name
 
 
@@ -45,111 +44,40 @@ class FaultStudyResult:
         }
 
 
+def fault_study_job(evaluator, profile: Profile):
+    """Figures 4/5 cell: one algorithm's full-load point per fault count."""
+    cases = [
+        evaluator.fault_case(n, profile.fault_sets) for n in profile.fault_counts
+    ]
+    rate = profile.full_load_rate
+
+    def cell(algorithm: str):
+        points = [
+            evaluator.run_case(algorithm, case, injection_rate=rate)
+            for case in cases
+        ]
+        return points, sum(p.simulated_cycles for p in points)
+
+    return cell
+
+
 def run_fault_study(
-    profile: Profile,
-    algorithms: tuple[str, ...] | None = None,
-    *,
-    seed: int = 2007,
-    progress=None,
-    workers: int = 1,
-    store=None,
-    instrument=None,
-    manifest=None,
-    spans=None,
+    profile: Profile, algorithms: tuple[str, ...] | None = None, **run
 ) -> FaultStudyResult:
     """Run the full-load fault sweep behind Figures 4 and 5.
 
-    ``workers > 1`` fans algorithms out to a process pool (registered
-    profiles only, as in :func:`repro.experiments.fig_sweep.run_sweep`).
-    *store* routes every cell through the shared result cache.
-    *instrument* observes every executed simulation; telemetry-only
-    instruments are pool-safe (worker snapshots merge in the parent,
-    as in ``run_sweep``), tracers keep the study in process.
-    *manifest* receives one ``cell`` event per algorithm.
-    *spans* collects one ``cell.<algorithm>`` trace span per algorithm
-    under the ambient trace context (as in ``run_sweep``).
+    *run* takes the keywords of
+    :func:`~repro.experiments.parallel.run_per_algorithm`.
     """
-    import time
-
-    from repro.experiments.parallel import (
-        cache_delta,
-        evaluator_cache_dict,
-        job_span,
-        merge_worker_output,
-        pool_safe_instrument,
-    )
-    from repro.store import make_evaluator, store_dir_of
-
-    algorithms = algorithms or profile.algorithms
-    evaluator = make_evaluator(
-        profile.config, seed=seed, store=store, instrument=instrument
-    )
-    n_nodes = evaluator.mesh.n_nodes
-    result = FaultStudyResult(
+    n_nodes = profile.config.width * profile.config.height
+    return FaultStudyResult(
         profile=profile.name,
         fault_counts=tuple(profile.fault_counts),
         fault_percents=tuple(100.0 * n / n_nodes for n in profile.fault_counts),
+        points=run_per_algorithm(
+            profile, algorithms, fault_study_job, label="fig4/5", **run
+        ),
     )
-    if (
-        workers > 1
-        and len(algorithms) > 1
-        and pool_safe_instrument(instrument)
-    ):
-        from repro.experiments.parallel import _fault_worker, parallel_map
-        from repro.experiments.profiles import get_profile
-
-        if get_profile(profile.name) != profile:
-            raise ValueError(
-                "workers > 1 requires a registered profile (the pool "
-                "rebuilds it by name); run custom profiles with workers=1"
-            )
-        with_telemetry = (
-            instrument is not None and instrument.telemetry is not None
-        )
-        jobs = [
-            (profile.name, alg, seed, tuple(profile.fault_counts),
-             profile.fault_sets, store_dir_of(store), with_telemetry)
-            for alg in algorithms
-        ]
-        for alg, data in parallel_map(
-            _fault_worker, jobs, workers, progress, label="fig4/5"
-        ):
-            result.points[alg] = data["points"]
-            merge_worker_output(instrument, data, spans)
-            if manifest is not None:
-                manifest.cell_finish(
-                    alg, seconds=data["seconds"], worker=data["pid"],
-                    cycles=data["cycles"], cache=data["cache"],
-                )
-        return result
-    cases: list[FaultCase] = [
-        evaluator.fault_case(n, profile.fault_sets) for n in profile.fault_counts
-    ]
-    n_runs = sum(len(case.patterns) for case in cases)
-    rate = profile.full_load_rate
-    for alg in algorithms:
-        if manifest is not None:
-            manifest.cell_start(alg)
-        before = evaluator_cache_dict(evaluator)
-        t0 = clock()
-        pts = [
-            evaluator.run_case(alg, case, injection_rate=rate) for case in cases
-        ]
-        result.points[alg] = pts
-        if spans is not None:
-            span = job_span(f"cell.{alg}", t0)
-            if span is not None:
-                spans.add(span)
-        if manifest is not None:
-            manifest.cell_finish(
-                alg,
-                seconds=clock() - t0,
-                cycles=sum(p.simulated_cycles for p in pts),
-                cache=cache_delta(before, evaluator_cache_dict(evaluator)),
-            )
-        if progress:
-            progress(f"[fig4/5] {alg}: done ({len(pts)} fault cases)")
-    return result
 
 
 def print_fig4(result: FaultStudyResult) -> str:

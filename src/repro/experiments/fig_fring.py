@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.ascii_plot import bar_chart, table
+from repro.experiments.parallel import run_per_algorithm
 from repro.experiments.profiles import Profile
 from repro.faults.generator import figure6_fault_pattern
 from repro.faults.pattern import FaultPattern
@@ -20,8 +21,8 @@ from repro.metrics.traffic_load import (
     ring_corner_split,
     traffic_load_split,
 )
-from repro.obs.profile import clock
 from repro.routing.registry import display_name
+from repro.topology.mesh import Mesh2D
 
 
 @dataclass
@@ -55,126 +56,54 @@ class FRingResult:
         }
 
 
-def run_fring_study(
-    profile: Profile,
-    algorithms: tuple[str, ...] | None = None,
-    *,
-    seed: int = 2007,
-    progress=None,
-    workers: int = 1,
-    store=None,
-    instrument=None,
-    manifest=None,
-    spans=None,
-) -> FRingResult:
-    """Run the Figure 6 traffic-load study.
+def fring_job(evaluator, profile: Profile):
+    """Figure 6 cell: one algorithm's load splits, faults absent and present.
 
-    ``workers > 1`` fans algorithms out to a process pool (registered
-    profiles only, as in :func:`repro.experiments.fig_sweep.run_sweep`).
-    *store* routes every cell through the shared result cache (the
-    per-node load counters are part of the cached payload).  *instrument*
-    observes every executed simulation — with a telemetry registry
-    attached, the engine's ``engine.fring.*.traversals`` counters break
-    the ring-VC traffic down per fault ring/chain and the
-    ``engine.node_flit_hops`` labeled counter carries the spatial load
-    surface (see :mod:`repro.obs.heatmap`); telemetry-only instruments
-    are pool-safe, tracers stay in process.  *manifest* receives one
-    ``cell`` event per algorithm.  *spans* collects one
-    ``cell.<algorithm>`` trace span per algorithm under the ambient
-    trace context (as in ``run_sweep``).
+    The per-node load counters are part of the cached payload.  With a
+    telemetry registry attached, the engine's
+    ``engine.fring.*.traversals`` counters break the ring-VC traffic
+    down per fault ring/chain and the ``engine.node_flit_hops`` labeled
+    counter carries the spatial load surface (see
+    :mod:`repro.obs.heatmap`).
     """
-    import time
-
-    from repro.experiments.parallel import (
-        cache_delta,
-        evaluator_cache_dict,
-        job_span,
-        merge_worker_output,
-        pool_safe_instrument,
-    )
-    from repro.store import make_evaluator, store_dir_of
-
-    algorithms = algorithms or profile.algorithms
-    if (
-        workers > 1
-        and len(algorithms) > 1
-        and pool_safe_instrument(instrument)
-    ):
-        from repro.experiments.parallel import _fring_worker, parallel_map
-        from repro.experiments.profiles import get_profile
-
-        if get_profile(profile.name) != profile:
-            raise ValueError(
-                "workers > 1 requires a registered profile (the pool "
-                "rebuilds it by name); run custom profiles with workers=1"
-            )
-        from repro.topology.mesh import Mesh2D
-
-        mesh = Mesh2D(profile.config.width, profile.config.height)
-        result = FRingResult(
-            profile=profile.name, n_faults=figure6_fault_pattern(mesh).n_faulty
-        )
-        with_telemetry = (
-            instrument is not None and instrument.telemetry is not None
-        )
-        jobs = [
-            (profile.name, alg, seed, store_dir_of(store), with_telemetry)
-            for alg in algorithms
-        ]
-        for alg, data in parallel_map(
-            _fring_worker, jobs, workers, progress, label="fig6"
-        ):
-            result.splits[alg] = data["splits"]
-            result.corner_ratios[alg] = data["corner_ratio"]
-            merge_worker_output(instrument, data, spans)
-            if manifest is not None:
-                manifest.cell_finish(
-                    alg, seconds=data["seconds"], worker=data["pid"],
-                    cycles=data["cycles"], cache=data["cache"],
-                )
-        return result
-    evaluator = make_evaluator(
-        profile.config, seed=seed, store=store, instrument=instrument
-    )
     faulty = figure6_fault_pattern(evaluator.mesh)
     fault_free = FaultPattern.fault_free(evaluator.mesh)
     ring_nodes = faulty.ring_nodes
     rate = profile.full_load_rate
-    result = FRingResult(profile=profile.name, n_faults=faulty.n_faulty)
-    for alg in algorithms:
-        if manifest is not None:
-            manifest.cell_start(alg)
-        before = evaluator_cache_dict(evaluator)
-        t0 = clock()
-        cases: dict[str, TrafficLoadSplit] = {}
-        cell_cycles = 0
+
+    def cell(algorithm: str):
+        splits: dict[str, TrafficLoadSplit] = {}
+        cycles = 0
         for label, fp in (("0%", fault_free), ("faulty", faulty)):
             run = evaluator.run_single(
-                alg, fp, injection_rate=rate, collect_node_stats=True
+                algorithm, fp, injection_rate=rate, collect_node_stats=True
             )
-            cases[label] = traffic_load_split(
-                run, ring_nodes, exclude=fp.faulty
-            )
-            cell_cycles += run.measured_cycles + run.config.warmup
-            if label == "faulty":
-                result.corner_ratios[alg] = ring_corner_split(
-                    run, faulty
-                ).corner_ratio
-        result.splits[alg] = cases
-        if spans is not None:
-            span = job_span(f"cell.{alg}", t0)
-            if span is not None:
-                spans.add(span)
-        if manifest is not None:
-            manifest.cell_finish(
-                alg,
-                seconds=clock() - t0,
-                cycles=cell_cycles,
-                cache=cache_delta(before, evaluator_cache_dict(evaluator)),
-            )
-        if progress:
-            progress(f"[fig6] {alg}: done")
-    return result
+            splits[label] = traffic_load_split(run, ring_nodes, exclude=fp.faulty)
+            cycles += run.measured_cycles + run.config.warmup
+        # ``run`` is the faulty run here: its corner-vs-side ratio.
+        return (splits, ring_corner_split(run, faulty).corner_ratio), cycles
+
+    return cell
+
+
+def run_fring_study(
+    profile: Profile, algorithms: tuple[str, ...] | None = None, **run
+) -> FRingResult:
+    """Run the Figure 6 traffic-load study.
+
+    *run* takes the keywords of
+    :func:`~repro.experiments.parallel.run_per_algorithm`.
+    """
+    series = run_per_algorithm(
+        profile, algorithms, fring_job, label="fig6", **run
+    )
+    mesh = Mesh2D(profile.config.width, profile.config.height)
+    return FRingResult(
+        profile=profile.name,
+        n_faults=figure6_fault_pattern(mesh).n_faulty,
+        splits={alg: splits for alg, (splits, _) in series.items()},
+        corner_ratios={alg: ratio for alg, (_, ratio) in series.items()},
+    )
 
 
 def print_fig6(result: FRingResult) -> str:

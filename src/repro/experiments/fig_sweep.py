@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.ascii_plot import line_chart, table
+from repro.experiments.parallel import run_per_algorithm
 from repro.experiments.profiles import Profile
 from repro.metrics.saturation import SaturationPoint, find_saturation, peak_throughput
-from repro.obs.profile import clock
 from repro.routing.registry import display_name
 
 
@@ -51,119 +51,34 @@ class SweepResult:
         }
 
 
+def sweep_job(evaluator, profile: Profile):
+    """Figures 1/2 cell: one algorithm's fault-free rate sweep."""
+
+    def cell(algorithm: str):
+        points = evaluator.rate_sweep(algorithm, profile.sweep_rates)
+        return points, sum(p.simulated_cycles for p in points)
+
+    return cell
+
+
 def run_sweep(
-    profile: Profile,
-    algorithms: tuple[str, ...] | None = None,
-    *,
-    seed: int = 2007,
-    progress=None,
-    workers: int = 1,
-    store=None,
-    instrument=None,
-    manifest=None,
-    spans=None,
+    profile: Profile, algorithms: tuple[str, ...] | None = None, **run
 ) -> SweepResult:
     """Run the fault-free rate sweep behind Figures 1 and 2.
 
-    ``workers > 1`` fans the per-algorithm sweeps out to a process pool
-    (identical results — seeding is per-algorithm).  The parallel path
-    rebuilds the profile by name in each worker, so it requires one of
-    the registered profiles; custom :class:`Profile` objects run in
-    process with ``workers=1``.
-
-    *store* (a :class:`repro.store.ResultStore` or directory) routes
-    every cell through the result cache: cells simulated before — by
-    this driver or any other — are served from the store.
-
-    *instrument* (see :class:`~repro.core.evaluator.Evaluator`) observes
-    every executed simulation.  A telemetry-only
-    :class:`~repro.obs.telemetry.Instrument` is pool-safe: each worker
-    attaches a fresh registry and the parent merges the snapshots, so
-    the merged counters match a sequential run exactly.  Instruments
-    carrying a tracer (or arbitrary callables) keep the sweep in
-    process.
-
-    *manifest* (a :class:`~repro.obs.manifest.ManifestWriter`) receives
-    one ``cell`` event per algorithm with its wall seconds, simulated
-    cycles and cache counters.
-
-    *spans* (a :class:`~repro.obs.spans.SpanRecorder`) collects one
-    ``cell.<algorithm>`` trace span per algorithm under the ambient
-    trace context — identical ids whether the cells ran pooled or in
-    process.
+    *run* takes the keywords of
+    :func:`~repro.experiments.parallel.run_per_algorithm`.
     """
-    import time
-
-    from repro.experiments.parallel import (
-        cache_delta,
-        evaluator_cache_dict,
-        job_span,
-        merge_worker_output,
-        pool_safe_instrument,
+    points = run_per_algorithm(
+        profile, algorithms, sweep_job, label="fig1/2", **run
     )
-    from repro.store import make_evaluator, store_dir_of
-
-    algorithms = algorithms or profile.algorithms
-    result = SweepResult(
-        profile=profile.name, loads=profile.sweep_loads, rates=profile.sweep_rates
+    return SweepResult(
+        profile=profile.name,
+        loads=profile.sweep_loads,
+        rates=profile.sweep_rates,
+        throughput={a: [p.throughput for p in pts] for a, pts in points.items()},
+        latency={a: [p.network_latency for p in pts] for a, pts in points.items()},
     )
-    if (
-        workers > 1
-        and len(algorithms) > 1
-        and pool_safe_instrument(instrument)
-    ):
-        from repro.experiments.parallel import _sweep_worker, parallel_map
-        from repro.experiments.profiles import get_profile
-
-        if get_profile(profile.name) != profile:
-            raise ValueError(
-                "workers > 1 requires a registered profile (the pool "
-                "rebuilds it by name); run custom profiles with workers=1"
-            )
-        with_telemetry = (
-            instrument is not None and instrument.telemetry is not None
-        )
-        jobs = [
-            (profile.name, alg, seed, store_dir_of(store), with_telemetry)
-            for alg in algorithms
-        ]
-        for alg, data in parallel_map(
-            _sweep_worker, jobs, workers, progress, label="fig1/2"
-        ):
-            result.throughput[alg] = data["throughput"]
-            result.latency[alg] = data["latency"]
-            merge_worker_output(instrument, data, spans)
-            if manifest is not None:
-                manifest.cell_finish(
-                    alg, seconds=data["seconds"], worker=data["pid"],
-                    cycles=data["cycles"], cache=data["cache"],
-                )
-        return result
-    evaluator = make_evaluator(
-        profile.config, seed=seed, store=store, instrument=instrument
-    )
-    for alg in algorithms:
-        if manifest is not None:
-            manifest.cell_start(alg)
-        before = evaluator_cache_dict(evaluator)
-        t0 = clock()
-        points = evaluator.rate_sweep(alg, profile.sweep_rates)
-        result.throughput[alg] = [p.throughput for p in points]
-        result.latency[alg] = [p.network_latency for p in points]
-        if spans is not None:
-            span = job_span(f"cell.{alg}", t0)
-            if span is not None:
-                spans.add(span)
-        if manifest is not None:
-            manifest.cell_finish(
-                alg,
-                seconds=clock() - t0,
-                cycles=sum(p.simulated_cycles for p in points),
-                cache=cache_delta(before, evaluator_cache_dict(evaluator)),
-            )
-        if progress:
-            progress(f"[fig1/2] {alg}: done ({len(points)} rates)")
-    return result
 
 
 def print_fig1(result: SweepResult) -> str:

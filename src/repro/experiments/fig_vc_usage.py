@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.ascii_plot import table
+from repro.experiments.parallel import run_per_algorithm
 from repro.experiments.profiles import Profile
 from repro.metrics.vc_usage import usage_imbalance, vc_usage_percent
-from repro.obs.profile import clock
 from repro.routing.registry import display_name
 
 #: The paper's two panels.
@@ -44,108 +44,42 @@ class VcUsageResult:
         }
 
 
+def vc_usage_job(evaluator, profile: Profile):
+    """Figure 3 cell: one algorithm's per-VC busy percentages.
+
+    The per-VC busy counters are part of the cached payload.  With a
+    telemetry registry attached, the engine feeds Figure 3's ``vc_busy``
+    and the registry's ``engine.vc_busy.<role>`` counters from the same
+    occupancy sweep, so the two views reconcile exactly (see
+    :func:`repro.metrics.vc_usage.reconcile_vc_usage`).
+    """
+    faults = evaluator.fault_case(profile.vc_usage_faults, 1).patterns[0]
+    rate = profile.rate(profile.vc_usage_load)
+
+    def cell(algorithm: str):
+        run = evaluator.run_single(
+            algorithm, faults, injection_rate=rate, collect_vc_stats=True
+        )
+        return vc_usage_percent(run), run.measured_cycles + run.config.warmup
+
+    return cell
+
+
 def run_vc_usage(
-    profile: Profile,
-    algorithms: tuple[str, ...] | None = None,
-    *,
-    seed: int = 2007,
-    progress=None,
-    workers: int = 1,
-    store=None,
-    instrument=None,
-    manifest=None,
-    spans=None,
+    profile: Profile, algorithms: tuple[str, ...] | None = None, **run
 ) -> VcUsageResult:
     """Run the VC-utilization study behind Figure 3.
 
-    ``workers > 1`` fans algorithms out to a process pool (registered
-    profiles only, as in :func:`repro.experiments.fig_sweep.run_sweep`).
-    *store* routes every cell through the shared result cache (the
-    per-VC busy counters are part of the cached payload).  *instrument*
-    observes every executed simulation (the engine feeds Figure 3's
-    ``vc_busy`` and an attached registry's ``engine.vc_busy.<role>``
-    counters from the same occupancy sweep, so the two views reconcile
-    exactly; see :func:`repro.metrics.vc_usage.reconcile_vc_usage`);
-    telemetry-only instruments are pool-safe, tracers stay in process.
-    *manifest* receives one ``cell`` event per algorithm.
-    *spans* collects one ``cell.<algorithm>`` trace span per algorithm
-    under the ambient trace context (as in ``run_sweep``).
+    *run* takes the keywords of
+    :func:`~repro.experiments.parallel.run_per_algorithm`.
     """
-    import time
-
-    from repro.experiments.parallel import (
-        cache_delta,
-        evaluator_cache_dict,
-        job_span,
-        merge_worker_output,
-        pool_safe_instrument,
+    return VcUsageResult(
+        profile=profile.name,
+        n_faults=profile.vc_usage_faults,
+        usage=run_per_algorithm(
+            profile, algorithms, vc_usage_job, label="fig3", **run
+        ),
     )
-    from repro.store import make_evaluator, store_dir_of
-
-    algorithms = algorithms or profile.algorithms
-    result = VcUsageResult(profile=profile.name, n_faults=profile.vc_usage_faults)
-    if (
-        workers > 1
-        and len(algorithms) > 1
-        and pool_safe_instrument(instrument)
-    ):
-        from repro.experiments.parallel import _vc_usage_worker, parallel_map
-        from repro.experiments.profiles import get_profile
-
-        if get_profile(profile.name) != profile:
-            raise ValueError(
-                "workers > 1 requires a registered profile (the pool "
-                "rebuilds it by name); run custom profiles with workers=1"
-            )
-        with_telemetry = (
-            instrument is not None and instrument.telemetry is not None
-        )
-        jobs = [
-            (profile.name, alg, seed, store_dir_of(store), with_telemetry)
-            for alg in algorithms
-        ]
-        for alg, data in parallel_map(
-            _vc_usage_worker, jobs, workers, progress, label="fig3"
-        ):
-            result.usage[alg] = data["usage"]
-            merge_worker_output(instrument, data, spans)
-            if manifest is not None:
-                manifest.cell_finish(
-                    alg, seconds=data["seconds"], worker=data["pid"],
-                    cycles=data["cycles"], cache=data["cache"],
-                )
-        return result
-    evaluator = make_evaluator(
-        profile.config, seed=seed, store=store, instrument=instrument
-    )
-    case = evaluator.fault_case(profile.vc_usage_faults, 1)
-    rate = profile.rate(profile.vc_usage_load)
-    for alg in algorithms:
-        if manifest is not None:
-            manifest.cell_start(alg)
-        before = evaluator_cache_dict(evaluator)
-        t0 = clock()
-        run = evaluator.run_single(
-            alg,
-            case.patterns[0],
-            injection_rate=rate,
-            collect_vc_stats=True,
-        )
-        result.usage[alg] = vc_usage_percent(run)
-        if spans is not None:
-            span = job_span(f"cell.{alg}", t0)
-            if span is not None:
-                spans.add(span)
-        if manifest is not None:
-            manifest.cell_finish(
-                alg,
-                seconds=clock() - t0,
-                cycles=run.measured_cycles + run.config.warmup,
-                cache=cache_delta(before, evaluator_cache_dict(evaluator)),
-            )
-        if progress:
-            progress(f"[fig3] {alg}: done")
-    return result
 
 
 def _panel(result: VcUsageResult, names: tuple[str, ...], label: str) -> str:

@@ -1,53 +1,56 @@
-"""Multiprocessing support for the experiment drivers.
+"""The one cell path: figures, campaigns, pool workers and shards.
 
-The figure sweeps are embarrassingly parallel across algorithms (every
-algorithm runs the same rate/fault grid independently), so the drivers
-accept ``workers=N`` and fan the per-algorithm work out to a process
-pool.  Workers receive only picklable primitives (profile *name*,
-algorithm name, seed, store directory, telemetry flag) and rebuild their
-state locally, so the pool works with the default ``spawn``/``fork``
-start methods alike.
+Every result in the paper is a per-algorithm series over a small grid,
+and every runner in this repository does the same thing to produce one:
+execute a **cell** (one algorithm's figure job, one campaign grid
+point) against an evaluator, time it, log it, account its cache
+traffic, and record its trace span.  That happens in exactly one place,
+:func:`timed_cell`; the runners differ only in *dispatch* — which
+evaluator the cell runs against and in which process:
 
-When a store directory is passed, every worker opens the shared
-:class:`~repro.store.ResultStore` on it; the backend's locked appends
-make one store safe for all workers at once, and cells another worker
-(or an earlier run) already simulated come back as cache hits.
+* **in process** — cells run against the caller's shared evaluator and
+  :func:`timed_cell` writes ``cell_start`` + ``cell_finish`` (with the
+  cell's cache delta) straight into the manifest;
+* **pooled** — the same call runs in a worker against a *fresh*
+  evaluator (:func:`worker_evaluator`) and the finished cell rides
+  home; the parent, sole writer of every manifest, records its
+  ``cell_finish`` with the worker pid (:func:`collect_cells`).
 
-Telemetry distributes by **snapshot + merge**: a registry never crosses
-a process boundary.  When the parent's instrument is a telemetry-only
-:class:`~repro.obs.telemetry.Instrument`, each worker attaches a *fresh*
-registry, and its JSON-safe snapshot rides home with the result for the
-parent to fold in with :meth:`~repro.obs.telemetry.TelemetryRegistry.
-merge` — counters and histograms come out identical to a sequential
-run.  A tracer (ordered event log) cannot merge, so instruments carrying
-one keep the sequential path (:func:`pool_safe_instrument`).
+Workers receive only picklable values (the frozen
+:class:`~repro.experiments.profiles.Profile` or a spec payload, the job
+function by import path, a store *directory*), so the pool works with
+the ``spawn`` and ``fork`` start methods alike.  Sharing happens through
+the :class:`~repro.store.ResultStore`: its locked appends make one store
+safe for all workers at once, and a cell any process simulated earlier
+is a cache hit everywhere else.
 
-Every worker returns ``(algorithm, data)`` where ``data`` carries the
-driver-specific series plus the bookkeeping the parent's run manifest
-wants: wall ``seconds``, the worker ``pid``, simulated ``cycles``, the
-telemetry ``snapshot`` (or ``None``) and the worker evaluator's cache
-counters (``cache``, or ``None`` without a store).
-
-Trace spans distribute the same way (snapshot + merge): when the parent
-published an ambient trace context (:func:`repro.obs.spans.
-ambient_scope` — pool workers inherit the environment at spawn/fork),
-each worker records one ``cell.<algorithm>`` span under the ambient
-parent and ships it home in ``data["spans"]``.  Deterministic span ids
-make the merged set identical to a sequential run's (REP013-style
-partition independence).
+Telemetry and trace spans distribute by **snapshot + merge** — a
+registry never crosses a process boundary.  Each worker fills a fresh
+registry whose JSON-safe snapshot the parent folds in with
+:meth:`~repro.obs.telemetry.TelemetryRegistry.merge` (counters and
+histograms come out identical to a sequential run), and span ids are
+derived from position in the trace, not from time or pid, so the merged
+span set is identical too.  A tracer (ordered event log) cannot merge:
+instruments carrying one keep the in-process path
+(:func:`pool_safe_instrument`).
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Callable, Sequence
+from contextlib import ExitStack
+from functools import partial
 from multiprocessing import get_context
 
 from repro.obs.profile import clock
+from repro.obs.spans import ambient, make_span
+from repro.store.backend import store_dir_of
+from repro.store.cache import make_evaluator
 
 
 def pool_safe_instrument(instrument) -> bool:
-    """Whether the drivers may fan out with *instrument* attached.
+    """Whether cells may fan out to a pool with *instrument* attached.
 
     ``None`` and telemetry-only :class:`~repro.obs.telemetry.Instrument`
     objects are pool-safe (workers replicate the registry and the parent
@@ -62,210 +65,228 @@ def pool_safe_instrument(instrument) -> bool:
     return isinstance(instrument, Instrument) and instrument.pool_safe
 
 
-def merge_worker_output(instrument, data: dict, spans=None) -> None:
-    """Fold one worker's telemetry snapshot into the parent registry.
+def worker_evaluator(config, seed: int, store, with_telemetry: bool):
+    """A fresh ``(registry, evaluator)`` pair for one worker or shard.
 
-    *spans* (a :class:`~repro.obs.spans.SpanRecorder` or list) collects
-    any trace spans the worker recorded under the ambient context.
+    *registry* is ``None`` unless *with_telemetry*; the evaluator is
+    cached when *store* (a store or directory) is given.
     """
-    snapshot = data.get("snapshot")
-    if (
-        snapshot
-        and instrument is not None
-        and getattr(instrument, "telemetry", None) is not None
-    ):
-        instrument.telemetry.merge(snapshot)
-    if spans is not None and data.get("spans"):
-        spans.extend(data["spans"])
+    registry = instrument = None
+    if with_telemetry:
+        from repro.obs.telemetry import TelemetryRegistry, make_instrument
 
-
-def job_span(name: str, t0: float) -> dict | None:
-    """One clock span for a finished job, under the ambient trace context.
-
-    Returns ``None`` when no context is published — tracing stays fully
-    opt-in and jobs outside a traced run record nothing.  Used by both
-    the pool workers and the drivers' sequential paths, so the span ids
-    (derived from the ambient parent and *name*) come out identical
-    either way.
-    """
-    from repro.obs.spans import ambient, make_span
-
-    context = ambient()
-    if context is None:
-        return None
-    trace_id, parent_id = context
-    return make_span(
-        name,
-        trace_id=trace_id,
-        parent_id=parent_id,
-        kind="clock",
-        start=t0,
-        end=clock(),
-        attrs={"pid": os.getpid()},
+        registry = TelemetryRegistry()
+        instrument = make_instrument(telemetry=registry)
+    return registry, make_evaluator(
+        config, seed=seed, store=store, instrument=instrument
     )
 
 
-def evaluator_cache_dict(evaluator) -> dict | None:
-    """The evaluator's cache counters as a dict (``None`` if uncached)."""
+def _cache_counters(evaluator) -> dict | None:
+    """The evaluator's cumulative cache counters (``None`` if uncached):
+    a shallow copy — ``as_dict()`` deep-copies, twice per warm cell."""
     stats = getattr(evaluator, "stats", None)
-    return None if stats is None else stats.as_dict()
+    return None if stats is None else dict(vars(stats))
 
 
-def cache_delta(before: dict | None, after: dict | None) -> dict | None:
-    """Per-cell cache counters from two cumulative readings."""
-    if after is None:
-        return None
-    if before is None:
-        return dict(after)
-    return {k: after[k] - before.get(k, 0) for k in after}
-
-
-# ----------------------------------------------------------------------
-# Worker bodies (must stay importable at module top level for pickling)
-# ----------------------------------------------------------------------
-def _worker_registry(with_telemetry: bool):
-    """A fresh ``(registry, instrument)`` pair for one worker."""
-    if not with_telemetry:
-        return None, None
-    from repro.obs.telemetry import TelemetryRegistry, make_instrument
-
-    registry = TelemetryRegistry()
-    return registry, make_instrument(telemetry=registry)
-
-
-def _make_evaluator(profile_config, seed: int, store_dir: str | None,
-                    instrument=None):
-    from repro.store.cache import make_evaluator
-
-    return make_evaluator(
-        profile_config, seed=seed, store=store_dir, instrument=instrument
-    )
-
-
-def _finish_data(
-    data: dict, registry, evaluator, t0: float, span_name: str | None = None
+def timed_cell(
+    cell_id: str, run: Callable, evaluator, *, manifest=None, span=None
 ) -> dict:
-    data["seconds"] = clock() - t0
-    data["pid"] = os.getpid()
-    data["snapshot"] = None if registry is None else registry.snapshot()
-    data["cache"] = evaluator_cache_dict(evaluator)
-    span = job_span(span_name, t0) if span_name else None
-    data["spans"] = [span] if span else []
-    return data
+    """Run one cell: the only place a cell is timed and logged.
 
+    ``run()`` returns ``(value, cycles)``; *evaluator* is the one it
+    runs against, read here for cache accounting only.  The finished
+    cell is a dict, JSON-safe apart from ``value``::
 
-def _sweep_worker(
-    args: tuple[str, str, int, str | None, bool],
-) -> tuple[str, dict]:
-    profile_name, algorithm, seed, store_dir, with_telemetry = args
-    from repro.experiments.profiles import get_profile
+        {"id", "value", "seconds", "cycles", "cache", "pid", "span"}
 
+    ``cache`` is the evaluator's cache-counter delta over the cell
+    (``None`` without a store).  *span* holds the identifying
+    :func:`~repro.obs.spans.make_span` arguments (name, trace id,
+    parent, key) of the cell's clock span, or ``None`` for no tracing.
+
+    With a *manifest* (:class:`~repro.obs.manifest.ManifestWriter`) the
+    cell's ``start`` and ``finish`` events are written here.  A cell
+    that raises still gets its ``finish`` — with ``status="error"`` —
+    before the exception propagates, so a failed run's manifest names
+    the cell that killed it.
+    """
+    if manifest is not None:
+        manifest.cell_start(cell_id)
+    before = _cache_counters(evaluator)
+    value, cycles, status = None, 0, "error"
     t0 = clock()
-    profile = get_profile(profile_name)
-    registry, instrument = _worker_registry(with_telemetry)
-    evaluator = _make_evaluator(profile.config, seed, store_dir, instrument)
-    points = evaluator.rate_sweep(algorithm, profile.sweep_rates)
-    data = {
-        "throughput": [p.throughput for p in points],
-        "latency": [p.network_latency for p in points],
-        "cycles": sum(p.simulated_cycles for p in points),
-    }
-    return algorithm, _finish_data(
-        data, registry, evaluator, t0, span_name=f"cell.{algorithm}"
-    )
-
-
-def _fault_worker(
-    args: tuple[str, str, int, tuple[int, ...], int, str | None, bool],
-) -> tuple[str, dict]:
-    (profile_name, algorithm, seed, fault_counts, fault_sets, store_dir,
-     with_telemetry) = args
-    from repro.experiments.profiles import get_profile
-
-    t0 = clock()
-    profile = get_profile(profile_name)
-    registry, instrument = _worker_registry(with_telemetry)
-    evaluator = _make_evaluator(profile.config, seed, store_dir, instrument)
-    rate = profile.full_load_rate
-    cases = [evaluator.fault_case(n, fault_sets) for n in fault_counts]
-    points = [
-        evaluator.run_case(algorithm, case, injection_rate=rate)
-        for case in cases
-    ]
-    data = {
-        "points": points,
-        "cycles": sum(p.simulated_cycles for p in points),
-    }
-    return algorithm, _finish_data(
-        data, registry, evaluator, t0, span_name=f"cell.{algorithm}"
-    )
-
-
-def _vc_usage_worker(
-    args: tuple[str, str, int, str | None, bool],
-) -> tuple[str, dict]:
-    profile_name, algorithm, seed, store_dir, with_telemetry = args
-    from repro.experiments.profiles import get_profile
-    from repro.metrics.vc_usage import vc_usage_percent
-
-    t0 = clock()
-    profile = get_profile(profile_name)
-    registry, instrument = _worker_registry(with_telemetry)
-    evaluator = _make_evaluator(profile.config, seed, store_dir, instrument)
-    case = evaluator.fault_case(profile.vc_usage_faults, 1)
-    run = evaluator.run_single(
-        algorithm,
-        case.patterns[0],
-        injection_rate=profile.rate(profile.vc_usage_load),
-        collect_vc_stats=True,
-    )
-    data = {
-        "usage": vc_usage_percent(run),
-        "cycles": run.measured_cycles + run.config.warmup,
-    }
-    return algorithm, _finish_data(
-        data, registry, evaluator, t0, span_name=f"cell.{algorithm}"
-    )
-
-
-def _fring_worker(
-    args: tuple[str, str, int, str | None, bool],
-) -> tuple[str, dict]:
-    profile_name, algorithm, seed, store_dir, with_telemetry = args
-    from repro.experiments.profiles import get_profile
-    from repro.faults.generator import figure6_fault_pattern
-    from repro.faults.pattern import FaultPattern
-    from repro.metrics.traffic_load import ring_corner_split, traffic_load_split
-
-    t0 = clock()
-    profile = get_profile(profile_name)
-    registry, instrument = _worker_registry(with_telemetry)
-    evaluator = _make_evaluator(profile.config, seed, store_dir, instrument)
-    faulty = figure6_fault_pattern(evaluator.mesh)
-    fault_free = FaultPattern.fault_free(evaluator.mesh)
-    ring_nodes = faulty.ring_nodes
-    rate = profile.full_load_rate
-    splits = {}
-    corner_ratio = float("nan")
-    cycles = 0
-    for label, fp in (("0%", fault_free), ("faulty", faulty)):
-        run = evaluator.run_single(
-            algorithm, fp, injection_rate=rate, collect_node_stats=True
+    try:
+        value, cycles = run()
+        status = "ok"
+    finally:
+        t1 = clock()
+        cache = None
+        if before is not None:
+            after = _cache_counters(evaluator)
+            cache = {k: after[k] - before[k] for k in after}
+        if manifest is not None:
+            manifest.cell_finish(
+                cell_id, seconds=t1 - t0, cycles=cycles, cache=cache,
+                status=status,
+            )
+    pid = os.getpid()
+    if span is not None:
+        span = make_span(
+            **span, kind="clock", start=t0, end=t1,
+            attrs={"id": cell_id, "cycles": cycles, "pid": pid},
         )
-        splits[label] = traffic_load_split(run, ring_nodes, exclude=fp.faulty)
-        cycles += run.measured_cycles + run.config.warmup
-        if label == "faulty":
-            corner_ratio = ring_corner_split(run, faulty).corner_ratio
-    data = {
-        "splits": splits,
-        "corner_ratio": corner_ratio,
+    return {
+        "id": cell_id,
+        "value": value,
+        "seconds": t1 - t0,
         "cycles": cycles,
+        "cache": cache,
+        "pid": pid,
+        "span": span,
     }
-    return algorithm, _finish_data(
-        data, registry, evaluator, t0, span_name=f"cell.{algorithm}"
+
+
+def collect_cells(
+    cells, snapshot=None, *, instrument=None, manifest=None, spans=None
+) -> None:
+    """Parent-side bookkeeping for finished *cells*.
+
+    Folds a worker's telemetry *snapshot* into *instrument*'s registry
+    and adds the cells' trace spans to *spans* (a
+    :class:`~repro.obs.spans.SpanRecorder` or list).  *manifest* is for
+    cells that ran in a pool worker only: the parent first hears of such
+    a cell when its result arrives, so it records a lone ``finish``
+    carrying the worker pid (in-process cells were already logged by
+    :func:`timed_cell`).
+    """
+    registry = getattr(instrument, "telemetry", None)
+    if snapshot and registry is not None:
+        registry.merge(snapshot)
+    if manifest is not None:
+        for cell in cells:
+            manifest.cell_finish(
+                cell["id"], seconds=cell["seconds"], worker=cell["pid"],
+                cycles=cell["cycles"], cache=cell["cache"],
+            )
+    if spans is not None:
+        spans.extend(cell["span"] for cell in cells if cell["span"])
+
+
+# ----------------------------------------------------------------------
+# Per-algorithm fan-out (the figure drivers)
+# ----------------------------------------------------------------------
+def _algorithm_cell(
+    run: Callable, evaluator, manifest, registry, algorithm: str
+) -> tuple[str, dict, dict | None]:
+    """One figure cell, traced as ``cell.<algorithm>`` under the ambient
+    context (if one is published), plus *registry*'s snapshot to ship."""
+    span = None
+    context = ambient()
+    if context is not None:
+        span = {
+            "name": f"cell.{algorithm}",
+            "trace_id": context[0],
+            "parent_id": context[1],
+        }
+    cell = timed_cell(
+        algorithm, partial(run, algorithm), evaluator,
+        manifest=manifest, span=span,
+    )
+    return algorithm, cell, None if registry is None else registry.snapshot()
+
+
+def _algorithm_worker(args: tuple) -> tuple[str, dict, dict | None]:
+    """Pool body of :func:`run_per_algorithm`: the same cell, run against
+    a fresh evaluator and registry (top level so that it pickles)."""
+    job, profile, algorithm, seed, store_dir, with_telemetry = args
+    registry, evaluator = worker_evaluator(
+        profile.config, seed, store_dir, with_telemetry
+    )
+    return _algorithm_cell(
+        job(evaluator, profile), evaluator, None, registry, algorithm
     )
 
 
+def run_per_algorithm(
+    profile,
+    algorithms: Sequence[str] | None,
+    job: Callable,
+    *,
+    label: str,
+    seed: int = 2007,
+    progress=None,
+    workers: int = 1,
+    store=None,
+    instrument=None,
+    manifest=None,
+    spans=None,
+) -> dict:
+    """``{algorithm: series}`` from one cell per algorithm.
+
+    ``job(evaluator, profile)`` prepares whatever every algorithm shares
+    (fault cases are drawn here, once per evaluator) and returns the
+    cell body ``run(algorithm) -> (series, cycles)``.  *job* is a
+    module-level function: it is pickled by import path, and lint rule
+    REP012 holds it to pool-worker purity.  ``workers > 1`` runs each
+    cell in a pool worker against a fresh evaluator; otherwise all cells
+    share one evaluator in this process.  Results are identical either
+    way — per-run seeds derive from ``(seed, algorithm, set, rate)``
+    and fault cases from ``(seed, count)``, never from execution order.
+
+    *store* (a :class:`repro.store.ResultStore` or directory) routes
+    every simulation through the result cache: runs simulated before —
+    by any driver, campaign or worker — are served from the store.
+
+    *instrument* (see :class:`~repro.core.evaluator.Evaluator`) observes
+    every executed simulation.  A telemetry-only
+    :class:`~repro.obs.telemetry.Instrument` is pool-safe (snapshot +
+    merge, see the module docstring); one carrying a tracer, or an
+    arbitrary callable, keeps the cells in process whatever *workers*
+    says.
+
+    *manifest* (a :class:`~repro.obs.manifest.ManifestWriter`) receives
+    one ``cell`` per algorithm with its wall seconds, simulated cycles
+    and cache counters; *spans* (a
+    :class:`~repro.obs.spans.SpanRecorder`) collects one
+    ``cell.<algorithm>`` span per algorithm under the ambient trace
+    context — identical ids whether the cells ran pooled or in process.
+    """
+    algorithms = algorithms or profile.algorithms
+    pooled = (
+        workers > 1
+        and len(algorithms) > 1
+        and pool_safe_instrument(instrument)
+    )
+    if pooled:
+        with_telemetry = getattr(instrument, "telemetry", None) is not None
+        store_dir = store_dir_of(store)
+        jobs = [
+            (job, profile, alg, seed, store_dir, with_telemetry)
+            for alg in algorithms
+        ]
+        cells = parallel_map(_algorithm_worker, jobs, workers, progress, label)
+    else:
+        evaluator = make_evaluator(
+            profile.config, seed=seed, store=store, instrument=instrument
+        )
+        in_process = partial(
+            _algorithm_cell, job(evaluator, profile), evaluator, manifest, None
+        )
+        cells = parallel_map(in_process, algorithms, 1, progress, label)
+    series = {}
+    for alg, cell, snapshot in cells:
+        collect_cells(
+            [cell], snapshot, instrument=instrument,
+            manifest=manifest if pooled else None, spans=spans,
+        )
+        series[alg] = cell["value"]
+    return series
+
+
+# ----------------------------------------------------------------------
+# Dispatch
+# ----------------------------------------------------------------------
 def _progress_label(result, index: int) -> str:
     """A printable label for a finished job.
 
@@ -294,17 +315,14 @@ def parallel_map(
     ``workers <= 1`` degrades to a plain in-process loop — callers need
     no special casing, and coverage/debugging stay simple.
     """
-    if workers <= 1 or len(jobs) <= 1:
+    with ExitStack() as stack:
+        if workers <= 1 or len(jobs) <= 1:
+            results = map(worker, jobs)
+        else:
+            pool = get_context().Pool(processes=min(workers, len(jobs)))
+            results = stack.enter_context(pool).imap(worker, jobs)
         out = []
-        for i, job in enumerate(jobs):
-            out.append(worker(job))
-            if progress:
-                progress(f"[{label}] {_progress_label(out[-1], i)}: done")
-        return out
-    ctx = get_context()
-    with ctx.Pool(processes=min(workers, len(jobs))) as pool:
-        out = []
-        for i, result in enumerate(pool.imap(worker, jobs)):
+        for i, result in enumerate(results):
             out.append(result)
             if progress:
                 progress(f"[{label}] {_progress_label(result, i)}: done")

@@ -20,7 +20,7 @@ Methodology:
   **minimum** wall time is the headline (least-noise estimator), with
   all samples recorded.
 * Each workload carries a **key**: a SHA-256 digest (via
-  :func:`repro.store.keys.canonical_json`) of its full parameter spec.
+  :func:`repro.store.keys.content_digest`) of its full parameter spec.
   ``compare`` only compares workloads whose keys match, so a re-pinned
   workload silently stops gating instead of producing bogus deltas.
 * ``peak_rss_kb`` is ``ru_maxrss`` after the workload (process-lifetime
@@ -38,7 +38,6 @@ engine itself, where cycle-stamped telemetry is the mechanism.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import platform
 import random
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs.profile import clock
-from repro.store.keys import canonical_json
+from repro.store.keys import content_digest
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -73,8 +72,9 @@ def bench_key(name: str, params: dict) -> str:
     perf comparisons across engine changes are exactly what the
     trajectory is for (the file records the version at top level).
     """
-    payload = canonical_json({"kind": "bench-key", "name": name, "params": params})
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return content_digest(
+        {"kind": "bench-key", "name": name, "params": params}, 16
+    )
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,7 @@ def _store_contention_writer(args: tuple[str, int, int, int]) -> int:
             "index": i,
             "values": [j / (i + 1) for j in range(floats)],
         }
-        body = canonical_json({"kind": "bench-contention-key", "index": i})
-        key = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        key = content_digest({"kind": "bench-contention-key", "index": i})
         written += bool(store.put(key, payload, algorithm="bench"))
     return written
 
@@ -347,7 +346,7 @@ def _ops_runner(params: dict):
     if op == "campaign":
         import tempfile
 
-        from repro.experiments.campaign import CampaignRunner, CampaignSpec
+        from repro.campaigns import CampaignRunner, CampaignSpec
         from repro.simulator.config import SimConfig
         from repro.store.backend import ResultStore
 

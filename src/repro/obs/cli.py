@@ -119,16 +119,13 @@ def bench_main(argv: list[str]) -> int:
     print(f"[bench] wrote {path} ({len(metrics)} workloads)")
     if args.store is not False:
         from repro.store import ResultStore, default_store_dir
-        from repro.store.keys import canonical_json
-        import hashlib
+        from repro.store.keys import content_digest
 
         store = ResultStore(
             args.store if args.store is not None else default_store_dir()
         )
-        key = hashlib.sha256(
-            canonical_json({"kind": "bench-run", "label": args.label,
-                            "created": payload["created_unix"]}).encode()
-        ).hexdigest()
+        key = content_digest({"kind": "bench-run", "label": args.label,
+                              "created": payload["created_unix"]})
         store.put(key, payload)
         print(f"[bench] archived under key {key[:16]}… in {store.root}")
     return 0

@@ -1,22 +1,26 @@
 """Run manifests: a JSONL event log per campaign / figure run.
 
 Every distributed run (a figure sweep with ``--workers N``, a
-:class:`~repro.experiments.campaign.CampaignRunner` campaign) can append
+:class:`~repro.campaigns.CampaignRunner` campaign) can append
 its lifecycle to a **manifest** — one JSON object per line, written by
 the parent process only, so the log is crash-safe and never interleaved:
 
 * ``run-start`` — label, run kind (``figure`` / ``campaign``), worker
   count, store directory, wall-clock epoch, free-form ``meta``;
 * ``cell`` — one unit of work (a per-algorithm figure job, a campaign
-  job key): ``phase`` is ``start`` (sequential runs only — a pooled
+  job key): ``phase`` is ``start`` (in-process cells only — a pooled
   parent first hears of a cell when its result arrives) or ``finish``
-  with the cell's wall ``seconds``, the ``worker`` index that ran it,
-  simulated ``cycles``, and per-cell cache counters when a store was in
-  play;
+  with the cell's wall ``seconds``, the ``worker`` pid that ran it
+  (``0``: this process), simulated ``cycles``, per-cell cache counters
+  when a store was in play, and a ``status`` (``error`` for a cell that
+  raised).  One function writes both phases for every runner:
+  :func:`repro.experiments.parallel.timed_cell`;
 * ``run-finish`` — total seconds, cell count, merged
   :class:`~repro.store.cache.CacheStats` counters, the merged
   telemetry registry's :meth:`~repro.obs.telemetry.TelemetryRegistry.
-  digest`, and a terminal ``status``.
+  digest`, and a terminal ``status`` (``error`` when the run died on
+  an exception: leaving the writer's ``with`` block that way closes
+  the run).
 
 Each event carries ``t``, seconds since the writer was created
 (monotonic).  Wall-clock here is deliberate and legal: manifests live
@@ -50,7 +54,9 @@ class ManifestWriter:
 
     The parent process is the sole writer (workers ship timings back
     with their results), mirroring the campaign runner's ``results.jsonl``
-    discipline.  Use as a context manager or call :meth:`close`.
+    discipline.  Use as a context manager or call :meth:`close`; a
+    ``with`` block left by an exception while a run is open first
+    records ``run-finish`` with ``status="error"``.
     """
 
     def __init__(self, path: Path | str) -> None:
@@ -58,6 +64,7 @@ class ManifestWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
         self._t0 = clock()
+        self._run_open = False
         self.events_written = 0
 
     # ------------------------------------------------------------------
@@ -88,6 +95,7 @@ class ManifestWriter:
         }
         if meta:
             fields["meta"] = meta
+        self._run_open = True
         return self.event("run-start", **fields)
 
     def cell_start(self, cell_id: str) -> dict:
@@ -150,6 +158,7 @@ class ManifestWriter:
             fields["telemetry_digest"] = telemetry_digest
         if telemetry_series is not None:
             fields["telemetry_series"] = telemetry_series
+        self._run_open = False
         return self.event("run-finish", **fields)
 
     # ------------------------------------------------------------------
@@ -160,7 +169,9 @@ class ManifestWriter:
     def __enter__(self) -> "ManifestWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is not None and self._run_open:
+            self.run_finish(status="error")
         self.close()
 
 

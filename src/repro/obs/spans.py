@@ -38,7 +38,6 @@ ambiently through the :data:`AMBIENT_ENV` environment variable
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import warnings
@@ -46,7 +45,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.obs.profile import clock
-from repro.store.keys import canonical_json
+from repro.store.keys import content_digest
 
 __all__ = [
     "AMBIENT_ENV",
@@ -79,13 +78,6 @@ AMBIENT_ENV = "REPRO_TRACE_CONTEXT"
 CYCLE_SAFE_NAMES = ("make_span", "make_span_id", "trace_id_from")
 
 
-def _short_hash(material) -> str:
-    """16-hex-digit digest of canonical-JSON *material* (REP008)."""
-    return hashlib.sha256(
-        canonical_json(material).encode("utf-8")
-    ).hexdigest()[:16]
-
-
 def trace_id_from(*material) -> str:
     """A deterministic trace id from caller-chosen JSON-safe material.
 
@@ -94,7 +86,7 @@ def trace_id_from(*material) -> str:
     distinguished by their recorded spans, not by id nonces; REP011
     forbids wall-clock/random id material).
     """
-    return _short_hash(["trace", *material])
+    return content_digest(["trace", *material], 16)
 
 
 def make_span_id(
@@ -106,7 +98,7 @@ def make_span_id(
     keyed by cell id); siblings with distinct names need none.  Ids are
     therefore identical between a sequential run and any sharding of it.
     """
-    return _short_hash(["span", trace_id, parent_id, name, key])
+    return content_digest(["span", trace_id, parent_id, name, key], 16)
 
 
 def make_span(
@@ -340,7 +332,7 @@ def spans_merge_digest(spans) -> str:
         (span_merge_view(s) for s in spans),
         key=lambda v: (v["trace_id"], v["span_id"]),
     )
-    return _short_hash(views)
+    return content_digest(views, 16)
 
 
 # ----------------------------------------------------------------------

@@ -489,13 +489,9 @@ class TelemetryRegistry:
         at a glance (and the workers=N merge checked against workers=1)
         without embedding the full snapshot in every event.
         """
-        import hashlib
+        from repro.store.keys import content_digest
 
-        from repro.store.keys import canonical_json
-
-        return hashlib.sha256(
-            canonical_json(self.snapshot()).encode("utf-8")
-        ).hexdigest()[:16]
+        return content_digest(self.snapshot(), 16)
 
     def merge_view(self) -> dict:
         """The partition-independent slice of the snapshot.
@@ -519,13 +515,9 @@ class TelemetryRegistry:
         records: a sequential run and an N-shard merged run over the
         same cells produce the same ``merge_digest`` by construction.
         """
-        import hashlib
+        from repro.store.keys import content_digest
 
-        from repro.store.keys import canonical_json
-
-        return hashlib.sha256(
-            canonical_json(self.merge_view()).encode("utf-8")
-        ).hexdigest()[:16]
+        return content_digest(self.merge_view(), 16)
 
     def render(self, prefix: str = "") -> str:
         """A human-readable table of instruments (optionally filtered)."""

@@ -32,6 +32,7 @@ __all__ = [
     "ENGINE_VERSION",
     "algorithm_token",
     "canonical_json",
+    "content_digest",
     "run_key",
     "run_key_payload",
 ]
@@ -42,6 +43,17 @@ def canonical_json(payload) -> str:
     return json.dumps(
         payload, sort_keys=True, separators=(",", ":"), allow_nan=False
     )
+
+
+def content_digest(payload, length: int = 64) -> str:
+    """The first *length* hex digits of SHA-256 over ``canonical_json``.
+
+    The project's one "canonical rows -> digest" reduction: run keys,
+    store/telemetry/span proof-of-equality digests, the drift lock and
+    the bench workload keys all go through here (lint rule REP008).
+    """
+    digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
+    return digest.hexdigest()[:length]
 
 
 def algorithm_token(algorithm) -> str:
@@ -115,4 +127,4 @@ def run_key(
         traffic=traffic,
         engine_version=engine_version,
     )
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return content_digest(payload)

@@ -35,12 +35,11 @@ Gate semantics (mirroring ``tools/mypy_gate.py``):
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.store.keys import canonical_json
+from repro.store.keys import content_digest
 
 __all__ = [
     "SEMANTIC_DIRS",
@@ -107,10 +106,6 @@ def normalized_dump(source: str) -> str:
     return ast.dump(tree, annotate_fields=False, include_attributes=False)
 
 
-def _digest(value) -> str:
-    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
-
-
 def compute_state(
     root: Path | None = None, engine_version: int | None = None
 ) -> dict:
@@ -133,10 +128,10 @@ def compute_state(
             continue
         for path in sorted(base.rglob("*.py")):
             rel = path.relative_to(root).as_posix()
-            files[rel] = _digest(normalized_dump(path.read_text()))
+            files[rel] = content_digest(normalized_dump(path.read_text()))
     return {
         "engine_version": engine_version,
-        "digest": _digest(files),
+        "digest": content_digest(files),
         "files": files,
     }
 

@@ -406,7 +406,7 @@ def _rule_figure_drivers(mod: _Module) -> list[Finding]:
 
 
 # ----------------------------------------------------------------------
-# REP008 — content digests go through canonical_json
+# REP008 — content digests go through content_digest / canonical_json
 # ----------------------------------------------------------------------
 #: The one module allowed to hash arbitrary bytes: it *defines* the
 #: canonical serialization the rest of the project keys on.
@@ -477,9 +477,9 @@ def _rule_canonical_digests(mod: _Module) -> list[Finding]:
             "REP008", mod.path, node.lineno, node.col_offset,
             f"{name}() outside repro.store.keys must digest "
             "canonical_json(...) — ad-hoc serialization silently forks "
-            "the store's key space (dict order, float formatting); build "
-            "the payload, canonical_json() it, then hash the encoded "
-            "string (repro.store.keys.canonical_key does both)",
+            "the store's key space (dict order, float formatting); call "
+            "repro.store.keys.content_digest(payload), which serializes "
+            "and hashes in one step",
         ))
     return found
 
@@ -493,7 +493,6 @@ def _rule_canonical_digests(mod: _Module) -> list[Finding]:
 _KEY_MATERIAL_SCOPES = (
     "repro/campaigns/",
     "repro/store/",
-    "repro/experiments/campaign",
 )
 
 #: The sanctioned serialization homes themselves.
@@ -814,25 +813,30 @@ _MUTATOR_METHODS = {"append", "extend", "add", "update", "setdefault",
 
 
 def _worker_names(mods: list[_Module]) -> set[str]:
-    """Terminal names of callables handed to ``parallel_map`` / pools."""
+    """Terminal names of callables handed to ``parallel_map`` / pools,
+    and of the figure jobs handed to ``run_per_algorithm`` (its one
+    generic pool worker runs them, so they are worker bodies too)."""
     names: set[str] = set()
     for mod in mods:
         for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call) or not node.args:
+            if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            is_dispatch = (
-                (isinstance(func, ast.Name) and func.id == "parallel_map")
-                or (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in (_POOL_METHODS | {"parallel_map"})
+            dispatch = _base_name(func)
+            if dispatch == "run_per_algorithm":
+                # run_per_algorithm(profile, algorithms, job, ...)
+                worker = node.args[2] if len(node.args) > 2 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "job"), None
                 )
-            )
-            if not is_dispatch:
+            elif node.args and (
+                dispatch == "parallel_map"
+                or (isinstance(func, ast.Attribute)
+                    and func.attr in _POOL_METHODS)
+            ):
+                worker = node.args[0]
+            else:
                 continue
-            target = _base_name(node.args[0]) or (
-                node.args[0].id if isinstance(node.args[0], ast.Name) else None
-            )
+            target = _base_name(worker) if worker is not None else None
             if target is not None:
                 names.add(target)
     return names
@@ -1329,8 +1333,9 @@ RULES: dict[str, tuple[str, str, object]] = {
     ),
     "REP008": (
         "module",
-        "content digests outside repro.store.keys hash canonical_json "
-        "output (one key space, one serialization)",
+        "content digests outside repro.store.keys go through "
+        "content_digest / canonical_json (one key space, one "
+        "serialization)",
         _rule_canonical_digests,
     ),
     "REP009": (

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.campaign import CampaignRunner, CampaignSpec, load_campaign
+from repro.campaigns import CampaignRunner, CampaignSpec, load_campaign
 from repro.simulator.config import SimConfig
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.experiments.campaign import CampaignRunner, CampaignSpec
+from repro.campaigns import CampaignRunner, CampaignSpec
 from repro.experiments.fig_sweep import run_sweep
 from repro.experiments.profiles import SMOKE_PROFILE
 from repro.obs.cli import main as obs_main
@@ -256,3 +256,80 @@ class TestIntegration:
         )
         assert summary["n_cells"] == 0
         assert summary["status"] == "ok"
+
+
+class TestFailedRunIsClosed:
+    """A cell that raises leaves ``cell finish status=error`` and a
+    ``run-finish status=error`` behind, whichever runner owned the
+    manifest — it is one ``try`` in ``timed_cell`` plus the writer's
+    ``with`` block."""
+
+    SPEC = CampaignSpec(
+        name="boom",
+        algorithms=("nhop",),
+        config=SimConfig(
+            width=6, vcs_per_channel=24, message_length=4,
+            cycles=400, warmup=100,
+        ),
+        rates=(0.01, 0.02, 0.03),
+    )
+
+    @staticmethod
+    def _statuses(path):
+        events = read_manifest(path)
+        return (
+            [e["status"] for e in events
+             if e["event"] == "cell" and e["phase"] == "finish"],
+            summarize_manifest(events)["status"],
+        )
+
+    @pytest.fixture
+    def second_cell_raises(self, monkeypatch):
+        from repro.campaigns import runner
+
+        real, calls = runner.execute_cell, []
+
+        def flaky(evaluator, cases, key):
+            calls.append(key)
+            if len(calls) == 2:
+                raise RuntimeError("deadlock oracle fired")
+            return real(evaluator, cases, key)
+
+        monkeypatch.setattr(runner, "execute_cell", flaky)
+
+    def test_campaign_runner(self, tmp_path, second_cell_raises):
+        runner = CampaignRunner(self.SPEC, tmp_path / "out")
+        with pytest.raises(RuntimeError, match="oracle"):
+            runner.run()
+        assert self._statuses(runner.events_path) == (["ok", "error"], "error")
+        assert len(runner.load_results()) == 1  # the finished cell survived
+
+    def test_shard(self, tmp_path, second_cell_raises):
+        from repro.campaigns import run_shard
+
+        with pytest.raises(RuntimeError, match="oracle"):
+            run_shard(self.SPEC, self.SPEC.job_keys(), tmp_path / "shard")
+        assert self._statuses(tmp_path / "shard" / "events.jsonl") == (
+            ["ok", "error"], "error",
+        )
+
+    def test_experiments_cli(self, tmp_path, monkeypatch):
+        from repro.experiments import fig_sweep
+        from repro.experiments.cli import main as experiments_main
+
+        def job(evaluator, profile):
+            def cell(algorithm):
+                if algorithm == "phop":
+                    raise RuntimeError("deadlock oracle fired")
+                return [], 0
+
+            return cell
+
+        monkeypatch.setattr(fig_sweep, "sweep_job", job)
+        path = tmp_path / "fig1.jsonl"
+        with pytest.raises(RuntimeError, match="oracle"):
+            experiments_main([
+                "fig1", "--profile", "smoke", "--quiet", "--manifest",
+                str(path), "--algorithms", "nhop", "phop", "duato",
+            ])
+        assert self._statuses(path) == (["ok", "error"], "error")

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.experiments.campaign import CampaignRunner, CampaignSpec
+from repro.campaigns import CampaignRunner, CampaignSpec
 from repro.experiments.fig_sweep import run_sweep
 from repro.experiments.profiles import SMOKE_PROFILE
 from repro.obs.telemetry import (

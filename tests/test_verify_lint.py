@@ -576,6 +576,26 @@ class TestPoolWorkerPurity:
         )
         assert self.check(src) == []
 
+    def test_flags_figure_job_handed_to_run_per_algorithm(self):
+        # The one generic pool worker runs whatever job the driver
+        # names, so the job (and the cell closure it returns) is a
+        # worker body even though it never reaches parallel_map itself.
+        src = (
+            "SEEN = {}\n"
+            "def sweep_job(evaluator, profile):\n"
+            "    def cell(algorithm):\n"
+            "        SEEN[algorithm] = True\n"
+            "        return [], 0\n"
+            "    return cell\n"
+            "def run_sweep(profile, algorithms=None, **run):\n"
+            "    return run_per_algorithm(\n"
+            "        profile, algorithms, sweep_job, label='fig1/2', **run)\n"
+        )
+        findings = self.check(src)
+        assert rules_of(findings) == {"REP012"}
+        assert "'sweep_job'" in findings[0].message
+        assert self.check(src.replace("SEEN[algorithm] = True", "pass")) == []
+
     def test_non_workers_may_touch_module_state(self):
         # only callables actually handed to a pool are constrained
         src = (
