@@ -79,7 +79,7 @@ class Evaluator:
         Optional callable invoked with every :class:`Simulation` just
         before ``run()`` — the observability hook (attach a telemetry
         registry or tracer; see
-        :func:`repro.obs.telemetry.make_instrument`).  Instrumentation
+        :class:`repro.obs.telemetry.Instrument`).  Instrumentation
         covers **executed** runs only: a :class:`~repro.store.cache.
         CachedEvaluator` cache hit never constructs a Simulation.
     """

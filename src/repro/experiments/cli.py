@@ -232,14 +232,14 @@ def main(argv: list[str] | None = None) -> int:
 
     telemetry = tracer = instrument = None
     if args.telemetry or args.trace_out is not None:
-        from repro.obs.telemetry import TelemetryRegistry, make_instrument
+        from repro.obs.telemetry import Instrument, TelemetryRegistry
         from repro.obs.trace_export import lifecycle_tracer
 
         if args.telemetry:
             telemetry = TelemetryRegistry()
         if args.trace_out is not None:
             tracer = lifecycle_tracer(sample=args.trace_sample)
-        instrument = make_instrument(telemetry=telemetry, tracer=tracer)
+        instrument = Instrument(telemetry=telemetry, tracer=tracer)
 
     if args.experiment == "report":
         from repro.experiments.report import summarize_directory

@@ -73,10 +73,10 @@ def worker_evaluator(config, seed: int, store, with_telemetry: bool):
     """
     registry = instrument = None
     if with_telemetry:
-        from repro.obs.telemetry import TelemetryRegistry, make_instrument
+        from repro.obs.telemetry import Instrument, TelemetryRegistry
 
         registry = TelemetryRegistry()
-        instrument = make_instrument(telemetry=registry)
+        instrument = Instrument(telemetry=registry)
     return registry, make_evaluator(
         config, seed=seed, store=store, instrument=instrument
     )

@@ -1,21 +1,22 @@
 """Observability for the simulation engine.
 
-Three layers, all opt-in and all zero-cost when unused:
+All opt-in and zero-cost when unused.  Every engine instrument is an
+observer subscribed with ``Simulation.attach`` to the fixed event set
+in :data:`repro.simulator.engine.EVENTS`:
 
-* :mod:`repro.obs.telemetry` — cycle-stamped counters, gauges and
-  histograms the engine publishes into when a
-  :class:`~repro.obs.telemetry.TelemetryRegistry` is attached
-  (``Simulation(..., telemetry=registry)``).  With no registry the
-  engine pays one ``is not None`` attribute check per publish site.
-* :mod:`repro.obs.trace_export` — message-lifecycle traces (on the
-  existing :class:`~repro.simulator.trace.Tracer` hooks) exported as
+* :mod:`repro.obs.telemetry` — cycle-stamped counters, gauges,
+  histograms and series in a
+  :class:`~repro.obs.telemetry.TelemetryRegistry`
+  (``sim.attach(EngineTelemetry(registry))``).
+* :mod:`repro.obs.trace_export` — message-lifecycle traces (from an
+  attached :class:`~repro.simulator.trace.Tracer`) exported as
   Chrome-trace JSON or JSONL, with deterministic 1-in-N sampling.
 * :mod:`repro.obs.bench` — a headless pinned-workload perf harness
   (``python -m repro.obs bench``) writing ``BENCH_<label>.json``
   trajectories, plus a regression gate (``python -m repro.obs
   compare``).
 * :mod:`repro.obs.profile` — the engine phase profiler
-  (``Simulation.attach_profiler``; ``python -m repro.obs profile``):
+  (``sim.attach(PhaseProfiler())``; ``python -m repro.obs profile``):
   per-phase wall-time shares and activity attribution, bit-identical
   to a detached run.  Also home of the project's sanctioned monotonic
   timer ``clock`` (lint rule REP016).
@@ -28,7 +29,7 @@ Three layers, all opt-in and all zero-cost when unused:
   cycle-stamped inside, deterministic ids, ambient context
   propagation, partition-independent merge + digest.
 * :mod:`repro.obs.blame` — per-message latency blame
-  (``Simulation.attach_blame``; ``python -m repro.obs blame``):
+  (``sim.attach(BlameRecorder())``; ``python -m repro.obs blame``):
   decomposes each delivered message's latency into source-queue /
   header-blocked / route-compute / f-ring-detour / data-pipeline
   cycles, reconciled exactly against telemetry.
@@ -86,13 +87,13 @@ from repro.obs.profile import (
 )
 from repro.obs.telemetry import (
     Counter,
+    EngineTelemetry,
     Gauge,
     Histogram,
     Instrument,
     LabeledCounter,
     Series,
     TelemetryRegistry,
-    make_instrument,
     series_snapshot,
 )
 from repro.obs.spans import (
@@ -125,6 +126,7 @@ __all__ = [
     "BlameRecorder",
     "COMPONENTS",
     "Counter",
+    "EngineTelemetry",
     "Gauge",
     "Histogram",
     "Instrument",
@@ -155,7 +157,6 @@ __all__ = [
     "jsonl_lines",
     "ledger_entry",
     "lifecycle_tracer",
-    "make_instrument",
     "make_span",
     "make_span_id",
     "merge_spans",

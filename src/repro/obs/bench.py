@@ -11,7 +11,7 @@ Methodology:
 
 * **Engine workloads** mirror ``benchmarks/bench_simulator_micro.py``:
   the network is warmed to steady state, then a fixed number of cycles
-  is timed.  Timing runs use ``telemetry=None`` (the production hot
+  is timed.  Timing runs attach nothing (the production hot
   path); a separate, untimed **twin run with telemetry attached** — same
   seed, hence bit-identical — supplies the flit-hop count, so the file
   reports both ``cycles_per_sec`` and ``flit_hops_per_sec`` without the
@@ -44,6 +44,7 @@ import random
 import resource
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,8 +83,10 @@ class Workload:
     """One pinned benchmark workload.
 
     ``kind`` selects the runner: ``"engine"`` times warmed
-    ``Simulation.step`` cycles; ``"ops"`` times a callable built by
-    :func:`_ops_runner` and reports operations/second.
+    ``Simulation.step`` cycles; ``"attached"`` times the same window
+    detached and with each instrument attached in turn; ``"ops"`` times
+    a callable built by :func:`_ops_runner` and reports
+    operations/second.
     """
 
     name: str
@@ -111,6 +114,14 @@ WORKLOADS: tuple[Workload, ...] = (
         "algorithm": "duato-nbc", "width": 10, "vcs": 24,
         "message_length": 16, "rate": 0.02, "warm": 500, "cycles": 1000,
         "seed": 7, "faults": 5,
+    }),
+    # The price of each instrument (ROADMAP aim 4): the engine_saturated
+    # window timed detached (cycles_per_sec), then with telemetry, blame
+    # and the lifecycle tracer attached alone ("attached": rate, overhead).
+    Workload("obs_attached_cost", "attached", {
+        "algorithm": "duato-nbc", "width": 10, "vcs": 24,
+        "message_length": 16, "rate": 0.05, "warm": 500, "cycles": 1000,
+        "seed": 5, "faults": 0,
     }),
     Workload("fault_pattern_generation", "ops", {
         "op": "fault_patterns", "width": 10, "faults": 10, "draws": 30,
@@ -212,13 +223,44 @@ def _store_contention_writer(args: tuple[str, int, int, int]) -> int:
         written += bool(store.put(key, payload, algorithm="bench"))
     return written
 
-def _build_engine_sim(params: dict, telemetry=None):
+def build_sim(config, algorithm: str, *, n_faults: int = 0, faults=None,
+              observers=()):
+    """``SimConfig`` -> fault pattern -> ``Simulation`` with *observers*
+    attached: the one construction path of the obs verbs.  *faults* is
+    an explicit pattern; otherwise *n_faults* random block faults are
+    drawn from ``random.Random(config.seed)`` (0 = fault-free).
+    """
     from repro.faults.generator import generate_block_fault_pattern
-    from repro.faults.pattern import FaultPattern
     from repro.routing.registry import make_algorithm
-    from repro.simulator.config import SimConfig
     from repro.simulator.engine import Simulation
     from repro.topology.mesh import Mesh2D
+
+    if faults is None and n_faults:
+        faults = generate_block_fault_pattern(
+            Mesh2D(config.width, config.height), n_faults,
+            random.Random(config.seed),
+        )
+    sim = Simulation(config, make_algorithm(algorithm), faults=faults)
+    for observer in observers:
+        sim.attach(observer)
+    return sim
+
+
+def engine_state(sim) -> tuple:
+    """What a neutral observer must leave untouched (headline statistics,
+    conservation totals, both RNG states): equal for an attached run and
+    its detached twin."""
+    r = sim.result
+    return (
+        r.generated, r.delivered, r.delivered_flits, r.latency_sum,
+        r.hops_sum, sim.total_generated, sim.total_delivered,
+        sim.total_dropped, sim.rng.getstate(),
+        str(sim._perm_rng.bit_generator.state),
+    )
+
+
+def _build_engine_sim(params: dict, *observers):
+    from repro.simulator.config import SimConfig
 
     cfg = SimConfig(
         width=params["width"],
@@ -230,22 +272,27 @@ def _build_engine_sim(params: dict, telemetry=None):
         seed=params["seed"],
         on_deadlock="drain",
     )
-    mesh = Mesh2D(cfg.width, cfg.height)
-    if params["faults"]:
-        faults = generate_block_fault_pattern(
-            mesh, params["faults"], random.Random(params["seed"])
-        )
-    else:
-        faults = FaultPattern.fault_free(mesh)
-    return Simulation(
-        cfg, make_algorithm(params["algorithm"]), faults=faults,
-        telemetry=telemetry,
+    return build_sim(
+        cfg, params["algorithm"], n_faults=params["faults"],
+        observers=observers,
     )
+
+
+def _time_window(params: dict, *observers) -> float:
+    """Seconds for the measured window of a fresh run: warmed detached,
+    then timed with *observers* attached."""
+    sim = _build_engine_sim(params)
+    sim.step(params["warm"])
+    for observer in observers:
+        sim.attach(observer)
+    t0 = clock()
+    sim.step(params["cycles"])
+    return clock() - t0
 
 
 def _run_engine_workload(params: dict, repeats: int) -> dict:
     from repro.obs.profile import PhaseProfiler
-    from repro.obs.telemetry import TelemetryRegistry
+    from repro.obs.telemetry import EngineTelemetry, TelemetryRegistry
 
     cycles = params["cycles"]
     # Untimed twin: warm without instruments, attach telemetry *and* the
@@ -256,20 +303,14 @@ def _run_engine_workload(params: dict, repeats: int) -> dict:
     profiler = PhaseProfiler()
     twin = _build_engine_sim(params)
     twin.step(params["warm"])
-    twin.attach_telemetry(registry)
-    twin.attach_profiler(profiler)
+    twin.attach(EngineTelemetry(registry))
+    twin.attach(profiler)
     twin.step(cycles)
     flit_hops = registry.value("engine.flits.hops")
     delivered = registry.value("engine.messages.delivered")
     profile = profiler.report()
 
-    samples = []
-    for _ in range(repeats):
-        sim = _build_engine_sim(params)
-        sim.step(params["warm"])
-        t0 = clock()
-        sim.step(cycles)
-        samples.append(clock() - t0)
+    samples = [_time_window(params) for _ in range(repeats)]
     best = min(samples)
     return {
         "seconds": best,
@@ -284,6 +325,42 @@ def _run_engine_workload(params: dict, repeats: int) -> dict:
             "mesh_nodes": profile["activity"]["mesh_nodes"],
             "active_routers_mean": profile["activity"]["active_routers"]["mean"],
             "occupied_vcs_mean": profile["activity"]["occupied_vcs"]["mean"],
+        },
+    }
+
+
+def _run_attached_cost(params: dict, repeats: int) -> dict:
+    from repro.obs.blame import BlameRecorder
+    from repro.obs.telemetry import EngineTelemetry, TelemetryRegistry
+    from repro.obs.trace_export import lifecycle_tracer
+
+    variants: dict[str, Callable[[], object] | None] = {
+        "detached": None,
+        "telemetry": lambda: EngineTelemetry(TelemetryRegistry()),
+        "blame": BlameRecorder,
+        "tracer": lifecycle_tracer,
+    }
+    cycles = params["cycles"]
+    samples: dict[str, list[float]] = {name: [] for name in variants}
+    # Variants interleave within a repeat so host drift hits all alike.
+    for _ in range(repeats):
+        for name, make in variants.items():
+            observers = () if make is None else (make(),)
+            samples[name].append(_time_window(params, *observers))
+    best = {name: min(times) for name, times in samples.items()}
+    base = best.pop("detached")
+    return {
+        "seconds": base,
+        "samples": samples["detached"],
+        "cycles": cycles,
+        "cycles_per_sec": cycles / base,
+        "attached": {
+            name: {
+                "seconds": seconds,
+                "cycles_per_sec": cycles / seconds,
+                "overhead_pct": 100.0 * (seconds - base) / base,
+            }
+            for name, seconds in best.items()
         },
     }
 
@@ -584,10 +661,12 @@ def run_suite(
             continue
         if progress:
             progress(f"[bench] {w.name}: running")
-        if w.kind == "engine":
-            metrics = _run_engine_workload(w.params, repeats)
-        else:
-            metrics = _run_ops_workload(w.params, repeats)
+        runner = {
+            "engine": _run_engine_workload,
+            "attached": _run_attached_cost,
+            "ops": _run_ops_workload,
+        }[w.kind]
+        metrics = runner(w.params, repeats)
         metrics["key"] = w.key
         metrics["params"] = dict(w.params)
         metrics["peak_rss_kb"] = resource.getrusage(
@@ -599,6 +678,11 @@ def run_suite(
                 f"[bench] {w.name}: {metrics['seconds']:.3f}s "
                 f"(rss {metrics['peak_rss_kb']} kB)"
             )
+            for name, cost in metrics.get("attached", {}).items():
+                progress(
+                    f"[bench]   + {name}: {cost['cycles_per_sec']:.0f} "
+                    f"cycles/s ({cost['overhead_pct']:+.1f}% over detached)"
+                )
     return out
 
 

@@ -18,9 +18,10 @@ latency into five causes:
     actually taken (minus any f-ring hops).
 ``f_ring_detour``
     Non-ejection VC grants taken while in Boppana–Chalasani f-ring
-    transit (``msg.ring is not None`` and a ring-role VC) — the same
-    condition the telemetry ``engine.fring.*`` counters use.  The
-    cycles the detour cost, separated from productive routing.
+    transit (``msg.ring is not None`` and a ring-role VC) — the
+    ``on_ring`` flag of the engine's ``granted`` event, which the
+    telemetry ``engine.fring.*`` counters read too.  The cycles the
+    detour cost, separated from productive routing.
 ``data_pipeline``
     The remainder: wormhole serialization of the body/tail flits plus
     switch-allocation waits.  For a contention-free L-flit, d-hop
@@ -34,11 +35,10 @@ aggregates reconcile with the telemetry a run publishes —
 ``blocked_events`` equals ``engine.headers.blocked_cycles``, delivered
 count and latency mass equal the ``engine.latency`` histogram.
 
-The engine publishes into a :class:`BlameRecorder` behind the standard
-nullable hook (:meth:`~repro.simulator.engine.Simulation.attach_blame`):
-detached runs pay one ``is not None`` check per site, draw the same RNG
-stream, and produce bit-identical results — the telemetry contract,
-enforced for this hook by lint rule REP017.
+A :class:`BlameRecorder` is an ordinary engine observer
+(``sim.attach(recorder)``): it subscribes to ``blocked``, ``granted``,
+``delivered`` and ``dropped``, only receives counts and draws no RNG, so
+an attached run is bit-identical to a detached one.
 """
 
 from __future__ import annotations
@@ -73,16 +73,15 @@ COMPONENTS = (
 class BlameRecorder:
     """Collects per-message blame events from one (or more) runs.
 
-    The engine calls :meth:`header_blocked` / :meth:`route_granted` /
-    :meth:`ring_granted` per event, :meth:`message_delivered` at tail
-    ejection (which finalizes the record) and :meth:`message_dropped`
-    when recovery drains a message (its partial counters are discarded).
-    Memory is O(in-flight messages) for the counters plus O(delivered)
-    for the finished records.
+    The engine publishes :meth:`blocked` / :meth:`granted` per event,
+    :meth:`delivered` at tail ejection (which finalizes the record) and
+    :meth:`dropped` when recovery drains a message (its partial counters
+    are discarded).  Memory is O(in-flight messages) for the counters
+    plus O(delivered) for the finished records.
 
     *mesh* provides minimal-hop distances for the hops-taken vs
-    minimal-hops comparison; ``attach_blame`` binds the simulation's
-    mesh automatically when none was given.
+    minimal-hops comparison; attaching binds the simulation's mesh
+    when none was given.
     """
 
     __slots__ = ("mesh", "records", "blocked_events", "_blocked", "_route",
@@ -99,23 +98,23 @@ class BlameRecorder:
         self._route: dict[int, int] = {}
         self._ring: dict[int, int] = {}
 
-    def bind_mesh(self, mesh) -> None:
-        """Adopt *mesh* for minimal-hop lookups (first binding wins)."""
+    def bind(self, sim) -> None:
+        """Adopt the run's mesh for minimal-hop lookups (first wins)."""
         if self.mesh is None:
-            self.mesh = mesh
+            self.mesh = sim.mesh
 
-    # -- engine-facing publishes (hot path when attached) ---------------
-    def header_blocked(self, msg) -> None:
+    # -- engine events (see repro.simulator.engine.EVENTS) --------------
+    def blocked(self, cycle, msg, node) -> None:
         self.blocked_events += 1
         self._blocked[msg.id] = self._blocked.get(msg.id, 0) + 1
 
-    def route_granted(self, msg) -> None:
-        self._route[msg.id] = self._route.get(msg.id, 0) + 1
+    def granted(self, cycle, msg, node, port, vc, role, on_ring) -> None:
+        if role is None:  # ejection grant: not a hop
+            return
+        counts = self._ring if on_ring else self._route
+        counts[msg.id] = counts.get(msg.id, 0) + 1
 
-    def ring_granted(self, msg) -> None:
-        self._ring[msg.id] = self._ring.get(msg.id, 0) + 1
-
-    def message_delivered(self, msg, cycle: int) -> None:
+    def delivered(self, cycle: int, msg) -> None:
         blocked = self._blocked.pop(msg.id, 0)
         route = self._route.pop(msg.id, 0)
         ring = self._ring.pop(msg.id, 0)
@@ -146,7 +145,7 @@ class BlameRecorder:
             }
         )
 
-    def message_dropped(self, msg) -> None:
+    def dropped(self, cycle, msg, livelock) -> None:
         self._blocked.pop(msg.id, None)
         self._route.pop(msg.id, None)
         self._ring.pop(msg.id, None)

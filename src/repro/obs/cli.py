@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -184,16 +183,31 @@ def compare_main(argv: list[str]) -> int:
     return code
 
 
-def smoke_main(argv: list[str]) -> int:
-    from repro.faults.generator import generate_block_fault_pattern
-    from repro.faults.pattern import FaultPattern
-    from repro.metrics.vc_usage import reconcile_vc_usage
-    from repro.obs.telemetry import TelemetryRegistry
-    from repro.obs.trace_export import lifecycle_tracer, write_trace
-    from repro.routing.registry import make_algorithm
+def _instrumented_sim(args, *, faults=None, observers=(), **config):
+    """The run behind ``smoke``/``heatmap``/``timeline``: 16-flit
+    messages, no warmup, drain recovery, sized by the verb's shared
+    ``--algorithm/--width/--vcs/--faults/--rate/--cycles/--seed`` args,
+    with engine telemetry attached.  Returns ``(sim, registry)``."""
+    from repro.obs.bench import build_sim
+    from repro.obs.telemetry import EngineTelemetry, TelemetryRegistry
     from repro.simulator.config import SimConfig
-    from repro.simulator.engine import Simulation
-    from repro.topology.mesh import Mesh2D
+
+    cfg = SimConfig(
+        width=args.width, vcs_per_channel=args.vcs, message_length=16,
+        injection_rate=args.rate, cycles=args.cycles, warmup=0,
+        seed=args.seed, on_deadlock="drain", **config,
+    )
+    registry = TelemetryRegistry()
+    sim = build_sim(
+        cfg, args.algorithm, n_faults=args.faults, faults=faults,
+        observers=[EngineTelemetry(registry), *observers],
+    )
+    return sim, registry
+
+
+def smoke_main(argv: list[str]) -> int:
+    from repro.metrics.vc_usage import reconcile_vc_usage
+    from repro.obs.trace_export import lifecycle_tracer, write_trace
 
     parser = argparse.ArgumentParser(
         prog="repro-obs smoke",
@@ -217,49 +231,25 @@ def smoke_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    cfg = SimConfig(
-        width=args.width, vcs_per_channel=args.vcs, message_length=16,
-        injection_rate=args.rate, cycles=args.cycles, warmup=0,
-        seed=args.seed, on_deadlock="drain", collect_vc_stats=True,
-    )
-    mesh = Mesh2D(cfg.width, cfg.height)
-    if args.faults:
-        faults = generate_block_fault_pattern(
-            mesh, args.faults, random.Random(args.seed)
-        )
-    else:
-        faults = FaultPattern.fault_free(mesh)
-    registry = TelemetryRegistry()
-    sim = Simulation(
-        cfg, make_algorithm(args.algorithm), faults=faults,
-        telemetry=registry,
-    )
     tracer = None
     if args.trace_out is not None:
         tracer = lifecycle_tracer(sample=args.trace_sample)
-        sim.tracer = tracer
+    sim, registry = _instrumented_sim(
+        args, observers=[tracer] if tracer is not None else (),
+        collect_vc_stats=True,
+    )
     result = sim.run()
 
     print(registry.render(prefix="engine."))
-    failures = []
-    if registry.value("engine.messages.generated") != result.generated:
-        failures.append(
-            f"generated: telemetry "
-            f"{registry.value('engine.messages.generated')} "
-            f"!= result {result.generated}"
+    failures = [
+        f"{label}: telemetry {registry.value(name)} != result {expected}"
+        for label, name, expected in (
+            ("generated", "engine.messages.generated", result.generated),
+            ("delivered", "engine.messages.delivered", result.delivered),
+            ("ejected flits", "engine.flits.ejected", result.delivered_flits),
         )
-    if registry.value("engine.messages.delivered") != result.delivered:
-        failures.append(
-            f"delivered: telemetry "
-            f"{registry.value('engine.messages.delivered')} "
-            f"!= result {result.delivered}"
-        )
-    ejected = registry.value("engine.flits.ejected")
-    if ejected != result.delivered_flits:
-        failures.append(
-            f"ejected flits: telemetry {ejected} "
-            f"!= result {result.delivered_flits}"
-        )
+        if registry.value(name) != expected
+    ]
     try:
         rollup = reconcile_vc_usage(result, registry, sim.algorithm.budget)
         print(f"[smoke] per-role VC occupancy reconciled: {rollup}")
@@ -315,18 +305,11 @@ def report_main(argv: list[str]) -> int:
 
 
 def heatmap_main(argv: list[str]) -> int:
-    from repro.faults.generator import (
-        figure6_fault_pattern, generate_block_fault_pattern,
-    )
-    from repro.faults.pattern import FaultPattern
+    from repro.faults.generator import figure6_fault_pattern
     from repro.obs.heatmap import (
         METRICS, heatmap_csv, node_surface, render_node_heatmap,
         surface_split,
     )
-    from repro.obs.telemetry import TelemetryRegistry
-    from repro.routing.registry import make_algorithm
-    from repro.simulator.config import SimConfig
-    from repro.simulator.engine import Simulation
     from repro.topology.mesh import Mesh2D
 
     parser = argparse.ArgumentParser(
@@ -360,25 +343,11 @@ def heatmap_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    cfg = SimConfig(
-        width=args.width, vcs_per_channel=args.vcs, message_length=16,
-        injection_rate=args.rate, cycles=args.cycles, warmup=0,
-        seed=args.seed, on_deadlock="drain",
+    sim, registry = _instrumented_sim(
+        args,
+        faults=figure6_fault_pattern(Mesh2D(args.width)) if args.fig6 else None,
     )
-    mesh = Mesh2D(cfg.width, cfg.height)
-    if args.fig6:
-        faults = figure6_fault_pattern(mesh)
-    elif args.faults:
-        faults = generate_block_fault_pattern(
-            mesh, args.faults, random.Random(args.seed)
-        )
-    else:
-        faults = FaultPattern.fault_free(mesh)
-    registry = TelemetryRegistry()
-    sim = Simulation(
-        cfg, make_algorithm(args.algorithm), faults=faults,
-        telemetry=registry,
-    )
+    mesh, faults = sim.mesh, sim.faults
     result = sim.run()
     print(render_node_heatmap(
         faults, registry, metric=args.metric,
@@ -449,31 +418,8 @@ def timeline_main(argv: list[str]) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        from repro.faults.generator import generate_block_fault_pattern
-        from repro.faults.pattern import FaultPattern
-        from repro.obs.telemetry import TelemetryRegistry
-        from repro.routing.registry import make_algorithm
-        from repro.simulator.config import SimConfig
-        from repro.simulator.engine import Simulation
-        from repro.topology.mesh import Mesh2D
-
-        cfg = SimConfig(
-            width=args.width, vcs_per_channel=args.vcs, message_length=16,
-            injection_rate=args.rate, cycles=args.cycles, warmup=0,
-            seed=args.seed, on_deadlock="drain",
-        )
-        mesh = Mesh2D(cfg.width, cfg.height)
-        if args.faults:
-            faults = generate_block_fault_pattern(
-                mesh, args.faults, random.Random(args.seed)
-            )
-        else:
-            faults = FaultPattern.fault_free(mesh)
-        source = TelemetryRegistry()
-        Simulation(
-            cfg, make_algorithm(args.algorithm), faults=faults,
-            telemetry=source,
-        ).run()
+        sim, source = _instrumented_sim(args)
+        sim.run()
 
     try:
         print(render_timeline(source, annotate=not args.no_annotate))
@@ -538,7 +484,9 @@ def converge_main(argv: list[str]) -> int:
 
 
 def profile_main(argv: list[str]) -> int:
-    from repro.obs.bench import WORKLOADS, _build_engine_sim
+    from repro.obs.bench import (
+        WORKLOADS, _build_engine_sim, build_sim, engine_state,
+    )
     from repro.obs.profile import PhaseProfiler, render_profile
     from repro.simulator.engine import ENGINE_VERSION
 
@@ -588,11 +536,6 @@ def profile_main(argv: list[str]) -> int:
     profiler = PhaseProfiler()
     if args.profile is not None:
         from repro.experiments.profiles import get_profile
-        from repro.faults.generator import generate_block_fault_pattern
-        from repro.faults.pattern import FaultPattern
-        from repro.routing.registry import make_algorithm
-        from repro.simulator.engine import Simulation
-        from repro.topology.mesh import Mesh2D
 
         prof = get_profile(args.profile)
         load = (
@@ -607,17 +550,7 @@ def profile_main(argv: list[str]) -> int:
             cfg = cfg.with_(seed=args.seed)
 
         def build():
-            mesh = Mesh2D(cfg.width, cfg.height)
-            faults = (
-                generate_block_fault_pattern(
-                    mesh, args.faults, random.Random(cfg.seed)
-                )
-                if args.faults
-                else FaultPattern.fault_free(mesh)
-            )
-            return Simulation(
-                cfg, make_algorithm(args.algorithm), faults=faults
-            )
+            return build_sim(cfg, args.algorithm, n_faults=args.faults)
 
         warm, measured = cfg.warmup, cfg.cycles - cfg.warmup
         context = {
@@ -647,24 +580,14 @@ def profile_main(argv: list[str]) -> int:
           f"(engine v{ENGINE_VERSION})")
     sim = build()
     sim.step(warm)
-    sim.attach_profiler(profiler)
+    sim.attach(profiler)
     sim.step(measured)
 
     selfcheck = None
     if not args.no_selfcheck:
         twin = build()
         twin.step(warm + measured)
-
-        def state(s):
-            return (
-                s.result.generated, s.result.delivered,
-                s.result.delivered_flits, s.result.latency_sum,
-                s.result.hops_sum, s.total_generated, s.total_delivered,
-                s.total_dropped, s.rng.getstate(),
-                str(s._perm_rng.bit_generator.state),
-            )
-
-        selfcheck = state(sim) == state(twin)
+        selfcheck = engine_state(sim) == engine_state(twin)
 
     report = profiler.report()
     print(render_profile(report))
@@ -863,12 +786,12 @@ def spans_main(argv: list[str]) -> int:
 
 
 def blame_main(argv: list[str]) -> int:
-    from repro.obs.bench import WORKLOADS, _build_engine_sim
+    from repro.obs.bench import WORKLOADS, _build_engine_sim, engine_state
     from repro.obs.blame import (
         BlameRecorder, blame_cell, blame_csv, reconcile_blame,
         render_blame_report, write_blame_json,
     )
-    from repro.obs.telemetry import TelemetryRegistry
+    from repro.obs.telemetry import EngineTelemetry, TelemetryRegistry
     from repro.simulator.engine import ENGINE_VERSION
 
     engine_workloads = [w.name for w in WORKLOADS if w.kind == "engine"]
@@ -915,8 +838,7 @@ def blame_main(argv: list[str]) -> int:
               f"(engine v{ENGINE_VERSION})", file=sys.stderr)
         registry = TelemetryRegistry()
         recorder = BlameRecorder()
-        sim = _build_engine_sim(params, telemetry=registry)
-        sim.attach_blame(recorder)
+        sim = _build_engine_sim(params, EngineTelemetry(registry), recorder)
         sim.step(cycles)
         for problem in reconcile_blame(recorder, registry):
             failures.append(f"{name}: {problem}")
@@ -926,20 +848,10 @@ def blame_main(argv: list[str]) -> int:
         if not args.no_selfcheck:
             twin = _build_engine_sim(params)
             twin.step(cycles)
-
-            def state(s):
-                return (
-                    s.result.generated, s.result.delivered,
-                    s.result.delivered_flits, s.result.latency_sum,
-                    s.result.hops_sum, s.total_generated,
-                    s.total_delivered, s.total_dropped, s.rng.getstate(),
-                    str(s._perm_rng.bit_generator.state),
-                )
-
-            if state(sim) != state(twin):
+            if engine_state(sim) != engine_state(twin):
                 failures.append(
                     f"{name}: attached run diverged from detached twin "
-                    "(blame hook is not neutral)"
+                    "(blame recorder is not neutral)"
                 )
 
     print(render_blame_report(cells, top=args.top))

@@ -155,9 +155,8 @@ def analyze_profile(
     operating point on every shipped profile; MSER on a saturated,
     drifting series recommends ever-larger truncations by design).
     """
-    from repro.obs.telemetry import TelemetryRegistry
-    from repro.routing.registry import make_algorithm
-    from repro.simulator.engine import Simulation
+    from repro.obs.bench import build_sim
+    from repro.obs.telemetry import EngineTelemetry, TelemetryRegistry
 
     if load is None:
         loads = profile.sweep_loads
@@ -170,8 +169,7 @@ def analyze_profile(
         seed=seed,
     )
     registry = TelemetryRegistry()
-    sim = Simulation(config, make_algorithm(algorithm), telemetry=registry)
-    sim.run()
+    build_sim(config, algorithm, observers=[EngineTelemetry(registry)]).run()
 
     window, means = window_latency_means(registry)
     # NaN windows (nothing delivered yet) can only lead the series at

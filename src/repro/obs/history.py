@@ -50,7 +50,8 @@ def ledger_entry(payload: dict) -> dict:
 
     Keeps the identity fields, the per-workload rate metrics (plus
     ``key``, so stale specs stop gating exactly as in ``compare``), and
-    the phase shares when present; drops raw samples and params — those
+    the phase shares / per-instrument attached costs when present; drops
+    raw samples and params — those
     stay in the committed ``BENCH_*.json`` files.
     """
     workloads = {}
@@ -62,8 +63,9 @@ def ledger_entry(payload: dict) -> dict:
                 entry[rate] = metrics[rate]
         if "peak_rss_kb" in metrics:
             entry["peak_rss_kb"] = metrics["peak_rss_kb"]
-        if "phases" in metrics:
-            entry["phases"] = metrics["phases"]
+        for extra in ("phases", "attached"):
+            if extra in metrics:
+                entry[extra] = metrics[extra]
         workloads[name] = entry
     return {
         "kind": "perf-ledger-entry",

@@ -8,13 +8,12 @@ Two things live here, deliberately together:
   shards, the serving layer) imports ``clock`` from here, so timing
   sites stay greppable and the engine-facing no-wall-clock rule
   (REP006) cannot be eroded one ad-hoc ``import time`` at a time.
-* :class:`PhaseProfiler` — the nullable hook
-  :meth:`repro.simulator.engine.Simulation.attach_profiler` binds.  The
-  engine's per-cycle loop reports phase boundaries
-  (``generate -> inject -> route -> switch_traverse -> watchdog ->
-  collect_vc``) by index; all ``clock`` reads happen *here*, so the
-  engine itself stays REP006-clean and pays one ``is not None``
-  attribute check per phase per cycle when detached.
+* :class:`PhaseProfiler` — an engine observer
+  (``sim.attach(PhaseProfiler())``) subscribing to ``cycle_started`` /
+  ``phase_lap`` / ``cycle_ended``.  The engine's per-cycle loop reports
+  phase boundaries (``generate -> inject -> route -> switch_traverse ->
+  watchdog -> collect_vc``) by index; all ``clock`` reads happen *here*,
+  so the engine itself stays REP006-clean.
 
 The profiler is strictly read-only with respect to the simulation: it
 draws no RNG, mutates no engine state, and samples the busy sets only
@@ -69,7 +68,7 @@ class PhaseProfiler:
     """
 
     __slots__ = (
-        "phase_seconds", "phase_calls", "cycles", "_t0",
+        "phase_seconds", "phase_calls", "cycles", "_t0", "_sim",
         "active_routers", "occupied_vcs", "routing_headers",
         "mesh_nodes", "network_input_vcs",
     )
@@ -87,10 +86,11 @@ class PhaseProfiler:
         self.network_input_vcs = 0
 
     # ------------------------------------------------------------------
-    # Engine-facing hooks (called from the per-cycle loop)
+    # Engine events (see repro.simulator.engine.EVENTS)
     # ------------------------------------------------------------------
     def bind(self, sim) -> None:
-        """Record fabric totals; called once by ``attach_profiler``."""
+        """Record fabric totals; called by ``Simulation.attach``."""
+        self._sim = sim
         self.mesh_nodes = sim.mesh.n_nodes
         # 4 network ports + 1 local port, V VCs each — the busy sets
         # sampled below draw from exactly this population.
@@ -98,28 +98,30 @@ class PhaseProfiler:
             sim.mesh.n_nodes * 5 * sim.config.vcs_per_channel
         )
 
-    def start_cycle(self, cycle: int) -> None:
+    def cycle_started(self, cycle: int) -> None:
         self._t0 = clock()
 
-    def lap(self, phase: int) -> None:
+    def phase_lap(self, phase: int) -> None:
         """Close the current phase: attribute elapsed time to *phase*."""
         now = clock()
         self.phase_seconds[phase] += now - self._t0
         self.phase_calls[phase] += 1
         self._t0 = now
 
-    def end_cycle(self, sim) -> None:
+    def cycle_ended(self, cycle: int) -> None:
         """Sample activity after the cycle's phases have all run.
 
         Pure reads of the engine's busy sets; the sampling cost itself
-        falls *outside* every phase bucket (``start_cycle`` re-reads the
-        clock), so phase shares describe the unprofiled loop.
+        falls *outside* every phase bucket (``cycle_started`` re-reads
+        the clock), so phase shares describe the unprofiled loop.
         """
         self.cycles += 1
-        nodes = {invc.node for invc in sim._active}
-        nodes.update(invc.node for invc in sim._needs_routing)
-        headers = len(sim._needs_routing)
-        vcs = len(sim._active) + headers
+        sim = self._sim
+        active = [invc.node for invc in sim.iter_active_vcs()]
+        waiting = [invc.node for invc in sim.iter_blocked_headers()]
+        nodes = {*active, *waiting}
+        headers = len(waiting)
+        vcs = len(active) + headers
         for hist, value in (
             (self.active_routers, len(nodes)),
             (self.occupied_vcs, vcs),

@@ -8,13 +8,12 @@ is exactly reproducible and free of clock syscalls in the hot path.
 
 Design rules:
 
-* **Disabled = one attribute check.**  The engine guards every publish
-  site with ``if self.telemetry is not None:``; a run constructed with
-  ``telemetry=None`` (the default) executes no instrument code at all.
-* **Enabled = attribute bumps.**  The engine binds instrument objects
-  once (:meth:`~repro.simulator.engine.Simulation.attach_telemetry`) and
-  hot paths do ``counter.inc(cycle)`` — a slot write and an int add, no
-  dict lookup, no string formatting.
+* **Disabled = nothing runs.**  The engine knows no instrument names:
+  :class:`EngineTelemetry` subscribes to its events
+  (``Simulation.attach``); nothing attached, no instrument code runs.
+* **Enabled = attribute bumps.**  :meth:`EngineTelemetry.bind` resolves
+  the instruments once; event methods do ``counter.inc(cycle)`` — a
+  slot write and an int add, no dict lookup, no string formatting.
 * **One registry, many runs.**  A registry may be attached to several
   simulations in sequence (e.g. one per algorithm in a figure sweep);
   counters then accumulate across runs.  Use :meth:`TelemetryRegistry.
@@ -37,15 +36,17 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+from repro.routing.budgets import ROLE_NAMES
+
 __all__ = [
     "Counter",
+    "EngineTelemetry",
     "Gauge",
     "Histogram",
     "Instrument",
     "LabeledCounter",
     "Series",
     "TelemetryRegistry",
-    "make_instrument",
     "series_snapshot",
 ]
 
@@ -558,6 +559,113 @@ def series_snapshot(source) -> dict:
     }
 
 
+class EngineTelemetry:
+    """The engine observer that publishes ``engine.*`` into a registry.
+
+    ``sim.attach(EngineTelemetry(registry))`` subscribes it; ``bind``
+    resolves every instrument once, so an event costs an attribute
+    bump.  Counters accumulate: one registry may serve several runs in
+    sequence (one ``EngineTelemetry`` per attach).  Subscribing to
+    ``vc_sampled`` turns on the engine's per-cycle VC-occupancy sweep —
+    the pass Figure 3's ``collect_vc_stats`` uses, so per-role occupancy
+    and ``vc_busy`` agree by construction.
+    """
+
+    def __init__(self, registry: TelemetryRegistry) -> None:
+        self.registry = registry
+
+    def bind(self, sim) -> None:
+        registry = self.registry
+        self._role_of = sim.algorithm.budget.role_of
+        c = registry.counter
+        self._generated = c("engine.messages.generated")
+        self._injected = c("engine.messages.injected")
+        self._delivered = c("engine.messages.delivered")
+        self._flit_hops = c("engine.flits.hops")
+        self._ejected = c("engine.flits.ejected")
+        self._blocked = c("engine.headers.blocked_cycles")
+        self._drain = (c("engine.drains.deadlock"), c("engine.drains.livelock"))
+        self._alloc_role = tuple(c(f"engine.vc_alloc.{r}") for r in ROLE_NAMES)
+        self._busy_role = tuple(c(f"engine.vc_busy.{r}") for r in ROLE_NAMES)
+        self._latency = registry.histogram("engine.latency")
+        self._inflight = registry.gauge("engine.inflight_flits")
+        per_node = registry.labeled_counter
+        self._node_hops = per_node("engine.node_flit_hops", sim.mesh.n_nodes)
+        self._node_blocked = per_node("engine.node_blocked", sim.mesh.n_nodes)
+        # Per-f-ring traversal counters, created on first traversal
+        # (keyed by ring identity).
+        self._fring: dict[int, Counter] = {}
+        # Windowed time series (the `obs timeline` surface): same events
+        # as the run-cumulative counters above, bucketed into
+        # fixed-width cycle windows.
+        w = sim.config.resolved_window
+        s = registry.series
+        self._s_ejected = s("engine.series.flits.ejected", w)
+        self._s_delivered = s("engine.series.messages.delivered", w)
+        self._s_latency = s("engine.series.latency.sum", w)
+        self._s_blocked = s("engine.series.headers.blocked_cycles", w)
+        self._s_busy_role = tuple(
+            s(f"engine.series.vc_busy.{r}", w) for r in ROLE_NAMES
+        )
+
+    # -- engine events (see repro.simulator.engine.EVENTS) --------------
+    def generated(self, cycle, msg) -> None:
+        self._generated.inc(cycle)
+
+    def injected(self, cycle, msg, node) -> None:
+        self._injected.inc(cycle)
+
+    def blocked(self, cycle, msg, node) -> None:
+        self._blocked.inc(cycle)
+        self._node_blocked.inc(cycle, node)
+        self._s_blocked.add(cycle)
+
+    def granted(self, cycle, msg, node, port, vc, role, on_ring) -> None:
+        if role is None:  # ejection grant
+            return
+        self._alloc_role[role].inc(cycle)
+        if on_ring:
+            ring = msg.ring
+            counter = self._fring.get(id(ring))
+            if counter is None:
+                r = ring.region
+                kind = "ring" if ring.closed else "chain"
+                counter = self._fring[id(ring)] = self.registry.counter(
+                    f"engine.fring.{kind}[{r.x0},{r.y0},{r.x1},{r.y1}]"
+                    ".traversals"
+                )
+            counter.inc(cycle)
+
+    def flit_moved(self, cycle, msg, kind, node, ejected) -> None:
+        self._flit_hops.inc(cycle)
+        self._node_hops.inc(cycle, node)
+        if ejected:
+            self._ejected.inc(cycle)
+            self._s_ejected.add(cycle)
+
+    def delivered(self, cycle, msg) -> None:
+        latency = cycle - msg.created
+        self._delivered.inc(cycle)
+        self._latency.observe(cycle, latency)
+        self._s_delivered.add(cycle)
+        self._s_latency.add(cycle, latency)
+
+    def dropped(self, cycle, msg, livelock) -> None:
+        self._drain[livelock].inc(cycle)
+
+    def vc_sampled(self, cycle, busy) -> None:
+        role_of = self._role_of
+        busy_role = self._busy_role
+        s_busy_role = self._s_busy_role
+        for vc in busy:
+            role = role_of[vc]
+            busy_role[role].inc(cycle)
+            s_busy_role[role].add(cycle)
+
+    def inflight_sampled(self, cycle, flits) -> None:
+        self._inflight.set(cycle, flits)
+
+
 class Instrument:
     """A per-run hook for :class:`repro.core.evaluator.Evaluator`.
 
@@ -587,9 +695,9 @@ class Instrument:
 
     def __call__(self, sim) -> None:
         if self.telemetry is not None:
-            sim.attach_telemetry(self.telemetry)
+            sim.attach(EngineTelemetry(self.telemetry))
         if self.tracer is not None:
-            sim.tracer = self.tracer
+            sim.attach(self.tracer)
 
     @property
     def pool_safe(self) -> bool:
@@ -604,9 +712,3 @@ class Instrument:
             parts.append("tracer")
         return f"Instrument({'+'.join(parts) or 'noop'})"
 
-
-def make_instrument(
-    telemetry: TelemetryRegistry | None = None, tracer=None
-) -> Instrument:
-    """Build an :class:`Instrument` (kept for API compatibility)."""
-    return Instrument(telemetry, tracer)

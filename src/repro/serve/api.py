@@ -211,7 +211,7 @@ class QueryServer:
             status, payload = 400, {"error": str(exc)}
         except Exception as exc:  # never kill the server on one request
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        self._observe_http(seq, status, payload, started)
+        self._record_http(seq, status, payload, started)
         body = json.dumps(payload).encode("utf-8")
         reason = {
             200: "OK",
@@ -239,7 +239,7 @@ class QueryServer:
         except (ConnectionError, BrokenPipeError):
             pass
 
-    def _observe_http(
+    def _record_http(
         self, request: int, status: int, payload: dict, started: float
     ) -> None:
         """Per-request transport metrics, visible at ``/metrics``."""

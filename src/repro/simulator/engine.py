@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from repro.faults.pattern import FaultPattern
 from repro.metrics.confidence import batch_means_ci
-from repro.routing.budgets import ROLE_NAMES, ROLE_RING
+from repro.routing.budgets import ROLE_RING
 from repro.simulator.config import SimConfig
 from repro.simulator import deadlock
 from repro.simulator.deadlock import DeadlockError
@@ -61,12 +61,31 @@ _MIN_AUTO_BATCHES = 10
 #: self-invalidate instead of silently serving stale numbers.
 ENGINE_VERSION = 2
 
-#: Phase indices the per-cycle loop reports to an attached profiler.
+#: Phase indices the per-cycle loop reports in ``phase_lap``.
 #: ``repro.obs.profile.PHASE_NAMES`` is ordered to match (pinned by a
 #: unit test); keeping bare ints here means the engine never imports
 #: the observability layer.
 (_PH_GENERATE, _PH_INJECT, _PH_ROUTE, _PH_SWITCH,
  _PH_WATCHDOG, _PH_COLLECT_VC) = range(6)
+
+#: Every event the engine publishes, with the arguments a subscriber's
+#: method of that name receives (table in ``docs/observability.md``).
+#: An observer is any object defining some of these methods, subscribed
+#: with :meth:`Simulation.attach`.
+EVENTS = (
+    "generated",         # (cycle, msg)   cycle = msg.created
+    "injected",          # (cycle, msg, node)   head flit entered the network
+    "blocked",           # (cycle, msg, node)   header found no free output VC
+    "granted",           # (cycle, msg, node, port, vc, role, on_ring)
+    "flit_moved",        # (cycle, msg, kind, node, ejected)
+    "delivered",         # (cycle, msg)   tail ejected at the destination
+    "dropped",           # (cycle, msg, livelock)   recovery drain
+    "vc_sampled",        # (cycle, busy_vcs)   post-warmup occupancy sweep
+    "inflight_sampled",  # (cycle, flits)   watchdog tick
+    "cycle_started",     # (cycle)
+    "phase_lap",         # (phase)   a _PH_* phase just finished
+    "cycle_ended",       # (cycle)
+)
 
 
 class InputVC:
@@ -209,13 +228,10 @@ class SimulationResult:
 class Simulation:
     """One simulation run binding a config, algorithm and fault pattern.
 
-    ``telemetry`` optionally attaches a
-    :class:`repro.obs.TelemetryRegistry`; the engine then publishes
-    cycle-stamped counters (injections, flit hops, blocked-header cycles,
-    per-role VC occupancy, f-ring traversals, watchdog drains — see
-    ``docs/observability.md``).  With no observer attached (the
-    default) each phase makes one "is anything attached?" test per call
-    and its per-flit loops carry no hook test at all.
+    Instruments (tracer, telemetry, blame, profiler — see
+    ``docs/observability.md``) subscribe through :meth:`attach`; the
+    engine knows only the :data:`EVENTS` it publishes.  With nothing
+    attached every publish site is one test of an empty tuple.
     """
 
     __slots__ = (
@@ -225,17 +241,9 @@ class Simulation:
         "_inj_pending", "_needs_routing", "_active",
         "total_generated", "total_delivered", "total_dropped",
         "_auto", "_win", "_win_lat_sum", "_win_lat_cnt",
-        "tracer", "telemetry", "profiler", "result",
+        "result",
         "_invcs", "_ovcs", "_free", "_in_last", "_out_last", "_eject_tiers",
-        "_role_of",
-        "_t_generated", "_t_injected", "_t_delivered", "_t_flit_hops",
-        "_t_ejected", "_t_blocked", "_t_drain", "_t_alloc_role", "_t_busy_role",
-        "_t_latency", "_g_inflight", "_t_node_hops", "_t_node_blocked",
-        "_s_ejected", "_s_delivered", "_s_latency", "_s_blocked",
-        "_s_busy_role", "_t_fring",
-        "blame", "_b_blocked", "_b_grant", "_b_ring", "_b_finalize",
-        "_b_drop",
-    )
+    ) + tuple("_on_" + event for event in EVENTS)
 
     def __init__(
         self,
@@ -243,7 +251,6 @@ class Simulation:
         algorithm: RoutingAlgorithm,
         faults: FaultPattern | None = None,
         pattern: TrafficPattern | None = None,
-        telemetry=None,
     ) -> None:
         self.config = config
         self.mesh = Mesh2D(config.width, config.height)
@@ -284,7 +291,6 @@ class Simulation:
         self._in_last = [-1] * ports
         self._out_last = [-1] * ports
         self._eject_tiers = (((LOCAL, algorithm.budget.ejection_vcs),),)
-        self._role_of = algorithm.budget.role_of  # observers classify grants
 
         healthy = self.faults.healthy_nodes
         self._arrivals = ExponentialArrivals(
@@ -305,29 +311,18 @@ class Simulation:
 
         # Early-stop state (cycles_mode="auto").  The per-window latency
         # accumulators are engine-internal — deliberately independent of
-        # the telemetry registry — so the stop decision (and therefore
-        # the RNG stream and every statistic) is identical whether or
-        # not telemetry is attached.
+        # any observer — so the stop decision (and therefore the RNG
+        # stream and every statistic) is identical whatever is attached.
         self._auto = config.cycles_mode == "auto"
         self._win = config.resolved_window
         self._win_lat_sum: list[int] = []
         self._win_lat_cnt: list[int] = []
 
-        #: Optional event recorder (see :mod:`repro.simulator.trace`).
-        self.tracer = None
-
-        #: Optional telemetry registry (see :mod:`repro.obs.telemetry`).
-        self.telemetry = None
-        if telemetry is not None:
-            self.attach_telemetry(telemetry)
-
-        #: Optional phase profiler (see :mod:`repro.obs.profile`).
-        #: ``None`` keeps the per-cycle loop hook-free: one ``is not
-        #: None`` check per phase, no clock reads (REP006).
-        self.profiler = None
-
-        #: Optional latency-blame recorder (see :mod:`repro.obs.blame`).
-        self.blame = None
+        none: tuple = ()  # one subscriber tuple per EVENTS entry (attach)
+        self._on_generated = self._on_injected = self._on_blocked = none
+        self._on_granted = self._on_flit_moved = self._on_delivered = none
+        self._on_dropped = self._on_vc_sampled = self._on_inflight_sampled = none
+        self._on_cycle_started = self._on_phase_lap = self._on_cycle_ended = none
 
         self.result = SimulationResult(
             algorithm=algorithm.name,
@@ -382,166 +377,27 @@ class Simulation:
         return iter(self._active)
 
     # ------------------------------------------------------------------
-    # Telemetry
+    # Observers
     # ------------------------------------------------------------------
-    def attach_telemetry(self, registry) -> None:
-        """Bind a :class:`repro.obs.TelemetryRegistry` to this run.
+    def attach(self, observer) -> None:
+        """Subscribe *observer* to every :data:`EVENTS` method it defines.
 
-        Instruments are resolved once here, so the per-event cost while
-        running is an attribute bump; call before :meth:`run` (counters
-        accumulate, so one registry may be attached to several runs in
-        sequence).  Attaching also enables the per-cycle VC-occupancy
-        sweep (the same pass Figure 3's ``collect_vc_stats`` uses), so
-        per-role occupancy and ``vc_busy`` agree by construction.
+        Its optional ``bind(sim)`` runs first.  Each ``_on_<event>`` slot
+        is the tuple of subscribed bound methods, in attach order, and
+        the engine publishes by iterating it — a run pays only for the
+        events someone listens to.  May be called mid-run (e.g. after an
+        uninstrumented warmup).  Observers only receive: they draw no
+        RNG and mutate no engine state, which keeps an attached run
+        bit-identical to a detached one.
         """
-        self.telemetry = registry
-        c = registry.counter
-        self._t_generated = c("engine.messages.generated")
-        self._t_injected = c("engine.messages.injected")
-        self._t_delivered = c("engine.messages.delivered")
-        self._t_flit_hops = c("engine.flits.hops")
-        self._t_ejected = c("engine.flits.ejected")
-        self._t_blocked = c("engine.headers.blocked_cycles")
-        self._t_drain = (c("engine.drains.deadlock"), c("engine.drains.livelock"))
-        self._t_alloc_role = tuple(c(f"engine.vc_alloc.{r}") for r in ROLE_NAMES)
-        self._t_busy_role = tuple(c(f"engine.vc_busy.{r}") for r in ROLE_NAMES)
-        self._t_latency = registry.histogram("engine.latency")
-        self._g_inflight = registry.gauge("engine.inflight_flits")
-        per_node = registry.labeled_counter
-        self._t_node_hops = per_node("engine.node_flit_hops", self.mesh.n_nodes)
-        self._t_node_blocked = per_node("engine.node_blocked", self.mesh.n_nodes)
-        # Windowed time series (the `obs timeline` surface): same events
-        # as the run-cumulative counters above, bucketed into
-        # fixed-width cycle windows.
-        w = self.config.resolved_window
-        s = registry.series
-        self._s_ejected = s("engine.series.flits.ejected", w)
-        self._s_delivered = s("engine.series.messages.delivered", w)
-        self._s_latency = s("engine.series.latency.sum", w)
-        self._s_blocked = s("engine.series.headers.blocked_cycles", w)
-        self._s_busy_role = tuple(
-            s(f"engine.series.vc_busy.{r}", w) for r in ROLE_NAMES
-        )
-        self._t_fring: dict[int, object] = {}
-
-    def attach_profiler(self, profiler) -> None:
-        """Bind a :class:`repro.obs.PhaseProfiler` to this run.
-
-        The per-cycle loop then reports phase boundaries to it; every
-        wall-clock read stays inside the profiler object (the engine
-        remains cycle-driven and REP006-clean).  The profiler only
-        *reads* engine state between cycles and draws no RNG, so an
-        attached run is bit-identical to a detached one — the same
-        guarantee (and A/B test pattern) as telemetry.  May be called
-        mid-run, e.g. after an unprofiled warmup.
-        """
-        self.profiler = profiler
-        profiler.bind(self)
-
-    def attach_blame(self, recorder) -> None:
-        """Bind a :class:`repro.obs.blame.BlameRecorder` to this run.
-
-        The engine then reports per-message blame events: one per
-        blocked-header cycle, one per VC grant (classified ring vs
-        productive with the same condition as the f-ring telemetry),
-        a finalize at tail ejection and a discard on recovery drains.
-        The recorder only *receives* counts and draws no RNG, so an
-        attached run is bit-identical to a detached one — the same
-        contract (and A/B twin test) as telemetry.  Methods are bound
-        once here and called only from the ``_observe_*`` helpers.
-        """
-        self.blame = recorder
-        recorder.bind_mesh(self.mesh)
-        self._b_blocked = recorder.header_blocked
-        self._b_grant = recorder.route_granted
-        self._b_ring = recorder.ring_granted
-        self._b_finalize = recorder.message_delivered
-        self._b_drop = recorder.message_dropped
-
-    def _fring_counter(self, ring):
-        """The per-f-ring traversal counter (lazy, keyed by identity)."""
-        counter = self._t_fring.get(id(ring))
-        if counter is None:
-            r = ring.region
-            kind = "ring" if ring.closed else "chain"
-            counter = self.telemetry.counter(
-                f"engine.fring.{kind}[{r.x0},{r.y0},{r.x1},{r.y1}].traversals"
-            )
-            self._t_fring[id(ring)] = counter
-        return counter
-
-    # ------------------------------------------------------------------
-    # Observer publishes (docs/observability.md): each phase tests
-    # _observing() once per call and reaches these helpers only when an
-    # observer is attached; the per-hook guards live here (REP009/REP017).
-    # ------------------------------------------------------------------
-    def _observing(self) -> bool:
-        return (
-            self.tracer is not None
-            or self.telemetry is not None
-            or self.blame is not None
-        )
-
-    def _observe_inject(self, cycle: int, msg: Message, node: int) -> None:
-        if self.tracer is not None:
-            self.tracer.record(cycle, "inject", msg.id, node)
-        if self.telemetry is not None:
-            self._t_injected.inc(cycle)
-
-    def _observe_blocked(self, cycle: int, msg: Message, node: int) -> None:
-        if self.telemetry is not None:
-            self._t_blocked.inc(cycle)
-            self._t_node_blocked.inc(cycle, node)
-            self._s_blocked.add(cycle)
-        if self.blame is not None:
-            self._b_blocked(msg)
-
-    def _observe_grant(self, cycle: int, msg: Message, ovc: OutputVC) -> None:
-        if self.tracer is not None:
-            self.tracer.record(cycle, "alloc", msg.id, ovc.node, (ovc.port, ovc.vc))
-        if ovc.is_ejection:
-            return
-        role = self._role_of[ovc.vc]
-        on_ring = role == ROLE_RING and msg.ring is not None
-        if self.telemetry is not None:
-            self._t_alloc_role[role].inc(cycle)
-            if on_ring:
-                self._fring_counter(msg.ring).inc(cycle)
-        if self.blame is not None:
-            if on_ring:
-                self._b_ring(msg)
-            else:
-                self._b_grant(msg)
-
-    def _observe_move(self, cycle: int, flit: tuple, node: int, ejected: bool) -> None:
-        if self.tracer is not None:
-            self.tracer.record(cycle, "move", flit[0].id, node, flit[1])
-        if self.telemetry is not None:
-            self._t_flit_hops.inc(cycle)
-            self._t_node_hops.inc(cycle, node)
-            if ejected:
-                self._t_ejected.inc(cycle)
-                self._s_ejected.add(cycle)
-
-    def _observe_deliver(self, cycle: int, msg: Message) -> None:
-        if self.tracer is not None:
-            self.tracer.record(cycle, "deliver", msg.id, msg.dst)
-        if self.telemetry is not None:
-            self._t_delivered.inc(cycle)
-            self._t_latency.observe(cycle, cycle - msg.created)
-            self._s_delivered.add(cycle)
-            self._s_latency.add(cycle, cycle - msg.created)
-        if self.blame is not None:
-            self._b_finalize(msg, cycle)
-
-    def _observe_drain(self, msg: Message, livelock: bool) -> None:
-        if self.tracer is not None:
-            cause = "livelock" if livelock else "deadlock"
-            self.tracer.record(self.cycle, "drain", msg.id, msg.src, cause)
-        if self.telemetry is not None:
-            self._t_drain[livelock].inc(self.cycle)
-        if self.blame is not None:
-            self._b_drop(msg)
+        bind = getattr(observer, "bind", None)
+        if bind is not None:
+            bind(self)
+        for event in EVENTS:
+            publish = getattr(observer, event, None)
+            if publish is not None:
+                slot = "_on_" + event
+                setattr(self, slot, getattr(self, slot) + (publish,))
 
     # ------------------------------------------------------------------
     # Main loop
@@ -550,28 +406,26 @@ class Simulation:
         """Advance one cycle: the body :meth:`run` and :meth:`step` share."""
         cfg = self.config
         cycle = self.cycle
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.start_cycle(cycle)
+        on_lap = self._on_phase_lap
+        for publish in self._on_cycle_started:
+            publish(cycle)
         # The router pipeline, in _PH_GENERATE.._PH_SWITCH order.
         for phase, advance in enumerate(
             (self._generate, self._inject, self._route, self._switch_and_traverse)
         ):
             advance(cycle)
-            if profiler is not None:
-                profiler.lap(phase)
+            for publish in on_lap:
+                publish(phase)
         if cycle % _WATCHDOG_INTERVAL == 0:
             self._watchdog(cycle)
-            if profiler is not None:
-                profiler.lap(_PH_WATCHDOG)
-        if cycle >= cfg.warmup and (
-            cfg.collect_vc_stats or self.telemetry is not None
-        ):
+            for publish in on_lap:
+                publish(_PH_WATCHDOG)
+        if cycle >= cfg.warmup and (cfg.collect_vc_stats or self._on_vc_sampled):
             self._collect_vc(cycle)
-            if profiler is not None:
-                profiler.lap(_PH_COLLECT_VC)
-        if profiler is not None:
-            profiler.end_cycle(self)
+            for publish in on_lap:
+                publish(_PH_COLLECT_VC)
+        for publish in self._on_cycle_ended:
+            publish(cycle)
         self.cycle = cycle + 1
 
     def run(self) -> SimulationResult:
@@ -625,8 +479,8 @@ class Simulation:
         self._queues[src].append(msg)
         self._inj_pending[src] = None
         self.total_generated += 1
-        if self.telemetry is not None:
-            self._t_generated.inc(msg.created)
+        for publish in self._on_generated:
+            publish(msg.created, msg)
         if msg.created >= self.config.warmup:
             self.result.generated += 1
         return msg
@@ -645,7 +499,7 @@ class Simulation:
         depth = self.config.buffer_depth
         inj_vcs = self.config.injection_vcs
         rng = self.rng
-        observed = self._observing()
+        on_injected = self._on_injected
         done_nodes = []
         for node in self._inj_pending:
             queue = self._queues[node]
@@ -676,8 +530,8 @@ class Simulation:
                 invc = s.invc
                 if s.sent == 0:
                     msg.injected = cycle
-                    if observed:
-                        self._observe_inject(cycle, msg, node)
+                    for publish in on_injected:
+                        publish(cycle, msg, node)
                 s.sent += 1
                 if s.sent == msg.length:  # (a single flit is head and tail)
                     invc.buffer.append((msg, TAIL))
@@ -704,9 +558,11 @@ class Simulation:
         if len(items) > 1:
             order = self._perm_rng.permutation(len(items)).tolist()
             items = [items[i] for i in order]
-        observed = self._observing()
+        on_blocked = self._on_blocked
+        on_granted = self._on_granted
         rng = self.rng
         alg = self.algorithm
+        role_of = alg.budget.role_of
         free = self._free
         eject = self._eject_tiers
         V = self.config.vcs_per_channel
@@ -731,8 +587,8 @@ class Simulation:
                 if total:
                     break
             else:
-                if observed:
-                    self._observe_blocked(cycle, msg, node)
+                for publish in on_blocked:
+                    publish(cycle, msg, node)
                 continue
             k = rng.randrange(total) if total > 1 else 0
             for direction, vcs in tier:
@@ -758,8 +614,14 @@ class Simulation:
             invc.blocked_since = -1
             del needs[invc]
             self._active[invc] = None
-            if observed:
-                self._observe_grant(cycle, msg, granted)
+            if on_granted:
+                # Classified once (an ejection grant has no role), before
+                # the algorithm updates msg.ring, so every subscriber
+                # sees the same (role, on_ring) pair.
+                role = None if direction == LOCAL else role_of[vc]
+                on_ring = role == ROLE_RING and msg.ring is not None
+                for publish in on_granted:
+                    publish(cycle, msg, node, direction, vc, role, on_ring)
             if direction != LOCAL:
                 alg.on_vc_allocated(msg, node, direction, vc)
 
@@ -780,7 +642,7 @@ class Simulation:
         if len(cands) > 1:
             order = self._perm_rng.permutation(len(cands)).tolist()
             cands = [cands[i] for i in order]
-        observed = self._observing()
+        on_moved = self._on_flit_moved
         in_last = self._in_last
         out_last = self._out_last
         free = self._free
@@ -800,14 +662,15 @@ class Simulation:
                 invc.up_ovc.credits += 1
             if node_stats:
                 node_load[invc.node] += 1
-            if observed:
-                self._observe_move(cycle, flit, invc.node, ovc.is_ejection)
+            if on_moved:
+                for publish in on_moved:
+                    publish(cycle, flit[0], flit[1], invc.node, ovc.is_ejection)
             if ovc.is_ejection:
                 if measuring:
                     result.delivered_flits += 1
                 if flit[1] != TAIL:
                     continue
-                self._deliver(flit[0], cycle, observed)
+                self._deliver(flit[0], cycle)
             else:
                 ovc.credits -= 1
                 arrivals.append((ovc.down_invc, flit))
@@ -823,15 +686,15 @@ class Simulation:
                 invc.blocked_since = cycle
                 self._needs_routing[invc] = None
 
-    def _deliver(self, msg: Message, cycle: int, observed: bool) -> None:
+    def _deliver(self, msg: Message, cycle: int) -> None:
         """Account the delivery of *msg* (its tail was just ejected)."""
         msg.delivered = cycle
         self.total_delivered += 1
         latency = cycle - msg.created
         if self._auto:
             self._auto_observe(cycle, latency)
-        if observed:
-            self._observe_deliver(cycle, msg)
+        for publish in self._on_delivered:
+            publish(cycle, msg)
         if cycle >= self.config.warmup:
             result = self.result
             result.delivered += 1
@@ -903,8 +766,8 @@ class Simulation:
     def _watchdog(self, cycle: int) -> None:
         timeout = self._timeout
         action = self.config.on_deadlock
-        if self.telemetry is not None:
-            self._g_inflight.set(cycle, self.flits_in_network())
+        for publish in self._on_inflight_sampled:
+            publish(cycle, self.flits_in_network())
         stuck = [
             invc
             for invc in self._needs_routing
@@ -947,8 +810,8 @@ class Simulation:
         """Remove every flit of *msg* from the network (recovery)."""
         msg.dropped = True
         self.total_dropped += 1
-        if self._observing():
-            self._observe_drain(msg, livelock)
+        for publish in self._on_dropped:
+            publish(self.cycle, msg, livelock)
         if self.cycle >= self.config.warmup:
             if livelock:
                 self.result.dropped_livelock += 1
@@ -976,8 +839,8 @@ class Simulation:
     # Statistics
     # ------------------------------------------------------------------
     def _collect_vc(self, cycle: int) -> None:
-        # One sweep feeds Figure 3's vc_busy and the telemetry per-role
-        # occupancy counters, so the two views agree by construction
+        # One sweep feeds Figure 3's vc_busy and the vc_sampled
+        # subscribers, so the two views agree by construction
         # (reconcile_vc_usage checks this).
         busy = [
             invc.vc
@@ -989,14 +852,8 @@ class Simulation:
             vc_busy = self.result.vc_busy
             for vc in busy:
                 vc_busy[vc] += 1
-        if self.telemetry is not None:
-            role_of = self._role_of
-            busy_role = self._t_busy_role
-            s_busy_role = self._s_busy_role
-            for vc in busy:
-                role = role_of[vc]
-                busy_role[role].inc(cycle)
-                s_busy_role[role].add(cycle)
+        for publish in self._on_vc_sampled:
+            publish(cycle, busy)
 
     def check_invariants(self) -> None:
         """Verify internal consistency (used by the test suite).

@@ -1,25 +1,35 @@
 """Simulation tracing: a cycle-stamped event log.
 
 Attach a :class:`Tracer` to a :class:`~repro.simulator.engine.Simulation`
-(``sim.tracer = Tracer(...)``) to record routing decisions, flit
-traversals, deliveries and recoveries.  The engine pays one attribute
-check per phase when tracing is off, so the default path stays fast.
+(``sim.attach(Tracer(...))``) to record routing decisions, flit
+traversals, deliveries and recoveries.  A tracer is an ordinary engine
+observer: it subscribes to the engine events below and turns each into
+one small tuple ``(cycle, kind, msg_id, node, detail)``:
 
-Events are small tuples ``(cycle, kind, msg_id, node, detail)``; kinds:
-
-========= ==========================================================
-``inject``   head flit entered the network at ``node``
-``alloc``    header granted an output VC (detail: ``(port, vc)``)
-``move``     a flit crossed the crossbar at ``node`` (detail: kind)
-``deliver``  tail ejected at the destination
-``drain``    message removed by deadlock/livelock recovery
-========= ==========================================================
+========= ============== ==========================================
+kind      engine event   meaning
+========= ============== ==========================================
+``inject``   ``injected``   head flit entered the network at ``node``
+``alloc``    ``granted``    header granted an output VC (detail: ``(port, vc)``)
+``move``     ``flit_moved`` a flit crossed the crossbar at ``node`` (detail: kind)
+``deliver``  ``delivered``  tail ejected at the destination
+``drain``    ``dropped``    message removed by deadlock/livelock recovery
+========= ============== ==========================================
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from collections.abc import Callable
+
+#: Trace kind -> the engine event that produces it.
+_EVENT_OF_KIND = {
+    "inject": "injected",
+    "alloc": "granted",
+    "move": "flit_moved",
+    "deliver": "delivered",
+    "drain": "dropped",
+}
 
 
 class Tracer:
@@ -32,7 +42,8 @@ class Tracer:
     message_ids:
         When given, record only events of these message ids.
     kinds:
-        When given, record only these event kinds.
+        When given, record (and subscribe to the engine events of)
+        only these kinds: a lifecycle-only trace costs nothing per flit.
     sample:
         Record only messages whose id is divisible by *sample* (default
         1 = every message).  Message ids are assigned deterministically
@@ -43,7 +54,9 @@ class Tracer:
         ``print`` for live debugging).
     """
 
-    __slots__ = ("events", "message_ids", "kinds", "sample", "sink", "counts")
+    # Event slots: attach() finds only the subscriptions __init__ filled.
+    __slots__ = ("events", "message_ids", "kinds", "sample", "sink", "counts",
+                 *_EVENT_OF_KIND.values())
 
     def __init__(
         self,
@@ -63,6 +76,26 @@ class Tracer:
         self.sample = sample
         self.sink = sink
         self.counts: Counter[str] = Counter()
+        for kind, event in _EVENT_OF_KIND.items():
+            if kinds is None or kind in kinds:
+                setattr(self, event, getattr(self, "_" + event))
+
+    # -- engine events (see repro.simulator.engine.EVENTS) --------------
+    def _injected(self, cycle, msg, node):
+        self.record(cycle, "inject", msg.id, node)
+
+    def _granted(self, cycle, msg, node, port, vc, role, on_ring):
+        self.record(cycle, "alloc", msg.id, node, (port, vc))
+
+    def _flit_moved(self, cycle, msg, kind, node, ejected):
+        self.record(cycle, "move", msg.id, node, kind)
+
+    def _delivered(self, cycle, msg):
+        self.record(cycle, "deliver", msg.id, msg.dst)
+
+    def _dropped(self, cycle, msg, livelock):
+        cause = "livelock" if livelock else "deadlock"
+        self.record(cycle, "drain", msg.id, msg.src, cause)
 
     # ------------------------------------------------------------------
     def record(self, cycle: int, kind: str, msg_id: int, node: int, detail=None):

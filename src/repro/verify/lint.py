@@ -53,9 +53,9 @@ _IMPORT_BOUNDARIES: dict[str, tuple[str, ...]] = {
         "repro.routing",
         "repro.experiments",
     ),
-    # The engine never imports the observability layer — observers attach
-    # through the nullable hooks — and that holds for function-level
-    # imports too (shared arithmetic lives in repro.metrics).
+    # The engine never imports the observability layer — observers
+    # subscribe through Simulation.attach — and that holds for
+    # function-level imports too (shared arithmetic lives in repro.metrics).
     "repro/simulator/": ("repro.obs",),
 }
 
@@ -555,154 +555,70 @@ def _rule_canonical_key_material(mod: _Module) -> list[Finding]:
 
 
 # ----------------------------------------------------------------------
-# REP009 — telemetry publishes use the nullable-hook idiom
+# REP009 — the engine reaches observers only through its event tuples
 # ----------------------------------------------------------------------
-#: Registry accessor attributes (instrument factories).  Touching one of
-#: these outside an instrument-binding method re-resolves the instrument
-#: per event — the idiom binds once in ``attach_telemetry`` so the hot
-#: path pays one attribute bump.
+#: Registry accessors (instrument factories): instrument names belong
+#: to the subscribing observer, never to the engine.
 _TELEMETRY_ACCESSORS = {
     "counter", "gauge", "histogram", "labeled_counter", "series",
 }
 
-#: Methods that publish one event into a bound instrument.
-_TELEMETRY_PUBLISH = {"inc", "observe", "set", "add"}
 
-#: Attribute-name prefixes of bound instruments (``self._t_generated``,
-#: ``self._s_ejected``, ``self._g_inflight``, ...).
-_INSTRUMENT_PREFIXES = ("_t_", "_s_", "_g_")
+def _rule_observer_protocol(mod: _Module) -> list[Finding]:
+    """REP009: simulator code publishes by iterating its event tuples.
 
-
-def _is_telemetry_expr(expr: ast.expr) -> bool:
-    """Whether *expr* reads the nullable telemetry hook itself."""
-    return (isinstance(expr, ast.Attribute) and expr.attr == "telemetry") or (
-        isinstance(expr, ast.Name) and expr.id in ("telemetry", "registry")
-    )
-
-
-def _telemetry_compare(test: ast.expr, op: type) -> bool:
-    """``<telemetry> is [not] None`` (possibly inside an ``and`` chain)."""
-    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-        return any(_telemetry_compare(v, op) for v in test.values)
-    return (
-        isinstance(test, ast.Compare)
-        and len(test.ops) == 1
-        and isinstance(test.ops[0], op)
-        and isinstance(test.comparators[0], ast.Constant)
-        and test.comparators[0].value is None
-        and _is_telemetry_expr(test.left)
-    )
-
-
-def _instrument_binding_method(name: str) -> bool:
-    """Methods allowed to touch registry accessors: the binding hook and
-    private instrument factories (``_fring_counter``-style lazies)."""
-    return name == "attach_telemetry" or (
-        name.startswith("_")
-        and any(a in name for a in _TELEMETRY_ACCESSORS)
-    )
-
-
-def _is_instrument_receiver(expr: ast.expr, aliases: set[str]) -> bool:
-    """Whether a publish call's receiver is a bound instrument."""
-    if isinstance(expr, ast.Subscript):
-        return _is_instrument_receiver(expr.value, aliases)
-    if isinstance(expr, ast.Attribute):
-        return expr.attr.startswith(_INSTRUMENT_PREFIXES)
-    if isinstance(expr, ast.Name):
-        return expr.id in aliases
-    if isinstance(expr, ast.Call):
-        name = _base_name(expr.func)
-        return name is not None and _instrument_binding_method(name)
-    return False
-
-
-def _rule_telemetry_hook_idiom(mod: _Module) -> list[Finding]:
+    ``Simulation.attach`` is the only place an observer object is
+    touched: it appends the observer's bound methods to the
+    ``_on_<event>`` tuples.  Every publish site iterates one of those
+    tuples (possibly hoisted into a local, or truth-tested first), so a
+    detached run pays an empty-tuple test and the engine knows no
+    instrument.  Flagged in ``repro.simulator``: registry accessor
+    calls, an event tuple bound outside ``__init__``/``attach``, and an
+    event tuple that is called, indexed or handed on instead of
+    iterated.  (That the engine imports nothing from ``repro.obs`` — so
+    cannot name an instrument — is REP003.)
+    """
     if "repro/simulator/" not in mod.path:
         return []
-    parents: dict[ast.AST, ast.AST] = {}
-    for parent in ast.walk(mod.tree):
-        for child in ast.iter_child_nodes(parent):
-            parents[child] = parent
-
-    def enclosing_function(node: ast.AST):
-        cur = parents.get(node)
-        while cur is not None and not isinstance(
-            cur, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            cur = parents.get(cur)
-        return cur
-
-    def guarded(node: ast.AST) -> bool:
-        """The publish sits under ``if <telemetry> is not None:`` or
-        after a ``if <telemetry> is None: ... return`` early exit."""
-        cur: ast.AST = node
-        while True:
-            parent = parents.get(cur)
-            if parent is None:
-                return False
-            if (
-                isinstance(parent, ast.If)
-                and cur in parent.body
-                and _telemetry_compare(parent.test, ast.IsNot)
-            ):
-                return True
-            if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for stmt in parent.body:
-                    if stmt is cur:
-                        return False
-                    if (
-                        isinstance(stmt, ast.If)
-                        and _telemetry_compare(stmt.test, ast.Is)
-                        and stmt.body
-                        and isinstance(stmt.body[-1], (ast.Return, ast.Raise))
-                    ):
-                        return True
-                return False
-            cur = parent
-
-    # Local names aliasing a bound instrument (the `_collect_vc` hot
-    # loop hoists `busy_role = self._t_busy_role` out of the sweep).
-    aliases = {
-        target.id
-        for node in ast.walk(mod.tree)
-        if isinstance(node, ast.Assign)
-        and isinstance(node.value, ast.Attribute)
-        and node.value.attr.startswith(_INSTRUMENT_PREFIXES)
-        for target in node.targets
-        if isinstance(target, ast.Name)
+    binders = {
+        node
+        for func in ast.walk(mod.tree)
+        if isinstance(func, ast.FunctionDef)
+        and func.name in ("__init__", "attach")
+        for node in ast.walk(func)
     }
-
+    misused = {
+        child
+        for parent in ast.walk(mod.tree)
+        if isinstance(parent, (ast.Call, ast.Subscript, ast.Attribute))
+        for child in ast.iter_child_nodes(parent)
+    }
     found = []
     for node in ast.walk(mod.tree):
         if (
-            isinstance(node, ast.Attribute)
-            and node.attr in _TELEMETRY_ACCESSORS
-            and _is_telemetry_expr(node.value)
-        ):
-            func = enclosing_function(node)
-            if func is None or not _instrument_binding_method(func.name):
-                found.append(Finding(
-                    "REP009", mod.path, node.lineno, node.col_offset,
-                    f"registry.{node.attr}(...) outside attach_telemetry: "
-                    "bind instruments once in attach_telemetry (or a "
-                    "private _*_counter/_*_series factory) so the hot "
-                    "path pays one attribute bump, not a dict lookup",
-                ))
-        if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _TELEMETRY_PUBLISH
-            and _is_instrument_receiver(node.func.value, aliases)
-            and not guarded(node)
+            and node.func.attr in _TELEMETRY_ACCESSORS
         ):
-            found.append(Finding(
-                "REP009", mod.path, node.lineno, node.col_offset,
-                f"unguarded telemetry publish .{node.func.attr}(...): "
-                "wrap in 'if self.telemetry is not None:' (or return "
-                "early when it is None) — the engine must run "
-                "instrument-free with zero per-event overhead",
-            ))
+            message = (
+                f".{node.func.attr}(...) in the engine: instruments are "
+                "resolved by the subscribing observer's bind(sim), the "
+                "engine only publishes events"
+            )
+        elif not (isinstance(node, ast.Attribute) and node.attr.startswith("_on_")):
+            continue
+        elif isinstance(node.ctx, ast.Store) and node not in binders:
+            message = f"event tuple {node.attr!r} bound outside __init__/attach"
+        elif isinstance(node.ctx, ast.Load) and node in misused:
+            message = (
+                "event tuples are only iterated ('for publish in <tuple>: "
+                "publish(...)'): do not call, index or pass one on"
+            )
+        else:
+            continue
+        found.append(Finding(
+            "REP009", mod.path, node.lineno, node.col_offset, message
+        ))
     return found
 
 
@@ -1102,9 +1018,8 @@ def _rule_sanctioned_timer(mod: _Module) -> list[Finding]:
                 found.append(Finding(
                     "REP016", mod.path, node.lineno, node.col_offset,
                     "importing repro.obs.profile from a no-wall-clock "
-                    "module; the engine reports phase boundaries to an "
-                    "attached profiler (attach_profiler) and never reads "
-                    "the clock itself",
+                    "module; the engine publishes phase_lap events to an "
+                    "attached profiler and never reads the clock itself",
                 ))
     time_names: set[str] = set()
     for node in ast.walk(mod.tree):
@@ -1138,55 +1053,21 @@ def _rule_sanctioned_timer(mod: _Module) -> list[Finding]:
 
 
 # ----------------------------------------------------------------------
-# REP017 — trace spans and blame hooks respect engine time discipline
+# REP017 — trace spans respect engine time discipline
 # ----------------------------------------------------------------------
 #: The span module whose clock-reading surface must stay out of the
 #: cycle-driven scope; only :data:`repro.obs.spans.CYCLE_SAFE_NAMES`
 #: (pure id/constructor helpers) may cross the boundary.
 _SPANS_MODULE = "repro.obs.spans"
 
-#: Attribute prefix of bound blame-hook methods on the engine
-#: (``self._b_blocked``, ``self._b_finalize``, ...) — the blame
-#: counterpart of REP009's ``_t_``/``_s_``/``_g_`` instruments.
-_BLAME_PREFIX = "_b_"
 
+def _rule_span_discipline(mod: _Module) -> list[Finding]:
+    """REP017: spans stay cycle-safe in the engine.
 
-def _is_blame_expr(expr: ast.expr) -> bool:
-    """Whether *expr* reads the nullable blame hook itself."""
-    return (isinstance(expr, ast.Attribute) and expr.attr == "blame") or (
-        isinstance(expr, ast.Name) and expr.id == "blame"
-    )
-
-
-def _blame_compare(test: ast.expr, op: type) -> bool:
-    """``<blame> is [not] None`` (possibly inside an ``and`` chain)."""
-    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-        return any(_blame_compare(v, op) for v in test.values)
-    return (
-        isinstance(test, ast.Compare)
-        and len(test.ops) == 1
-        and isinstance(test.ops[0], op)
-        and isinstance(test.comparators[0], ast.Constant)
-        and test.comparators[0].value is None
-        and _is_blame_expr(test.left)
-    )
-
-
-def _rule_span_blame_discipline(mod: _Module) -> list[Finding]:
-    """REP017: spans stay cycle-safe in the engine; blame is a nullable
-    hook.
-
-    Two halves of one invariant — cross-layer observability must not
-    leak wall-clock reads or unconditional overhead into the simulator:
-
-    * a no-wall-clock module (REP006 scope) may import from
-      ``repro.obs.spans`` only the cycle-safe constructor names in
-      ``CYCLE_SAFE_NAMES`` — everything else (``Trace.span``, ambient
-      helpers, file IO) reads the sanctioned clock or does IO;
-    * blame-hook publishes (``self._b_*`` calls) follow the REP009
-      idiom: bound once in ``attach_blame``, and every call site guarded
-      by ``if self.blame is not None:`` so a detached engine pays one
-      pointer test per site and stays bit-identical.
+    A no-wall-clock module (REP006 scope) may import from
+    ``repro.obs.spans`` only the cycle-safe constructor names in
+    ``CYCLE_SAFE_NAMES`` — everything else (``Trace.span``, ambient
+    helpers, file IO) reads the sanctioned clock or does IO.
     """
     if not any(p in mod.path for p in _WALLCLOCK_FORBIDDEN_PREFIXES):
         return []
@@ -1216,76 +1097,6 @@ def _rule_span_blame_discipline(mod: _Module) -> list[Finding]:
                         "recorded outside the engine (REP006/REP016)",
                     ))
 
-    parents: dict[ast.AST, ast.AST] = {}
-    for parent in ast.walk(mod.tree):
-        for child in ast.iter_child_nodes(parent):
-            parents[child] = parent
-
-    def enclosing_function(node: ast.AST):
-        cur = parents.get(node)
-        while cur is not None and not isinstance(
-            cur, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            cur = parents.get(cur)
-        return cur
-
-    def guarded(node: ast.AST) -> bool:
-        """The publish sits under ``if <blame> is not None:`` or after
-        a ``if <blame> is None: ... return`` early exit."""
-        cur: ast.AST = node
-        while True:
-            parent = parents.get(cur)
-            if parent is None:
-                return False
-            if (
-                isinstance(parent, ast.If)
-                and cur in parent.body
-                and _blame_compare(parent.test, ast.IsNot)
-            ):
-                return True
-            if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for stmt in parent.body:
-                    if stmt is cur:
-                        return False
-                    if (
-                        isinstance(stmt, ast.If)
-                        and _blame_compare(stmt.test, ast.Is)
-                        and stmt.body
-                        and isinstance(stmt.body[-1], (ast.Return, ast.Raise))
-                    ):
-                        return True
-                return False
-            cur = parent
-
-    for node in ast.walk(mod.tree):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and target.attr.startswith(_BLAME_PREFIX)
-                ):
-                    func = enclosing_function(node)
-                    if func is None or func.name != "attach_blame":
-                        found.append(Finding(
-                            "REP017", mod.path, node.lineno, node.col_offset,
-                            f"blame hook {target.attr!r} bound outside "
-                            "attach_blame: bind every _b_* method once in "
-                            "attach_blame so the detached engine never "
-                            "carries stale recorder state",
-                        ))
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr.startswith(_BLAME_PREFIX)
-            and not guarded(node)
-        ):
-            found.append(Finding(
-                "REP017", mod.path, node.lineno, node.col_offset,
-                f"unguarded blame publish {node.func.attr}(...): wrap in "
-                "'if self.blame is not None:' (or return early when it "
-                "is None) — the engine must run blame-free with one "
-                "pointer test per site",
-            ))
     return found
 
 
@@ -1340,9 +1151,9 @@ RULES: dict[str, tuple[str, str, object]] = {
     ),
     "REP009": (
         "module",
-        "repro.simulator telemetry follows the nullable-hook idiom "
-        "(bind in attach_telemetry, guard every publish)",
-        _rule_telemetry_hook_idiom,
+        "repro.simulator reaches observers only by iterating its event "
+        "tuples (no registry accessors; only attach binds them)",
+        _rule_observer_protocol,
     ),
     "REP010": (
         "module",
@@ -1389,9 +1200,8 @@ RULES: dict[str, tuple[str, str, object]] = {
     "REP017": (
         "module",
         "cycle-driven modules import only cycle-safe span constructors "
-        "from repro.obs.spans; blame hooks bind in attach_blame and "
-        "guard every publish (nullable-hook idiom)",
-        _rule_span_blame_discipline,
+        "from repro.obs.spans",
+        _rule_span_discipline,
     ),
 }
 

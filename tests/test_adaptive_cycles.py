@@ -16,7 +16,7 @@ import math
 import pytest
 
 from repro.faults.pattern import FaultPattern
-from repro.obs.telemetry import TelemetryRegistry
+from repro.obs.telemetry import EngineTelemetry, TelemetryRegistry
 from repro.routing.registry import make_algorithm
 from repro.simulator.config import SimConfig
 from repro.simulator.engine import Simulation
@@ -43,7 +43,9 @@ def _auto_config(**overrides) -> SimConfig:
 
 
 def _run(config, algorithm="nhop", telemetry=None):
-    sim = Simulation(config, make_algorithm(algorithm), telemetry=telemetry)
+    sim = Simulation(config, make_algorithm(algorithm))
+    if telemetry is not None:
+        sim.attach(EngineTelemetry(telemetry))
     return sim.run()
 
 

@@ -33,7 +33,7 @@ import pytest
 
 from repro.faults.generator import generate_block_fault_pattern
 from repro.obs.blame import BlameRecorder
-from repro.obs.telemetry import TelemetryRegistry
+from repro.obs.telemetry import EngineTelemetry, TelemetryRegistry
 from repro.routing.registry import ALGORITHM_NAMES, make_algorithm
 from repro.simulator.config import SimConfig
 from repro.simulator.engine import ENGINE_VERSION, Simulation
@@ -98,15 +98,15 @@ def twin_digests(algorithm: str, faulty: bool, seed: int) -> dict:
     registry = TelemetryRegistry()
     recorder = BlameRecorder()
     sim = build(algorithm, faulty, seed)
-    sim.attach_telemetry(registry)
-    sim.attach_blame(recorder)
-    sim.tracer = Tracer(capacity=10_000_000)
+    tracer = Tracer(capacity=10_000_000)
+    for observer in (EngineTelemetry(registry), recorder, tracer):
+        sim.attach(observer)
     sim.run()
     return {
         "row": row_digest(sim),
         "telemetry": registry.digest(),
         "blame": _sha(recorder.records),
-        "trace": _sha([list(e) for e in sim.tracer.events]),
+        "trace": _sha([list(e) for e in tracer.events]),
     }
 
 

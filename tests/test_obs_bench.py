@@ -33,7 +33,7 @@ def test_pinned_workloads_have_unique_names_and_keys():
     assert len(set(names)) == len(names)
     assert len(set(keys)) == len(keys)
     kinds = {w.kind for w in WORKLOADS}
-    assert kinds == {"engine", "ops"}
+    assert kinds == {"engine", "attached", "ops"}
 
 
 # ----------------------------------------------------------------------
@@ -93,6 +93,28 @@ def test_engine_workload_reports_rates():
     assert activity["mesh_nodes"] == 25
     assert 0 < activity["active_routers_mean"] <= 25
     assert activity["occupied_vcs_mean"] > 0
+
+
+def test_attached_cost_workload_reports_each_instrument():
+    from repro.obs.history import ledger_entry
+
+    w = Workload("mini_attached", "attached", {
+        "algorithm": "nhop", "width": 5, "vcs": 16, "message_length": 4,
+        "rate": 0.01, "warm": 50, "cycles": 100, "seed": 3, "faults": 0,
+    })
+    metrics = run_suite(workloads=(w,), repeats=2)
+    m = metrics["mini_attached"]
+    assert m["seconds"] == min(m["samples"]) and len(m["samples"]) == 2
+    assert m["cycles_per_sec"] == 100 / m["seconds"]
+    assert set(m["attached"]) == {"telemetry", "blame", "tracer"}
+    for cost in m["attached"].values():
+        assert cost["cycles_per_sec"] == 100 / cost["seconds"]
+        assert cost["overhead_pct"] == pytest.approx(
+            100 * (cost["seconds"] - m["seconds"]) / m["seconds"]
+        )
+    # The ledger keeps the per-instrument block.
+    entry = ledger_entry({"workloads": metrics})
+    assert entry["workloads"]["mini_attached"]["attached"] == m["attached"]
 
 
 def test_host_warnings_on_platform_and_python_mismatch():

@@ -5,7 +5,7 @@ fault-free and 5%-fault 10x10 runs)."""
 
 import pytest
 
-from repro.obs.bench import _build_engine_sim
+from repro.obs.bench import _build_engine_sim, engine_state
 from repro.obs.blame import (
     COMPONENTS,
     BlameRecorder,
@@ -17,7 +17,8 @@ from repro.obs.blame import (
     render_blame_report,
     top_slow,
 )
-from repro.obs.telemetry import TelemetryRegistry
+from repro.obs.telemetry import EngineTelemetry, TelemetryRegistry
+from repro.simulator.engine import EVENTS
 
 
 def _params(**overrides) -> dict:
@@ -33,26 +34,9 @@ def _params(**overrides) -> dict:
 def _run_with_blame(params):
     registry = TelemetryRegistry()
     recorder = BlameRecorder()
-    sim = _build_engine_sim(params, telemetry=registry)
-    sim.attach_blame(recorder)
+    sim = _build_engine_sim(params, EngineTelemetry(registry), recorder)
     sim.step(params["warm"] + params["cycles"])
     return sim, recorder, registry
-
-
-def _state(sim) -> tuple:
-    """Everything a blame hook could plausibly perturb."""
-    return (
-        sim.result.generated,
-        sim.result.delivered,
-        sim.result.delivered_flits,
-        sim.result.latency_sum,
-        sim.result.hops_sum,
-        sim.total_generated,
-        sim.total_delivered,
-        sim.total_dropped,
-        sim.rng.getstate(),
-        str(sim._perm_rng.bit_generator.state),
-    )
 
 
 class TestReconciliation:
@@ -141,9 +125,9 @@ class TestDetachedTwin:
         params = _params(faults=5)
         attached, _, _ = _run_with_blame(params)
         twin = _build_engine_sim(params)
-        assert twin.blame is None
+        assert not any(getattr(twin, "_on_" + event) for event in EVENTS)
         twin.step(params["warm"] + params["cycles"])
-        assert _state(attached) == _state(twin)
+        assert engine_state(attached) == engine_state(twin)
 
 
 class TestRecorder:
@@ -154,15 +138,19 @@ class TestRecorder:
             id = 9
             src, dst, created, injected, hops, ring = 0, 5, 0, 1, 0, None
 
-        recorder.header_blocked(Msg)
-        recorder.message_dropped(Msg)
+        recorder.blocked(3, Msg, 0)
+        recorder.dropped(4, Msg, False)
         assert recorder.records == []
         assert recorder.blocked_events == 1  # unconditional, like telemetry
         assert recorder._blocked == {}
 
     def test_bind_mesh_first_binding_wins(self):
         recorder = BlameRecorder(mesh="first")
-        recorder.bind_mesh("second")
+
+        class Sim:
+            mesh = "second"
+
+        recorder.bind(Sim)
         assert recorder.mesh == "first"
 
 

@@ -16,7 +16,7 @@ from repro.obs.heatmap import (
     render_node_heatmap,
     surface_split,
 )
-from repro.obs.telemetry import TelemetryRegistry
+from repro.obs.telemetry import EngineTelemetry, TelemetryRegistry
 from repro.routing.registry import make_algorithm
 from repro.simulator.config import SimConfig
 from repro.simulator.engine import Simulation
@@ -34,9 +34,8 @@ def _fig6_run(width=10, cycles=1200, algorithm="duato-nbc"):
     mesh = Mesh2D(cfg.width, cfg.height)
     faults = figure6_fault_pattern(mesh)
     registry = TelemetryRegistry()
-    sim = Simulation(
-        cfg, make_algorithm(algorithm), faults=faults, telemetry=registry
-    )
+    sim = Simulation(cfg, make_algorithm(algorithm), faults=faults)
+    sim.attach(EngineTelemetry(registry))
     return sim.run(), registry, faults, mesh
 
 

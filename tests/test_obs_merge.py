@@ -21,7 +21,6 @@ from repro.obs.telemetry import (
     Instrument,
     LabeledCounter,
     TelemetryRegistry,
-    make_instrument,
 )
 from repro.simulator.config import SimConfig
 
@@ -160,10 +159,10 @@ def test_digest_tracks_values():
 
 
 def test_instrument_pool_safety():
-    telemetry_only = make_instrument(telemetry=TelemetryRegistry())
+    telemetry_only = Instrument(telemetry=TelemetryRegistry())
     assert isinstance(telemetry_only, Instrument)
     assert telemetry_only.pool_safe
-    traced = make_instrument(
+    traced = Instrument(
         telemetry=TelemetryRegistry(), tracer=lambda *a: None
     )
     assert not traced.pool_safe
@@ -178,11 +177,11 @@ class TestWorkersMatchSequential:
         seq_reg, par_reg = TelemetryRegistry(), TelemetryRegistry()
         seq = run_sweep(
             SMOKE_PROFILE, algs, workers=1,
-            instrument=make_instrument(telemetry=seq_reg),
+            instrument=Instrument(telemetry=seq_reg),
         )
         par = run_sweep(
             SMOKE_PROFILE, algs, workers=2,
-            instrument=make_instrument(telemetry=par_reg),
+            instrument=Instrument(telemetry=par_reg),
         )
         assert par.throughput == seq.throughput
         assert par.latency == seq.latency
@@ -206,12 +205,12 @@ class TestWorkersMatchSequential:
         seq_reg, par_reg = TelemetryRegistry(), TelemetryRegistry()
         seq = CampaignRunner(
             spec, tmp_path / "seq",
-            instrument=make_instrument(telemetry=seq_reg),
+            instrument=Instrument(telemetry=seq_reg),
         )
         assert seq.run(workers=1) == 4
         par = CampaignRunner(
             spec, tmp_path / "par",
-            instrument=make_instrument(telemetry=par_reg),
+            instrument=Instrument(telemetry=par_reg),
         )
         assert par.run(workers=4) == 4
         assert par.load_results() == seq.load_results()

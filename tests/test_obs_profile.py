@@ -49,7 +49,7 @@ class TestNeutrality:
         plain.run()
 
         profiled = faulty_sim()
-        profiled.attach_profiler(PhaseProfiler())
+        profiled.attach(PhaseProfiler())
         profiled.run()
 
         assert profiled.result == plain.result
@@ -68,7 +68,7 @@ class TestNeutrality:
         sim = faulty_sim()
         sim.step(200)
         profiler = PhaseProfiler()
-        sim.attach_profiler(profiler)
+        sim.attach(profiler)
         sim.step(100)
         assert profiler.cycles == 100
 
@@ -81,7 +81,7 @@ class TestShares:
     def test_shares_sum_to_one_on_faulty_workload(self):
         sim = faulty_sim()
         profiler = PhaseProfiler()
-        sim.attach_profiler(profiler)
+        sim.attach(profiler)
         sim.run()
         shares = profiler.phase_shares()
         assert set(shares) == set(PHASE_NAMES)
@@ -97,7 +97,7 @@ class TestShares:
     def test_call_counts_match_cycle_structure(self):
         sim = faulty_sim(cycles=300, warmup=0)
         profiler = PhaseProfiler()
-        sim.attach_profiler(profiler)
+        sim.attach(profiler)
         sim.step(300)
         calls = dict(zip(PHASE_NAMES, profiler.phase_calls))
         assert profiler.cycles == 300
@@ -131,7 +131,7 @@ class TestReport:
     def profiled(self):
         sim = faulty_sim()
         profiler = PhaseProfiler()
-        sim.attach_profiler(profiler)
+        sim.attach(profiler)
         sim.run()
         return sim, profiler
 

@@ -12,15 +12,16 @@ from repro.metrics.vc_usage import (
 )
 from repro.obs.telemetry import (
     Counter,
+    EngineTelemetry,
     Gauge,
     Histogram,
+    Instrument,
     TelemetryRegistry,
-    make_instrument,
 )
 from repro.routing.budgets import ROLE_NAMES
 from repro.routing.registry import make_algorithm
 from repro.simulator.config import SimConfig
-from repro.simulator.engine import Simulation
+from repro.simulator.engine import EVENTS, Simulation
 from repro.topology.mesh import Mesh2D
 
 
@@ -99,13 +100,13 @@ def test_registry_snapshot_and_render():
 
 
 # ----------------------------------------------------------------------
-# Disabled overhead: telemetry=None must execute no instrument code
+# Disabled overhead: nothing attached must execute no instrument code
 # ----------------------------------------------------------------------
 def test_disabled_run_touches_no_registry():
     """A run without telemetry leaves an unattached registry untouched."""
     bystander = TelemetryRegistry()
     sim = Simulation(_config(), make_algorithm("duato-nbc"))
-    assert sim.telemetry is None
+    assert not any(getattr(sim, "_on_" + event) for event in EVENTS)
     sim.run()
     assert len(bystander) == 0
 
@@ -114,9 +115,9 @@ def test_telemetry_does_not_change_results():
     """Attaching a registry must not perturb the simulation itself."""
     plain = Simulation(_config(), make_algorithm("duato-nbc")).run()
     reg = TelemetryRegistry()
-    observed = Simulation(
-        _config(), make_algorithm("duato-nbc"), telemetry=reg
-    ).run()
+    observed = Simulation(_config(), make_algorithm("duato-nbc"))
+    observed.attach(EngineTelemetry(reg))
+    observed = observed.run()
     assert observed.generated == plain.generated
     assert observed.delivered == plain.delivered
     assert observed.delivered_flits == plain.delivered_flits
@@ -132,9 +133,8 @@ def _instrumented_run(algorithm="duato-nbc", n_faults=3):
     mesh = Mesh2D(cfg.width, cfg.height)
     faults = generate_block_fault_pattern(mesh, n_faults, random.Random(4))
     reg = TelemetryRegistry()
-    sim = Simulation(
-        cfg, make_algorithm(algorithm), faults=faults, telemetry=reg
-    )
+    sim = Simulation(cfg, make_algorithm(algorithm), faults=faults)
+    sim.attach(EngineTelemetry(reg))
     return sim, sim.run(), reg
 
 
@@ -187,7 +187,7 @@ def test_make_instrument_via_evaluator():
 
     reg = TelemetryRegistry()
     ev = Evaluator(
-        _config(), seed=3, instrument=make_instrument(telemetry=reg)
+        _config(), seed=3, instrument=Instrument(telemetry=reg)
     )
     result = ev.run_single("nhop", FaultPattern.fault_free(ev.mesh))
     assert reg.value("engine.messages.generated") == result.generated

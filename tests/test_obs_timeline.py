@@ -18,6 +18,7 @@ import pytest
 
 from repro.faults.generator import generate_block_fault_pattern
 from repro.obs.telemetry import (
+    EngineTelemetry,
     Series,
     TelemetryRegistry,
     series_snapshot,
@@ -151,9 +152,8 @@ def _instrumented_run(config, n_faults=0, seed=4):
     else:
         faults = None
     reg = TelemetryRegistry()
-    sim = Simulation(
-        config, make_algorithm("duato-nbc"), faults=faults, telemetry=reg
-    )
+    sim = Simulation(config, make_algorithm("duato-nbc"), faults=faults)
+    sim.attach(EngineTelemetry(reg))
     return sim.run(), reg
 
 
@@ -207,15 +207,15 @@ def test_worker_merged_series_match_sequential():
     cfg_b = _config(width=6, cycles=600, seed=22)
     sequential = TelemetryRegistry()
     for cfg in (cfg_a, cfg_b):
-        Simulation(
-            cfg, make_algorithm("duato-nbc"), telemetry=sequential
-        ).run()
+        sim = Simulation(cfg, make_algorithm("duato-nbc"))
+        sim.attach(EngineTelemetry(sequential))
+        sim.run()
     parent = TelemetryRegistry()
     for cfg in (cfg_a, cfg_b):
         shard = TelemetryRegistry()
-        Simulation(
-            cfg, make_algorithm("duato-nbc"), telemetry=shard
-        ).run()
+        sim = Simulation(cfg, make_algorithm("duato-nbc"))
+        sim.attach(EngineTelemetry(shard))
+        sim.run()
         parent.merge(shard.snapshot())
     seq = series_snapshot(sequential)
     par = series_snapshot(parent)

@@ -33,7 +33,7 @@ def _traced_run(sample=1, **overrides):
     base.update(overrides)
     sim = Simulation(SimConfig(**base), make_algorithm("nhop"))
     tracer = lifecycle_tracer(sample=sample)
-    sim.tracer = tracer
+    sim.attach(tracer)
     result = sim.run()
     return tracer, result
 

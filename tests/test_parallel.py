@@ -21,7 +21,7 @@ from repro.obs.spans import (
     spans_merge_digest,
     trace_id_from,
 )
-from repro.obs.telemetry import Instrument, TelemetryRegistry, make_instrument
+from repro.obs.telemetry import Instrument, TelemetryRegistry
 from repro.simulator.trace import Tracer
 
 
@@ -158,7 +158,7 @@ class TestOneCellPath:
             result = driver(
                 SMOKE_PROFILE, self.ALGS, workers=workers,
                 store=root / f"store-w{workers}",  # fresh: both simulate
-                instrument=make_instrument(telemetry=registry),
+                instrument=Instrument(telemetry=registry),
                 manifest=manifest, spans=spans,
             )
             manifest.run_finish()

@@ -15,7 +15,7 @@ def traced_sim(tracer, **overrides):
     )
     defaults.update(overrides)
     sim = Simulation(SimConfig(**defaults), make_algorithm("nhop"))
-    sim.tracer = tracer
+    sim.attach(tracer)
     return sim
 
 

@@ -286,28 +286,33 @@ class TestCanonicalDigests:
 
 
 class TestTelemetryHookIdiom:
+    """REP009, the one rule that replaced the nullable-hook idiom: the
+    engine reaches observers only by iterating its ``_on_<event>``
+    tuples — no registry accessors, tuples bound only in
+    ``__init__``/``attach`` and never called, indexed or passed on."""
+
     PATH = "src/repro/simulator/fake.py"
 
     def check(self, src):
         return lint_source(src, path=self.PATH, select={"REP009"})
 
-    def test_flags_unguarded_publish(self):
+    def test_accepts_iterating_event_tuple(self):
         src = (
             "class Sim:\n"
-            "    def step(self, cycle):\n"
-            "        self._t_delivered.inc(cycle)\n"
+            "    def step(self, cycle, msg):\n"
+            "        for publish in self._on_delivered:\n"
+            "            publish(cycle, msg)\n"
         )
-        findings = self.check(src)
-        assert rules_of(findings) == {"REP009"}
-        assert "unguarded" in findings[0].message
+        assert self.check(src) == []
 
     def test_accepts_guarded_publish(self):
         src = (
             "class Sim:\n"
-            "    def step(self, cycle):\n"
-            "        if self.telemetry is not None:\n"
-            "            self._t_delivered.inc(cycle)\n"
-            "            self._s_latency.add(cycle, 3)\n"
+            "    def step(self, cycle, msg):\n"
+            "        if self._on_granted:\n"
+            "            role = self.role_of[msg.vc]\n"
+            "            for publish in self._on_granted:\n"
+            "                publish(cycle, msg, role)\n"
         )
         assert self.check(src) == []
 
@@ -315,89 +320,80 @@ class TestTelemetryHookIdiom:
         src = (
             "class Sim:\n"
             "    def step(self, cycle, ok):\n"
-            "        if self.telemetry is not None and ok:\n"
+            "        on_moved = self._on_flit_moved\n"
+            "        if on_moved and ok:\n"
             "            if cycle > 0:\n"
-            "                self._g_inflight.set(cycle, 1)\n"
+            "                for publish in on_moved:\n"
+            "                    publish(cycle)\n"
         )
         assert self.check(src) == []
 
     def test_accepts_early_return_guard_with_aliases(self):
         src = (
             "class Sim:\n"
-            "    def _collect(self, cycle):\n"
-            "        if self.telemetry is None:\n"
+            "    def _collect(self, cycle, busy):\n"
+            "        on_sampled = self._on_vc_sampled\n"
+            "        if not on_sampled:\n"
             "            return\n"
-            "        busy = self._t_busy_role\n"
-            "        busy[0].inc(cycle)\n"
+            "        for publish in on_sampled:\n"
+            "            publish(cycle, busy)\n"
         )
         assert self.check(src) == []
 
-    def test_flags_alias_publish_without_guard(self):
+    def test_accepts_binding_in_init_and_attach(self):
         src = (
             "class Sim:\n"
-            "    def _collect(self, cycle):\n"
-            "        busy = self._t_busy_role\n"
-            "        busy[0].inc(cycle)\n"
+            "    def __init__(self):\n"
+            "        self._on_delivered = ()\n"
+            "    def attach(self, observer):\n"
+            "        self._on_delivered = self._on_delivered + (\n"
+            "            observer.delivered,)\n"
         )
-        assert rules_of(self.check(src)) == {"REP009"}
+        assert self.check(src) == []
 
-    def test_flags_publish_in_else_branch_of_guard(self):
+    def test_flags_event_tuple_bound_elsewhere(self):
         src = (
             "class Sim:\n"
-            "    def step(self, cycle):\n"
-            "        if self.telemetry is not None:\n"
-            "            pass\n"
-            "        else:\n"
-            "            self._t_delivered.inc(cycle)\n"
+            "    def reset(self):\n"
+            "        self._on_delivered = ()\n"
         )
-        assert rules_of(self.check(src)) == {"REP009"}
+        findings = self.check(src)
+        assert rules_of(findings) == {"REP009"}
+        assert "__init__/attach" in findings[0].message
+
+    def test_flags_event_tuple_called_or_indexed(self):
+        for use in ("self._on_delivered[0](cycle)",
+                    "self._on_delivered.count(1)",
+                    "notify(self._on_delivered)"):
+            src = f"class Sim:\n    def step(self, cycle):\n        {use}\n"
+            findings = self.check(src)
+            assert rules_of(findings) == {"REP009"}, use
+            assert "only iterated" in findings[0].message
 
     def test_flags_accessor_outside_attach(self):
         src = (
             "class Sim:\n"
-            "    def step(self, cycle):\n"
-            "        self.telemetry.counter('x').inc(cycle)\n"
+            "    def step(self, cycle, registry):\n"
+            "        registry.counter('x').inc(cycle)\n"
         )
         findings = self.check(src)
         assert rules_of(findings) == {"REP009"}
-        assert any("attach_telemetry" in f.message for f in findings)
+        assert "bind(sim)" in findings[0].message
 
-    def test_accepts_accessors_in_attach_and_factories(self):
+    def test_flags_accessor_even_in_attach(self):
         src = (
             "class Sim:\n"
-            "    def attach_telemetry(self, registry):\n"
-            "        c = registry.counter\n"
-            "        self._t_x = c('engine.x')\n"
-            "        self._s_x = registry.series('engine.series.x', 64)\n"
-            "    def _fring_counter(self, ring):\n"
-            "        return self.telemetry.counter('engine.fring')\n"
+            "    def attach(self, registry):\n"
+            "        self.x = registry.series('engine.series.x', 64)\n"
         )
-        assert self.check(src) == []
-
-    def test_guarded_lazy_factory_publish(self):
-        src = (
-            "class Sim:\n"
-            "    def step(self, cycle, msg):\n"
-            "        if self.telemetry is not None:\n"
-            "            self._fring_counter(msg.ring).inc(cycle)\n"
-        )
-        assert self.check(src) == []
-
-    def test_set_add_on_plain_objects_is_fine(self):
-        src = (
-            "class Sim:\n"
-            "    def step(self, cycle):\n"
-            "        seen = set()\n"
-            "        seen.add(cycle)\n"
-            "        self.used.add(cycle)\n"
-        )
-        assert self.check(src) == []
+        assert rules_of(self.check(src)) == {"REP009"}
 
     def test_only_simulator_modules_are_checked(self):
         src = (
             "class X:\n"
-            "    def go(self, cycle):\n"
-            "        self._t_x.inc(cycle)\n"
+            "    def bind(self, sim):\n"
+            "        self.telemetry.counter('engine.x')\n"
+            "        self._on_x = ()\n"
         )
         assert lint_source(
             src, path="src/repro/obs/telemetry.py", select={"REP009"}
@@ -786,7 +782,7 @@ class TestSanctionedTimer:
         src = "from repro.obs.profile import clock\n"
         findings = self.check(src, path="src/repro/simulator/engine.py")
         assert rules_of(findings) == {"REP016"}
-        assert "attach_profiler" in findings[0].message
+        assert "phase_lap" in findings[0].message
 
     def test_engine_scope_clean_without_timer(self):
         src = "x = 1\n"
@@ -795,8 +791,7 @@ class TestSanctionedTimer:
 
 class TestSpanBlameDiscipline:
     """REP017: cycle-driven modules import only cycle-safe span
-    constructors; blame hooks bind in attach_blame and guard every
-    publish behind ``is not None``."""
+    constructors.  (Its former blame-hook half is REP009 now.)"""
 
     PATH = "src/repro/simulator/x.py"
 
@@ -820,68 +815,8 @@ class TestSpanBlameDiscipline:
         )
         assert self.check(src) == []
 
-    def test_flags_blame_binding_outside_attach(self):
-        src = (
-            "class Simulation:\n"
-            "    def __init__(self, recorder):\n"
-            "        self._b_grant = recorder.grant\n"
-        )
-        findings = self.check(src)
-        assert rules_of(findings) == {"REP017"}
-        assert "attach_blame" in findings[0].message
-
-    def test_accepts_binding_inside_attach_blame(self):
-        src = (
-            "class Simulation:\n"
-            "    def attach_blame(self, recorder):\n"
-            "        self.blame = recorder\n"
-            "        self._b_grant = recorder.grant\n"
-        )
-        assert self.check(src) == []
-
-    def test_flags_unguarded_blame_call(self):
-        src = (
-            "class Simulation:\n"
-            "    def step(self):\n"
-            "        self._b_grant(1, 2)\n"
-        )
-        findings = self.check(src)
-        assert rules_of(findings) == {"REP017"}
-        assert "is not None" in findings[0].message
-
-    def test_accepts_guarded_blame_call(self):
-        src = (
-            "class Simulation:\n"
-            "    def step(self):\n"
-            "        if self.blame is not None:\n"
-            "            self._b_grant(1, 2)\n"
-        )
-        assert self.check(src) == []
-
-    def test_accepts_guard_with_extra_conjuncts(self):
-        src = (
-            "class Simulation:\n"
-            "    def step(self, msg):\n"
-            "        if self.blame is not None and msg.ring is not None:\n"
-            "            self._b_ring(msg)\n"
-        )
-        assert self.check(src) == []
-
-    def test_accepts_early_exit_guard(self):
-        src = (
-            "class Simulation:\n"
-            "    def _publish(self, msg):\n"
-            "        if self.blame is None:\n"
-            "            return\n"
-            "        self._b_finalize(msg)\n"
-        )
-        assert self.check(src) == []
-
     def test_other_layers_are_out_of_scope(self):
-        src = (
-            "from repro.obs.spans import Trace\n"
-            "self._b_grant = f\n"
-        )
+        src = "from repro.obs.spans import Trace\n"
         assert self.check(src, path="src/repro/experiments/x.py") == []
 
 
