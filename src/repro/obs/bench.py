@@ -185,6 +185,18 @@ WORKLOADS: tuple[Workload, ...] = (
         "warmup": 100, "rates": [0.005, 0.01, 0.02], "repeats": 2,
         "passes": 50, "seed": 19,
     }),
+    # The same answers over a real socket: an in-process QueryServer on a
+    # background event loop, one closed-loop client, a fresh connection
+    # per GET (the server closes after each reply), store / surrogate /
+    # model / refused in equal shares, status and tier self-checked.
+    # What serve_query_tiers leaves out is the transport; the gap between
+    # the two is what a served answer pays for it.
+    Workload("serve_http_roundtrip", "ops", {
+        "op": "serve_http_roundtrip", "algorithms": ["nhop", "duato-nbc"],
+        "width": 6, "vcs": 24, "message_length": 4, "cycles": 300,
+        "warmup": 100, "rates": [0.005, 0.01, 0.02, 0.03], "repeats": 2,
+        "passes": 50, "seed": 19,
+    }),
     Workload("verify_check_corpus", "ops", {
         # Model-checker runtime on a representative slice of the 4x4
         # fault corpus: a deterministic escape scheme, Duato's fortified
@@ -365,6 +377,40 @@ def _run_attached_cost(params: dict, repeats: int) -> dict:
     }
 
 
+def _serve_campaign(params: dict):
+    """``(tmp dir, completed CampaignDB)`` for the serving workloads: the
+    grid is simulated once, untimed.  The caller's closure keeps the tmp
+    dir object alive so the campaign outlives every timed repeat."""
+    import tempfile
+
+    from repro.campaigns.db import CampaignDB
+    from repro.campaigns.shard import run_campaign
+    from repro.campaigns.spec import CampaignSpec
+    from repro.simulator.config import SimConfig
+
+    spec = CampaignSpec(
+        name="bench-serve",
+        algorithms=tuple(params["algorithms"]),
+        config=SimConfig(
+            width=params["width"],
+            vcs_per_channel=params["vcs"],
+            message_length=params["message_length"],
+            cycles=params["cycles"],
+            warmup=params["warmup"],
+            seed=params["seed"],
+            on_deadlock="drain",
+        ),
+        rates=tuple(params["rates"]),
+        repeats=params["repeats"],
+        seed=params["seed"],
+    )
+    tmp = tempfile.TemporaryDirectory(prefix="repro-bench-")
+    db = CampaignDB(spec, Path(tmp.name) / "campaign")
+    db.save()
+    run_campaign(db)
+    return tmp, db
+
+
 def _ops_runner(params: dict):
     """(callable, ops) for an ``"ops"`` workload."""
     op = params["op"]
@@ -541,37 +587,10 @@ def _ops_runner(params: dict):
 
         return run, writers * per
     if op == "serve_query_tiers":
-        import tempfile
-
-        from repro.campaigns.db import CampaignDB
-        from repro.campaigns.shard import run_campaign
-        from repro.campaigns.spec import CampaignSpec
         from repro.serve.resolver import Query, Resolver
-        from repro.simulator.config import SimConfig
 
-        spec = CampaignSpec(
-            name="bench-serve",
-            algorithms=tuple(params["algorithms"]),
-            config=SimConfig(
-                width=params["width"],
-                vcs_per_channel=params["vcs"],
-                message_length=params["message_length"],
-                cycles=params["cycles"],
-                warmup=params["warmup"],
-                seed=params["seed"],
-                on_deadlock="drain",
-            ),
-            rates=tuple(params["rates"]),
-            repeats=params["repeats"],
-            seed=params["seed"],
-        )
-        # Untimed setup: simulate the grid once, fit the surrogate and
-        # the model calibration eagerly.  The tmp dir object rides in
-        # the closure so the campaign outlives every timed repeat.
-        tmp = tempfile.TemporaryDirectory(prefix="repro-bench-")
-        db = CampaignDB(spec, Path(tmp.name) / "campaign")
-        db.save()
-        run_campaign(db)
+        tmp, db = _serve_campaign(params)
+        spec = db.spec
         resolver = Resolver(db)
         resolver.surrogate()
         resolver.calibration()
@@ -601,6 +620,64 @@ def _ops_runner(params: dict):
                         )
 
         return run, passes * len(queries)
+    if op == "serve_http_roundtrip":
+        import asyncio
+        import socket
+        import threading
+
+        from repro.serve.api import QueryServer
+
+        tmp, db = _serve_campaign(params)
+        rates = list(params["rates"])
+        mids = [(a + b) / 2.0 for a, b in zip(rates, rates[1:])]
+        targets = [
+            (f"/query?algorithm={alg}&rate={rate!r}&metric={metric}", expected)
+            for alg in params["algorithms"]
+            for rate, metric, expected in (
+                [(r, "latency", b'"tier": "store"') for r in rates[:3]]
+                + [(m, "latency", b'"tier": "surrogate"') for m in mids]
+                + [(rates[0] * f, "latency", b'"tier": "model"')
+                   for f in (0.3, 0.5, 0.7)]
+                + [(rates[-1] * f, "throughput", b" 422 ")
+                   for f in (2.0, 2.5, 3.0)]
+            )
+        ]
+        passes = params["passes"]
+
+        def run() -> None:
+            # A fresh server per repeat; binding and fitting it (~10 ms)
+            # is timed with the requests.
+            keep_alive = tmp  # noqa: F841  (pin the campaign dir)
+            loop = asyncio.new_event_loop()
+            thread = threading.Thread(target=loop.run_forever, daemon=True)
+            thread.start()
+            server = QueryServer(db)
+            asyncio.run_coroutine_threadsafe(server.start(), loop).result(60)
+            try:
+                for _ in range(passes):
+                    for target, expected in targets:
+                        with socket.create_connection(
+                            ("127.0.0.1", server.port), timeout=60
+                        ) as conn:
+                            conn.sendall(
+                                f"GET {target} HTTP/1.1\r\n"
+                                "Host: bench\r\n\r\n".encode()
+                            )
+                            reply = b""
+                            while chunk := conn.recv(65536):
+                                reply += chunk
+                        if expected not in reply:
+                            raise RuntimeError(
+                                f"serve http bench: GET {target} answered "
+                                f"{reply[:200]!r}, expected {expected!r}"
+                            )
+            finally:
+                asyncio.run_coroutine_threadsafe(server.stop(), loop).result(60)
+                loop.call_soon_threadsafe(loop.stop)
+                thread.join(60)
+                loop.close()
+
+        return run, passes * len(targets)
     if op == "verify_check":
         from repro.routing.registry import make_algorithm
         from repro.verify.cdg import CdgChecker

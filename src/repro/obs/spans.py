@@ -143,9 +143,8 @@ class SpanRecorder:
     """An append-only collection of finished spans.
 
     Plain list semantics plus an optional *limit* (oldest spans drop
-    first) for long-lived holders like the serve process.  Thread-safe
-    enough for the serving model (appends under the GIL; the event loop
-    and the single resolver thread never mutate one span).
+    first) for long-lived holders like the serve process, where only
+    the event-loop thread touches it (no locking here).
     """
 
     __slots__ = ("spans", "limit")

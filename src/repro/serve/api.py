@@ -25,13 +25,33 @@
     no lookup table) or ``?trace=TRACE_ID`` directly.  Returns the
     spans plus their :func:`~repro.obs.spans.spans_merge_digest`.
 
-The transport is deliberately minimal: ``asyncio.start_server`` plus a
-hand-rolled HTTP/1.1 exchange (one request per connection,
-``Connection: close``), so serving needs nothing outside the standard
-library.  Resolution itself is synchronous CPU work (and the resolver's
-lazy fitting is not thread-safe), so requests are handed to a
-single-thread executor — the asyncio loop stays responsive to accepts
-and health checks while answers are computed in order.
+The transport is deliberately minimal: one :class:`asyncio.Protocol`
+per connection (``loop.create_server``) speaking a hand-rolled HTTP/1.1
+exchange — one request per connection, ``Connection: close`` — so
+serving needs nothing outside the standard library.  ``data_received``
+accumulates bytes until the header block and the declared body are
+complete, then parses, routes, records and writes the response in the
+same callback: no stream objects, no per-connection task, no ``await``.
+
+Thread ownership: the event loop thread owns the resolver's fitted
+state and request counter, the telemetry registry and the span
+recorder, and answers everything that needs no engine work on the spot
+— the store / surrogate / model tiers, refusals, ``/healthz``,
+``/metrics``, ``/trace`` — whether or not the server may simulate.  Only
+engine work (the simulation tier's ``CachedEvaluator`` runs, the
+``/reliability`` Monte-Carlo) goes to a single-thread executor, which
+touches none of that state; its result comes back to the loop to be
+recorded and written.  A cheap query or a health check therefore never
+queues behind a running simulation.  The surrogate, calibration and
+model are fitted in :meth:`QueryServer.start`, before the socket
+accepts — the loop never fits.
+
+Hostile framing fails closed (limits are the module constants below):
+a header block over ``_MAX_HEADER`` is ``431``, a body over
+``_MAX_BODY`` or a bad ``Content-Length`` is ``400``, a request still
+incomplete ``_READ_DEADLINE_S`` after connect is ``408``, a wrong
+method is ``405``; a client that vanishes leaves nothing behind, and
+any exception while answering is a ``500`` with its reason.
 
 Every response carries an ``x-request-id`` header: the client's own id
 echoed back when it sent one (sanitized to ``[A-Za-z0-9._-]{1,64}``),
@@ -45,9 +65,11 @@ nests an ``engine.run`` span deeper still — so ``GET
 SpanRecorder`; oldest drop first).  The HTTP layer additionally
 publishes per-request counters next to the resolver's tier metrics —
 ``serve.http.requests``, ``serve.http.status.<code>``,
-``serve.http.latency_us``, and ``serve.http.query.tier.<tier>`` for
-answered queries — so ``/metrics`` shows both the resolver's view
-(which tier answered) and the transport's (status mix, wire latency).
+``serve.http.latency_us``, ``serve.http.query.tier.<tier>`` for
+answered queries, and ``serve.http.resolved.loop`` /
+``serve.http.resolved.executor`` for where the answer was computed — so
+``/metrics`` shows both the resolver's view (which tier answered) and
+the transport's (status mix, wire latency, loop/executor split).
 """
 
 from __future__ import annotations
@@ -55,7 +77,10 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import json
+import os
 import re
+from contextlib import AbstractContextManager
+from functools import partial
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.campaigns.db import CampaignDB
@@ -73,14 +98,41 @@ from repro.serve.resolver import (
 __all__ = ["QueryServer"]
 
 _MAX_BODY = 1 << 20  # 1 MiB: generous for JSON queries, bounded anyway
+_MAX_HEADER = 64 << 10  # request line + headers; beyond it: 431
+_READ_DEADLINE_S = 10.0  # connect -> complete request; beyond it: 408
+_MAX_TRIALS = 100_000  # /reliability Monte-Carlo trials per request
+_MAX_NODES = 64 * 64  # /reliability mesh size (width x height)
 
 #: Client-supplied request ids are echoed only when they match this
 #: (header values land verbatim in the response and in logs).
 _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    408: "Request Timeout",
+    422: "Unprocessable Entity",
+    431: "Request Header Fields Too Large",
+    500: "Internal Server Error",
+}
 
-class _BadRequest(ValueError):
-    """Malformed client input -> HTTP 400."""
+_METHODS = {
+    "/healthz": ("GET",),
+    "/metrics": ("GET",),
+    "/trace": ("GET",),
+    "/query": ("GET", "POST"),
+    "/reliability": ("POST",),
+}
+
+
+class _Refused(ValueError):
+    """Client input the server will not act on -> HTTP *status* (4xx)."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def _parse_query_params(params: dict) -> Query:
@@ -88,9 +140,9 @@ def _parse_query_params(params: dict) -> Query:
         algorithm = str(params["algorithm"])
         rate = float(params["rate"])
     except KeyError as exc:
-        raise _BadRequest(f"missing parameter {exc.args[0]!r}") from None
+        raise _Refused(f"missing parameter {exc.args[0]!r}") from None
     except (TypeError, ValueError):
-        raise _BadRequest("rate must be a number") from None
+        raise _Refused("rate must be a number") from None
     try:
         return Query(
             algorithm=algorithm,
@@ -99,7 +151,7 @@ def _parse_query_params(params: dict) -> Query:
             n_faults=int(params.get("n_faults", 0)),
         )
     except (TypeError, ValueError) as exc:
-        raise _BadRequest(str(exc)) from None
+        raise _Refused(str(exc)) from None
 
 
 def _parse_reliability_params(params: dict) -> dict:
@@ -114,13 +166,43 @@ def _parse_reliability_params(params: dict) -> dict:
         if params.get("height") is not None:
             kwargs["height"] = int(params["height"])
     except KeyError as exc:
-        raise _BadRequest(f"missing parameter {exc.args[0]!r}") from None
+        raise _Refused(f"missing parameter {exc.args[0]!r}") from None
     except (TypeError, ValueError):
-        raise _BadRequest(
+        raise _Refused(
             "width/height/trials/seed/workers must be integers, "
             "failure_rate a number"
         ) from None
+    # The request sizes work done inside the serving process: cap it.
+    if kwargs["trials"] > _MAX_TRIALS:
+        raise _Refused(f"trials is capped at {_MAX_TRIALS} per request")
+    width, height = kwargs["width"], kwargs.get("height", kwargs["width"])
+    if width < 1 or height < 1 or width * height > _MAX_NODES:
+        raise _Refused(
+            f"width x height must lie in 1..{_MAX_NODES} nodes"
+        )
+    kwargs["workers"] = max(1, min(kwargs["workers"], os.cpu_count() or 1))
     return kwargs
+
+
+def _never_raise(work):
+    """Run *work* on the executor thread as ``(result, error)``: an
+    exception set on the future could be one asyncio refuses to carry
+    (``StopIteration``), which would strand the connection."""
+    try:
+        return work(), None
+    except Exception as exc:
+        return None, exc
+
+
+class _EngineWork:
+    """A routed request that needs the executor: *work* runs there,
+    ``done(result) -> (status, payload)`` back on the loop."""
+
+    __slots__ = ("work", "done")
+
+    def __init__(self, work, done) -> None:
+        self.work = work
+        self.done = done
 
 
 class QueryServer:
@@ -159,10 +241,10 @@ class QueryServer:
             db, simulate=simulate, telemetry=self.telemetry
         )
         self._server: asyncio.AbstractServer | None = None
-        # Single thread: resolution order == arrival order, and the
-        # resolver's lazy surrogate/calibration fitting stays unshared.
+        # Engine work only (simulation tier, /reliability), one job at a
+        # time: the resolver's evaluator is not shared between threads.
         self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-resolve"
+            max_workers=1, thread_name_prefix="serve-engine"
         )
         # Monotonic request ordinal: the fallback x-request-id suffix
         # and the stamp on the serve.http.* instruments (the serving
@@ -173,9 +255,10 @@ class QueryServer:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listening socket (resolves ``port=0``)."""
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+        """Fit the resolver, then bind the socket (resolves ``port=0``)."""
+        self.resolver.fit()
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -194,58 +277,17 @@ class QueryServer:
         self._executor.shutdown(wait=False)
 
     # ------------------------------------------------------------------
-    # Request handling
+    # Request handling (event-loop thread)
     # ------------------------------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._http_requests += 1
-        seq = self._http_requests
-        started = clock()
-        request_id = f"req-{seq}"
-        try:
-            status, payload, request_id = await self._exchange(
-                reader, request_id
-            )
-        except _BadRequest as exc:
-            status, payload = 400, {"error": str(exc)}
-        except Exception as exc:  # never kill the server on one request
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        self._record_http(seq, status, payload, started)
-        body = json.dumps(payload).encode("utf-8")
-        reason = {
-            200: "OK",
-            400: "Bad Request",
-            404: "Not Found",
-            405: "Method Not Allowed",
-            422: "Unprocessable Entity",
-            500: "Internal Server Error",
-        }.get(status, "OK")
-        writer.write(
-            (
-                f"HTTP/1.1 {status} {reason}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"x-request-id: {request_id}\r\n"
-                "Connection: close\r\n"
-                "\r\n"
-            ).encode("ascii")
-            + body
-        )
-        try:
-            await writer.drain()
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, BrokenPipeError):
-            pass
-
     def _record_http(
-        self, request: int, status: int, payload: dict, started: float
+        self, request: int, status: int, payload: dict, started: float,
+        where: str,
     ) -> None:
         """Per-request transport metrics, visible at ``/metrics``."""
         elapsed_us = int((clock() - started) * 1e6)
         self.telemetry.counter("serve.http.requests").inc(request)
         self.telemetry.counter(f"serve.http.status.{status}").inc(request)
+        self.telemetry.counter(f"serve.http.resolved.{where}").inc(request)
         self.telemetry.histogram(
             "serve.http.latency_us", LATENCY_BOUNDS
         ).observe(request, elapsed_us)
@@ -255,60 +297,15 @@ class QueryServer:
                 f"serve.http.query.tier.{answer['tier']}"
             ).inc(request)
 
-    async def _exchange(
-        self, reader: asyncio.StreamReader, request_id: str
-    ) -> tuple[int, dict, str]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        parts = request_line.split()
-        if len(parts) != 3:
-            raise _BadRequest(f"malformed request line {request_line!r}")
-        method, target, _version = parts
-        content_length = 0
-        while True:
-            line = (await reader.readline()).decode("latin-1").strip()
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            header = name.strip().lower()
-            if header == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise _BadRequest("bad Content-Length") from None
-            elif header == "x-request-id":
-                client_id = value.strip()
-                if _REQUEST_ID_RE.match(client_id):
-                    request_id = client_id
-        if content_length > _MAX_BODY:
-            raise _BadRequest("request body too large")
-        body = (
-            await reader.readexactly(content_length)
-            if content_length
-            else b""
-        )
-        url = urlsplit(target)
-        params: dict = dict(parse_qsl(url.query))
-        if body:
-            try:
-                decoded = json.loads(body)
-            except json.JSONDecodeError:
-                raise _BadRequest("request body is not valid JSON") from None
-            if not isinstance(decoded, dict):
-                raise _BadRequest("request body must be a JSON object")
-            params.update(decoded)
-        trace = Trace(self.spans, trace_id_from("serve", request_id))
-        with trace.span(
-            "http.request", method=method, path=url.path
-        ) as req_trace:
-            status, payload = await self._route(
-                method, url.path, params, req_trace
-            )
-            req_trace.attrs["status"] = status
-        return status, payload, request_id
-
-    async def _route(
+    def _route(
         self, method: str, path: str, params: dict, trace: Trace
-    ) -> tuple[int, dict]:
+    ) -> tuple[int, dict] | _EngineWork:
+        """Answer on the spot, or name the engine work the answer needs."""
+        allowed = _METHODS.get(path)
+        if allowed is None:
+            return 404, {"error": f"unknown path {path!r}"}
+        if method not in allowed:
+            return 405, {"error": f"{method} not allowed on {path}"}
         if path == "/healthz":
             return 200, {
                 "ok": True,
@@ -318,48 +315,220 @@ class QueryServer:
         if path == "/metrics":
             return 200, self.telemetry.snapshot()
         if path == "/query":
-            if method not in ("GET", "POST"):
-                return 405, {"error": f"{method} not allowed on /query"}
             q = _parse_query_params(params)
-            loop = asyncio.get_running_loop()
+
+            def answered(answer) -> tuple[int, dict]:
+                return 200, {"query": q.to_dict(), "answer": answer.to_dict()}
+
             try:
-                answer = await loop.run_in_executor(
-                    self._executor,
-                    lambda: self.resolver.resolve(q, trace=trace),
-                )
+                res = self.resolver.begin(q, trace=trace)
             except UnresolvedQueryError as exc:
                 return 422, {
                     "error": "unresolved",
                     "query": q.to_dict(),
                     "refusals": exc.refusals,
                 }
-            return 200, {"query": q.to_dict(), "answer": answer.to_dict()}
-        if path == "/reliability":
-            if method != "POST":
-                return 405, {
-                    "error": f"{method} not allowed on /reliability"
-                }
-            kwargs = _parse_reliability_params(params)
-            loop = asyncio.get_running_loop()
-            est = await loop.run_in_executor(
-                self._executor,
-                lambda: reliability.estimate(
-                    kwargs.pop("width"), **kwargs
-                ),
+            if res.answer is not None:
+                return answered(res.answer)
+            return _EngineWork(
+                lambda: self.resolver.run_engine(q),
+                lambda run: answered(self.resolver.finish(res, run)),
             )
-            return 200, est.to_dict()
-        if path == "/trace":
-            if method != "GET":
-                return 405, {"error": f"{method} not allowed on /trace"}
-            trace_id = params.get("trace")
-            if not trace_id and params.get("request"):
-                trace_id = trace_id_from("serve", str(params["request"]))
-            if not trace_id:
-                raise _BadRequest("pass ?request=REQUEST_ID or ?trace=ID")
-            spans = self.spans.of_trace(str(trace_id))
-            return 200, {
-                "trace_id": trace_id,
-                "spans": spans,
-                "merge_digest": spans_merge_digest(spans),
-            }
-        return 404, {"error": f"unknown path {path!r}"}
+        if path == "/reliability":
+            kwargs = _parse_reliability_params(params)
+            return _EngineWork(
+                lambda: reliability.estimate(**kwargs),
+                lambda est: (200, est.to_dict()),
+            )
+        # /trace
+        trace_id = params.get("trace")
+        if not trace_id and params.get("request"):
+            trace_id = trace_id_from("serve", str(params["request"]))
+        if not trace_id:
+            raise _Refused("pass ?request=REQUEST_ID or ?trace=ID")
+        spans = self.spans.of_trace(str(trace_id))
+        return 200, {
+            "trace_id": trace_id,
+            "spans": spans,
+            "merge_digest": spans_merge_digest(spans),
+        }
+
+
+class _Connection(asyncio.Protocol):
+    """One connection: one request in, one response out, close.
+
+    Everything here runs on the event-loop thread.  ``reading`` holds
+    until the request is complete (or refused, or abandoned); the one
+    response goes through :meth:`_respond`, after which bytes still
+    arriving, a late deadline or a late engine result find nothing to do.
+    """
+
+    def __init__(self, server: QueryServer) -> None:
+        self.server = server
+        self.buffer = bytearray()
+        self.body_start = -1  # index past the header block, once seen
+        self.content_length = 0
+        self.method = self.target = ""
+        self.reading = True
+        self.answered = False
+        self.where = "loop"  # or "executor": who computed the answer
+        # The http.request span while it is open: from routing until
+        # _respond (which may be a callback later).
+        self.span: AbstractContextManager | None = None
+
+    def connection_made(self, transport) -> None:
+        server = self.server
+        server._http_requests += 1
+        self.seq = server._http_requests
+        self.started = clock()
+        self.request_id = f"req-{self.seq}"
+        self.transport = transport
+        self.deadline = asyncio.get_running_loop().call_later(
+            _READ_DEADLINE_S, self._timed_out
+        )
+
+    def _timed_out(self) -> None:
+        self._respond(
+            408, {"error": f"request incomplete after {_READ_DEADLINE_S:g} s"}
+        )
+
+    def connection_lost(self, exc) -> None:
+        self.deadline.cancel()
+        self.transport = None
+        if self.reading:  # vanished mid-request: nothing was asked
+            self.reading = False
+            self.answered = True
+
+    def eof_received(self) -> bool:
+        if self.reading:
+            self._respond(
+                400, {"error": "connection closed mid-request"}
+            )
+        return True  # a half-closed client still gets its answer
+
+    def data_received(self, data: bytes) -> None:
+        if not self.reading:
+            return
+        buffer = self.buffer
+        seen = len(buffer)
+        buffer += data
+        try:
+            if self.body_start < 0:
+                end, gap = buffer.find(b"\r\n\r\n", max(0, seen - 3)), 4
+                if end < 0:  # bare-LF clients (nc, telnet) are tolerated
+                    end, gap = buffer.find(b"\n\n", max(0, seen - 1)), 2
+                if end > _MAX_HEADER or (
+                    end < 0 and len(buffer) > _MAX_HEADER
+                ):
+                    raise _Refused(
+                        f"header block exceeds {_MAX_HEADER} bytes", 431
+                    )
+                if end < 0:
+                    return
+                self._parse_head(bytes(buffer[:end]).decode("latin-1"))
+                self.body_start = end + gap
+            body_end = self.body_start + self.content_length
+            if len(buffer) < body_end:
+                return
+            self.reading = False
+            self.deadline.cancel()
+            self._dispatch(bytes(buffer[self.body_start:body_end]))
+        except _Refused as exc:
+            self._respond(exc.status, {"error": str(exc)})
+        except Exception as exc:  # never kill the server on one request
+            self._respond(500, {"error": f"{type(exc).__name__}: {exc}"})
+
+    def _parse_head(self, head: str) -> None:
+        request_line, *headers = head.split("\n")
+        parts = request_line.split()
+        if len(parts) != 3:
+            raise _Refused(
+                f"malformed request line {request_line.strip()!r}"
+            )
+        self.method, self.target, _version = parts
+        for line in headers:
+            name, _, value = line.partition(":")
+            header = name.strip().lower()
+            if header == "content-length":
+                try:
+                    self.content_length = int(value.strip())
+                except ValueError:
+                    self.content_length = -1
+                if self.content_length < 0:
+                    raise _Refused("bad Content-Length")
+            elif header == "x-request-id":
+                client_id = value.strip()
+                if _REQUEST_ID_RE.match(client_id):
+                    self.request_id = client_id
+        if self.content_length > _MAX_BODY:
+            raise _Refused("request body too large")
+
+    def _dispatch(self, body: bytes) -> None:
+        server = self.server
+        url = urlsplit(self.target)
+        params: dict = dict(parse_qsl(url.query))
+        if body:
+            try:
+                decoded = json.loads(body)
+            except ValueError:  # JSONDecodeError, UnicodeDecodeError
+                raise _Refused("request body is not valid JSON") from None
+            if not isinstance(decoded, dict):
+                raise _Refused("request body must be a JSON object")
+            params.update(decoded)
+        self.span = Trace(
+            server.spans, trace_id_from("serve", self.request_id)
+        ).span("http.request", method=self.method, path=url.path)
+        self.request_span = self.span.__enter__()
+        routed = server._route(
+            self.method, url.path, params, self.request_span
+        )
+        if isinstance(routed, _EngineWork):
+            self.where = "executor"
+            asyncio.get_running_loop().run_in_executor(
+                server._executor, _never_raise, routed.work
+            ).add_done_callback(partial(self._engine_done, routed.done))
+        else:
+            self._routed(*routed)
+
+    def _engine_done(self, done, future: asyncio.Future) -> None:
+        result, error = future.result()
+        try:
+            if error is not None:
+                raise error
+            self._routed(*done(result))
+        except Exception as exc:
+            self._respond(500, {"error": f"{type(exc).__name__}: {exc}"})
+
+    def _routed(self, status: int, payload: dict) -> None:
+        """The route returned (it did not raise): its span says how."""
+        self.request_span.attrs["status"] = status
+        self._respond(status, payload)
+
+    def _respond(self, status: int, payload: dict) -> None:
+        """Record and write the one response, then close."""
+        if self.answered:
+            return
+        self.reading = False
+        self.answered = True
+        self.deadline.cancel()
+        server = self.server
+        if self.span is not None:
+            self.span.__exit__(None, None, None)
+        server._record_http(
+            self.seq, status, payload, self.started, self.where
+        )
+        if self.transport is None:  # the client left while the engine ran
+            return
+        body = json.dumps(payload).encode("utf-8")
+        self.transport.write(
+            (
+                f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                f"x-request-id: {self.request_id}\r\n"
+                "Connection: close\r\n"
+                "\r\n"
+            ).encode("ascii")
+            + body
+        )
+        self.transport.close()

@@ -37,6 +37,15 @@ one ``tier.<name>`` span per attempted tier (attr ``outcome`` says
 ``answered`` or ``refused``) with an ``engine.run`` child span around
 any bounded-simulation fallback — the serve half of the cross-layer
 trace (:mod:`repro.obs.spans`).
+
+The cascade runs in two steps so a server can keep the cheap part on
+its event loop: :meth:`Resolver.begin` walks store → surrogate → model
+(microseconds, no engine work) and owns every piece of mutable resolver
+state; only when those refuse *and* simulation is enabled does
+:meth:`Resolver.run_engine` — pure engine work, safe on a worker
+thread — run, with :meth:`Resolver.finish` recording its spans and
+telemetry back on the owning thread.  :meth:`Resolver.resolve` is
+exactly those steps in sequence.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from repro.campaigns.query import extract_metric, metric_names, query
 from repro.core.evaluator import ENGINE_VERSION
 from repro.obs.converge import batch_means_ci
 from repro.obs.profile import clock
+from repro.obs.spans import Trace, make_span_id
 from repro.obs.telemetry import TelemetryRegistry
 from repro.serve import calibrate
 from repro.serve.surrogate import GridSurrogate, SurrogateError
@@ -60,7 +70,6 @@ __all__ = [
     "Query",
     "Resolver",
     "TIERS",
-    "TierRefusal",
     "UnresolvedQueryError",
 ]
 
@@ -84,6 +93,8 @@ class Query:
     n_faults: int = 0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.rate):
+            raise ValueError("rate must be finite")
         if self.rate < 0:
             raise ValueError("rate must be non-negative")
         if self.n_faults < 0:
@@ -126,10 +137,6 @@ class Answer:
         }
 
 
-class TierRefusal(RuntimeError):
-    """A tier declining a query (next tier is tried; not an error)."""
-
-
 class UnresolvedQueryError(LookupError):
     """No tier could serve the query; refusal reasons per tier."""
 
@@ -140,6 +147,35 @@ class UnresolvedQueryError(LookupError):
         super().__init__(
             f"no tier can answer {query.to_dict()} ({lines})"
         )
+
+
+class Resolution:
+    """One query part-way through the cascade (see :meth:`Resolver.begin`)."""
+
+    __slots__ = (
+        "request", "started", "trace", "refusals", "answer", "engine_started",
+    )
+
+    def __init__(self, request: int, started: float, trace) -> None:
+        self.request = request
+        self.started = started
+        self.trace = trace
+        self.refusals: dict[str, str] = {}
+        self.answer: Answer | None = None
+        self.engine_started = 0.0
+
+
+class EngineRun:
+    """What :meth:`Resolver.run_engine` measured, or the error it hit."""
+
+    __slots__ = ("started", "ended", "samples", "cycles", "cache", "error")
+
+    def __init__(self, started: float) -> None:
+        self.started = self.ended = started
+        self.samples: list[float] = []
+        self.cycles = 0
+        self.cache: dict = {}
+        self.error: Exception | None = None
 
 
 class Resolver:
@@ -171,7 +207,9 @@ class Resolver:
         self.telemetry = telemetry
         self._requests = 0
         self._surrogate: GridSurrogate | None = None
-        self._calibration: calibrate.Calibration | None = None
+        self._calibration: (
+            calibrate.Calibration | calibrate.CalibrationError | None
+        ) = None
         self._model = None  # lazy AnalyticalLatencyModel (costly to build)
         self._evaluator: CachedEvaluator | None = None
 
@@ -188,13 +226,40 @@ class Resolver:
         return self._surrogate
 
     def calibration(self) -> calibrate.Calibration:
-        """The persisted-or-fresh model calibration (engine-gated)."""
-        if self._calibration is None:
+        """The persisted-or-fresh model calibration (engine-gated).
+
+        A campaign that cannot be calibrated is remembered as such: the
+        fit is attempted once, later calls re-raise its refusal.
+        """
+        fitted = self._calibration
+        if fitted is None:
             array = query(
                 self.db, metrics=("latency",), allow_missing=True
             )
-            self._calibration = calibrate.load_or_fit(self.db, array)
-        return self._calibration
+            try:
+                fitted = calibrate.load_or_fit(self.db, array)
+            except calibrate.CalibrationError as exc:
+                fitted = exc
+            self._calibration = fitted
+        if isinstance(fitted, calibrate.CalibrationError):
+            raise calibrate.CalibrationError(str(fitted))
+        return fitted
+
+    def fit(self) -> None:
+        """Fit the lazy state now — surrogate, calibration, model — so no
+        later :meth:`begin` pays for it (a server calls this before it
+        accepts; the event loop never fits)."""
+        self.surrogate()
+        try:
+            self.calibration()
+        except calibrate.CalibrationError:
+            return  # remembered; the model tier refuses with it
+        self._analytical_model()
+
+    def _analytical_model(self):
+        if self._model is None:
+            self._model = calibrate.model_for(self.db)
+        return self._model
 
     def _cached_evaluator(self) -> CachedEvaluator:
         if self._evaluator is None:
@@ -262,10 +327,9 @@ class Resolver:
                 "the analytical model covers the fault-free mesh only"
             )
         calibration = self.calibration()
-        if self._model is None:
-            self._model = calibrate.model_for(self.db)
         value, ci, detail = calibrate.predict(
-            self.db, calibration, q.algorithm, q.rate, model=self._model
+            self.db, calibration, q.algorithm, q.rate,
+            model=self._analytical_model(),
         )
         return Answer(
             value=value,
@@ -278,69 +342,27 @@ class Resolver:
             detail=detail,
         )
 
-    def _try_simulation(self, q: Query, trace=None) -> Answer:
-        if not self.simulate:
-            raise TierRefusal(
-                "simulation fallback disabled (pass simulate=True)"
-            )
-        spec = self.db.spec
-        evaluator = self._cached_evaluator()
-        n_sets = spec.fault_sets if q.n_faults else 1
-        case = evaluator.fault_case(q.n_faults, n_sets)
-        samples = []
-        cycles = 0
-        span = (
-            trace.span("engine.run") if trace is not None else nullcontext()
-        )
-        with span as engine_span:
-            for fault_set, faults in enumerate(case.patterns):
-                for repeat in range(spec.repeats):
-                    result = evaluator.run_single(
-                        q.algorithm,
-                        faults,
-                        injection_rate=q.rate,
-                        set_index=fault_set * 1000 + repeat,
-                        cycles_mode="auto",
-                    )
-                    cycles += result.measured_cycles + result.config.warmup
-                    samples.append(extract_metric(result, q.metric))
-            if engine_span is not None:
-                engine_span.attrs["n_runs"] = len(samples)
-                engine_span.attrs["cycles"] = cycles
-        mean, ci = batch_means_ci(samples)
-        stats = evaluator.stats
-        return Answer(
-            value=mean,
-            ci=ci,
-            tier="simulation",
-            engine_version=ENGINE_VERSION,
-            n_samples=len(samples),
-            detail={
-                "kind": "bounded-simulation",
-                "cycles_mode": "auto",
-                "cache": stats.as_dict(),
-            },
-        )
-
     # ------------------------------------------------------------------
-    def resolve(self, q: Query, *, trace=None) -> Answer:
-        """Serve *q* from the cheapest tier able to answer it.
+    # The cascade: begin (tiers 1-3) -> run_engine -> finish (tier 4)
+    # ------------------------------------------------------------------
+    def begin(self, q: Query, *, trace=None) -> Resolution:
+        """Walk the tiers that need no engine work: store, surrogate, model.
 
-        With *trace* (a :class:`~repro.obs.spans.Trace`), every
-        attempted tier records a ``tier.<name>`` span under it; the
-        simulation tier nests an ``engine.run`` span inside its own.
+        Returns a :class:`Resolution` whose ``answer`` is set when one of
+        them served *q*.  With ``answer`` still ``None`` the simulation
+        tier is enabled and owed: pass :meth:`run_engine`'s result to
+        :meth:`finish`.  With simulation disabled an unserved query
+        raises :class:`UnresolvedQueryError` here.  Call on the thread
+        that owns this resolver (its counters, telemetry and spans).
         """
         self._requests += 1
-        request = self._requests
-        started = clock()
+        res = Resolution(self._requests, clock(), trace)
         if self.telemetry is not None:
-            self.telemetry.counter("serve.queries").inc(request)
-        refusals: dict[str, str] = {}
+            self.telemetry.counter("serve.queries").inc(res.request)
         tiers = (
             ("store", self._try_store),
             ("surrogate", self._try_surrogate),
             ("model", self._try_model),
-            ("simulation", self._try_simulation),
         )
         for tier, attempt in tiers:
             span = (
@@ -350,33 +372,125 @@ class Resolver:
             )
             with span as tier_trace:
                 try:
-                    if tier == "simulation":
-                        answer = self._try_simulation(q, trace=tier_trace)
-                    else:
-                        answer = attempt(q)
-                except (
-                    SurrogateError, calibrate.CalibrationError, TierRefusal
-                ) as exc:
-                    refusals[tier] = str(exc)
+                    answer = attempt(q)
+                except (SurrogateError, calibrate.CalibrationError) as exc:
+                    res.refusals[tier] = str(exc)
                     if tier_trace is not None:
                         tier_trace.attrs["outcome"] = "refused"
                     continue
                 if tier_trace is not None:
                     tier_trace.attrs["outcome"] = "answered"
-            self._observe(request, tier, started)
-            return answer
+            self._observe(res, tier)
+            res.answer = answer
+            return res
+        res.engine_started = clock()  # tier.simulation opens here
+        if self.simulate:
+            return res
+        res.refusals["simulation"] = (
+            "simulation fallback disabled (pass simulate=True)"
+        )
+        if trace is not None:
+            trace.record(
+                "tier.simulation", start=res.engine_started, end=clock(),
+                outcome="refused",
+            )
         if self.telemetry is not None:
-            self.telemetry.counter("serve.unresolved").inc(request)
-        raise UnresolvedQueryError(q, refusals)
+            self.telemetry.counter("serve.unresolved").inc(res.request)
+        raise UnresolvedQueryError(q, res.refusals)
 
-    def _observe(self, request: int, tier: str, started: float) -> None:
+    def run_engine(self, q: Query) -> EngineRun:
+        """The simulation tier's engine work: every declared sample of *q*
+        through the :class:`~repro.store.cache.CachedEvaluator`.
+
+        Touches no telemetry, span or fitted state, so it may run on a
+        worker thread (one at a time: the evaluator is not shared).  An
+        exception is carried in the result for :meth:`finish` to raise
+        on the owning thread.
+        """
+        run = EngineRun(clock())
+        try:
+            spec = self.db.spec
+            evaluator = self._cached_evaluator()
+            n_sets = spec.fault_sets if q.n_faults else 1
+            case = evaluator.fault_case(q.n_faults, n_sets)
+            for fault_set, faults in enumerate(case.patterns):
+                for repeat in range(spec.repeats):
+                    result = evaluator.run_single(
+                        q.algorithm,
+                        faults,
+                        injection_rate=q.rate,
+                        set_index=fault_set * 1000 + repeat,
+                        cycles_mode="auto",
+                    )
+                    run.cycles += (
+                        result.measured_cycles + result.config.warmup
+                    )
+                    run.samples.append(extract_metric(result, q.metric))
+            run.cache = evaluator.stats.as_dict()
+        except Exception as exc:
+            run.error = exc
+        run.ended = clock()
+        return run
+
+    def finish(self, res: Resolution, run: EngineRun) -> Answer:
+        """Close the simulation tier of *res* over a finished *run*:
+        its ``engine.run`` / ``tier.simulation`` spans, the answer, the
+        telemetry.  Raises what the engine raised, spans recorded."""
+        trace = res.trace
+        if trace is not None:
+            engine_attrs: dict = {}
+            tier_attrs: dict = {}
+            if run.error is None:
+                engine_attrs = {"n_runs": len(run.samples), "cycles": run.cycles}
+                tier_attrs = {"outcome": "answered"}
+            sim_id = make_span_id(
+                trace.trace_id, trace.span_id, "tier.simulation"
+            )
+            Trace(trace.recorder, trace.trace_id, sim_id).record(
+                "engine.run", start=run.started, end=run.ended, **engine_attrs
+            )
+            trace.record(
+                "tier.simulation", start=res.engine_started, end=clock(),
+                **tier_attrs,
+            )
+        if run.error is not None:
+            raise run.error
+        mean, ci = batch_means_ci(run.samples)
+        res.answer = Answer(
+            value=mean,
+            ci=ci,
+            tier="simulation",
+            engine_version=ENGINE_VERSION,
+            n_samples=len(run.samples),
+            detail={
+                "kind": "bounded-simulation",
+                "cycles_mode": "auto",
+                "cache": run.cache,
+            },
+        )
+        self._observe(res, "simulation")
+        return res.answer
+
+    def resolve(self, q: Query, *, trace=None) -> Answer:
+        """Serve *q* from the cheapest tier able to answer it.
+
+        With *trace* (a :class:`~repro.obs.spans.Trace`), every
+        attempted tier records a ``tier.<name>`` span under it; the
+        simulation tier nests an ``engine.run`` span inside its own.
+        """
+        res = self.begin(q, trace=trace)
+        if res.answer is None:
+            return self.finish(res, self.run_engine(q))
+        return res.answer
+
+    def _observe(self, res: Resolution, tier: str) -> None:
         if self.telemetry is None:
             return
-        elapsed_us = int((clock() - started) * 1e6)
-        self.telemetry.counter(f"serve.tier.{tier}").inc(request)
+        elapsed_us = int((clock() - res.started) * 1e6)
+        self.telemetry.counter(f"serve.tier.{tier}").inc(res.request)
         self.telemetry.histogram(
             "serve.latency_us", LATENCY_BOUNDS
-        ).observe(request, elapsed_us)
+        ).observe(res.request, elapsed_us)
         self.telemetry.histogram(
             f"serve.latency_us.{tier}", LATENCY_BOUNDS
-        ).observe(request, elapsed_us)
+        ).observe(res.request, elapsed_us)

@@ -176,7 +176,7 @@ class GridSurrogate:
         """
         points = self.series(algorithm, n_faults, metric)
         lo, hi = points[0].rate, points[-1].rate
-        if rate < lo or rate > hi:
+        if not lo <= rate <= hi:  # also true of NaN
             raise HullError(
                 f"rate {rate:g} is outside the fitted hull [{lo:g}, "
                 f"{hi:g}] for algorithm={algorithm!r} n_faults="

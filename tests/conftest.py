@@ -71,14 +71,13 @@ def algorithm_name(request) -> str:
     return request.param
 
 
-@pytest.fixture(scope="session")
-def serve_campaign(tmp_path_factory):
+def build_serve_campaign(root):
     """A completed fig2-style campaign grid for the serving-layer tests.
 
     Two algorithms x four rates x {fault-free, 2-fault} x two repeats:
     enough rates for held-out cross-validation (two interior points)
-    and a repeat axis for real CIs, small enough to simulate once per
-    session.
+    and a repeat axis for real CIs, small enough to simulate in half a
+    second.
     """
     from repro.campaigns.db import CampaignDB
     from repro.campaigns.shard import run_campaign
@@ -96,7 +95,14 @@ def serve_campaign(tmp_path_factory):
         fault_sets=1,
         repeats=2,
     )
-    db = CampaignDB(spec, tmp_path_factory.mktemp("serve") / "c")
+    db = CampaignDB(spec, root)
     db.save()
     run_campaign(db)
     return db
+
+
+@pytest.fixture(scope="session")
+def serve_campaign(tmp_path_factory):
+    """One :func:`build_serve_campaign` per session (tests that let the
+    simulation tier write to the store share those rows)."""
+    return build_serve_campaign(tmp_path_factory.mktemp("serve") / "c")

@@ -168,6 +168,15 @@ def test_serve_query_tiers_workload_self_checks_tiers():
     assert metrics["ops_per_sec"] > 0
 
 
+def test_serve_http_roundtrip_workload_self_checks_statuses():
+    """The same tiers over a real socket; a wrong tier or status raises."""
+    (w,) = [w for w in WORKLOADS if w.name == "serve_http_roundtrip"]
+    metrics = run_suite(workloads=(w,), repeats=1)["serve_http_roundtrip"]
+    # 2 algs x (3 store + 3 surrogate + 3 model + 3 refused) x 50 passes.
+    assert metrics["ops"] == 1200
+    assert metrics["ops_per_sec"] > 0
+
+
 def test_campaign_plan_resume_workload_times_pure_planning():
     """The workload plans, kills half the cells, and replans — its own
     internal exactness check raises if the resume plan is not exactly

@@ -3,28 +3,46 @@ QueryServer running on a background asyncio loop, stdlib client only."""
 
 import asyncio
 import json
+import math
+import os
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
+from conftest import build_serve_campaign
 
+from repro.campaigns.db import CampaignDB
 from repro.core.evaluator import ENGINE_VERSION
+from repro.serve import api
 from repro.serve.api import QueryServer
+
+
+@contextmanager
+def _serving(db, **kwargs):
+    """A started QueryServer (port=0: a free port) on its own loop thread."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    srv = QueryServer(db, **kwargs)
+    asyncio.run_coroutine_threadsafe(srv.start(), loop).result(timeout=30)
+    try:
+        yield srv
+    finally:
+        asyncio.run_coroutine_threadsafe(srv.stop(), loop).result(timeout=30)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=30)
+        loop.close()
 
 
 @pytest.fixture(scope="module")
 def server(serve_campaign):
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    srv = QueryServer(serve_campaign)  # port=0: bind a free port
-    asyncio.run_coroutine_threadsafe(srv.start(), loop).result(timeout=30)
-    yield srv
-    asyncio.run_coroutine_threadsafe(srv.stop(), loop).result(timeout=30)
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=30)
-    loop.close()
+    with _serving(serve_campaign) as srv:
+        yield srv
 
 
 def _request(server, path, body=None, method=None):
@@ -193,6 +211,14 @@ class TestRequestIds:
         assert status == 404
         assert headers["x-request-id"]
 
+    def test_refused_requests_echo_the_client_id_too(self, server):
+        # A refusal is traced under the client's id like any answer.
+        status, _, headers = _request_raw(
+            server, "/query?algorithm=nhop", headers={"x-request-id": "bad-1"}
+        )
+        assert status == 400
+        assert headers["x-request-id"] == "bad-1"
+
 
 class TestHttpMetrics:
     def test_per_request_counters_visible_in_metrics(self, server):
@@ -216,16 +242,8 @@ class TestHttpMetrics:
 @pytest.fixture(scope="module")
 def sim_server(serve_campaign):
     """A second server with the bounded-simulation fallback enabled."""
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    srv = QueryServer(serve_campaign, simulate=True)
-    asyncio.run_coroutine_threadsafe(srv.start(), loop).result(timeout=30)
-    yield srv
-    asyncio.run_coroutine_threadsafe(srv.stop(), loop).result(timeout=30)
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=30)
-    loop.close()
+    with _serving(serve_campaign, simulate=True) as srv:
+        yield srv
 
 
 class TestTraces:
@@ -296,3 +314,394 @@ class TestTraces:
         )
         assert status == 200
         assert trace["spans"] == []
+
+
+# ----------------------------------------------------------------------
+# Raw-socket client: framing, hostile input, loop/executor split
+# ----------------------------------------------------------------------
+def _request_bytes(method, target, body=None, request_id=None):
+    head = f"{method} {target} HTTP/1.1\r\nHost: test\r\n"
+    if request_id is not None:
+        head += f"x-request-id: {request_id}\r\n"
+    if body is not None:
+        head += f"Content-Length: {len(body)}\r\n"
+    return head.encode() + b"\r\n" + (body or b"")
+
+
+def _send(server, *segments, pause=0.0, half_close=False):
+    """Write *segments* one ``sendall`` each, read to EOF: the raw reply."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as c:
+        c.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for segment in segments:
+            c.sendall(segment)
+            time.sleep(pause)
+        if half_close:
+            c.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := c.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _parse(raw):
+    """``(status line, headers, JSON payload)`` of a raw reply."""
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("ascii").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    assert int(headers["Content-Length"]) == len(body)
+    return status_line, headers, json.loads(body)
+
+
+def _counter(server, name):
+    return server.telemetry.snapshot().get(name, {"value": 0})["value"]
+
+
+class TestFraming:
+    REQUEST = _request_bytes(
+        "POST", "/query?algorithm=nhop&rate=0.01",
+        body=b'{"rate": 0.015, "metric": "throughput"}',
+        request_id="framing",
+    )
+
+    def test_segmented_delivery_answers_like_one_write(self, server):
+        whole = _send(server, self.REQUEST)
+        assert _parse(whole)[0] == "HTTP/1.1 200 OK"
+        assert _parse(whole)[2]["answer"]["tier"] == "surrogate"
+        one_byte = [bytes([b]) for b in self.REQUEST]
+        assert _send(server, *one_byte, pause=0.0005) == whole
+        head, sep, body = self.REQUEST.partition(b"\r\n\r\n")
+        assert _send(server, head + sep, body, pause=0.05) == whole
+
+    def test_bare_lf_client_is_tolerated(self, server):
+        raw = _send(server, b"GET /healthz HTTP/1.1\nHost: nc\n\n")
+        assert _parse(raw)[0] == "HTTP/1.1 200 OK"
+
+
+_UNENDING_HEADER = b"GET /healthz HTTP/1.1\r\nx-pad: "
+#: ``(bytes sent, status, error substring)``
+_HOSTILE = [
+    (b"GET /healthz HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+     400, "Content-Length"),
+    (b"GET /healthz HTTP/1.1\r\nContent-Length: many\r\n\r\n",
+     400, "Content-Length"),
+    (b"POST /query HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
+     400, "too large"),
+    (_UNENDING_HEADER + b"a" * (api._MAX_HEADER + 1 - len(_UNENDING_HEADER)),
+     431, "header block exceeds"),
+    (b"GET /healthz HTTP/1.1\r\n" + b"a: b\r\n" * 11000 + b"\r\n",
+     431, "header block exceeds"),
+    (b"NONSENSE\r\n\r\n", 400, "malformed request line"),
+    (b"GET /healthz HTTP/1.1\r\nHost: slow", 408, "incomplete"),
+    (b"POST /query HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"rate\":",
+     408, "incomplete"),
+    (_request_bytes("POST", "/query", body=b"\xff\xfe"), 400, "valid JSON"),
+    (_request_bytes("DELETE", "/healthz"), 405, "DELETE not allowed"),
+    (_request_bytes("POST", "/metrics", body=b"{}"), 405, "POST not allowed"),
+    (_request_bytes("PUT", "/trace?request=x"), 405, "PUT not allowed"),
+    (_request_bytes("GET", "/query?algorithm=nhop&rate=nan"),
+     400, "finite"),
+    (_request_bytes("GET", "/query?algorithm=nhop&rate=inf"),
+     400, "finite"),
+    (_request_bytes("POST", "/query", body=b'{"algorithm":"nhop","rate":NaN}'),
+     400, "finite"),
+    (_request_bytes(
+        "POST", "/reliability",
+        body=b'{"width":6,"failure_rate":0.1,"trials":100000000}'),
+     400, f"capped at {api._MAX_TRIALS}"),
+    (_request_bytes(
+        "POST", "/reliability",
+        body=b'{"width":5000,"height":5000,"failure_rate":0.1}'),
+     400, f"1..{api._MAX_NODES} nodes"),
+    (_request_bytes(
+        "POST", "/reliability", body=b'{"width":0,"failure_rate":0.1}'),
+     400, f"1..{api._MAX_NODES} nodes"),
+]
+
+
+class TestHostileInput:
+    """Every bad request is a named 4xx and the server stays healthy."""
+
+    @pytest.fixture(autouse=True)
+    def short_deadline(self, monkeypatch):
+        monkeypatch.setattr(api, "_READ_DEADLINE_S", 0.3)
+
+    @pytest.mark.parametrize(
+        "sent, status, reason", _HOSTILE,
+        ids=[f"{i}-{case[1]}" for i, case in enumerate(_HOSTILE)],
+    )
+    def test_fails_closed_with_a_named_status(
+        self, server, sent, status, reason
+    ):
+        status_line, headers, payload = _parse(_send(server, sent))
+        assert status_line == f"HTTP/1.1 {status} {api._REASONS[status]}"
+        assert headers["Connection"] == "close"
+        assert reason in payload["error"]
+        assert _parse(_send(server, _request_bytes("GET", "/healthz")))[2]["ok"]
+
+    def test_half_closed_mid_request_is_400(self, server):
+        raw = _send(server, b"GET /healthz HTTP/1.1\r\n", half_close=True)
+        status_line, _, payload = _parse(raw)
+        assert status_line.startswith("HTTP/1.1 400")
+        assert "closed mid-request" in payload["error"]
+
+    def test_disconnect_mid_request_leaves_nothing_pending(self, server):
+        for partial in (b"", b"GET /que", b"POST /query HTTP/1.1\r\n"
+                        b"Content-Length: 10\r\n\r\n{"):
+            with socket.create_connection(("127.0.0.1", server.port)) as c:
+                c.sendall(partial)
+        assert _parse(_send(server, _request_bytes("GET", "/healthz")))[2]["ok"]
+        time.sleep(0.5)  # past the (shortened) read deadline
+
+        async def pending():
+            return len(asyncio.all_tasks()) - 1  # minus this probe
+
+        loop = server._server.get_loop()
+        assert asyncio.run_coroutine_threadsafe(
+            pending(), loop
+        ).result(timeout=30) == 0
+        assert not any(
+            "_Connection" in repr(handle) and not handle.cancelled()
+            for handle in loop._scheduled
+        )
+
+    def test_reliability_workers_are_clamped_to_the_host(self, server):
+        kwargs = api._parse_reliability_params(
+            {"width": 6, "failure_rate": 0.1, "workers": 10_000}
+        )
+        assert 1 <= kwargs["workers"] <= (os.cpu_count() or 1)
+        body = {"width": 6, "failure_rate": 0.1, "trials": 600, "seed": 3}
+        status, alone = _request(server, "/reliability", body=body)
+        assert status == 200
+        assert _request(
+            server, "/reliability", body={**body, "workers": 10_000}
+        ) == (200, alone)
+
+    @pytest.mark.parametrize("error", [StopIteration("odd"), KeyError("k")])
+    def test_any_resolution_error_is_a_500_with_a_reason(
+        self, server, monkeypatch, error
+    ):
+        def explode(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(server.resolver, "begin", explode)
+        status, payload = _request(server, "/query?algorithm=nhop&rate=0.01")
+        assert status == 500
+        assert type(error).__name__ in payload["error"]
+        monkeypatch.setattr(api.reliability, "estimate", explode)
+        status, payload = _request(
+            server, "/reliability", body={"width": 6, "failure_rate": 0.1}
+        )
+        assert status == 500
+        assert type(error).__name__ in payload["error"]
+
+
+class TestLoopExecutorSplit:
+    """Cheap answers never queue behind engine work."""
+
+    STORE = "/query?algorithm=nhop&rate=0.01"
+    ENGINE = {
+        # what reaches the executor on each kind of server
+        False: ("/reliability",
+                {"width": 6, "failure_rate": 0.1, "trials": 50}),
+        True: ("/query?algorithm=nhop&rate=0.01&n_faults=1", None),
+    }
+
+    @pytest.mark.parametrize("simulate", [False, True])
+    def test_cheap_requests_overtake_a_busy_executor(
+        self, request, simulate
+    ):
+        srv = request.getfixturevalue("sim_server" if simulate else "server")
+        on_loop = _counter(srv, "serve.http.resolved.loop")
+        on_executor = _counter(srv, "serve.http.resolved.executor")
+        release = threading.Event()
+        srv._executor.submit(release.wait, 60)
+        path, body = self.ENGINE[simulate]
+        engine_reply = []
+        engine_client = threading.Thread(
+            target=lambda: engine_reply.append(_request(srv, path, body=body))
+        )
+        engine_client.start()
+        try:
+            cheap = [
+                self.STORE,
+                "/query?algorithm=nhop&rate=0.015",
+                "/query?algorithm=nhop&rate=0.002",
+                "/healthz",
+            ]
+            tiers = []
+            for target in cheap:
+                status, payload = _request(srv, target)
+                assert status == 200
+                tiers.append(payload.get("answer", {}).get("tier"))
+            assert tiers == ["store", "surrogate", "model", None]
+            if not simulate:
+                status, _ = _request(
+                    srv, "/query?algorithm=nhop&rate=0.9&metric=throughput"
+                )
+                assert status == 422
+                cheap.append("refused")
+            assert not engine_reply  # still parked behind the blocker
+        finally:
+            release.set()
+            engine_client.join(timeout=60)
+        assert engine_reply[0][0] == 200
+        assert (
+            _counter(srv, "serve.http.resolved.loop") - on_loop == len(cheap)
+        )
+        assert _counter(srv, "serve.http.resolved.executor") - on_executor == 1
+
+
+# ----------------------------------------------------------------------
+# The wire contract, pinned: 40 requests recorded on the stream-based
+# transport this one replaced (PR 14); re-record deliberately with
+#   SERVE_SCRIPT_RECORD=1 python -m pytest tests/test_serve_api.py -k script
+# ----------------------------------------------------------------------
+_GOLDEN = Path(__file__).with_name("serve_http_script.json")
+
+
+def _json_body(**fields):
+    return json.dumps(fields).encode()
+
+
+#: ``(server, request bytes)``: "mix" cannot simulate, "sim" can.
+_SCRIPT = [
+    ("mix", _request_bytes("GET", "/healthz")),
+    ("mix", _request_bytes("GET", "/query?algorithm=nhop&rate=0.01")),
+    ("mix", _request_bytes(
+        "GET", "/query?algorithm=duato-nbc&rate=0.02&metric=throughput")),
+    ("mix", _request_bytes(
+        "GET", "/query?algorithm=nhop&rate=0.015", request_id="script-sur.1")),
+    ("mix", _request_bytes(
+        "GET", "/query?algorithm=duato-nbc&rate=0.025&n_faults=2")),
+    ("mix", _request_bytes("GET", "/query?algorithm=nhop&rate=0.002")),
+    ("mix", _request_bytes("GET", "/query?algorithm=duato-nbc&rate=0.001")),
+    ("mix", _request_bytes(
+        "GET", "/query?algorithm=nhop&rate=0.09&metric=throughput",
+        request_id="script-refused")),
+    ("mix", _request_bytes("GET", "/query?algorithm=bogus&rate=0.01")),
+    ("mix", _request_bytes("GET", "/query?algorithm=nhop")),
+    ("mix", _request_bytes("GET", "/query?algorithm=nhop&rate=abc")),
+    ("mix", _request_bytes("GET", "/query?algorithm=nhop&rate=0.01&metric=flux")),
+    ("mix", _request_bytes("GET", "/query?algorithm=nhop&rate=-1")),
+    ("mix", _request_bytes("GET", "/query?algorithm=nhop&rate=0.01&n_faults=x")),
+    ("mix", _request_bytes(
+        "POST", "/query", body=_json_body(algorithm="nhop", rate=0.01))),
+    ("mix", _request_bytes(
+        "POST", "/query?algorithm=nhop&rate=0.01", body=_json_body(rate=0.015))),
+    ("mix", _request_bytes("POST", "/query", body=b"not json")),
+    ("mix", _request_bytes("POST", "/query", body=b"[1, 2]")),
+    ("mix", _request_bytes("PUT", "/query?algorithm=nhop&rate=0.01")),
+    ("mix", _request_bytes("GET", "/reliability?width=6&failure_rate=0.1")),
+    ("mix", _request_bytes("POST", "/reliability", body=_json_body(
+        width=6, failure_rate=0.1, trials=100, seed=11))),
+    ("mix", _request_bytes("POST", "/reliability", request_id="script-rel",
+                           body=_json_body(width=4, height=3, failure_rate=0.2,
+                                           trials=300))),
+    ("mix", _request_bytes(
+        "POST", "/reliability", body=_json_body(failure_rate=0.1))),
+    ("mix", _request_bytes(
+        "POST", "/reliability", body=_json_body(width="six", failure_rate=0.1))),
+    ("mix", _request_bytes(
+        "POST", "/reliability", body=_json_body(width=6, failure_rate=1.5))),
+    ("mix", _request_bytes("GET", "/nope")),
+    ("mix", b"NONSENSE\r\n\r\n"),
+    ("mix", _request_bytes("GET", "/healthz", request_id="bad id!")),
+    ("mix", _request_bytes("GET", "/trace")),
+    ("mix", _request_bytes("GET", "/trace?request=script-refused")),
+    ("mix", _request_bytes("GET", "/trace?request=never-seen")),
+    ("mix", _request_bytes("POST", "/trace?request=x", body=b"{}")),
+    ("mix", _request_bytes("GET", "/metrics")),
+    ("sim", _request_bytes("GET", "/healthz")),
+    ("sim", _request_bytes("GET", "/query?algorithm=nhop&rate=0.01")),
+    ("sim", _request_bytes("GET", "/query?algorithm=nhop&rate=0.01&n_faults=1",
+                           request_id="script-sim-1")),
+    ("sim", _request_bytes("GET", "/query?algorithm=nhop&rate=0.01&n_faults=1",
+                           request_id="script-sim-2")),
+    ("sim", _request_bytes("GET", "/query?algorithm=bogus&rate=0.01")),
+    ("sim", _request_bytes("GET", "/trace?request=script-sim-1")),
+    ("sim", _request_bytes("GET", "/metrics")),
+]
+
+#: Landed with the protocol transport: not on the parent's recording.
+_NEW_COUNTERS = "serve.http.resolved."
+
+
+def _span_view(span):
+    return {k: span[k] for k in
+            ("trace_id", "span_id", "parent_id", "name", "kind", "attrs")}
+
+
+def _metrics_view(snapshot):
+    """Counter values, histogram totals and stamps: no latencies."""
+    return {
+        name: {k: v for k, v in entry.items()
+               if k in ("type", "value", "total", "last_cycle")}
+        for name, entry in snapshot.items()
+        if name.startswith("serve.") and not name.startswith(_NEW_COUNTERS)
+    }
+
+
+def _reply_view(raw):
+    """One reply with its clock readings taken out: ``/trace`` spans lose
+    their stamps, ``/metrics`` its latency buckets (and with them the
+    ``Content-Length``, which :func:`_parse` checks against the body)."""
+    status_line, headers, payload = _parse(raw)
+    if "spans" in payload:
+        payload = {**payload, "spans": [_span_view(s) for s in payload["spans"]]}
+        del headers["Content-Length"]
+    elif "serve.http.requests" in payload:
+        payload = _metrics_view(payload)
+        del headers["Content-Length"]
+    return {"status_line": status_line, "headers": headers, "payload": payload}
+
+
+def _same(got, want):
+    """Equal, floats to 1e-9 relative (numpy builds differ in the last ulp)."""
+    if isinstance(want, float) and isinstance(got, float):
+        return math.isclose(got, want, rel_tol=1e-9)
+    if isinstance(want, dict) and isinstance(got, dict):
+        return got.keys() == want.keys() and all(
+            _same(got[k], want[k]) for k in want
+        )
+    if isinstance(want, list) and isinstance(got, list):
+        return len(got) == len(want) and all(map(_same, got, want))
+    return got == want
+
+
+def test_script_of_40_requests_matches_the_parent_recording(tmp_path):
+    # A campaign of its own: the recorded simulation answers count the
+    # store misses of a store no other test has simulated into.
+    root = build_serve_campaign(tmp_path / "c").root
+    assert len(_SCRIPT) == 40
+    with _serving(CampaignDB.open(root)) as mix, \
+            _serving(CampaignDB.open(root), simulate=True) as sim:
+        servers = {"mix": mix, "sim": sim}
+        run = {
+            "replies": [
+                _reply_view(_send(servers[label], sent))
+                for label, sent in _SCRIPT
+            ],
+            "counters": {
+                label: _metrics_view(srv.telemetry.snapshot())
+                for label, srv in servers.items()
+            },
+            "spans": {
+                label: [_span_view(s) for s in srv.spans.spans]
+                for label, srv in servers.items()
+            },
+        }
+        resolved = {
+            label: (_counter(srv, "serve.http.resolved.loop"),
+                    _counter(srv, "serve.http.resolved.executor"))
+            for label, srv in servers.items()
+        }
+    if os.environ.get("SERVE_SCRIPT_RECORD"):
+        _GOLDEN.write_text(json.dumps(run, indent=1, sort_keys=True) + "\n")
+    golden = json.loads(_GOLDEN.read_text())
+    run = json.loads(json.dumps(run))  # tuples -> lists, as recorded
+    for i, (got, want) in enumerate(zip(run["replies"], golden["replies"])):
+        assert _same(got, want), (i, _SCRIPT[i], got, want)
+    assert _same(run["counters"], golden["counters"])
+    assert _same(run["spans"], golden["spans"])
+    # 3 /reliability runs on the executor; 3 engine-tier queries likewise.
+    assert resolved == {"mix": (30, 3), "sim": (4, 3)}

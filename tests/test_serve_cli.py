@@ -61,6 +61,14 @@ class TestQueryVerb:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_rate_exits_2(self, root, capsys, rate):
+        rc = main([
+            "query", root, "--algorithm", "nhop", "--rate", rate,
+        ])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_campaign_exits_2(self, tmp_path, capsys):
         rc = main([
             "query", str(tmp_path / "nope"),

@@ -26,6 +26,11 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="non-negative"):
             Query("nhop", -0.01)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            Query("nhop", rate)
+
     def test_rejects_unknown_metric(self):
         with pytest.raises(ValueError, match="unknown metric"):
             Query("nhop", 0.01, metric="flux")
@@ -128,6 +133,41 @@ class TestSimulationTier:
         second = r.resolve(q)
         assert second.value == first.value
         assert r.simulations_run == ran
+
+    def test_cascade_in_two_steps_is_the_same_walk(self, serve_campaign):
+        """What the HTTP server does: ``begin`` on its loop, ``run_engine``
+        elsewhere, ``finish`` back on the loop."""
+        registry = TelemetryRegistry()
+        r = Resolver(serve_campaign, simulate=True, telemetry=registry)
+        cheap = r.begin(Query("nhop", 0.015))
+        assert cheap.answer.tier == "surrogate"  # nothing owed
+        q = Query("nhop", 0.9, metric="throughput")
+        owed = r.begin(q)
+        assert owed.answer is None
+        assert set(owed.refusals) == {"store", "surrogate", "model"}
+        assert registry.value("serve.tier.simulation") == 0
+        answer = r.finish(owed, r.run_engine(q))
+        assert answer.tier == "simulation"
+        assert answer.value == r.resolve(q).value
+        assert registry.value("serve.queries") == 3
+        assert registry.value("serve.tier.simulation") == 2
+
+    def test_engine_errors_surface_from_finish(self, serve_campaign):
+        r = Resolver(serve_campaign, simulate=True)
+        q = Query("no-such-algorithm", 0.01)
+        run = r.run_engine(q)  # never raises: the error rides in the run
+        assert run.error is not None
+        with pytest.raises(type(run.error)):
+            r.finish(r.begin(q), run)
+
+    def test_fit_leaves_nothing_lazy(self, serve_campaign):
+        r = Resolver(serve_campaign)
+        r.fit()
+        fitted = (r._surrogate, r._calibration, r._model)
+        assert None not in fitted
+        r.resolve(Query("nhop", 0.002))  # model tier
+        after = (r._surrogate, r._calibration, r._model)
+        assert all(a is b for a, b in zip(after, fitted))
 
     def test_simulation_uses_auto_cycles(self, serve_campaign):
         r = Resolver(serve_campaign, simulate=True)

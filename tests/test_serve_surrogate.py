@@ -88,6 +88,13 @@ class TestPrediction:
         with pytest.raises(HullError, match="refuses to extrapolate"):
             surrogate.predict("nhop", 0, 0.5, "latency")
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_is_a_hull_refusal(self, surrogate, rate):
+        # NaN compares false with both bounds; the hull check must still
+        # refuse it (the bracket search below it assumes an interior rate).
+        with pytest.raises(HullError, match="refuses to extrapolate"):
+            surrogate.predict("nhop", 0, rate, "latency")
+
     def test_hull_bounds_reported(self, surrogate):
         assert surrogate.hull("nhop", 0, "latency") == (0.005, 0.03)
 
