@@ -12,7 +12,6 @@ CLI: ``python -m repro.campaigns {plan,run,status,query,merge}``.
 
 from repro.campaigns.db import CampaignDB, CampaignPlan, store_digest
 from repro.campaigns.query import CampaignArray, MissingCellsError, query
-from repro.campaigns.runner import CampaignRunner, load_campaign
 from repro.campaigns.shard import (
     merge_shards,
     partition_cells,
@@ -25,12 +24,10 @@ __all__ = [
     "CampaignArray",
     "CampaignDB",
     "CampaignPlan",
-    "CampaignRunner",
     "CampaignSpec",
     "MissingCellsError",
     "cell_id",
     "fault_case_label",
-    "load_campaign",
     "merge_shards",
     "partition_cells",
     "query",

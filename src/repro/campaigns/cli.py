@@ -37,19 +37,34 @@ __all__ = ["main"]
 
 
 def _load_db(args: argparse.Namespace) -> CampaignDB:
-    """Open (or, with ``--spec``, create and save) the campaign."""
-    spec_path = getattr(args, "spec", None)
-    store = getattr(args, "store", None)
-    if spec_path is not None:
-        spec = CampaignSpec.from_dict(json.loads(Path(spec_path).read_text()))
-        db = CampaignDB(spec, args.root, store=store)
-        db.save()
-        return db
-    return CampaignDB.open(args.root, store=store)
+    """Open (or, with ``--spec``, create and save) the campaign.
+
+    A spec file or ``campaign.json`` that does not parse or validate is
+    a :class:`ValueError` naming the file (``main`` turns it into
+    ``error: <file>: <reason>``, exit 2).
+    """
+    source = args.spec if args.spec is not None else args.root / "campaign.json"
+    try:
+        if args.spec is None:
+            return CampaignDB.open(args.root, store=args.store)
+        spec = CampaignSpec.from_dict(json.loads(args.spec.read_text()))
+    except KeyError as exc:
+        raise ValueError(f"{source}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    db = CampaignDB(spec, args.root, store=args.store)
+    db.save()
+    return db
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    db = _load_db(args)
+def _shard_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError("need at least one shard")
+    return count
+
+
+def _cmd_plan(args: argparse.Namespace, db: CampaignDB) -> int:
     plan = db.plan()
     if args.json:
         print(json.dumps(plan.to_dict(), indent=2))
@@ -63,10 +78,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace, db: CampaignDB) -> int:
     from repro.campaigns.shard import run_campaign
 
-    db = _load_db(args)
     progress = None
     if not args.quiet:
         progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
@@ -86,8 +100,7 @@ def _bar(done: int, total: int, width: int = 20) -> str:
     return "#" * filled + "." * (width - filled)
 
 
-def _cmd_status(args: argparse.Namespace) -> int:
-    db = _load_db(args)
+def _cmd_status(args: argparse.Namespace, db: CampaignDB) -> int:
     status = db.status()
     if args.json:
         print(json.dumps(status, indent=2))
@@ -116,10 +129,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def _cmd_query(args: argparse.Namespace, db: CampaignDB) -> int:
     from repro.campaigns.query import METRICS, MissingCellsError, query
 
-    db = _load_db(args)
     metrics = tuple(args.metrics) if args.metrics else METRICS
     try:
         array = query(db, metrics=metrics, allow_missing=args.allow_missing)
@@ -144,16 +156,19 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_merge(args: argparse.Namespace) -> int:
+def _cmd_merge(args: argparse.Namespace, db: CampaignDB) -> int:
     from repro.campaigns.shard import merge_shards
 
-    db = _load_db(args)
     registry = None
     if args.telemetry:
         from repro.obs.telemetry import TelemetryRegistry
 
         registry = TelemetryRegistry()
-    summary = merge_shards(db, args.shard_roots, registry=registry)
+    try:
+        summary = merge_shards(db, args.shard_roots, registry=registry)
+    except ValueError as exc:  # a root that is not a shard directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -186,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser(
         "run", parents=[common], help="execute the missing cells"
     )
-    p_run.add_argument("--shards", type=int, default=1,
+    p_run.add_argument("--shards", type=_shard_count, default=1,
                        help="shard count (default: 1, sequential)")
     p_run.add_argument("--workers", type=int, default=None,
                        help="pool size (default: one per shard)")
@@ -233,7 +248,12 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        db = _load_db(args)
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return args.fn(args, db)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

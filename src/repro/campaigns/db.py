@@ -36,6 +36,7 @@ from repro.campaigns.spec import (
     CELL_FIELDS,
     CampaignSpec,
     cell_id,
+    cell_set_index,
     draw_cases,
     fault_case_label,
 )
@@ -148,7 +149,7 @@ class CampaignDB:
                     coords["algorithm"],
                     faults,
                     injection_rate=coords["rate"],
-                    set_index=coords["fault_set"] * 1000 + coords["repeat"],
+                    set_index=cell_set_index(coords),
                 )
                 records.append(
                     {

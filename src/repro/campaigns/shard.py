@@ -38,12 +38,21 @@ value.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 from repro.campaigns.db import CampaignDB, store_digest
-from repro.campaigns.runner import campaign_cells
-from repro.campaigns.spec import CELL_FIELDS, CampaignSpec, draw_cases
-from repro.experiments.parallel import parallel_map, worker_evaluator
+from repro.campaigns.spec import (
+    CampaignSpec,
+    cell_id,
+    draw_cases,
+    execute_cell,
+)
+from repro.experiments.parallel import (
+    parallel_map,
+    timed_cell,
+    worker_evaluator,
+)
 from repro.obs.manifest import ManifestWriter, read_manifest
 from repro.obs.profile import clock
 from repro.obs.spans import (
@@ -77,6 +86,40 @@ def partition_cells(cells: list[dict], n_shards: int) -> list[list[dict]]:
     return [cells[i::n_shards] for i in range(n_shards)]
 
 
+def campaign_cells(
+    evaluator, cases: dict, keys, *, manifest=None, trace_context=None
+):
+    """Run campaign cells one by one, yielding each finished cell.
+
+    Every cell goes through :func:`~repro.experiments.parallel.
+    timed_cell` (timing, cache delta, manifest events); its result lands
+    in the evaluator's store, so the cell carries no ``value``.
+    *trace_context* is the campaign's ``(trace_id, root_span_id)``: when
+    set, each cell carries a ``cell`` span keyed by its id, a direct
+    child of the campaign root — no worker- or shard-level parent, so
+    ids do not depend on the dispatch.
+    """
+    for key in keys:
+        cid = cell_id(key)
+        span = None
+        if trace_context is not None:
+            span = {
+                "name": "cell",
+                "trace_id": trace_context[0],
+                "parent_id": trace_context[1],
+                "key": cid,
+            }
+        yield timed_cell(
+            cid, partial(_cell_run, evaluator, cases, key), evaluator,
+            manifest=manifest, span=span,
+        )
+
+
+def _cell_run(evaluator, cases: dict, key: dict) -> tuple[None, int]:
+    result = execute_cell(evaluator, cases, key)
+    return None, result.measured_cycles + result.config.warmup
+
+
 def _execute(
     spec: CampaignSpec,
     coords: list[dict],
@@ -94,9 +137,9 @@ def _execute(
 
     The one executor behind a shard (own store, own manifest) and the
     sequential campaign (the campaign's store and manifest): a fresh
-    evaluator and registry, every cell through
-    :func:`~repro.campaigns.runner.campaign_cells`, each cell's span
-    written as it finishes.  *root_start* makes this run the whole
+    evaluator and registry, every cell through :func:`campaign_cells`
+    (results go to *store*; only ``id/seconds/cycles`` are kept here),
+    each cell's span written as it finishes.  *root_start* makes this run the whole
     campaign: its ``campaign`` root span (started then) closes the run.
     Returns ``(registry, cells, spans)``.
     """
@@ -210,11 +253,19 @@ def merge_shards(
     :func:`~repro.campaigns.db.store_digest`, the merged telemetry
     digest, and the merged span digest — the values a proof-of-equality
     check compares against a sequential run.
+
+    A root without a ``store/`` directory is not a shard: the merge
+    raises :class:`ValueError` before touching the campaign (opening a
+    :class:`~repro.store.ResultStore` there would create one).
     """
+    shard_roots = [Path(p) for p in shard_roots]
+    for shard_root in shard_roots:
+        if not (shard_root / "store").is_dir():
+            raise ValueError(f"{shard_root}: not a shard directory")
     merged_rows = 0
     cell_events: list[dict] = []
     shard_spans: list[dict] = []
-    for shard_root in [Path(p) for p in shard_roots]:
+    for shard_root in shard_roots:
         shard_store = ResultStore(shard_root / "store")
         for row in shard_store.rows():
             merged_rows += db.store.put(
@@ -297,14 +348,14 @@ def run_campaign(
     Returns a JSON-safe summary including the campaign store digest
     and, when *telemetry* is on, the merged registry digest.
     """
-
-    plan = db.plan()
-    missing = [{f: c[f] for f in CELL_FIELDS} for c in plan.missing]
+    missing = db.missing_coords()
+    planned = len(db.cells())
+    already_done = planned - len(missing)
     db.save()
     summary = {
         "name": db.spec.name,
-        "planned": plan.total,
-        "already_done": plan.done,
+        "planned": planned,
+        "already_done": already_done,
         "executed": len(missing),
         "shards": shards,
     }
@@ -315,7 +366,7 @@ def run_campaign(
         registry, _, spans = _execute(
             db.spec, missing, db.store, db.events_path, kind="campaign",
             with_telemetry=telemetry, trace_context=(trace_id, root_id),
-            root_start=t_campaign0, progress=progress, resumed=plan.done,
+            root_start=t_campaign0, progress=progress, resumed=already_done,
         )
         summary["telemetry_digest"] = (
             registry.merge_digest() if registry is not None else None

@@ -20,6 +20,7 @@ from repro.util.serialization import config_from_dict, config_to_dict
 __all__ = [
     "CampaignSpec",
     "cell_id",
+    "cell_set_index",
     "draw_cases",
     "execute_cell",
     "fault_case_label",
@@ -124,7 +125,7 @@ class CampaignSpec:
 
 
 def cell_id(key: dict) -> str:
-    """Human-readable stable id of one cell (the results.jsonl ``id``)."""
+    """Human-readable stable id of one cell (manifest, span and plan id)."""
     return (
         f"{key['algorithm']}/r{key['rate']:.9f}/f{key['n_faults']}"
         f"/s{key['fault_set']}/x{key['repeat']}"
@@ -150,23 +151,17 @@ def draw_cases(evaluator: Evaluator, spec: CampaignSpec) -> dict:
     }
 
 
-def execute_cell(evaluator: Evaluator, cases: dict, key: dict) -> dict:
-    """Run one grid cell and flatten it to a JSON-safe results row."""
-    case = cases[key["n_faults"]]
-    faults = case.patterns[key["fault_set"]]
-    result = evaluator.run_single(
+def cell_set_index(key: dict) -> int:
+    """The evaluator ``set_index`` of one cell — it seeds the run and so
+    is part of the store key; planning and execution both derive it here."""
+    return key["fault_set"] * 1000 + key["repeat"]
+
+
+def execute_cell(evaluator: Evaluator, cases: dict, key: dict):
+    """Run one grid cell; returns its ``SimulationResult``."""
+    return evaluator.run_single(
         key["algorithm"],
-        faults,
+        cases[key["n_faults"]].patterns[key["fault_set"]],
         injection_rate=key["rate"],
-        set_index=key["fault_set"] * 1000 + key["repeat"],
+        set_index=cell_set_index(key),
     )
-    return {
-        **{f: key[f] for f in CELL_FIELDS},
-        "throughput": result.throughput,
-        "latency": result.avg_latency,
-        "network_latency": result.avg_network_latency,
-        "delivered": result.delivered,
-        "dropped": result.dropped_deadlock + result.dropped_livelock,
-        "avg_hops": result.avg_hops,
-        "cycles": result.measured_cycles + result.config.warmup,
-    }

@@ -9,7 +9,7 @@ Examples::
     python -m repro.experiments all --store            # cache in .repro-store
     python -m repro.experiments store stats            # inspect the cache
     python -m repro.experiments verify check --all     # static routing analysis
-    python -m repro.experiments obs bench --label pr3  # perf trajectory
+    python -m repro.experiments obs bench --label pr15 # perf trajectory
     python -m repro.experiments fig3 --telemetry       # engine counters
     python -m repro.experiments serve query runs/c1 \
         --algorithm nhop --rate 0.01                   # tiered answers
@@ -114,17 +114,9 @@ def main(argv: list[str] | None = None) -> int:
         "experiment",
         choices=EXPERIMENTS
         + ABLATION_COMMANDS
-        + ("all", "ablations", "report", "campaign"),
+        + ("all", "ablations", "report"),
         help="which figure or ablation study to regenerate ('report' "
-        "renders saved JSON from --out as markdown; 'campaign' runs a "
-        "--spec manifest)",
-    )
-    parser.add_argument(
-        "--spec",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="campaign spec JSON (required by the 'campaign' command)",
+        "renders saved JSON from --out as markdown)",
     )
     parser.add_argument(
         "--profile",
@@ -166,8 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="process-pool size for the figure grids and campaigns "
-        "(default 1)",
+        help="process-pool size for the figure grids (default 1)",
     )
     parser.add_argument(
         "--store",
@@ -245,29 +236,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.experiments.report import summarize_directory
 
         print(summarize_directory(args.out or Path("results")))
-        return 0
-
-    if args.experiment == "campaign":
-        from repro.campaigns import CampaignRunner, CampaignSpec
-
-        if args.spec is None:
-            parser.error("campaign requires --spec FILE")
-        spec = CampaignSpec.from_dict(json.loads(args.spec.read_text()))
-        out_dir = args.out or Path("campaigns") / spec.name
-        runner = CampaignRunner(
-            spec, out_dir, store=store, instrument=instrument
-        )
-        progress_cb = None if args.quiet else (
-            lambda s: print(s, file=sys.stderr)
-        )
-        executed = runner.run(progress=progress_cb, workers=args.workers)
-        rows = runner.load_results()
-        print(
-            f"campaign {spec.name!r}: {executed} jobs executed, "
-            f"{len(rows)} total results in {out_dir}"
-        )
-        if telemetry is not None:
-            print(telemetry.render(prefix="engine."))
         return 0
 
     profile_name = args.profile

@@ -1,4 +1,4 @@
-"""The one cell path: figures, campaigns, pool workers and shards.
+"""The one cell path: figure cells, pool workers and campaign shards.
 
 Every result in the paper is a per-algorithm series over a small grid,
 and every runner in this repository does the same thing to produce one:
@@ -8,13 +8,15 @@ traffic, and record its trace span.  That happens in exactly one place,
 :func:`timed_cell`; the runners differ only in *dispatch* — which
 evaluator the cell runs against and in which process:
 
-* **in process** — cells run against the caller's shared evaluator and
+* **in process** — cells run against the caller's evaluator (a figure's
+  shared one, a shard's or sequential campaign's own) and
   :func:`timed_cell` writes ``cell_start`` + ``cell_finish`` (with the
   cell's cache delta) straight into the manifest;
-* **pooled** — the same call runs in a worker against a *fresh*
-  evaluator (:func:`worker_evaluator`) and the finished cell rides
-  home; the parent, sole writer of every manifest, records its
-  ``cell_finish`` with the worker pid (:func:`collect_cells`).
+* **pooled** (``--workers N`` figures) — the same call runs in a worker
+  against a *fresh* evaluator (:func:`worker_evaluator`) and the
+  finished cell rides home; the parent, sole writer of the manifest,
+  records its ``cell_finish`` with the worker pid
+  (:func:`collect_cells`).
 
 Workers receive only picklable values (the frozen
 :class:`~repro.experiments.profiles.Profile` or a spec payload, the job

@@ -1,7 +1,7 @@
 """Headless perf harness: a pinned workload suite with JSON trajectories.
 
-``python -m repro.obs bench --label pr3`` executes every pinned workload
-and writes a canonical ``BENCH_pr3.json`` at the current directory (the
+``python -m repro.obs bench --label pr15`` executes every pinned workload
+and writes a canonical ``BENCH_pr15.json`` at the current directory (the
 repo root, by convention).  ``python -m repro.obs compare A.json B.json
 --max-regress 15%`` exits nonzero when any shared workload regressed, so
 a non-blocking CI lane can track the repo's performance trajectory
@@ -144,9 +144,10 @@ WORKLOADS: tuple[Workload, ...] = (
         "vcs": 24, "message_length": 4, "builds": 50,
     }),
     # Campaign-scale path: spec -> grid -> store round-trip per cell.
-    # Times the orchestration overhead (key hashing, JSONL appends,
-    # store puts) on top of the small engine runs, which the
-    # engine_* workloads cannot see.
+    # Times the orchestration overhead (planning, key hashing, the
+    # campaign.json save, manifest appends, store puts, the digest) on
+    # top of the small engine runs, which the engine_* workloads cannot
+    # see.
     Workload("campaign_grid_store", "ops", {
         "op": "campaign", "algorithms": ["nhop", "duato-nbc"],
         "width": 8, "vcs": 20, "message_length": 16, "cycles": 300,
@@ -154,9 +155,9 @@ WORKLOADS: tuple[Workload, ...] = (
         "seed": 13,
     }),
     # Write-side store scaling: N processes hammer one ResultStore at
-    # once (the pool-worker pattern of the figure drivers and campaign
-    # runner).  Times the locked-append path under real contention,
-    # which the single-process campaign workload cannot see.
+    # once (the pool-worker pattern of the figure drivers).  Times the
+    # locked-append path under real contention, which the
+    # single-process campaign workload cannot see.
     Workload("store_contention", "ops", {
         "op": "store_contention", "writers": 4, "puts_per_writer": 25,
         "payload_floats": 32,
@@ -469,9 +470,8 @@ def _ops_runner(params: dict):
     if op == "campaign":
         import tempfile
 
-        from repro.campaigns import CampaignRunner, CampaignSpec
+        from repro.campaigns import CampaignDB, CampaignSpec, run_campaign
         from repro.simulator.config import SimConfig
-        from repro.store.backend import ResultStore
 
         spec = CampaignSpec(
             name="bench-grid",
@@ -491,14 +491,10 @@ def _ops_runner(params: dict):
         )
 
         def run() -> None:
-            # Fresh store + out dir per repeat: every sample pays the
-            # full simulate-and-put cost, never a cache hit.
+            # Fresh campaign directory per repeat: every sample pays the
+            # full plan-simulate-and-put cost, never a cache hit.
             with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-                root = Path(tmp)
-                runner = CampaignRunner(
-                    spec, root / "out", store=ResultStore(root / "store")
-                )
-                executed = runner.run()
+                executed = run_campaign(CampaignDB(spec, tmp))["executed"]
                 if executed != spec.n_jobs:
                     raise RuntimeError(
                         f"campaign bench executed {executed} of "

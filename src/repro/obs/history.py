@@ -257,7 +257,7 @@ def gate_against_ledger(
     human-readable messages — host-comparability warnings plus, for
     every regressed row, the workload, metric, delta, and the phase
     whose share grew the most (``(no phase data)`` for pre-profiler
-    baselines like BENCH_pr3..pr5).
+    baselines, ledger labels pr3..pr5).
     """
     if baseline is not None:
         chosen = [e for e in entries if e.get("label") == baseline]

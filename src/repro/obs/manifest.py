@@ -1,12 +1,14 @@
 """Run manifests: a JSONL event log per campaign / figure run.
 
-Every distributed run (a figure sweep with ``--workers N``, a
-:class:`~repro.campaigns.CampaignRunner` campaign) can append
-its lifecycle to a **manifest** — one JSON object per line, written by
-the parent process only, so the log is crash-safe and never interleaved:
+Every run (a figure sweep with ``--workers N``, a
+:func:`~repro.campaigns.run_campaign` campaign, each of its shards, and
+the merge that folds them back) can append its lifecycle to a
+**manifest** — one JSON object per line, written by one process only,
+so the log is crash-safe and never interleaved:
 
-* ``run-start`` — label, run kind (``figure`` / ``campaign``), worker
-  count, store directory, wall-clock epoch, free-form ``meta``;
+* ``run-start`` — label, run kind (``figure`` / ``campaign`` /
+  ``campaign-shard`` / ``campaign-merge``), worker count, store
+  directory, wall-clock epoch, free-form ``meta``;
 * ``cell`` — one unit of work (a per-algorithm figure job, a campaign
   job key): ``phase`` is ``start`` (in-process cells only — a pooled
   parent first hears of a cell when its result arrives) or ``finish``
@@ -53,8 +55,7 @@ class ManifestWriter:
     """Append-only JSONL event log, flushed per event.
 
     The parent process is the sole writer (workers ship timings back
-    with their results), mirroring the campaign runner's ``results.jsonl``
-    discipline.  Use as a context manager or call :meth:`close`; a
+    with their results; a shard writes its own file).  Use as a context manager or call :meth:`close`; a
     ``with`` block left by an exception while a run is open first
     records ``run-finish`` with ``status="error"``.
     """

@@ -353,7 +353,7 @@ def read_spans_jsonl(path) -> list[dict]:
     """Read a span JSONL file, tolerating a torn final line.
 
     A crashed writer may leave a truncated last line; like
-    ``read_manifest``/``read_results_jsonl``, that line is skipped with
+    ``read_manifest``, that line is skipped with
     a warning instead of wedging every downstream reader.
     """
     path = Path(path)

@@ -1,7 +1,7 @@
 """Content-addressed simulation result store with parallel-safe caching.
 
 Every execution path — the figure drivers, the ablations, the campaign
-runner — routes its simulations through one persistent store keyed by a
+executor — routes its simulations through one persistent store keyed by a
 canonical digest of everything that determines a run's output.  A second
 regeneration of any figure therefore performs zero simulations, and a
 campaign reuses cells a figure sweep already produced.

@@ -1,10 +1,11 @@
-"""Tests for the campaign runner."""
+"""Tests for campaign specs and their execution through the one
+campaign path: ``CampaignDB`` + ``run_campaign``."""
 
 import json
 
 import pytest
 
-from repro.campaigns import CampaignRunner, CampaignSpec, load_campaign
+from repro.campaigns import CampaignDB, CampaignSpec, query, run_campaign
 from repro.simulator.config import SimConfig
 
 
@@ -65,83 +66,60 @@ class TestSpec:
 class TestRunner:
     def test_runs_all_jobs(self, tmp_path):
         spec = tiny_spec(algorithms=("nhop", "phop"), rates=(0.005, 0.02))
-        runner = CampaignRunner(spec, tmp_path)
-        executed = runner.run()
-        assert executed == 4
-        rows = runner.load_results()
-        assert len(rows) == 4
-        assert {r["algorithm"] for r in rows} == {"nhop", "phop"}
-        assert all(r["delivered"] > 0 for r in rows)
+        db = CampaignDB(spec, tmp_path)
+        assert run_campaign(db)["executed"] == 4
+        array = query(db, metrics=("delivered",))
+        assert array.shape == (2, 2, 1, 1)
+        assert array.coords["algorithm"] == ("nhop", "phop")
+        for alg in spec.algorithms:
+            for rate in spec.rates:
+                assert array.sel(
+                    "delivered", algorithm=alg, rate=rate,
+                    fault_case="f0/s0", repeat=0,
+                ) > 0
 
     def test_manifest_written(self, tmp_path):
+        """``campaign.json`` is the directory's record of its inputs."""
         spec = tiny_spec(fault_counts=(0, 3), fault_sets=2)
-        runner = CampaignRunner(spec, tmp_path)
-        runner.run()
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["spec"]["name"] == "test"
-        assert len(manifest["fault_patterns"]["3"]) == 2
-        assert manifest["fault_patterns"]["0"][0]["faulty"] == []
+        run_campaign(CampaignDB(spec, tmp_path))
+        payload = json.loads((tmp_path / "campaign.json").read_text())
+        assert payload["spec"]["name"] == "test"
+        assert [c["fault_case"] for c in payload["cells"]] == [
+            "f0/s0", "f3/s0", "f3/s1",
+        ]
 
     def test_resume_skips_completed(self, tmp_path):
         spec = tiny_spec(rates=(0.005, 0.02))
-        runner = CampaignRunner(spec, tmp_path)
-        assert runner.run() == 2
+        db = CampaignDB(spec, tmp_path / "c")
+        # One of the two cells is already in the store.
+        half = CampaignDB(
+            tiny_spec(rates=(0.005,)), tmp_path / "h", store=db.store
+        )
+        assert run_campaign(half)["executed"] == 1
+        assert run_campaign(db)["executed"] == 1
         # Second run: nothing left.
-        assert runner.run() == 0
-        # Remove one line -> exactly one job re-runs.
-        lines = (tmp_path / "results.jsonl").read_text().splitlines()
-        (tmp_path / "results.jsonl").write_text(lines[0] + "\n")
-        assert runner.run() == 1
-
-    def test_resume_false_restarts(self, tmp_path):
-        spec = tiny_spec()
-        runner = CampaignRunner(spec, tmp_path)
-        runner.run()
-        assert runner.run(resume=False) == 1
-        assert len(runner.load_results()) == 1
+        assert run_campaign(db)["executed"] == 0
 
     def test_torn_line_tolerated(self, tmp_path):
         spec = tiny_spec(rates=(0.005, 0.02))
-        runner = CampaignRunner(spec, tmp_path)
-        runner.run()
-        with (tmp_path / "results.jsonl").open("a") as f:
-            f.write('{"id": "broken')  # simulated crash mid-write
-        assert runner.run() == 0  # both real jobs still recognized
-        assert len(runner.load_results()) == 2
-
-    def test_torn_line_warns_with_location(self, tmp_path):
-        """The reader names the file:line it skipped, so a real crash
-        leaves a visible trace instead of silently shrinking results."""
-        from repro.campaigns.runner import read_results_jsonl
-
-        path = tmp_path / "results.jsonl"
-        path.write_text('{"id": "a/1"}\n{"id": "b/2"}\n{"id": "tor')
-        with pytest.warns(UserWarning, match=r"results\.jsonl:3"):
-            rows = read_results_jsonl(path)
-        assert [row["id"] for row in rows] == ["a/1", "b/2"]
-
-    def test_missing_results_file_is_empty(self, tmp_path):
-        from repro.campaigns.runner import read_results_jsonl
-
-        assert read_results_jsonl(tmp_path / "absent.jsonl") == []
+        db = CampaignDB(spec, tmp_path)
+        run_campaign(db)
+        with db.store.rows_path.open("a") as f:
+            f.write('{"kind":"store-row","key":"broken')  # crash mid-write
+        reopened = CampaignDB.open(tmp_path)
+        assert run_campaign(reopened)["executed"] == 0  # both still stored
+        assert query(reopened).shape == (1, 2, 1, 1)
 
     def test_reproducible_across_runners(self, tmp_path):
         spec = tiny_spec(fault_counts=(3,), fault_sets=1)
-        r1 = CampaignRunner(spec, tmp_path / "a")
-        r2 = CampaignRunner(spec, tmp_path / "b")
-        r1.run()
-        r2.run()
-        rows1 = [
-            {k: v for k, v in row.items()} for row in r1.load_results()
-        ]
-        rows2 = [
-            {k: v for k, v in row.items()} for row in r2.load_results()
-        ]
-        assert rows1 == rows2
+        a = run_campaign(CampaignDB(spec, tmp_path / "a"))
+        b = run_campaign(CampaignDB(spec, tmp_path / "b"))
+        assert a["executed"] == b["executed"] == 1
+        assert a["store_digest"] == b["store_digest"]
 
     def test_progress_callback(self, tmp_path):
         seen = []
-        CampaignRunner(tiny_spec(), tmp_path).run(progress=seen.append)
+        run_campaign(CampaignDB(tiny_spec(), tmp_path), progress=seen.append)
         assert len(seen) == 1 and seen[0].startswith("[test]")
 
 
@@ -151,20 +129,24 @@ class TestRunnerWorkers:
             algorithms=("nhop", "phop"), rates=(0.005, 0.02),
             fault_counts=(0, 3), fault_sets=2,
         )
-        seq = CampaignRunner(spec, tmp_path / "seq")
-        par = CampaignRunner(spec, tmp_path / "par")
-        assert seq.run() == par.run(workers=2) == 12
-        assert seq.load_results() == par.load_results()
+        seq = CampaignDB(spec, tmp_path / "seq")
+        par = CampaignDB(spec, tmp_path / "par")
+        s, p = run_campaign(seq), run_campaign(par, shards=2)
+        assert s["executed"] == p["executed"] == 12
+        assert s["store_digest"] == p["store_digest"]
+        assert query(seq).values == query(par).values
 
     def test_workers_resume(self, tmp_path):
         spec = tiny_spec(algorithms=("nhop", "phop"), rates=(0.005, 0.02))
-        runner = CampaignRunner(spec, tmp_path)
-        assert runner.run(workers=2) == 4
-        assert runner.run(workers=2) == 0
-        lines = (tmp_path / "results.jsonl").read_text().splitlines()
-        (tmp_path / "results.jsonl").write_text("\n".join(lines[:2]) + "\n")
-        assert runner.run(workers=2) == 2
-        assert len(runner.load_results()) == 4
+        db = CampaignDB(spec, tmp_path / "c")
+        half = CampaignDB(
+            tiny_spec(algorithms=("nhop",), rates=(0.005, 0.02)),
+            tmp_path / "h", store=db.store,
+        )
+        assert run_campaign(half, shards=2)["executed"] == 2
+        assert run_campaign(db, shards=2)["executed"] == 2
+        assert run_campaign(db, shards=2)["executed"] == 0
+        assert len(db.store) == 4
 
 
 class TestRunnerStore:
@@ -173,13 +155,12 @@ class TestRunnerStore:
 
         spec = tiny_spec(algorithms=("nhop",), rates=(0.005, 0.02))
         store = tmp_path / "store"
-        a = CampaignRunner(spec, tmp_path / "a", store=store)
-        a.run()
-        assert a._evaluator.stats.misses == 2
-        b = CampaignRunner(spec, tmp_path / "b", store=store)
-        b.run()
-        assert b._evaluator.stats.hits == 2 and b._evaluator.stats.misses == 0
-        assert a.load_results() == b.load_results()
+        a = CampaignDB(spec, tmp_path / "a", store=store)
+        assert run_campaign(a)["executed"] == 2
+        b = CampaignDB(spec, tmp_path / "b", store=store)
+        summary = run_campaign(b)
+        assert summary["executed"] == 0 and summary["already_done"] == 2
+        assert query(a).values == query(b).values
         assert len(ResultStore(store)) == 2
 
     def test_workers_share_store(self, tmp_path):
@@ -187,26 +168,43 @@ class TestRunnerStore:
 
         spec = tiny_spec(algorithms=("nhop", "phop"), rates=(0.005, 0.02))
         store = tmp_path / "store"
-        warm = CampaignRunner(spec, tmp_path / "warm", store=store)
-        warm.run()  # sequential fill
-        par = CampaignRunner(spec, tmp_path / "par", store=store)
-        par.run(workers=2)  # workers reopen the same store: all hits
-        assert warm.load_results() == par.load_results()
+        warm = CampaignDB(spec, tmp_path / "warm", store=store)
+        run_campaign(warm)  # sequential fill
+        par = CampaignDB(spec, tmp_path / "par", store=store)
+        assert run_campaign(par, shards=2)["executed"] == 0  # all stored
+        assert query(warm).values == query(par).values
         assert len(ResultStore(store)) == 4  # nothing duplicated
 
     def test_store_matches_uncached(self, tmp_path):
+        from repro.campaigns.spec import (
+            draw_cases,
+            execute_cell,
+            fault_case_label,
+        )
+        from repro.core.evaluator import Evaluator
+
         spec = tiny_spec(rates=(0.005,), fault_counts=(0, 3))
-        plain = CampaignRunner(spec, tmp_path / "plain")
-        cached = CampaignRunner(spec, tmp_path / "cached", store=tmp_path / "s")
-        plain.run()
-        cached.run()
-        assert plain.load_results() == cached.load_results()
+        db = CampaignDB(spec, tmp_path)
+        run_campaign(db)
+        array = query(db, metrics=("latency", "throughput"))
+        plain = Evaluator(spec.config, seed=spec.seed)
+        cases = draw_cases(plain, spec)
+        for key in spec.job_keys():
+            result = execute_cell(plain, cases, key)
+            at = dict(
+                algorithm=key["algorithm"], rate=key["rate"],
+                fault_case=fault_case_label(key["n_faults"], key["fault_set"]),
+                repeat=key["repeat"],
+            )
+            assert array.sel("latency", **at) == result.avg_latency
+            assert array.sel("throughput", **at) == result.throughput
 
 
 class TestLoadCampaign:
     def test_load(self, tmp_path):
         spec = tiny_spec()
-        CampaignRunner(spec, tmp_path).run()
-        loaded_spec, rows = load_campaign(tmp_path)
-        assert loaded_spec == spec
-        assert len(rows) == 1
+        run_campaign(CampaignDB(spec, tmp_path))
+        reopened = CampaignDB.open(tmp_path)
+        assert reopened.spec == spec
+        assert not reopened.plan().missing
+        assert query(reopened).shape == (1, 1, 1, 1)

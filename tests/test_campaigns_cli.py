@@ -183,6 +183,106 @@ class TestShardedVerbs:
         assert merge["telemetry_digest"] == summary["telemetry_digest"]
 
 
+    def test_merge_refuses_a_root_that_is_not_a_shard(
+        self, tmp_path, spec_file, capsys
+    ):
+        root = tmp_path / "c"
+        run_cli(capsys, "run", root, "--spec", spec_file, "--quiet")
+        events_before = (root / "events.jsonl").read_text()
+        typo = root / "shards" / "shard-typo"
+        code, out, err = run_cli(capsys, "merge", root, typo)
+        assert code == 2 and out == ""
+        assert err == f"error: {typo}: not a shard directory\n"
+        assert not typo.exists()  # nothing created
+        assert (root / "events.jsonl").read_text() == events_before
+
+
+def _without(payload: dict, field: str) -> dict:
+    return {k: v for k, v in payload.items() if k != field}
+
+
+class TestHostileInput:
+    """Every malformed input exits 2 with ``error: <file>: <reason>`` —
+    never a traceback."""
+
+    @pytest.mark.parametrize("mangle, reason", [
+        pytest.param(
+            lambda text: text[: len(text) // 2], "line 1 column",
+            id="truncated",
+        ),
+        pytest.param(
+            lambda text: "[1, 2]", "object has no attribute", id="not-an-object"
+        ),
+        pytest.param(
+            lambda text: json.dumps(_without(json.loads(text), "config")),
+            "missing field 'config'", id="no-config",
+        ),
+        pytest.param(
+            lambda text: json.dumps({**json.loads(text), "kind": "other"}),
+            "payload is not a campaign-spec", id="wrong-kind",
+        ),
+        pytest.param(
+            lambda text: json.dumps({**json.loads(text), "rates": []}),
+            "at least one injection rate", id="empty-rates",
+        ),
+        pytest.param(
+            lambda text: json.dumps({
+                **json.loads(text),
+                "config": {**json.loads(text)["config"], "bogus": 1},
+            }),
+            "unexpected keyword argument 'bogus'", id="unknown-config-field",
+        ),
+    ])
+    def test_malformed_spec(self, tmp_path, spec_file, capsys, mangle, reason):
+        spec_file.write_text(mangle(spec_file.read_text()))
+        root = tmp_path / "c"
+        code, out, err = run_cli(capsys, "plan", root, "--spec", spec_file)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {spec_file}: ") and reason in err
+        assert "Traceback" not in err
+        assert not root.exists()  # nothing bound
+
+    @pytest.mark.parametrize("mangle, reason", [
+        pytest.param(
+            lambda text: text[: len(text) // 2], "column", id="truncated"
+        ),
+        pytest.param(lambda text: "", "Expecting value", id="empty"),
+        pytest.param(
+            lambda text: json.dumps({**json.loads(text), "kind": "other"}),
+            "not a campaign-db directory", id="wrong-kind",
+        ),
+        pytest.param(
+            lambda text: json.dumps(_without(json.loads(text), "spec")),
+            "missing field 'spec'", id="no-spec",
+        ),
+    ])
+    @pytest.mark.parametrize("verb", ["plan", "run", "status", "query"])
+    def test_damaged_campaign_json(
+        self, tmp_path, spec_file, capsys, verb, mangle, reason
+    ):
+        root = tmp_path / "c"
+        run_cli(capsys, "plan", root, "--spec", spec_file)
+        path = root / "campaign.json"
+        path.write_text(mangle(path.read_text()))
+        code, out, err = run_cli(capsys, verb, root)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and reason in err
+
+    @pytest.mark.parametrize("shards", ["0", "-3", "two"])
+    def test_shard_count_below_one_is_a_usage_error(
+        self, tmp_path, spec_file, capsys, shards
+    ):
+        root = tmp_path / "c"
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "run", str(root), "--spec", str(spec_file),
+                "--shards", shards,
+            ])
+        assert exit_info.value.code == 2
+        assert "argument --shards" in capsys.readouterr().err
+        assert not root.exists()  # refused before anything ran
+
+
 class TestEntryPoints:
     def test_module_entry_point(self, tmp_path, spec_file):
         import subprocess
@@ -209,3 +309,16 @@ class TestEntryPoints:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["total"] == 4
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["campaign"], "invalid choice: 'campaign'"),
+        (["fig1", "--spec", "s.json"], "unrecognized arguments: --spec"),
+    ])
+    def test_experiments_cli_has_no_campaign_verb(self, capsys, argv, reason):
+        """``campaigns run DIR --spec FILE`` is the one spelling."""
+        from repro.experiments.cli import main as experiments_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            experiments_main(argv)
+        assert exit_info.value.code == 2
+        assert reason in capsys.readouterr().err

@@ -87,6 +87,32 @@ class TestDenseCoverage:
         arr = query(completed, metrics=("avg_hops", "delivered"))
         assert set(arr.values) == {"avg_hops", "delivered"}
 
+    def test_dropped_sums_deadlock_and_livelock_drops(self, tmp_path):
+        """A short deadlock timeout at heavy load drains messages: the
+        ``dropped`` metric (Figs. 4/5) is both drop counters, per cell."""
+        from repro.util.serialization import result_from_dict
+
+        spec = CampaignSpec(
+            name="dropping",
+            algorithms=("nhop",),
+            config=SimConfig(
+                width=6, vcs_per_channel=24, message_length=16,
+                cycles=600, warmup=100, on_deadlock="drain",
+                deadlock_timeout=40,
+            ),
+            rates=(0.1,),
+            fault_counts=(5,),
+        )
+        db = CampaignDB(spec, tmp_path)
+        run_campaign(db)
+        (cell,) = db.cells()
+        result = result_from_dict(db.store.get(cell["key"]))
+        dropped = query(db, metrics=("dropped",)).values["dropped"]
+        assert dropped == [[[[
+            float(result.dropped_deadlock + result.dropped_livelock)
+        ]]]]
+        assert dropped[0][0][0][0] > 0
+
     def test_unknown_metric_rejected(self, completed):
         with pytest.raises(ValueError, match="unknown metric"):
             query(completed, metrics=("latency", "flux"))

@@ -151,6 +151,19 @@ class TestRunShard:
         assert again["merged_rows"] == 0  # dedup by key
         assert first["store_digest"] == again["store_digest"]
 
+    def test_merge_refuses_a_root_without_a_store(self, tmp_path):
+        spec = faulty_spec(rates=(0.01,), fault_counts=(0,), fault_sets=1)
+        db = CampaignDB(spec, tmp_path / "c")
+        run_shard(spec, db.missing_coords(), tmp_path / "s0")
+        typo = tmp_path / "s-typo"
+        with pytest.raises(ValueError, match="s-typo: not a shard directory"):
+            merge_shards(db, [tmp_path / "s0", typo])
+        # Fails closed: nothing created, merged or logged — not even
+        # from the valid shard listed first.
+        assert not typo.exists()
+        assert len(db.store) == 0
+        assert not db.events_path.exists()
+
     def test_merge_without_registry_skips_telemetry(self, tmp_path):
         spec = faulty_spec(rates=(0.01,), fault_counts=(0,), fault_sets=1)
         db = CampaignDB(spec, tmp_path / "c")

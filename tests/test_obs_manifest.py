@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.campaigns import CampaignRunner, CampaignSpec
+from repro.campaigns import CampaignDB, CampaignSpec, run_campaign
 from repro.experiments.fig_sweep import run_sweep
 from repro.experiments.profiles import SMOKE_PROFILE
 from repro.obs.cli import main as obs_main
@@ -240,8 +240,8 @@ class TestIntegration:
             ),
             rates=(0.01, 0.02),
         )
-        runner = CampaignRunner(spec, tmp_path / "out")
-        runner.run()
+        db = CampaignDB(spec, tmp_path / "out")
+        run_campaign(db)
         events = read_manifest(tmp_path / "out" / "events.jsonl")
         kinds = [e["event"] for e in events]
         assert kinds[0] == "run-start" and kinds[-1] == "run-finish"
@@ -249,8 +249,7 @@ class TestIntegration:
         assert summary["kind"] == "campaign"
         assert summary["n_cells"] == 2
         # Resume: a second run appends a fresh (empty) segment.
-        runner2 = CampaignRunner(spec, tmp_path / "out")
-        runner2.run()
+        run_campaign(CampaignDB.open(tmp_path / "out"))
         summary = summarize_manifest(
             read_manifest(tmp_path / "out" / "events.jsonl")
         )
@@ -285,9 +284,9 @@ class TestFailedRunIsClosed:
 
     @pytest.fixture
     def second_cell_raises(self, monkeypatch):
-        from repro.campaigns import runner
+        from repro.campaigns import shard
 
-        real, calls = runner.execute_cell, []
+        real, calls = shard.execute_cell, []
 
         def flaky(evaluator, cases, key):
             calls.append(key)
@@ -295,14 +294,14 @@ class TestFailedRunIsClosed:
                 raise RuntimeError("deadlock oracle fired")
             return real(evaluator, cases, key)
 
-        monkeypatch.setattr(runner, "execute_cell", flaky)
+        monkeypatch.setattr(shard, "execute_cell", flaky)
 
     def test_campaign_runner(self, tmp_path, second_cell_raises):
-        runner = CampaignRunner(self.SPEC, tmp_path / "out")
+        db = CampaignDB(self.SPEC, tmp_path / "out")
         with pytest.raises(RuntimeError, match="oracle"):
-            runner.run()
-        assert self._statuses(runner.events_path) == (["ok", "error"], "error")
-        assert len(runner.load_results()) == 1  # the finished cell survived
+            run_campaign(db)
+        assert self._statuses(db.events_path) == (["ok", "error"], "error")
+        assert len(db.store) == 1  # the finished cell survived
 
     def test_shard(self, tmp_path, second_cell_raises):
         from repro.campaigns import run_shard

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.campaigns import CampaignRunner, CampaignSpec
+from repro.campaigns import CampaignDB, CampaignSpec, run_campaign
 from repro.experiments.fig_sweep import run_sweep
 from repro.experiments.profiles import SMOKE_PROFILE
 from repro.obs.telemetry import (
@@ -189,7 +189,7 @@ class TestWorkersMatchSequential:
         assert par_reg.value("engine.node_flit_hops") > 0
 
     def test_campaign_workers4_merges_to_sequential_values(self, tmp_path):
-        # The issue's acceptance case: a faulty 10x10 grid, workers=4.
+        # The issue's acceptance case: a faulty 10x10 grid, 4 shards.
         spec = CampaignSpec(
             name="merge-determinism",
             algorithms=("nhop", "duato-nbc"),
@@ -202,21 +202,19 @@ class TestWorkersMatchSequential:
             fault_sets=2,
         )
         assert spec.n_jobs == 4
-        seq_reg, par_reg = TelemetryRegistry(), TelemetryRegistry()
-        seq = CampaignRunner(
-            spec, tmp_path / "seq",
-            instrument=Instrument(telemetry=seq_reg),
+        seq = run_campaign(
+            CampaignDB(spec, tmp_path / "seq"), shards=1, telemetry=True
         )
-        assert seq.run(workers=1) == 4
-        par = CampaignRunner(
-            spec, tmp_path / "par",
-            instrument=Instrument(telemetry=par_reg),
+        par = run_campaign(
+            CampaignDB(spec, tmp_path / "par"), shards=4, telemetry=True
         )
-        assert par.run(workers=4) == 4
-        assert par.load_results() == seq.load_results()
-        assert values_view(par_reg) == values_view(seq_reg)
+        assert seq["executed"] == par["executed"] == 4
+        assert par["store_digest"] == seq["store_digest"]
+        # merge_digest is the order-independent values view, hashed.
+        assert par["telemetry_digest"] == seq["telemetry_digest"] is not None
         # The faulty layout exercises the ring counters too.
+        shard = tmp_path / "par" / "shards" / "shard-00" / "telemetry.json"
         assert any(
             name.startswith("engine.fring.")
-            for name in par_reg.snapshot()
+            for name in json.loads(shard.read_text())
         )
