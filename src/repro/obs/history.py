@@ -8,7 +8,8 @@ table between two labels; ``--gate CANDIDATE.json`` compares a fresh
 ``BENCH_*.json`` against the ledger baseline and — unlike the bare
 ``obs compare`` it replaces in CI — names the regressed workload,
 metric, *and* the phase whose wall-time share grew the most, so a slow
-PR lands with attribution instead of a bare percentage.
+PR lands with attribution instead of a bare percentage (and a fast one
+with the phases whose share fell).
 
 Entries are deduplicated by label (re-ingesting a label replaces it)
 and kept sorted by ``(created_unix, label)``, so the ledger is a merge-
@@ -228,19 +229,29 @@ def render_history(
 # ----------------------------------------------------------------------
 # Gate with phase attribution
 # ----------------------------------------------------------------------
-def _phase_attribution(old_w: dict, new_w: dict) -> str | None:
-    """Name the phase whose wall-time share grew most, if recorded."""
+def _phase_attribution(
+    old_w: dict, new_w: dict, *, improved: bool = False
+) -> str | None:
+    """Name the phase whose wall-time share grew most, if recorded —
+    or, for an *improved* row, every phase whose share fell by a point
+    or more (largest fall first): the phases the saving came from."""
     old_p, new_p = old_w.get("phases"), new_w.get("phases")
     if not old_p or not new_p:
         return None
     shared = sorted(set(old_p) & set(new_p))
     if not shared:
         return None
-    phase = max(shared, key=lambda k: new_p[k] - old_p[k])
-    return (
-        f"phase {phase}: share {100 * old_p[phase]:.1f}% -> "
-        f"{100 * new_p[phase]:.1f}%"
-    )
+    if improved:
+        moved = sorted(
+            (k for k in shared if old_p[k] - new_p[k] >= 0.01),
+            key=lambda k: new_p[k] - old_p[k],
+        )
+    else:
+        moved = [max(shared, key=lambda k: new_p[k] - old_p[k])]
+    return ", ".join(
+        f"phase {k}: share {100 * old_p[k]:.1f}% -> {100 * new_p[k]:.1f}%"
+        for k in moved
+    ) or "no phase's share fell by a point"
 
 
 def gate_against_ledger(
@@ -257,7 +268,10 @@ def gate_against_ledger(
     human-readable messages — host-comparability warnings plus, for
     every regressed row, the workload, metric, delta, and the phase
     whose share grew the most (``(no phase data)`` for pre-profiler
-    baselines, ledger labels pr3..pr5).
+    baselines, ledger labels pr3..pr5).  A row that *improved* by more
+    than the same tolerance is named too, with the phases whose share
+    fell, so a speed claim lands with the same attribution as a
+    regression.
     """
     if baseline is not None:
         chosen = [e for e in entries if e.get("label") == baseline]
@@ -285,13 +299,16 @@ def gate_against_ledger(
     base_w = base.get("workloads", {})
     cand_w = candidate.get("workloads", {})
     for row in rows:
-        if row["status"] != "REGRESSED":
+        improved = row.get("delta_pct", 0.0) > 100.0 * max_regress
+        if row["status"] != "REGRESSED" and not improved:
             continue
         attribution = _phase_attribution(
-            base_w.get(row["workload"], {}), cand_w.get(row["workload"], {})
+            base_w.get(row["workload"], {}), cand_w.get(row["workload"], {}),
+            improved=improved,
         ) or "(no phase data)"
         messages.append(
-            f"REGRESSED: workload {row['workload']}, metric "
-            f"{row['metric']}, {row['delta_pct']:+.1f}% — {attribution}"
+            f"{'IMPROVED' if improved else 'REGRESSED'}: workload "
+            f"{row['workload']}, metric {row['metric']}, "
+            f"{row['delta_pct']:+.1f}% — {attribution}"
         )
     return rows, code, messages

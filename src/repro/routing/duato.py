@@ -5,10 +5,12 @@ direction; only when all of those are busy does it request its class-II
 escape VC.  Per Duato's theory the escape layer must itself be
 deadlock-free; the paper never names it for the standalone "Duato's
 routing", so we use dimension-order XY (canonical choice, see DESIGN.md
-§3.3).  Duato-Pbc and Duato-Nbc use the bonus-card hop schemes as the
-escape layer, which is exactly how the paper builds them: "the best
-performance is achieved when class II contains minimum required virtual
-channels and extra virtual channels are allocated to class I".
+§3.4, which also records that on a faulty mesh the first ask for a
+header differs from every later one).  Duato-Pbc and Duato-Nbc use the
+bonus-card hop schemes as the escape layer, which is exactly how the
+paper builds them: "the best performance is achieved when class II
+contains minimum required virtual channels and extra virtual channels
+are allocated to class I".
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.topology.directions import LOCAL
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.simulator.engine import Simulation
+    from repro.simulator.engine import InputVC, Simulation
 
 
 class DeadlockError(RuntimeError):
@@ -40,24 +42,24 @@ def find_dependency_cycle(sim: "Simulation") -> list[tuple[int, int, int]] | Non
     (in which case any stall is congestion, not deadlock).
     """
     # Map each blocked header to the owners of every VC it could use.
-    edges: dict[int, set[int]] = {}
-    key = {}
+    # Owners are read through ``vc_owner``, which never materialises a
+    # VC (absent = idle, no owner); edge sets are insertion-ordered
+    # dicts, so the cycle reported is the same on every run.
+    edges: dict[InputVC, dict[InputVC, None]] = {}
     for invc in sim.iter_blocked_headers():
         msg = invc.msg
         if invc.node == msg.dst:
-            wanted = [(4, v) for v in range(sim.config.vcs_per_channel)]
+            wanted = [(LOCAL, v) for v in range(sim.config.vcs_per_channel)]
         else:
+            # A re-ask like the router's own: it bumps class_caps the
+            # same way, which is result-visible (DESIGN.md §3.4).
             tiers = sim.algorithm.candidate_tiers(msg, invc.node)
             wanted = [(d, v) for tier in tiers for (d, vcs) in tier for v in vcs]
-        srcs = id(invc)
-        key[srcs] = invc
-        deps = set()
+        deps = edges[invc] = {}
         for d, v in wanted:
-            ovc = sim.output_vc(invc.node, d, v)
-            if ovc.owner is not None and ovc.owner is not invc:
-                deps.add(id(ovc.owner))
-                key[id(ovc.owner)] = ovc.owner
-        edges[srcs] = deps
+            owner = sim.vc_owner(invc.node, d, v)
+            if owner is not None and owner is not invc:
+                deps[owner] = None
     # Also: an input VC holding an allocated output VC depends on the
     # downstream input VC's front message draining (credit chain).
     for invc in sim.iter_active_vcs():
@@ -66,9 +68,7 @@ def find_dependency_cycle(sim: "Simulation") -> list[tuple[int, int, int]] | Non
             continue
         down = ovc.down_invc
         if down.msg is not None:
-            edges.setdefault(id(invc), set()).add(id(down))
-            key[id(invc)] = invc
-            key[id(down)] = down
+            edges.setdefault(invc, {})[down] = None
 
     # Iterative DFS cycle detection.
     WHITE, GREY, BLACK = 0, 1, 2
@@ -88,10 +88,7 @@ def find_dependency_cycle(sim: "Simulation") -> list[tuple[int, int, int]] | Non
                 c = color.get(nxt, WHITE)
                 if c == GREY:
                     i = path.index(nxt)
-                    cycle = path[i:]
-                    return [
-                        (key[n].node, key[n].port, key[n].vc) for n in cycle
-                    ]
+                    return [(n.node, n.port, n.vc) for n in path[i:]]
                 if c == WHITE:
                     color[nxt] = GREY
                     stack.append((nxt, iter(edges.get(nxt, ()))))

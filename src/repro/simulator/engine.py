@@ -14,7 +14,10 @@ Router model (DESIGN.md §3.1): per cycle, every router performs
 
 Only busy virtual channels are visited and a virtual channel object
 exists only once a message has been granted it, so both construction
-and per-cycle cost scale with traffic, not with the VC budget.
+and per-cycle cost scale with traffic, not with the VC budget.  Waiting
+costs per event, not per waiter: a header that found every candidate
+held is parked until its router releases a VC, and a stalled injection
+port sleeps until its buffer pops (same draws, same published events).
 All randomness is seeded from ``SimConfig.seed`` (a ``random.Random``
 for choices plus a NumPy generator for the hot per-cycle service-order
 permutations — ~3x faster than ``random.shuffle`` at saturation); busy
@@ -44,7 +47,9 @@ from repro.traffic.patterns import TrafficPattern, UniformTraffic
 from repro.traffic.process import ExponentialArrivals
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.routing.base import RoutingAlgorithm
+    from collections.abc import Sequence
+
+    from repro.routing.base import RoutingAlgorithm, Tier
 
 _WATCHDOG_INTERVAL = 128
 
@@ -92,7 +97,7 @@ class InputVC:
     """One virtual channel on the input side of a router port."""
 
     __slots__ = ("node", "port", "vc", "key", "buffer", "msg", "out_ovc",
-                 "up_ovc", "blocked_since")
+                 "up_ovc", "blocked_since", "checked", "tiers", "caps")
 
     def __init__(self, node: int, port: int, vc: int) -> None:
         self.node = node
@@ -104,6 +109,13 @@ class InputVC:
         self.out_ovc: OutputVC | None = None  # allocated output VC
         self.up_ovc: OutputVC | None = None  # upstream output VC feeding us
         self.blocked_since = -1
+        # The waiting header's allocation state (DESIGN.md §3.1): the
+        # cycle its candidates were last found all held (-1 = not asked
+        # yet) and, once parked, the tiers every re-ask would return and
+        # the class_caps increments each re-ask would make.
+        self.checked = -1
+        self.tiers: Sequence[Tier] | None = None
+        self.caps = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"InputVC(node={self.node}, port={self.port}, vc={self.vc})"
@@ -243,6 +255,7 @@ class Simulation:
         "_auto", "_win", "_win_lat_sum", "_win_lat_cnt",
         "result",
         "_invcs", "_ovcs", "_free", "_in_last", "_out_last", "_eject_tiers",
+        "_released", "_inj_asleep",
     ) + tuple("_on_" + event for event in EVENTS)
 
     def __init__(
@@ -291,6 +304,13 @@ class Simulation:
         self._in_last = [-1] * ports
         self._out_last = [-1] * ports
         self._eject_tiers = (((LOCAL, algorithm.budget.ejection_vcs),),)
+        # Wake-up state (DESIGN.md §3.1): the last cycle each router
+        # released an output VC (parked headers re-test their masks only
+        # after it moves), and the injection ports whose last visit could
+        # move nothing (skipped until a flit pops, a message is queued or
+        # a drain touches them).
+        self._released = [-1] * self.mesh.n_nodes
+        self._inj_asleep = [False] * self.mesh.n_nodes
 
         healthy = self.faults.healthy_nodes
         self._arrivals = ExponentialArrivals(
@@ -367,6 +387,12 @@ class Simulation:
             else:
                 invc = self._invcs[idx] = InputVC(node, port, vc)
         return invc
+
+    def vc_owner(self, node: int, port: int, vc: int) -> InputVC | None:
+        """The input VC holding output VC ``(node, port, vc)``, ``None``
+        when it is free.  A read: an absent VC is idle and stays absent."""
+        ovc = self._ovcs[(node * 5 + port) * self.config.vcs_per_channel + vc]
+        return None if ovc is None else ovc.owner
 
     def iter_blocked_headers(self):
         """Input VCs whose header is awaiting an output VC."""
@@ -478,6 +504,7 @@ class Simulation:
         self.algorithm.new_message(msg)
         self._queues[src].append(msg)
         self._inj_pending[src] = None
+        self._inj_asleep[src] = False
         self.total_generated += 1
         for publish in self._on_generated:
             publish(msg.created, msg)
@@ -500,8 +527,11 @@ class Simulation:
         inj_vcs = self.config.injection_vcs
         rng = self.rng
         on_injected = self._on_injected
+        asleep = self._inj_asleep
         done_nodes = []
         for node in self._inj_pending:
+            if asleep[node]:
+                continue
             queue = self._queues[node]
             streams = self._streams[node]
             # Bind queued messages to free injection VCs.
@@ -542,6 +572,13 @@ class Simulation:
                     invc.msg = msg
                     invc.blocked_since = cycle
                     self._needs_routing[invc] = None
+            elif queue or streams:
+                # Nothing bindable and no stream with buffer room: every
+                # later visit repeats this one until an injection VC here
+                # pops a flit, a message is queued or a drain touches
+                # the node — the three sites that clear the flag.
+                asleep[node] = True
+                continue
             if not queue and not streams:
                 done_nodes.append(node)
         for node in done_nodes:
@@ -564,17 +601,57 @@ class Simulation:
         alg = self.algorithm
         role_of = alg.budget.role_of
         free = self._free
+        released = self._released
         eject = self._eject_tiers
+        hop_cap = self._hop_cap
         V = self.config.vcs_per_channel
         for invc in items:
             if invc not in needs:  # drained meanwhile
                 continue
             msg = invc.msg
             node = invc.node
-            if msg.hops >= self._hop_cap:
+            tiers = invc.tiers
+            if tiers is not None:
+                # Parked: a re-ask would return these tiers and add
+                # these class_caps, and no candidate can be free unless
+                # this router released a VC since the last test.
+                if invc.caps:
+                    alg.class_caps += invc.caps
+                if released[node] < invc.checked:
+                    for publish in on_blocked:
+                        publish(cycle, msg, node)
+                    continue
+                settled = False
+            elif msg.hops >= hop_cap:
                 self._drain(msg, livelock=True)
                 continue
-            tiers = eject if node == msg.dst else alg.candidate_tiers(msg, node)
+            elif node == msg.dst:
+                tiers = eject
+                caps = 0
+                settled = True
+            elif invc.checked < 0:
+                tiers = alg.candidate_tiers(msg, node)
+                settled = False
+            else:
+                # A retry.  candidate_tiers reads nothing that changes
+                # while a header waits except the ring state it writes
+                # itself, so a call that leaves those four fields as it
+                # found them is a fixed point: every later call repeats
+                # it (tiers, class_caps delta and all) — park.  The
+                # first ask may not be one (DuatoXY commits to the ring).
+                ring = msg.ring
+                ring_class = msg.ring_class
+                orient = msg.ring_orient_cw
+                entry = msg.ring_entry_dist
+                caps = alg.class_caps
+                tiers = alg.candidate_tiers(msg, node)
+                caps = alg.class_caps - caps
+                settled = (
+                    msg.ring is ring
+                    and msg.ring_class == ring_class
+                    and msg.ring_orient_cw == orient
+                    and msg.ring_entry_dist == entry
+                )
             # A tier's free candidates are the set bits of (port free
             # mask & VcSet mask) over its entries; the winner is the k-th
             # of them in tier order, k from the same draw as if they had
@@ -587,6 +664,10 @@ class Simulation:
                 if total:
                     break
             else:
+                invc.checked = cycle
+                if settled:
+                    invc.tiers = tiers
+                    invc.caps = caps
                 for publish in on_blocked:
                     publish(cycle, msg, node)
                 continue
@@ -611,7 +692,8 @@ class Simulation:
             free[granted.key] &= ~granted.bit
             granted.owner = invc
             invc.out_ovc = granted
-            invc.blocked_since = -1
+            invc.blocked_since = invc.checked = -1
+            invc.tiers = None
             del needs[invc]
             self._active[invc] = None
             if on_granted:
@@ -645,7 +727,7 @@ class Simulation:
         on_moved = self._on_flit_moved
         in_last = self._in_last
         out_last = self._out_last
-        free = self._free
+        asleep = self._inj_asleep
         result = self.result
         node_load = result.node_load
         arrivals: list[tuple[InputVC, tuple]] = []
@@ -660,6 +742,8 @@ class Simulation:
             flit = invc.buffer.popleft()
             if invc.up_ovc is not None:
                 invc.up_ovc.credits += 1
+            else:  # an injection VC made room: its port may move again
+                asleep[invc.node] = False
             if node_stats:
                 node_load[invc.node] += 1
             if on_moved:
@@ -676,8 +760,7 @@ class Simulation:
                 arrivals.append((ovc.down_invc, flit))
                 if flit[1] != TAIL:
                     continue
-            ovc.owner = None  # the tail left: release the channel
-            free[out_port] |= ovc.bit
+            self._release(ovc, cycle)  # the tail left
             self._retire_front(invc, cycle)
         for invc, flit in arrivals:
             invc.buffer.append(flit)
@@ -706,6 +789,14 @@ class Simulation:
                 result.latency_max = latency
             result.network_latency_sum += cycle - msg.injected
             result.hops_sum += msg.hops
+
+    def _release(self, ovc: OutputVC, cycle: int) -> None:
+        """Free *ovc*: the one place an output VC loses its owner, so
+        the stamp that wakes its router's parked headers is never
+        forgotten."""
+        ovc.owner = None
+        self._free[ovc.key] |= ovc.bit
+        self._released[ovc.node] = cycle
 
     def _retire_front(self, invc: InputVC, cycle: int) -> None:
         """The front message left *invc* (tail sent, or drained): promote
@@ -820,6 +911,7 @@ class Simulation:
         # Stop the injection stream, if still feeding.
         streams = self._streams[msg.src]
         streams[:] = [s for s in streams if s.msg is not msg]
+        self._inj_asleep[msg.src] = False
         # Sweep every busy input VC for this message's flits.
         for invc in (*self._active, *self._needs_routing):
             removed = sum(1 for f in invc.buffer if f[0] is msg)
@@ -828,11 +920,11 @@ class Simulation:
                 if invc.up_ovc is not None:
                     invc.up_ovc.credits += removed
             if invc.msg is msg:
-                ovc = invc.out_ovc
-                if ovc is not None:
-                    ovc.owner = None
-                    self._free[ovc.key] |= ovc.bit
+                if invc.out_ovc is not None:
+                    self._release(invc.out_ovc, self.cycle)
                 self._needs_routing.pop(invc, None)
+                invc.checked = -1  # a waiting header takes its state along
+                invc.tiers = None
                 self._retire_front(invc, self.cycle)
 
     # ------------------------------------------------------------------
@@ -863,11 +955,41 @@ class Simulation:
         materialised table entry, a port's free-mask bit is set exactly
         when that output VC has no owner (an absent VC is idle with full
         credits), and ejection VCs still hold their credit sentinel.
+        The two wake-up states must be safe to skip: a parked header
+        whose router released nothing since its last test has no free
+        candidate, and a sleeping injection port has no stream with
+        buffer room and nothing it could bind.
         Raises :class:`AssertionError` with a description on the first
         violation.
         """
         depth = self.config.buffer_depth
         V = self.config.vcs_per_channel
+        for invc in self._needs_routing:
+            tiers = invc.tiers
+            if tiers is None or self._released[invc.node] >= invc.checked:
+                continue
+            base = invc.node * 5
+            assert not any(
+                self._free[base + direction] & vcs.mask
+                for tier in tiers
+                for direction, vcs in tier
+            ), f"{invc!r} parked with a free candidate and no wake-up stamp"
+        for node, asleep in enumerate(self._inj_asleep):
+            if not asleep:
+                continue
+            assert node in self._inj_pending, f"node {node} asleep, not pending"
+            streams = self._streams[node]
+            assert all(len(s.invc.buffer) == depth for s in streams), (
+                f"injection port {node} asleep with buffer room"
+            )
+            if self._queues[node] and len(streams) < self.config.injection_vcs:
+                for v in range(self.config.injection_vcs):
+                    invc = self._invcs[(node * 5 + LOCAL) * V + v]
+                    assert invc is not None and (
+                        invc.msg is not None or invc.buffer
+                    ), (
+                        f"injection port {node} asleep with VC {v} bindable"
+                    )
         for invc in (*self._active, *self._needs_routing):
             assert self._invcs[invc.key * V + invc.vc] is invc, (
                 f"{invc!r} is busy but not the materialised table entry"
@@ -889,6 +1011,10 @@ class Simulation:
             else:
                 assert not invc.buffer, f"{invc!r} idle with flits"
                 assert invc.out_ovc is None
+            if invc not in self._needs_routing:
+                assert invc.tiers is None and invc.checked < 0, (
+                    f"{invc!r} holds allocation state but no waiting header"
+                )
         for idx, ovc in enumerate(self._ovcs):
             port, vc = divmod(idx, V)
             is_free = bool(self._free[port] >> vc & 1)

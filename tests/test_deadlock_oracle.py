@@ -130,3 +130,44 @@ def test_own_keeps_the_free_mask_in_step():
     sim.step(3)
     assert invc_a in sim._needs_routing
     assert invc_a.out_ovc is None
+
+
+def materialised(sim: Simulation) -> int:
+    return sum(vc is not None for table in (sim._ovcs, sim._invcs) for vc in table)
+
+
+def test_the_oracle_reads_without_building_fabric():
+    """A diagnostic must not materialise the VCs it asks about (an absent
+    VC is idle and has no owner): same verdict, same fabric."""
+    sim = make_sim(width=4, vcs=24)
+    invc_a = block_header(sim, 0, 15, 0)
+    invc_b = block_header(sim, 5, 6, 1)
+    own(sim, 0, 0, 0, invc_b)  # A waits on B; B's wants are all absent
+    arrived = block_header(sim, 10, 9, 2)  # then a header at its destination:
+    arrived.msg.dst = 10  # it asks for node 10's 24 ejection VCs
+    before = materialised(sim)
+    assert find_dependency_cycle(sim) is None
+    assert materialised(sim) == before
+    for d, vcs in sim.algorithm.candidate_tiers(invc_b.msg, 5)[0]:
+        for v in vcs:
+            own(sim, 5, d, v, invc_a)
+    assert find_dependency_cycle(sim) == [(0, LOCAL, 0), (5, LOCAL, 0)]
+
+
+def test_the_reported_cycle_follows_candidate_order():
+    """A waits on B (east VC) and on C (north VC) and both wait on A: the
+    cycle reported is the one through A's first candidate, on every run
+    (edge sets are insertion-ordered, not id()-ordered)."""
+    sim = make_sim()
+    invc_a = block_header(sim, 0, 3, 0)
+    invc_c = block_header(sim, 2, 1, 2)
+    invc_b = block_header(sim, 1, 2, 1)
+    (tier,) = sim.algorithm.candidate_tiers(invc_a.msg, 0)
+    for (d, vcs), holder in zip(tier, (invc_b, invc_c)):
+        for v in vcs:
+            own(sim, 0, d, v, holder)
+    for invc in (invc_b, invc_c):
+        for d, vcs in sim.algorithm.candidate_tiers(invc.msg, invc.node)[0]:
+            for v in vcs:
+                own(sim, invc.node, d, v, invc_a)
+    assert find_dependency_cycle(sim) == [(0, LOCAL, 0), (1, LOCAL, 0)]

@@ -14,6 +14,15 @@ bitmask-allocation / stamped-arbitration rewrite, so they prove that
 rewrite kept the RNG draw structure and all accounting bit-identical at
 ``ENGINE_VERSION = 2``.
 
+A fourth "loaded" group pins the regime where most headers wait and
+most injection ports are stalled — the fig4 smoke shape (8x8, 3 faults,
+100 % offered load) for ``pbc``, ``boura-ft`` (two injection VCs) and
+``duato`` (under the oracle) — with both RNG end states and the attached
+twins, i.e. every per-cycle ``blocked`` event.  Those pins were generated
+at the commit *before* blocked headers were parked and stalled injection
+ports put to sleep, so they prove the wake-ups replaced polling without
+moving a draw, an event or a ``class_caps`` increment.
+
 The short watchdog timeout makes recovery drains (non-deadlock-free
 schemes) and the wait-for-graph oracle (deadlock-free ones, which reads
 output VCs through the public accessors mid-run) part of the pinned
@@ -82,6 +91,33 @@ def build(algorithm: str, faulty: bool, seed: int) -> Simulation:
     return Simulation(cfg, alg, faults=faults)
 
 
+#: ``(algorithm, injection_vcs)`` of the loaded group.
+LOADED = [("pbc", 1), ("boura-ft", 2), ("duato", 1)]
+
+
+def build_loaded(algorithm: str, injection_vcs: int) -> Simulation:
+    alg = make_algorithm(algorithm)
+    cfg = SimConfig(
+        width=8,
+        vcs_per_channel=24,
+        injection_vcs=injection_vcs,
+        message_length=8,
+        injection_rate=0.125,
+        cycles=600,
+        warmup=200,
+        seed=2007,
+        deadlock_timeout=96,
+        # duato stays under the oracle: its candidate_tiers re-ask of
+        # every waiting header is part of the pinned behaviour.
+        on_deadlock="raise" if algorithm == "duato" else "drain",
+        collect_vc_stats=True,
+        collect_node_stats=True,
+        collect_latency_samples=True,
+    )
+    faults = generate_block_fault_pattern(Mesh2D(8), 3, random.Random(5))
+    return Simulation(cfg, alg, faults=faults)
+
+
 def _sha(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
@@ -93,11 +129,18 @@ def row_digest(sim: Simulation) -> str:
     return _sha(row)
 
 
-def twin_digests(algorithm: str, faulty: bool, seed: int) -> dict:
-    """Digests of the same run with telemetry, blame and tracer attached."""
+def rng_digest(sim: Simulation) -> str:
+    """sha256 of the end state of both RNG streams."""
+    return _sha([
+        list(sim.rng.getstate()[1]),
+        sim._perm_rng.bit_generator.state["state"],
+    ])
+
+
+def twin_digests(sim: Simulation) -> dict:
+    """Digests of *sim* run with telemetry, blame and tracer attached."""
     registry = TelemetryRegistry()
     recorder = BlameRecorder()
-    sim = build(algorithm, faulty, seed)
     tracer = Tracer(capacity=10_000_000)
     for observer in (EngineTelemetry(registry), recorder, tracer):
         sim.attach(observer)
@@ -127,11 +170,27 @@ def regenerate() -> None:  # pragma: no cover - maintenance helper
         print(f"    {case!r}:\n        {row_digest(sim)!r},")
     print("}\n\nGOLDEN_TWINS = {")
     for case in TWINS:
-        print(f"    {case!r}: {{")
-        for key, value in twin_digests(*case).items():
-            print(f"        {key!r}: {value!r},")
-        print("    },")
+        _print_pins(case, twin_digests(build(*case)))
+    print("}\n\nGOLDEN_LOADED = {")
+    for case in LOADED:
+        _print_pins(case, loaded_digests(*case))
     print("}")
+
+
+def _print_pins(case, digests: dict) -> None:  # pragma: no cover
+    print(f"    {case!r}: {{")
+    for key, value in digests.items():
+        print(f"        {key!r}: {value!r},")
+    print("    },")
+
+
+def loaded_digests(algorithm: str, injection_vcs: int) -> dict:
+    """The attached-twin digests of a loaded case plus both RNG end
+    states (attaching changes neither: ``test_engine_observers.py``)."""
+    sim = build_loaded(algorithm, injection_vcs)
+    digests = twin_digests(sim)
+    sim.check_invariants()
+    return {**digests, "rng": rng_digest(sim)}
 
 
 GOLDEN = {
@@ -288,6 +347,30 @@ GOLDEN_TWINS = {
     },
 }
 
+GOLDEN_LOADED = {
+    ('pbc', 1): {
+        'row': 'f134c6a38612f52b74e6058378f052adba82534b70250c66fa25a096fad1c8cc',
+        'telemetry': 'c2290bacce815361',
+        'blame': '1745c37177e464dccc5f15fa3d45ce17209b3782c15d593d45af553d0b60015f',
+        'trace': '990ddaca0584dd5a0652334d8d73797823b5480597d7167e8a1ea37e32b45bcc',
+        'rng': '412abedbd8fdf8ebc51447300f793a318e21138e3781e2b5dbeafb1999b7843b',
+    },
+    ('boura-ft', 2): {
+        'row': 'f4ac627ea93835d057a71327ac26409f8f9b1dcbef2ed6ae59d5280d42f4ea2d',
+        'telemetry': '0c14bd94f966ac02',
+        'blame': '0bc719aedbd3cc8f5bdfe796d4cbb163a332e69fbb153655286dadb497e59a45',
+        'trace': '219e72a28ea7cf13980ab14f4409382d6aa42b6213fbf047b811ddb1f3352a9d',
+        'rng': 'be565d90e5269cb75848515366daf601ef8fadd764e17d7c28c451ab5d6a25f7',
+    },
+    ('duato', 1): {
+        'row': '8bd653ddec5b56360fc33e6e6cf1d39f682188c65c1310c230bb24012e645de8',
+        'telemetry': '5e9067723616f478',
+        'blame': 'eba4ba5813969b833d0f85771cf16e3a193ea74b8194e63a875396efc3ab8c9e',
+        'trace': 'f6f23f7da1465ea1c2b5ce7f965da298f08bd040966d6382e11c0580e83ea66d',
+        'rng': 'd0bde604620bf31204d8947c7ab7f39079ceffc375629ff689f2c198f932804a',
+    },
+}
+
 
 def test_engine_version_matches_the_pins():
     assert ENGINE_VERSION == 2, "re-pin GOLDEN with the ENGINE_VERSION bump"
@@ -311,6 +394,13 @@ def test_result_row_is_bit_identical(case):
 def test_attached_twin_is_bit_identical(case):
     """Attaching every observer changes no result and publishes the
     same telemetry, blame records and trace events as the pinned run."""
-    digests = twin_digests(*case)
+    digests = twin_digests(build(*case))
     assert digests["row"] == GOLDEN[case]
     assert digests == GOLDEN_TWINS[case]
+
+
+@pytest.mark.parametrize("case", LOADED, ids=lambda c: f"{c[0]}-inj{c[1]}")
+def test_loaded_regime_is_bit_identical(case):
+    """Mostly-waiting network: result row, both RNG end states and every
+    published event match the run that re-asked every header each cycle."""
+    assert loaded_digests(*case) == GOLDEN_LOADED[case]

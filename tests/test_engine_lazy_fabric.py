@@ -1,9 +1,11 @@
-"""The lazy VC fabric, the per-port free masks and the port stamps.
+"""The lazy VC fabric, the per-port free masks, the port stamps and the
+two wake-up states (parked headers, sleeping injection ports).
 
 The engine materialises a virtual channel only when a message is granted
 it (or a diagnostic accessor asks for it); these tests pin what "absent"
-means, that ``check_invariants`` covers the new state, and that the
-invariants hold on the four-pattern verify corpus for every algorithm.
+means, that ``check_invariants`` covers the new state — a missed wake-up
+included — and that the invariants hold on the four-pattern verify
+corpus for every algorithm.
 """
 
 import pytest
@@ -11,8 +13,10 @@ import pytest
 from repro.routing.registry import ALGORITHM_NAMES, make_algorithm
 from repro.simulator.config import SimConfig
 from repro.simulator.engine import Simulation
+from repro.simulator.message import Message
 from repro.topology.directions import EAST, LOCAL, NORTH, WEST
 from repro.verify.corpus import CORPUS_NAMES, corpus_pattern
+from test_deadlock_oracle import block_header, make_sim as make_tiny_sim, own
 
 
 def make_sim(algorithm="nhop", faults=None, **overrides) -> Simulation:
@@ -100,15 +104,105 @@ class TestInvariantCoverage:
             sim.check_invariants()
 
 
+class TestWakeUpInvariants:
+    """A skipped re-test or visit must be provably idle; each way of
+    forgetting a wake-up trips ``check_invariants``."""
+
+    def walled_in(self):
+        """A 2x2 mesh where every output VC a 0 -> 3 header could ask for
+        is held by a stalled worm (one consistent holder per VC)."""
+        sim = make_tiny_sim()
+        probe = Message(99, 0, 3, 4, 0)
+        holders = []
+        for tier in sim.algorithm.candidate_tiers(probe, 0):
+            for d, vcs in tier:
+                for v in vcs:
+                    holder = sim.input_vc(3, LOCAL, len(holders))
+                    holder.msg = Message(100 + len(holders), 3, 0, 4, 0)
+                    sim._active[holder] = None
+                    own(sim, 0, d, v, holder)
+                    holder.out_ovc = sim.output_vc(0, d, v)
+                    holders.append(holder)
+        sim.check_invariants()
+        return sim, holders
+
+    def parked(self):
+        sim, holders = self.walled_in()
+        invc = block_header(sim, 0, 3, 0)
+        sim.step(3)
+        assert invc.tiers is not None and invc in sim._needs_routing
+        sim.check_invariants()
+        return sim, invc, holders
+
+    def test_a_release_wakes_the_parked_header(self):
+        sim, invc, holders = self.parked()
+        freed = holders[0].out_ovc
+        sim._drain(holders[0].msg, livelock=False)
+        sim.check_invariants()
+        sim.step(1)
+        assert invc.out_ovc is freed and invc.tiers is None
+
+    def test_freeing_a_vc_without_the_stamp_is_caught(self):
+        sim, invc, holders = self.parked()
+        holder = holders[0]  # release by hand, everything but the stamp
+        holder.out_ovc.owner = None
+        sim._free[holder.out_ovc.key] |= holder.out_ovc.bit
+        holder.out_ovc = holder.msg = None
+        del sim._active[holder]
+        with pytest.raises(AssertionError, match="no wake-up stamp"):
+            sim.check_invariants()
+        sim.step(2)  # and the header does sleep through it
+        assert invc in sim._needs_routing
+
+    def stalled(self):
+        """Node 0's injection port asleep: its header is walled in, the
+        injection buffer is full and a second message is queued."""
+        sim, _ = self.walled_in()
+        sim.submit_message(0, 3)
+        sim.submit_message(0, 3)
+        sim.step(4)
+        invc = sim.input_vc(0, LOCAL, 0)
+        assert sim._inj_asleep[0] and len(invc.buffer) == 2
+        sim.check_invariants()
+        return sim, invc
+
+    def test_popping_a_flit_without_the_wake_is_caught(self):
+        sim, invc = self.stalled()
+        invc.buffer.pop()
+        with pytest.raises(AssertionError, match="asleep with buffer room"):
+            sim.check_invariants()
+
+    def test_a_bindable_vc_on_a_sleeping_port_is_caught(self):
+        sim = make_sim()
+        sim.submit_message(5, 10)
+        sim._inj_asleep[5] = True  # never visited: VC 0 is idle, bindable
+        with pytest.raises(AssertionError, match="bindable"):
+            sim.check_invariants()
+
+    def test_sleeping_without_pending_work_is_caught(self):
+        sim = make_sim()
+        sim._inj_asleep[5] = True
+        with pytest.raises(AssertionError, match="not pending"):
+            sim.check_invariants()
+
+    def test_queueing_a_message_wakes_the_port(self):
+        sim, _ = self.stalled()
+        sim.submit_message(0, 3)
+        assert not sim._inj_asleep[0]
+
+
 @pytest.mark.parametrize("pattern", CORPUS_NAMES)
 @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
 def test_invariants_hold_on_the_verify_corpus(algorithm, pattern):
     """Every 64 cycles, saturated, on each corpus pattern (4x4)."""
     sim = make_sim(
-        algorithm, corpus_pattern(pattern), injection_rate=0.08,
+        algorithm, corpus_pattern(pattern), injection_rate=0.25,
         deadlock_timeout=96, seed=17,
     )
+    asleep = 0
     for _ in range(8):
         sim.step(64)
         sim.check_invariants()
+        asleep += sum(sim._inj_asleep)
     assert sim.total_delivered > 0
+    assert asleep, "no injection port ever stalled: the run is not saturated"

@@ -155,6 +155,22 @@ class TestGate:
             for m in regressions
         )
 
+    def test_gate_names_the_phases_an_improvement_came_from(self):
+        entries = [ledger_entry(payload("pr5", 200, rate=2000.0, phases=PHASES_B))]
+        rows, code, messages = gate_against_ledger(
+            entries, payload("ci", 300, rate=2600.0, phases=PHASES_A)
+        )
+        assert code == 0
+        improved = [m for m in messages if m.startswith("IMPROVED")]
+        assert any(
+            "workload engine_saturated" in m
+            and "+30.0%" in m
+            and "phase route: share 52.0% -> 30.0%" in m
+            and "switch_traverse" not in m  # its share grew: not a source
+            for m in improved
+        )
+        assert not any(m.startswith("REGRESSED") for m in messages)
+
     def test_gate_without_phases_says_so(self):
         entries = [ledger_entry(payload("pr3", 50, rate=2000.0))]
         rows, code, messages = gate_against_ledger(

@@ -1,4 +1,5 @@
-"""Property-based tests of the hop-class schedules.
+"""Property-based tests of the hop-class schedules and of the
+``candidate_tiers`` settle contract.
 
 These drive the class/card bookkeeping of PHop/NHop/Pbc/Nbc along random
 minimal walks with random class choices inside the allowed window, and
@@ -9,17 +10,24 @@ assert the deadlock-freedom invariants:
   (every hop for PHop, negative hops for NHop),
 * the class never exceeds the budget,
 * bonus cards never go negative.
+
+The last section checks, for every registered algorithm, the property
+the engine's parked headers depend on: a waiting header's
+``candidate_tiers`` answer settles after at most one call.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.pattern import FaultPattern
 from repro.routing.hop_based import Nbc, NHop, Pbc, PHop
+from repro.routing.registry import ALGORITHM_NAMES, make_algorithm
 from repro.simulator.message import Message
 from repro.topology.mesh import Mesh2D
+from repro.verify.corpus import CORPUS_NAMES, corpus_pattern
 
 MESH = Mesh2D(10)
 FAULT_FREE = FaultPattern.fault_free(MESH)
@@ -128,3 +136,79 @@ def test_nhop_strict_increase_on_negative_hops(pair, seed):
         label_of_hop_source = trace[i][3]
         if label_of_hop_source == 1:
             assert trace[i][0] > trace[i - 1][0]
+
+
+# ----------------------------------------------------------------------
+# The contract parked headers rely on (DESIGN.md §3.1, §3.4)
+# ----------------------------------------------------------------------
+RING_FIELDS = ("ring", "ring_class", "ring_orient_cw", "ring_entry_dist")
+
+
+def ring_state(msg):
+    return tuple(getattr(msg, name) for name in RING_FIELDS)
+
+
+def plain(tiers):
+    return [[(d, tuple(vcs)) for d, vcs in tier] for tier in tiers]
+
+
+def ask(alg, msg, node):
+    """One ``candidate_tiers`` call: (tiers, class_caps it added)."""
+    before = alg.class_caps
+    tiers = plain(alg.candidate_tiers(msg, node))
+    return tiers, alg.class_caps - before
+
+
+@pytest.mark.parametrize("pattern", CORPUS_NAMES)
+@pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+@given(width=st.sampled_from([4, 5, 6]), seed=st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_a_waiting_header_settles_after_one_ask(algorithm, pattern, width, seed):
+    """At every node of a random walk (any tier, any candidate — whatever
+    the router could have granted): after at most one ``candidate_tiers``
+    call a repeat returns equal tiers, leaves the four ring fields as it
+    found them and adds the same ``class_caps``.  The engine parks a
+    blocked header on exactly this."""
+    faults = corpus_pattern(pattern, width)
+    mesh = faults.mesh
+    alg = make_algorithm(algorithm)
+    alg.prepare(mesh, faults, 24)
+    rng = random.Random(seed)
+    src, dst = rng.sample(faults.healthy_nodes, 2)
+    msg = Message(0, src, dst, 4, created=0)
+    alg.new_message(msg)
+    node = src
+    for _ in range(8 * mesh.diameter):
+        if node == dst:
+            break
+        alg.candidate_tiers(msg, node)  # the one call that may commit state
+        settled = ring_state(msg)
+        second = ask(alg, msg, node)
+        assert ring_state(msg) == settled
+        assert ask(alg, msg, node) == second
+        assert ring_state(msg) == settled
+        tier = rng.choice(second[0])
+        direction, vcs = rng.choice(tier)
+        alg.on_vc_allocated(msg, node, direction, rng.choice(vcs))
+        node = mesh.neighbor(node, direction)
+
+
+def test_duato_first_ask_differs_from_every_later_one():
+    """The known quirk (DESIGN.md §3.4): where the XY escape hop is
+    faulty but another minimal neighbour is alive, DuatoXY's first ask
+    offers [adaptive, ring] and commits the message to ring transit; from
+    then on it answers [ring] only.  A header may therefore park on its
+    first *retry*, never on the first ask."""
+    faults = corpus_pattern("center-block", 6)
+    mesh = faults.mesh
+    alg = make_algorithm("duato")
+    alg.prepare(mesh, faults, 24)
+    (hole,) = faults.faulty
+    x, y = mesh.coordinates(hole)
+    node, dst = mesh.node_id(x - 1, y), mesh.node_id(x + 2, y + 2)
+    msg = Message(0, node, dst, 4, created=0)
+    first = plain(alg.candidate_tiers(msg, node))
+    assert len(first) == 2 and msg.ring is not None
+    second = plain(alg.candidate_tiers(msg, node))
+    assert second == [first[1]]
+    assert plain(alg.candidate_tiers(msg, node)) == second
