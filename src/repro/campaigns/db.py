@@ -171,12 +171,20 @@ class CampaignDB:
     # ------------------------------------------------------------------
     def save(self) -> Path:
         """Write ``campaign.json`` (atomic temp + replace)."""
+        location = {"store": str(self.store.root)}
+        if not self.store.root.is_absolute():
+            # As given means relative to *this* process's cwd.  A later
+            # opener is only sure to name the campaign directory, so the
+            # same location is also recorded relative to that.
+            location["store_from_root"] = os.path.relpath(
+                self.store.root, self.root
+            )
         payload = {
             "kind": "campaign-db",
             "schema": _SCHEMA_VERSION,
             "engine_version": ENGINE_VERSION,
             "spec": self.spec.to_dict(),
-            "store": str(self.store.root),
+            **location,
             "cells": [dict(c) for c in self.cells()],
         }
         fd, tmp = tempfile.mkstemp(
@@ -206,6 +214,14 @@ class CampaignDB:
         The persisted key table is trusted only if it was computed by
         the current ``ENGINE_VERSION``; otherwise every key is stale by
         construction and the table is silently recomputed on first use.
+
+        Without a *store* override the campaign reopens on its recorded
+        store, wherever the caller's cwd is: a relative location is
+        resolved against *root* (``store_from_root``; a file written
+        before that field existed falls back to the path as given).  A
+        recorded store that is not there is a :class:`FileNotFoundError`
+        and nothing is created — an empty store in its place would plan
+        every cell as missing and re-run the campaign.
         """
         root = Path(root)
         payload = json.loads((root / "campaign.json").read_text())
@@ -216,9 +232,14 @@ class CampaignDB:
                 f"unsupported campaign-db schema {payload.get('schema')!r}"
             )
         spec = CampaignSpec.from_dict(payload["spec"])
-        if store is None:
-            recorded = payload.get("store")
-            store = recorded if recorded else None
+        if store is None and payload.get("store"):
+            from_root = payload.get("store_from_root")
+            store = Path(
+                os.path.normpath(root / from_root) if from_root
+                else payload["store"]
+            )
+            if not store.is_dir():
+                raise FileNotFoundError(f"{store}: recorded store not found")
         db = cls(spec, root, store=store)
         if payload.get("engine_version") == ENGINE_VERSION:
             db._cells = tuple(payload["cells"])

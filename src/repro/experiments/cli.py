@@ -9,7 +9,7 @@ Examples::
     python -m repro.experiments all --store            # cache in .repro-store
     python -m repro.experiments store stats            # inspect the cache
     python -m repro.experiments verify check --all     # static routing analysis
-    python -m repro.experiments obs bench --label pr15 # perf trajectory
+    python -m repro.experiments obs bench --label mine # perf trajectory
     python -m repro.experiments fig3 --telemetry       # engine counters
     python -m repro.experiments serve query runs/c1 \
         --algorithm nhop --rate 0.01                   # tiered answers
@@ -24,16 +24,20 @@ import time
 from contextlib import nullcontext
 from pathlib import Path
 
-from repro.experiments.ablations import ABLATIONS, run_ablation
-from repro.experiments.budgets_table import print_budgets
-from repro.experiments.fig_faults import print_fig4, print_fig5, run_fault_study
-from repro.experiments.fig_fring import print_fig6, run_fring_study
-from repro.experiments.fig_sweep import print_fig1, print_fig2, run_sweep
-from repro.experiments.fig_vc_usage import print_fig3, run_vc_usage
 from repro.experiments.profiles import PROFILES, get_profile
 
 EXPERIMENTS = ("budgets", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
-ABLATION_COMMANDS = tuple(f"ablation-{name}" for name in sorted(ABLATIONS))
+#: One command per key of ``ablations.ABLATIONS`` (a test pins the two
+#: together), spelled out so that parsing a command line imports no
+#: driver: each is imported in the branch that runs it.
+ABLATION_COMMANDS = (
+    "ablation-bonus-cards",
+    "ablation-buffer-depth",
+    "ablation-mesh-size",
+    "ablation-message-length",
+    "ablation-misroute-limit",
+    "ablation-vc-count",
+)
 
 
 def _span_scope(trace, name: str):
@@ -290,6 +294,8 @@ def main(argv: list[str] | None = None) -> int:
     for command in wanted:
         if not command.startswith("ablation-"):
             continue
+        from repro.experiments.ablations import run_ablation
+
         name = command.removeprefix("ablation-")
         if progress:
             progress(f"[ablation] {name}: running")
@@ -299,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
         print()
 
     if "budgets" in wanted:
+        from repro.experiments.budgets_table import print_budgets
+
         print(print_budgets(profile.config.width, profile.config.vcs_per_channel))
         print()
     run = dict(
@@ -309,6 +317,10 @@ def main(argv: list[str] | None = None) -> int:
     # the manifest with run-finish status="error" on the way out.
     with manifest if manifest is not None else nullcontext():
         if "fig1" in wanted or "fig2" in wanted:
+            from repro.experiments.fig_sweep import (
+                print_fig1, print_fig2, run_sweep,
+            )
+
             with _span_scope(trace, "fig1-fig2"):
                 sweep = run_sweep(profile, algorithms, **run)
             _dump(args.out, f"sweep_{profile.name}", sweep.to_payload())
@@ -319,12 +331,18 @@ def main(argv: list[str] | None = None) -> int:
                 print(print_fig2(sweep))
                 print()
         if "fig3" in wanted:
+            from repro.experiments.fig_vc_usage import print_fig3, run_vc_usage
+
             with _span_scope(trace, "fig3"):
                 usage = run_vc_usage(profile, algorithms, **run)
             _dump(args.out, f"fig3_{profile.name}", usage.to_payload())
             print(print_fig3(usage))
             print()
         if "fig4" in wanted or "fig5" in wanted:
+            from repro.experiments.fig_faults import (
+                print_fig4, print_fig5, run_fault_study,
+            )
+
             with _span_scope(trace, "fig4-fig5"):
                 study = run_fault_study(profile, algorithms, **run)
             _dump(args.out, f"faults_{profile.name}", study.to_payload())
@@ -335,6 +353,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(print_fig5(study))
                 print()
         if "fig6" in wanted:
+            from repro.experiments.fig_fring import print_fig6, run_fring_study
+
             with _span_scope(trace, "fig6"):
                 fring = run_fring_study(profile, algorithms, **run)
             _dump(args.out, f"fig6_{profile.name}", fring.to_payload())

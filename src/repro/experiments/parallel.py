@@ -43,7 +43,6 @@ import os
 from collections.abc import Callable, Sequence
 from contextlib import ExitStack
 from functools import partial
-from multiprocessing import get_context
 
 from repro.obs.profile import clock
 from repro.obs.spans import ambient, make_span
@@ -321,6 +320,8 @@ def parallel_map(
         if workers <= 1 or len(jobs) <= 1:
             results = map(worker, jobs)
         else:
+            from multiprocessing import get_context
+
             pool = get_context().Pool(processes=min(workers, len(jobs)))
             results = stack.enter_context(pool).imap(worker, jobs)
         out = []

@@ -35,158 +35,66 @@ in :data:`repro.simulator.engine.EVENTS`:
   cycles, reconciled exactly against telemetry.
 
 See ``docs/observability.md`` for the counter catalog and workflows.
+
+The package re-exports lazily (PEP 562): a name is imported from its
+submodule on first access, so ``from repro.obs.profile import clock`` in
+a CLI that only reads a store does not load the bench harness, the
+ledger or the exporters.
 """
 
-from repro.obs.blame import (
-    COMPONENTS,
-    BlameRecorder,
-    aggregate_blame,
-    blame_cell,
-    blame_csv,
-    blame_payload,
-    reconcile_blame,
-    render_blame_report,
-    top_slow,
-    write_blame_json,
-)
-from repro.obs.bench import (
-    WORKLOADS,
-    Workload,
-    bench_key,
-    compare_payloads,
-    host_warnings,
-    parse_regress,
-    run_suite,
-    write_bench_file,
-)
-from repro.obs.history import (
-    gate_against_ledger,
-    ingest,
-    ledger_entry,
-    read_ledger,
-    render_history,
-    write_ledger,
-)
-from repro.obs.heatmap import (
-    heatmap_csv,
-    node_surface,
-    render_node_heatmap,
-    surface_split,
-)
-from repro.obs.manifest import (
-    ManifestWriter,
-    read_manifest,
-    render_report,
-    summarize_manifest,
-)
-from repro.obs.profile import (
-    PHASE_NAMES,
-    PhaseProfiler,
-    clock,
-    render_profile,
-)
-from repro.obs.telemetry import (
-    Counter,
-    EngineTelemetry,
-    Gauge,
-    Histogram,
-    Instrument,
-    LabeledCounter,
-    Series,
-    TelemetryRegistry,
-    series_snapshot,
-)
-from repro.obs.spans import (
-    SpanRecorder,
-    Trace,
-    ambient,
-    ambient_scope,
-    make_span,
-    make_span_id,
-    merge_spans,
-    read_spans_jsonl,
-    render_waterfall,
-    spans_from_manifest,
-    spans_merge_digest,
-    trace_id_from,
-    write_spans_jsonl,
-)
-from repro.obs.trace_export import (
-    chrome_trace,
-    jsonl_lines,
-    lifecycle_tracer,
-    spans_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-    write_spans_trace,
-    write_trace,
-)
+from importlib import import_module
 
-__all__ = [
-    "BlameRecorder",
-    "COMPONENTS",
-    "Counter",
-    "EngineTelemetry",
-    "Gauge",
-    "Histogram",
-    "Instrument",
-    "LabeledCounter",
-    "ManifestWriter",
-    "PHASE_NAMES",
-    "PhaseProfiler",
-    "Series",
-    "SpanRecorder",
-    "TelemetryRegistry",
-    "Trace",
-    "WORKLOADS",
-    "Workload",
-    "aggregate_blame",
-    "ambient",
-    "ambient_scope",
-    "bench_key",
-    "blame_cell",
-    "blame_csv",
-    "blame_payload",
-    "chrome_trace",
-    "clock",
-    "compare_payloads",
-    "gate_against_ledger",
-    "heatmap_csv",
-    "host_warnings",
-    "ingest",
-    "jsonl_lines",
-    "ledger_entry",
-    "lifecycle_tracer",
-    "make_span",
-    "make_span_id",
-    "merge_spans",
-    "node_surface",
-    "parse_regress",
-    "read_ledger",
-    "read_manifest",
-    "read_spans_jsonl",
-    "reconcile_blame",
-    "render_blame_report",
-    "render_history",
-    "render_node_heatmap",
-    "render_profile",
-    "render_report",
-    "render_waterfall",
-    "run_suite",
-    "series_snapshot",
-    "spans_chrome_trace",
-    "spans_from_manifest",
-    "spans_merge_digest",
-    "summarize_manifest",
-    "surface_split",
-    "top_slow",
-    "trace_id_from",
-    "write_bench_file",
-    "write_blame_json",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_ledger",
-    "write_spans_jsonl",
-    "write_spans_trace",
-    "write_trace",
-]
+
+#: submodule -> the names this package re-exports from it.
+_EXPORTS = {
+    "blame": (
+        "COMPONENTS", "BlameRecorder", "aggregate_blame", "blame_cell",
+        "blame_csv", "blame_payload", "reconcile_blame",
+        "render_blame_report", "top_slow", "write_blame_json",
+    ),
+    "bench": (
+        "WORKLOADS", "Workload", "bench_key", "compare_payloads",
+        "host_warnings", "parse_regress", "run_suite", "write_bench_file",
+    ),
+    "history": (
+        "gate_against_ledger", "ingest", "ledger_entry", "read_ledger",
+        "render_history", "write_ledger",
+    ),
+    "heatmap": (
+        "heatmap_csv", "node_surface", "render_node_heatmap", "surface_split",
+    ),
+    "manifest": (
+        "ManifestWriter", "read_manifest", "render_report",
+        "summarize_manifest",
+    ),
+    "profile": ("PHASE_NAMES", "PhaseProfiler", "clock", "render_profile"),
+    "telemetry": (
+        "Counter", "EngineTelemetry", "Gauge", "Histogram", "Instrument",
+        "LabeledCounter", "Series", "TelemetryRegistry", "series_snapshot",
+    ),
+    "spans": (
+        "SpanRecorder", "Trace", "ambient", "ambient_scope", "make_span",
+        "make_span_id", "merge_spans", "read_spans_jsonl",
+        "render_waterfall", "spans_from_manifest", "spans_merge_digest",
+        "trace_id_from", "write_spans_jsonl",
+    ),
+    "trace_export": (
+        "chrome_trace", "jsonl_lines", "lifecycle_tracer",
+        "spans_chrome_trace", "write_chrome_trace", "write_jsonl",
+        "write_spans_trace", "write_trace",
+    ),
+}
+_SUBMODULE_OF = {
+    name: submodule for submodule, names in _EXPORTS.items() for name in names
+}
+
+__all__ = sorted(_SUBMODULE_OF)
+
+
+def __getattr__(name: str):
+    submodule = _SUBMODULE_OF.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

@@ -1,8 +1,9 @@
 """Headless perf harness: a pinned workload suite with JSON trajectories.
 
-``python -m repro.obs bench --label pr15`` executes every pinned workload
-and writes a canonical ``BENCH_pr15.json`` at the current directory (the
-repo root, by convention).  ``python -m repro.obs compare A.json B.json
+``python -m repro.obs bench --label mine`` executes every pinned workload
+and writes a canonical ``BENCH_mine.json`` at the current directory (the
+repo root, by convention; bench files are not committed — the perf
+ledger keeps one condensed row per label).  ``python -m repro.obs compare A.json B.json
 --max-regress 15%`` exits nonzero when any shared workload regressed, so
 a non-blocking CI lane can track the repo's performance trajectory
 commit over commit.
@@ -197,6 +198,21 @@ WORKLOADS: tuple[Workload, ...] = (
         "width": 6, "vcs": 24, "message_length": 4, "cycles": 300,
         "warmup": 100, "rates": [0.005, 0.01, 0.02, 0.03], "repeats": 2,
         "passes": 50, "seed": 19,
+    }),
+    # What a call that never simulates pays before its few ms of work:
+    # three fresh interpreters per repeat — the bare import of the three
+    # entry points (``bench/run.py``'s set-up probe), ``campaigns
+    # status`` on a completed 4-cell campaign and a fully warm figure —
+    # each self-checked (exit 0, "complete", figure output identical to
+    # the cold call's, store untouched).  The campaign and the warm
+    # store are built once, untimed.  Process start is the whole cost
+    # here, so this is the row an import creeping back to module level
+    # shows up on.
+    Workload("cli_cold_start", "ops", {
+        "op": "cli_cold_start", "algorithms": ["nhop", "duato-nbc"],
+        "width": 6, "vcs": 24, "message_length": 4, "cycles": 300,
+        "warmup": 100, "rates": [0.01, 0.02], "repeats": 1, "seed": 2007,
+        "figure": "fig1", "profile": "smoke",
     }),
     Workload("verify_check_corpus", "ops", {
         # Model-checker runtime on a representative slice of the 4x4
@@ -674,6 +690,53 @@ def _ops_runner(params: dict):
                 loop.close()
 
         return run, passes * len(targets)
+    if op == "cli_cold_start":
+        import os
+        import subprocess
+
+        tmp, db = _serve_campaign(params)
+        # The children run the source tree this module was loaded from.
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(__file__).resolve().parents[2]),
+        }
+
+        def fresh(*argv: str) -> str:
+            return subprocess.run(
+                [sys.executable, *argv], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout
+
+        store_rows = Path(tmp.name) / "figure-store" / "rows.jsonl"
+        figure = (
+            "-m", "repro.experiments", params["figure"],
+            "--profile", params["profile"],
+            "--algorithms", *params["algorithms"],
+            "--store", str(store_rows.parent), "--quiet",
+        )
+        cold = fresh(*figure)  # untimed: simulates, fills the store
+        rows = store_rows.read_bytes()
+        starts = (
+            ("-c", "import repro.experiments.cli, repro.campaigns, "
+                   "repro.serve.api"),
+            ("-m", "repro.campaigns", "status", str(db.root)),
+            figure,
+        )
+
+        def run() -> None:
+            keep_alive = tmp  # noqa: F841  (pin the campaign dir)
+            _, status, warm = (fresh(*argv) for argv in starts)
+            if "complete" not in status:
+                raise RuntimeError(
+                    f"cli cold-start bench: campaign not complete: {status}"
+                )
+            if warm != cold or store_rows.read_bytes() != rows:
+                raise RuntimeError(
+                    "cli cold-start bench: the warm figure was not served "
+                    "from the store"
+                )
+
+        return run, len(starts)
     if op == "verify_check":
         from repro.routing.registry import make_algorithm
         from repro.verify.cdg import CdgChecker

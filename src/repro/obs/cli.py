@@ -2,8 +2,8 @@
 {bench,compare,smoke,report,heatmap,timeline,converge,profile,history,
 spans,blame}``.
 
-* ``bench --label pr15`` runs the pinned perf suite and writes
-  ``BENCH_pr15.json`` (see :mod:`repro.obs.bench`).
+* ``bench --label mine`` runs the pinned perf suite and writes
+  ``BENCH_mine.json`` (see :mod:`repro.obs.bench`).
 * ``compare BENCH_a.json BENCH_b.json --max-regress 15%`` exits 1 when
   any shared workload's rate metric regressed beyond the gate (naming
   each regressed workload on stderr), 2 when nothing was comparable,

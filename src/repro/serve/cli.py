@@ -26,7 +26,6 @@
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
 from pathlib import Path
@@ -130,6 +129,8 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
 
 
 def _cmd_api(args: argparse.Namespace) -> int:
+    import asyncio
+
     from repro.serve.api import QueryServer
 
     db = CampaignDB.open(args.root)

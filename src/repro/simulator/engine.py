@@ -29,9 +29,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
-
 from typing import TYPE_CHECKING
 
 from repro.faults.pattern import FaultPattern
@@ -280,7 +277,12 @@ class Simulation:
         self.rng = random.Random(config.seed)
         # Dedicated fast generator for the per-cycle service-order
         # permutations (the hottest RNG call at saturation); seeded from
-        # the run seed so runs stay exactly reproducible.
+        # the run seed so runs stay exactly reproducible.  numpy loads
+        # here, at the first Simulation of a process: importing this
+        # module (every store / plan / query / serve verb does) stays
+        # free of its ~0.13 s.
+        import numpy as np
+
         self._perm_rng = np.random.default_rng(config.seed ^ 0x5EED)
         self.cycle = 0
         self._msg_counter = 0

@@ -104,3 +104,13 @@ class TestCliIntegration:
 
         assert "ablation-bonus-cards" in ABLATION_COMMANDS
         assert "ablation-mesh-size" in ABLATION_COMMANDS
+
+    def test_commands_are_the_registry(self):
+        """The CLI spells its ablation commands out (so that parsing
+        imports no driver); they must stay the registry's keys."""
+        from repro.experiments.ablations import ABLATIONS
+        from repro.experiments.cli import ABLATION_COMMANDS
+
+        assert ABLATION_COMMANDS == tuple(
+            f"ablation-{name}" for name in sorted(ABLATIONS)
+        )

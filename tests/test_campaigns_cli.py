@@ -268,6 +268,20 @@ class TestHostileInput:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: ") and reason in err
 
+    @pytest.mark.parametrize("verb", ["plan", "run", "status", "query"])
+    def test_recorded_store_gone(self, tmp_path, spec_file, capsys, verb):
+        root = tmp_path / "c"
+        run_cli(capsys, "plan", root, "--spec", spec_file)
+        (root / "store").rename(tmp_path / "moved")
+        code, out, err = run_cli(capsys, verb, root)
+        assert code == 2 and out == ""
+        assert err == f"error: {root / 'store'}: recorded store not found\n"
+        assert not (root / "store").exists()  # nothing created
+        code, out, _ = run_cli(
+            capsys, "plan", root, "--store", tmp_path / "moved"
+        )
+        assert code == 0 and "0/4 cells stored" in out
+
     @pytest.mark.parametrize("shards", ["0", "-3", "two"])
     def test_shard_count_below_one_is_a_usage_error(
         self, tmp_path, spec_file, capsys, shards

@@ -144,6 +144,65 @@ class TestPersistence:
         db = CampaignDB(small_spec(), tmp_path / "c", store=shared)
         assert db.store is shared
 
+    @pytest.mark.parametrize("store, location", [
+        pytest.param("shared", "shared", id="relative-store"),
+        pytest.param(None, "runs/c/store", id="default-under-relative-root"),
+    ])
+    def test_relative_store_reopens_from_another_cwd(
+        self, tmp_path, monkeypatch, store, location
+    ):
+        """A store recorded relative to the creating cwd is found again
+        from any cwd (it used to reopen as a new, empty store there and
+        plan every cell as missing)."""
+        here, elsewhere = tmp_path / "here", tmp_path / "elsewhere"
+        here.mkdir()
+        elsewhere.mkdir()
+        monkeypatch.chdir(here)
+        db = CampaignDB(small_spec(), "runs/c", store=store)
+        for cell in db.cells():
+            db.store.put(cell["key"], {"stub": cell["id"]})
+        db.save()
+        assert json.loads(db.path.read_text())["store"] == location  # as given
+        assert CampaignDB.open("runs/c").store.root == db.store.root
+
+        monkeypatch.chdir(elsewhere)
+        reopened = CampaignDB.open(here / "runs" / "c")
+        assert reopened.store.root == here / location
+        assert reopened.plan().missing == ()
+        assert list(elsewhere.iterdir()) == []  # no stray store
+
+    def test_absolute_store_is_recorded_verbatim(self, tmp_path):
+        db = CampaignDB(small_spec(), tmp_path / "c")
+        db.save()
+        payload = json.loads(db.path.read_text())
+        assert payload["store"] == str(tmp_path / "c" / "store")
+        assert "store_from_root" not in payload
+
+    def test_missing_recorded_store_is_refused(self, tmp_path, monkeypatch):
+        """Reopening never conjures an empty store where the recorded
+        one should be — neither a moved one, nor (a `campaign.json`
+        from before `store_from_root`) one relative to another cwd."""
+        root = tmp_path / "c"
+        db = CampaignDB(small_spec(), root)
+        db.save()
+        db.store.root.rename(tmp_path / "moved")
+        with pytest.raises(FileNotFoundError, match="recorded store not found"):
+            CampaignDB.open(root)
+        assert not db.store.root.exists()
+        assert CampaignDB.open(root, store=tmp_path / "moved").store.root == (
+            tmp_path / "moved"
+        )
+
+        payload = json.loads(db.path.read_text())
+        payload["store"] = "moved"
+        db.path.write_text(json.dumps(payload))
+        monkeypatch.chdir(tmp_path)
+        assert CampaignDB.open(root).store.root.samefile(tmp_path / "moved")
+        monkeypatch.chdir(root)
+        with pytest.raises(FileNotFoundError, match="moved: recorded store"):
+            CampaignDB.open(root)
+        assert not (root / "moved").exists()
+
 
 class TestStatus:
     def test_groups_cover_algorithms_and_fault_cases(self, tmp_path):

@@ -177,6 +177,16 @@ def test_serve_http_roundtrip_workload_self_checks_statuses():
     assert metrics["ops_per_sec"] > 0
 
 
+def test_cli_cold_start_workload_self_checks_three_fresh_interpreters():
+    """Import of the entry points, `campaigns status`, a warm figure —
+    each in its own interpreter; a non-zero exit, an incomplete campaign
+    or a figure that re-simulated raises."""
+    (w,) = [w for w in WORKLOADS if w.name == "cli_cold_start"]
+    metrics = run_suite(workloads=(w,), repeats=1)["cli_cold_start"]
+    assert metrics["ops"] == 3
+    assert metrics["ops_per_sec"] > 0
+
+
 def test_campaign_plan_resume_workload_times_pure_planning():
     """The workload plans, kills half the cells, and replans — its own
     internal exactness check raises if the resume plan is not exactly

@@ -1,5 +1,6 @@
 """Tests for config / fault-pattern serialization."""
 
+import dataclasses
 import json
 
 import pytest
@@ -24,6 +25,21 @@ class TestConfigRoundTrip:
     def test_json_safe(self):
         payload = config_to_dict(SimConfig(width=6, injection_rate=0.0123))
         assert json.loads(json.dumps(payload)) == payload
+
+    def test_same_bytes_as_asdict(self):
+        """The field-tuple read is `dataclasses.asdict` for a flat config:
+        same items in the same order (store rows and `campaign.json` are
+        written unsorted), hence the same run keys."""
+        cfg = SimConfig(
+            width=6, height=4, injection_rate=0.0123, deadlock_timeout=300,
+            on_deadlock="drain", cycles_mode="auto", cycles_window=200,
+        )
+        expected = {**dataclasses.asdict(cfg), "schema": 1, "kind": "sim-config"}
+        assert json.dumps(config_to_dict(cfg)) == json.dumps(expected)
+        assert all(
+            value is None or isinstance(value, (bool, int, float, str))
+            for value in dataclasses.asdict(PAPER_CONFIG).values()
+        ), "a non-scalar SimConfig field needs a copying read again"
 
     def test_kind_checked(self):
         with pytest.raises(ValueError, match="not a sim-config"):

@@ -509,6 +509,61 @@ class TestEngineRng:
         )
         assert self.check(src) == []
 
+    # The engine imports numpy inside ``Simulation.__init__``; the rule
+    # reads call names, so it must judge the call the same however and
+    # wherever the import is spelled.
+    LOCAL_IMPORTS = {
+        "import numpy as np": "np.random.default_rng",
+        "import numpy": "numpy.random.default_rng",
+        "from numpy.random import default_rng": "default_rng",
+    }
+
+    def local_import(self, imp, args):
+        return (
+            "class Sim:\n"
+            "    def __init__(self, config):\n"
+            f"        {imp}\n"
+            "\n"
+            f"        self._perm_rng = {self.LOCAL_IMPORTS[imp]}({args})\n"
+        )
+
+    def test_accepts_seeded_rng_behind_a_function_local_import(self):
+        for imp in self.LOCAL_IMPORTS:
+            src = self.local_import(imp, "config.seed ^ 0x5EED")
+            assert self.check(src) == [], imp
+
+    def test_flags_unseeded_rng_behind_a_function_local_import(self):
+        for imp in self.LOCAL_IMPORTS:
+            findings = self.check(self.local_import(imp, ""))
+            assert len(findings) == 1, imp
+            assert "unseeded" in findings[0].message
+
+    def test_flags_global_draw_behind_a_function_local_import(self):
+        src = (
+            "def jitter(self):\n"
+            "    import numpy as np\n"
+            "\n"
+            "    return np.random.randint(0, 5)\n"
+        )
+        findings = self.check(src)
+        assert len(findings) == 1 and "global" in findings[0].message
+
+    def test_the_engine_still_holds_a_seeded_default_rng(self):
+        """The real file: exactly one ``default_rng`` call, seeded."""
+        import ast
+
+        import repro.simulator.engine as engine
+
+        source = Path(engine.__file__).read_text()
+        calls = [
+            node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "default_rng"
+        ]
+        assert len(calls) == 1 and len(calls[0].args) == 1
+        assert self.check(source, path="src/repro/simulator/engine.py") == []
+
     def test_other_layers_are_out_of_scope(self):
         src = "import random\nRNG = random.Random(42)\n"
         assert self.check(src, path="src/repro/obs/x.py") == []
