@@ -27,7 +27,7 @@ evaluator = Evaluator(config, seed=7)
 cases = [evaluator.fault_case(n, FAULT_SETS) for n in FAULT_COUNTS]
 
 # Offered load 0.4 flits/node/cycle (around saturation; the paper's
-# Figures 4-5 use "100% traffic load", which the benchmarks reproduce).
+# Figures 4-5 use "100% traffic load", which `experiments fig4` reproduces).
 rate = 0.4 / config.message_length
 
 thr_rows, lat_rows = [], []

@@ -15,8 +15,8 @@ adaptive-minimal case:
   predictor with virtual-channel multiplexing, plus a saturation-rate
   bound from the most-loaded channel.
 
-`benchmarks/bench_analytical_model.py` validates the model against the
-flit-level simulator.
+``tests/test_analysis.py`` (``TestModelAgainstSimulation``) validates the
+model against the flit-level simulator.
 """
 
 from repro.analysis.channel_load import ChannelLoadMap, channel_loads

@@ -8,8 +8,8 @@ First-order model (assumptions documented per term):
 * **Bandwidth-sharing stretch** — a wormhole pipeline moves at the rate
   of its most-contended link; with bottleneck utilization ``rho_max``
   the whole pipeline stretches by ``1 / (1 - rho_max)``.  (Validated
-  against the simulator across the load range in
-  ``benchmarks/bench_analytical_model.py``; slightly optimistic near
+  against the simulator below saturation in
+  ``tests/test_analysis.py``; slightly optimistic near
   saturation, where burstiness adds higher-order terms.)
 * **Per-channel utilization** — from the exact fluid flows of
   :class:`~repro.analysis.channel_load.ChannelLoadMap`; a channel moves
@@ -30,8 +30,7 @@ First-order model (assumptions documented per term):
 
 The model is calibrated for the fault-free uniform-traffic case below
 saturation; its saturation bound comes from the busiest channel.
-``benchmarks/bench_analytical_model.py`` checks it against the
-simulator.
+``tests/test_analysis.py`` checks both against the simulator.
 """
 
 from __future__ import annotations

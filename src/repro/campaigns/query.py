@@ -4,8 +4,8 @@ The query layer turns the campaign store back into analysis-ready
 data: a :class:`CampaignArray` is a dense array over the declared space
 with dims ``(algorithm, rate, fault_case, repeat)`` and one nested-list
 value block per metric (``latency``, ``network_latency``,
-``throughput``, ``simulated_cycles``, ``delivered``, ``dropped``,
-``avg_hops``).
+``throughput``, ``simulated_cycles``, ``delivered``, ``dropped`` and its
+two parts ``dropped_deadlock`` / ``dropped_livelock``, ``avg_hops``).
 Values come from :func:`repro.util.serialization.result_from_dict`
 reconstructions of the stored payloads, so a queried latency is exactly
 the ``avg_latency`` the simulation reported.
@@ -52,6 +52,8 @@ _EXTRACTORS = {
     ),
     "delivered": lambda r: float(r.delivered),
     "dropped": lambda r: float(r.dropped_deadlock + r.dropped_livelock),
+    "dropped_deadlock": lambda r: float(r.dropped_deadlock),
+    "dropped_livelock": lambda r: float(r.dropped_livelock),
     "avg_hops": lambda r: r.avg_hops,
 }
 

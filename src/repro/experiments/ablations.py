@@ -18,23 +18,24 @@ measures it:
   diameter).
 
 All studies run fault-free at a configurable offered load and return
-plain row dicts so the CLI and benchmarks can render them.
+plain row dicts so the CLI can render them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.experiments.ascii_plot import table
 from repro.faults.pattern import FaultPattern
 from repro.routing.freeform import FullyAdaptive
 from repro.routing.registry import make_algorithm
 from repro.simulator.config import SimConfig
-from repro.simulator.engine import ENGINE_VERSION, Simulation
+from repro.simulator.engine import Simulation
 from repro.store.backend import ResultStore
+from repro.store.cache import CacheStats, get_or_run
 from repro.store.keys import algorithm_token, run_key
 from repro.topology.mesh import Mesh2D
-from repro.util.serialization import result_from_dict, result_to_dict
 
 
 @dataclass
@@ -66,24 +67,17 @@ def _run(cfg: SimConfig, algorithm, store: ResultStore | None = None) -> dict:
     """
     token = algorithm_token(algorithm)
     alg = make_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
-    r = None
-    key = None
-    if store is not None:
+
+    def execute():
+        return Simulation(cfg, alg).run()
+
+    if store is None:
+        r = execute()
+    else:
         faults = FaultPattern.fault_free(Mesh2D(cfg.width, cfg.height))
-        key = run_key(cfg, token, faults)
-        cached = store.get(key)
-        if cached is not None:
-            r = result_from_dict(cached)
-    if r is None:
-        sim = Simulation(cfg, alg)
-        r = sim.run()
-        if store is not None and key is not None:
-            store.put(
-                key,
-                result_to_dict(r),
-                engine_version=ENGINE_VERSION,
-                algorithm=token,
-            )
+        r = get_or_run(
+            store, run_key(cfg, token, faults), token, execute, CacheStats()
+        )
     return {
         "throughput": round(r.throughput, 4),
         "latency": round(r.avg_latency, 1) if r.delivered else float("nan"),
@@ -175,50 +169,42 @@ def misroute_limit_ablation(
     return result
 
 
-def buffer_depth_ablation(
-    load: float = 0.5,
-    depths: tuple[int, ...] = (1, 2, 4, 8),
-    algorithm: str = "duato-nbc",
-    store: ResultStore | None = None,
-    **overrides,
+#: The studies that sweep one ``SimConfig`` field for one algorithm:
+#: study -> (field, knob label, row column, values keyword, default
+#: values, default algorithm).
+_SINGLE_KNOB = {
+    # Flit-buffer depth per VC.
+    "buffer-depth": (
+        "buffer_depth", "buffer_depth", "depth", "depths", (1, 2, 4, 8), "duato-nbc",
+    ),
+    # The literature's common message lengths (32/64/100 flits).
+    "message-length": (
+        "message_length", "message_length", "length", "lengths", (32, 64, 100), "nhop",
+    ),
+    # Radix scaling; the hop budgets grow with the diameter.
+    "mesh-size": ("width", "width=height", "radix", "radices", (6, 8, 10, 12), "nhop"),
+}
+
+
+def _single_knob_ablation(
+    study: str, load: float = 0.5, store: ResultStore | None = None, **overrides
 ) -> AblationResult:
-    """Flit-buffer depth per VC."""
-    result = AblationResult("buffer-depth", "buffer_depth")
-    for depth in depths:
-        cfg = _base_config(load, buffer_depth=depth, **overrides)
-        result.rows.append({"depth": depth, **_run(cfg, algorithm, store)})
+    """One :data:`_SINGLE_KNOB` study; its values keyword (``depths`` /
+    ``lengths`` / ``radices``) and ``algorithm`` replace the declared
+    defaults, any other keyword overrides the base config."""
+    config_field, knob, column, values_kw, values, algorithm = _SINGLE_KNOB[study]
+    values = overrides.pop(values_kw, values)
+    algorithm = overrides.pop("algorithm", algorithm)
+    result = AblationResult(study, knob)
+    for value in values:
+        cfg = _base_config(load, **{config_field: value}, **overrides)
+        result.rows.append({column: value, **_run(cfg, algorithm, store)})
     return result
 
 
-def message_length_ablation(
-    load: float = 0.5,
-    lengths: tuple[int, ...] = (32, 64, 100),
-    algorithm: str = "nhop",
-    store: ResultStore | None = None,
-    **overrides,
-) -> AblationResult:
-    """The literature's common message lengths (32/64/100 flits)."""
-    result = AblationResult("message-length", "message_length")
-    for length in lengths:
-        cfg = _base_config(load, message_length=length, **overrides)
-        result.rows.append({"length": length, **_run(cfg, algorithm, store)})
-    return result
-
-
-def mesh_size_ablation(
-    load: float = 0.5,
-    radices: tuple[int, ...] = (6, 8, 10, 12),
-    algorithm: str = "nhop",
-    store: ResultStore | None = None,
-    **overrides,
-) -> AblationResult:
-    """Radix scaling; the hop budgets grow with the diameter."""
-    result = AblationResult("mesh-size", "width=height")
-    for k in radices:
-        cfg = _base_config(load, width=k, **overrides)
-        result.rows.append({"radix": k, **_run(cfg, algorithm, store)})
-    return result
-
+buffer_depth_ablation = partial(_single_knob_ablation, "buffer-depth")
+message_length_ablation = partial(_single_knob_ablation, "message-length")
+mesh_size_ablation = partial(_single_knob_ablation, "mesh-size")
 
 ABLATIONS = {
     "vc-count": vc_count_ablation,

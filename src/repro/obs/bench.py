@@ -10,10 +10,9 @@ commit over commit.
 
 Methodology:
 
-* **Engine workloads** mirror ``benchmarks/bench_simulator_micro.py``:
-  the network is warmed to steady state, then a fixed number of cycles
-  is timed.  Timing runs attach nothing (the production hot
-  path); a separate, untimed **twin run with telemetry attached** — same
+* **Engine workloads**: the network is warmed to steady state, then a
+  fixed number of cycles is timed.  Timing runs attach nothing (the
+  production hot path); a separate, untimed **twin run with telemetry attached** — same
   seed, hence bit-identical — supplies the flit-hop count, so the file
   reports both ``cycles_per_sec`` and ``flit_hops_per_sec`` without the
   instrumented path contaminating the timings.

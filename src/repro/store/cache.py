@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 from repro.core.evaluator import Evaluator
 from repro.faults.pattern import FaultPattern
@@ -27,7 +28,7 @@ from repro.store.backend import ResultStore
 from repro.store.keys import algorithm_token, run_key
 from repro.util.serialization import result_from_dict, result_to_dict
 
-__all__ = ["CacheStats", "CachedEvaluator", "make_evaluator"]
+__all__ = ["CacheStats", "CachedEvaluator", "get_or_run", "make_evaluator"]
 
 
 @dataclass
@@ -66,6 +67,33 @@ class CacheStats:
         self.misses += payload.get("misses", 0)
         self.puts += payload.get("puts", 0)
         self.bypassed += payload.get("bypassed", 0)
+
+
+def get_or_run(
+    store: ResultStore,
+    key: str,
+    token: str,
+    execute: Callable[[], SimulationResult],
+    stats: CacheStats,
+) -> SimulationResult:
+    """The one cache-through path: the stored result under *key*, or
+    *execute*'s, stored under *key* before it is returned.
+
+    *token* is the :func:`~repro.store.keys.algorithm_token` the key was
+    derived from; it and the engine version are the row's index fields.
+    *stats* counts the hit, or the miss and whether the put wrote a row.
+    """
+    cached = store.get(key)
+    if cached is not None:
+        stats.hits += 1
+        return result_from_dict(cached)
+    stats.misses += 1
+    result = execute()
+    if store.put(
+        key, result_to_dict(result), engine_version=ENGINE_VERSION, algorithm=token
+    ):
+        stats.puts += 1
+    return result
 
 
 class CachedEvaluator(Evaluator):
@@ -130,21 +158,13 @@ class CachedEvaluator(Evaluator):
             self.stats.bypassed += 1
             return self._execute(alg, cfg, faults)
         token = algorithm_token(algorithm)
-        key = run_key(cfg, token, faults, traffic=self.traffic_label)
-        cached = self.store.get(key)
-        if cached is not None:
-            self.stats.hits += 1
-            return result_from_dict(cached)
-        self.stats.misses += 1
-        result = self._execute(alg, cfg, faults)
-        if self.store.put(
-            key,
-            result_to_dict(result),
-            engine_version=ENGINE_VERSION,
-            algorithm=token,
-        ):
-            self.stats.puts += 1
-        return result
+        return get_or_run(
+            self.store,
+            run_key(cfg, token, faults, traffic=self.traffic_label),
+            token,
+            lambda: self._execute(alg, cfg, faults),
+            self.stats,
+        )
 
 
 def make_evaluator(

@@ -3,8 +3,8 @@
 The paper uses uniform traffic (every healthy node sends to every other
 healthy node with equal probability) with exponential inter-arrival times
 and fixed 100-flit messages.  The extra patterns (transpose, bit
-complement, hotspot) are provided for the extension studies in
-``benchmarks/``.
+complement, hotspot) are provided for the extension studies (the
+uniform / transpose / hotspot sweep in ``tests/test_traffic.py``).
 """
 
 from repro.traffic.patterns import (

@@ -1,69 +1,32 @@
 """Project-rule AST linter (:mod:`ast`-based, zero dependencies).
 
 Rules encode invariants of *this* codebase that generic linters cannot
-know.  Each rule has a stable id (``REPxxx``), a one-line summary, and a
-check implemented against the parsed AST.  Two scopes exist:
+know.  Each rule has a stable id (``REPxxx``) and a one-line summary in
+:data:`RULES`, and is one of two kinds:
 
-* **module rules** run per file,
-* **project rules** run once over the whole parsed file set (needed to
-  resolve class hierarchies across modules).
+* **reference rules** ask one question — "inside *scope*, is *this
+  module / this name* referenced outside *exempt*?" — and are declared,
+  not written: rows of :data:`REFERENCE_ROWS`, read by one interpreter
+  over the import and ``alias.attr`` records one pass per module
+  collects.  The table is the layering diagram; adding a boundary is
+  adding a row.
+* **structural rules** need the shape of the code (signatures, class
+  bodies, call arguments) and are ``_rule_xxx`` functions: **module
+  rules** run per file, **project rules** run once over the whole
+  parsed file set (needed to resolve class hierarchies across modules).
 
-Adding a rule: write a ``_rule_xxx`` function with the matching scope
-signature and register it in :data:`RULES`.  See ``docs/verify.md`` for
-the catalog and rationale.
+See ``docs/verify.md`` for the catalog, the row schema and rationale.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.obs.spans import CYCLE_SAFE_NAMES
-
-#: Modules (path fragments, "/"-separated) where stdlib ``random``
-#: module-level functions are tolerated: nowhere.  Seeded
-#: ``random.Random`` instances are fine everywhere; *unseeded* draws are
-#: additionally tolerated under these prefixes (the traffic layer owns
-#: randomness and is always handed a seeded rng anyway).
-_RANDOM_ALLOWED_PREFIXES = ("repro/traffic/",)
-
-#: ``random`` attributes that are classes/constructors, not draws.
-_RANDOM_SAFE_ATTRS = {"Random", "SystemRandom", "seed"}
-
-#: Import-boundary catalog: a module whose path contains the key prefix
-#: must not import any module starting with one of the value prefixes.
-#: ``repro.routing`` stays a pure decision layer: it may see messages,
-#: budgets, faults and topology, never the engine, experiments or store.
-_IMPORT_BOUNDARIES: dict[str, tuple[str, ...]] = {
-    "repro/routing/": (
-        "repro.simulator.engine",
-        "repro.experiments",
-        "repro.store",
-        "repro.metrics",
-    ),
-    "repro/topology/": (
-        "repro.routing",
-        "repro.simulator",
-        "repro.faults",
-        "repro.experiments",
-    ),
-    "repro/faults/": (
-        "repro.simulator",
-        "repro.routing",
-        "repro.experiments",
-    ),
-    # The engine never imports the observability layer — observers
-    # subscribe through Simulation.attach — and that holds for
-    # function-level imports too (shared arithmetic lives in repro.metrics).
-    "repro/simulator/": ("repro.obs",),
-}
-
-#: Carve-outs from the catalog above: the cycle-safe span constructors
-#: may cross into the simulator, and REP017 polices exactly which names.
-_IMPORT_BOUNDARY_EXEMPT: dict[str, tuple[str, ...]] = {
-    "repro/simulator/": ("repro.obs.spans",),
-}
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
                      ast.SetComp)
@@ -80,16 +43,28 @@ class Finding:
     message: str
 
     def to_payload(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
+
+
+#: An AST node with a position (what a rule reports a violation at).
+_Node = ast.stmt | ast.expr
+
+
+class _Ref(NamedTuple):
+    """One reference to another module, as :func:`_collect_refs` records it."""
+
+    #: ``import`` (``import M``, one per alias) and ``from`` (``from M
+    #: import ...``, one per statement) name the module itself; ``name``
+    #: is one ``from M import n`` alias; ``attr`` is ``x.n`` where an
+    #: ``import M [as x]`` anywhere in the file binds ``x``.
+    kind: str
+    module: str
+    name: str
+    node: _Node  # where a finding is reported
+    guarded: bool  # under ``if TYPE_CHECKING:`` (never executes)
 
 
 @dataclass(frozen=True)
@@ -97,28 +72,54 @@ class _Module:
     path: str  # repo-relative, "/"-separated
     tree: ast.Module
 
+    @cached_property
+    def refs(self) -> list[_Ref]:
+        """The one pass over the tree that every reference rule reads."""
+        return _collect_refs(self.tree)
+
+
+#: What a module rule yields per violation, and what a project rule does.
+_Hit = tuple[_Node, str]
+_ProjectHit = tuple[_Module, _Node, str]
+_ModuleRule = Callable[[_Module], Iterable[_Hit]]
+
 
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _iter_code_nodes(tree: ast.Module):
-    """Walk the AST, skipping ``if TYPE_CHECKING:`` bodies (those imports
-    never execute, so boundary rules must not fire on them)."""
-    stack: list[ast.AST] = [tree]
+def _collect_refs(tree: ast.Module) -> list[_Ref]:
+    """Import and ``alias.attr`` records of one module, in one walk.
+
+    Aliases are tracked file-wide (an ``import time as t`` inside one
+    function makes ``t.monotonic`` a read of ``time`` everywhere) and the
+    import level is ignored (``from .time import x`` reads as ``time``):
+    over-approximate on purpose, missing a read costs more than a waiver.
+    """
+    refs: list[_Ref] = []
+    aliases: dict[str, set[str]] = {}
+    attrs: list[tuple[str, ast.Attribute, bool]] = []
+    stack: list[tuple[ast.AST, bool]] = [(tree, False)]
     while stack:
-        node = stack.pop()
+        node, guarded = stack.pop()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                refs.append(_Ref("import", alias.name, alias.name, node, guarded))
+                aliases.setdefault(alias.asname or alias.name, set()).add(alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            refs.append(_Ref("from", node.module, node.module, node, guarded))
+            for alias in node.names:
+                refs.append(_Ref("name", node.module, alias.name, node, guarded))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            attrs.append((node.value.id, node, guarded))
+        guard_body: list[ast.stmt] = []
+        if isinstance(node, ast.If) and _base_name(node.test) == "TYPE_CHECKING":
+            guard_body = node.body
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.If) and _is_type_checking_test(child.test):
-                stack.extend(child.orelse)
-                continue
-            stack.append(child)
-        yield node
-
-
-def _is_type_checking_test(test: ast.expr) -> bool:
-    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
-        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
-    )
+            stack.append((child, guarded or child in guard_body))
+    for local, read, in_guard in attrs:
+        for module in sorted(aliases.get(local, ())):
+            refs.append(_Ref("attr", module, read.attr, read, in_guard))
+    return refs
 
 
 def _base_name(expr: ast.expr) -> str | None:
@@ -130,15 +131,37 @@ def _base_name(expr: ast.expr) -> str | None:
     return None
 
 
+def _dotted(expr: ast.expr) -> str | None:
+    """``a.b.c`` -> ``"a.b.c"`` (None for non-name chains)."""
+    parts: list[str] = []
+    while isinstance(expr, ast.Attribute):
+        parts.append(expr.attr)
+        expr = expr.value
+    if not isinstance(expr, ast.Name):
+        return None
+    parts.append(expr.id)
+    return ".".join(reversed(parts))
+
+
 def _annotation_text(expr: ast.expr | None) -> str:
     return "" if expr is None else ast.unparse(expr).replace(" ", "")
+
+
+def _assigned_names(body: list[ast.stmt]) -> set[str]:
+    """Names bound by a plain or annotated assignment directly in *body*."""
+    names: set[str] = set()
+    for stmt in body:
+        if isinstance(stmt, ast.Assign):
+            names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.add(stmt.target.id)
+    return names
 
 
 # ----------------------------------------------------------------------
 # REP001 — mutable default arguments
 # ----------------------------------------------------------------------
-def _rule_mutable_defaults(mod: _Module) -> list[Finding]:
-    found = []
+def _rule_mutable_defaults(mod: _Module) -> Iterator[_Hit]:
     for node in ast.walk(mod.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -151,91 +174,14 @@ def _rule_mutable_defaults(mod: _Module) -> list[Finding]:
                 and isinstance(default.func, ast.Name)
                 and default.func.id in ("list", "dict", "set")
             ):
-                found.append(Finding(
-                    "REP001", mod.path, default.lineno, default.col_offset,
-                    f"mutable default argument in {node.name}()",
-                ))
-    return found
-
-
-# ----------------------------------------------------------------------
-# REP002 — unseeded stdlib random outside the traffic layer
-# ----------------------------------------------------------------------
-def _rule_unseeded_random(mod: _Module) -> list[Finding]:
-    if any(mod.path.find(p) >= 0 for p in _RANDOM_ALLOWED_PREFIXES):
-        return []
-    random_names: set[str] = set()
-    found = []
-    for node in ast.walk(mod.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "random":
-                    random_names.add(alias.asname or "random")
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "random":
-                for alias in node.names:
-                    if alias.name not in _RANDOM_SAFE_ATTRS:
-                        found.append(Finding(
-                            "REP002", mod.path, node.lineno, node.col_offset,
-                            f"'from random import {alias.name}' pulls an "
-                            "unseeded global-RNG function; pass a seeded "
-                            "random.Random instead",
-                        ))
-    if random_names:
-        for node in ast.walk(mod.tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in random_names
-                and node.attr not in _RANDOM_SAFE_ATTRS
-            ):
-                found.append(Finding(
-                    "REP002", mod.path, node.lineno, node.col_offset,
-                    f"random.{node.attr} draws from the unseeded global RNG; "
-                    "use a seeded random.Random instance",
-                ))
-    return found
-
-
-# ----------------------------------------------------------------------
-# REP003 — layer import boundaries
-# ----------------------------------------------------------------------
-def _rule_import_boundaries(mod: _Module) -> list[Finding]:
-    forbidden: tuple[str, ...] = ()
-    exempt: tuple[str, ...] = ()
-    for prefix, banned in _IMPORT_BOUNDARIES.items():
-        if prefix in mod.path:
-            forbidden = banned
-            exempt = _IMPORT_BOUNDARY_EXEMPT.get(prefix, ())
-            break
-    if not forbidden:
-        return []
-    found = []
-    for node in _iter_code_nodes(mod.tree):
-        targets: list[str] = []
-        if isinstance(node, ast.Import):
-            targets = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            targets = [node.module]
-        for target in targets:
-            if target in exempt:
-                continue
-            for banned in forbidden:
-                if target == banned or target.startswith(banned + "."):
-                    found.append(Finding(
-                        "REP003", mod.path, node.lineno, node.col_offset,
-                        f"layer boundary: modules under "
-                        f"{mod.path.rsplit('/', 1)[0]}/ must not import "
-                        f"{target}",
-                    ))
-    return found
+                yield default, f"mutable default argument in {node.name}()"
 
 
 # ----------------------------------------------------------------------
 # REP004 — routing algorithms declare name and deadlock_free
 # (project scope: the class hierarchy spans several modules)
 # ----------------------------------------------------------------------
-def _rule_algorithm_declarations(mods: list[_Module]) -> list[Finding]:
+def _rule_algorithm_declarations(mods: list[_Module]) -> Iterator[_ProjectHit]:
     classes: dict[str, tuple[_Module, ast.ClassDef]] = {}
     for mod in mods:
         if "repro/routing/" not in mod.path:
@@ -256,42 +202,25 @@ def _rule_algorithm_declarations(mods: list[_Module]) -> list[Finding]:
             for base in map(_base_name, node.bases)
         )
 
-    found = []
     for name, (mod, node) in classes.items():
         if name == "RoutingAlgorithm" or name.startswith("_"):
             continue  # the interface itself / private mixins
         if not derives_from_algorithm(name, frozenset()):
             continue
-        declared = {
-            target.id
-            for stmt in node.body
-            if isinstance(stmt, ast.Assign)
-            for target in stmt.targets
-            if isinstance(target, ast.Name)
-        }
-        declared |= {
-            stmt.target.id
-            for stmt in node.body
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        }
+        declared = _assigned_names(node.body)
         for attr in ("name", "deadlock_free"):
             if attr not in declared:
-                found.append(Finding(
-                    "REP004", mod.path, node.lineno, node.col_offset,
+                yield mod, node, (
                     f"routing algorithm {name} must declare {attr!r} in its "
                     "class body (explicit, not inherited: the verifier and "
-                    "the experiment defaults key on it)",
-                ))
-    return found
+                    "the experiment defaults key on it)"
+                )
 
 
 # ----------------------------------------------------------------------
 # REP005 — tier-returning methods carry the Sequence[Tier] annotation
 # ----------------------------------------------------------------------
-def _rule_tier_annotations(mod: _Module) -> list[Finding]:
-    if "repro/routing/" not in mod.path:
-        return []
-    found = []
+def _rule_tier_annotations(mod: _Module) -> Iterator[_Hit]:
     for node in ast.walk(mod.tree):
         if not isinstance(node, ast.FunctionDef):
             continue
@@ -299,84 +228,19 @@ def _rule_tier_annotations(mod: _Module) -> list[Finding]:
             continue
         annotation = _annotation_text(node.returns)
         if annotation not in ("Sequence[Tier]", "list[Tier]"):
-            found.append(Finding(
-                "REP005", mod.path, node.lineno, node.col_offset,
+            yield node, (
                 f"{node.name}() must be annotated '-> Sequence[Tier]' (or "
                 f"'-> list[Tier]'; found {annotation or 'no annotation'!r}); "
-                "the tier shape is a checked engine contract",
-            ))
-    return found
-
-
-# ----------------------------------------------------------------------
-# REP006 — no wall-clock time in simulator hot paths
-# ----------------------------------------------------------------------
-#: Modules where wall-clock reads are forbidden: the cycle-driven engine
-#: core and the telemetry layer it publishes into.  Simulation behavior
-#: and observations must be functions of the cycle counter alone —
-#: wall-clock reads there break determinism of anything derived from
-#: them and hide real perf costs from the :mod:`repro.obs.bench`
-#: harness, which times runs from the *outside*.
-_WALLCLOCK_FORBIDDEN_PREFIXES = (
-    "repro/simulator/",
-    "repro/obs/telemetry",
-)
-
-#: ``time`` module attributes that read a clock.
-_WALLCLOCK_ATTRS = {
-    "time", "time_ns",
-    "perf_counter", "perf_counter_ns",
-    "monotonic", "monotonic_ns",
-    "process_time", "process_time_ns",
-    "clock_gettime", "clock_gettime_ns",
-}
-
-
-def _rule_no_wallclock(mod: _Module) -> list[Finding]:
-    if not any(p in mod.path for p in _WALLCLOCK_FORBIDDEN_PREFIXES):
-        return []
-    time_names: set[str] = set()
-    found = []
-    for node in ast.walk(mod.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "time":
-                    time_names.add(alias.asname or "time")
-        elif isinstance(node, ast.ImportFrom) and node.module == "time":
-            for alias in node.names:
-                if alias.name in _WALLCLOCK_ATTRS:
-                    found.append(Finding(
-                        "REP006", mod.path, node.lineno, node.col_offset,
-                        f"'from time import {alias.name}' in a simulator "
-                        "hot-path module; the engine is cycle-driven — "
-                        "stamp telemetry with the cycle counter, time runs "
-                        "from outside (repro.obs.bench)",
-                    ))
-    if time_names:
-        for node in ast.walk(mod.tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in time_names
-                and node.attr in _WALLCLOCK_ATTRS
-            ):
-                found.append(Finding(
-                    "REP006", mod.path, node.lineno, node.col_offset,
-                    f"time.{node.attr}() in a simulator hot-path module; "
-                    "the engine is cycle-driven — stamp telemetry with the "
-                    "cycle counter, time runs from outside (repro.obs.bench)",
-                ))
-    return found
+                "the tier shape is a checked engine contract"
+            )
 
 
 # ----------------------------------------------------------------------
 # REP007 — figure drivers stay profile-driven
 # ----------------------------------------------------------------------
-def _rule_figure_drivers(mod: _Module) -> list[Finding]:
-    name = mod.path.rsplit("/", 1)[-1]
-    if "repro/experiments/" not in mod.path or not name.startswith("fig_"):
-        return []
-    found = []
+def _rule_figure_drivers(mod: _Module) -> Iterator[_Hit]:
+    if not mod.path.rsplit("/", 1)[-1].startswith("fig_"):
+        return
     for node in mod.tree.body:  # top-level functions only
         if not isinstance(node, ast.FunctionDef):
             continue
@@ -384,34 +248,24 @@ def _rule_figure_drivers(mod: _Module) -> list[Finding]:
             continue
         params = [a.arg for a in node.args.posonlyargs + node.args.args]
         if not params or params[0] != "profile":
-            found.append(Finding(
-                "REP007", mod.path, node.lineno, node.col_offset,
+            yield node, (
                 f"figure driver {node.name}() must take 'profile' as its "
                 "first parameter (drivers are parameterized by the "
                 "registered profiles in repro.experiments.profiles, so "
-                "every figure runs at quick/smoke/paper scale)",
-            ))
+                "every figure runs at quick/smoke/paper scale)"
+            )
     for node in ast.walk(mod.tree):
-        if (
-            isinstance(node, ast.Call)
-            and _base_name(node.func) == "SimConfig"
-        ):
-            found.append(Finding(
-                "REP007", mod.path, node.lineno, node.col_offset,
+        if isinstance(node, ast.Call) and _base_name(node.func) == "SimConfig":
+            yield node, (
                 "figure drivers must not construct SimConfig inline; the "
                 "simulation scale belongs to the profile registry "
-                "(repro.experiments.profiles), not to one figure",
-            ))
-    return found
+                "(repro.experiments.profiles), not to one figure"
+            )
 
 
 # ----------------------------------------------------------------------
 # REP008 — content digests go through content_digest / canonical_json
 # ----------------------------------------------------------------------
-#: The one module allowed to hash arbitrary bytes: it *defines* the
-#: canonical serialization the rest of the project keys on.
-_DIGEST_HOME = "repro/store/keys"
-
 #: hashlib constructors whose output the store treats as a content key.
 _DIGEST_FUNCS = {"sha256", "sha1", "md5"}
 
@@ -423,21 +277,14 @@ def _is_canonical_json_call(expr: ast.expr) -> bool:
     )
 
 
-def _rule_canonical_digests(mod: _Module) -> list[Finding]:
-    if _DIGEST_HOME in mod.path:
-        return []
+def _rule_canonical_digests(mod: _Module) -> Iterator[_Hit]:
     # Local names bound to a canonical_json(...) result anywhere in the
     # module (``payload = canonical_json(...); sha256(payload.encode())``
     # is the common two-line idiom).
-    canonical_names: set[str] = set()
-    for node in ast.walk(mod.tree):
-        if (
-            isinstance(node, ast.Assign)
-            and _is_canonical_json_call(node.value)
-        ):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    canonical_names.add(target.id)
+    canonical_names = _assigned_names([
+        node for node in ast.walk(mod.tree)
+        if isinstance(node, ast.Assign) and _is_canonical_json_call(node.value)
+    ])
 
     def digests_canonical_json(call: ast.Call) -> bool:
         if len(call.args) != 1 or call.keywords:
@@ -456,48 +303,27 @@ def _rule_canonical_digests(mod: _Module) -> list[Finding]:
             )
         return False
 
-    found = []
     for node in ast.walk(mod.tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        name = None
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "hashlib"
-            and func.attr in _DIGEST_FUNCS
-        ):
-            name = f"hashlib.{func.attr}"
-        elif isinstance(func, ast.Name) and func.id in _DIGEST_FUNCS:
-            name = func.id
-        if name is None or digests_canonical_json(node):
+        name = _dotted(node.func)  # hashlib.sha256(...) or a bare sha256(...)
+        if name is None or name.removeprefix("hashlib.") not in _DIGEST_FUNCS:
             continue
-        found.append(Finding(
-            "REP008", mod.path, node.lineno, node.col_offset,
+        if digests_canonical_json(node):
+            continue
+        yield node, (
             f"{name}() outside repro.store.keys must digest "
             "canonical_json(...) — ad-hoc serialization silently forks "
             "the store's key space (dict order, float formatting); call "
             "repro.store.keys.content_digest(payload), which serializes "
-            "and hashes in one step",
-        ))
-    return found
+            "and hashes in one step"
+        )
 
 
 # ----------------------------------------------------------------------
 # REP010 — campaign/store key material round-trips through
 # repro.util.serialization canonical dicts
 # ----------------------------------------------------------------------
-#: Modules whose persisted JSON feeds (or sits next to) the store's key
-#: space: ad-hoc serialization of a config here silently forks the keys.
-_KEY_MATERIAL_SCOPES = (
-    "repro/campaigns/",
-    "repro/store/",
-)
-
-#: The sanctioned serialization homes themselves.
-_KEY_MATERIAL_EXEMPT = ("repro/store/keys", "repro/util/serialization")
-
 #: Config-ish terminal names whose direct json.dumps is suspect.
 _CONFIG_NAMES = ("config", "cfg", "base_config")
 
@@ -511,11 +337,7 @@ def _config_like_arg(arg: ast.expr) -> str | None:
         return None
     if isinstance(arg, ast.Attribute) and arg.attr == "__dict__":
         return "<x>.__dict__"
-    name = None
-    if isinstance(arg, ast.Name):
-        name = arg.id
-    elif isinstance(arg, ast.Attribute):
-        name = arg.attr
+    name = _base_name(arg)
     if name is not None and (
         name in _CONFIG_NAMES or name.endswith("_config")
     ):
@@ -523,35 +345,23 @@ def _config_like_arg(arg: ast.expr) -> str | None:
     return None
 
 
-def _rule_canonical_key_material(mod: _Module) -> list[Finding]:
-    if not any(p in mod.path for p in _KEY_MATERIAL_SCOPES):
-        return []
-    if any(p in mod.path for p in _KEY_MATERIAL_EXEMPT):
-        return []
-    found = []
+def _rule_canonical_key_material(mod: _Module) -> Iterator[_Hit]:
     for node in ast.walk(mod.tree):
         if not isinstance(node, ast.Call) or not node.args:
             continue
-        func = node.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "json"
-            and func.attr in ("dumps", "dump")
-        ):
+        dump = _dotted(node.func)
+        if dump not in ("json.dumps", "json.dump"):
             continue
         suspect = _config_like_arg(node.args[0])
         if suspect is None:
             continue
-        found.append(Finding(
-            "REP010", mod.path, node.lineno, node.col_offset,
-            f"json.{func.attr}({suspect}) serializes key material "
+        yield node, (
+            f"{dump}({suspect}) serializes key material "
             "ad-hoc; campaign/store payloads must round-trip through "
             "repro.util.serialization (config_to_dict / pattern_to_dict) "
             "and hash via repro.store.keys.canonical_json so every writer "
-            "agrees on one key space",
-        ))
-    return found
+            "agrees on one key space"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -564,7 +374,7 @@ _TELEMETRY_ACCESSORS = {
 }
 
 
-def _rule_observer_protocol(mod: _Module) -> list[Finding]:
+def _rule_observer_protocol(mod: _Module) -> Iterator[_Hit]:
     """REP009: simulator code publishes by iterating its event tuples.
 
     ``Simulation.attach`` is the only place an observer object is
@@ -578,8 +388,6 @@ def _rule_observer_protocol(mod: _Module) -> list[Finding]:
     iterated.  (That the engine imports nothing from ``repro.obs`` — so
     cannot name an instrument — is REP003.)
     """
-    if "repro/simulator/" not in mod.path:
-        return []
     binders = {
         node
         for func in ast.walk(mod.tree)
@@ -593,14 +401,13 @@ def _rule_observer_protocol(mod: _Module) -> list[Finding]:
         if isinstance(parent, (ast.Call, ast.Subscript, ast.Attribute))
         for child in ast.iter_child_nodes(parent)
     }
-    found = []
     for node in ast.walk(mod.tree):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in _TELEMETRY_ACCESSORS
         ):
-            message = (
+            yield node, (
                 f".{node.func.attr}(...) in the engine: instruments are "
                 "resolved by the subscribing observer's bind(sim), the "
                 "engine only publishes events"
@@ -608,18 +415,12 @@ def _rule_observer_protocol(mod: _Module) -> list[Finding]:
         elif not (isinstance(node, ast.Attribute) and node.attr.startswith("_on_")):
             continue
         elif isinstance(node.ctx, ast.Store) and node not in binders:
-            message = f"event tuple {node.attr!r} bound outside __init__/attach"
+            yield node, f"event tuple {node.attr!r} bound outside __init__/attach"
         elif isinstance(node.ctx, ast.Load) and node in misused:
-            message = (
+            yield node, (
                 "event tuples are only iterated ('for publish in <tuple>: "
                 "publish(...)'): do not call, index or pass one on"
             )
-        else:
-            continue
-        found.append(Finding(
-            "REP009", mod.path, node.lineno, node.col_offset, message
-        ))
-    return found
 
 
 # ----------------------------------------------------------------------
@@ -631,22 +432,8 @@ _RNG_CONSTRUCTORS = {"Random", "SystemRandom", "default_rng"}
 _NP_RANDOM_SAFE = {"default_rng", "Generator", "SeedSequence", "BitGenerator",
                    "PCG64", "RandomState"}
 
-_REP011_SCOPE = ("repro/simulator/", "repro/routing/")
 
-
-def _dotted(expr: ast.expr) -> str | None:
-    """``a.b.c`` -> ``"a.b.c"`` (None for non-name chains)."""
-    parts: list[str] = []
-    while isinstance(expr, ast.Attribute):
-        parts.append(expr.attr)
-        expr = expr.value
-    if not isinstance(expr, ast.Name):
-        return None
-    parts.append(expr.id)
-    return ".".join(reversed(parts))
-
-
-def _rule_engine_rng(mod: _Module) -> list[Finding]:
+def _rule_engine_rng(mod: _Module) -> Iterator[_Hit]:
     """REP011: simulator/routing randomness is seeded and instance-owned.
 
     Replayability of every run key rests on all randomness flowing from
@@ -656,30 +443,20 @@ def _rule_engine_rng(mod: _Module) -> list[Finding]:
     (shared across runs and across pool workers), and draws from numpy's
     global generator.
     """
-    if not any(prefix in mod.path for prefix in _REP011_SCOPE):
-        return []
-    found = []
     top_level_rng_lines = set()
     for stmt in mod.tree.body:
-        targets = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target]
-        value = getattr(stmt, "value", None)
         if (
-            targets
-            and isinstance(value, ast.Call)
-            and (dotted := _dotted(value.func)) is not None
+            isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            and isinstance(stmt.value, ast.Call)
+            and (dotted := _dotted(stmt.value.func)) is not None
             and dotted.rsplit(".", 1)[-1] in _RNG_CONSTRUCTORS
         ):
             top_level_rng_lines.add(stmt.lineno)
-            found.append(Finding(
-                "REP011", mod.path, stmt.lineno, stmt.col_offset,
+            yield stmt, (
                 "module-level RNG stream: one generator shared across "
                 "runs (and pool workers) breaks per-run replayability — "
-                "construct RNGs per Simulation from SimConfig.seed",
-            ))
+                "construct RNGs per Simulation from SimConfig.seed"
+            )
     for node in ast.walk(mod.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -693,29 +470,24 @@ def _rule_engine_rng(mod: _Module) -> list[Finding]:
             and not node.args
             and not node.keywords
         ):
-            found.append(Finding(
-                "REP011", mod.path, node.lineno, node.col_offset,
+            yield node, (
                 f"unseeded {tail}(): seeds from OS entropy, so the run "
-                "is not reproducible — derive the seed from "
-                "SimConfig.seed",
-            ))
+                "is not reproducible — derive the seed from SimConfig.seed"
+            )
         elif tail == "SystemRandom" and node.lineno not in top_level_rng_lines:
-            found.append(Finding(
-                "REP011", mod.path, node.lineno, node.col_offset,
+            yield node, (
                 "SystemRandom is unseedable by design and never "
-                "reproducible — use random.Random(SimConfig.seed)",
-            ))
+                "reproducible — use random.Random(SimConfig.seed)"
+            )
         elif (
             dotted.startswith(("np.random.", "numpy.random."))
             and tail not in _NP_RANDOM_SAFE
         ):
-            found.append(Finding(
-                "REP011", mod.path, node.lineno, node.col_offset,
+            yield node, (
                 f"np.random.{tail}(...) draws from numpy's global "
                 "generator (process-wide state no seed in SimConfig "
-                "controls) — draw from a default_rng(seed) instance",
-            ))
-    return found
+                "controls) — draw from a default_rng(seed) instance"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -758,19 +530,7 @@ def _worker_names(mods: list[_Module]) -> set[str]:
     return names
 
 
-def _module_level_names(tree: ast.Module) -> set[str]:
-    names: set[str] = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign):
-            for t in stmt.targets:
-                if isinstance(t, ast.Name):
-                    names.add(t.id)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            names.add(stmt.target.id)
-    return names
-
-
-def _rule_pool_worker_purity(mods: list[_Module]) -> list[Finding]:
+def _rule_pool_worker_purity(mods: list[_Module]) -> Iterator[_ProjectHit]:
     """REP012: functions dispatched to process pools stay pure.
 
     A worker that mutates module-level state only mutates its *own*
@@ -780,23 +540,19 @@ def _rule_pool_worker_purity(mods: list[_Module]) -> list[Finding]:
     through the snapshot/merge idiom).
     """
     workers = _worker_names(mods)
-    if not workers:
-        return []
-    found = []
     for mod in mods:
-        module_names = _module_level_names(mod.tree)
+        module_names = _assigned_names(mod.tree.body)
         for stmt in mod.tree.body:
             if not isinstance(stmt, ast.FunctionDef) or stmt.name not in workers:
                 continue
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Global):
-                    found.append(Finding(
-                        "REP012", mod.path, node.lineno, node.col_offset,
+                    yield mod, node, (
                         f"pool worker {stmt.name!r} declares "
                         f"'global {', '.join(node.names)}': the write "
                         "stays in the worker process and the parent "
-                        "never sees it — return the value instead",
-                    ))
+                        "never sees it — return the value instead"
+                    )
                     continue
                 targets = []
                 if isinstance(node, ast.Assign):
@@ -808,13 +564,12 @@ def _rule_pool_worker_purity(mods: list[_Module]) -> list[Finding]:
                     while isinstance(base, (ast.Subscript, ast.Attribute)):
                         base = base.value
                     if isinstance(base, ast.Name) and base.id in module_names:
-                        found.append(Finding(
-                            "REP012", mod.path, node.lineno, node.col_offset,
+                        yield mod, node, (
                             f"pool worker {stmt.name!r} writes into "
                             f"module-level {base.id!r}: per-process "
                             "state diverges from the sequential path — "
-                            "return results and merge in the parent",
-                        ))
+                            "return results and merge in the parent"
+                        )
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -822,27 +577,22 @@ def _rule_pool_worker_purity(mods: list[_Module]) -> list[Finding]:
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id in module_names
                 ):
-                    found.append(Finding(
-                        "REP012", mod.path, node.lineno, node.col_offset,
+                    yield mod, node, (
                         f"pool worker {stmt.name!r} calls "
                         f"{node.func.value.id}.{node.func.attr}(...) on "
                         "module-level state: the mutation is invisible "
                         "to the parent process — return results and "
-                        "merge in the parent",
-                    ))
-    return found
+                        "merge in the parent"
+                    )
 
 
 # ----------------------------------------------------------------------
 # REP013 - merge/digest reductions iterate in sorted-key order
 # ----------------------------------------------------------------------
-_REP013_SCOPE = ("repro/obs/", "repro/store/", "repro/campaigns/",
-                 "repro/experiments/")
-
 _DICT_VIEWS = {"items", "keys", "values"}
 
 
-def _rule_sorted_reductions(mod: _Module) -> list[Finding]:
+def _rule_sorted_reductions(mod: _Module) -> Iterator[_Hit]:
     """REP013: merge/digest code never iterates raw dict views.
 
     Merged snapshots, store digests and campaign proofs-of-equality all
@@ -852,21 +602,16 @@ def _rule_sorted_reductions(mod: _Module) -> list[Finding]:
     experiments layers, dict-view loops must be wrapped in
     ``sorted(...)``.
     """
-    if not any(prefix in mod.path for prefix in _REP013_SCOPE):
-        return []
-    found = []
     for func in ast.walk(mod.tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         name = func.name.lower()
         if "merge" not in name and "digest" not in name:
             continue
-        iters = [n.iter for n in ast.walk(func) if isinstance(n, ast.For)]
-        for comp in ast.walk(func):
-            if isinstance(comp, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                 ast.GeneratorExp)):
-                iters.extend(g.iter for g in comp.generators)
-        for it in iters:
+        for it in (
+            n.iter for n in ast.walk(func)
+            if isinstance(n, (ast.For, ast.comprehension))
+        ):
             if (
                 isinstance(it, ast.Call)
                 and isinstance(it.func, ast.Attribute)
@@ -874,14 +619,12 @@ def _rule_sorted_reductions(mod: _Module) -> list[Finding]:
                 and not it.args
                 and not it.keywords
             ):
-                found.append(Finding(
-                    "REP013", mod.path, it.lineno, it.col_offset,
+                yield it, (
                     f"unsorted .{it.func.attr}() iteration in "
                     f"{func.name!r}: merge/digest order must not depend "
                     "on dict insertion order (worker completion order) "
-                    "— wrap in sorted(...)",
-                ))
-    return found
+                    "— wrap in sorted(...)"
+                )
 
 
 # ----------------------------------------------------------------------
@@ -903,7 +646,7 @@ def _is_exception_class(node: ast.ClassDef) -> bool:
     )
 
 
-def _rule_simulator_slots(mod: _Module) -> list[Finding]:
+def _rule_simulator_slots(mod: _Module) -> Iterator[_Hit]:
     """REP014: ``repro.simulator`` classes declare ``__slots__``.
 
     The engine allocates VC/stream/message objects by the hundred
@@ -912,199 +655,238 @@ def _rule_simulator_slots(mod: _Module) -> list[Finding]:
     struct-of-arrays refactor depends on the attribute set being closed.
     Dataclasses (results/configs) and exceptions are exempt.
     """
-    if "repro/simulator/" not in mod.path:
-        return []
-    found = []
     for node in mod.tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
         if _has_dataclass_decorator(node) or _is_exception_class(node):
             continue
-        has_slots = any(
-            (isinstance(stmt, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__slots__"
-                for t in stmt.targets
-            ))
-            or (
-                isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and stmt.target.id == "__slots__"
-            )
-            for stmt in node.body
-        )
-        if not has_slots:
-            found.append(Finding(
-                "REP014", mod.path, node.lineno, node.col_offset,
+        if "__slots__" not in _assigned_names(node.body):
+            yield node, (
                 f"class {node.name!r} has no __slots__: simulator "
                 "objects are allocated per-VC/per-flit on the hot path "
                 "— declare the closed attribute set (dataclasses and "
-                "exceptions are exempt)",
-            ))
-    return found
+                "exceptions are exempt)"
+            )
 
 
 # ----------------------------------------------------------------------
-# REP015 — the serving layer never touches the simulator directly
+# Reference rules — REP002, REP003, REP006, REP015, REP016, REP017
 # ----------------------------------------------------------------------
-def _rule_serve_boundary(mod: _Module) -> list[Finding]:
-    """REP015: ``repro.serve`` must not import ``repro.simulator``.
+_STATEMENT = ("import", "from")  # the two kinds that name a module, not a name
 
-    The serving layer sits *above* the evaluator: simulation happens
-    only through :class:`repro.store.cache.CachedEvaluator`, so every
-    served run is canonically keyed, cached in the store, and gets the
-    deadlock-policy/seed-derivation treatment of
-    :class:`repro.core.evaluator.Evaluator`.  A direct
-    ``repro.simulator`` import would let answers bypass all three
-    (``ENGINE_VERSION`` is re-exported by ``repro.core.evaluator`` for
-    exactly this reason).
+
+@dataclass(frozen=True)
+class _Row:
+    """One reference rule: in a module whose path contains a *scope*
+    fragment (any module when empty) and no *exempt* one, flag every
+    :class:`_Ref` of one of *kinds* to one of *modules* whose name is in
+    *deny* — or, with no *deny*, is not in *allow*.
+
+    ``import``/``from`` refs match a module or anything under it, and
+    *allow* then carves whole modules out; ``name``/``attr`` refs match
+    the module exactly.  *runtime_only* rows skip ``if TYPE_CHECKING:``
+    imports.  *message* is a ``str.format`` template over ``{module}``,
+    ``{name}`` and ``{dir}`` (the linted file's directory).
     """
-    if "repro/serve/" not in mod.path:
-        return []
-    found = []
-    for node in _iter_code_nodes(mod.tree):
-        targets: list[str] = []
-        if isinstance(node, ast.Import):
-            targets = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            targets = [node.module]
-        for target in targets:
-            if target == "repro.simulator" or target.startswith(
-                "repro.simulator."
-            ):
-                found.append(Finding(
-                    "REP015", mod.path, node.lineno, node.col_offset,
-                    f"serving boundary: repro.serve must not import "
-                    f"{target} — simulate only through "
-                    "repro.core.evaluator / repro.store.cache so served "
-                    "runs are keyed, cached, and policy-correct",
-                ))
-    return found
+
+    code: str
+    kinds: tuple[str, ...]
+    modules: tuple[str, ...]
+    message: str
+    scope: tuple[str, ...] = ()
+    exempt: tuple[str, ...] = ()
+    deny: frozenset[str] | None = None
+    allow: frozenset[str] = frozenset()
+    runtime_only: bool = False
+
+    def flags(self, ref: _Ref) -> bool:
+        below = ref.kind in _STATEMENT  # those match M or anything under it
+        return (
+            ref.kind in self.kinds
+            and not (self.runtime_only and ref.guarded)
+            and any(
+                ref.module == m or (below and ref.module.startswith(m + "."))
+                for m in self.modules
+            )
+            and (ref.name not in self.allow if self.deny is None else ref.name in self.deny)
+        )
 
 
-# ----------------------------------------------------------------------
-# REP016 — monotonic timing goes through the sanctioned clock
-# ----------------------------------------------------------------------
+#: Modules that never read a clock: the cycle-driven engine core and the
+#: telemetry layer it publishes into.  Simulation behavior and
+#: observations must be functions of the cycle counter alone — wall-clock
+#: reads there break determinism of anything derived from them and hide
+#: real perf costs from the :mod:`repro.obs.bench` harness, which times
+#: runs from the *outside*.
+_CYCLE_DRIVEN = ("repro/simulator/", "repro/obs/telemetry")
+
 #: The one module allowed to name ``time.perf_counter``: it exports
-#: ``clock`` for every other timing site.
-_TIMER_HOME = "repro/obs/profile"
+#: ``clock`` for every other timing site, which keeps timing greppable
+#: (``grep 'import clock'``) and stops REP006 eroding one ad-hoc
+#: ``import time`` at a time.
+_TIMER_HOME = ("repro/obs/profile",)
+_TIMER_ATTRS = frozenset({"perf_counter", "perf_counter_ns"})
 
-_TIMER_ATTRS = {"perf_counter", "perf_counter_ns"}
+#: ``time`` module attributes that read a clock.
+_WALLCLOCK_ATTRS = _TIMER_ATTRS | {
+    "time", "time_ns", "monotonic", "monotonic_ns", "process_time",
+    "process_time_ns", "clock_gettime", "clock_gettime_ns",
+}
+
+#: ``random`` attributes that are classes/constructors, not draws.
+_RANDOM_SAFE_ATTRS = frozenset({"Random", "SystemRandom", "seed"})
+
+_BOUNDARY = "layer boundary: modules under {dir}/ must not import {module}"
+_HOT_PATH = (
+    " in a simulator hot-path module; the engine is cycle-driven — stamp "
+    "telemetry with the cycle counter, time runs from outside (repro.obs.bench)"
+)
+_USE_CLOCK = (
+    " outside the sanctioned timer module; use 'from repro.obs.profile "
+    "import clock'"
+)
+_SAFE_SPANS = ", ".join(CYCLE_SAFE_NAMES)
+
+REFERENCE_ROWS: tuple[_Row, ...] = (
+    # REP002 — seeded random.Random instances are fine everywhere; the
+    # traffic layer owns randomness and is always handed a seeded rng.
+    _Row(
+        "REP002", ("name",), ("random",), exempt=("repro/traffic/",),
+        allow=_RANDOM_SAFE_ATTRS,
+        message="'from random import {name}' pulls an unseeded global-RNG "
+        "function; pass a seeded random.Random instead",
+    ),
+    _Row(
+        "REP002", ("attr",), ("random",), exempt=("repro/traffic/",),
+        allow=_RANDOM_SAFE_ATTRS,
+        message="random.{name} draws from the unseeded global RNG; use a "
+        "seeded random.Random instance",
+    ),
+    # REP003 — repro.routing stays a pure decision layer: it may see
+    # messages, budgets, faults and topology, never the engine,
+    # experiments or store.
+    _Row(
+        "REP003", _STATEMENT, scope=("repro/routing/",), runtime_only=True,
+        modules=("repro.simulator.engine", "repro.experiments", "repro.store",
+                 "repro.metrics"),
+        message=_BOUNDARY,
+    ),
+    # ... topology and faults are leaf layers.
+    _Row(
+        "REP003", _STATEMENT, scope=("repro/topology/",), runtime_only=True,
+        modules=("repro.routing", "repro.simulator", "repro.faults",
+                 "repro.experiments"),
+        message=_BOUNDARY,
+    ),
+    _Row(
+        "REP003", _STATEMENT, scope=("repro/faults/",), runtime_only=True,
+        modules=("repro.simulator", "repro.routing", "repro.experiments"),
+        message=_BOUNDARY,
+    ),
+    # ... and the engine never imports the observability layer — observers
+    # subscribe through Simulation.attach — function-level imports
+    # included (shared arithmetic lives in repro.metrics).  The cycle-safe
+    # span constructors may cross; REP017 polices exactly which names.
+    _Row(
+        "REP003", _STATEMENT, ("repro.obs",), scope=("repro/simulator/",),
+        allow=frozenset({"repro.obs.spans"}), runtime_only=True,
+        message=_BOUNDARY,
+    ),
+    _Row(
+        "REP006", ("name",), ("time",), scope=_CYCLE_DRIVEN,
+        deny=_WALLCLOCK_ATTRS, message="'from time import {name}'" + _HOT_PATH,
+    ),
+    _Row(
+        "REP006", ("attr",), ("time",), scope=_CYCLE_DRIVEN,
+        deny=_WALLCLOCK_ATTRS, message="time.{name}()" + _HOT_PATH,
+    ),
+    # REP015 — the serving layer sits *above* the evaluator, so every served
+    # run is keyed, cached and gets its deadlock-policy/seed treatment
+    # (repro.core.evaluator re-exports ENGINE_VERSION for exactly this).
+    _Row(
+        "REP015", _STATEMENT, ("repro.simulator",), scope=("repro/serve/",),
+        runtime_only=True,
+        message="serving boundary: repro.serve must not import {module} — "
+        "simulate only through repro.core.evaluator / repro.store.cache so "
+        "served runs are keyed, cached, and policy-correct",
+    ),
+    # REP016 — a cycle-driven module may not even *import* the timer home,
+    # and nobody but the timer home names the raw timer.
+    _Row(
+        "REP016", _STATEMENT, ("repro.obs.profile",), scope=_CYCLE_DRIVEN,
+        exempt=_TIMER_HOME, runtime_only=True,
+        message="importing repro.obs.profile from a no-wall-clock module; "
+        "the engine publishes phase_lap events to an attached profiler and "
+        "never reads the clock itself",
+    ),
+    _Row(
+        "REP016", ("name",), ("time",), exempt=_TIMER_HOME, deny=_TIMER_ATTRS,
+        message="'from time import {name}'" + _USE_CLOCK,
+    ),
+    _Row(
+        "REP016", ("attr",), ("time",), exempt=_TIMER_HOME, deny=_TIMER_ATTRS,
+        message="time.{name}" + _USE_CLOCK,
+    ),
+    # REP017 — everything in repro.obs.spans but the pure id/constructor
+    # helpers (Trace.span, ambient helpers, file IO) reads the sanctioned
+    # clock or does IO, so only CYCLE_SAFE_NAMES cross into the engine.
+    _Row(
+        "REP017", ("import",), ("repro.obs.spans",), scope=_CYCLE_DRIVEN,
+        runtime_only=True,
+        message="'import {module}' in a cycle-driven module exposes the "
+        "whole span API (clock-stamped Trace.span, file IO); import only "
+        f"the cycle-safe names {_SAFE_SPANS}",
+    ),
+    _Row(
+        "REP017", ("name",), ("repro.obs.spans",), scope=_CYCLE_DRIVEN,
+        allow=frozenset(CYCLE_SAFE_NAMES), runtime_only=True,
+        message="'from repro.obs.spans import {name}' in a cycle-driven "
+        f"module; only the cycle-safe constructors ({_SAFE_SPANS}) may cross "
+        "this boundary — wall-clock spans are recorded outside the engine "
+        "(REP006/REP016)",
+    ),
+)
 
 
-def _rule_sanctioned_timer(mod: _Module) -> list[Finding]:
-    """REP016: ``time.perf_counter`` is named only in the timer home.
-
-    :mod:`repro.obs.profile` exports ``clock`` (=``time.perf_counter``)
-    as the project's single monotonic timer; bench, manifests, figure
-    drivers, campaign shards, and the serving layer import it from
-    there.  Keeping the raw name in one module makes every timing site
-    greppable (``grep 'import clock'``) and stops the engine-facing
-    no-wall-clock rule (REP006) eroding one ad-hoc ``import time`` at
-    a time.  Inside REP006's forbidden scope even *importing* the
-    timer home is flagged — the engine reports phase boundaries to an
-    attached profiler; it never reads a clock itself.
-    """
-    if _TIMER_HOME in mod.path:
-        return []
-    found = []
-    if any(p in mod.path for p in _WALLCLOCK_FORBIDDEN_PREFIXES):
-        for node in _iter_code_nodes(mod.tree):
-            targets: list[str] = []
-            if isinstance(node, ast.Import):
-                targets = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                targets = [node.module]
-            if any(t == "repro.obs.profile" for t in targets):
-                found.append(Finding(
-                    "REP016", mod.path, node.lineno, node.col_offset,
-                    "importing repro.obs.profile from a no-wall-clock "
-                    "module; the engine publishes phase_lap events to an "
-                    "attached profiler and never reads the clock itself",
-                ))
-    time_names: set[str] = set()
-    for node in ast.walk(mod.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "time":
-                    time_names.add(alias.asname or "time")
-        elif isinstance(node, ast.ImportFrom) and node.module == "time":
-            for alias in node.names:
-                if alias.name in _TIMER_ATTRS:
-                    found.append(Finding(
-                        "REP016", mod.path, node.lineno, node.col_offset,
-                        f"'from time import {alias.name}' outside the "
-                        "sanctioned timer module; use 'from "
-                        "repro.obs.profile import clock'",
-                    ))
-    if time_names:
-        for node in ast.walk(mod.tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in time_names
-                and node.attr in _TIMER_ATTRS
-            ):
-                found.append(Finding(
-                    "REP016", mod.path, node.lineno, node.col_offset,
-                    f"time.{node.attr} outside the sanctioned timer "
-                    "module; use 'from repro.obs.profile import clock'",
-                ))
-    return found
+def _in_scope(path: str, scope: tuple[str, ...], exempt: tuple[str, ...]) -> bool:
+    """Path fragments, not prefixes: ``repro/obs/telemetry`` scopes one file."""
+    return (not scope or any(p in path for p in scope)) and not any(
+        p in path for p in exempt
+    )
 
 
-# ----------------------------------------------------------------------
-# REP017 — trace spans respect engine time discipline
-# ----------------------------------------------------------------------
-#: The span module whose clock-reading surface must stay out of the
-#: cycle-driven scope; only :data:`repro.obs.spans.CYCLE_SAFE_NAMES`
-#: (pure id/constructor helpers) may cross the boundary.
-_SPANS_MODULE = "repro.obs.spans"
+def _within(
+    scope: tuple[str, ...], rule: _ModuleRule, exempt: tuple[str, ...] = ()
+) -> _ModuleRule:
+    """A structural *rule*, run only on the modules in scope."""
+    return lambda mod: rule(mod) if _in_scope(mod.path, scope, exempt) else ()
 
 
-def _rule_span_discipline(mod: _Module) -> list[Finding]:
-    """REP017: spans stay cycle-safe in the engine.
+def _reference_rule(code: str) -> _ModuleRule:
+    """The module rule that reads the table rows of one *code*."""
+    rows = [row for row in REFERENCE_ROWS if row.code == code]
 
-    A no-wall-clock module (REP006 scope) may import from
-    ``repro.obs.spans`` only the cycle-safe constructor names in
-    ``CYCLE_SAFE_NAMES`` — everything else (``Trace.span``, ambient
-    helpers, file IO) reads the sanctioned clock or does IO.
-    """
-    if not any(p in mod.path for p in _WALLCLOCK_FORBIDDEN_PREFIXES):
-        return []
-    found = []
-    for node in _iter_code_nodes(mod.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == _SPANS_MODULE or alias.name.startswith(
-                    _SPANS_MODULE + "."
-                ):
-                    found.append(Finding(
-                        "REP017", mod.path, node.lineno, node.col_offset,
-                        f"'import {alias.name}' in a cycle-driven module "
-                        "exposes the whole span API (clock-stamped "
-                        "Trace.span, file IO); import only the cycle-safe "
-                        f"names {', '.join(CYCLE_SAFE_NAMES)}",
-                    ))
-        elif isinstance(node, ast.ImportFrom) and node.module == _SPANS_MODULE:
-            for alias in node.names:
-                if alias.name not in CYCLE_SAFE_NAMES:
-                    found.append(Finding(
-                        "REP017", mod.path, node.lineno, node.col_offset,
-                        f"'from {_SPANS_MODULE} import {alias.name}' in a "
-                        "cycle-driven module; only the cycle-safe "
-                        f"constructors ({', '.join(CYCLE_SAFE_NAMES)}) may "
-                        "cross this boundary — wall-clock spans are "
-                        "recorded outside the engine (REP006/REP016)",
-                    ))
+    def check(mod: _Module) -> Iterator[_Hit]:
+        where = mod.path.rsplit("/", 1)[0]
+        for row in rows:
+            if _in_scope(mod.path, row.scope, row.exempt):
+                for ref in mod.refs:
+                    if row.flags(ref):
+                        yield ref.node, row.message.format(
+                            module=ref.module, name=ref.name, dir=where
+                        )
 
-    return found
+    return check
 
 
 # ----------------------------------------------------------------------
 # Catalog
 # ----------------------------------------------------------------------
-#: rule id -> (scope, summary, implementation).
-RULES: dict[str, tuple[str, str, object]] = {
+#: rule id -> (scope, summary, implementation).  A module rule yields
+#: ``(node, message)`` per violation in one module, a project rule
+#: ``(module, node, message)`` over the whole file set; the id, path and
+#: position of each :class:`Finding` are filled in by :func:`lint_modules`.
+RULES: dict[str, tuple[str, str, Callable[..., Iterable[tuple]]]] = {
     "REP001": (
         "module",
         "no mutable default arguments",
@@ -1113,13 +895,13 @@ RULES: dict[str, tuple[str, str, object]] = {
     "REP002": (
         "module",
         "no unseeded stdlib-random draws outside repro.traffic",
-        _rule_unseeded_random,
+        _reference_rule("REP002"),
     ),
     "REP003": (
         "module",
         "layer import boundaries (routing/topology/faults stay pure; "
         "repro.simulator never imports repro.obs, even inside a function)",
-        _rule_import_boundaries,
+        _reference_rule("REP003"),
     ),
     "REP004": (
         "project",
@@ -1129,44 +911,50 @@ RULES: dict[str, tuple[str, str, object]] = {
     "REP005": (
         "module",
         "tiers_for/candidate_tiers annotated '-> Sequence[Tier]' (or list[Tier])",
-        _rule_tier_annotations,
+        _within(("repro/routing/",), _rule_tier_annotations),
     ),
     "REP006": (
         "module",
         "no wall-clock reads in repro.simulator / telemetry hot paths",
-        _rule_no_wallclock,
+        _reference_rule("REP006"),
     ),
     "REP007": (
         "module",
         "figure drivers are profile-driven (run_*(profile, ...), no "
         "inline SimConfig)",
-        _rule_figure_drivers,
+        _within(("repro/experiments/",), _rule_figure_drivers),
     ),
     "REP008": (
         "module",
         "content digests outside repro.store.keys go through "
         "content_digest / canonical_json (one key space, one "
         "serialization)",
-        _rule_canonical_digests,
+        # repro.store.keys *defines* the canonical serialization.
+        _within((), _rule_canonical_digests, exempt=("repro/store/keys",)),
     ),
     "REP009": (
         "module",
         "repro.simulator reaches observers only by iterating its event "
         "tuples (no registry accessors; only attach binds them)",
-        _rule_observer_protocol,
+        _within(("repro/simulator/",), _rule_observer_protocol),
     ),
     "REP010": (
         "module",
         "campaign/store key material round-trips through "
         "repro.util.serialization canonical dicts (no ad-hoc "
         "json.dumps of configs)",
-        _rule_canonical_key_material,
+        # Modules whose persisted JSON feeds (or sits next to) the store's
+        # key space, minus the sanctioned serialization homes themselves.
+        _within(
+            ("repro/campaigns/", "repro/store/"), _rule_canonical_key_material,
+            exempt=("repro/store/keys", "repro/util/serialization"),
+        ),
     ),
     "REP011": (
         "module",
         "simulator/routing randomness is seeded and instance-owned "
         "(no unseeded or module-level RNG, no numpy global draws)",
-        _rule_engine_rng,
+        _within(("repro/simulator/", "repro/routing/"), _rule_engine_rng),
     ),
     "REP012": (
         "project",
@@ -1177,31 +965,34 @@ RULES: dict[str, tuple[str, str, object]] = {
     "REP013": (
         "module",
         "merge/digest reductions iterate dict views in sorted order",
-        _rule_sorted_reductions,
+        _within(
+            ("repro/obs/", "repro/store/", "repro/campaigns/", "repro/experiments/"),
+            _rule_sorted_reductions,
+        ),
     ),
     "REP014": (
         "module",
         "repro.simulator classes declare __slots__ (hot-path allocation)",
-        _rule_simulator_slots,
+        _within(("repro/simulator/",), _rule_simulator_slots),
     ),
     "REP015": (
         "module",
         "repro.serve never imports repro.simulator (simulate only via "
         "the cached evaluator)",
-        _rule_serve_boundary,
+        _reference_rule("REP015"),
     ),
     "REP016": (
         "module",
         "time.perf_counter only in repro.obs.profile (everyone else "
         "imports its clock); no-wall-clock modules may not import the "
         "timer home at all",
-        _rule_sanctioned_timer,
+        _reference_rule("REP016"),
     ),
     "REP017": (
         "module",
         "cycle-driven modules import only cycle-safe span constructors "
         "from repro.obs.spans",
-        _rule_span_discipline,
+        _reference_rule("REP017"),
     ),
 }
 
@@ -1214,11 +1005,13 @@ def lint_modules(
     for rule_id, (scope, _summary, impl) in sorted(RULES.items()):
         if select is not None and rule_id not in select:
             continue
-        if scope == "project":
-            findings.extend(impl(mods))
-        else:
-            for mod in mods:
-                findings.extend(impl(mod))
+        hits = impl(mods) if scope == "project" else (
+            (mod, node, message) for mod in mods for node, message in impl(mod)
+        )
+        findings += [
+            Finding(rule_id, mod.path, node.lineno, node.col_offset, message)
+            for mod, node, message in hits
+        ]
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
 
 

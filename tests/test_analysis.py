@@ -142,3 +142,33 @@ class TestModelAgainstSimulation:
         r = sim.run()
         predicted = model.predict(0.0005).latency
         assert r.avg_latency == pytest.approx(predicted, rel=0.15)
+
+    @staticmethod
+    def simulate(rate):
+        from repro.routing.registry import make_algorithm
+        from repro.simulator.config import SimConfig
+        from repro.simulator.engine import Simulation
+
+        cfg = SimConfig(
+            width=8, vcs_per_channel=24, message_length=8,
+            injection_rate=rate, cycles=3000, warmup=800, seed=9,
+        )
+        return Simulation(cfg, make_algorithm("minimal-adaptive")).run()
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.6])
+    def test_right_ballpark_below_saturation(self, fraction):
+        """Under load (not just at zero load) the predicted latency stays
+        within 0.5-2x of the simulated one."""
+        model = AnalyticalLatencyModel(Mesh2D(8), message_length=8)
+        rate = fraction * model.saturation_rate()
+        predicted = model.predict(rate).latency
+        measured = self.simulate(rate).avg_latency
+        assert math.isfinite(predicted)
+        assert 0.5 * measured <= predicted <= 2.0 * measured
+
+    def test_accepted_rate_never_above_the_fluid_bound(self):
+        """Offered 1.5x the model's saturation rate, the network cannot
+        accept more than the bottleneck channel's capacity allows."""
+        model = AnalyticalLatencyModel(Mesh2D(8), message_length=8)
+        run = self.simulate(1.5 * model.saturation_rate())
+        assert run.message_rate <= model.saturation_rate() * 1.1

@@ -113,6 +113,36 @@ class TestDenseCoverage:
         ]]]]
         assert dropped[0][0][0][0] > 0
 
+    def test_dropped_is_the_sum_of_its_split_cell_by_cell(self, tmp_path):
+        """A faulty 4-cell campaign tight enough to drain both ways: the
+        watchdog (short timeout) and the hop cap (``max_hops_factor``)."""
+        spec = CampaignSpec(
+            name="drop-split",
+            algorithms=("nhop", "fully-adaptive"),
+            config=SimConfig(
+                width=6, vcs_per_channel=24, message_length=16,
+                cycles=600, warmup=100, on_deadlock="drain",
+                deadlock_timeout=40, max_hops_factor=1,
+            ),
+            rates=(0.05, 0.1),
+            fault_counts=(5,),
+        )
+        db = CampaignDB(spec, tmp_path)
+        run_campaign(db)
+        split = ("dropped", "dropped_deadlock", "dropped_livelock")
+        arr = query(db, metrics=split)
+        cells = [
+            tuple(arr.sel(m, algorithm=c["algorithm"], rate=c["rate"],
+                          fault_case=c["fault_case"], repeat=c["repeat"])
+                  for m in split)
+            for c in db.cells()
+        ]
+        assert len(cells) == 4
+        for dropped, deadlock, livelock in cells:
+            assert dropped == deadlock + livelock
+        assert sum(d for _, d, _ in cells) > 0
+        assert sum(l for _, _, l in cells) > 0
+
     def test_unknown_metric_rejected(self, completed):
         with pytest.raises(ValueError, match="unknown metric"):
             query(completed, metrics=("latency", "flux"))

@@ -157,6 +157,88 @@ class TestDependencyCycleAnalysis:
             assert 0 <= vc < sim.config.vcs_per_channel
 
 
+#: ROADMAP item 1(a): the two configurations the re-anchor fuzz raised a
+#: genuine ``DeadlockError`` on — ``phop`` (declared ``deadlock_free``),
+#: 24 VCs, 8-flit messages, 0.08 msgs/node/cycle, ``on_deadlock="raise"``.
+#: ROADMAP does not say how the fault set came from the seed; the plain
+#: reading — ``generate_block_fault_pattern(mesh, n, random.Random(seed))``
+#: with the same seed in ``SimConfig`` — reproduces both as recorded
+#: (17 and 18 VCs), so nothing had to be re-found.  ``wait_cycle`` is what
+#: ``find_dependency_cycle`` reports, as ``(node, port, vc)``; ``drained``
+#: is ``(dropped_deadlock, dropped_livelock)`` of the same run under
+#: ``"drain"``.  Item 1(b) projects these onto the CDG checker's cycles and
+#: item 1(c)'s candidates (Stroobant et al.) are judged against them.
+WITNESSES = {
+    "6x6-4faults-seed815557": dict(
+        width=6, n_faults=4, seed=815557, timeout=400, cycles=2500,
+        faulty=[16, 17, 25, 29], raised_at=2304,
+        wait_cycle=[
+            (23, 1, 2), (23, 1, 15), (22, 0, 23), (21, 0, 23), (15, 2, 23),
+            (9, 2, 23), (10, 1, 23), (10, 1, 1), (11, 1, 2), (11, 4, 0),
+            (10, 0, 22), (10, 3, 14), (9, 0, 22), (15, 3, 22), (21, 3, 22),
+            (22, 1, 22), (22, 1, 1),
+        ],
+        drained=(11, 0),
+    ),
+    "8x8-5faults-seed786200": dict(
+        width=8, n_faults=5, seed=786200, timeout=200, cycles=1100,
+        faulty=[8, 28, 36, 47, 50], raised_at=896,
+        wait_cycle=[
+            (27, 2, 2), (35, 3, 20), (35, 1, 18), (43, 3, 20), (44, 1, 20),
+            (45, 1, 20), (45, 2, 3), (37, 2, 4), (37, 2, 19), (29, 2, 5),
+            (37, 3, 21), (37, 3, 0), (45, 3, 21), (44, 0, 21), (43, 0, 21),
+            (43, 0, 15), (35, 2, 1), (35, 2, 16),
+        ],
+        drained=(63, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+class TestDeadlockWitnessCorpus:
+    @staticmethod
+    def build(name, action):
+        import random
+
+        from repro.faults.generator import generate_block_fault_pattern
+        from repro.simulator.config import SimConfig
+        from repro.topology.mesh import Mesh2D
+
+        w = WITNESSES[name]
+        faults = generate_block_fault_pattern(
+            Mesh2D(w["width"]), w["n_faults"], random.Random(w["seed"])
+        )
+        assert sorted(faults.faulty) == w["faulty"]
+        cfg = SimConfig(
+            width=w["width"], vcs_per_channel=24, message_length=8,
+            injection_rate=0.08, cycles=w["cycles"], warmup=0, seed=w["seed"],
+            deadlock_timeout=w["timeout"], on_deadlock=action,
+        )
+        return Simulation(cfg, make_algorithm("phop"), faults=faults)
+
+    def test_raises_on_the_recorded_wait_for_cycle(self, name):
+        w = WITNESSES[name]
+        sim = self.build(name, "raise")
+        assert sim.algorithm.deadlock_free
+        with pytest.raises(DeadlockError) as exc:
+            sim.run()
+        assert exc.value.cycle == w["raised_at"]
+        assert f"circular wait of {len(w['wait_cycle'])} VCs" in str(exc.value)
+        assert find_dependency_cycle(sim) == w["wait_cycle"]
+
+    def test_the_cycle_couples_ring_and_class_channels(self, name):
+        """DESIGN.md section 3.7's shape: not a pure ring wrap (the last
+        four VCs) and not a pure class cycle, but both in one chain."""
+        ring = {vc >= 20 for _, _, vc in WITNESSES[name]["wait_cycle"]}
+        assert ring == {True, False}
+
+    def test_drain_books_it_as_deadlock_not_livelock(self, name):
+        result = self.build(name, "drain").run()
+        assert (result.dropped_deadlock, result.dropped_livelock) == (
+            WITNESSES[name]["drained"]
+        )
+
+
 class TestTimeoutAutoScaling:
     def test_default_timeout_scales_with_length(self):
         cfg = quick_config(message_length=100)

@@ -124,6 +124,18 @@ class TestBudgetsTable:
         text = print_budgets(10, 24)
         assert "PHop" in text and "24" in text
 
+    def test_paper_budgets_on_the_10x10_mesh(self):
+        """Sections 3-5: PHop needs n(k-1)+1 = 19 buffer classes and NHop
+        10; every algorithm runs with 24 VCs, 4 of them ring VCs; and
+        Duato-Nbc keeps more adaptive (class I) VCs than Duato-Pbc."""
+        by_name = {row[0]: row for row in budget_rows(10, None, 24)}
+        assert by_name["PHop"][1] == 19
+        assert by_name["NHop"][1] == 10
+        for name, row in by_name.items():
+            assert row[5] == 4, f"{name} ring VCs != 4"
+            assert row[6] == 24, f"{name} total != 24"
+        assert by_name["Duato-Nbc"][3] > by_name["Duato-Pbc"][3]
+
 
 class TestCli:
     def test_budgets_command(self, capsys):

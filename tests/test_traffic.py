@@ -136,6 +136,49 @@ class TestRegistry:
             make_pattern("bursty")
 
 
+class TestPatternSweep:
+    """The paper evaluates uniform traffic only; the same machinery under
+    the classic adversarial patterns must show the textbook ordering."""
+
+    ALGS = ("ecube", "duato-nbc", "minimal-adaptive")
+    PATTERNS = {
+        "uniform": UniformTraffic,
+        "transpose": TransposeTraffic,
+        "hotspot": lambda: HotspotTraffic(fraction=0.15),
+    }
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        from repro.core.evaluator import Evaluator
+        from repro.simulator.config import SimConfig
+
+        cfg = SimConfig(
+            width=8, vcs_per_channel=24, message_length=8,
+            cycles=2500, warmup=600,
+        )
+        rate = 0.5 / cfg.message_length
+        out = {}
+        for pname, factory in self.PATTERNS.items():
+            evaluator = Evaluator(cfg, seed=17, pattern_factory=factory)
+            case = evaluator.fault_case(0, 1)
+            out[pname] = {
+                alg: evaluator.run_case(alg, case, injection_rate=rate).throughput
+                for alg in self.ALGS
+            }
+        return out
+
+    def test_adaptivity_wins_on_transpose(self, grid):
+        """XY funnels every transpose flow through the diagonal."""
+        assert grid["transpose"]["duato-nbc"] > grid["transpose"]["ecube"]
+
+    def test_xy_is_competitive_on_uniform(self, grid):
+        assert grid["uniform"]["ecube"] >= 0.9 * grid["uniform"]["duato-nbc"]
+
+    def test_hotspot_costs_everyone_throughput(self, grid):
+        for alg in self.ALGS:
+            assert grid["hotspot"][alg] < grid["uniform"][alg], alg
+
+
 class TestExponentialArrivals:
     def test_zero_rate_generates_nothing(self):
         arr = ExponentialArrivals(range(10), 0.0, random.Random(1))
