@@ -96,11 +96,9 @@ def main(argv: list[str] | None = None) -> int:
 
         return campaigns_main(argv[1:])
     if argv and argv[0] == "obs":
-        # Observability verbs (perf harness, manifests, heatmaps,
-        # phase profiler, perf ledger):
-        # python -m repro.experiments obs
-        #   {bench,compare,smoke,report,heatmap,timeline,converge,
-        #    profile,history,spans,blame}
+        # Observability verbs: python -m repro.experiments obs <verb>,
+        # the rows of repro.obs.cli.VERBS (docs/observability.md, "The
+        # verbs").
         from repro.obs.cli import main as obs_main
 
         return obs_main(argv[1:])

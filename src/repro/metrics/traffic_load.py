@@ -12,7 +12,7 @@ positions with and without the faults present.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,50 +39,39 @@ class TrafficLoadSplit:
         return self.ring_load_pct / self.other_load_pct
 
 
-def traffic_load_split(
-    result: SimulationResult,
+def surface_split(
+    values: Sequence[float],
     ring_nodes: Iterable[int],
     *,
+    cycles: int,
     exclude: Iterable[int] = (),
 ) -> TrafficLoadSplit:
-    """Split the per-node load between *ring_nodes* and the rest.
+    """Split a per-node flit-count vector between *ring_nodes* and the
+    rest, as loads per cycle over *cycles*.
 
-    Parameters
-    ----------
-    result:
-        A run collected with ``collect_node_stats=True``.
-    ring_nodes:
-        Node ids on (any) f-ring — typically ``pattern.ring_nodes`` of the
-        faulty layout, reused for the fault-free baseline run.
-    exclude:
-        Nodes left out of both groups (the faulty nodes themselves, which
-        forward no traffic).
+    *values* is any per-node surface — ``SimulationResult.node_load``
+    (:func:`traffic_load_split`) or the ``engine.node_flit_hops``
+    telemetry counter, which on a ``warmup=0`` run with *cycles* =
+    ``result.measured_cycles`` is the same vector.  *exclude* leaves
+    nodes out of both groups (the faulty nodes themselves, which forward
+    no traffic).
     """
-    load = result.node_load
-    if not load:
-        raise ValueError(
-            "node_load is empty; run the simulation with collect_node_stats=True"
-        )
+    if not values:
+        raise ValueError("empty node surface")
     ring = set(ring_nodes)
     excluded = set(exclude)
-    cycles = max(result.measured_cycles, 1)
-    ring_loads = [
-        load[n] / cycles for n in range(len(load)) if n in ring and n not in excluded
-    ]
-    other_loads = [
-        load[n] / cycles
-        for n in range(len(load))
-        if n not in ring and n not in excluded
-    ]
+    healthy = [n for n in range(len(values)) if n not in excluded]
+    cycles = max(cycles, 1)
+    ring_loads = [values[n] / cycles for n in healthy if n in ring]
+    other_loads = [values[n] / cycles for n in healthy if n not in ring]
     if not ring_loads or not other_loads:
         raise ValueError("both node groups must be non-empty")
-    peak = max(load[n] / cycles for n in range(len(load)) if n not in excluded)
-    peak_node = max(
-        (n for n in range(len(load)) if n not in excluded),
-        key=lambda n: load[n],
-    )
+    peak_node = max(healthy, key=lambda n: values[n])
+    peak = values[peak_node] / cycles
     if peak == 0:
-        return TrafficLoadSplit(0.0, 0.0, 0.0, peak_node, len(ring_loads), len(other_loads))
+        return TrafficLoadSplit(
+            0.0, 0.0, 0.0, peak_node, len(ring_loads), len(other_loads)
+        )
     ring_mean = sum(ring_loads) / len(ring_loads)
     other_mean = sum(other_loads) / len(other_loads)
     return TrafficLoadSplit(
@@ -92,6 +81,26 @@ def traffic_load_split(
         peak_node=peak_node,
         n_ring_nodes=len(ring_loads),
         n_other_nodes=len(other_loads),
+    )
+
+
+def traffic_load_split(
+    result: SimulationResult,
+    ring_nodes: Iterable[int],
+    *,
+    exclude: Iterable[int] = (),
+) -> TrafficLoadSplit:
+    """:func:`surface_split` of a run collected with
+    ``collect_node_stats=True``; *ring_nodes* is typically
+    ``pattern.ring_nodes`` of the faulty layout, reused for the
+    fault-free baseline run."""
+    if not result.node_load:
+        raise ValueError(
+            "node_load is empty; run the simulation with collect_node_stats=True"
+        )
+    return surface_split(
+        result.node_load, ring_nodes, cycles=result.measured_cycles,
+        exclude=exclude,
     )
 
 

@@ -12,10 +12,12 @@ Methodology:
 
 * **Engine workloads**: the network is warmed to steady state, then a
   fixed number of cycles is timed.  Timing runs attach nothing (the
-  production hot path); a separate, untimed **twin run with telemetry attached** — same
-  seed, hence bit-identical — supplies the flit-hop count, so the file
-  reports both ``cycles_per_sec`` and ``flit_hops_per_sec`` without the
-  instrumented path contaminating the timings.
+  production hot path); two separate, untimed runs of the same seed —
+  hence the same flit schedule — carry one instrument each: telemetry
+  supplies the flit-hop count, so the file reports both
+  ``cycles_per_sec`` and ``flit_hops_per_sec`` without the instrumented
+  path contaminating the timings, and the phase profiler, alone,
+  supplies ``phases`` and ``activity`` (below).
 * Every workload is repeated ``--repeats`` times from scratch; the
   **minimum** wall time is the headline (least-noise estimator), with
   all samples recorded.
@@ -26,10 +28,15 @@ Methodology:
 * ``peak_rss_kb`` is ``ru_maxrss`` after the workload (process-lifetime
   peak: monotone across the suite, meaningful per-file).
 * Engine workloads additionally carry ``phases`` (per-phase wall-time
-  shares from a :class:`repro.obs.profile.PhaseProfiler` attached to
-  the untimed twin) and an ``activity`` summary — so the perf ledger
-  (``obs history``) can attribute a regression to the phase whose share
-  grew, not just name the workload.
+  shares) and an ``activity`` summary from the run ``obs profile
+  --workload W`` makes — only the :class:`repro.obs.profile.
+  PhaseProfiler` attached, so ``collect_vc`` reads 0 as it does in a
+  timed run — so the perf ledger (``obs history``) can attribute a
+  regression to the phase whose share grew, not just name the workload.
+
+Every run an obs verb or an engine row makes goes through
+:func:`instrumented_run`: build, warm detached, attach, measure, and —
+on request — compare with a detached twin.
 
 Wall-clock reads go through :data:`repro.obs.profile.clock` — the
 project's sanctioned timer (REP016); REP006 keeps clocks out of the
@@ -46,7 +53,9 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.obs.profile import clock
 from repro.store.keys import content_digest
@@ -251,27 +260,61 @@ def _store_contention_writer(args: tuple[str, int, int, int]) -> int:
         written += bool(store.put(key, payload, algorithm="bench"))
     return written
 
-def build_sim(config, algorithm: str, *, n_faults: int = 0, faults=None,
-              observers=()):
-    """``SimConfig`` -> fault pattern -> ``Simulation`` with *observers*
-    attached: the one construction path of the obs verbs.  *faults* is
-    an explicit pattern; otherwise *n_faults* random block faults are
-    drawn from ``random.Random(config.seed)`` (0 = fault-free).
-    """
-    from repro.faults.generator import generate_block_fault_pattern
-    from repro.routing.registry import make_algorithm
-    from repro.simulator.engine import Simulation
-    from repro.topology.mesh import Mesh2D
 
-    if faults is None and n_faults:
-        faults = generate_block_fault_pattern(
-            Mesh2D(config.width, config.height), n_faults,
-            random.Random(config.seed),
-        )
-    sim = Simulation(config, make_algorithm(algorithm), faults=faults)
-    for observer in observers:
-        sim.attach(observer)
-    return sim
+class RunRefused(Exception):
+    """The run a verb asked for cannot be built (VC budget too small,
+    unknown algorithm, ``SimConfig`` validation, ungenerable fault
+    pattern): ``obs`` prints the reason as ``error: ...`` and exits 2."""
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """One instrumented run, as data: ``config().cycles`` cycles of
+    *algorithm* over *n_faults* random block faults — drawn from
+    ``random.Random(seed)``, 0 = fault-free — or over the pattern
+    ``layout(mesh)`` returns, the first *warm* cycles detached.  Nothing
+    is validated until :func:`instrumented_run` builds it."""
+
+    algorithm: str
+    config: Callable[[], object]
+    n_faults: int = 0
+    layout: Callable | None = None
+    warm: int = 0
+
+
+def flags_plan(args, *, layout=None, **config) -> RunPlan:
+    """The run behind ``smoke``/``heatmap``/``timeline``: 16-flit
+    messages, no warmup, drain recovery, sized by the verbs' shared
+    ``--algorithm/--width/--vcs/--faults/--rate/--cycles/--seed``."""
+    from repro.simulator.config import SimConfig
+
+    return RunPlan(
+        args.algorithm,
+        partial(
+            SimConfig, width=args.width, vcs_per_channel=args.vcs,
+            message_length=16, injection_rate=args.rate, cycles=args.cycles,
+            warmup=0, seed=args.seed, on_deadlock="drain", **config,
+        ),
+        n_faults=args.faults, layout=layout,
+    )
+
+
+def workload_plan(params: dict) -> RunPlan:
+    """The run an engine :class:`Workload`'s *params* pin: ``warm``
+    cycles detached, then the ``cycles`` window."""
+    from repro.simulator.config import SimConfig
+
+    return RunPlan(
+        params["algorithm"],
+        partial(
+            SimConfig, width=params["width"], vcs_per_channel=params["vcs"],
+            message_length=params["message_length"],
+            injection_rate=params["rate"],
+            cycles=params["warm"] + params["cycles"], warmup=0,
+            seed=params["seed"], on_deadlock="drain",
+        ),
+        n_faults=params["faults"], warm=params["warm"],
+    )
 
 
 def engine_state(sim) -> tuple:
@@ -287,58 +330,83 @@ def engine_state(sim) -> tuple:
     )
 
 
-def _build_engine_sim(params: dict, *observers):
-    from repro.simulator.config import SimConfig
+class InstrumentedRun(NamedTuple):
+    sim: object
+    #: Wall time of the attached window.
+    seconds: float
+    #: Attached run == detached twin (``None``: not checked).
+    neutral: bool | None
 
-    cfg = SimConfig(
-        width=params["width"],
-        vcs_per_channel=params["vcs"],
-        message_length=params["message_length"],
-        injection_rate=params["rate"],
-        cycles=params["warm"] + params["cycles"],
-        warmup=0,
-        seed=params["seed"],
-        on_deadlock="drain",
+
+def instrumented_run(
+    plan: RunPlan, *observers, selfcheck: bool = False
+) -> InstrumentedRun:
+    """Build *plan*, step its warm cycles detached, attach *observers*,
+    run (and time) the rest; with *selfcheck*, run a detached twin to
+    the same cycle and compare :func:`engine_state`.
+
+    Only construction is guarded: what it refuses becomes
+    :class:`RunRefused`, while an error out of a running engine is a
+    bug and keeps its traceback.
+    """
+    from repro.faults.generator import (
+        FaultPatternError, generate_block_fault_pattern,
     )
-    return build_sim(
-        cfg, params["algorithm"], n_faults=params["faults"],
-        observers=observers,
-    )
+    from repro.routing.registry import make_algorithm
+    from repro.simulator.engine import Simulation
+    from repro.topology.mesh import Mesh2D
 
+    def build():
+        try:
+            config = plan.config()
+            mesh = Mesh2D(config.width, config.height)
+            faults = None
+            if plan.layout is not None:
+                faults = plan.layout(mesh)
+            elif plan.n_faults:
+                faults = generate_block_fault_pattern(
+                    mesh, plan.n_faults, random.Random(config.seed)
+                )
+            return Simulation(
+                config, make_algorithm(plan.algorithm), faults=faults
+            )
+        except (ValueError, FaultPatternError) as exc:
+            raise RunRefused(str(exc)) from exc
 
-def _time_window(params: dict, *observers) -> float:
-    """Seconds for the measured window of a fresh run: warmed detached,
-    then timed with *observers* attached."""
-    sim = _build_engine_sim(params)
-    sim.step(params["warm"])
+    sim = build()
+    cycles = sim.config.cycles
+    sim.step(plan.warm)
     for observer in observers:
         sim.attach(observer)
     t0 = clock()
-    sim.step(params["cycles"])
-    return clock() - t0
+    sim.step(cycles - plan.warm)
+    seconds = clock() - t0
+    neutral = None
+    if selfcheck:
+        twin = build()
+        twin.step(cycles)
+        neutral = engine_state(sim) == engine_state(twin)
+    return InstrumentedRun(sim, seconds, neutral)
 
 
 def _run_engine_workload(params: dict, repeats: int) -> dict:
     from repro.obs.profile import PhaseProfiler
     from repro.obs.telemetry import EngineTelemetry, TelemetryRegistry
 
+    plan = workload_plan(params)
     cycles = params["cycles"]
-    # Untimed twin: warm without instruments, attach telemetry *and* the
-    # phase profiler, run the measured window.  Same seed as the timed
-    # runs -> identical flit schedule, so the twin supplies flit-hop
-    # counts and per-phase shares without contaminating the timings.
-    registry = TelemetryRegistry()
+    # Two untimed runs, same seed as the timed ones -> identical flit
+    # schedule.  The profiler runs alone, as under ``obs profile``: with
+    # telemetry beside it the VC sweep telemetry subscribes to would be
+    # charged to ``collect_vc``, a phase no timed run has.
     profiler = PhaseProfiler()
-    twin = _build_engine_sim(params)
-    twin.step(params["warm"])
-    twin.attach(EngineTelemetry(registry))
-    twin.attach(profiler)
-    twin.step(cycles)
+    instrumented_run(plan, profiler)
+    registry = TelemetryRegistry()
+    instrumented_run(plan, EngineTelemetry(registry))
     flit_hops = registry.value("engine.flits.hops")
-    delivered = registry.value("engine.messages.delivered")
-    profile = profiler.report()
+    activity = profiler.report()["activity"]
 
-    samples = [_time_window(params) for _ in range(repeats)]
+    samples = [instrumented_run(plan).seconds for _ in range(repeats)]
     best = min(samples)
     return {
         "seconds": best,
@@ -347,12 +415,12 @@ def _run_engine_workload(params: dict, repeats: int) -> dict:
         "cycles_per_sec": cycles / best if best else float("inf"),
         "flit_hops": flit_hops,
         "flit_hops_per_sec": flit_hops / best if best else float("inf"),
-        "delivered_messages": delivered,
+        "delivered_messages": registry.value("engine.messages.delivered"),
         "phases": profiler.phase_shares(),
         "activity": {
-            "mesh_nodes": profile["activity"]["mesh_nodes"],
-            "active_routers_mean": profile["activity"]["active_routers"]["mean"],
-            "occupied_vcs_mean": profile["activity"]["occupied_vcs"]["mean"],
+            "mesh_nodes": activity["mesh_nodes"],
+            "active_routers_mean": activity["active_routers"]["mean"],
+            "occupied_vcs_mean": activity["occupied_vcs"]["mean"],
         },
     }
 
@@ -368,13 +436,14 @@ def _run_attached_cost(params: dict, repeats: int) -> dict:
         "blame": BlameRecorder,
         "tracer": lifecycle_tracer,
     }
+    plan = workload_plan(params)
     cycles = params["cycles"]
     samples: dict[str, list[float]] = {name: [] for name in variants}
     # Variants interleave within a repeat so host drift hits all alike.
     for _ in range(repeats):
         for name, make in variants.items():
             observers = () if make is None else (make(),)
-            samples[name].append(_time_window(params, *observers))
+            samples[name].append(instrumented_run(plan, *observers).seconds)
     best = {name: min(times) for name, times in samples.items()}
     base = best.pop("detached")
     return {
@@ -393,19 +462,17 @@ def _run_attached_cost(params: dict, repeats: int) -> dict:
     }
 
 
-def _serve_campaign(params: dict):
-    """``(tmp dir, completed CampaignDB)`` for the serving workloads: the
-    grid is simulated once, untimed.  The caller's closure keeps the tmp
-    dir object alive so the campaign outlives every timed repeat."""
-    import tempfile
-
-    from repro.campaigns.db import CampaignDB
-    from repro.campaigns.shard import run_campaign
+def _campaign_spec(name: str, params: dict):
+    """The ``CampaignSpec`` a campaign-shaped workload's *params* pin;
+    an axis the workload does not name keeps the spec's default."""
     from repro.campaigns.spec import CampaignSpec
     from repro.simulator.config import SimConfig
 
-    spec = CampaignSpec(
-        name="bench-serve",
+    axes = {k: params[k] for k in ("fault_sets", "repeats") if k in params}
+    if "fault_counts" in params:
+        axes["fault_counts"] = tuple(params["fault_counts"])
+    return CampaignSpec(
+        name=name,
         algorithms=tuple(params["algorithms"]),
         config=SimConfig(
             width=params["width"],
@@ -417,11 +484,24 @@ def _serve_campaign(params: dict):
             on_deadlock="drain",
         ),
         rates=tuple(params["rates"]),
-        repeats=params["repeats"],
         seed=params["seed"],
+        **axes,
     )
+
+
+def _serve_campaign(params: dict):
+    """``(tmp dir, completed CampaignDB)`` for the serving workloads: the
+    grid is simulated once, untimed.  The caller's closure keeps the tmp
+    dir object alive so the campaign outlives every timed repeat."""
+    import tempfile
+
+    from repro.campaigns.db import CampaignDB
+    from repro.campaigns.shard import run_campaign
+
     tmp = tempfile.TemporaryDirectory(prefix="repro-bench-")
-    db = CampaignDB(spec, Path(tmp.name) / "campaign")
+    db = CampaignDB(
+        _campaign_spec("bench-serve", params), Path(tmp.name) / "campaign"
+    )
     db.save()
     run_campaign(db)
     return tmp, db
@@ -485,25 +565,9 @@ def _ops_runner(params: dict):
     if op == "campaign":
         import tempfile
 
-        from repro.campaigns import CampaignDB, CampaignSpec, run_campaign
-        from repro.simulator.config import SimConfig
+        from repro.campaigns import CampaignDB, run_campaign
 
-        spec = CampaignSpec(
-            name="bench-grid",
-            algorithms=tuple(params["algorithms"]),
-            config=SimConfig(
-                width=params["width"],
-                vcs_per_channel=params["vcs"],
-                message_length=params["message_length"],
-                cycles=params["cycles"],
-                warmup=params["warmup"],
-                seed=params["seed"],
-                on_deadlock="drain",
-            ),
-            rates=tuple(params["rates"]),
-            fault_counts=tuple(params["fault_counts"]),
-            seed=params["seed"],
-        )
+        spec = _campaign_spec("bench-grid", params)
 
         def run() -> None:
             # Fresh campaign directory per repeat: every sample pays the
@@ -521,27 +585,8 @@ def _ops_runner(params: dict):
         import tempfile
 
         from repro.campaigns.db import CampaignDB
-        from repro.campaigns.spec import CampaignSpec
-        from repro.simulator.config import SimConfig
 
-        spec = CampaignSpec(
-            name="bench-plan",
-            algorithms=tuple(params["algorithms"]),
-            config=SimConfig(
-                width=params["width"],
-                vcs_per_channel=params["vcs"],
-                message_length=params["message_length"],
-                cycles=params["cycles"],
-                warmup=params["warmup"],
-                seed=params["seed"],
-                on_deadlock="drain",
-            ),
-            rates=tuple(params["rates"]),
-            fault_counts=tuple(params["fault_counts"]),
-            fault_sets=params["fault_sets"],
-            repeats=params["repeats"],
-            seed=params["seed"],
-        )
+        spec = _campaign_spec("bench-plan", params)
 
         def run() -> None:
             # Plan the full space, mark every other cell done with a

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from repro.metrics.confidence import batch_means_ci, t_critical
 
@@ -155,21 +156,22 @@ def analyze_profile(
     operating point on every shipped profile; MSER on a saturated,
     drifting series recommends ever-larger truncations by design).
     """
-    from repro.obs.bench import build_sim
+    from repro.obs.bench import RunPlan, instrumented_run
     from repro.obs.telemetry import EngineTelemetry, TelemetryRegistry
 
     if load is None:
         loads = profile.sweep_loads
         load = loads[min(3, max(len(loads) - 2, 0))]
-    config = profile.config.with_(
+    plan = RunPlan(algorithm, partial(
+        profile.config.with_,
         warmup=0,
         cycles_mode="fixed",
         on_deadlock="drain",
         injection_rate=profile.rate(load),
         seed=seed,
-    )
+    ))
     registry = TelemetryRegistry()
-    build_sim(config, algorithm, observers=[EngineTelemetry(registry)]).run()
+    instrumented_run(plan, EngineTelemetry(registry))
 
     window, means = window_latency_means(registry)
     # NaN windows (nothing delivered yet) can only lead the series at

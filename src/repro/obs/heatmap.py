@@ -14,18 +14,18 @@ None`` guard as every other instrument):
 This module turns those vectors into Figure 6-style surfaces: an ASCII
 density map (via :func:`repro.experiments.mesh_art.render_heatmap`), a
 plotting-friendly ``x,y,value`` CSV, and an f-ring vs non-f-ring split
-that mirrors :func:`repro.metrics.traffic_load.traffic_load_split`
-number-for-number — the reconciliation test in
+(:func:`repro.metrics.traffic_load.surface_split`, the one body behind
+``traffic_load_split``, re-exported here) — the reconciliation test in
 ``tests/test_obs_heatmap.py`` ties the telemetry surface at 10% faults
 back to the paper's Fig. 6 claim.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.experiments.mesh_art import render_heatmap
-from repro.metrics.traffic_load import TrafficLoadSplit
+from repro.metrics.traffic_load import surface_split
 
 __all__ = [
     "METRICS",
@@ -95,59 +95,3 @@ def heatmap_csv(mesh, values: Sequence[float]) -> str:
         x, y = mesh.coordinates(node)
         lines.append(f"{x},{y},{values[node]}")
     return "\n".join(lines) + "\n"
-
-
-def surface_split(
-    values: Sequence[float],
-    ring_nodes: Iterable[int],
-    *,
-    cycles: int,
-    exclude: Iterable[int] = (),
-) -> TrafficLoadSplit:
-    """F-ring vs other split of a raw per-node vector.
-
-    Same computation as :func:`repro.metrics.traffic_load.
-    traffic_load_split`, but over a bare vector (e.g. the
-    ``engine.node_flit_hops`` surface) instead of a
-    ``SimulationResult`` — passing the telemetry surface of a
-    ``warmup=0`` run with *cycles* = ``result.measured_cycles``
-    reproduces that function's output exactly.
-    """
-    if not values:
-        raise ValueError("empty node surface")
-    ring = set(ring_nodes)
-    excluded = set(exclude)
-    cycles = max(cycles, 1)
-    ring_loads = [
-        values[n] / cycles
-        for n in range(len(values))
-        if n in ring and n not in excluded
-    ]
-    other_loads = [
-        values[n] / cycles
-        for n in range(len(values))
-        if n not in ring and n not in excluded
-    ]
-    if not ring_loads or not other_loads:
-        raise ValueError("both node groups must be non-empty")
-    peak = max(
-        values[n] / cycles for n in range(len(values)) if n not in excluded
-    )
-    peak_node = max(
-        (n for n in range(len(values)) if n not in excluded),
-        key=lambda n: values[n],
-    )
-    if peak == 0:
-        return TrafficLoadSplit(
-            0.0, 0.0, 0.0, peak_node, len(ring_loads), len(other_loads)
-        )
-    ring_mean = sum(ring_loads) / len(ring_loads)
-    other_mean = sum(other_loads) / len(other_loads)
-    return TrafficLoadSplit(
-        ring_load_pct=100.0 * ring_mean / peak,
-        other_load_pct=100.0 * other_mean / peak,
-        peak_load_flits_per_cycle=peak,
-        peak_node=peak_node,
-        n_ring_nodes=len(ring_loads),
-        n_other_nodes=len(other_loads),
-    )

@@ -25,6 +25,7 @@ import json
 from pathlib import Path
 
 from repro.obs.bench import _RATE_METRICS, compare_payloads, host_warnings
+from repro.obs.timeline import sparkline
 
 __all__ = [
     "DEFAULT_LEDGER",
@@ -143,23 +144,6 @@ def ingest(
 # ----------------------------------------------------------------------
 # Trajectory rendering
 # ----------------------------------------------------------------------
-_SPARK = " ▁▂▃▄▅▆▇█"
-
-
-def _spark(values: list[float | None]) -> str:
-    present = [v for v in values if v]
-    peak = max(present) if present else 0.0
-    chars = []
-    for v in values:
-        if v is None:
-            chars.append("·")
-        elif not peak:
-            chars.append(_SPARK[0])
-        else:
-            chars.append(_SPARK[int(v / peak * (len(_SPARK) - 1) + 0.5)])
-    return "".join(chars)
-
-
 def render_history(
     entries: list[dict],
     *,
@@ -219,7 +203,7 @@ def render_history(
                 trend = f"  ({delta:+.1f}% vs prev)"
             lines.append(
                 f"{name:<26} {rate:<18}{cells}  "
-                f"|{_spark(values)}|{trend}"
+                f"|{sparkline(values, missing='·')}|{trend}"
             )
     if len(lines) == 2:
         lines.append("(no matching workload/metric rows)")

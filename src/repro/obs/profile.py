@@ -198,11 +198,12 @@ def _hist_summary(hist: dict[int, int]) -> dict:
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
-_SPARK = " ▁▂▃▄▅▆▇█"
-
-
 def _hist_spark(hist: dict[str, int], bins: int = 24) -> str:
     """Bucket a value->count histogram into a fixed-width sparkline."""
+    # Imported here: ``clock`` must stay importable at the price of this
+    # module alone (REP016 makes every timing site import it).
+    from repro.obs.timeline import sparkline
+
     if not hist:
         return ""
     values = {int(v): n for v, n in hist.items()}
@@ -212,11 +213,7 @@ def _hist_spark(hist: dict[str, int], bins: int = 24) -> str:
     for v, n in values.items():
         idx = v * width // (top + 1) if top else 0
         counts[idx] += n
-    peak = max(counts)
-    return "".join(
-        _SPARK[int(c / peak * (len(_SPARK) - 1) + 0.5)] if peak else _SPARK[0]
-        for c in counts
-    )
+    return sparkline(counts)
 
 
 def render_profile(report: dict) -> str:

@@ -102,20 +102,16 @@ def timeline_rows(source) -> tuple[int, dict[str, list[float]]]:
     return window, rows
 
 
-def sparkline(values: list[float]) -> str:
-    """Scale *values* to block characters (NaN renders as ``.``)."""
-    finite = [v for v in values if not math.isnan(v)]
-    peak = max(finite, default=0)
-    chars = []
-    for v in values:
-        if math.isnan(v):
-            chars.append(".")
-        elif peak <= 0:
-            chars.append(_SPARK[0])
-        else:
-            idx = int(v / peak * (len(_SPARK) - 1) + 0.5)
-            chars.append(_SPARK[idx])
-    return "".join(chars)
+def sparkline(values, missing: str = ".") -> str:
+    """Scale *values* to block characters against their peak; a NaN or
+    ``None`` entry renders as *missing*."""
+    absent = [v is None or math.isnan(v) for v in values]
+    peak = max((v for v, gone in zip(values, absent) if not gone), default=0)
+    return "".join(
+        missing if gone
+        else _SPARK[int(v / peak * (len(_SPARK) - 1) + 0.5) if peak > 0 else 0]
+        for v, gone in zip(values, absent)
+    )
 
 
 def render_timeline(source, *, annotate: bool = True) -> str:

@@ -101,6 +101,13 @@ class TestNothingHeavyWithoutSimulating:
         # ... and it was the same figure, served from the store.
         assert fresh("-m", "repro.experiments", *argv) == cold
 
+    def test_obs_report(self):
+        """A verb that reads a manifest builds no other verb's parser."""
+        manifest = TESTS / "data" / "obs_cli_manifest.jsonl"
+        modules = modules_after_main("repro.obs", "report", str(manifest))
+        assert "repro.obs.manifest" in modules
+        assert loaded(modules) == []
+
 
 def test_first_simulation_loads_numpy_and_matches_the_golden_pin():
     case = ("nhop", False, 2007)

@@ -3,9 +3,11 @@ each message's latency, aggregates reconcile with telemetry, and the
 attached engine is bit-identical to a detached twin (PR 10 acceptance:
 fault-free and 5%-fault 10x10 runs)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.obs.bench import _build_engine_sim, engine_state
+from repro.obs.bench import engine_state, instrumented_run, workload_plan
 from repro.obs.blame import (
     COMPONENTS,
     BlameRecorder,
@@ -31,11 +33,17 @@ def _params(**overrides) -> dict:
     return params
 
 
+def _plan(params):
+    """As ``obs blame`` runs a workload: attached from cycle 0."""
+    return replace(workload_plan(params), warm=0)
+
+
 def _run_with_blame(params):
     registry = TelemetryRegistry()
     recorder = BlameRecorder()
-    sim = _build_engine_sim(params, EngineTelemetry(registry), recorder)
-    sim.step(params["warm"] + params["cycles"])
+    sim = instrumented_run(
+        _plan(params), EngineTelemetry(registry), recorder
+    ).sim
     return sim, recorder, registry
 
 
@@ -124,9 +132,9 @@ class TestDetachedTwin:
         """Attached vs detached: same results, same RNG streams."""
         params = _params(faults=5)
         attached, _, _ = _run_with_blame(params)
-        twin = _build_engine_sim(params)
+        twin = instrumented_run(_plan(params)).sim
         assert not any(getattr(twin, "_on_" + event) for event in EVENTS)
-        twin.step(params["warm"] + params["cycles"])
+        assert twin.cycle == attached.cycle == 600
         assert engine_state(attached) == engine_state(twin)
 
 

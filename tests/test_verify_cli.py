@@ -189,6 +189,18 @@ class TestBrokenPipeTolerance:
         )
         assert rc == 0
 
+    def test_obs_cli_swallows_broken_pipe(self):
+        rc = self._run(
+            "import dataclasses\n"
+            "import repro.obs.cli as cli\n"
+            "def raiser(args):\n"
+            "    raise BrokenPipeError\n"
+            "cli.VERBS = tuple(dataclasses.replace(v, run=raiser)\n"
+            "                  for v in cli.VERBS)\n"
+            "raise SystemExit(cli.main(['history']))\n"
+        )
+        assert rc == 0
+
 
 class TestExperimentsPassthrough:
     def test_verify_verb_reaches_cli(self, capsys):
