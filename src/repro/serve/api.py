@@ -25,13 +25,16 @@
     no lookup table) or ``?trace=TRACE_ID`` directly.  Returns the
     spans plus their :func:`~repro.obs.spans.spans_merge_digest`.
 
-The transport is deliberately minimal: one :class:`asyncio.Protocol`
-per connection (``loop.create_server``) speaking a hand-rolled HTTP/1.1
-exchange — one request per connection, ``Connection: close`` — so
-serving needs nothing outside the standard library.  ``data_received``
-accumulates bytes until the header block and the declared body are
-complete, then parses, routes, records and writes the response in the
-same callback: no stream objects, no per-connection task, no ``await``.
+The wire layer is deliberately minimal: plain sockets speaking a
+hand-rolled HTTP/1.1 exchange — one request per connection,
+``Connection: close`` — so serving needs nothing outside the standard
+library.  ``loop.add_reader`` watches the listening socket; its callback
+accepts the backlog and reads each new connection **at once** (a client
+writes right after connecting), so ``data_received`` parses, routes,
+records, sends and closes in that one loop turn: no task, stream or
+timer per connection.  Only a request the first read left incomplete
+gets a reader and its read deadline, only a reply ``send`` took in part
+a writer.
 
 Thread ownership: the event loop thread owns the resolver's fitted
 state and request counter, the telemetry registry and the span
@@ -50,8 +53,9 @@ Hostile framing fails closed (limits are the module constants below):
 a header block over ``_MAX_HEADER`` is ``431``, a body over
 ``_MAX_BODY`` or a bad ``Content-Length`` is ``400``, a request still
 incomplete ``_READ_DEADLINE_S`` after connect is ``408``, a wrong
-method is ``405``; a client that vanishes leaves nothing behind, and
-any exception while answering is a ``500`` with its reason.
+method is ``405``, one connection too many (``_MAX_CONNECTIONS``) is
+``503``; a client that vanishes leaves nothing behind, and any exception
+while answering is a ``500`` with its reason.
 
 Every response carries an ``x-request-id`` header: the client's own id
 echoed back when it sent one (sanitized to ``[A-Za-z0-9._-]{1,64}``),
@@ -69,17 +73,20 @@ publishes per-request counters next to the resolver's tier metrics —
 answered queries, and ``serve.http.resolved.loop`` /
 ``serve.http.resolved.executor`` for where the answer was computed — so
 ``/metrics`` shows both the resolver's view (which tier answered) and
-the transport's (status mix, wire latency, loop/executor split).
+the HTTP layer's (status mix, wire latency, loop/executor split).
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import errno
 import json
 import os
 import re
-from contextlib import AbstractContextManager
+import socket
+import sys
+from contextlib import AbstractContextManager, suppress
 from functools import partial
 from urllib.parse import parse_qsl, urlsplit
 
@@ -100,6 +107,7 @@ __all__ = ["QueryServer"]
 _MAX_BODY = 1 << 20  # 1 MiB: generous for JSON queries, bounded anyway
 _MAX_HEADER = 64 << 10  # request line + headers; beyond it: 431
 _READ_DEADLINE_S = 10.0  # connect -> complete request; beyond it: 408
+_MAX_CONNECTIONS = 512  # open at once; the next one is answered 503
 _MAX_TRIALS = 100_000  # /reliability Monte-Carlo trials per request
 _MAX_NODES = 64 * 64  # /reliability mesh size (width x height)
 
@@ -116,7 +124,11 @@ _REASONS = {
     422: "Unprocessable Entity",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
+
+#: ``accept()`` errnos that mean "out of descriptors or memory": back off.
+_EXHAUSTED = (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM)
 
 _METHODS = {
     "/healthz": ("GET",),
@@ -240,7 +252,8 @@ class QueryServer:
         self.resolver = Resolver(
             db, simulate=simulate, telemetry=self.telemetry
         )
-        self._server: asyncio.AbstractServer | None = None
+        self._listener: socket.socket | None = None
+        self._open: set[_Connection] = set()
         # Engine work only (simulation tier, /reliability), one job at a
         # time: the resolver's evaluator is not shared between threads.
         self._executor = concurrent.futures.ThreadPoolExecutor(
@@ -253,28 +266,81 @@ class QueryServer:
         # Bounded span store behind /trace; one trace per request id.
         self.spans = SpanRecorder(limit=2048)
 
+    @property
+    def connections(self) -> int:
+        """Connections open right now (what ``_MAX_CONNECTIONS`` caps)."""
+        return len(self._open)
+
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Fit the resolver, then bind the socket (resolves ``port=0``)."""
         self.resolver.fit()
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self), self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._loop = asyncio.get_running_loop()
+        family, *_, address = socket.getaddrinfo(
+            self.host, self.port, type=socket.SOCK_STREAM
+        )[0]
+        self._listener = socket.create_server(address, family=family)
+        self._listener.setblocking(False)
+        self.port = self._listener.getsockname()[1]
+        try:
+            self._watch()
+        except NotImplementedError:
+            self._listener.close()
+            self._listener = None
+            raise RuntimeError(
+                "repro.serve needs a selector event loop (loop.add_reader)"
+            ) from None
 
     async def serve_forever(self) -> None:
-        if self._server is None:
+        if self._listener is None:
             await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        try:
+            await self._loop.create_future()  # until cancelled
+        finally:
+            await self.stop()
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        if self._listener is not None:
+            self._loop.remove_reader(self._listener)
+            self._listener.close()
+            self._listener = None
+        for connection in list(self._open):
+            connection._close()
         self._executor.shutdown(wait=False)
+
+    def _watch(self) -> None:
+        if self._listener is not None:
+            self._loop.add_reader(
+                self._listener, self._accept, self._listener
+            )
+
+    def _accept(self, listener: socket.socket) -> None:
+        """The listener is readable: take the backlog, serve each at once."""
+        for _ in range(128):  # then let timers and engine results run
+            try:
+                sock, _peer = listener.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except ConnectionAbortedError:
+                continue
+            except OSError as exc:
+                if exc.errno not in _EXHAUSTED:
+                    raise
+                # Still "readable" to the selector: un-watch or spin.
+                print(f"error: accept: out of system resource ({exc}); "
+                      "not accepting for 1 s", file=sys.stderr)
+                self._loop.remove_reader(listener)
+                self._loop.call_later(1.0, self._watch)
+                return
+            sock.setblocking(False)
+            connection = _Connection(self, sock)
+            if len(self._open) <= _MAX_CONNECTIONS:
+                connection.readable()
+            else:
+                with suppress(OSError):  # closing over unread bytes resets
+                    sock.recv(_MAX_HEADER)
+                connection._respond(503, {"error": (
+                    f"server at its connection limit ({_MAX_CONNECTIONS})")})
 
     # ------------------------------------------------------------------
     # Request handling (event-loop thread)
@@ -283,7 +349,7 @@ class QueryServer:
         self, request: int, status: int, payload: dict, started: float,
         where: str,
     ) -> None:
-        """Per-request transport metrics, visible at ``/metrics``."""
+        """Per-request HTTP metrics, visible at ``/metrics``."""
         elapsed_us = int((clock() - started) * 1e6)
         self.telemetry.counter("serve.http.requests").inc(request)
         self.telemetry.counter(f"serve.http.status.{status}").inc(request)
@@ -354,17 +420,23 @@ class QueryServer:
         }
 
 
-class _Connection(asyncio.Protocol):
+class _Connection:
     """One connection: one request in, one response out, close.
 
     Everything here runs on the event-loop thread.  ``reading`` holds
     until the request is complete (or refused, or abandoned); the one
-    response goes through :meth:`_respond`, after which bytes still
-    arriving, a late deadline or a late engine result find nothing to do.
+    response goes through :meth:`_respond`, after which a late deadline
+    or a late engine result finds nothing to do.
     """
 
-    def __init__(self, server: QueryServer) -> None:
+    def __init__(self, server: QueryServer, sock: socket.socket) -> None:
         self.server = server
+        self.sock = sock
+        server._open.add(self)
+        server._http_requests += 1
+        self.seq = server._http_requests
+        self.started = clock()
+        self.request_id = f"req-{self.seq}"
         self.buffer = bytearray()
         self.body_start = -1  # index past the header block, once seen
         self.content_length = 0
@@ -375,40 +447,60 @@ class _Connection(asyncio.Protocol):
         # The http.request span while it is open: from routing until
         # _respond (which may be a callback later).
         self.span: AbstractContextManager | None = None
+        self.deadline: asyncio.TimerHandle | None = None  # with a reader
+        self.writing = False  # a writer waits to send the rest of ``out``
 
-    def connection_made(self, transport) -> None:
-        server = self.server
-        server._http_requests += 1
-        self.seq = server._http_requests
-        self.started = clock()
-        self.request_id = f"req-{self.seq}"
-        self.transport = transport
-        self.deadline = asyncio.get_running_loop().call_later(
-            _READ_DEADLINE_S, self._timed_out
-        )
-
-    def _timed_out(self) -> None:
-        self._respond(
-            408, {"error": f"request incomplete after {_READ_DEADLINE_S:g} s"}
-        )
-
-    def connection_lost(self, exc) -> None:
-        self.deadline.cancel()
-        self.transport = None
-        if self.reading:  # vanished mid-request: nothing was asked
-            self.reading = False
-            self.answered = True
-
-    def eof_received(self) -> bool:
-        if self.reading:
-            self._respond(
-                400, {"error": "connection closed mid-request"}
+    def readable(self) -> None:
+        """Feed the parser what is there: at accept, then as a reader."""
+        try:
+            data = self.sock.recv(_MAX_HEADER)
+        except (BlockingIOError, InterruptedError):
+            data = None
+        except OSError:  # reset mid-request: nothing was asked
+            return self._close()
+        if data:
+            self.data_received(data)
+        elif data is not None:  # a half-closed client still gets its answer
+            self._respond(400, {"error": "connection closed mid-request"})
+        if self.reading and self.deadline is None:
+            self.server._loop.add_reader(self.sock, self.readable)
+            self.deadline = self.server._loop.call_later(
+                self.started + _READ_DEADLINE_S - clock(), self._respond, 408,
+                {"error": f"request incomplete after {_READ_DEADLINE_S:g} s"},
             )
-        return True  # a half-closed client still gets its answer
+
+    def _unwatch(self) -> None:
+        if self.deadline is not None:
+            self.deadline.cancel()
+            self.deadline = None
+            self.server._loop.remove_reader(self.sock)
+
+    def writable(self) -> None:
+        """Send the rest of the reply and close: at once, then as a writer."""
+        try:
+            sent = self.sock.send(self.out)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:  # the client left: recorded, not written
+            return self._close()
+        self.out = self.out[sent:]
+        if not self.out:
+            self._close()
+        elif not self.writing:
+            self.writing = True
+            self.server._loop.add_writer(self.sock, self.writable)
+
+    def _close(self) -> None:
+        """Once per connection: after the reply, a reset, or ``stop()``."""
+        self.reading = False
+        self.answered = True  # a late engine result finds nothing to do
+        self._unwatch()
+        if self.writing:
+            self.server._loop.remove_writer(self.sock)
+        self.server._open.discard(self)
+        self.sock.close()
 
     def data_received(self, data: bytes) -> None:
-        if not self.reading:
-            return
         buffer = self.buffer
         seen = len(buffer)
         buffer += data
@@ -431,7 +523,7 @@ class _Connection(asyncio.Protocol):
             if len(buffer) < body_end:
                 return
             self.reading = False
-            self.deadline.cancel()
+            self._unwatch()
             self._dispatch(bytes(buffer[self.body_start:body_end]))
         except _Refused as exc:
             self._respond(exc.status, {"error": str(exc)})
@@ -510,17 +602,15 @@ class _Connection(asyncio.Protocol):
             return
         self.reading = False
         self.answered = True
-        self.deadline.cancel()
+        self._unwatch()
         server = self.server
         if self.span is not None:
             self.span.__exit__(None, None, None)
         server._record_http(
             self.seq, status, payload, self.started, self.where
         )
-        if self.transport is None:  # the client left while the engine ran
-            return
         body = json.dumps(payload).encode("utf-8")
-        self.transport.write(
+        self.out = memoryview(
             (
                 f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
                 "Content-Type: application/json\r\n"
@@ -531,4 +621,4 @@ class _Connection(asyncio.Protocol):
             ).encode("ascii")
             + body
         )
-        self.transport.close()
+        self.writable()

@@ -2,10 +2,13 @@
 QueryServer running on a background asyncio loop, stdlib client only."""
 
 import asyncio
+import errno
 import json
 import math
 import os
+import re
 import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -328,19 +331,34 @@ def _request_bytes(method, target, body=None, request_id=None):
     return head.encode() + b"\r\n" + (body or b"")
 
 
+def _read_to_eof(conn):
+    chunks = []
+    while chunk := conn.recv(65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
 def _send(server, *segments, pause=0.0, half_close=False):
-    """Write *segments* one ``sendall`` each, read to EOF: the raw reply."""
+    """Write *segments* one ``sendall`` each, *pause* apart, read to EOF:
+    the raw reply."""
     with socket.create_connection(("127.0.0.1", server.port), timeout=30) as c:
         c.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        for segment in segments:
+        for i, segment in enumerate(segments):
+            if i:
+                time.sleep(pause)
             c.sendall(segment)
-            time.sleep(pause)
         if half_close:
             c.shutdown(socket.SHUT_WR)
-        chunks = []
-        while chunk := c.recv(65536):
-            chunks.append(chunk)
-    return b"".join(chunks)
+        return _read_to_eof(c)
+
+
+def _send_in_thirds(server, sent):
+    """*sent* cut into three segments 50 ms apart: the first read leaves
+    the request incomplete, the rest arrives through the loop's reader
+    (one ``sendall`` is the other path: complete at the read at accept)."""
+    cut = max(1, len(sent) // 3)
+    return _send(server, sent[:cut], sent[cut:2 * cut], sent[2 * cut:],
+                 pause=0.05)
 
 
 def _parse(raw):
@@ -352,8 +370,38 @@ def _parse(raw):
     return status_line, headers, json.loads(body)
 
 
+def _on_loop(server, fn, *args):
+    """``fn(*args)`` run on the server's loop thread; its result."""
+    async def call():
+        return fn(*args)
+
+    return asyncio.run_coroutine_threadsafe(
+        call(), server._loop
+    ).result(timeout=30)
+
+
 def _counter(server, name):
     return server.telemetry.snapshot().get(name, {"value": 0})["value"]
+
+
+def _settles_at(server, connections):
+    """``server.connections`` reaches *connections* (within 5 s)."""
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        if _on_loop(server, lambda: server.connections) == connections:
+            return True
+        time.sleep(0.01)
+    return False
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _watched(server, sock_or_fd):
+    """Is the descriptor registered with the server loop's selector?"""
+    fd = sock_or_fd if isinstance(sock_or_fd, int) else sock_or_fd.fileno()
+    return fd in server._loop._selector.get_map()
 
 
 class TestFraming:
@@ -418,6 +466,9 @@ _HOSTILE = [
 ]
 
 
+_SERVER_ID = re.compile(rb"(?<=x-request-id: )req-\d+")
+
+
 class TestHostileInput:
     """Every bad request is a named 4xx and the server stays healthy."""
 
@@ -432,10 +483,16 @@ class TestHostileInput:
     def test_fails_closed_with_a_named_status(
         self, server, sent, status, reason
     ):
-        status_line, headers, payload = _parse(_send(server, sent))
+        whole = _send(server, sent)
+        status_line, headers, payload = _parse(whole)
         assert status_line == f"HTTP/1.1 {status} {api._REASONS[status]}"
         assert headers["Connection"] == "close"
         assert reason in payload["error"]
+        # Complete at the first read or through the reader: same bytes
+        # (but for the ordinal in a server-assigned request id).
+        segmented = _send_in_thirds(server, sent)
+        assert _SERVER_ID.sub(b"req-N", segmented) == \
+            _SERVER_ID.sub(b"req-N", whole)
         assert _parse(_send(server, _request_bytes("GET", "/healthz")))[2]["ok"]
 
     def test_half_closed_mid_request_is_400(self, server):
@@ -445,24 +502,20 @@ class TestHostileInput:
         assert "closed mid-request" in payload["error"]
 
     def test_disconnect_mid_request_leaves_nothing_pending(self, server):
+        assert _settles_at(server, 0)
+        fds = _open_fds()
         for partial in (b"", b"GET /que", b"POST /query HTTP/1.1\r\n"
                         b"Content-Length: 10\r\n\r\n{"):
             with socket.create_connection(("127.0.0.1", server.port)) as c:
                 c.sendall(partial)
         assert _parse(_send(server, _request_bytes("GET", "/healthz")))[2]["ok"]
         time.sleep(0.5)  # past the (shortened) read deadline
-
-        async def pending():
-            return len(asyncio.all_tasks()) - 1  # minus this probe
-
-        loop = server._server.get_loop()
-        assert asyncio.run_coroutine_threadsafe(
-            pending(), loop
-        ).result(timeout=30) == 0
+        assert _settles_at(server, 0)
         assert not any(
             "_Connection" in repr(handle) and not handle.cancelled()
-            for handle in loop._scheduled
+            for handle in server._loop._scheduled
         )
+        assert _open_fds() == fds
 
     def test_reliability_workers_are_clamped_to_the_host(self, server):
         kwargs = api._parse_reliability_params(
@@ -549,6 +602,199 @@ class TestLoopExecutorSplit:
             _counter(srv, "serve.http.resolved.loop") - on_loop == len(cheap)
         )
         assert _counter(srv, "serve.http.resolved.executor") - on_executor == 1
+
+
+# ----------------------------------------------------------------------
+# The socket layer: accept, cap, partial writes, departures, shutdown
+# ----------------------------------------------------------------------
+def _reset(conn):
+    """Close *conn* with an RST instead of a FIN."""
+    conn.setsockopt(
+        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+    )
+    conn.close()
+
+
+class TestSockets:
+    HEALTHZ = _request_bytes("GET", "/healthz")
+
+    def test_accept_backs_off_when_descriptors_run_out(
+        self, serve_campaign, capsys
+    ):
+        class Exhausted:
+            """The listener, but its next ``accept`` finds no descriptor."""
+
+            def __init__(self, listener):
+                self.fileno = listener.fileno
+
+            def accept(self):
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        with _serving(serve_campaign) as srv:
+            listener = srv._listener
+            assert _watched(srv, listener)
+            start = time.monotonic()
+            _on_loop(srv, srv._accept, Exhausted(listener))
+            # Un-watched (a full table keeps the fd readable: the loop
+            # would spin), one line on stderr, nothing raised.
+            assert not _watched(srv, listener)
+            err = capsys.readouterr().err
+            assert err.startswith("error: accept: out of system resource")
+            assert err.count("\n") == 1
+            # The timer re-watches it; a client that connected in the
+            # pause sat in the backlog and is answered then.
+            assert _parse(_send(srv, self.HEALTHZ))[2]["ok"]
+            assert time.monotonic() - start >= 0.9
+            assert _watched(srv, listener)
+
+    def test_other_accept_errors_are_not_swallowed(self, server):
+        class Broken:
+            def accept(self):
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+        with pytest.raises(OSError, match="Bad file descriptor"):
+            _on_loop(server, server._accept, Broken())
+
+    def test_connection_cap_answers_503(self, server, monkeypatch):
+        monkeypatch.setattr(api, "_MAX_CONNECTIONS", 3)
+        monkeypatch.setattr(api, "_READ_DEADLINE_S", 1.5)
+        assert _settles_at(server, 0)
+        refused = _counter(server, "serve.http.status.503")
+        held = [
+            socket.create_connection(("127.0.0.1", server.port), timeout=30)
+            for _ in range(3)
+        ]
+        try:
+            for conn in held:  # idle and half-sent: both count
+                conn.sendall(self.HEALTHZ[:10])
+            assert _settles_at(server, 3)
+            # One too many.  (It sends nothing: a request that reaches a
+            # closed socket draws a reset, which a read-to-EOF client
+            # sees as an error after the reply.)
+            status_line, headers, payload = _parse(_send(server))
+            assert status_line == "HTTP/1.1 503 Service Unavailable"
+            assert headers["Connection"] == "close"
+            assert payload == {"error": "server at its connection limit (3)"}
+            assert _counter(server, "serve.http.status.503") == refused + 1
+            assert _settles_at(server, 3)
+            # An already-open one still gets its answer when completed ...
+            held[0].sendall(self.HEALTHZ[10:])
+            assert _parse(_read_to_eof(held[0]))[2]["ok"]
+            # ... which makes room for the next,
+            assert _parse(_send(server, self.HEALTHZ))[2]["ok"]
+            # and the idle ones are still bound for their 408.
+            for conn in held[1:]:
+                assert _parse(_read_to_eof(conn))[0].startswith("HTTP/1.1 408")
+        finally:
+            for conn in held:
+                conn.close()
+        assert _settles_at(server, 0)
+
+    @staticmethod
+    def _respond_into_a_small_buffer(server, payload):
+        """``_respond(200, payload)`` on a connection whose socket takes
+        4 KiB at a time; returns ``(connection, the peer's socket)``."""
+        ours, theirs = socket.socketpair()
+        ours.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        ours.setblocking(False)
+
+        def respond():
+            connection = api._Connection(server, ours)
+            connection._respond(200, payload)
+            return connection
+
+        return _on_loop(server, respond), theirs
+
+    def test_a_reply_larger_than_the_socket_buffer_arrives_whole(self, server):
+        payload = {"blob": "".join(f"{i:07d}." for i in range(25_000))}
+        fds = _open_fds()
+        connection, theirs = self._respond_into_a_small_buffer(server, payload)
+        with theirs:
+            # send() took a part; the rest waits for the loop's writer.
+            assert connection.writing and len(connection.out) > 100_000
+            assert _watched(server, connection.sock)
+            chunks = []
+            while chunk := theirs.recv(8192):  # a slow reader
+                chunks.append(chunk)
+                time.sleep(0.0005)
+        status_line, headers, got = _parse(b"".join(chunks))
+        assert status_line == "HTTP/1.1 200 OK"
+        assert int(headers["Content-Length"]) > 200_000
+        assert got == payload  # complete and in order
+        assert _settles_at(server, 0)
+        assert _open_fds() == fds
+
+    def test_a_peer_that_leaves_mid_write_leaves_no_writer(self, server):
+        fds = _open_fds()
+        connection, theirs = self._respond_into_a_small_buffer(
+            server, {"blob": "x" * 200_000}
+        )
+        fd = connection.sock.fileno()
+        assert connection.writing and _watched(server, fd)
+        theirs.close()  # the next send() is EPIPE
+        assert _settles_at(server, 0)
+        assert not _watched(server, fd)
+        assert _open_fds() == fds
+
+    def test_engine_answer_for_a_departed_client_is_recorded_not_written(
+        self, server
+    ):
+        answered = _counter(server, "serve.http.status.200")
+        on_executor = _counter(server, "serve.http.resolved.executor")
+        release = threading.Event()
+        server._executor.submit(release.wait, 60)
+        try:
+            conn = socket.create_connection(("127.0.0.1", server.port))
+            conn.sendall(_request_bytes(
+                "POST", "/reliability",
+                body=b'{"width": 4, "failure_rate": 0.1, "trials": 50}',
+            ))
+            assert _settles_at(server, 1)  # parked behind the blocker
+            _reset(conn)
+        finally:
+            release.set()
+        assert _settles_at(server, 0)
+        assert _counter(server, "serve.http.status.200") == answered + 1
+        assert (
+            _counter(server, "serve.http.resolved.executor") == on_executor + 1
+        )
+        assert _parse(_send(server, self.HEALTHZ))[2]["ok"]
+
+    def test_stop_closes_what_is_open(self, serve_campaign):
+        fds = _open_fds()
+        with _serving(serve_campaign) as srv:
+            idle = socket.create_connection(("127.0.0.1", srv.port))
+            idle.sendall(b"GET /heal")
+            assert _settles_at(srv, 1)
+        with idle:
+            assert idle.recv(100) == b""  # closed by stop(), unanswered
+        assert srv.connections == 0
+        assert _open_fds() == fds
+
+    def test_start_names_a_loop_that_cannot_watch_sockets(
+        self, serve_campaign
+    ):
+        async def start_without_add_reader():
+            def add_reader(*args):
+                raise NotImplementedError
+
+            asyncio.get_running_loop().add_reader = add_reader
+            await QueryServer(serve_campaign).start()
+
+        fds = _open_fds()
+        with pytest.raises(RuntimeError, match="selector event loop"):
+            asyncio.run(start_without_add_reader())
+        assert _open_fds() == fds
+
+    def test_ipv6_loopback_host(self, serve_campaign):
+        try:
+            socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+        except OSError:
+            pytest.skip("no IPv6 loopback on this host")
+        with _serving(serve_campaign, host="::1") as srv:
+            with socket.create_connection(("::1", srv.port), timeout=30) as c:
+                c.sendall(self.HEALTHZ)
+                assert _parse(_read_to_eof(c))[2]["ok"]
 
 
 # ----------------------------------------------------------------------
@@ -669,6 +915,16 @@ def _same(got, want):
 
 
 def test_script_of_40_requests_matches_the_parent_recording(tmp_path):
+    _replay_matches_the_recording(tmp_path, _send)
+
+
+def test_script_sent_in_segments_matches_the_recording_too(tmp_path):
+    """The same 40 replies when every request needs the loop's reader."""
+    assert not os.environ.get("SERVE_SCRIPT_RECORD")
+    _replay_matches_the_recording(tmp_path, _send_in_thirds)
+
+
+def _replay_matches_the_recording(tmp_path, send):
     # A campaign of its own: the recorded simulation answers count the
     # store misses of a store no other test has simulated into.
     root = build_serve_campaign(tmp_path / "c").root
@@ -678,7 +934,7 @@ def test_script_of_40_requests_matches_the_parent_recording(tmp_path):
         servers = {"mix": mix, "sim": sim}
         run = {
             "replies": [
-                _reply_view(_send(servers[label], sent))
+                _reply_view(send(servers[label], sent))
                 for label, sent in _SCRIPT
             ],
             "counters": {
