@@ -21,7 +21,8 @@ merge step folds everything back into the campaign:
   :meth:`~repro.obs.telemetry.TelemetryRegistry.merge_digest` equals
   the sequential run's;
 * **manifest** — per-cell timings from every shard manifest are
-  replayed into one new segment of the campaign's ``events.jsonl``;
+  replayed into one new segment of the campaign's ``events.jsonl``,
+  each cell attributed to the pid its shard's ``run-start`` recorded;
 * **spans** — every cell records a trace span under the campaign's
   deterministic trace id (``trace_id_from("campaign", spec.name)``),
   shipped home through the shard manifests and re-merged with
@@ -38,10 +39,13 @@ value.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import AbstractContextManager, nullcontext
 from functools import partial
 from pathlib import Path
 
 from repro.campaigns.db import CampaignDB, store_digest
+from repro.campaigns.query import extract_metric
 from repro.campaigns.spec import (
     CampaignSpec,
     cell_id,
@@ -54,10 +58,9 @@ from repro.experiments.parallel import (
     worker_evaluator,
 )
 from repro.obs.manifest import ManifestWriter, read_manifest
-from repro.obs.profile import clock
 from repro.obs.spans import (
-    make_span,
-    make_span_id,
+    SpanRecorder,
+    Trace,
     merge_spans,
     spans_from_manifest,
     spans_merge_digest,
@@ -86,38 +89,9 @@ def partition_cells(cells: list[dict], n_shards: int) -> list[list[dict]]:
     return [cells[i::n_shards] for i in range(n_shards)]
 
 
-def campaign_cells(
-    evaluator, cases: dict, keys, *, manifest=None, trace_context=None
-):
-    """Run campaign cells one by one, yielding each finished cell.
-
-    Every cell goes through :func:`~repro.experiments.parallel.
-    timed_cell` (timing, cache delta, manifest events); its result lands
-    in the evaluator's store, so the cell carries no ``value``.
-    *trace_context* is the campaign's ``(trace_id, root_span_id)``: when
-    set, each cell carries a ``cell`` span keyed by its id, a direct
-    child of the campaign root — no worker- or shard-level parent, so
-    ids do not depend on the dispatch.
-    """
-    for key in keys:
-        cid = cell_id(key)
-        span = None
-        if trace_context is not None:
-            span = {
-                "name": "cell",
-                "trace_id": trace_context[0],
-                "parent_id": trace_context[1],
-                "key": cid,
-            }
-        yield timed_cell(
-            cid, partial(_cell_run, evaluator, cases, key), evaluator,
-            manifest=manifest, span=span,
-        )
-
-
 def _cell_run(evaluator, cases: dict, key: dict) -> tuple[None, int]:
     result = execute_cell(evaluator, cases, key)
-    return None, result.measured_cycles + result.config.warmup
+    return None, int(extract_metric(result, "simulated_cycles"))
 
 
 def _execute(
@@ -129,7 +103,6 @@ def _execute(
     kind: str,
     with_telemetry: bool,
     trace_context: tuple[str, str | None] | None,
-    root_start: float | None = None,
     progress=None,
     **meta,
 ):
@@ -137,43 +110,44 @@ def _execute(
 
     The one executor behind a shard (own store, own manifest) and the
     sequential campaign (the campaign's store and manifest): a fresh
-    evaluator and registry, every cell through :func:`campaign_cells`
-    (results go to *store*; only ``id/seconds/cycles`` are kept here),
-    each cell's span written as it finishes.  *root_start* makes this run the whole
-    campaign: its ``campaign`` root span (started then) closes the run.
-    Returns ``(registry, cells, spans)``.
+    evaluator and registry, every cell through :func:`~repro.
+    experiments.parallel.timed_cell` (results go to *store*; only
+    ``id/seconds/cycles`` are kept here), each cell's ``cell`` span,
+    keyed by its id, written to the manifest as it closes.
+    *trace_context* places the cells: under ``(trace_id, root_id)`` a
+    shard's cells hang off the campaign root the merge records; at the
+    root position ``(trace_id, None)`` this run is the whole campaign
+    and opens the ``campaign`` root span itself.  Returns
+    ``(registry, cells, spans)``.
     """
     registry, evaluator = worker_evaluator(
         spec.config, spec.seed, store, with_telemetry
     )
     cases = draw_cases(evaluator, spec)
-    cells, spans = [], []
+    cells = []
     with ManifestWriter(events_path) as events:
         events.run_start(
             spec.name, kind=kind, store=str(store.root),
             pending=len(coords), **meta,
         )
-        for cell in campaign_cells(
-            evaluator, cases, coords, manifest=events,
-            trace_context=trace_context,
-        ):
-            cells.append({k: cell[k] for k in ("id", "seconds", "cycles")})
-            if cell["span"] is not None:
-                spans.append(cell["span"])
-                events.span(cell["span"])
-            if progress:
-                progress(f"[{spec.name}] {cell['id']}")
-        if root_start is not None:
-            spans.append(_campaign_root_span(
-                spec.name, *trace_context, root_start, shards=1
-            ))
-            events.span(spans[-1])
-        events.run_finish(
-            telemetry_digest=(
-                registry.merge_digest() if registry is not None else None
-            ),
-        )
-    return registry, cells, spans
+        trace = None
+        if trace_context is not None:
+            trace = Trace(events, *trace_context)
+        scope: AbstractContextManager[Trace | None] = nullcontext(trace)
+        if trace is not None and trace.span_id is None:
+            scope = trace.span("campaign", name=spec.name, shards=1)
+        with scope as parent:
+            for coord in coords:
+                cid = cell_id(coord)
+                cell = timed_cell(
+                    cid, partial(_cell_run, evaluator, cases, coord),
+                    evaluator, manifest=events, trace=parent, key=cid,
+                )
+                cells.append({k: cell[k] for k in ("id", "seconds", "cycles")})
+                if progress:
+                    progress(f"[{spec.name}] {cell['id']}")
+        events.run_finish(telemetry=registry)
+    return registry, cells, events.spans
 
 
 def run_shard(
@@ -194,7 +168,8 @@ def run_shard(
 
     *trace_context* is the campaign's ``(trace_id, root_span_id)``; when
     set, every cell's ``cell`` span lands in the shard manifest for the
-    merge step to replay.
+    merge step to replay.  The shard's ``run-start`` records this
+    process's pid, the ``worker`` the merge attributes its cells to.
 
     Returns a JSON-safe summary (shard root, per-cell timings, counts)
     — the contract a remote host would ship home alongside the
@@ -206,7 +181,7 @@ def run_shard(
     registry, cells, _ = _execute(
         spec, coords, store, shard_root / "events.jsonl",
         kind="campaign-shard", with_telemetry=with_telemetry,
-        trace_context=trace_context,
+        trace_context=trace_context, pid=os.getpid(),
     )
     if registry is not None:
         (shard_root / "telemetry.json").write_text(
@@ -263,7 +238,7 @@ def merge_shards(
         if not (shard_root / "store").is_dir():
             raise ValueError(f"{shard_root}: not a shard directory")
     merged_rows = 0
-    cell_events: list[dict] = []
+    cell_events: list[tuple[dict, int]] = []
     shard_spans: list[dict] = []
     for shard_root in shard_roots:
         shard_store = ResultStore(shard_root / "store")
@@ -280,12 +255,13 @@ def merge_shards(
         events_path = shard_root / "events.jsonl"
         if events_path.exists():
             shard_events = read_manifest(events_path)
-            cell_events.extend(
-                ev for ev in shard_events
-                if ev.get("event") == "cell" and ev.get("phase") == "finish"
-            )
+            pid = 0
+            for ev in shard_events:
+                if ev.get("event") == "run-start":
+                    pid = ev.get("meta", {}).get("pid", 0)
+                elif ev.get("event") == "cell" and ev.get("phase") == "finish":
+                    cell_events.append((ev, pid))
             shard_spans.extend(spans_from_manifest(shard_events))
-    merged_spans = merge_spans(shard_spans, list(spans) if spans else [])
     with ManifestWriter(db.events_path) as events:
         events.run_start(
             db.spec.name,
@@ -294,21 +270,14 @@ def merge_shards(
             store=str(db.store.root),
             shards=[str(p) for p in shard_roots],
         )
-        for i, ev in enumerate(cell_events):
+        for ev, pid in cell_events:
             events.cell_finish(
-                ev["id"],
-                seconds=ev.get("seconds", 0.0),
-                worker=ev.get("worker", i % max(len(shard_roots), 1)),
-                cycles=ev.get("cycles", 0),
+                ev["id"], seconds=ev["seconds"], worker=pid,
+                cycles=ev["cycles"],
             )
-        for span in merged_spans:
-            events.span(span)
-        events.run_finish(
-            status="ok",
-            telemetry_digest=(
-                registry.merge_digest() if registry is not None else None
-            ),
-        )
+        for span in merge_spans(shard_spans, spans or []):
+            events.add(span)
+        events.run_finish(telemetry=registry)
     return {
         "shards": len(shard_roots),
         "merged_rows": merged_rows,
@@ -318,7 +287,7 @@ def merge_shards(
             registry.merge_digest() if registry is not None else None
         ),
         "span_digest": (
-            spans_merge_digest(merged_spans) if merged_spans else None
+            spans_merge_digest(events.spans) if events.spans else None
         ),
     }
 
@@ -360,13 +329,11 @@ def run_campaign(
         "shards": shards,
     }
     trace_id = trace_id_from("campaign", db.spec.name)
-    root_id = make_span_id(trace_id, None, "campaign")
-    t_campaign0 = clock()
     if shards <= 1:
         registry, _, spans = _execute(
             db.spec, missing, db.store, db.events_path, kind="campaign",
-            with_telemetry=telemetry, trace_context=(trace_id, root_id),
-            root_start=t_campaign0, progress=progress, resumed=already_done,
+            with_telemetry=telemetry, trace_context=(trace_id, None),
+            progress=progress, resumed=already_done,
         )
         summary["telemetry_digest"] = (
             registry.merge_digest() if registry is not None else None
@@ -380,25 +347,27 @@ def run_campaign(
     shard_roots = [
         db.shards_root / f"shard-{i:02d}" for i in range(shards)
     ]
-    jobs = [
-        (spec_payload, part, str(root), telemetry, (trace_id, root_id))
-        for part, root in zip(parts, shard_roots)
-    ]
-    n_workers = workers if workers is not None else shards
-    results = parallel_map(
-        _shard_worker, jobs, n_workers, progress=progress,
-        label=db.spec.name,
-    )
+    recorder = SpanRecorder()
+    with Trace(recorder, trace_id).span(
+        "campaign", name=db.spec.name, shards=shards
+    ) as campaign:
+        context = campaign.context()
+        jobs = [
+            (spec_payload, part, str(shard_root), telemetry, context)
+            for part, shard_root in zip(parts, shard_roots)
+        ]
+        n_workers = workers if workers is not None else shards
+        results = parallel_map(
+            _shard_worker, jobs, n_workers, progress=progress,
+            label=db.spec.name,
+        )
     registry = None
     if telemetry:
         from repro.obs.telemetry import TelemetryRegistry
 
         registry = TelemetryRegistry()
-    root_span = _campaign_root_span(
-        db.spec.name, trace_id, root_id, t_campaign0, shards=shards
-    )
     merge = merge_shards(
-        db, shard_roots, registry=registry, spans=[root_span]
+        db, shard_roots, registry=registry, spans=recorder.spans
     )
     summary.update(
         shard_results=[
@@ -412,18 +381,3 @@ def run_campaign(
     )
     return summary
 
-
-def _campaign_root_span(
-    name: str, trace_id: str, root_id: str, t0: float, *, shards: int
-) -> dict:
-    """The campaign-level root span (parent of every cell span)."""
-    return make_span(
-        "campaign",
-        trace_id=trace_id,
-        parent_id=None,
-        span_id=root_id,
-        kind="clock",
-        start=t0,
-        end=clock(),
-        attrs={"name": name, "shards": shards},
-    )

@@ -136,7 +136,7 @@ class Evaluator:
         key = f"{self.seed}/{algorithm}/{set_index}/{rate:.9f}"
         return random.Random(key).getrandbits(32)
 
-    def _prepare_run(
+    def prepare_run(
         self,
         algorithm: str,
         faults: FaultPattern,
@@ -150,6 +150,8 @@ class Evaluator:
         The returned config carries everything that determines the run
         (rate, derived seed, deadlock action, collection flags), which is
         what :class:`repro.store.CachedEvaluator` hashes into a run key.
+        Campaign planning (:class:`repro.campaigns.db.CampaignDB`) calls
+        it to compute the store key of a cell without simulating it.
         """
         alg = make_algorithm(algorithm)
         rate = (
@@ -164,30 +166,6 @@ class Evaluator:
             **overrides,
         )
         return alg, cfg
-
-    def prepare_run(
-        self,
-        algorithm: str,
-        faults: FaultPattern,
-        *,
-        injection_rate: float | None = None,
-        set_index: int = 0,
-        **overrides,
-    ) -> tuple[RoutingAlgorithm, SimConfig]:
-        """Public form of :meth:`_prepare_run` — same resolution, no run.
-
-        Campaign planning (:class:`repro.campaigns.db.CampaignDB`) uses
-        this to compute store run keys for cells without simulating
-        them: the returned config is byte-for-byte the one
-        :class:`repro.store.CachedEvaluator` would hash.
-        """
-        return self._prepare_run(
-            algorithm,
-            faults,
-            injection_rate=injection_rate,
-            set_index=set_index,
-            **overrides,
-        )
 
     def _execute(
         self, alg: RoutingAlgorithm, cfg: SimConfig, faults: FaultPattern
@@ -211,7 +189,7 @@ class Evaluator:
         **overrides,
     ) -> SimulationResult:
         """One simulation of *algorithm* on one fault pattern."""
-        alg, cfg = self._prepare_run(
+        alg, cfg = self.prepare_run(
             algorithm,
             faults,
             injection_rate=injection_rate,

@@ -22,6 +22,7 @@ import json
 import sys
 import time
 from contextlib import nullcontext
+from importlib import import_module
 from pathlib import Path
 
 from repro.experiments.profiles import PROFILES, get_profile
@@ -39,30 +40,16 @@ ABLATION_COMMANDS = (
     "ablation-vc-count",
 )
 
-
-def _span_scope(trace, name: str):
-    """A driver-phase span published as the ambient trace context.
-
-    With *trace* ``None`` (no manifest, hence no tracing) this is a
-    no-op context.  Otherwise the block runs inside a clock span under
-    *trace*, and the span is the ambient parent for the duration — so
-    both pool workers (which inherit the environment) and the drivers'
-    sequential paths hang their ``cell.*`` spans off it, with identical
-    deterministic ids either way.
-    """
-    from contextlib import contextmanager
-
-    if trace is None:
-        return nullcontext()
-
-    @contextmanager
-    def scope():
-        from repro.obs.spans import ambient_scope
-
-        with trace.span(name) as child, ambient_scope(child.context()):
-            yield child
-
-    return scope()
+#: The figure phases in run order: the span that times each, the
+#: driver module and its runner, and the ``--out`` file stem.  A phase
+#: runs when any figure in its span name is wanted and prints each
+#: wanted one with the module's ``print_<figure>``.
+FIGURE_PHASES = (
+    ("fig1-fig2", "fig_sweep", "run_sweep", "sweep"),
+    ("fig3", "fig_vc_usage", "run_vc_usage", "fig3"),
+    ("fig4-fig5", "fig_faults", "run_fault_study", "faults"),
+    ("fig6", "fig_fring", "run_fring_study", "fig6"),
+)
 
 
 def _dump(out_dir: Path | None, name: str, payload: dict) -> None:
@@ -72,6 +59,28 @@ def _dump(out_dir: Path | None, name: str, payload: dict) -> None:
     path = out_dir / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2))
     print(f"[saved {path}]")
+
+
+def _run_figures(wanted, profile, algorithms, out, run: dict, trace=None):
+    """Run, dump and print every wanted figure phase.
+
+    With a *trace* (the run's root position) each phase runs inside its
+    own child span, the parent of the phase's ``cell.*`` spans whether
+    its cells run pooled or in process.
+    """
+    for phase, module, runner, stem in FIGURE_PHASES:
+        figures = [fig for fig in phase.split("-") if fig in wanted]
+        if not figures:
+            continue
+        driver = import_module(f"repro.experiments.{module}")
+        with (nullcontext() if trace is None else trace.span(phase)) as span:
+            result = getattr(driver, runner)(
+                profile, algorithms, trace=span, **run
+            )
+        _dump(out, f"{stem}_{profile.name}", result.to_payload())
+        for fig in figures:
+            print(getattr(driver, f"print_{fig}")(result))
+            print()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -246,41 +255,6 @@ def main(argv: list[str] | None = None) -> int:
     profile = get_profile(profile_name)
     algorithms = tuple(args.algorithms) if args.algorithms else None
     progress = None if args.quiet else lambda s: print(s, file=sys.stderr)
-    manifest = None
-    if args.manifest is not False:
-        from repro.obs.manifest import ManifestWriter
-
-        if args.manifest is not None:
-            manifest_path = args.manifest
-        else:
-            base = (
-                store.root / "manifests" if store is not None
-                else Path("manifests")
-            )
-            manifest_path = base / f"{args.experiment}_{profile_name}.jsonl"
-        manifest = ManifestWriter(manifest_path)
-        manifest.run_start(
-            args.experiment,
-            kind="figure",
-            workers=args.workers,
-            store=str(store.root) if store is not None else None,
-            profile=profile_name,
-        )
-    spans_rec = trace = None
-    if manifest is not None:
-        from repro.obs.profile import clock
-        from repro.obs.spans import (
-            SpanRecorder, Trace, make_span_id, trace_id_from,
-        )
-
-        spans_rec = SpanRecorder()
-        trace_id = trace_id_from(
-            "figure", args.experiment, profile_name, args.seed
-        )
-        trace = Trace(
-            spans_rec, trace_id, make_span_id(trace_id, None, args.experiment)
-        )
-        t_trace0 = clock()
     if args.experiment == "all":
         wanted: tuple[str, ...] = EXPERIMENTS
     elif args.experiment == "ablations":
@@ -309,84 +283,46 @@ def main(argv: list[str] | None = None) -> int:
         print()
     run = dict(
         seed=args.seed, progress=progress, workers=args.workers, store=store,
-        instrument=instrument, manifest=manifest, spans=spans_rec,
+        instrument=instrument,
     )
-    # Leaving this block on an exception (a cell that raised) closes
-    # the manifest with run-finish status="error" on the way out.
-    with manifest if manifest is not None else nullcontext():
-        if "fig1" in wanted or "fig2" in wanted:
-            from repro.experiments.fig_sweep import (
-                print_fig1, print_fig2, run_sweep,
+    if args.manifest is False:
+        _run_figures(wanted, profile, algorithms, args.out, run)
+    else:
+        from repro.obs.manifest import ManifestWriter
+        from repro.obs.spans import Trace, trace_id_from
+
+        manifest_path = args.manifest
+        if manifest_path is None:
+            base = (
+                store.root / "manifests" if store is not None
+                else Path("manifests")
             )
-
-            with _span_scope(trace, "fig1-fig2"):
-                sweep = run_sweep(profile, algorithms, **run)
-            _dump(args.out, f"sweep_{profile.name}", sweep.to_payload())
-            if "fig1" in wanted:
-                print(print_fig1(sweep))
-                print()
-            if "fig2" in wanted:
-                print(print_fig2(sweep))
-                print()
-        if "fig3" in wanted:
-            from repro.experiments.fig_vc_usage import print_fig3, run_vc_usage
-
-            with _span_scope(trace, "fig3"):
-                usage = run_vc_usage(profile, algorithms, **run)
-            _dump(args.out, f"fig3_{profile.name}", usage.to_payload())
-            print(print_fig3(usage))
-            print()
-        if "fig4" in wanted or "fig5" in wanted:
-            from repro.experiments.fig_faults import (
-                print_fig4, print_fig5, run_fault_study,
-            )
-
-            with _span_scope(trace, "fig4-fig5"):
-                study = run_fault_study(profile, algorithms, **run)
-            _dump(args.out, f"faults_{profile.name}", study.to_payload())
-            if "fig4" in wanted:
-                print(print_fig4(study))
-                print()
-            if "fig5" in wanted:
-                print(print_fig5(study))
-                print()
-        if "fig6" in wanted:
-            from repro.experiments.fig_fring import print_fig6, run_fring_study
-
-            with _span_scope(trace, "fig6"):
-                fring = run_fring_study(profile, algorithms, **run)
-            _dump(args.out, f"fig6_{profile.name}", fring.to_payload())
-            print(print_fig6(fring))
-            print()
-        if manifest is not None:
-            from repro.obs.spans import make_span, merge_spans
-            from repro.obs.telemetry import series_snapshot
-
-            spans_rec.add(make_span(
+            manifest_path = base / f"{args.experiment}_{profile_name}.jsonl"
+        trace_id = trace_id_from(
+            "figure", args.experiment, profile_name, args.seed
+        )
+        # Each span is written as it closes; leaving this block on an
+        # exception (a cell that raised) closes the manifest with
+        # run-finish status="error" on the way out.
+        with ManifestWriter(manifest_path) as manifest:
+            manifest.run_start(
                 args.experiment,
-                trace_id=trace.trace_id,
-                parent_id=None,
-                span_id=trace.span_id,
-                kind="clock",
-                start=t_trace0,
-                end=clock(),
-                attrs={"profile": profile_name, "workers": args.workers},
-            ))
-            merged_spans = merge_spans(spans_rec.spans)
-            for span in merged_spans:
-                manifest.span(span)
-            series = (
-                series_snapshot(telemetry) if telemetry is not None else None
+                kind="figure",
+                workers=args.workers,
+                store=str(store.root) if store is not None else None,
+                profile=profile_name,
             )
-            manifest.run_finish(
-                telemetry_digest=(
-                    telemetry.digest() if telemetry is not None else None
-                ),
-                telemetry_series=series or None,
-            )
-            print(f"[manifest: {manifest.events_written} events "
-                  f"({len(merged_spans)} spans, trace {trace.trace_id}) -> "
-                  f"{manifest.path}]")
+            with Trace(manifest, trace_id).span(
+                args.experiment, profile=profile_name, workers=args.workers
+            ) as trace:
+                _run_figures(
+                    wanted, profile, algorithms, args.out,
+                    dict(run, manifest=manifest), trace,
+                )
+            manifest.run_finish(telemetry=telemetry)
+        print(f"[manifest: {manifest.events_written} events "
+              f"({len(manifest.spans)} spans, trace {trace_id}) -> "
+              f"{manifest.path}]")
     if telemetry is not None:
         print(telemetry.render(prefix="engine."))
         print()

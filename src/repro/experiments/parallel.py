@@ -15,13 +15,14 @@ evaluator the cell runs against and in which process:
 * **pooled** (``--workers N`` figures) — the same call runs in a worker
   against a *fresh* evaluator (:func:`worker_evaluator`) and the
   finished cell rides home; the parent, sole writer of the manifest,
-  records its ``cell_finish`` with the worker pid
-  (:func:`collect_cells`).
+  records its ``cell_finish`` with the worker pid and its span
+  (:func:`run_per_algorithm`).
 
 Workers receive only picklable values (the frozen
 :class:`~repro.experiments.profiles.Profile` or a spec payload, the job
-function by import path, a store *directory*), so the pool works with
-the ``spawn`` and ``fork`` start methods alike.  Sharing happens through
+function by import path, a store *directory*, the parent span's
+:meth:`~repro.obs.spans.Trace.context`), so the pool works with the
+``spawn`` and ``fork`` start methods alike.  Sharing happens through
 the :class:`~repro.store.ResultStore`: its locked appends make one store
 safe for all workers at once, and a cell any process simulated earlier
 is a cache hit everywhere else.
@@ -45,7 +46,7 @@ from contextlib import ExitStack
 from functools import partial
 
 from repro.obs.profile import clock
-from repro.obs.spans import ambient, make_span
+from repro.obs.spans import SpanRecorder, Trace
 from repro.store.backend import store_dir_of
 from repro.store.cache import make_evaluator
 
@@ -91,7 +92,14 @@ def _cache_counters(evaluator) -> dict | None:
 
 
 def timed_cell(
-    cell_id: str, run: Callable, evaluator, *, manifest=None, span=None
+    cell_id: str,
+    run: Callable,
+    evaluator,
+    *,
+    manifest=None,
+    trace: Trace | None = None,
+    span: str = "cell",
+    key=None,
 ) -> dict:
     """Run one cell: the only place a cell is timed and logged.
 
@@ -102,9 +110,9 @@ def timed_cell(
         {"id", "value", "seconds", "cycles", "cache", "pid", "span"}
 
     ``cache`` is the evaluator's cache-counter delta over the cell
-    (``None`` without a store).  *span* holds the identifying
-    :func:`~repro.obs.spans.make_span` arguments (name, trace id,
-    parent, key) of the cell's clock span, or ``None`` for no tracing.
+    (``None`` without a store).  With a *trace* (the parent position)
+    the cell's clock span *span*, keyed by *key*, is recorded through
+    :meth:`~repro.obs.spans.Trace.record` and returned as ``span``.
 
     With a *manifest* (:class:`~repro.obs.manifest.ManifestWriter`) the
     cell's ``start`` and ``finish`` events are written here.  A cell
@@ -132,11 +140,6 @@ def timed_cell(
                 status=status,
             )
     pid = os.getpid()
-    if span is not None:
-        span = make_span(
-            **span, kind="clock", start=t0, end=t1,
-            attrs={"id": cell_id, "cycles": cycles, "pid": pid},
-        )
     return {
         "id": cell_id,
         "value": value,
@@ -144,68 +147,39 @@ def timed_cell(
         "cycles": cycles,
         "cache": cache,
         "pid": pid,
-        "span": span,
+        "span": None if trace is None else trace.record(
+            span, start=t0, end=t1, key=key, id=cell_id, cycles=cycles,
+            pid=pid,
+        ),
     }
-
-
-def collect_cells(
-    cells, snapshot=None, *, instrument=None, manifest=None, spans=None
-) -> None:
-    """Parent-side bookkeeping for finished *cells*.
-
-    Folds a worker's telemetry *snapshot* into *instrument*'s registry
-    and adds the cells' trace spans to *spans* (a
-    :class:`~repro.obs.spans.SpanRecorder` or list).  *manifest* is for
-    cells that ran in a pool worker only: the parent first hears of such
-    a cell when its result arrives, so it records a lone ``finish``
-    carrying the worker pid (in-process cells were already logged by
-    :func:`timed_cell`).
-    """
-    registry = getattr(instrument, "telemetry", None)
-    if snapshot and registry is not None:
-        registry.merge(snapshot)
-    if manifest is not None:
-        for cell in cells:
-            manifest.cell_finish(
-                cell["id"], seconds=cell["seconds"], worker=cell["pid"],
-                cycles=cell["cycles"], cache=cell["cache"],
-            )
-    if spans is not None:
-        spans.extend(cell["span"] for cell in cells if cell["span"])
 
 
 # ----------------------------------------------------------------------
 # Per-algorithm fan-out (the figure drivers)
 # ----------------------------------------------------------------------
 def _algorithm_cell(
-    run: Callable, evaluator, manifest, registry, algorithm: str
+    run: Callable, evaluator, manifest, trace, registry, algorithm: str
 ) -> tuple[str, dict, dict | None]:
-    """One figure cell, traced as ``cell.<algorithm>`` under the ambient
-    context (if one is published), plus *registry*'s snapshot to ship."""
-    span = None
-    context = ambient()
-    if context is not None:
-        span = {
-            "name": f"cell.{algorithm}",
-            "trace_id": context[0],
-            "parent_id": context[1],
-        }
+    """One figure cell, traced as ``cell.<algorithm>`` under *trace*
+    (if given), plus *registry*'s snapshot to ship."""
     cell = timed_cell(
         algorithm, partial(run, algorithm), evaluator,
-        manifest=manifest, span=span,
+        manifest=manifest, trace=trace, span=f"cell.{algorithm}",
     )
     return algorithm, cell, None if registry is None else registry.snapshot()
 
 
 def _algorithm_worker(args: tuple) -> tuple[str, dict, dict | None]:
     """Pool body of :func:`run_per_algorithm`: the same cell, run against
-    a fresh evaluator and registry (top level so that it pickles)."""
-    job, profile, algorithm, seed, store_dir, with_telemetry = args
+    a fresh evaluator and registry (top level so that it pickles); its
+    span is recorded under the shipped parent context and rides home."""
+    job, profile, algorithm, seed, store_dir, with_telemetry, context = args
     registry, evaluator = worker_evaluator(
         profile.config, seed, store_dir, with_telemetry
     )
+    trace = None if context is None else Trace(SpanRecorder(), *context)
     return _algorithm_cell(
-        job(evaluator, profile), evaluator, None, registry, algorithm
+        job(evaluator, profile), evaluator, None, trace, registry, algorithm
     )
 
 
@@ -221,7 +195,7 @@ def run_per_algorithm(
     store=None,
     instrument=None,
     manifest=None,
-    spans=None,
+    trace: Trace | None = None,
 ) -> dict:
     """``{algorithm: series}`` from one cell per algorithm.
 
@@ -248,10 +222,9 @@ def run_per_algorithm(
 
     *manifest* (a :class:`~repro.obs.manifest.ManifestWriter`) receives
     one ``cell`` per algorithm with its wall seconds, simulated cycles
-    and cache counters; *spans* (a
-    :class:`~repro.obs.spans.SpanRecorder`) collects one
-    ``cell.<algorithm>`` span per algorithm under the ambient trace
-    context — identical ids whether the cells ran pooled or in process.
+    and cache counters; *trace* (a :class:`~repro.obs.spans.Trace`, the
+    parent position) gets one ``cell.<algorithm>`` span per algorithm —
+    identical ids whether the cells ran pooled or in process.
     """
     algorithms = algorithms or profile.algorithms
     pooled = (
@@ -259,28 +232,37 @@ def run_per_algorithm(
         and len(algorithms) > 1
         and pool_safe_instrument(instrument)
     )
-    if pooled:
-        with_telemetry = getattr(instrument, "telemetry", None) is not None
-        store_dir = store_dir_of(store)
-        jobs = [
-            (job, profile, alg, seed, store_dir, with_telemetry)
-            for alg in algorithms
-        ]
-        cells = parallel_map(_algorithm_worker, jobs, workers, progress, label)
-    else:
+    if not pooled:
         evaluator = make_evaluator(
             profile.config, seed=seed, store=store, instrument=instrument
         )
         in_process = partial(
-            _algorithm_cell, job(evaluator, profile), evaluator, manifest, None
+            _algorithm_cell, job(evaluator, profile), evaluator, manifest,
+            trace, None,
         )
         cells = parallel_map(in_process, algorithms, 1, progress, label)
+        return {alg: cell["value"] for alg, cell, _ in cells}
+    registry = getattr(instrument, "telemetry", None)
+    context = None if trace is None else trace.context()
+    jobs = [
+        (job, profile, alg, seed, store_dir_of(store), registry is not None,
+         context)
+        for alg in algorithms
+    ]
     series = {}
-    for alg, cell, snapshot in cells:
-        collect_cells(
-            [cell], snapshot, instrument=instrument,
-            manifest=manifest if pooled else None, spans=spans,
-        )
+    for alg, cell, snapshot in parallel_map(
+        _algorithm_worker, jobs, workers, progress, label
+    ):
+        # The parent, sole writer, first hears of a pooled cell here.
+        if snapshot and registry is not None:
+            registry.merge(snapshot)
+        if manifest is not None:
+            manifest.cell_finish(
+                cell["id"], seconds=cell["seconds"], worker=cell["pid"],
+                cycles=cell["cycles"], cache=cell["cache"],
+            )
+        if trace is not None:
+            trace.recorder.add(cell["span"])
         series[alg] = cell["value"]
     return series
 

@@ -26,7 +26,7 @@ in :data:`repro.simulator.engine.EVENTS`:
   a phase-attributing regression gate.
 * :mod:`repro.obs.spans` — cross-layer trace spans (``python -m
   repro.obs spans``): clock-stamped outside the simulator,
-  cycle-stamped inside, deterministic ids, ambient context
+  cycle-stamped inside, deterministic ids, explicit context
   propagation, partition-independent merge + digest.
 * :mod:`repro.obs.blame` — per-message latency blame
   (``sim.attach(BlameRecorder())``; ``python -m repro.obs blame``):
@@ -73,8 +73,8 @@ _EXPORTS = {
         "LabeledCounter", "Series", "TelemetryRegistry", "series_snapshot",
     ),
     "spans": (
-        "SpanRecorder", "Trace", "ambient", "ambient_scope", "make_span",
-        "make_span_id", "merge_spans", "read_spans_jsonl",
+        "SpanRecorder", "Trace", "make_span", "make_span_id",
+        "merge_spans", "read_spans_jsonl",
         "render_waterfall", "spans_from_manifest", "spans_merge_digest",
         "trace_id_from", "write_spans_jsonl",
     ),

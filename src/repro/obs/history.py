@@ -25,6 +25,7 @@ import json
 from pathlib import Path
 
 from repro.obs.bench import _RATE_METRICS, compare_payloads, host_warnings
+from repro.obs.manifest import read_jsonl
 from repro.obs.timeline import sparkline
 
 __all__ = [
@@ -82,29 +83,8 @@ def ledger_entry(payload: dict) -> dict:
 
 def read_ledger(path: Path | str) -> list[dict]:
     """Parse the ledger (torn final line tolerated, like manifests)."""
-    import warnings
-
     path = Path(path)
-    if not path.exists():
-        return []
-    entries = []
-    text = path.read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.split("\n"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entries.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            torn = lineno == text.count("\n") + 1 and not text.endswith("\n")
-            if torn:
-                warnings.warn(
-                    f"{path}:{lineno}: skipping torn final ledger line",
-                    stacklevel=2,
-                )
-                continue
-            raise ValueError(f"{path}:{lineno}: bad ledger line: {exc}")
-    return entries
+    return read_jsonl(path) if path.exists() else []
 
 
 def write_ledger(path: Path | str, entries: list[dict]) -> None:

@@ -17,12 +17,16 @@ so the log is crash-safe and never interleaved:
   when a store was in play, and a ``status`` (``error`` for a cell that
   raised).  One function writes both phases for every runner:
   :func:`repro.experiments.parallel.timed_cell`;
-* ``run-finish`` — total seconds, cell count, merged
-  :class:`~repro.store.cache.CacheStats` counters, the merged
-  telemetry registry's :meth:`~repro.obs.telemetry.TelemetryRegistry.
-  digest`, and a terminal ``status`` (``error`` when the run died on
-  an exception: leaving the writer's ``with`` block that way closes
-  the run).
+* ``span`` — one trace span (:mod:`repro.obs.spans`), written when it
+  closes: a writer is the recorder of the run's
+  :class:`~repro.obs.spans.Trace`, so a crash loses no closed span;
+* ``run-finish`` — total seconds, the run's telemetry registry's
+  :meth:`~repro.obs.telemetry.TelemetryRegistry.merge_digest` (the
+  partition-independent digest, so a figure run pooled or in process
+  and a campaign sharded or sequential record the same value for the
+  same cells) with its series slice, and a terminal ``status``
+  (``error`` when the run died on an exception: leaving the writer's
+  ``with`` block that way closes the run).
 
 Each event carries ``t``, seconds since the writer was created
 (monotonic).  Wall-clock here is deliberate and legal: manifests live
@@ -45,6 +49,7 @@ from repro.obs.profile import clock
 
 __all__ = [
     "ManifestWriter",
+    "read_jsonl",
     "read_manifest",
     "render_report",
     "summarize_manifest",
@@ -54,10 +59,16 @@ __all__ = [
 class ManifestWriter:
     """Append-only JSONL event log, flushed per event.
 
-    The parent process is the sole writer (workers ship timings back
-    with their results; a shard writes its own file).  Use as a context manager or call :meth:`close`; a
-    ``with`` block left by an exception while a run is open first
-    records ``run-finish`` with ``status="error"``.
+    The parent process is the sole writer (workers ship timings and
+    spans back with their results; a shard writes its own file).  Use
+    as a context manager or call :meth:`close`; a ``with`` block left by
+    an exception while a run is open first records ``run-finish`` with
+    ``status="error"``.
+
+    A writer is also a span recorder (the :class:`~repro.obs.spans.
+    SpanRecorder` protocol: :meth:`add`), so ``Trace(writer, trace_id)``
+    writes every span of the run the moment it closes; ``spans`` keeps
+    what was written.
     """
 
     def __init__(self, path: Path | str) -> None:
@@ -67,6 +78,7 @@ class ManifestWriter:
         self._t0 = clock()
         self._run_open = False
         self.events_written = 0
+        self.spans: list[dict] = []
 
     # ------------------------------------------------------------------
     def event(self, event: str, **fields) -> dict:
@@ -124,41 +136,38 @@ class ManifestWriter:
             fields["cache"] = cache
         return self.event("cell", **fields)
 
-    def span(self, span: dict) -> dict:
-        """Append one trace span (see :mod:`repro.obs.spans`).
+    def add(self, span: dict) -> dict:
+        """Append one finished trace span (see :mod:`repro.obs.spans`).
 
         Spans ride in the manifest as ``span`` events so a run's trace
         survives next to its cells; :func:`repro.obs.spans.
         spans_from_manifest` recovers them for merging and rendering.
         """
-        return self.event("span", **span)
+        self.event("span", **span)
+        self.spans.append(span)
+        return span
 
-    def run_finish(
-        self,
-        *,
-        status: str = "ok",
-        cache: dict | None = None,
-        telemetry_digest: str | None = None,
-        telemetry_series: dict | None = None,
-    ) -> dict:
+    def run_finish(self, *, status: str = "ok", telemetry=None) -> dict:
         """Close out the run.
 
-        ``telemetry_series`` optionally embeds the series-only slice of
-        the run's telemetry snapshot (:func:`repro.obs.telemetry.
-        series_snapshot`) so ``obs timeline <manifest>`` can render the
-        run's dynamics later; the scalar instruments stay summarized by
-        ``telemetry_digest`` alone to keep manifests small.
+        With *telemetry* (the run's :class:`~repro.obs.telemetry.
+        TelemetryRegistry`) the event carries its ``merge_digest`` as
+        ``telemetry_digest`` and its series-only slice as
+        ``telemetry_series``, so ``obs timeline <manifest>`` can render
+        the run's dynamics later; the scalar instruments stay summarized
+        by the digest alone to keep manifests small.
         """
         fields = {
             "status": status,
             "seconds": round(clock() - self._t0, 6),
         }
-        if cache is not None:
-            fields["cache"] = cache
-        if telemetry_digest is not None:
-            fields["telemetry_digest"] = telemetry_digest
-        if telemetry_series is not None:
-            fields["telemetry_series"] = telemetry_series
+        if telemetry is not None:
+            from repro.obs.telemetry import series_snapshot
+
+            fields["telemetry_digest"] = telemetry.merge_digest()
+            series = series_snapshot(telemetry)
+            if series:
+                fields["telemetry_series"] = series
         self._run_open = False
         return self.event("run-finish", **fields)
 
@@ -179,37 +188,45 @@ class ManifestWriter:
 # ----------------------------------------------------------------------
 # Reading + reporting
 # ----------------------------------------------------------------------
-def read_manifest(path: Path | str) -> list[dict]:
-    """Parse a manifest file into its event dicts (blank lines skipped).
+def read_jsonl(path: Path | str) -> list[dict]:
+    """Parse a JSONL file into its records (blank lines skipped).
 
-    A final line with no trailing newline is a torn append from a
-    crashed writer: if it fails to parse it is skipped with a
-    :class:`UserWarning` so resumed runs can always read their own
-    manifest.  Any *complete* (newline-terminated) line that fails to
-    parse still raises — that is corruption, not a crash artifact.
+    The one reader of every append-only JSONL file the project writes:
+    manifests, span files and the perf ledger.  A final line with no
+    trailing newline is a torn append from a crashed writer: if it fails
+    to parse it is skipped with a :class:`UserWarning` so resumed runs
+    can always read their own file.  Any *complete* (newline-terminated)
+    line that fails to parse still raises, naming ``file:line`` — that
+    is corruption, not a crash artifact.
     """
     import warnings
 
-    events = []
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    for lineno, line in enumerate(text.split("\n"), 1):
+    lines = text.split("\n")
+    records = []
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
         try:
-            events.append(json.loads(line))
+            records.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            torn = lineno == text.count("\n") + 1 and not text.endswith("\n")
-            if torn:
+            if lineno == len(lines):  # no newline after it: torn
                 warnings.warn(
-                    f"{path}:{lineno}: skipping torn final manifest line "
+                    f"{path}:{lineno}: skipping torn final line "
                     "(crash mid-append?)",
                     stacklevel=2,
                 )
                 continue
-            raise ValueError(f"{path}:{lineno}: bad manifest line: {exc}")
-    return events
+            raise ValueError(
+                f"{path}:{lineno}: bad JSONL line: {exc}"
+            ) from None
+    return records
+
+
+#: A manifest is a JSONL event log.
+read_manifest = read_jsonl
 
 
 def _cell_group(cell_id: str) -> str:
@@ -262,10 +279,6 @@ def summarize_manifest(events: list[dict]) -> dict:
             have_cache = True
             for k in cache_totals:
                 cache_totals[k] += cache.get(k, 0)
-    if not have_cache and run_finish is not None and run_finish.get("cache"):
-        have_cache = True
-        for k in cache_totals:
-            cache_totals[k] += run_finish["cache"].get(k, 0)
 
     slowest = sorted(
         finishes, key=lambda ev: ev.get("seconds", 0.0), reverse=True

@@ -29,31 +29,29 @@ reproducible, so the digest covers the structural view only
 (:func:`span_merge_view`): ids, names, parentage, and — for cycle
 spans — the cycle stamps, which *are* deterministic.
 
-Context crosses process boundaries two ways: explicitly, as the
-picklable ``(trace_id, span_id)`` tuple of :meth:`Trace.context`, or
-ambiently through the :data:`AMBIENT_ENV` environment variable
-(:func:`ambient_scope`), which pool workers inherit at spawn/fork time
-(:mod:`repro.experiments.parallel` reads it in the worker body).
+Context crosses process boundaries one way: as the picklable
+``(trace_id, span_id)`` tuple of :meth:`Trace.context`, carried in the
+job of a pool worker or a campaign shard and rebuilt there as
+``Trace(recorder, *context)``.  A recorder is anything with
+:meth:`SpanRecorder.add` — a :class:`SpanRecorder`, or a run's
+:class:`~repro.obs.manifest.ManifestWriter`, which writes each span the
+moment it closes.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.obs.manifest import ManifestWriter, read_jsonl
 from repro.obs.profile import clock
 from repro.store.keys import content_digest
 
 __all__ = [
-    "AMBIENT_ENV",
     "CYCLE_SAFE_NAMES",
     "SpanRecorder",
     "Trace",
-    "ambient",
-    "ambient_scope",
     "make_span",
     "make_span_id",
     "merge_spans",
@@ -66,15 +64,11 @@ __all__ = [
     "write_spans_jsonl",
 ]
 
-#: Environment variable carrying the ambient ``trace_id/span_id``
-#: context into child processes (see :func:`ambient_scope`).
-AMBIENT_ENV = "REPRO_TRACE_CONTEXT"
-
 #: Names simulator-scope modules may import from this module (lint rule
 #: REP017): pure id/construction helpers that never read a wall clock.
-#: ``Trace``/``SpanRecorder`` and the ambient helpers stay out — their
-#: ``span()`` path calls ``clock`` — as does anything file- or
-#: rendering-shaped, which has no business on the hot path.
+#: ``Trace``/``SpanRecorder`` stay out — their ``span()`` path calls
+#: ``clock`` — as does anything file- or rendering-shaped, which has no
+#: business on the hot path.
 CYCLE_SAFE_NAMES = ("make_span", "make_span_id", "trace_id_from")
 
 
@@ -159,10 +153,6 @@ class SpanRecorder:
             del self.spans[: len(self.spans) - self.limit]
         return span
 
-    def extend(self, spans) -> None:
-        for span in spans:
-            self.add(span)
-
     def of_trace(self, trace_id: str) -> list[dict]:
         return [s for s in self.spans if s["trace_id"] == trace_id]
 
@@ -175,7 +165,9 @@ class Trace:
 
     ``Trace(recorder, trace_id)`` is the root position (children get
     ``parent_id=None``); :meth:`span` yields a child ``Trace`` whose
-    ``attrs`` dict may be filled until the block exits.  The handle is
+    ``attrs`` dict may be filled until the block exits.  The recorder
+    receives each span as it closes: a :class:`SpanRecorder`, or a
+    run's :class:`~repro.obs.manifest.ManifestWriter`.  The handle is
     cheap and immutable apart from ``attrs``; ship :meth:`context`
     across process boundaries and rebuild with ``Trace(recorder, *ctx)``.
     """
@@ -184,7 +176,7 @@ class Trace:
 
     def __init__(
         self,
-        recorder: SpanRecorder,
+        recorder: SpanRecorder | ManifestWriter,
         trace_id: str,
         span_id: str | None = None,
     ) -> None:
@@ -198,7 +190,7 @@ class Trace:
         return (self.trace_id, self.span_id)
 
     @contextmanager
-    def span(self, name: str, *, key=None, **attrs):
+    def span(self, name: str, /, *, key=None, **attrs):
         """A clock-stamped child span around the ``with`` block.
 
         Yields the child :class:`Trace`; mutate its ``attrs`` inside the
@@ -226,7 +218,8 @@ class Trace:
             )
 
     def record(
-        self, name: str, *, start, end, kind: str = "clock", key=None, **attrs
+        self, name: str, /, *, start, end, kind: str = "clock", key=None,
+        **attrs,
     ) -> dict:
         """Record a finished child span post-hoc (explicit stamps)."""
         return self.recorder.add(
@@ -249,41 +242,6 @@ class Trace:
         return self.record(
             name, start=start, end=end, kind="cycle", key=key, **attrs
         )
-
-
-# ----------------------------------------------------------------------
-# Ambient context (process-boundary propagation via the environment)
-# ----------------------------------------------------------------------
-def ambient() -> tuple[str, str | None] | None:
-    """The inherited ``(trace_id, span_id)`` context, or ``None``."""
-    raw = os.environ.get(AMBIENT_ENV)
-    if not raw:
-        return None
-    trace_id, _, span_id = raw.partition("/")
-    return (trace_id, span_id or None)
-
-
-@contextmanager
-def ambient_scope(context: tuple[str, str | None] | None):
-    """Publish *context* to child processes for the duration of a block.
-
-    Pool workers created inside the block (spawn or fork) inherit the
-    environment and find the context via :func:`ambient`; the previous
-    value is restored on exit.  ``None`` publishes nothing.
-    """
-    previous = os.environ.get(AMBIENT_ENV)
-    if context is not None:
-        trace_id, span_id = context
-        os.environ[AMBIENT_ENV] = (
-            trace_id if span_id is None else f"{trace_id}/{span_id}"
-        )
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(AMBIENT_ENV, None)
-        else:
-            os.environ[AMBIENT_ENV] = previous
 
 
 # ----------------------------------------------------------------------
@@ -349,31 +307,8 @@ def write_spans_jsonl(path, spans) -> int:
     return count
 
 
-def read_spans_jsonl(path) -> list[dict]:
-    """Read a span JSONL file, tolerating a torn final line.
-
-    A crashed writer may leave a truncated last line; like
-    ``read_manifest``, that line is skipped with
-    a warning instead of wedging every downstream reader.
-    """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    spans = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            spans.append(json.loads(line))
-        except json.JSONDecodeError:
-            torn = lineno == text.count("\n") + 1 and not text.endswith("\n")
-            if torn:
-                warnings.warn(
-                    f"{path}: skipping torn final line {lineno}",
-                    stacklevel=2,
-                )
-                continue
-            raise ValueError(f"{path}:{lineno}: invalid JSON") from None
-    return spans
+#: A span file is a JSONL file of span records.
+read_spans_jsonl = read_jsonl
 
 
 def spans_from_manifest(events) -> list[dict]:

@@ -18,6 +18,7 @@ import json
 import math
 from pathlib import Path
 
+from repro.obs.manifest import read_jsonl
 from repro.obs.telemetry import series_snapshot
 
 __all__ = [
@@ -48,17 +49,12 @@ def load_series(path: Path | str) -> dict:
     path = Path(path)
     if path.suffix == ".jsonl":
         found = None
-        with open(path, encoding="utf-8") as src:
-            for line in src:
-                line = line.strip()
-                if not line:
-                    continue
-                event = json.loads(line)
-                if (
-                    event.get("event") == "run-finish"
-                    and event.get("telemetry_series") is not None
-                ):
-                    found = event["telemetry_series"]
+        for event in read_jsonl(path):
+            if (
+                event.get("event") == "run-finish"
+                and event.get("telemetry_series") is not None
+            ):
+                found = event["telemetry_series"]
         if found is None:
             raise ValueError(
                 f"{path}: no run-finish event carries telemetry_series "

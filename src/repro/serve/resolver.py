@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 
 from repro.campaigns.db import CampaignDB
 from repro.campaigns.query import extract_metric, metric_names, query
+from repro.campaigns.spec import cell_set_index
 from repro.core.evaluator import ENGINE_VERSION
 from repro.obs.converge import batch_means_ci
 from repro.obs.profile import clock
@@ -419,11 +420,13 @@ class Resolver:
                         q.algorithm,
                         faults,
                         injection_rate=q.rate,
-                        set_index=fault_set * 1000 + repeat,
+                        set_index=cell_set_index(
+                            {"fault_set": fault_set, "repeat": repeat}
+                        ),
                         cycles_mode="auto",
                     )
-                    run.cycles += (
-                        result.measured_cycles + result.config.warmup
+                    run.cycles += int(
+                        extract_metric(result, "simulated_cycles")
                     )
                     run.samples.append(extract_metric(result, q.metric))
             run.cache = evaluator.stats.as_dict()

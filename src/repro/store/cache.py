@@ -38,8 +38,8 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     puts: int = 0
-    #: Runs executed without consulting the store (cache disabled, or an
-    #: unlabeled custom traffic pattern made the run unkeyable).
+    #: Runs executed without consulting the store (an unlabeled custom
+    #: traffic pattern made the run unkeyable).
     bypassed: int = 0
 
     @property
@@ -54,19 +54,6 @@ class CacheStats:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-    def add(self, payload: "CacheStats | dict") -> None:
-        """Fold another evaluator's counters in (e.g. a pool worker's).
-
-        Accepts a :class:`CacheStats` or its :meth:`as_dict` payload, so
-        workers can ship plain dicts across process boundaries.
-        """
-        if isinstance(payload, CacheStats):
-            payload = payload.as_dict()
-        self.hits += payload.get("hits", 0)
-        self.misses += payload.get("misses", 0)
-        self.puts += payload.get("puts", 0)
-        self.bypassed += payload.get("bypassed", 0)
 
 
 def get_or_run(
@@ -104,9 +91,7 @@ class CachedEvaluator(Evaluator):
     store:
         A :class:`ResultStore`, a store directory path, or ``None`` for
         the default directory (``$REPRO_STORE_DIR`` / ``.repro-store``).
-    enabled:
-        Opt-out flag: ``False`` makes this behave exactly like a plain
-        Evaluator (every run counts as ``bypassed``).
+        (The uncached path is :func:`make_evaluator` with no store.)
     traffic_label:
         Stable label of the traffic workload for the run key.  Defaults
         to ``"uniform"`` when no ``pattern_factory`` is set; required to
@@ -121,7 +106,6 @@ class CachedEvaluator(Evaluator):
         pattern_factory=None,
         instrument=None,
         store: ResultStore | Path | str | None = None,
-        enabled: bool = True,
         traffic_label: str | None = None,
     ) -> None:
         super().__init__(
@@ -131,7 +115,6 @@ class CachedEvaluator(Evaluator):
             instrument=instrument,
         )
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
-        self.enabled = enabled
         if traffic_label is None and pattern_factory is None:
             traffic_label = "uniform"
         self.traffic_label = traffic_label
@@ -147,14 +130,14 @@ class CachedEvaluator(Evaluator):
         set_index: int = 0,
         **overrides,
     ) -> SimulationResult:
-        alg, cfg = self._prepare_run(
+        alg, cfg = self.prepare_run(
             algorithm,
             faults,
             injection_rate=injection_rate,
             set_index=set_index,
             **overrides,
         )
-        if not self.enabled or self.traffic_label is None:
+        if self.traffic_label is None:
             self.stats.bypassed += 1
             return self._execute(alg, cfg, faults)
         token = algorithm_token(algorithm)

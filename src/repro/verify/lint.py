@@ -828,7 +828,7 @@ REFERENCE_ROWS: tuple[_Row, ...] = (
         message="time.{name}" + _USE_CLOCK,
     ),
     # REP017 — everything in repro.obs.spans but the pure id/constructor
-    # helpers (Trace.span, ambient helpers, file IO) reads the sanctioned
+    # helpers (Trace.span, file IO) reads the sanctioned
     # clock or does IO, so only CYCLE_SAFE_NAMES cross into the engine.
     _Row(
         "REP017", ("import",), ("repro.obs.spans",), scope=_CYCLE_DRIVEN,

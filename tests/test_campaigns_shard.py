@@ -4,6 +4,7 @@ bit-identical store contents, equal query arrays, equal merged
 telemetry digests (satellite proof-of-equality for PR 6)."""
 
 import filecmp
+import os
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.campaigns.shard import (
     run_shard,
 )
 from repro.campaigns.spec import CampaignSpec
+from repro.obs.cli import main as obs_main
 from repro.obs.manifest import read_manifest
 from repro.obs.spans import merge_spans, spans_from_manifest, spans_merge_digest
 from repro.obs.telemetry import TelemetryRegistry
@@ -181,6 +183,25 @@ class TestRunShard:
         merge = merge_shards(db, [tmp_path / "s0"], registry=registry)
         assert merge["telemetry_digest"] == registry.merge_digest()
         assert registry.merge_view()  # non-empty: engine counters merged
+
+
+def test_merged_cells_keep_their_shard_worker(tmp_path, capsys):
+    """Each shard's run-start records its pid and the merge replays the
+    shard's cells under it: two pooled shards, two distinct workers,
+    neither ``0`` (this process) — and ``obs report`` shows both."""
+    spec = faulty_spec(fault_counts=(0,), fault_sets=1)
+    db = CampaignDB(spec, tmp_path / "c")
+    run_campaign(db, shards=2, workers=2)
+    events = read_manifest(db.events_path)
+    assert events[0]["kind"] == "campaign-merge" and events[0]["workers"] == 2
+    workers = {e["worker"] for e in events if e["event"] == "cell"}
+    assert len(workers) == 2 and not workers & {0, os.getpid()}
+    for shard in sorted(db.shards_root.iterdir()):
+        shard_start = read_manifest(shard / "events.jsonl")[0]
+        assert shard_start["meta"]["pid"] in workers
+    assert obs_main(["report", str(tmp_path / "c")]) == 0
+    report = capsys.readouterr().out
+    assert all(f"  w{worker}  " in report for worker in workers)
 
 
 class TestResume:

@@ -160,6 +160,41 @@ class TestCli:
         saved = json.loads((tmp_path / "sweep_smoke.json").read_text())
         assert saved["experiment"] == "fig1-fig2"
 
+    def test_manifest_records_the_run_the_same_way_for_any_workers(
+        self, tmp_path
+    ):
+        """A figure manifest writes each span as it closes (cells, then
+        the phase, then the root, then run-finish) and closes with the
+        partition-independent telemetry digest: pooled == in process."""
+        from repro.obs.manifest import read_manifest
+        from repro.obs.spans import spans_from_manifest, spans_merge_digest
+
+        runs = {}
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.jsonl"
+            assert main([
+                "fig1", "--profile", "smoke", "--algorithms", *TINY_ALGS,
+                "--workers", str(workers), "--telemetry", "--manifest",
+                str(path), "--quiet",
+            ]) == 0
+            runs[workers] = read_manifest(path)
+        for events in runs.values():
+            spans = spans_from_manifest(events)
+            assert [s["name"] for s in spans] == [
+                *(f"cell.{alg}" for alg in TINY_ALGS), "fig1-fig2", "fig1",
+            ]
+            ids = {s["name"]: s["span_id"] for s in spans}
+            assert spans[-1]["parent_id"] is None
+            assert spans[-2]["parent_id"] == ids["fig1"]
+            assert {s["parent_id"] for s in spans[:-2]} == {ids["fig1-fig2"]}
+            assert [e["event"] for e in events[-3:]] == [
+                "span", "span", "run-finish",
+            ]
+        assert spans_merge_digest(spans_from_manifest(runs[1])) == (
+            spans_merge_digest(spans_from_manifest(runs[2]))
+        )
+        assert runs[1][-1]["telemetry_digest"] == runs[2][-1]["telemetry_digest"]
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig9"])

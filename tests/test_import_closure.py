@@ -129,7 +129,7 @@ OBS_ALL = [
     "Histogram", "Instrument", "LabeledCounter", "ManifestWriter",
     "PHASE_NAMES", "PhaseProfiler", "Series", "SpanRecorder",
     "TelemetryRegistry", "Trace", "WORKLOADS", "Workload", "aggregate_blame",
-    "ambient", "ambient_scope", "bench_key", "blame_cell", "blame_csv",
+    "bench_key", "blame_cell", "blame_csv",
     "blame_payload", "chrome_trace", "clock", "compare_payloads",
     "gate_against_ledger", "heatmap_csv", "host_warnings", "ingest",
     "jsonl_lines", "ledger_entry", "lifecycle_tracer", "make_span",

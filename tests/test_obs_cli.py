@@ -302,6 +302,38 @@ def test_hostile_sim_flags_fail_closed(argv, capsys):
     assert len(err) == 1 and err[0].startswith("error: ") and err[0][7:]
 
 
+#: The verbs that read a JSONL file, each pointed at ``FILE``.
+JSONL_READERS = {
+    "report": ["report", "FILE"],
+    "spans": ["spans", "FILE"],
+    "timeline": ["timeline", "FILE"],
+    "history": ["history", "--ledger", "FILE"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(JSONL_READERS))
+def test_one_reader_forgives_a_torn_tail_only(verb, tmp_path, capsys):
+    """Every verb reads a JSONL file through the one reader: a crash-torn
+    final line costs one warning, a corrupt complete line is refused
+    naming its file:line."""
+    complete = MANIFEST.read_text()
+    n_lines = complete.count("\n")
+    path = tmp_path / "run.jsonl"
+    argv = [str(path) if arg == "FILE" else arg for arg in JSONL_READERS[verb]]
+
+    path.write_text(complete + '{"event": "cell", "id": "tor')
+    with pytest.warns(UserWarning) as caught:
+        assert obs_main(argv) == 0
+    assert [str(w.message) for w in caught] == [
+        f"{path}:{n_lines + 1}: skipping torn final line (crash mid-append?)"
+    ]
+
+    path.write_text(complete + '{"event": "cell", "id": "tor\n')
+    capsys.readouterr()
+    assert obs_main(argv) == 2
+    assert f"{path}:{n_lines + 1}: bad JSONL line" in capsys.readouterr().err
+
+
 def test_closed_pipe_is_quiet():
     """``obs history | head -1`` with the reader gone: stdout is the
     write end of a pipe whose read end is already closed."""

@@ -74,14 +74,14 @@ class TestIngest:
         ledger = tmp_path / "ledger.jsonl"
         write_ledger(ledger, [ledger_entry(payload("pr4", 100))])
         ledger.write_text(ledger.read_text() + '{"label": "torn', )
-        with pytest.warns(UserWarning, match="torn final ledger line"):
+        with pytest.warns(UserWarning, match="torn final line"):
             entries = read_ledger(ledger)
         assert [e["label"] for e in entries] == ["pr4"]
 
     def test_corrupt_interior_line_raises(self, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
         ledger.write_text('not json\n{"label": "x"}\n')
-        with pytest.raises(ValueError, match="bad ledger line"):
+        with pytest.raises(ValueError, match=r"ledger\.jsonl:1: bad JSONL line"):
             read_ledger(ledger)
 
     def test_write_sorts_by_time_then_label(self, tmp_path):

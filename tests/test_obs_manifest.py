@@ -15,6 +15,7 @@ from repro.obs.manifest import (
     render_report,
     summarize_manifest,
 )
+from repro.obs.telemetry import TelemetryRegistry
 from repro.simulator.config import SimConfig
 
 
@@ -31,7 +32,7 @@ def _write_run(path, *, cells=6, label="demo", with_cache=True):
                        "puts": 1 - i % 2, "bypassed": 0}
                 if with_cache else None,
             )
-        m.run_finish(status="ok", telemetry_digest="abcd" * 4)
+        m.run_finish(status="ok", telemetry=TelemetryRegistry())
     return path
 
 
@@ -75,7 +76,7 @@ class TestWriter:
         _write_run(path, cells=2)
         with path.open("a") as fh:
             fh.write('{"event": "cell", "id": "alg0/ce')  # no newline
-        with pytest.warns(UserWarning, match="torn final manifest line"):
+        with pytest.warns(UserWarning, match="torn final line"):
             events = read_manifest(path)
         assert [e["event"] for e in events] == [
             "run-start", "cell", "cell", "run-finish",
@@ -105,7 +106,7 @@ class TestSummarize:
         assert summary["groups"]["alg0"]["cells"] == 3
         assert summary["n_cells"] == 6
         assert summary["status"] == "ok"
-        assert summary["telemetry_digest"] == "abcd" * 4
+        assert summary["telemetry_digest"] == TelemetryRegistry().merge_digest()
 
     def test_cache_totals_and_hit_rate(self, tmp_path):
         summary = summarize_manifest(

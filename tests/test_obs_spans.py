@@ -1,5 +1,5 @@
 """Cross-layer trace spans (`repro.obs.spans`): deterministic ids,
-partition-independent merge + digest, ambient context propagation
+partition-independent merge + digest, explicit context propagation
 through `parallel_map` workers, IO round-trips, and rendering."""
 
 import json
@@ -9,12 +9,9 @@ import pytest
 from repro.experiments.fig_sweep import run_sweep
 from repro.experiments.profiles import SMOKE_PROFILE
 from repro.obs.spans import (
-    AMBIENT_ENV,
     CYCLE_SAFE_NAMES,
     SpanRecorder,
     Trace,
-    ambient,
-    ambient_scope,
     make_span,
     make_span_id,
     merge_spans,
@@ -114,23 +111,6 @@ class TestTraceAndRecorder:
         assert (span["start"], span["end"]) == (500, 1500)
 
 
-class TestAmbientContext:
-    def test_scope_publishes_and_restores(self, monkeypatch):
-        monkeypatch.delenv(AMBIENT_ENV, raising=False)
-        assert ambient() is None
-        with ambient_scope(("t1", "s1")):
-            assert ambient() == ("t1", "s1")
-            with ambient_scope(("t2", None)):
-                assert ambient() == ("t2", None)
-            assert ambient() == ("t1", "s1")
-        assert ambient() is None
-
-    def test_none_context_publishes_nothing(self, monkeypatch):
-        monkeypatch.delenv(AMBIENT_ENV, raising=False)
-        with ambient_scope(None):
-            assert ambient() is None
-
-
 class TestMergeAndDigest:
     def _cells(self, ids):
         trace = trace_id_from("campaign", "eq")
@@ -177,7 +157,8 @@ class TestMergeAndDigest:
 
 
 class TestDriverPartitionIndependence:
-    """run_sweep with a SpanRecorder: workers must not change the digest."""
+    """run_sweep under a parent Trace: workers must not change the
+    digest, and the cells hang off the parent the caller passed."""
 
     def test_sequential_equals_pooled(self):
         algs = ("nhop", "duato-nbc")
@@ -186,11 +167,12 @@ class TestDriverPartitionIndependence:
         digests = []
         for workers in (1, 2):
             spans = SpanRecorder()
-            with ambient_scope((trace_id, root)):
-                run_sweep(SMOKE_PROFILE, algs, workers=workers, spans=spans)
+            run_sweep(SMOKE_PROFILE, algs, workers=workers,
+                      trace=Trace(spans, trace_id, root))
             assert {s["name"] for s in spans.spans} == {
                 f"cell.{a}" for a in algs
             }
+            assert {s["parent_id"] for s in spans.spans} == {root}
             digests.append(spans_merge_digest(spans.spans))
         assert digests[0] == digests[1]
 
@@ -214,7 +196,7 @@ class TestIO:
     def test_corrupt_interior_line_raises(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         path.write_text('not json\n{"trace_id": "t"}\n')
-        with pytest.raises(ValueError, match="invalid JSON"):
+        with pytest.raises(ValueError, match=r"spans\.jsonl:1: bad JSONL line"):
             read_spans_jsonl(path)
 
     def test_spans_from_manifest_strips_envelope(self):

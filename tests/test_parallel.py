@@ -16,7 +16,7 @@ from repro.obs.cli import main as obs_main
 from repro.obs.manifest import ManifestWriter, read_manifest, summarize_manifest
 from repro.obs.spans import (
     SpanRecorder,
-    ambient_scope,
+    Trace,
     make_span_id,
     spans_merge_digest,
     trace_id_from,
@@ -151,18 +151,20 @@ class TestOneCellPath:
     def _observed(self, driver, workers, root):
         registry, spans = TelemetryRegistry(), SpanRecorder()
         trace_id = trace_id_from("test", driver.__name__)
-        context = (trace_id, make_span_id(trace_id, None, "root"))
+        trace = Trace(spans, trace_id, make_span_id(trace_id, None, "root"))
         path = root / f"w{workers}.jsonl"
-        with ManifestWriter(path) as manifest, ambient_scope(context):
+        with ManifestWriter(path) as manifest:
             manifest.run_start(driver.__name__, kind="figure", workers=workers)
             result = driver(
                 SMOKE_PROFILE, self.ALGS, workers=workers,
                 store=root / f"store-w{workers}",  # fresh: both simulate
                 instrument=Instrument(telemetry=registry),
-                manifest=manifest, spans=spans,
+                manifest=manifest, trace=trace,
             )
-            manifest.run_finish()
-        cells = [e for e in read_manifest(path) if e["event"] == "cell"]
+            manifest.run_finish(telemetry=registry)
+        events = read_manifest(path)
+        cells = [e for e in events if e["event"] == "cell"]
+        assert events[-1]["telemetry_digest"] == registry.merge_digest()
         return result, registry, spans.spans, cells
 
     @pytest.mark.parametrize(

@@ -247,14 +247,6 @@ class TestCachedEvaluator:
         )
         assert plain == cached
 
-    def test_opt_out_flag_bypasses_store(self, tmp_path, fault_free):
-        cfg = tiny_config()
-        ev = CachedEvaluator(cfg, seed=5, store=tmp_path / "s", enabled=False)
-        ev.run_single("nhop", fault_free)
-        ev.run_single("nhop", fault_free)
-        assert ev.stats.bypassed == 2 and ev.stats.hits == 0
-        assert len(ev.store) == 0
-
     def test_unlabeled_custom_traffic_bypasses(self, tmp_path, fault_free):
         from repro.traffic.patterns import UniformTraffic
 
