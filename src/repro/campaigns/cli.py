@@ -30,7 +30,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.campaigns.db import CampaignDB
+from repro.campaigns.db import CampaignDB, refuse_malformed
 from repro.campaigns.spec import CampaignSpec
 
 __all__ = ["main"]
@@ -43,15 +43,10 @@ def _load_db(args: argparse.Namespace) -> CampaignDB:
     a :class:`ValueError` naming the file (``main`` turns it into
     ``error: <file>: <reason>``, exit 2).
     """
-    source = args.spec if args.spec is not None else args.root / "campaign.json"
-    try:
-        if args.spec is None:
-            return CampaignDB.open(args.root, store=args.store)
+    if args.spec is None:
+        return CampaignDB.open(args.root, store=args.store)
+    with refuse_malformed(args.spec):
         spec = CampaignSpec.from_dict(json.loads(args.spec.read_text()))
-    except KeyError as exc:
-        raise ValueError(f"{source}: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{source}: {exc}") from None
     db = CampaignDB(spec, args.root, store=args.store)
     db.save()
     return db
@@ -135,7 +130,7 @@ def _cmd_query(args: argparse.Namespace, db: CampaignDB) -> int:
     metrics = tuple(args.metrics) if args.metrics else METRICS
     try:
         array = query(db, metrics=metrics, allow_missing=args.allow_missing)
-    except MissingCellsError as exc:
+    except (MissingCellsError, ValueError) as exc:  # gaps, unknown metrics
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wrote = False

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,12 +42,27 @@ from repro.campaigns.spec import (
 )
 from repro.core.evaluator import Evaluator
 from repro.simulator.engine import ENGINE_VERSION
-from repro.store.backend import ResultStore
+from repro.store.backend import ResultStore, atomic_write
 from repro.store.keys import algorithm_token, content_digest, run_key
 
-__all__ = ["CampaignDB", "CampaignPlan", "store_digest"]
+__all__ = ["CampaignDB", "CampaignPlan", "refuse_malformed", "store_digest"]
 
 _SCHEMA_VERSION = 1
+
+
+@contextmanager
+def refuse_malformed(path: Path):
+    """Re-raise what a malformed JSON file raises inside the block as a
+    :class:`ValueError` reading ``<path>: <reason>`` (``<path>: missing
+    field '<name>'`` for a missing key), so every verb that reads a spec
+    or ``campaign.json`` fails closed with the same line.  A missing
+    file stays a :class:`FileNotFoundError`."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def store_digest(store: ResultStore) -> str:
@@ -187,19 +202,7 @@ class CampaignDB:
             **location,
             "cells": [dict(c) for c in self.cells()],
         }
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=".campaign-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as sink:
-                sink.write(json.dumps(payload, indent=2))
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path, json.dumps(payload, indent=2))
         return self.path
 
     @classmethod
@@ -210,6 +213,9 @@ class CampaignDB:
         store: ResultStore | Path | str | None = None,
     ) -> CampaignDB:
         """Reopen a saved campaign from its ``campaign.json``.
+
+        A ``campaign.json`` that does not parse or validate is a
+        :class:`ValueError` naming the file (see :func:`refuse_malformed`).
 
         The persisted key table is trusted only if it was computed by
         the current ``ENGINE_VERSION``; otherwise every key is stale by
@@ -224,14 +230,18 @@ class CampaignDB:
         every cell as missing and re-run the campaign.
         """
         root = Path(root)
-        payload = json.loads((root / "campaign.json").read_text())
-        if payload.get("kind") != "campaign-db":
-            raise ValueError(f"{root}: not a campaign-db directory")
-        if payload.get("schema") != _SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported campaign-db schema {payload.get('schema')!r}"
-            )
-        spec = CampaignSpec.from_dict(payload["spec"])
+        path = root / "campaign.json"
+        with refuse_malformed(path):
+            payload = json.loads(path.read_text())
+            if payload.get("kind") != "campaign-db":
+                raise ValueError("not a campaign-db directory")
+            if payload.get("schema") != _SCHEMA_VERSION:
+                raise ValueError(
+                    f"unsupported campaign-db schema {payload.get('schema')!r}"
+                )
+            spec = CampaignSpec.from_dict(payload["spec"])
+            current = payload.get("engine_version") == ENGINE_VERSION
+            cells = tuple(payload["cells"]) if current else None
         if store is None and payload.get("store"):
             from_root = payload.get("store_from_root")
             store = Path(
@@ -241,8 +251,7 @@ class CampaignDB:
             if not store.is_dir():
                 raise FileNotFoundError(f"{store}: recorded store not found")
         db = cls(spec, root, store=store)
-        if payload.get("engine_version") == ENGINE_VERSION:
-            db._cells = tuple(payload["cells"])
+        db._cells = cells
         return db
 
     # ------------------------------------------------------------------

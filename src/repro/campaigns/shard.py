@@ -66,7 +66,7 @@ from repro.obs.spans import (
     spans_merge_digest,
     trace_id_from,
 )
-from repro.store.backend import ResultStore
+from repro.store.backend import ResultStore, atomic_write
 
 __all__ = [
     "merge_shards",
@@ -184,8 +184,8 @@ def run_shard(
         trace_context=trace_context, pid=os.getpid(),
     )
     if registry is not None:
-        (shard_root / "telemetry.json").write_text(
-            json.dumps(registry.snapshot())
+        atomic_write(
+            shard_root / "telemetry.json", json.dumps(registry.snapshot())
         )
     return {
         "root": str(shard_root),

@@ -27,6 +27,7 @@ from pathlib import Path
 from repro.obs.bench import _RATE_METRICS, compare_payloads, host_warnings
 from repro.obs.manifest import read_jsonl
 from repro.obs.timeline import sparkline
+from repro.store.backend import atomic_write
 
 __all__ = [
     "DEFAULT_LEDGER",
@@ -88,14 +89,15 @@ def read_ledger(path: Path | str) -> list[dict]:
 
 
 def write_ledger(path: Path | str, entries: list[dict]) -> None:
-    """Write *entries* sorted by ``(created_unix, label)``."""
+    """Write *entries* sorted by ``(created_unix, label)``, atomically:
+    a failed write leaves the previous ledger as it was."""
     ordered = sorted(
         entries, key=lambda e: (e.get("created_unix", 0), e.get("label", ""))
     )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        "".join(json.dumps(e, sort_keys=True) + "\n" for e in ordered)
+    atomic_write(
+        path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in ordered)
     )
 
 

@@ -13,54 +13,39 @@ campaign's *fault-free* grid points below the model's saturation rate:
 A scalar per algorithm is deliberate — it cannot overfit a handful of
 grid points, and it preserves the model's rate-shape so the calibrated
 curve stays monotone where the model is.  The fit residual (max
-relative error of the calibrated model on its own fitting points) is
-persisted and becomes the CI the resolver reports for tier-3 answers:
-the honest statement is "model answers are good to about the fit
-residual", not a sampling CI.
+relative error of the calibrated model on its own fitting points)
+becomes the CI the resolver reports for tier-3 answers: the honest
+statement is "model answers are good to about the fit residual", not a
+sampling CI.
 
-Calibrations persist as ``calibration.json`` next to the campaign
-(inside :attr:`CampaignDB.root`) and are stamped with
-``engine_version``; loading a calibration fitted against a different
-engine raises :class:`StaleCalibrationError` so a recalibration is
-forced rather than silently serving answers tuned to old semantics.
+A calibration is never persisted.  The resolver derives it when it fits
+its state, from the very :class:`~repro.serve.surrogate.GridSurrogate`
+and model it serves with — the fit costs well under a millisecond once
+those exist — so it always describes the grid being served.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.analysis.latency_model import AnalyticalLatencyModel
 from repro.campaigns.db import CampaignDB
-from repro.campaigns.query import CampaignArray
-from repro.core.evaluator import ENGINE_VERSION
 from repro.serve.surrogate import GridSurrogate, SurrogateError
 from repro.topology.mesh import Mesh2D
 
 __all__ = [
     "Calibration",
     "CalibrationError",
-    "StaleCalibrationError",
     "effective_vcs",
     "fit",
-    "load",
-    "load_or_fit",
     "model_for",
     "predict",
 ]
 
-_SCHEMA_VERSION = 1
-CALIBRATION_FILE = "calibration.json"
-
 
 class CalibrationError(RuntimeError):
     """The grid cannot support a calibration (no usable points)."""
-
-
-class StaleCalibrationError(CalibrationError):
-    """A persisted calibration was fitted against a different engine."""
 
 
 def effective_vcs(vcs_per_channel: int) -> int:
@@ -80,7 +65,6 @@ class Calibration:
     """Fitted per-algorithm correction of the analytical model."""
 
     campaign: str
-    engine_version: int
     #: algorithm -> multiplicative correction factor.
     factors: dict[str, float]
     #: max relative error of the calibrated model on its fitting points.
@@ -88,46 +72,13 @@ class Calibration:
     #: (algorithm, rate) pairs the fit used, for provenance.
     fitted_points: tuple[tuple[str, float], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "serve-calibration",
-            "schema": _SCHEMA_VERSION,
-            "campaign": self.campaign,
-            "engine_version": self.engine_version,
-            "factors": {a: self.factors[a] for a in sorted(self.factors)},
-            "residual_rel": self.residual_rel,
-            "fitted_points": [list(p) for p in self.fitted_points],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> Calibration:
-        if payload.get("kind") != "serve-calibration":
-            raise CalibrationError("payload is not a serve-calibration")
-        if payload.get("schema") != _SCHEMA_VERSION:
-            raise CalibrationError(
-                f"unsupported calibration schema {payload.get('schema')!r}"
-            )
-        return cls(
-            campaign=payload["campaign"],
-            engine_version=payload["engine_version"],
-            factors={a: float(c) for a, c in payload["factors"].items()},
-            residual_rel=float(payload["residual_rel"]),
-            fitted_points=tuple(
-                (alg, float(rate)) for alg, rate in payload["fitted_points"]
-            ),
-        )
-
-    def save(self, root: Path | str) -> Path:
-        path = Path(root) / CALIBRATION_FILE
-        path.write_text(json.dumps(self.to_dict(), indent=2))
-        return path
-
 
 def model_for(db: CampaignDB) -> AnalyticalLatencyModel:
     """The analytical model matching a campaign's configuration.
 
-    Construction walks the whole channel-load map, so callers serving
-    many queries should build this once and pass it to :func:`predict`.
+    Construction walks the whole channel-load map (tens to hundreds of
+    milliseconds), so a resolver builds it once and hands it to both
+    :func:`fit` and :func:`predict`.
     """
     cfg = db.spec.config
     return AnalyticalLatencyModel(
@@ -137,20 +88,21 @@ def model_for(db: CampaignDB) -> AnalyticalLatencyModel:
     )
 
 
-def fit(db: CampaignDB, array: CampaignArray) -> Calibration:
+def fit(
+    surrogate: GridSurrogate, model: AnalyticalLatencyModel
+) -> Calibration:
     """Fit per-algorithm correction factors over the fault-free grid.
 
-    Uses every fault-free latency grid point where both the simulation
-    mean and the raw model prediction are finite and positive.  An
-    algorithm with no usable point gets factor 1.0 (uncorrected) — the
-    resolver still serves it, with the global residual as its CI.
+    Uses every fault-free latency grid point of *surrogate* where both
+    the simulation mean and the raw *model* prediction are finite and
+    positive.  An algorithm with no usable point gets factor 1.0
+    (uncorrected) — the resolver still serves it, with the global
+    residual as its CI.
     """
-    model = model_for(db)
-    surrogate = GridSurrogate(array, metrics=("latency",))
     factors: dict[str, float] = {}
     residual = 0.0
     fitted: list[tuple[str, float]] = []
-    for alg in db.spec.algorithms:
+    for alg in surrogate.algorithms:
         points = []
         try:
             series = surrogate.series(alg, 0, "latency")
@@ -180,72 +132,35 @@ def fit(db: CampaignDB, array: CampaignArray) -> Calibration:
             fitted.append((alg, rate))
     if not fitted:
         raise CalibrationError(
-            f"campaign {db.spec.name!r} has no usable fault-free latency "
+            f"campaign {surrogate.name!r} has no usable fault-free latency "
             "grid point below model saturation; cannot calibrate"
         )
     return Calibration(
-        campaign=db.spec.name,
-        engine_version=ENGINE_VERSION,
+        campaign=surrogate.name,
         factors=factors,
         residual_rel=residual,
         fitted_points=tuple(fitted),
     )
 
 
-def load(root: Path | str) -> Calibration | None:
-    """The persisted calibration of a campaign, or ``None`` if absent.
-
-    Raises :class:`StaleCalibrationError` when the file exists but was
-    fitted against a different ``ENGINE_VERSION``.
-    """
-    path = Path(root) / CALIBRATION_FILE
-    if not path.exists():
-        return None
-    calibration = Calibration.from_dict(json.loads(path.read_text()))
-    if calibration.engine_version != ENGINE_VERSION:
-        raise StaleCalibrationError(
-            f"calibration at {path} was fitted against engine_version="
-            f"{calibration.engine_version}, current is {ENGINE_VERSION}; "
-            "refit (serve does this automatically via load_or_fit)"
-        )
-    return calibration
-
-
-def load_or_fit(db: CampaignDB, array: CampaignArray) -> Calibration:
-    """Persisted calibration if current, else fit + persist a fresh one."""
-    try:
-        calibration = load(db.root)
-    except StaleCalibrationError:
-        calibration = None
-    if calibration is None:
-        calibration = fit(db, array)
-        calibration.save(db.root)
-    return calibration
-
-
 def predict(
-    db: CampaignDB,
     calibration: Calibration,
+    model: AnalyticalLatencyModel,
     algorithm: str,
     rate: float,
-    *,
-    model: AnalyticalLatencyModel | None = None,
 ) -> tuple[float, float, dict]:
-    """``(value, ci, detail)`` of the calibrated model at *rate*.
+    """``(value, ci, detail)`` of the calibrated *model* at *rate*.
 
     ``ci`` is ``residual_rel * value`` — the fit residual expressed in
     cycles, the honest "about this good" band for tier-3 answers.
     Raises :class:`CalibrationError` when the model itself saturates at
-    *rate* (a calibrated infinity is still an infinity).  Pass a
-    prebuilt *model* (:func:`model_for`) to skip per-call construction.
+    *rate* (a calibrated infinity is still an infinity).
     """
     if algorithm not in calibration.factors:
         raise CalibrationError(
             f"calibration for campaign {calibration.campaign!r} covers "
             f"{sorted(calibration.factors)}, not {algorithm!r}"
         )
-    if model is None:
-        model = model_for(db)
     prediction = model.predict(rate)
     if prediction.saturated:
         raise CalibrationError(

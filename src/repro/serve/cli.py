@@ -17,7 +17,9 @@
     python -m repro.serve api runs/c1 --port 8707
 
 ``query`` exits 0 with an answer, 3 when no tier can serve the query
-(printing the per-tier refusals), 2 on bad input.  ``query
+(printing the per-tier refusals), 2 on bad input — ``query`` and ``api``
+alike refuse a missing or damaged campaign directory with ``error:
+<file>: <reason>``.  ``query
 --trace-out FILE`` records the tier-cascade trace spans (including any
 ``engine.run`` fallback span) to a span JSONL readable by
 ``python -m repro.obs spans``.
@@ -212,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # e.g. a bad campaign dir
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

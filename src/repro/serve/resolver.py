@@ -16,7 +16,10 @@ tier ``"surrogate"``
 tier ``"model"``
     Outside the hull (or the grid has holes there): the calibrated
     M/G/1 model (:mod:`repro.serve.calibrate`), latency-only and
-    fault-free-only, with the fit residual as the confidence band.
+    fault-free-only, with the fit residual as the confidence band.  The
+    calibration is derived from the surrogate's own fault-free latency
+    series when the resolver fits, never read from disk, so it always
+    describes the grid being served.
 tier ``"simulation"``
     Opt-in (``simulate=True``): a bounded fresh simulation through
     :class:`~repro.store.cache.CachedEvaluator` with a per-run
@@ -227,18 +230,18 @@ class Resolver:
         return self._surrogate
 
     def calibration(self) -> calibrate.Calibration:
-        """The persisted-or-fresh model calibration (engine-gated).
+        """The model calibration, fitted on first use from this
+        resolver's own surrogate and model — the grid it serves.
 
         A campaign that cannot be calibrated is remembered as such: the
         fit is attempted once, later calls re-raise its refusal.
         """
         fitted = self._calibration
         if fitted is None:
-            array = query(
-                self.db, metrics=("latency",), allow_missing=True
-            )
             try:
-                fitted = calibrate.load_or_fit(self.db, array)
+                fitted = calibrate.fit(
+                    self.surrogate(), self._analytical_model()
+                )
             except calibrate.CalibrationError as exc:
                 fitted = exc
             self._calibration = fitted
@@ -247,15 +250,13 @@ class Resolver:
         return fitted
 
     def fit(self) -> None:
-        """Fit the lazy state now — surrogate, calibration, model — so no
+        """Fit the lazy state now — surrogate, model, calibration — so no
         later :meth:`begin` pays for it (a server calls this before it
         accepts; the event loop never fits)."""
-        self.surrogate()
         try:
             self.calibration()
         except calibrate.CalibrationError:
-            return  # remembered; the model tier refuses with it
-        self._analytical_model()
+            pass  # remembered; the model tier refuses with it
 
     def _analytical_model(self):
         if self._model is None:
@@ -329,8 +330,7 @@ class Resolver:
             )
         calibration = self.calibration()
         value, ci, detail = calibrate.predict(
-            self.db, calibration, q.algorithm, q.rate,
-            model=self._analytical_model(),
+            calibration, self._analytical_model(), q.algorithm, q.rate
         )
         return Answer(
             value=value,

@@ -15,10 +15,10 @@ Design rules (the reasons the store survives concurrent
   writers never interleave.  Inside the lock the writer first re-scans
   the tail for rows other processes appended — that re-check is the
   cross-process dedup point.
-* ``index.json`` is a pure cache.  It is written via temp-file +
-  :func:`os.replace` (atomic on POSIX), and any inconsistency — missing
-  file, short file, offset pointing at the wrong key — triggers a full
-  rebuild from ``rows.jsonl``.
+* ``index.json`` is a pure cache.  It is written via
+  :func:`atomic_write` (temp file + :func:`os.replace`, no fsync), and
+  any inconsistency — missing file, short file, offset pointing at the
+  wrong key — triggers a full rebuild from ``rows.jsonl``.
 * Readers keep an in-memory index plus a high-water byte offset; a
   lookup miss re-scans only the bytes appended since, so sharing one
   store between long-lived processes stays cheap.
@@ -47,6 +47,34 @@ _SCHEMA_VERSION = 1
 #: Environment variable overriding the default store location.
 STORE_DIR_ENV = "REPRO_STORE_DIR"
 DEFAULT_STORE_DIR = ".repro-store"
+
+
+def atomic_write(path: Path, data: str | bytes, *, fsync: bool = False) -> None:
+    """Replace *path* with *data*: a reader sees the old file or the new
+    one, never a torn mix.
+
+    *data* goes to a temp file beside *path* that :func:`os.replace`
+    then moves over it (atomic on POSIX); a write that raises leaves
+    *path* untouched and removes the temp file.  *fsync* flushes the
+    temp file to disk before the replace — for rewrites of a source of
+    truth, not of a cache that rebuilds itself.
+    """
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.stem}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as sink:
+            sink.write(data)
+            if fsync:
+                sink.flush()
+                os.fsync(sink.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def default_store_dir() -> Path:
@@ -131,19 +159,7 @@ class ResultStore:
             "scanned": self._scanned,
             "keys": self._index,
         }
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=".index-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as sink:
-                sink.write(json.dumps(payload))
-            os.replace(tmp, self.index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.index_path, json.dumps(payload))
 
     def _refresh(self) -> None:
         """Fold rows appended since the last scan into the index."""
@@ -326,22 +342,14 @@ class ResultStore:
                 row for row in self.rows()
                 if row.get("engine_version") == engine_version
             ]
-            fd, tmp = tempfile.mkstemp(
-                dir=self.root, prefix=".rows-", suffix=".tmp"
+            atomic_write(
+                self.rows_path,
+                b"".join(
+                    (canonical_json(row) + "\n").encode("utf-8")
+                    for row in kept
+                ),
+                fsync=True,
             )
-            try:
-                with os.fdopen(fd, "wb") as sink:
-                    for row in kept:
-                        sink.write((canonical_json(row) + "\n").encode("utf-8"))
-                    sink.flush()
-                    os.fsync(sink.fileno())
-                os.replace(tmp, self.rows_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
             self._index = {}
             self._scanned = 0
             self._refresh()

@@ -46,12 +46,6 @@ class CacheStats:
     def runs(self) -> int:
         return self.hits + self.misses + self.bypassed
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of keyable lookups served from the store."""
-        keyed = self.hits + self.misses
-        return self.hits / keyed if keyed else 0.0
-
     def as_dict(self) -> dict:
         return asdict(self)
 

@@ -507,22 +507,6 @@ class CdgChecker:
             if budget.role_of[vc] in escape_roles
         )
 
-    def describe_vc_class(self, class_id: int) -> str:
-        """Human-readable name of a VC class (for reports)."""
-        budget = self.algorithm.budget
-        vc = self._class_repr[class_id]
-        role = budget.role_of[vc]
-        if role == ROLE_RING:
-            return f"ring-{RING_CLASS_NAMES[budget.ring_vcs.index(vc)]}"
-        if role == ROLE_CLASS:
-            return f"class-{budget.class_of[vc]}"
-        if role == ROLE_ESCAPE:
-            return "escape"
-        for name, vcs in budget.group_vcs.items():
-            if vc in vcs:
-                return f"group-{name}"
-        return "adaptive"
-
     # ------------------------------------------------------------------
     # Message-state plumbing
     # ------------------------------------------------------------------

@@ -39,6 +39,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.store.backend import atomic_write
 from repro.store.keys import content_digest
 
 __all__ = [
@@ -159,7 +160,7 @@ def write_lock(state: dict, path: Path | None = None) -> Path:
         "digest": state["digest"],
         "files": state["files"],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

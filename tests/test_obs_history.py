@@ -94,6 +94,29 @@ class TestIngest:
         labels = [e["label"] for e in read_ledger(ledger)]
         assert labels == ["mid", "aa", "zz"]
 
+    def test_failed_rewrite_leaves_previous_ledger(self, tmp_path):
+        """A rewrite cut off partway — here by a file-size limit, as a
+        full disk or quota would — leaves the old ledger byte-identical
+        and no temp file behind."""
+        resource = pytest.importorskip("resource")
+        import signal
+
+        ledger = tmp_path / "ledger.jsonl"
+        ingest([payload("pr4", 100)], ledger)
+        before = ledger.read_bytes()
+        entries = [ledger_entry(payload(f"pr{i}", i)) for i in range(50)]
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (2 * len(before), hard))
+        try:
+            with pytest.raises(OSError):
+                write_ledger(ledger, entries)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, handler)
+        assert ledger.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ledger.jsonl"]
+
 
 class TestRender:
     def entries(self):

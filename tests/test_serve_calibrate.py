@@ -1,30 +1,37 @@
 """Model calibration (`repro.serve.calibrate`): per-algorithm factors,
-persistence, and ENGINE_VERSION-mismatch invalidation."""
+derived from the grid being served — never persisted."""
 
-import json
+from collections import Counter
 
 import pytest
 
+from repro.campaigns.db import CampaignDB
 from repro.campaigns.query import query
-from repro.core.evaluator import ENGINE_VERSION
+from repro.campaigns.shard import merge_shards, run_campaign, run_shard
+from repro.campaigns.spec import CampaignSpec
 from repro.serve import calibrate
-from repro.serve.calibrate import (
-    CALIBRATION_FILE,
-    Calibration,
-    CalibrationError,
-    StaleCalibrationError,
-    effective_vcs,
-)
+from repro.serve import resolver as resolver_module
+from repro.serve.calibrate import CalibrationError, effective_vcs
+from repro.serve.resolver import Resolver
+from repro.serve.surrogate import GridSurrogate
+from repro.simulator.config import SimConfig
 
 
 @pytest.fixture(scope="module")
-def latency_array(serve_campaign):
-    return query(serve_campaign, metrics=("latency",))
+def surrogate(serve_campaign):
+    return GridSurrogate(
+        query(serve_campaign, metrics=("latency",)), metrics=("latency",)
+    )
 
 
 @pytest.fixture(scope="module")
-def calibration(serve_campaign, latency_array):
-    return calibrate.fit(serve_campaign, latency_array)
+def model(serve_campaign):
+    return calibrate.model_for(serve_campaign)
+
+
+@pytest.fixture(scope="module")
+def calibration(surrogate, model):
+    return calibrate.fit(surrogate, model)
 
 
 class TestFit:
@@ -36,13 +43,9 @@ class TestFit:
             assert 0.1 < factor < 10.0  # sane multiplicative correction
 
     def test_residual_covers_fitting_points(
-        self, serve_campaign, calibration, latency_array
+        self, calibration, surrogate, model
     ):
         """Every fitted point lies within the reported residual band."""
-        from repro.serve.surrogate import GridSurrogate
-
-        model = calibrate.model_for(serve_campaign)
-        surrogate = GridSurrogate(latency_array, metrics=("latency",))
         for alg, rate in calibration.fitted_points:
             sim = surrogate.grid_point(alg, 0, rate, "latency").mean
             predicted = (
@@ -52,85 +55,96 @@ class TestFit:
                 calibration.residual_rel + 1e-12
             )
 
-    def test_engine_version_stamped(self, calibration):
-        assert calibration.engine_version == ENGINE_VERSION
-
     def test_effective_vcs_reserves_escape_budget(self):
         assert effective_vcs(24) == 20
         assert effective_vcs(4) == 1  # floored, never zero
 
-    def test_predict_refuses_saturation(self, serve_campaign, calibration):
-        model = calibrate.model_for(serve_campaign)
+    def test_predict_refuses_saturation(self, calibration, model):
         with pytest.raises(CalibrationError, match="saturates"):
             calibrate.predict(
-                serve_campaign, calibration, "nhop",
-                model.saturation_rate() * 2,
+                calibration, model, "nhop", model.saturation_rate() * 2
             )
 
-    def test_predict_unknown_algorithm(self, serve_campaign, calibration):
+    def test_predict_unknown_algorithm(self, calibration, model):
         with pytest.raises(CalibrationError, match="covers"):
-            calibrate.predict(
-                serve_campaign, calibration, "west-first", 0.01
-            )
+            calibrate.predict(calibration, model, "west-first", 0.01)
 
-    def test_predict_ci_is_residual_band(self, serve_campaign, calibration):
+    def test_predict_ci_is_residual_band(self, calibration, model):
         value, ci, detail = calibrate.predict(
-            serve_campaign, calibration, "nhop", 0.001
+            calibration, model, "nhop", 0.001
         )
         assert ci == pytest.approx(calibration.residual_rel * value)
         assert detail["kind"] == "calibrated-model"
 
 
-class TestPersistence:
-    def test_roundtrip(self, serve_campaign, calibration, tmp_path):
-        calibration.save(tmp_path)
-        loaded = calibrate.load(tmp_path)
-        assert loaded == calibration
+def _nhop_campaign(root) -> CampaignDB:
+    """A saved, unrun four-rate fault-free nhop campaign on a 6x6 mesh."""
+    spec = CampaignSpec(
+        name="calibrate-grid",
+        algorithms=("nhop",),
+        config=SimConfig(
+            width=6, vcs_per_channel=24, message_length=4,
+            cycles=300, warmup=100,
+        ),
+        rates=(0.002, 0.005, 0.01, 0.02),
+        seed=3,
+    )
+    db = CampaignDB(spec, root)
+    db.save()
+    return db
 
-    def test_load_absent_returns_none(self, tmp_path):
-        assert calibrate.load(tmp_path) is None
 
-    def test_engine_version_mismatch_invalidates(
-        self, calibration, tmp_path
-    ):
-        """A calibration fitted by an older engine must not be served."""
-        path = calibration.save(tmp_path)
-        payload = json.loads(path.read_text())
-        payload["engine_version"] = ENGINE_VERSION - 1
-        path.write_text(json.dumps(payload))
-        with pytest.raises(StaleCalibrationError, match="engine_version"):
-            calibrate.load(tmp_path)
+class TestDerivedFromServedGrid:
+    def test_fresh_resolver_fits_the_completed_grid(self, tmp_path):
+        """A calibration taken while half the grid was stored leaves
+        nothing behind: once the campaign completes, a new resolver fits
+        every grid point."""
+        db = _nhop_campaign(tmp_path / "c")
+        half = [c for c in db.missing_coords() if c["rate"] < 0.01]
+        run_shard(db.spec, half, tmp_path / "shard")
+        merge_shards(db, [tmp_path / "shard"])
+        partial = Resolver(db).calibration()
+        assert len(partial.fitted_points) == 2
 
-    def test_load_or_fit_refits_stale_calibration(
-        self, serve_campaign, latency_array
-    ):
-        """Stale persisted calibrations are silently refitted + rewritten."""
-        path = serve_campaign.root / CALIBRATION_FILE
-        stale = Calibration(
-            campaign="serve-test",
-            engine_version=ENGINE_VERSION - 1,
-            factors={"nhop": 99.0, "duato-nbc": 99.0},
-            residual_rel=9.9,
-            fitted_points=(("nhop", 0.01),),
+        run_campaign(db)
+        reopened = CampaignDB.open(db.root)
+        served = Resolver(reopened).calibration()
+        full = calibrate.fit(
+            GridSurrogate(query(reopened)), calibrate.model_for(reopened)
         )
-        stale.save(serve_campaign.root)
-        fresh = calibrate.load_or_fit(serve_campaign, latency_array)
-        assert fresh.engine_version == ENGINE_VERSION
-        assert fresh.factors["nhop"] != 99.0
-        # and the persisted file was healed in place
-        healed = json.loads(path.read_text())
-        assert healed["engine_version"] == ENGINE_VERSION
+        assert len(full.fitted_points) == 4
+        assert served.factors == full.factors != partial.factors
+        assert served.residual_rel == full.residual_rel
+        assert served.fitted_points == full.fitted_points
+        assert sorted(p.name for p in db.root.iterdir()) == [
+            "campaign.json", "events.jsonl", "store",
+        ]
 
-    def test_load_or_fit_reuses_current_file(
-        self, serve_campaign, latency_array
+    def test_fit_queries_once_and_builds_one_model(
+        self, tmp_path, monkeypatch
     ):
-        first = calibrate.load_or_fit(serve_campaign, latency_array)
-        again = calibrate.load_or_fit(serve_campaign, latency_array)
-        assert again == first
+        db = _nhop_campaign(tmp_path / "c")
+        run_campaign(db)
+        calls: Counter = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            resolver_module, "query", counted("query", resolver_module.query)
+        )
+        monkeypatch.setattr(
+            calibrate, "model_for", counted("model_for", calibrate.model_for)
+        )
+        Resolver(CampaignDB.open(db.root)).fit()
+        assert calls == {"query": 1, "model_for": 1}
 
 
 class TestDegenerateGrids:
-    def test_all_holes_raise(self, serve_campaign):
+    def test_all_holes_raise(self, model):
         from repro.campaigns.query import CampaignArray
 
         nan = float("nan")
@@ -145,4 +159,4 @@ class TestDegenerateGrids:
             {"latency": [[[[nan]]], [[[nan]]]]},
         )
         with pytest.raises(CalibrationError, match="no usable"):
-            calibrate.fit(serve_campaign, empty)
+            calibrate.fit(GridSurrogate(empty), model)

@@ -2,6 +2,9 @@
 passthrough): verbs, exit codes, output shapes."""
 
 import json
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -108,6 +111,46 @@ class TestReliabilityVerb:
         ])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestDamagedCampaign:
+    """Every verb that opens a campaign refuses a broken one the same
+    way: exit 2, one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("argv, damaged", [
+        pytest.param(
+            ["serve", "query", "{root}", "--algorithm", "nhop",
+             "--rate", "0.01"],
+            True, id="serve-query",
+        ),
+        pytest.param(
+            ["serve", "api", "{root}", "--port", "0"], True, id="serve-api"
+        ),
+        pytest.param(
+            ["campaigns", "status", "{root}"], True, id="campaigns-status"
+        ),
+        pytest.param(
+            ["campaigns", "query", "{root}", "--metrics", "bogus"],
+            False, id="campaigns-query-unknown-metric",
+        ),
+    ])
+    def test_refused_with_exit_2(self, serve_campaign, tmp_path, argv, damaged):
+        root = tmp_path / "c"
+        shutil.copytree(serve_campaign.root, root)
+        if damaged:
+            path = root / "campaign.json"
+            text = path.read_text()
+            path.write_text(text[: len(text) // 2])
+        package, *rest = argv
+        proc = subprocess.run(
+            [sys.executable, "-m", f"repro.{package}",
+             *(str(root) if a == "{root}" else a for a in rest)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestExperimentsPassthrough:
