@@ -32,23 +32,30 @@ from pathlib import Path
 
 from repro.campaigns.db import CampaignDB, refuse_malformed
 from repro.campaigns.spec import CampaignSpec
+from repro.cli import Refused, Verb, refusing, run
 
-__all__ = ["main"]
+__all__ = ["main", "open_campaign"]
+
+
+def open_campaign(root: Path, store: Path | None = None) -> CampaignDB:
+    """Reopen the campaign at *root*; a directory that holds none, a
+    damaged ``campaign.json`` or a recorded store that is gone is
+    refused as ``error: <file>: <reason>``."""
+    with refusing():
+        return CampaignDB.open(root, store=store)
 
 
 def _load_db(args: argparse.Namespace) -> CampaignDB:
-    """Open (or, with ``--spec``, create and save) the campaign.
-
-    A spec file or ``campaign.json`` that does not parse or validate is
-    a :class:`ValueError` naming the file (``main`` turns it into
-    ``error: <file>: <reason>``, exit 2).
-    """
+    """Open (or, with ``--spec``, create and save) the campaign; a spec
+    file that cannot be read or validated is refused naming the file,
+    a directory the campaign cannot be written to as it stands."""
     if args.spec is None:
-        return CampaignDB.open(args.root, store=args.store)
-    with refuse_malformed(args.spec):
-        spec = CampaignSpec.from_dict(json.loads(args.spec.read_text()))
-    db = CampaignDB(spec, args.root, store=args.store)
-    db.save()
+        return open_campaign(args.root, args.store)
+    with refusing():
+        with refuse_malformed(args.spec):
+            spec = CampaignSpec.from_dict(json.loads(args.spec.read_text()))
+        db = CampaignDB(spec, args.root, store=args.store)
+        db.save()
     return db
 
 
@@ -130,9 +137,8 @@ def _cmd_query(args: argparse.Namespace, db: CampaignDB) -> int:
     metrics = tuple(args.metrics) if args.metrics else METRICS
     try:
         array = query(db, metrics=metrics, allow_missing=args.allow_missing)
-    except (MissingCellsError, ValueError) as exc:  # gaps, unknown metrics
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except MissingCellsError as exc:
+        raise Refused(str(exc)) from exc
     wrote = False
     if args.csv is not None:
         array.to_csv(args.csv)
@@ -159,106 +165,87 @@ def _cmd_merge(args: argparse.Namespace, db: CampaignDB) -> int:
         from repro.obs.telemetry import TelemetryRegistry
 
         registry = TelemetryRegistry()
-    try:
+    with refusing():  # a root that is not a shard directory
         summary = merge_shards(db, args.shard_roots, registry=registry)
-    except ValueError as exc:  # a root that is not a shard directory
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(json.dumps(summary, indent=2))
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("root", type=Path, help="campaign directory")
-    common.add_argument(
+def _common_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("root", type=Path, help="campaign directory")
+    parser.add_argument(
         "--spec", type=Path, default=None, metavar="SPEC.json",
         help="bind this campaign-spec payload to the directory first",
     )
-    common.add_argument(
+    parser.add_argument(
         "--store", type=Path, default=None, metavar="DIR",
         help="result store override (default: <root>/store)",
     )
-    parser = argparse.ArgumentParser(
-        prog="repro-campaigns",
-        description="Persistent, shardable simulation campaigns.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_plan = sub.add_parser(
-        "plan", parents=[common],
-        help="diff the declared space against the store",
-    )
-    p_plan.add_argument("--json", action="store_true",
-                        help="machine-readable plan")
-    p_plan.set_defaults(fn=_cmd_plan)
 
-    p_run = sub.add_parser(
-        "run", parents=[common], help="execute the missing cells"
-    )
-    p_run.add_argument("--shards", type=_shard_count, default=1,
-                       help="shard count (default: 1, sequential)")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="pool size (default: one per shard)")
-    p_run.add_argument("--telemetry", action="store_true",
-                       help="collect and merge telemetry registries")
-    p_run.add_argument("--quiet", action="store_true",
-                       help="suppress per-cell progress on stderr")
-    p_run.set_defaults(fn=_cmd_run)
+def _run_flags(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
+    add("--shards", type=_shard_count, default=1,
+        help="shard count (default: 1, sequential)")
+    add("--workers", type=int, default=None,
+        help="pool size (default: one per shard)")
+    add("--telemetry", action="store_true",
+        help="collect and merge telemetry registries")
+    add("--quiet", action="store_true",
+        help="suppress per-cell progress on stderr")
 
-    p_status = sub.add_parser(
-        "status", parents=[common],
-        help="per-group progress and linear ETA",
-    )
-    p_status.add_argument("--json", action="store_true",
-                          help="machine-readable status")
-    p_status.set_defaults(fn=_cmd_status)
 
-    p_query = sub.add_parser(
-        "query", parents=[common],
-        help="dense labeled result arrays (CSV/JSON)",
-    )
-    p_query.add_argument("--metrics", nargs="+", default=None,
-                         help="metric names (default: latency throughput "
-                              "simulated_cycles)")
-    p_query.add_argument("--csv", type=Path, default=None,
-                         help="write long-format CSV here")
-    p_query.add_argument("--json", dest="out_json", type=Path, default=None,
-                         help="write the labeled array as JSON here")
-    p_query.add_argument("--reduce", action="store_true",
-                         help="print mean ± 95%% CI over repeats as JSON")
-    p_query.add_argument("--allow-missing", action="store_true",
-                         help="leave NaN holes instead of failing")
-    p_query.set_defaults(fn=_cmd_query)
+def _query_flags(parser: argparse.ArgumentParser) -> None:
+    from repro.campaigns.query import metric_names
 
-    p_merge = sub.add_parser(
-        "merge", parents=[common],
-        help="fold shard directories into the campaign store",
-    )
-    p_merge.add_argument("shard_roots", nargs="+", type=Path,
-                         help="shard directories (each with store/ inside)")
-    p_merge.add_argument("--telemetry", action="store_true",
-                         help="merge shard telemetry.json snapshots too")
-    p_merge.set_defaults(fn=_cmd_merge)
+    add = parser.add_argument
+    add("--metrics", nargs="+", default=None, choices=metric_names(),
+        metavar="METRIC", help="metric names (default: latency throughput "
+        "simulated_cycles; any of " + ", ".join(metric_names()) + ")")
+    add("--csv", type=Path, default=None, help="write long-format CSV here")
+    add("--json", dest="out_json", type=Path, default=None,
+        help="write the labeled array as JSON here")
+    add("--reduce", action="store_true",
+        help="print mean ± 95%% CI over repeats as JSON")
+    add("--allow-missing", action="store_true",
+        help="leave NaN holes instead of failing")
 
-    args = parser.parse_args(argv)
-    try:
-        db = _load_db(args)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.fn(args, db)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # Downstream (`plan … | head`) closed the pipe: redirect stdout
-        # to devnull so the interpreter's exit flush stays quiet.
-        import os
 
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+def _merge_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("shard_roots", nargs="+", type=Path,
+                        help="shard directories (each with store/ inside)")
+    parser.add_argument("--telemetry", action="store_true",
+                        help="merge shard telemetry.json snapshots too")
+
+
+def _verb(name: str, help: str, cmd, flags) -> Verb:
+    """A row whose *cmd* runs on the campaign its root names."""
+
+    def add_arguments(parser: argparse.ArgumentParser) -> None:
+        _common_flags(parser)
+        flags(parser)
+
+    return Verb(name, help, add_arguments,
+                lambda args: cmd(args, _load_db(args)))
+
+
+VERBS: tuple[Verb, ...] = (
+    _verb("plan", "Diff the declared space against the store.", _cmd_plan,
+          lambda parser: parser.add_argument(
+              "--json", action="store_true", help="machine-readable plan")),
+    _verb("run", "Execute the missing cells.", _cmd_run, _run_flags),
+    _verb("status", "Per-group progress and linear ETA.", _cmd_status,
+          lambda parser: parser.add_argument(
+              "--json", action="store_true", help="machine-readable status")),
+    _verb("query", "Dense labeled result arrays (CSV/JSON).", _cmd_query,
+          _query_flags),
+    _verb("merge", "Fold shard directories into the campaign store.",
+          _cmd_merge, _merge_flags),
+)
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run("repro-campaigns", VERBS, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

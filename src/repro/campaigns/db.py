@@ -40,6 +40,7 @@ from repro.campaigns.spec import (
     draw_cases,
     fault_case_label,
 )
+from repro.cli import Refused
 from repro.core.evaluator import Evaluator
 from repro.simulator.engine import ENGINE_VERSION
 from repro.store.backend import ResultStore, atomic_write
@@ -53,16 +54,17 @@ _SCHEMA_VERSION = 1
 @contextmanager
 def refuse_malformed(path: Path):
     """Re-raise what a malformed JSON file raises inside the block as a
-    :class:`ValueError` reading ``<path>: <reason>`` (``<path>: missing
-    field '<name>'`` for a missing key), so every verb that reads a spec
-    or ``campaign.json`` fails closed with the same line.  A missing
-    file stays a :class:`FileNotFoundError`."""
+    :class:`~repro.cli.Refused` (a :class:`ValueError`) reading
+    ``<path>: <reason>`` (``<path>: missing field '<name>'`` for a
+    missing key), so every verb that reads a spec or ``campaign.json``
+    fails closed with the same line.  A missing file stays a
+    :class:`FileNotFoundError`."""
     try:
         yield
     except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from None
+        raise Refused(f"{path}: missing field {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise Refused(f"{path}: {exc}") from None
 
 
 def store_digest(store: ResultStore) -> str:

@@ -22,10 +22,13 @@ import json
 import sys
 import time
 from contextlib import nullcontext
+from functools import partial
 from importlib import import_module
 from pathlib import Path
 
+from repro.cli import Verb, delegate, run
 from repro.experiments.profiles import PROFILES, get_profile
+from repro.routing.registry import ALGORITHM_NAMES
 
 EXPERIMENTS = ("budgets", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 #: One command per key of ``ablations.ABLATIONS`` (a test pins the two
@@ -83,154 +86,62 @@ def _run_figures(wanted, profile, algorithms, out, run: dict, trace=None):
             print()
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "store":
-        # Store management verbs have their own argument surface:
-        # python -m repro.experiments store {ls,stats,gc,export} ...
-        from repro.store.cli import main as store_main
-
-        return store_main(argv[1:])
-    if argv and argv[0] == "verify":
-        # Static-analysis verbs (model checker + linter):
-        # python -m repro.experiments verify {check,lint,cdg} ...
-        from repro.verify.cli import main as verify_main
-
-        return verify_main(argv[1:])
-    if argv and argv[0] == "campaigns":
-        # Campaign-management verbs:
-        # python -m repro.experiments campaigns {plan,run,status,query,merge}
-        from repro.campaigns.cli import main as campaigns_main
-
-        return campaigns_main(argv[1:])
-    if argv and argv[0] == "obs":
-        # Observability verbs: python -m repro.experiments obs <verb>,
-        # the rows of repro.obs.cli.VERBS (docs/observability.md, "The
-        # verbs").
-        from repro.obs.cli import main as obs_main
-
-        return obs_main(argv[1:])
-    if argv and argv[0] == "serve":
-        # Serving verbs (tiered queries, reliability, HTTP API):
-        # python -m repro.experiments serve {query,reliability,api}
-        from repro.serve.cli import main as serve_main
-
-        return serve_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="Regenerate the figures of the IPPS 2007 routing study.",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=EXPERIMENTS
-        + ABLATION_COMMANDS
-        + ("all", "ablations", "report"),
-        help="which figure or ablation study to regenerate ('report' "
-        "renders saved JSON from --out as markdown)",
-    )
-    parser.add_argument(
-        "--profile",
-        default="quick",
-        choices=sorted(PROFILES),
-        help="simulation scale (default: quick; 'paper' is full scale)",
-    )
-    parser.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="restrict to a subset of algorithm names",
-    )
-    parser.add_argument(
-        "--adaptive-cycles",
-        action="store_true",
+def _flags(parser: argparse.ArgumentParser) -> None:
+    """The flags every figure and ablation command shares."""
+    add = parser.add_argument
+    add("--profile", default="quick", choices=sorted(PROFILES),
+        help="simulation scale (default: quick; 'paper' is full scale)")
+    add("--algorithms", nargs="+", default=None, choices=ALGORITHM_NAMES,
+        metavar="NAME", help="restrict to a subset of algorithm names")
+    add("--adaptive-cycles", action="store_true",
         help="use the profile's '+auto' twin: every run may stop at the "
         "first window boundary where the batch-means latency CI "
         "converges (cycles_mode='auto'; deterministic, store keys "
         "disjoint from fixed-cycle runs).  Not recommended for the "
         "occupancy studies (fig3/fig6), whose per-cycle statistics "
-        "want the full fixed window.",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=2007, help="master seed (default 2007)"
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="also dump raw series as JSON into DIR",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-algorithm progress"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool size for the figure grids (default 1)",
-    )
-    parser.add_argument(
-        "--store",
-        type=Path,
-        nargs="?",
-        const=None,
-        default=False,
+        "want the full fixed window.")
+    add("--seed", type=int, default=2007, help="master seed (default 2007)")
+    add("--out", type=Path, default=None, metavar="DIR",
+        help="also dump raw series as JSON into DIR")
+    add("--quiet", action="store_true", help="suppress per-algorithm progress")
+    add("--workers", type=int, default=1,
+        help="process-pool size for the figure grids (default 1)")
+    add("--store", type=Path, nargs="?", const=None, default=False,
         metavar="DIR",
         help="route all simulations through the content-addressed result "
         "store; optional DIR overrides the default location "
         "($REPRO_STORE_DIR or .repro-store).  A second identical run "
-        "serves every cell from the cache.",
-    )
-    parser.add_argument(
-        "--telemetry",
-        action="store_true",
+        "serves every cell from the cache.")
+    add("--telemetry", action="store_true",
         help="attach a telemetry registry to every executed simulation "
         "and print the aggregated engine counters at the end; with "
         "--workers N each worker fills a fresh registry and the parent "
         "merges the snapshots (cache hits are not re-simulated and "
-        "therefore not counted).  --trace-out keeps runs in process.",
-    )
-    parser.add_argument(
-        "--manifest",
-        type=Path,
-        nargs="?",
-        const=None,
-        default=False,
+        "therefore not counted).  --trace-out keeps runs in process.")
+    add("--manifest", type=Path, nargs="?", const=None, default=False,
         metavar="FILE",
         help="append a JSONL run manifest (cell timings, cache counters, "
         "telemetry digest); FILE defaults to "
         "manifests/<experiment>_<profile>.jsonl next to the store (or "
         "./manifests without one).  Render with 'python -m repro.obs "
-        "report FILE'.",
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=Path,
-        default=None,
-        metavar="FILE",
+        "report FILE'.")
+    add("--trace-out", type=Path, default=None, metavar="FILE",
         help="record message lifecycles across all executed simulations "
         "and export them (.jsonl for JSON-lines, anything else for "
-        "Chrome trace format)",
-    )
-    parser.add_argument(
-        "--trace-sample",
-        type=int,
-        default=1,
-        metavar="N",
+        "Chrome trace format)")
+    add("--trace-sample", type=int, default=1, metavar="N",
         help="with --trace-out: trace only 1-in-N messages, chosen "
-        "deterministically by message id (default 1 = all)",
-    )
-    args = parser.parse_args(argv)
+        "deterministically by message id (default 1 = all)")
+
+
+def _experiment(command: str, args: argparse.Namespace) -> int:
+    """Run one figure, ablation or ``all``/``ablations`` command."""
     if args.store is False:  # flag absent: caching off
         store = None
     else:
-        from repro.store import ResultStore, default_store_dir
+        from repro.store.cli import open_store
 
-        store = ResultStore(
-            args.store if args.store is not None else default_store_dir()
-        )
+        store = open_store(args.store)
 
     telemetry = tracer = instrument = None
     if args.telemetry or args.trace_out is not None:
@@ -243,32 +154,26 @@ def main(argv: list[str] | None = None) -> int:
             tracer = lifecycle_tracer(sample=args.trace_sample)
         instrument = Instrument(telemetry=telemetry, tracer=tracer)
 
-    if args.experiment == "report":
-        from repro.experiments.report import summarize_directory
-
-        print(summarize_directory(args.out or Path("results")))
-        return 0
-
     profile_name = args.profile
     if args.adaptive_cycles and not profile_name.endswith("+auto"):
         profile_name = f"{profile_name}+auto"
     profile = get_profile(profile_name)
     algorithms = tuple(args.algorithms) if args.algorithms else None
     progress = None if args.quiet else lambda s: print(s, file=sys.stderr)
-    if args.experiment == "all":
+    if command == "all":
         wanted: tuple[str, ...] = EXPERIMENTS
-    elif args.experiment == "ablations":
+    elif command == "ablations":
         wanted = ABLATION_COMMANDS
     else:
-        wanted = (args.experiment,)
+        wanted = (command,)
     t0 = time.time()
 
-    for command in wanted:
-        if not command.startswith("ablation-"):
+    for ablation in wanted:
+        if not ablation.startswith("ablation-"):
             continue
         from repro.experiments.ablations import run_ablation
 
-        name = command.removeprefix("ablation-")
+        name = ablation.removeprefix("ablation-")
         if progress:
             progress(f"[ablation] {name}: running")
         result = run_ablation(name, store=store)
@@ -281,12 +186,12 @@ def main(argv: list[str] | None = None) -> int:
 
         print(print_budgets(profile.config.width, profile.config.vcs_per_channel))
         print()
-    run = dict(
+    options = dict(
         seed=args.seed, progress=progress, workers=args.workers, store=store,
         instrument=instrument,
     )
     if args.manifest is False:
-        _run_figures(wanted, profile, algorithms, args.out, run)
+        _run_figures(wanted, profile, algorithms, args.out, options)
     else:
         from repro.obs.manifest import ManifestWriter
         from repro.obs.spans import Trace, trace_id_from
@@ -297,27 +202,25 @@ def main(argv: list[str] | None = None) -> int:
                 store.root / "manifests" if store is not None
                 else Path("manifests")
             )
-            manifest_path = base / f"{args.experiment}_{profile_name}.jsonl"
-        trace_id = trace_id_from(
-            "figure", args.experiment, profile_name, args.seed
-        )
+            manifest_path = base / f"{command}_{profile_name}.jsonl"
+        trace_id = trace_id_from("figure", command, profile_name, args.seed)
         # Each span is written as it closes; leaving this block on an
         # exception (a cell that raised) closes the manifest with
         # run-finish status="error" on the way out.
         with ManifestWriter(manifest_path) as manifest:
             manifest.run_start(
-                args.experiment,
+                command,
                 kind="figure",
                 workers=args.workers,
                 store=str(store.root) if store is not None else None,
                 profile=profile_name,
             )
             with Trace(manifest, trace_id).span(
-                args.experiment, profile=profile_name, workers=args.workers
+                command, profile=profile_name, workers=args.workers
             ) as trace:
                 _run_figures(
                     wanted, profile, algorithms, args.out,
-                    dict(run, manifest=manifest), trace,
+                    dict(options, manifest=manifest), trace,
                 )
             manifest.run_finish(telemetry=telemetry)
         print(f"[manifest: {manifest.events_written} events "
@@ -331,13 +234,60 @@ def main(argv: list[str] | None = None) -> int:
 
         snapshot = telemetry.snapshot() if telemetry is not None else None
         n = write_trace(
-            args.trace_out, tracer, label=args.experiment,
+            args.trace_out, tracer, label=command,
             telemetry_snapshot=snapshot,
         )
         print(f"[trace: {n} events -> {args.trace_out}]")
     if progress:
         progress(f"[total {time.time() - t0:.1f}s]")
     return 0
+
+
+def _report(args: argparse.Namespace) -> int:
+    from repro.experiments.report import summarize_directory
+
+    print(summarize_directory(args.out))
+    return 0
+
+
+def _row(name: str, help: str) -> Verb:
+    return Verb(name, help, _flags, partial(_experiment, name))
+
+
+VERBS: tuple[Verb, ...] = (
+    _row("budgets", "Sections 3-4: the VC budget of every algorithm."),
+    _row("fig1", "Figure 1: throughput vs injection rate."),
+    _row("fig2", "Figure 2: latency vs injection rate."),
+    _row("fig3", "Figure 3: VC usage under faults."),
+    _row("fig4", "Figure 4: throughput vs fault percentage."),
+    _row("fig5", "Figure 5: latency vs fault percentage."),
+    _row("fig6", "Figure 6: traffic load on f-ring nodes vs the rest."),
+    _row("all", "Every figure and the budgets table."),
+    _row("ablations", "Every design-knob ablation study."),
+    *(
+        _row(command, f"Ablation study: {command.removeprefix('ablation-')}.")
+        for command in ABLATION_COMMANDS
+    ),
+    Verb("report", "Render saved --out JSON as markdown.",
+         lambda parser: parser.add_argument(
+             "--out", type=Path, default=Path("results"), metavar="DIR",
+             help="directory of saved JSON (default: results)"),
+         _report),
+    delegate("campaigns", "Campaign verbs: plan, run, status, query, merge.",
+             "repro.campaigns.cli"),
+    delegate("obs", "Observability verbs (bench, profile, report, ...).",
+             "repro.obs.cli"),
+    delegate("serve", "Serving verbs: query, reliability, api.",
+             "repro.serve.cli"),
+    delegate("store", "Result-store verbs: ls, stats, gc, export.",
+             "repro.store.cli"),
+    delegate("verify", "Static-analysis verbs: check, lint, cdg, drift.",
+             "repro.verify.cli"),
+)
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run("repro-experiments", VERBS, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -57,6 +57,7 @@ from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
+from repro.cli import Refused
 from repro.obs.profile import clock
 from repro.store.keys import content_digest
 
@@ -261,12 +262,6 @@ def _store_contention_writer(args: tuple[str, int, int, int]) -> int:
     return written
 
 
-class RunRefused(Exception):
-    """The run a verb asked for cannot be built (VC budget too small,
-    unknown algorithm, ``SimConfig`` validation, ungenerable fault
-    pattern): ``obs`` prints the reason as ``error: ...`` and exits 2."""
-
-
 @dataclass(frozen=True)
 class RunPlan:
     """One instrumented run, as data: ``config().cycles`` cycles of
@@ -345,9 +340,10 @@ def instrumented_run(
     run (and time) the rest; with *selfcheck*, run a detached twin to
     the same cycle and compare :func:`engine_state`.
 
-    Only construction is guarded: what it refuses becomes
-    :class:`RunRefused`, while an error out of a running engine is a
-    bug and keeps its traceback.
+    Only construction is guarded: what it refuses (a VC budget too
+    small, an unknown algorithm, ``SimConfig`` validation, an
+    ungenerable fault pattern) becomes :class:`repro.cli.Refused`, while
+    an error out of a running engine is a bug and keeps its traceback.
     """
     from repro.faults.generator import (
         FaultPatternError, generate_block_fault_pattern,
@@ -371,7 +367,7 @@ def instrumented_run(
                 config, make_algorithm(plan.algorithm), faults=faults
             )
         except (ValueError, FaultPatternError) as exc:
-            raise RunRefused(str(exc)) from exc
+            raise Refused(str(exc)) from exc
 
     sim = build()
     cycles = sim.config.cycles

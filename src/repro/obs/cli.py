@@ -1,13 +1,11 @@
 """``python -m repro.obs <verb>``: the observability verbs as one table.
 
-:data:`VERBS` has one row per verb and :func:`main` does once what every
-verb needs: it lists the table, builds the chosen verb's parser (and
-imports nothing another verb would), prints a refusal as ``error:
-<reason>`` / exit 2, and leaves quietly when stdout is closed under it.
-Every verb that simulates goes through :func:`repro.obs.bench.
-instrumented_run`.  What each verb attaches and exports is tabled in
-``docs/observability.md`` ("The verbs"), which a test holds against
-:data:`VERBS`.
+:data:`VERBS` has one row per verb and :func:`main` is the runner of
+:mod:`repro.cli` over it (the listing, one parser per verb, refusals as
+``error: <reason>`` / exit 2, a quiet closed pipe).  Every verb that
+simulates goes through :func:`repro.obs.bench.instrumented_run`.  What
+each verb attaches and exports is tabled in ``docs/observability.md``
+("The verbs"), which a test holds against :data:`VERBS`.
 """
 
 from __future__ import annotations
@@ -15,31 +13,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-
-@dataclass(frozen=True)
-class Verb:
-    name: str
-    help: str
-    add_arguments: Callable[[argparse.ArgumentParser], None]
-    run: Callable[[argparse.Namespace], int]
-
-
-class Refused(Exception):
-    """A verb cannot do what its command line asks: :func:`main` prints
-    the reason as ``error: ...`` and exits 2."""
+from repro.cli import Refused, Verb, refusing, run
 
 
 def _try(call, arg, prefix: str = ""):
     """``call(arg)``; an unreadable file or a malformed value is refused."""
-    try:
+    with refusing(prefix):  # JSONDecodeError is a ValueError
         return call(arg)
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise Refused(f"{prefix}{exc}") from exc
 
 
 def _bench_json(path: Path) -> dict:
@@ -673,46 +656,5 @@ VERBS: tuple[Verb, ...] = (
 )
 
 
-def _run_refused():
-    """What ``instrumented_run`` raises for a run it cannot build —
-    looked up while an exception is being matched, so a verb that never
-    simulates never loads the harness."""
-    from repro.obs.bench import RunRefused
-
-    return RunRefused
-
-
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if not argv or argv[0] in ("-h", "--help"):
-        print("usage: python -m repro.obs <verb> [options]   "
-              "(<verb> --help lists a verb's options)\n")
-        for verb in VERBS:
-            print(f"  {verb.name:<9} {verb.help}")
-        return 0
-    verb = next((v for v in VERBS if v.name == argv[0]), None)
-    if verb is None:
-        names = ", ".join(sorted(v.name for v in VERBS))
-        print(f"unknown verb {argv[0]!r}; expected one of {names}",
-              file=sys.stderr)
-        return 2
-    parser = argparse.ArgumentParser(
-        prog=f"repro-obs {verb.name}", description=verb.help
-    )
-    verb.add_arguments(parser)
-    args = parser.parse_args(argv[1:])
-    try:
-        code = verb.run(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # Downstream (`history | head`) closed the pipe: redirect stdout
-        # to devnull so the interpreter's exit flush stays quiet.
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    except (Refused, _run_refused()) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run("repro-obs", VERBS, argv)

@@ -32,7 +32,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro.campaigns.db import CampaignDB
+from repro.campaigns.cli import open_campaign
+from repro.cli import Verb, refusing, run
+from repro.routing.registry import ALGORITHM_NAMES
 
 __all__ = ["main"]
 
@@ -40,18 +42,15 @@ __all__ = ["main"]
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.serve.resolver import Query, Resolver, UnresolvedQueryError
 
-    db = CampaignDB.open(args.root)
+    db = open_campaign(args.root)
     resolver = Resolver(db, simulate=args.simulate)
-    try:
+    with refusing():
         q = Query(
             algorithm=args.algorithm,
             rate=args.rate,
             metric=args.metric,
             n_faults=args.n_faults,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     trace = recorder = None
     if args.trace_out is not None:
         from repro.obs.spans import SpanRecorder, Trace, trace_id_from
@@ -105,7 +104,7 @@ def _write_trace(args: argparse.Namespace, recorder) -> None:
 def _cmd_reliability(args: argparse.Namespace) -> int:
     from repro.serve.reliability import estimate
 
-    try:
+    with refusing():  # a failure rate, trial count or mesh out of range
         est = estimate(
             args.width,
             height=args.height,
@@ -114,9 +113,6 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
             seed=args.seed,
             workers=args.workers,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.json:
         print(json.dumps(est.to_dict(), indent=2))
         return 0
@@ -135,7 +131,7 @@ def _cmd_api(args: argparse.Namespace) -> int:
 
     from repro.serve.api import QueryServer
 
-    db = CampaignDB.open(args.root)
+    db = open_campaign(args.root)
     server = QueryServer(
         db, host=args.host, port=args.port, simulate=args.simulate
     )
@@ -156,67 +152,58 @@ def _cmd_api(args: argparse.Namespace) -> int:
     return 0
 
 
+def _query_flags(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
+    add("root", type=Path, help="campaign directory")
+    add("--algorithm", required=True, choices=ALGORITHM_NAMES)
+    add("--rate", type=float, required=True,
+        help="injection rate (messages/node/cycle)")
+    add("--metric", default="latency", help="metric name (default: latency)")
+    add("--n-faults", type=int, default=0,
+        help="faulty-router count (default: 0)")
+    add("--simulate", action="store_true",
+        help="enable the bounded-simulation fallback tier")
+    add("--json", action="store_true", help="machine-readable answer")
+    add("--trace-out", type=Path, default=None,
+        help="write the tier-cascade trace spans to this JSONL (render "
+        "with `python -m repro.obs spans FILE`)")
+
+
+def _reliability_flags(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
+    add("--width", type=int, required=True)
+    add("--height", type=int, default=None)
+    add("--failure-rate", type=float, required=True,
+        help="independent per-router failure probability")
+    add("--trials", type=int, default=1000)
+    add("--seed", type=int, default=2007)
+    add("--workers", type=int, default=1,
+        help="process-pool fanout (result is identical for any worker "
+        "count)")
+    add("--json", action="store_true", help="machine-readable estimate")
+
+
+def _api_flags(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
+    add("root", type=Path, help="campaign directory")
+    add("--host", default="127.0.0.1")
+    add("--port", type=int, default=8707)
+    add("--simulate", action="store_true",
+        help="enable the bounded-simulation fallback tier")
+
+
+VERBS: tuple[Verb, ...] = (
+    Verb("query", "Answer one performance query from the tier cascade.",
+         _query_flags, _cmd_query),
+    Verb("reliability", "Monte-Carlo connectivity/routability vs router "
+         "failures.", _reliability_flags, _cmd_reliability),
+    Verb("api", "Serve /query and /reliability over HTTP.",
+         _api_flags, _cmd_api),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-serve",
-        description="Tiered performance answers over campaign grids.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_query = sub.add_parser(
-        "query", help="answer one performance query from the tier cascade"
-    )
-    p_query.add_argument("root", type=Path, help="campaign directory")
-    p_query.add_argument("--algorithm", required=True)
-    p_query.add_argument("--rate", type=float, required=True,
-                         help="injection rate (messages/node/cycle)")
-    p_query.add_argument("--metric", default="latency",
-                         help="metric name (default: latency)")
-    p_query.add_argument("--n-faults", type=int, default=0,
-                         help="faulty-router count (default: 0)")
-    p_query.add_argument("--simulate", action="store_true",
-                         help="enable the bounded-simulation fallback tier")
-    p_query.add_argument("--json", action="store_true",
-                         help="machine-readable answer")
-    p_query.add_argument("--trace-out", type=Path, default=None,
-                         help="write the tier-cascade trace spans to this "
-                              "JSONL (render with `python -m repro.obs "
-                              "spans FILE`)")
-    p_query.set_defaults(fn=_cmd_query)
-
-    p_rel = sub.add_parser(
-        "reliability",
-        help="Monte-Carlo connectivity/routability vs router failures",
-    )
-    p_rel.add_argument("--width", type=int, required=True)
-    p_rel.add_argument("--height", type=int, default=None)
-    p_rel.add_argument("--failure-rate", type=float, required=True,
-                       help="independent per-router failure probability")
-    p_rel.add_argument("--trials", type=int, default=1000)
-    p_rel.add_argument("--seed", type=int, default=2007)
-    p_rel.add_argument("--workers", type=int, default=1,
-                       help="process-pool fanout (result is identical "
-                            "for any worker count)")
-    p_rel.add_argument("--json", action="store_true",
-                       help="machine-readable estimate")
-    p_rel.set_defaults(fn=_cmd_reliability)
-
-    p_api = sub.add_parser(
-        "api", help="serve /query and /reliability over HTTP"
-    )
-    p_api.add_argument("root", type=Path, help="campaign directory")
-    p_api.add_argument("--host", default="127.0.0.1")
-    p_api.add_argument("--port", type=int, default=8707)
-    p_api.add_argument("--simulate", action="store_true",
-                       help="enable the bounded-simulation fallback tier")
-    p_api.set_defaults(fn=_cmd_api)
-
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except (FileNotFoundError, ValueError) as exc:  # e.g. a bad campaign dir
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run("repro-serve", VERBS, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -140,24 +140,3 @@ class SimConfig:
     def with_(self, **changes) -> SimConfig:
         """A copy of this config with *changes* applied."""
         return replace(self, **changes)
-
-
-#: The paper's full-scale configuration (Section 5).
-PAPER_CONFIG = SimConfig(
-    width=10,
-    vcs_per_channel=24,
-    message_length=100,
-    cycles=30_000,
-    warmup=10_000,
-)
-
-#: Scaled-down profile for tests and default benchmark runs: same mesh
-#: radix and VC budget, shorter messages and runs so a full sweep finishes
-#: in CI time.  EXPERIMENTS.md records which profile produced which table.
-QUICK_CONFIG = SimConfig(
-    width=10,
-    vcs_per_channel=24,
-    message_length=16,
-    cycles=4_000,
-    warmup=1_000,
-)

@@ -10,17 +10,21 @@ Two mechanisms:
   drain-recovery.
 * :func:`find_dependency_cycle` — an exact wait-for-graph analysis used
   for diagnostics and tests: it distinguishes a true circular wait from
-  mere congestion.
+  mere congestion.  Its cycle search, :func:`find_cycle`, is the one the
+  static checker (:mod:`repro.verify.cdg`) runs as well.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections.abc import Iterable, Mapping
+from typing import TYPE_CHECKING, TypeVar
 
 from repro.topology.directions import LOCAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.engine import InputVC, Simulation
+
+N = TypeVar("N")
 
 
 class DeadlockError(RuntimeError):
@@ -69,33 +73,40 @@ def find_dependency_cycle(sim: "Simulation") -> list[tuple[int, int, int]] | Non
         down = ovc.down_invc
         if down.msg is not None:
             edges.setdefault(invc, {})[down] = None
+    cycle = find_cycle(edges)
+    return None if cycle is None else [(n.node, n.port, n.vc) for n in cycle]
 
-    # Iterative DFS cycle detection.
+
+def find_cycle(edges: Mapping[N, Iterable[N]]) -> list[N] | None:
+    """One cycle of the directed graph *edges* (node -> successors), as
+    its nodes in order, or ``None`` if the graph is acyclic.
+
+    Iterative three-colour depth-first search over roots and successors
+    in iteration order, so insertion-ordered *edges* give the same cycle
+    on every run.  Both deadlock analyses search with it: the wait-for
+    graph above and the static channel-dependency graph
+    (:mod:`repro.verify.cdg`).
+    """
     WHITE, GREY, BLACK = 0, 1, 2
-    color = dict.fromkeys(edges, WHITE)
+    color: dict[N, int] = {}
     for root in edges:
-        if color[root] != WHITE:
+        if color.get(root, WHITE) != WHITE:
             continue
-        stack = [(root, iter(edges.get(root, ())))]
+        stack = [(root, iter(edges[root]))]
         color[root] = GREY
         path = [root]
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in edges:
-                    continue
+            node, successors = stack[-1]
+            for nxt in successors:
                 c = color.get(nxt, WHITE)
                 if c == GREY:
-                    i = path.index(nxt)
-                    return [(n.node, n.port, n.vc) for n in path[i:]]
+                    return path[path.index(nxt):]
                 if c == WHITE:
                     color[nxt] = GREY
                     stack.append((nxt, iter(edges.get(nxt, ()))))
                     path.append(nxt)
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 color[node] = BLACK
                 stack.pop()
                 path.pop()

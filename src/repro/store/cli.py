@@ -17,10 +17,18 @@ import argparse
 import json
 from pathlib import Path
 
+from repro.cli import Verb, refusing, run
 from repro.simulator.engine import ENGINE_VERSION
 from repro.store.backend import ResultStore, default_store_dir
 
-__all__ = ["main"]
+__all__ = ["main", "open_store"]
+
+
+def open_store(root: Path | None) -> ResultStore:
+    """The store at *root* (``None``: the default location); a path no
+    store can be opened at is refused."""
+    with refusing():
+        return ResultStore(root if root is not None else default_store_dir())
 
 
 def _cmd_ls(store: ResultStore, args: argparse.Namespace) -> int:
@@ -61,61 +69,39 @@ def _cmd_export(store: ResultStore, args: argparse.Namespace) -> int:
     return 0
 
 
+def _verb(name: str, help: str, cmd, flags=None) -> Verb:
+    """A row whose *cmd* runs on the store ``--store`` names."""
+
+    def add_arguments(parser: argparse.ArgumentParser) -> None:
+        if flags is not None:
+            flags(parser)
+        parser.add_argument(
+            "--store", type=Path, default=None, metavar="DIR",
+            help="store directory (default: $REPRO_STORE_DIR or .repro-store)",
+        )
+
+    return Verb(name, help, add_arguments,
+                lambda args: cmd(open_store(args.store), args))
+
+
+VERBS: tuple[Verb, ...] = (
+    _verb("ls", "List stored rows.", _cmd_ls, lambda parser:
+          parser.add_argument("--limit", type=int, default=50,
+                              help="max rows to print (0 = all)")),
+    _verb("stats", "Row counts and file size as JSON.", _cmd_stats),
+    _verb("gc", "Evict rows from other engine versions.", _cmd_gc,
+          lambda parser: parser.add_argument(
+              "--engine-version", type=int, default=ENGINE_VERSION,
+              help=f"engine version to keep (default: current, "
+              f"{ENGINE_VERSION})")),
+    _verb("export", "Write deduplicated canonical JSONL.", _cmd_export,
+          lambda parser: parser.add_argument(
+              "dest", type=Path, help="output .jsonl path")),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="store directory (default: $REPRO_STORE_DIR or .repro-store)",
-    )
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments store",
-        description="Inspect and maintain the content-addressed result store.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_ls = sub.add_parser("ls", parents=[common], help="list stored rows")
-    p_ls.add_argument(
-        "--limit", type=int, default=50, help="max rows to print (0 = all)"
-    )
-    p_ls.set_defaults(fn=_cmd_ls)
-
-    p_stats = sub.add_parser(
-        "stats", parents=[common], help="row counts and file size as JSON"
-    )
-    p_stats.set_defaults(fn=_cmd_stats)
-
-    p_gc = sub.add_parser(
-        "gc", parents=[common], help="evict rows from other engine versions"
-    )
-    p_gc.add_argument(
-        "--engine-version",
-        type=int,
-        default=ENGINE_VERSION,
-        help=f"engine version to keep (default: current, {ENGINE_VERSION})",
-    )
-    p_gc.set_defaults(fn=_cmd_gc)
-
-    p_export = sub.add_parser(
-        "export", parents=[common], help="write deduplicated canonical JSONL"
-    )
-    p_export.add_argument("dest", type=Path, help="output .jsonl path")
-    p_export.set_defaults(fn=_cmd_export)
-
-    args = parser.parse_args(argv)
-    store = ResultStore(args.store if args.store is not None else default_store_dir())
-    try:
-        return args.fn(store, args)
-    except BrokenPipeError:
-        # Downstream (`ls … | head`) closed the pipe: redirect stdout to
-        # devnull so the interpreter's exit flush stays quiet.
-        import os
-        import sys
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    return run("repro-experiments store", VERBS, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -55,6 +55,7 @@ from repro.obs.profile import clock
 from repro.routing.base import RoutingAlgorithm, RoutingError
 from repro.routing.budgets import ROLE_ADAPTIVE, ROLE_CLASS, ROLE_ESCAPE, ROLE_RING
 from repro.routing.registry import make_algorithm
+from repro.simulator.deadlock import find_cycle
 from repro.simulator.message import RING_CLASS_NAMES, RING_NS, RING_WE, Message
 from repro.topology.directions import DIRECTIONS
 from repro.topology.mesh import Mesh2D
@@ -119,10 +120,6 @@ class RingPremise:
     def to_payload(self) -> dict:
         return {"name": self.name, "holds": self.holds, "detail": self.detail}
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> RingPremise:
-        return cls(payload["name"], payload["holds"], payload["detail"])
-
 
 @dataclass(frozen=True)
 class RingCycleAnalysis:
@@ -156,14 +153,6 @@ class RingCycleAnalysis:
             "failed": list(self.failed),
             "premises": [p.to_payload() for p in self.premises],
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> RingCycleAnalysis:
-        return cls(
-            premises=tuple(
-                RingPremise.from_payload(p) for p in payload["premises"]
-            )
-        )
 
 
 def _fmt_channel(ch: Channel) -> str:
@@ -374,44 +363,6 @@ class CdgReport:
                 else None
             ),
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> CdgReport:
-        """Rebuild a report from :meth:`to_payload` output (round-trip:
-        ``CdgReport.from_payload(r.to_payload()).to_payload() ==
-        r.to_payload()``)."""
-        width, height = payload["mesh"]
-        cycle = payload.get("cycle")
-        analysis = payload.get("ring_analysis")
-        return cls(
-            algorithm=payload["algorithm"],
-            declared_deadlock_free=payload["declared_deadlock_free"],
-            pattern=payload["pattern"],
-            width=width,
-            height=height,
-            total_vcs=payload["total_vcs"],
-            n_states=payload["states"],
-            n_channels=payload["channels"],
-            n_edges=payload["edges"],
-            escape_vcs=tuple(payload["escape_vcs"]),
-            ring_vcs=tuple(payload["ring_vcs"]),
-            cycle=(
-                [tuple(c) for c in cycle] if cycle is not None else None
-            ),
-            cycle_witnesses=[
-                tuple(w) for w in payload["cycle_witnesses"]
-            ],
-            violations=[
-                Violation(**v) for v in payload["violations"]
-            ],
-            elapsed=payload["elapsed"],
-            ring_proved=payload.get("ring_proved", False),
-            ring_analysis=(
-                RingCycleAnalysis.from_payload(analysis)
-                if analysis is not None
-                else None
-            ),
-        )
 
 
 class CdgChecker:
@@ -717,9 +668,9 @@ class CdgChecker:
             for a, deps in edges.items()
             if a[2] not in ring_class_ids
         }
-        cycle = _find_cycle(pure_edges)
+        cycle = find_cycle(pure_edges)
         if cycle is None:
-            cycle = _find_cycle(edges)
+            cycle = find_cycle(edges)
         if cycle is not None:
             report.cycle = [
                 (node, d, self._class_repr[c]) for node, d, c in cycle
@@ -850,36 +801,6 @@ def _strongly_connected_components(
                             break
                     sccs.append(scc)
     return sccs
-
-
-def _find_cycle(edges: dict[tuple, set[tuple]]) -> list[tuple] | None:
-    """Iterative DFS cycle search; returns the cycle's nodes in order."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[tuple, int] = {}
-    for root in edges:
-        if color.get(root, WHITE) != WHITE:
-            continue
-        stack: list[tuple[tuple, object]] = [(root, iter(edges.get(root, ())))]
-        color[root] = GREY
-        path = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, WHITE)
-                if c == GREY:
-                    return path[path.index(nxt):]
-                if c == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(edges.get(nxt, ()))))
-                    path.append(nxt)
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-    return None
 
 
 def check_algorithm(

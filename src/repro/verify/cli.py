@@ -30,6 +30,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.cli import Refused, Verb, refusing, run
 from repro.routing.registry import ALGORITHM_NAMES, make_algorithm
 from repro.verify.cdg import CdgChecker, CdgReport
 from repro.verify.corpus import CORPUS_NAMES, corpus_pattern
@@ -66,23 +67,28 @@ def _algorithm_verdict(reports: list[CdgReport]) -> tuple[bool, str]:
     return False, "declared NOT deadlock-free but no counterexample cycle found"
 
 
+def _checker(name: str, pname: str, width: int, vcs: int) -> CdgChecker:
+    """One case's checker; a mesh, pattern or VC count it cannot be
+    built with is refused."""
+    with refusing():
+        return CdgChecker(
+            make_algorithm(name),
+            corpus_pattern(pname, width),
+            total_vcs=vcs,
+            pattern_name=pname,
+        )
+
+
 def _check_job(job: tuple[str, str, int, int]) -> tuple[str, str, CdgReport]:
     """Model-check one (algorithm, pattern) case — picklable pool worker."""
     name, pname, width, vcs = job
-    checker = CdgChecker(
-        make_algorithm(name),
-        corpus_pattern(pname, width),
-        total_vcs=vcs,
-        pattern_name=pname,
-    )
-    return name, pname, checker.run()
+    return name, pname, _checker(name, pname, width, vcs).run()
 
 
 def check_main(args: argparse.Namespace) -> int:
     names = list(ALGORITHM_NAMES) if args.all else args.algorithm
     if not names:
-        print("check: give --all or --algorithm NAME", file=sys.stderr)
-        return 2
+        raise Refused("give --all or --algorithm NAME")
     patterns = args.pattern or list(CORPUS_NAMES)
     # The (algorithm, pattern) cases are independent; fan them out over a
     # process pool when --workers > 1 (workers <= 1 stays in process).
@@ -160,8 +166,7 @@ def lint_main(args: argparse.Namespace) -> int:
     paths = [Path(p) for p in (args.path or _DEFAULT_LINT_PATHS)]
     missing = [p for p in paths if not p.exists()]
     if missing:
-        print(f"lint: no such path: {missing[0]}", file=sys.stderr)
-        return 2
+        raise Refused(f"no such path: {missing[0]}")
     findings = lint_paths(paths, select=set(args.select) if args.select else None)
     if args.json:
         print(json.dumps([f.to_payload() for f in findings], indent=2))
@@ -173,12 +178,7 @@ def lint_main(args: argparse.Namespace) -> int:
 
 
 def cdg_main(args: argparse.Namespace) -> int:
-    checker = CdgChecker(
-        make_algorithm(args.algorithm),
-        corpus_pattern(args.pattern, args.width),
-        total_vcs=args.vcs,
-        pattern_name=args.pattern,
-    )
+    checker = _checker(args.algorithm, args.pattern, args.width, args.vcs)
     report = checker.run()
     if args.json:
         payload = report.to_payload()
@@ -232,90 +232,67 @@ def drift_main(args: argparse.Namespace) -> int:
     return code
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-verify",
-        description="Static deadlock-freedom and invariant analysis.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_check = sub.add_parser(
-        "check", help="model-check algorithms against the fault corpus"
-    )
-    p_check.add_argument("--all", action="store_true", help="every registered algorithm")
-    p_check.add_argument(
-        "--algorithm", action="append", default=[], metavar="NAME",
-        help="check one algorithm (repeatable)",
-    )
-    p_check.add_argument(
-        "--pattern", action="append", default=[], choices=CORPUS_NAMES,
-        help="restrict to one corpus pattern (repeatable; default: all)",
-    )
-    p_check.add_argument("--width", type=int, default=4, help="mesh side (default 4)")
-    p_check.add_argument("--vcs", type=int, default=16, help="VCs per channel (default 16)")
-    p_check.add_argument("--json", action="store_true", help="machine-readable output")
-    p_check.add_argument(
-        "--verbose", action="store_true", help="print ring-residual cycles too"
-    )
-    p_check.add_argument(
-        "--workers", type=int, default=1,
+def _check_flags(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
+    add("--all", action="store_true", help="every registered algorithm")
+    add("--algorithm", action="append", default=[], metavar="NAME",
+        choices=ALGORITHM_NAMES, help="check one algorithm (repeatable)")
+    add("--pattern", action="append", default=[], choices=CORPUS_NAMES,
+        help="restrict to one corpus pattern (repeatable; default: all)")
+    add("--width", type=int, default=4, help="mesh side (default 4)")
+    add("--vcs", type=int, default=16, help="VCs per channel (default 16)")
+    add("--json", action="store_true", help="machine-readable output")
+    add("--verbose", action="store_true", help="print ring-residual cycles too")
+    add("--workers", type=int, default=1,
         help="process-pool size over the (algorithm, pattern) cases "
-        "(default 1 = in process); results are order-independent",
-    )
-    p_check.set_defaults(func=check_main)
+        "(default 1 = in process); results are order-independent")
 
-    p_lint = sub.add_parser("lint", help="run the project-rule AST linter")
-    p_lint.add_argument(
-        "path", nargs="*", help="files or directories (default: src/repro)"
-    )
-    p_lint.add_argument(
-        "--select", action="append", default=[], metavar="REPxxx",
-        help="run only these rule ids (repeatable)",
-    )
-    p_lint.add_argument("--json", action="store_true", help="machine-readable output")
-    p_lint.set_defaults(func=lint_main)
 
-    p_cdg = sub.add_parser(
-        "cdg", help="dump the channel-dependency graph for one case"
-    )
-    p_cdg.add_argument("--algorithm", required=True, choices=ALGORITHM_NAMES)
-    p_cdg.add_argument("--pattern", default="fault-free", choices=CORPUS_NAMES)
-    p_cdg.add_argument("--width", type=int, default=4)
-    p_cdg.add_argument("--vcs", type=int, default=16)
-    p_cdg.add_argument("--edges", action="store_true", help="include every CDG edge")
-    p_cdg.add_argument("--json", action="store_true", help="machine-readable output")
-    p_cdg.set_defaults(func=cdg_main)
+def _lint_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("path", nargs="*",
+                        help="files or directories (default: src/repro)")
+    parser.add_argument("--select", action="append", default=[],
+                        metavar="REPxxx",
+                        help="run only these rule ids (repeatable)")
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable output")
 
-    p_drift = sub.add_parser(
-        "drift",
-        help="ENGINE_VERSION drift gate over the semantic surface",
-    )
-    p_drift.add_argument(
-        "--require", action="store_true",
+
+def _cdg_flags(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
+    add("--algorithm", required=True, choices=ALGORITHM_NAMES)
+    add("--pattern", default="fault-free", choices=CORPUS_NAMES)
+    add("--width", type=int, default=4)
+    add("--vcs", type=int, default=16)
+    add("--edges", action="store_true", help="include every CDG edge")
+    add("--json", action="store_true", help="machine-readable output")
+
+
+def _drift_flags(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
+    add("--require", action="store_true",
         help="enforcing (CI) mode: unpinned/stale locks fail instead of "
-        "staying advisory",
-    )
-    p_drift.add_argument(
-        "--pin", "--update", dest="pin", action="store_true",
-        help="(re)write tools/engine_semantics.lock from the current tree",
-    )
-    p_drift.add_argument(
-        "--lock", default=None, metavar="PATH",
-        help="lock file override (default: tools/engine_semantics.lock)",
-    )
-    p_drift.add_argument("--json", action="store_true", help="machine-readable output")
-    p_drift.set_defaults(func=drift_main)
+        "staying advisory")
+    add("--pin", "--update", dest="pin", action="store_true",
+        help="(re)write tools/engine_semantics.lock from the current tree")
+    add("--lock", default=None, metavar="PATH",
+        help="lock file override (default: tools/engine_semantics.lock)")
+    add("--json", action="store_true", help="machine-readable output")
 
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        # Downstream (`check --all | head`) closed the pipe: redirect
-        # stdout to devnull so the interpreter's exit flush stays quiet.
-        import os
 
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+VERBS: tuple[Verb, ...] = (
+    Verb("check", "Model-check algorithms against the fault corpus.",
+         _check_flags, check_main),
+    Verb("lint", "Run the project-rule AST linter.", _lint_flags, lint_main),
+    Verb("cdg", "Dump the channel-dependency graph for one case.",
+         _cdg_flags, cdg_main),
+    Verb("drift", "ENGINE_VERSION drift gate over the semantic surface.",
+         _drift_flags, drift_main),
+)
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run("repro-verify", VERBS, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

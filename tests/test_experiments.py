@@ -195,9 +195,9 @@ class TestCli:
         )
         assert runs[1][-1]["telemetry_digest"] == runs[2][-1]["telemetry_digest"]
 
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["fig9"])
+    def test_unknown_experiment_rejected(self, capsys):
+        assert main(["fig9"]) == 2
+        assert "unknown verb 'fig9'" in capsys.readouterr().err
 
 
 class TestAsciiPlot:

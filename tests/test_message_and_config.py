@@ -9,8 +9,11 @@ from repro.routing.registry import (
     display_name,
     make_algorithm,
 )
-from repro.simulator.config import PAPER_CONFIG, QUICK_CONFIG, SimConfig
+from repro.experiments.profiles import PAPER_PROFILE, QUICK_PROFILE
+from repro.simulator.config import SimConfig
 from repro.simulator.message import HEAD, TAIL, Message
+
+PAPER_CONFIG = PAPER_PROFILE.config
 
 
 class TestMessage:
@@ -50,8 +53,9 @@ class TestSimConfig:
         assert PAPER_CONFIG.warmup == 10_000
 
     def test_quick_profile_same_radix(self):
-        assert QUICK_CONFIG.width == PAPER_CONFIG.width
-        assert QUICK_CONFIG.vcs_per_channel == PAPER_CONFIG.vcs_per_channel
+        quick = QUICK_PROFILE.config
+        assert quick.width == PAPER_CONFIG.width
+        assert quick.vcs_per_channel == PAPER_CONFIG.vcs_per_channel
 
     def test_height_defaults_to_width(self):
         cfg = SimConfig(width=6)

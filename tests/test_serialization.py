@@ -5,13 +5,16 @@ import json
 
 import pytest
 
-from repro.simulator.config import PAPER_CONFIG, SimConfig
+from repro.experiments.profiles import PAPER_PROFILE
+from repro.simulator.config import SimConfig
 from repro.util.serialization import (
     config_from_dict,
     config_to_dict,
     pattern_from_dict,
     pattern_to_dict,
 )
+
+PAPER_CONFIG = PAPER_PROFILE.config
 
 
 class TestConfigRoundTrip:

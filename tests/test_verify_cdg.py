@@ -18,7 +18,6 @@ from repro.verify.cdg import (
     RING_PREMISES,
     CdgChecker,
     CdgReport,
-    RingCycleAnalysis,
     analyze_ring_cycle,
     check_algorithm,
 )
@@ -231,16 +230,6 @@ class TestRingDischarge:
         )
         assert "cross-layer coupling" in ring_only.detail
 
-    def test_analysis_payload_round_trip(self):
-        pattern = corpus_pattern("center-block")
-        wrap = _ring_wrap(pattern, vc=RING_VCS[2], cw=True)
-        analysis = analyze_ring_cycle(
-            wrap, ring_vcs=RING_VCS, faults=pattern
-        )
-        payload = analysis.to_payload()
-        assert RingCycleAnalysis.from_payload(payload).to_payload() == payload
-
-
 class TestCheckerProof:
     """`_discharge_ring_sccs`: the SCC-level all-cycles-are-wraps proof."""
 
@@ -288,22 +277,6 @@ class TestCheckerProof:
         report = checker._finish(self._report(checker), edges, {})
         assert report.status == "ring-residual"
         assert not report.ring_proved
-
-
-class TestPayloadRoundTrip:
-    @pytest.mark.parametrize(
-        "name,pattern",
-        [
-            ("ecube", "fault-free"),       # status ok, no cycle
-            ("ecube", "center-block"),     # ring-residual with analysis
-            ("fully-adaptive", "fault-free"),  # genuine cycle
-        ],
-    )
-    def test_report_round_trips_through_json_payload(self, name, pattern):
-        payload = run(name, pattern).to_payload()
-        rebuilt = CdgReport.from_payload(payload)
-        assert rebuilt.to_payload() == payload
-        assert rebuilt.status == payload["status"]
 
 
 class _BadTierShape(MinimalAdaptive):

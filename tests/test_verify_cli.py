@@ -169,37 +169,28 @@ class TestBrokenPipeTolerance:
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         ).returncode
 
-    def test_verify_cli_swallows_broken_pipe(self):
-        rc = self._run(
-            "import repro.verify.cli as cli\n"
-            "def raiser(args):\n"
-            "    raise BrokenPipeError\n"
-            "cli.lint_main = raiser\n"
-            "raise SystemExit(cli.main(['lint']))\n"
-        )
-        assert rc == 0
-
-    def test_store_cli_swallows_broken_pipe(self, tmp_path):
-        rc = self._run(
-            "import repro.store.cli as store_cli\n"
-            "def raiser(store, args):\n"
-            "    raise BrokenPipeError\n"
-            "store_cli._cmd_ls = raiser\n"
-            f"raise SystemExit(store_cli.main(['ls', '--store', {str(tmp_path)!r}]))\n"
-        )
-        assert rc == 0
-
-    def test_obs_cli_swallows_broken_pipe(self):
-        rc = self._run(
+    def _raising(self, module: str, argv: list[str]) -> int:
+        """``module.main(argv)`` with every verb raising BrokenPipeError."""
+        return self._run(
             "import dataclasses\n"
-            "import repro.obs.cli as cli\n"
+            f"import {module} as cli\n"
             "def raiser(args):\n"
             "    raise BrokenPipeError\n"
             "cli.VERBS = tuple(dataclasses.replace(v, run=raiser)\n"
             "                  for v in cli.VERBS)\n"
-            "raise SystemExit(cli.main(['history']))\n"
+            f"raise SystemExit(cli.main({argv!r}))\n"
         )
-        assert rc == 0
+
+    def test_verify_cli_swallows_broken_pipe(self):
+        assert self._raising("repro.verify.cli", ["lint"]) == 0
+
+    def test_store_cli_swallows_broken_pipe(self, tmp_path):
+        assert self._raising(
+            "repro.store.cli", ["ls", "--store", str(tmp_path)]
+        ) == 0
+
+    def test_obs_cli_swallows_broken_pipe(self):
+        assert self._raising("repro.obs.cli", ["history"]) == 0
 
 
 class TestExperimentsPassthrough:
