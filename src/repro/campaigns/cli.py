@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro.campaigns.db import CampaignDB, refuse_malformed
 from repro.campaigns.spec import CampaignSpec
-from repro.cli import Refused, Verb, refusing, run
+from repro.cli import Refused, Verb, positive_count, refusing, run
 
 __all__ = ["main", "open_campaign"]
 
@@ -57,13 +57,6 @@ def _load_db(args: argparse.Namespace) -> CampaignDB:
         db = CampaignDB(spec, args.root, store=args.store)
         db.save()
     return db
-
-
-def _shard_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError("need at least one shard")
-    return count
 
 
 def _cmd_plan(args: argparse.Namespace, db: CampaignDB) -> int:
@@ -185,9 +178,9 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _run_flags(parser: argparse.ArgumentParser) -> None:
     add = parser.add_argument
-    add("--shards", type=_shard_count, default=1,
+    add("--shards", type=positive_count, default=1,
         help="shard count (default: 1, sequential)")
-    add("--workers", type=int, default=None,
+    add("--workers", type=positive_count, default=None,
         help="pool size (default: one per shard)")
     add("--telemetry", action="store_true",
         help="collect and merge telemetry registries")

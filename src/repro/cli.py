@@ -71,6 +71,14 @@ def refusing(prefix: str = "") -> Iterator[None]:
         raise Refused(f"{prefix}{exc}") from exc
 
 
+def positive_count(text: str) -> int:
+    """An argparse ``type``: a worker or shard count, at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1, not {count}")
+    return count
+
+
 class _Parser(argparse.ArgumentParser):
     """A verb's parser: what it rejects is a refusal like any other."""
 

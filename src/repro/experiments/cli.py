@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -26,7 +27,7 @@ from functools import partial
 from importlib import import_module
 from pathlib import Path
 
-from repro.cli import Verb, delegate, run
+from repro.cli import Verb, delegate, positive_count, run
 from repro.experiments.profiles import PROFILES, get_profile
 from repro.routing.registry import ALGORITHM_NAMES
 
@@ -86,6 +87,15 @@ def _run_figures(wanted, profile, algorithms, out, run: dict, trace=None):
             print()
 
 
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask where the
+    OS keeps one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks (macOS, Windows)
+        return os.cpu_count() or 1
+
+
 def _flags(parser: argparse.ArgumentParser) -> None:
     """The flags every figure and ablation command shares."""
     add = parser.add_argument
@@ -104,8 +114,10 @@ def _flags(parser: argparse.ArgumentParser) -> None:
     add("--out", type=Path, default=None, metavar="DIR",
         help="also dump raw series as JSON into DIR")
     add("--quiet", action="store_true", help="suppress per-algorithm progress")
-    add("--workers", type=int, default=1,
-        help="process-pool size for the figure grids (default 1)")
+    add("--workers", type=positive_count, default=usable_cpus(),
+        help="process-pool size for the figure grids (default: the "
+        "%(default)s CPUs this process may use); cells the store already "
+        "holds are served in process, so a warm figure starts no pool")
     add("--store", type=Path, nargs="?", const=None, default=False,
         metavar="DIR",
         help="route all simulations through the content-addressed result "

@@ -12,20 +12,28 @@ evaluator the cell runs against and in which process:
   shared one, a shard's or sequential campaign's own) and
   :func:`timed_cell` writes ``cell_start`` + ``cell_finish`` (with the
   cell's cache delta) straight into the manifest;
-* **pooled** (``--workers N`` figures) — the same call runs in a worker
-  against a *fresh* evaluator (:func:`worker_evaluator`) and the
-  finished cell rides home; the parent, sole writer of the manifest,
-  records its ``cell_finish`` with the worker pid and its span
-  (:func:`run_per_algorithm`).
+* **probed** (``--workers N`` figures with a store) — each cell first
+  runs in process against the shared evaluator with the store
+  hits-only (:class:`~repro.store.cache.HeldRows`).  A cell the store
+  holds completely finishes there, recorded exactly as in process, so
+  a warm figure never starts a pool; the first miss stops the cell
+  before anything is simulated, leaves no record, and sends the cell
+  to the pool;
+* **pooled** — the same call runs in a worker against a *fresh*
+  evaluator (:func:`worker_evaluator`) that reads the store but holds
+  its puts, and the finished cell rides home with its new rows.  The
+  parent, sole writer of the manifest *and* of the store, appends the
+  rows in declaration order (``imap`` hands cells back in that order),
+  records the cell's ``cell_finish`` with the worker pid, and its span
+  (:func:`run_per_algorithm`).  ``rows.jsonl`` is therefore
+  byte-identical for any worker count.
 
 Workers receive only picklable values (the frozen
 :class:`~repro.experiments.profiles.Profile` or a spec payload, the job
 function by import path, a store *directory*, the parent span's
 :meth:`~repro.obs.spans.Trace.context`), so the pool works with the
-``spawn`` and ``fork`` start methods alike.  Sharing happens through
-the :class:`~repro.store.ResultStore`: its locked appends make one store
-safe for all workers at once, and a cell any process simulated earlier
-is a cache hit everywhere else.
+``spawn`` and ``fork`` start methods alike.  A cell any process stored
+earlier is a cache hit in every worker.
 
 Telemetry and trace spans distribute by **snapshot + merge** — a
 registry never crosses a process boundary.  Each worker fills a fresh
@@ -42,13 +50,13 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Sequence
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from functools import partial
 
 from repro.obs.profile import clock
 from repro.obs.spans import SpanRecorder, Trace
 from repro.store.backend import store_dir_of
-from repro.store.cache import make_evaluator
+from repro.store.cache import HeldRows, StoreMiss, make_evaluator
 
 
 def pool_safe_instrument(instrument) -> bool:
@@ -71,7 +79,8 @@ def worker_evaluator(config, seed: int, store, with_telemetry: bool):
     """A fresh ``(registry, evaluator)`` pair for one worker or shard.
 
     *registry* is ``None`` unless *with_telemetry*; the evaluator is
-    cached when *store* (a store or directory) is given.
+    cached when *store* (a store, a directory or a
+    :class:`~repro.store.cache.HeldRows` view) is given.
     """
     registry = instrument = None
     if with_telemetry:
@@ -100,6 +109,7 @@ def timed_cell(
     trace: Trace | None = None,
     span: str = "cell",
     key=None,
+    probe: bool = False,
 ) -> dict:
     """Run one cell: the only place a cell is timed and logged.
 
@@ -119,8 +129,14 @@ def timed_cell(
     that raises still gets its ``finish`` — with ``status="error"`` —
     before the exception propagates, so a failed run's manifest names
     the cell that killed it.
+
+    A *probe* runs against a hits-only store: a cell that stops at a
+    :class:`~repro.store.cache.StoreMiss` leaves nothing behind (no
+    event, no span, no cache counts) and the miss propagates.  Any other
+    outcome is recorded as without *probe*, its ``start`` written with
+    its ``finish`` and stamped with the time the cell began.
     """
-    if manifest is not None:
+    if manifest is not None and not probe:
         manifest.cell_start(cell_id)
     before = _cache_counters(evaluator)
     value, cycles, status = None, 0, "error"
@@ -128,6 +144,12 @@ def timed_cell(
     try:
         value, cycles = run()
         status = "ok"
+    except StoreMiss:
+        if probe:  # nothing was simulated: the attempt leaves no record
+            manifest = None
+            if before is not None:
+                vars(evaluator.stats).update(before)
+        raise
     finally:
         t1 = clock()
         cache = None
@@ -135,6 +157,8 @@ def timed_cell(
             after = _cache_counters(evaluator)
             cache = {k: after[k] - before[k] for k in after}
         if manifest is not None:
+            if probe:
+                manifest.cell_start(cell_id, at=t0)
             manifest.cell_finish(
                 cell_id, seconds=t1 - t0, cycles=cycles, cache=cache,
                 status=status,
@@ -158,13 +182,15 @@ def timed_cell(
 # Per-algorithm fan-out (the figure drivers)
 # ----------------------------------------------------------------------
 def _algorithm_cell(
-    run: Callable, evaluator, manifest, trace, registry, algorithm: str
+    run: Callable, evaluator, manifest, trace, registry, algorithm: str,
+    probe: bool = False,
 ) -> tuple[str, dict, dict | None]:
     """One figure cell, traced as ``cell.<algorithm>`` under *trace*
     (if given), plus *registry*'s snapshot to ship."""
     cell = timed_cell(
         algorithm, partial(run, algorithm), evaluator,
         manifest=manifest, trace=trace, span=f"cell.{algorithm}",
+        probe=probe,
     )
     return algorithm, cell, None if registry is None else registry.snapshot()
 
@@ -172,15 +198,21 @@ def _algorithm_cell(
 def _algorithm_worker(args: tuple) -> tuple[str, dict, dict | None]:
     """Pool body of :func:`run_per_algorithm`: the same cell, run against
     a fresh evaluator and registry (top level so that it pickles); its
-    span is recorded under the shipped parent context and rides home."""
+    span is recorded under the shipped parent context, and it rides home
+    with the store rows it held (``cell["rows"]``) for the parent to
+    append."""
     job, profile, algorithm, seed, store_dir, with_telemetry, context = args
+    held = None if store_dir is None else HeldRows(store_dir)
     registry, evaluator = worker_evaluator(
-        profile.config, seed, store_dir, with_telemetry
+        profile.config, seed, held, with_telemetry
     )
     trace = None if context is None else Trace(SpanRecorder(), *context)
-    return _algorithm_cell(
+    finished = _algorithm_cell(
         job(evaluator, profile), evaluator, None, trace, registry, algorithm
     )
+    if held is not None:
+        finished[1]["rows"] = held.rows
+    return finished
 
 
 def run_per_algorithm(
@@ -204,10 +236,12 @@ def run_per_algorithm(
     cell body ``run(algorithm) -> (series, cycles)``.  *job* is a
     module-level function: it is pickled by import path, and lint rule
     REP012 holds it to pool-worker purity.  ``workers > 1`` runs each
-    cell in a pool worker against a fresh evaluator; otherwise all cells
-    share one evaluator in this process.  Results are identical either
-    way — per-run seeds derive from ``(seed, algorithm, set, rate)``
-    and fault cases from ``(seed, count)``, never from execution order.
+    cell the store cannot serve whole in a pool worker against a fresh
+    evaluator (see the module docstring); otherwise all cells share one
+    evaluator in this process.  Results are identical either way —
+    per-run seeds derive from ``(seed, algorithm, set, rate)`` and fault
+    cases from ``(seed, count)``, never from execution order — and so
+    is the store, which only this process writes, in declaration order.
 
     *store* (a :class:`repro.store.ResultStore` or directory) routes
     every simulation through the result cache: runs simulated before —
@@ -232,28 +266,48 @@ def run_per_algorithm(
         and len(algorithms) > 1
         and pool_safe_instrument(instrument)
     )
-    if not pooled:
+    cells: dict[str, dict] = {}
+    # With a store, a pool's cells first run here against a hits-only
+    # view of it: warm cells finish, the first miss sends one to the pool.
+    probe = (
+        HeldRows(store, hits_only=True)
+        if pooled and store is not None else None
+    )
+    if not pooled or probe is not None:
         evaluator = make_evaluator(
-            profile.config, seed=seed, store=store, instrument=instrument
+            profile.config, seed=seed, instrument=instrument,
+            store=store if probe is None else probe,
         )
-        in_process = partial(
+        run_cell = partial(
             _algorithm_cell, job(evaluator, profile), evaluator, manifest,
-            trace, None,
+            trace, None, probe=probe is not None,
         )
-        cells = parallel_map(in_process, algorithms, 1, progress, label)
-        return {alg: cell["value"] for alg, cell, _ in cells}
+        if not pooled:
+            done = parallel_map(run_cell, algorithms, 1, progress, label)
+            return {alg: cell["value"] for alg, cell, _ in done}
+        for alg in algorithms:
+            with suppress(StoreMiss):
+                cells[alg] = run_cell(alg)[1]
+                if progress:
+                    progress(f"[{label}] {alg}: done")
     registry = getattr(instrument, "telemetry", None)
     context = None if trace is None else trace.context()
     jobs = [
         (job, profile, alg, seed, store_dir_of(store), registry is not None,
          context)
-        for alg in algorithms
+        for alg in algorithms if alg not in cells
     ]
-    series = {}
     for alg, cell, snapshot in parallel_map(
         _algorithm_worker, jobs, workers, progress, label
     ):
-        # The parent, sole writer, first hears of a pooled cell here.
+        # The parent, sole writer, first hears of a pooled cell here, in
+        # declaration order: its runs are appended as a sequential run
+        # appends them, and its puts are the rows actually written.
+        if probe is not None:
+            cell["cache"]["puts"] = sum(
+                probe.store.put(key, payload, algorithm=token)
+                for key, (payload, token) in cell.pop("rows").items()
+            )
         if snapshot and registry is not None:
             registry.merge(snapshot)
         if manifest is not None:
@@ -263,8 +317,8 @@ def run_per_algorithm(
             )
         if trace is not None:
             trace.recorder.add(cell["span"])
-        series[alg] = cell["value"]
-    return series
+        cells[alg] = cell
+    return {alg: cells[alg]["value"] for alg in algorithms}
 
 
 # ----------------------------------------------------------------------

@@ -81,9 +81,11 @@ class ManifestWriter:
         self.spans: list[dict] = []
 
     # ------------------------------------------------------------------
-    def event(self, event: str, **fields) -> dict:
-        """Append one event (``t`` = seconds since writer creation)."""
-        payload = {"event": event, "t": round(clock() - self._t0, 6)}
+    def event(self, event: str, *, at: float | None = None, **fields) -> dict:
+        """Append one event (``t`` = seconds since writer creation, at the
+        :data:`~repro.obs.profile.clock` reading *at* if given, else now)."""
+        now = clock() if at is None else at
+        payload = {"event": event, "t": round(now - self._t0, 6)}
         payload.update(fields)
         self._fh.write(json.dumps(payload, sort_keys=True) + "\n")
         self._fh.flush()
@@ -111,8 +113,8 @@ class ManifestWriter:
         self._run_open = True
         return self.event("run-start", **fields)
 
-    def cell_start(self, cell_id: str) -> dict:
-        return self.event("cell", id=cell_id, phase="start")
+    def cell_start(self, cell_id: str, *, at: float | None = None) -> dict:
+        return self.event("cell", at=at, id=cell_id, phase="start")
 
     def cell_finish(
         self,

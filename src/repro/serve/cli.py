@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 
 from repro.campaigns.cli import open_campaign
-from repro.cli import Verb, refusing, run
+from repro.cli import Verb, positive_count, refusing, run
 from repro.routing.registry import ALGORITHM_NAMES
 
 __all__ = ["main"]
@@ -177,7 +177,7 @@ def _reliability_flags(parser: argparse.ArgumentParser) -> None:
         help="independent per-router failure probability")
     add("--trials", type=int, default=1000)
     add("--seed", type=int, default=2007)
-    add("--workers", type=int, default=1,
+    add("--workers", type=positive_count, default=1,
         help="process-pool fanout (result is identical for any worker "
         "count)")
     add("--json", action="store_true", help="machine-readable estimate")

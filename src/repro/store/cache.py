@@ -23,12 +23,19 @@ from typing import Callable
 from repro.core.evaluator import Evaluator
 from repro.faults.pattern import FaultPattern
 from repro.simulator.config import SimConfig
-from repro.simulator.engine import ENGINE_VERSION, SimulationResult
+from repro.simulator.engine import SimulationResult
 from repro.store.backend import ResultStore
 from repro.store.keys import algorithm_token, run_key
 from repro.util.serialization import result_from_dict, result_to_dict
 
-__all__ = ["CacheStats", "CachedEvaluator", "get_or_run", "make_evaluator"]
+__all__ = [
+    "CacheStats",
+    "CachedEvaluator",
+    "HeldRows",
+    "StoreMiss",
+    "get_or_run",
+    "make_evaluator",
+]
 
 
 @dataclass
@@ -50,8 +57,45 @@ class CacheStats:
         return asdict(self)
 
 
+class StoreMiss(LookupError):
+    """A hits-only lookup (:class:`HeldRows`) found nothing stored."""
+
+
+class HeldRows:
+    """A store (or store directory) as :func:`get_or_run` sees it when
+    another process writes it.
+
+    Lookups read *store*, then the rows held here; a put appends nothing
+    but is held in :attr:`rows` (``{key: (payload, token)}``, in put
+    order) for the store's one writer to append.  With *hits_only* a
+    lookup that finds nothing raises :class:`StoreMiss`, so
+    :func:`get_or_run` stops before it counts a miss or simulates.
+    """
+
+    def __init__(
+        self, store: ResultStore | Path | str, *, hits_only: bool = False
+    ) -> None:
+        self.store = store if isinstance(store, ResultStore) else ResultStore(store)
+        self.hits_only = hits_only
+        self.rows: dict[str, tuple[dict, str]] = {}
+
+    def get(self, key: str) -> dict | None:
+        if key in self.rows:
+            return self.rows[key][0]
+        payload = self.store.get(key)
+        if payload is None and self.hits_only:
+            raise StoreMiss(key)
+        return payload
+
+    def put(self, key: str, payload: dict, *, algorithm: str = "") -> bool:
+        if key in self.rows or key in self.store:
+            return False
+        self.rows[key] = (payload, algorithm)
+        return True
+
+
 def get_or_run(
-    store: ResultStore,
+    store: ResultStore | HeldRows,
     key: str,
     token: str,
     execute: Callable[[], SimulationResult],
@@ -61,8 +105,10 @@ def get_or_run(
     *execute*'s, stored under *key* before it is returned.
 
     *token* is the :func:`~repro.store.keys.algorithm_token` the key was
-    derived from; it and the engine version are the row's index fields.
-    *stats* counts the hit, or the miss and whether the put wrote a row.
+    derived from; it and the engine version (the store's default,
+    :data:`~repro.simulator.engine.ENGINE_VERSION`) are the row's index
+    fields.  *stats* counts the hit, or the miss and whether the put
+    wrote (or, through :class:`HeldRows`, held) a row.
     """
     cached = store.get(key)
     if cached is not None:
@@ -70,9 +116,7 @@ def get_or_run(
         return result_from_dict(cached)
     stats.misses += 1
     result = execute()
-    if store.put(
-        key, result_to_dict(result), engine_version=ENGINE_VERSION, algorithm=token
-    ):
+    if store.put(key, result_to_dict(result), algorithm=token):
         stats.puts += 1
     return result
 
@@ -83,9 +127,10 @@ class CachedEvaluator(Evaluator):
     Parameters
     ----------
     store:
-        A :class:`ResultStore`, a store directory path, or ``None`` for
-        the default directory (``$REPRO_STORE_DIR`` / ``.repro-store``).
-        (The uncached path is :func:`make_evaluator` with no store.)
+        A :class:`ResultStore`, a :class:`HeldRows` view of one, a store
+        directory path, or ``None`` for the default directory
+        (``$REPRO_STORE_DIR`` / ``.repro-store``).  (The uncached path is
+        :func:`make_evaluator` with no store.)
     traffic_label:
         Stable label of the traffic workload for the run key.  Defaults
         to ``"uniform"`` when no ``pattern_factory`` is set; required to
@@ -99,7 +144,7 @@ class CachedEvaluator(Evaluator):
         seed: int = 2007,
         pattern_factory=None,
         instrument=None,
-        store: ResultStore | Path | str | None = None,
+        store: ResultStore | HeldRows | Path | str | None = None,
         traffic_label: str | None = None,
     ) -> None:
         super().__init__(
@@ -108,7 +153,10 @@ class CachedEvaluator(Evaluator):
             pattern_factory=pattern_factory,
             instrument=instrument,
         )
-        self.store = store if isinstance(store, ResultStore) else ResultStore(store)
+        self.store = (
+            store if isinstance(store, (ResultStore, HeldRows))
+            else ResultStore(store)
+        )
         if traffic_label is None and pattern_factory is None:
             traffic_label = "uniform"
         self.traffic_label = traffic_label
@@ -150,7 +198,7 @@ def make_evaluator(
     seed: int = 2007,
     pattern_factory=None,
     instrument=None,
-    store: ResultStore | Path | str | None = None,
+    store: ResultStore | HeldRows | Path | str | None = None,
     **cache_kwargs,
 ) -> Evaluator:
     """A plain Evaluator, or a cached one when *store* is given.

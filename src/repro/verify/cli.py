@@ -30,7 +30,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.cli import Refused, Verb, refusing, run
+from repro.cli import Refused, Verb, positive_count, refusing, run
 from repro.routing.registry import ALGORITHM_NAMES, make_algorithm
 from repro.verify.cdg import CdgChecker, CdgReport
 from repro.verify.corpus import CORPUS_NAMES, corpus_pattern
@@ -243,7 +243,7 @@ def _check_flags(parser: argparse.ArgumentParser) -> None:
     add("--vcs", type=int, default=16, help="VCs per channel (default 16)")
     add("--json", action="store_true", help="machine-readable output")
     add("--verbose", action="store_true", help="print ring-residual cycles too")
-    add("--workers", type=int, default=1,
+    add("--workers", type=positive_count, default=1,
         help="process-pool size over the (algorithm, pattern) cases "
         "(default 1 = in process); results are order-independent")
 

@@ -39,10 +39,14 @@ def front_end(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
 
 @pytest.fixture()
 def paths(tmp_path) -> dict[str, str]:
-    """``{FILE}`` a regular file, ``{MISSING}`` a path that does not exist."""
+    """``{FILE}`` a regular file, ``{MISSING}`` a path that does not exist,
+    ``{SPEC}`` a valid campaign spec."""
     regular = tmp_path / "regular"
     regular.write_text("not a directory\n")
-    return {"{FILE}": str(regular), "{MISSING}": str(tmp_path / "nope")}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    return {"{FILE}": str(regular), "{MISSING}": str(tmp_path / "nope"),
+            "{SPEC}": str(spec)}
 
 
 HOSTILE = {
@@ -62,6 +66,18 @@ HOSTILE = {
         "serve", "query", "{MISSING}", "--algorithm", "nhop", "--rate",
         "0.01"],
     "obs-unknown-algorithm": ["obs", "smoke", "--algorithm", "bogus"],
+    # A worker or shard count below 1 is refused, not run sequentially.
+    "experiments-negative-workers": [
+        "experiments", "fig4", "--profile", "smoke", "--algorithms", "nhop",
+        "--workers", "-3"],
+    "verify-check-zero-workers": [
+        "verify", "check", "--algorithm", "nhop", "--workers", "0"],
+    "serve-reliability-negative-workers": [
+        "serve", "reliability", "--width", "4", "--failure-rate", "0.1",
+        "--trials", "10", "--workers", "-2"],
+    "campaigns-run-zero-workers": [
+        "campaigns", "run", "{MISSING}", "--spec", "{SPEC}", "--workers",
+        "0"],
 }
 
 

@@ -1,6 +1,9 @@
 """Tests for the experiment harness (drivers, CLI, plots, profiles)."""
 
+import argparse
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -195,9 +198,84 @@ class TestCli:
         )
         assert runs[1][-1]["telemetry_digest"] == runs[2][-1]["telemetry_digest"]
 
+    def test_workers_default_to_the_usable_cpus(self):
+        from repro.experiments.cli import VERBS, usable_cpus
+
+        parser = argparse.ArgumentParser()
+        next(v for v in VERBS if v.name == "fig4").add_arguments(parser)
+        assert parser.parse_args([]).workers == usable_cpus() >= 1
+
     def test_unknown_experiment_rejected(self, capsys):
         assert main(["fig9"]) == 2
         assert "unknown verb 'fig9'" in capsys.readouterr().err
+
+
+def reference_digest(store_dir: Path) -> str:
+    """The benchmark's digest of a store's rows (``bench/workloads.py``
+    ``canonical_rows`` + ``rows_digest``): row *i* is the *i*-th run
+    executed in declaration order."""
+    from repro.store import ResultStore, canonical_json
+    from repro.util.serialization import result_from_dict
+
+    rows = []
+    for i, row in enumerate(ResultStore(store_dir).rows()):
+        result = result_from_dict(row["payload"])
+        rows.append({
+            "cell": i,
+            "algorithm": row["algorithm"],
+            "throughput": result.throughput,
+            "latency": result.avg_latency,
+            "delivered": result.delivered,
+        })
+    return hashlib.sha256(canonical_json(rows).encode("utf-8")).hexdigest()
+
+
+class TestWorkerCountIsInvisible:
+    """One figure with ``--workers 1``, ``--workers 2`` and the default:
+    the parent is the store's only writer and appends pooled cells in
+    declaration order, so ``rows.jsonl`` is byte-identical, and the
+    manifests' span and telemetry digests agree."""
+
+    REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+    #: The full-scale algorithms of the benchmark's figure workloads.
+    FIGURES = {
+        "fig1": ("fig1_smoke_cold", ("nhop", "duato-nbc", "minimal-adaptive")),
+        "fig4": ("fig4_smoke_faulty", ("pbc", "boura-ft")),
+    }
+
+    @pytest.mark.parametrize("fig", sorted(FIGURES))
+    def test_rows_spans_and_telemetry(self, fig, tmp_path):
+        from repro.obs.manifest import read_manifest
+        from repro.obs.spans import spans_from_manifest, spans_merge_digest
+        from repro.simulator.engine import ENGINE_VERSION
+
+        from repro.experiments.cli import usable_cpus
+
+        workload, algorithms = self.FIGURES[fig]
+        reference = json.loads(self.REFERENCE.read_text())
+        settings = {"w1": ["--workers", "1"], "w2": ["--workers", "2"]}
+        if usable_cpus() > 2:  # else the default is one of the two above
+            settings["default"] = []
+        runs = {}
+        for name, flags in settings.items():
+            root = tmp_path / name
+            assert main([
+                fig, "--profile", "smoke", "--algorithms", *algorithms,
+                "--seed", str(reference["seed"]), "--store", str(root / "s"),
+                "--telemetry", "--manifest", str(root / "m.jsonl"), "--quiet",
+                *flags,
+            ]) == 0
+            events = read_manifest(root / "m.jsonl")
+            runs[name] = (
+                (root / "s" / "rows.jsonl").read_bytes(),
+                spans_merge_digest(spans_from_manifest(events)),
+                events[-1]["telemetry_digest"],
+            )
+        assert all(run == runs["w1"] for run in runs.values())
+        if reference["engine_version"] == ENGINE_VERSION:
+            assert reference_digest(tmp_path / "w1" / "s") == (
+                reference["workloads"][workload]["sha256"]
+            )
 
 
 class TestAsciiPlot:

@@ -101,6 +101,22 @@ class TestNothingHeavyWithoutSimulating:
         # ... and it was the same figure, served from the store.
         assert fresh("-m", "repro.experiments", *argv) == cold
 
+    def test_warm_figure_starts_no_pool(self, tmp_path):
+        """Every cell the store holds runs in process: a warm call with
+        ``--workers 2`` neither pools nor simulates, and adds no row."""
+        store = tmp_path / "store"
+        argv = ("fig4", "--profile", "smoke", "--algorithms", "pbc",
+                "boura-ft", "--workers", "2", "--store", str(store),
+                "--quiet")
+        cold = modules_after_main("repro.experiments", *argv)
+        assert "multiprocessing.pool" in cold  # the cold call pooled
+        assert "numpy" not in cold  # ... and only its workers simulated
+        rows = (store / "rows.jsonl").read_bytes()
+        modules = modules_after_main("repro.experiments", *argv)
+        assert "repro.experiments.fig_faults" in modules
+        assert loaded(modules) == []
+        assert (store / "rows.jsonl").read_bytes() == rows
+
     def test_obs_report(self):
         """A verb that reads a manifest builds no other verb's parser."""
         manifest = TESTS / "data" / "obs_cli_manifest.jsonl"

@@ -331,5 +331,6 @@ class TestFailedRunIsClosed:
             experiments_main([
                 "fig1", "--profile", "smoke", "--quiet", "--manifest",
                 str(path), "--algorithms", "nhop", "phop", "duato",
+                "--workers", "1",
             ])
         assert self._statuses(path) == (["ok", "error"], "error")

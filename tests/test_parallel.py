@@ -241,3 +241,90 @@ class TestFailedCellIsRecorded:
         assert summary["groups"]["nhop"]["errors"] == 0
         assert obs_main(["report", str(path)]) == 0
         assert "status=error" in capsys.readouterr().out
+
+
+class TestOnlyMissingCellsArePooled:
+    """With a store, a cell the store holds whole finishes in process;
+    the rest go to the pool, whose rows only the parent appends, in
+    declaration order — so the store, the results and every cell's cache
+    counters are those of the sequential run."""
+
+    ALGS = ("nhop", "duato-nbc", "phop")
+
+    def _run(self, store, workers, path):
+        with ManifestWriter(path) as manifest:
+            manifest.run_start("fig1", kind="figure", workers=workers)
+            result = run_sweep(
+                SMOKE_PROFILE, self.ALGS, workers=workers, store=store,
+                manifest=manifest,
+            )
+            manifest.run_finish()
+        cells = [e for e in read_manifest(path) if e["event"] == "cell"]
+        return result, cells
+
+    def test_mixed_store(self, tmp_path):
+        n = len(SMOKE_PROFILE.sweep_loads)
+        full = tmp_path / "full"
+        run_sweep(SMOKE_PROFILE, self.ALGS, store=full)
+        rows = (full / "rows.jsonl").read_bytes().splitlines(keepends=True)
+        assert len(rows) == 3 * n
+        # Both stores hold nhop's runs and the first of duato-nbc's.
+        for name in ("seq", "par"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "rows.jsonl").write_bytes(b"".join(rows[:n + 1]))
+        seq, seq_cells = self._run(tmp_path / "seq", 1, tmp_path / "seq.jsonl")
+        par, par_cells = self._run(tmp_path / "par", 2, tmp_path / "par.jsonl")
+
+        assert json.dumps(par.to_payload()) == json.dumps(seq.to_payload())
+        for name in ("seq", "par"):
+            assert (tmp_path / name / "rows.jsonl").read_bytes() == b"".join(rows)
+        # A probe that stopped at a miss left no record: one finish per
+        # cell, none an error, and no start for a cell that was pooled.
+        assert all(c.get("status") != "error" for c in par_cells)
+        assert [(c["id"], c["phase"]) for c in par_cells] == [
+            ("nhop", "start"), ("nhop", "finish"),
+            ("duato-nbc", "finish"), ("phop", "finish"),
+        ]
+        par_finish = {c["id"]: c for c in par_cells if c["phase"] == "finish"}
+        assert par_finish["nhop"]["worker"] == 0
+        assert all(
+            par_finish[alg]["worker"] not in (0, os.getpid())
+            for alg in ("duato-nbc", "phop")
+        )
+        seq_finish = {c["id"]: c for c in seq_cells if c["phase"] == "finish"}
+        assert {alg: c["cache"] for alg, c in par_finish.items()} == {
+            alg: c["cache"] for alg, c in seq_finish.items()
+        }
+        assert par_finish["duato-nbc"]["cache"] == {
+            "hits": 1, "misses": n - 1, "puts": n - 1, "bypassed": 0,
+        }
+
+    def test_warm_store_never_pools(self, tmp_path, monkeypatch):
+        import repro.experiments.parallel as parallel
+
+        def shape(cells):
+            return [(c["id"], c["phase"], c.get("worker"), c.get("cache"))
+                    for c in cells]
+
+        store = tmp_path / "store"
+        cold, _ = self._run(store, 2, tmp_path / "cold.jsonl")
+        before = (store / "rows.jsonl").read_bytes()
+        _, in_process = self._run(store, 1, tmp_path / "warm-w1.jsonl")
+
+        def no_pool(worker, jobs, *args, **kwargs):
+            assert not jobs, "a warm cell was sent to the pool"
+            return []
+
+        monkeypatch.setattr(parallel, "parallel_map", no_pool)
+        warm, cells = self._run(store, 2, tmp_path / "warm.jsonl")
+        assert json.dumps(warm.to_payload()) == json.dumps(cold.to_payload())
+        assert (store / "rows.jsonl").read_bytes() == before
+        # The events of today's in-process path: start + finish, worker
+        # 0, all hits.
+        assert shape(cells) == shape(in_process)
+        assert all(
+            c["cache"]["misses"] == 0 for c in cells if c["phase"] == "finish"
+        )
+        # Written with its finish, a start still reads when the cell began.
+        for start, finish in zip(cells[::2], cells[1::2]):
+            assert start["t"] <= finish["t"] - finish["seconds"] + 1e-5
