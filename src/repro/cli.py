@@ -71,6 +71,15 @@ def refusing(prefix: str = "") -> Iterator[None]:
         raise Refused(f"{prefix}{exc}") from exc
 
 
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask where the
+    OS keeps one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks (macOS, Windows)
+        return os.cpu_count() or 1
+
+
 def positive_count(text: str) -> int:
     """An argparse ``type``: a worker or shard count, at least 1."""
     count = int(text)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from contextlib import nullcontext
@@ -27,7 +26,7 @@ from functools import partial
 from importlib import import_module
 from pathlib import Path
 
-from repro.cli import Verb, delegate, positive_count, run
+from repro.cli import Verb, delegate, positive_count, run, usable_cpus
 from repro.experiments.profiles import PROFILES, get_profile
 from repro.routing.registry import ALGORITHM_NAMES
 
@@ -85,15 +84,6 @@ def _run_figures(wanted, profile, algorithms, out, run: dict, trace=None):
         for fig in figures:
             print(getattr(driver, f"print_{fig}")(result))
             print()
-
-
-def usable_cpus() -> int:
-    """How many CPUs this process may run on: its affinity mask where the
-    OS keeps one, else every CPU."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks (macOS, Windows)
-        return os.cpu_count() or 1
 
 
 def _flags(parser: argparse.ArgumentParser) -> None:

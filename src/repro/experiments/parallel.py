@@ -13,20 +13,23 @@ evaluator the cell runs against and in which process:
   :func:`timed_cell` writes ``cell_start`` + ``cell_finish`` (with the
   cell's cache delta) straight into the manifest;
 * **probed** (``--workers N`` figures with a store) — each cell first
-  runs in process against the shared evaluator with the store
-  hits-only (:class:`~repro.store.cache.HeldRows`).  A cell the store
-  holds completely finishes there, recorded exactly as in process, so
-  a warm figure never starts a pool; the first miss stops the cell
-  before anything is simulated, leaves no record, and sends the cell
-  to the pool;
+  runs in process against a shared evaluator that serves what the
+  store holds and raises :class:`StoreMiss` where it would simulate.
+  A cell the store holds completely finishes there, recorded exactly
+  as in process, so a warm figure never starts a pool; the first miss
+  stops the cell before anything is simulated, leaves no record, and
+  sends the cell to the pool;
 * **pooled** — the same call runs in a worker against a *fresh*
-  evaluator (:func:`worker_evaluator`) that reads the store but holds
-  its puts, and the finished cell rides home with its new rows.  The
-  parent, sole writer of the manifest *and* of the store, appends the
-  rows in declaration order (``imap`` hands cells back in that order),
-  records the cell's ``cell_finish`` with the worker pid, and its span
+  evaluator (:func:`worker_evaluator`) that reads the store but puts
+  into a private one beside it (:class:`~repro.store.cache.HeldRows`).
+  The parent, sole writer of the manifest *and* of the store, folds
+  each cell's private rows in as the cell comes home, in declaration
+  order (``imap`` hands cells back in that order), and records the
+  cell's ``cell_finish`` with the worker pid — ``status="error"`` for
+  a cell that raised, whose exception it then re-raises — and its span
   (:func:`run_per_algorithm`).  ``rows.jsonl`` is therefore
-  byte-identical for any worker count.
+  byte-identical for any worker count, and a failed or interrupted
+  figure still folds in every row its workers simulated.
 
 Workers receive only picklable values (the frozen
 :class:`~repro.experiments.profiles.Profile` or a spec payload, the job
@@ -49,14 +52,40 @@ instruments carrying one keep the in-process path
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Sequence
-from contextlib import ExitStack, suppress
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import closing, suppress
 from functools import partial
+from traceback import format_exc
 
 from repro.obs.profile import clock
 from repro.obs.spans import SpanRecorder, Trace
 from repro.store.backend import store_dir_of
-from repro.store.cache import HeldRows, StoreMiss, make_evaluator
+from repro.store.cache import (
+    CachedEvaluator,
+    HeldRows,
+    fold_held,
+    fold_orphans,
+    held_dir,
+    make_evaluator,
+)
+
+
+class StoreMiss(LookupError):
+    """A probe reached a run the store does not hold."""
+
+
+class _Probe(CachedEvaluator):
+    """A cached evaluator that serves what the store holds and raises
+    :class:`StoreMiss` where it would simulate (after counting the miss,
+    which :func:`timed_cell` takes back)."""
+
+    def _execute(self, alg, cfg, faults):
+        raise StoreMiss
+
+
+class WorkerTraceback(Exception):
+    """Where a pool worker's exception was raised: the cause the parent
+    gives it when it re-raises it."""
 
 
 def pool_safe_instrument(instrument) -> bool:
@@ -79,8 +108,8 @@ def worker_evaluator(config, seed: int, store, with_telemetry: bool):
     """A fresh ``(registry, evaluator)`` pair for one worker or shard.
 
     *registry* is ``None`` unless *with_telemetry*; the evaluator is
-    cached when *store* (a store, a directory or a
-    :class:`~repro.store.cache.HeldRows` view) is given.
+    cached when *store* (a store, a directory or a worker's
+    :class:`~repro.store.cache.HeldRows`) is given.
     """
     registry = instrument = None
     if with_telemetry:
@@ -130,9 +159,9 @@ def timed_cell(
     before the exception propagates, so a failed run's manifest names
     the cell that killed it.
 
-    A *probe* runs against a hits-only store: a cell that stops at a
-    :class:`~repro.store.cache.StoreMiss` leaves nothing behind (no
-    event, no span, no cache counts) and the miss propagates.  Any other
+    A *probe* runs against a :class:`_Probe`: a cell that stops at a
+    :class:`StoreMiss` leaves nothing behind (no event, no span, no
+    cache counts) and the miss propagates.  Any other
     outcome is recorded as without *probe*, its ``start`` written with
     its ``finish`` and stamped with the time the cell began.
     """
@@ -195,24 +224,45 @@ def _algorithm_cell(
     return algorithm, cell, None if registry is None else registry.snapshot()
 
 
+class _HeldFinish:
+    """A pool worker's manifest: it holds the cell's ``finish`` fields,
+    which the parent writes with the worker's pid."""
+
+    finish: dict | None = None
+
+    def cell_start(self, cell_id: str) -> None:
+        pass
+
+    def cell_finish(self, cell_id: str, **fields) -> None:
+        self.finish = fields
+
+
 def _algorithm_worker(args: tuple) -> tuple[str, dict, dict | None]:
     """Pool body of :func:`run_per_algorithm`: the same cell, run against
     a fresh evaluator and registry (top level so that it pickles); its
-    span is recorded under the shipped parent context, and it rides home
-    with the store rows it held (``cell["rows"]``) for the parent to
-    append."""
-    job, profile, algorithm, seed, store_dir, with_telemetry, context = args
-    held = None if store_dir is None else HeldRows(store_dir)
+    span is recorded under the shipped parent context, its rows go to
+    its private store *held*, and its ``finish`` fields ride home in
+    ``cell["finish"]``.  A cell that raises comes home too, as
+    ``cell["error"]``, for the parent to record and re-raise."""
+    (job, profile, algorithm, seed, store_dir, held, with_telemetry,
+     context) = args
     registry, evaluator = worker_evaluator(
-        profile.config, seed, held, with_telemetry
+        profile.config, seed,
+        None if store_dir is None else HeldRows(store_dir, held),
+        with_telemetry,
     )
     trace = None if context is None else Trace(SpanRecorder(), *context)
-    finished = _algorithm_cell(
-        job(evaluator, profile), evaluator, None, trace, registry, algorithm
-    )
-    if held is not None:
-        finished[1]["rows"] = held.rows
-    return finished
+    events = _HeldFinish()
+    try:
+        _, cell, snapshot = _algorithm_cell(
+            job(evaluator, profile), evaluator, events, trace, registry,
+            algorithm,
+        )
+    except Exception as exc:
+        cell = {"error": exc, "traceback": format_exc()}
+        snapshot = None if registry is None else registry.snapshot()
+    cell.update(pid=os.getpid(), finish=events.finish)
+    return algorithm, cell, snapshot
 
 
 def run_per_algorithm(
@@ -266,58 +316,65 @@ def run_per_algorithm(
         and len(algorithms) > 1
         and pool_safe_instrument(instrument)
     )
+    probed = pooled and store is not None
     cells: dict[str, dict] = {}
-    # With a store, a pool's cells first run here against a hits-only
-    # view of it: warm cells finish, the first miss sends one to the pool.
-    probe = (
-        HeldRows(store, hits_only=True)
-        if pooled and store is not None else None
-    )
-    if not pooled or probe is not None:
-        evaluator = make_evaluator(
-            profile.config, seed=seed, instrument=instrument,
-            store=store if probe is None else probe,
+    if not pooled or probed:
+        evaluator = (_Probe if probed else make_evaluator)(
+            profile.config, seed=seed, instrument=instrument, store=store,
         )
         run_cell = partial(
             _algorithm_cell, job(evaluator, profile), evaluator, manifest,
-            trace, None, probe=probe is not None,
+            trace, None, probe=probed,
         )
         if not pooled:
             done = parallel_map(run_cell, algorithms, 1, progress, label)
             return {alg: cell["value"] for alg, cell, _ in done}
+        # Warm cells finish here; the first miss sends one to the pool.
+        fold_orphans(evaluator.store)
         for alg in algorithms:
             with suppress(StoreMiss):
                 cells[alg] = run_cell(alg)[1]
                 if progress:
                     progress(f"[{label}] {alg}: done")
+    missing = [alg for alg in algorithms if alg not in cells]
+    held = {
+        alg: held_dir(evaluator.store, alg) for alg in missing if probed
+    }
     registry = getattr(instrument, "telemetry", None)
     context = None if trace is None else trace.context()
     jobs = [
-        (job, profile, alg, seed, store_dir_of(store), registry is not None,
-         context)
-        for alg in algorithms if alg not in cells
+        (job, profile, alg, seed, store_dir_of(store), held.get(alg),
+         registry is not None, context)
+        for alg in missing
     ]
-    for alg, cell, snapshot in parallel_map(
-        _algorithm_worker, jobs, workers, progress, label
-    ):
-        # The parent, sole writer, first hears of a pooled cell here, in
-        # declaration order: its runs are appended as a sequential run
-        # appends them, and its puts are the rows actually written.
-        if probe is not None:
-            cell["cache"]["puts"] = sum(
-                probe.store.put(key, payload, algorithm=token)
-                for key, (payload, token) in cell.pop("rows").items()
-            )
-        if snapshot and registry is not None:
-            registry.merge(snapshot)
-        if manifest is not None:
-            manifest.cell_finish(
-                cell["id"], seconds=cell["seconds"], worker=cell["pid"],
-                cycles=cell["cycles"], cache=cell["cache"],
-            )
-        if trace is not None:
-            trace.recorder.add(cell["span"])
-        cells[alg] = cell
+    try:
+        with closing(iter_parallel(_algorithm_worker, jobs, workers)) as done:
+            for alg, cell, snapshot in done:
+                # The parent, sole writer, first hears of a pooled cell
+                # here, in declaration order: its rows are appended as a
+                # sequential run appends them, and its puts are the rows
+                # actually written.
+                finish = cell["finish"]
+                if alg in held:
+                    puts = fold_held(evaluator.store, held.pop(alg))
+                    if finish is not None:
+                        finish["cache"]["puts"] = puts
+                if snapshot and registry is not None:
+                    registry.merge(snapshot)
+                if manifest is not None and finish is not None:
+                    manifest.cell_finish(alg, worker=cell["pid"], **finish)
+                if "error" in cell:
+                    raise cell["error"] from WorkerTraceback(cell["traceback"])
+                if trace is not None:
+                    trace.recorder.add(cell["span"])
+                cells[alg] = cell
+                if progress:
+                    progress(f"[{label}] {alg}: done")
+    finally:
+        # A cell raised or the run was interrupted: the pool is gone, and
+        # the rows the unfinished cells held are kept all the same.
+        for path in held.values():
+            fold_held(evaluator.store, path)
     return {alg: cells[alg]["value"] for alg in algorithms}
 
 
@@ -340,6 +397,24 @@ def _progress_label(result, index: int) -> str:
     return f"job {index + 1}"
 
 
+def iter_parallel(
+    worker: Callable, jobs: Sequence, workers: int
+) -> Iterator:
+    """*worker* over *jobs* with a process pool, one result at a time in
+    job order; closing the iterator early terminates the pool.
+
+    ``workers <= 1`` (or one job) degrades to a plain in-process loop —
+    callers need no special casing, and coverage/debugging stay simple.
+    """
+    if workers <= 1 or len(jobs) <= 1:
+        yield from map(worker, jobs)
+        return
+    from multiprocessing import get_context
+
+    with get_context().Pool(processes=min(workers, len(jobs))) as pool:
+        yield from pool.imap(worker, jobs)
+
+
 def parallel_map(
     worker: Callable,
     jobs: Sequence,
@@ -347,22 +422,11 @@ def parallel_map(
     progress: Callable[[str], None] | None = None,
     label: str = "",
 ) -> list:
-    """Run *worker* over *jobs* with a process pool (ordered results).
-
-    ``workers <= 1`` degrades to a plain in-process loop — callers need
-    no special casing, and coverage/debugging stay simple.
-    """
-    with ExitStack() as stack:
-        if workers <= 1 or len(jobs) <= 1:
-            results = map(worker, jobs)
-        else:
-            from multiprocessing import get_context
-
-            pool = get_context().Pool(processes=min(workers, len(jobs)))
-            results = stack.enter_context(pool).imap(worker, jobs)
-        out = []
-        for i, result in enumerate(results):
-            out.append(result)
-            if progress:
-                progress(f"[{label}] {_progress_label(result, i)}: done")
-        return out
+    """Run *worker* over *jobs* with a process pool (ordered results);
+    see :func:`iter_parallel`."""
+    out = []
+    for i, result in enumerate(iter_parallel(worker, jobs, workers)):
+        out.append(result)
+        if progress:
+            progress(f"[{label}] {_progress_label(result, i)}: done")
+    return out

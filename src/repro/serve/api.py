@@ -82,7 +82,6 @@ import asyncio
 import concurrent.futures
 import errno
 import json
-import os
 import re
 import socket
 import sys
@@ -91,6 +90,7 @@ from functools import partial
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.campaigns.db import CampaignDB
+from repro.cli import usable_cpus
 from repro.core.evaluator import ENGINE_VERSION
 from repro.obs.profile import clock
 from repro.obs.spans import (
@@ -192,7 +192,7 @@ def _parse_reliability_params(params: dict) -> dict:
         raise _Refused(
             f"width x height must lie in 1..{_MAX_NODES} nodes"
         )
-    kwargs["workers"] = max(1, min(kwargs["workers"], os.cpu_count() or 1))
+    kwargs["workers"] = max(1, min(kwargs["workers"], usable_cpus()))
     return kwargs
 
 

@@ -16,6 +16,9 @@ execute.  Pass a stable ``traffic_label`` to opt such workloads in.
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -32,8 +35,10 @@ __all__ = [
     "CacheStats",
     "CachedEvaluator",
     "HeldRows",
-    "StoreMiss",
+    "fold_held",
+    "fold_orphans",
     "get_or_run",
+    "held_dir",
     "make_evaluator",
 ]
 
@@ -57,41 +62,72 @@ class CacheStats:
         return asdict(self)
 
 
-class StoreMiss(LookupError):
-    """A hits-only lookup (:class:`HeldRows`) found nothing stored."""
-
-
 class HeldRows:
-    """A store (or store directory) as :func:`get_or_run` sees it when
-    another process writes it.
+    """A store as a pool worker sees it: the parent process writes it.
 
-    Lookups read *store*, then the rows held here; a put appends nothing
-    but is held in :attr:`rows` (``{key: (payload, token)}``, in put
-    order) for the store's one writer to append.  With *hits_only* a
-    lookup that finds nothing raises :class:`StoreMiss`, so
-    :func:`get_or_run` stops before it counts a miss or simulates.
+    Lookups read *store*, then *held*, the worker's private store; a put
+    the store lacks goes to *held* (unsynced — it only has to outlive
+    the worker's process) for the parent to append with
+    :func:`fold_held`.  The worker's rows reach the disk as they are
+    simulated, so a cell that raises or is interrupted keeps them.
     """
 
     def __init__(
-        self, store: ResultStore | Path | str, *, hits_only: bool = False
+        self, store: ResultStore | Path | str, held: Path | str
     ) -> None:
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
-        self.hits_only = hits_only
-        self.rows: dict[str, tuple[dict, str]] = {}
+        self.held = ResultStore(held, fsync=False)
 
     def get(self, key: str) -> dict | None:
-        if key in self.rows:
-            return self.rows[key][0]
         payload = self.store.get(key)
-        if payload is None and self.hits_only:
-            raise StoreMiss(key)
-        return payload
+        return self.held.get(key) if payload is None else payload
 
     def put(self, key: str, payload: dict, *, algorithm: str = "") -> bool:
-        if key in self.rows or key in self.store:
-            return False
-        self.rows[key] = (payload, algorithm)
-        return True
+        return key not in self.store and self.held.put(
+            key, payload, algorithm=algorithm
+        )
+
+
+def held_dir(store: ResultStore, cell: str) -> Path:
+    """A fresh private directory for one pooled cell's :class:`HeldRows`,
+    under the store's ``held/`` and named for this (the folding)
+    process."""
+    root = store.root / "held"
+    root.mkdir(exist_ok=True)
+    return Path(tempfile.mkdtemp(prefix=f"{os.getpid()}.{cell}.", dir=root))
+
+
+def fold_held(store: ResultStore, held: Path) -> int:
+    """Append the rows held in *held* to *store*, in the order they were
+    put, then remove *held*; returns the rows written."""
+    written = 0
+    if held.is_dir():
+        for row in ResultStore(held, fsync=False).rows():
+            written += store.put(
+                row["key"], row["payload"],
+                engine_version=row["engine_version"],
+                algorithm=row.get("algorithm", ""),
+            )
+    shutil.rmtree(held, ignore_errors=True)
+    return written
+
+
+def fold_orphans(store: ResultStore) -> int:
+    """Fold in the rows held for a process that died before it folded
+    them (killed outright: one that raises folds its own); returns the
+    rows written."""
+    root = store.root / "held"
+    if os.name != "posix" or not root.is_dir():
+        return 0
+    written = 0
+    for held in sorted(root.iterdir()):
+        try:
+            os.kill(int(held.name.split(".", 1)[0]), 0)
+        except ProcessLookupError:
+            written += fold_held(store, held)
+        except (ValueError, PermissionError):
+            pass  # not a held directory, or another user's live process
+    return written
 
 
 def get_or_run(

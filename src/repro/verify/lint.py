@@ -501,7 +501,8 @@ _MUTATOR_METHODS = {"append", "extend", "add", "update", "setdefault",
 
 
 def _worker_names(mods: list[_Module]) -> set[str]:
-    """Terminal names of callables handed to ``parallel_map`` / pools,
+    """Terminal names of callables handed to ``parallel_map`` /
+    ``iter_parallel`` / pools,
     and of the figure jobs handed to ``run_per_algorithm`` (its one
     generic pool worker runs them, so they are worker bodies too)."""
     names: set[str] = set()
@@ -517,7 +518,7 @@ def _worker_names(mods: list[_Module]) -> set[str]:
                     (kw.value for kw in node.keywords if kw.arg == "job"), None
                 )
             elif node.args and (
-                dispatch == "parallel_map"
+                dispatch in ("parallel_map", "iter_parallel")
                 or (isinstance(func, ast.Attribute)
                     and func.attr in _POOL_METHODS)
             ):

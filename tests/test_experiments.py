@@ -199,7 +199,8 @@ class TestCli:
         assert runs[1][-1]["telemetry_digest"] == runs[2][-1]["telemetry_digest"]
 
     def test_workers_default_to_the_usable_cpus(self):
-        from repro.experiments.cli import VERBS, usable_cpus
+        from repro.cli import usable_cpus
+        from repro.experiments.cli import VERBS
 
         parser = argparse.ArgumentParser()
         next(v for v in VERBS if v.name == "fig4").add_arguments(parser)
@@ -249,7 +250,7 @@ class TestWorkerCountIsInvisible:
         from repro.obs.spans import spans_from_manifest, spans_merge_digest
         from repro.simulator.engine import ENGINE_VERSION
 
-        from repro.experiments.cli import usable_cpus
+        from repro.cli import usable_cpus
 
         workload, algorithms = self.FIGURES[fig]
         reference = json.loads(self.REFERENCE.read_text())

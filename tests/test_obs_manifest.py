@@ -314,23 +314,35 @@ class TestFailedRunIsClosed:
         )
 
     def test_experiments_cli(self, tmp_path, monkeypatch):
+        """On the default ``--workers`` (a pool, where there are CPUs for
+        one) the failed cell is recorded as in process."""
+        self._experiments_cli(tmp_path, monkeypatch, [])
+
+    def test_experiments_cli_in_process(self, tmp_path, monkeypatch):
+        self._experiments_cli(tmp_path, monkeypatch, ["--workers", "1"])
+
+    def _experiments_cli(self, tmp_path, monkeypatch, workers):
         from repro.experiments import fig_sweep
         from repro.experiments.cli import main as experiments_main
 
-        def job(evaluator, profile):
-            def cell(algorithm):
-                if algorithm == "phop":
-                    raise RuntimeError("deadlock oracle fired")
-                return [], 0
-
-            return cell
-
-        monkeypatch.setattr(fig_sweep, "sweep_job", job)
+        monkeypatch.setattr(fig_sweep, "sweep_job", _phop_raises)
         path = tmp_path / "fig1.jsonl"
         with pytest.raises(RuntimeError, match="oracle"):
             experiments_main([
                 "fig1", "--profile", "smoke", "--quiet", "--manifest",
                 str(path), "--algorithms", "nhop", "phop", "duato",
-                "--workers", "1",
+                *workers,
             ])
         assert self._statuses(path) == (["ok", "error"], "error")
+
+
+def _phop_raises(evaluator, profile):
+    """A figure job (module level, so a pool worker can unpickle it)
+    whose ``phop`` cell raises."""
+
+    def cell(algorithm):
+        if algorithm == "phop":
+            raise RuntimeError("deadlock oracle fired")
+        return [], 0
+
+    return cell

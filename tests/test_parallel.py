@@ -8,7 +8,7 @@ import pytest
 
 from repro.experiments.fig_faults import run_fault_study
 from repro.experiments.fig_fring import run_fring_study
-from repro.experiments.fig_sweep import run_sweep
+from repro.experiments.fig_sweep import run_sweep, sweep_job
 from repro.experiments.fig_vc_usage import run_vc_usage
 from repro.experiments.parallel import parallel_map, run_per_algorithm
 from repro.experiments.profiles import SMOKE_PROFILE
@@ -313,9 +313,9 @@ class TestOnlyMissingCellsArePooled:
 
         def no_pool(worker, jobs, *args, **kwargs):
             assert not jobs, "a warm cell was sent to the pool"
-            return []
+            yield from ()
 
-        monkeypatch.setattr(parallel, "parallel_map", no_pool)
+        monkeypatch.setattr(parallel, "iter_parallel", no_pool)
         warm, cells = self._run(store, 2, tmp_path / "warm.jsonl")
         assert json.dumps(warm.to_payload()) == json.dumps(cold.to_payload())
         assert (store / "rows.jsonl").read_bytes() == before
@@ -328,3 +328,63 @@ class TestOnlyMissingCellsArePooled:
         # Written with its finish, a start still reads when the cell began.
         for start, finish in zip(cells[::2], cells[1::2]):
             assert start["t"] <= finish["t"] - finish["seconds"] + 1e-5
+
+
+def _sweep_then_phop_raises(evaluator, profile):
+    run = sweep_job(evaluator, profile)
+
+    def cell(algorithm):
+        series, cycles = run(algorithm)
+        if algorithm == "phop":
+            raise RuntimeError("deadlock oracle fired")
+        return series, cycles
+
+    return cell
+
+
+class TestFailedPoolKeepsItsWork:
+    """A pooled cell that raises is recorded like an in-process one, and
+    every row the pool simulated reaches the store: the finished cells',
+    the failed cell's own, and whatever the unfinished ones had done."""
+
+    ALGS = ("nhop", "phop", "duato-nbc")
+
+    def _fail(self, tmp_path, name, workers):
+        path, store = tmp_path / f"{name}.jsonl", tmp_path / name
+        with pytest.raises(RuntimeError, match="oracle") as raised:
+            with ManifestWriter(path) as manifest:
+                manifest.run_start("fig1", kind="figure", workers=workers)
+                run_per_algorithm(
+                    SMOKE_PROFILE, self.ALGS, _sweep_then_phop_raises,
+                    label="t", workers=workers, store=store,
+                    manifest=manifest,
+                )
+        finishes = [
+            e for e in read_manifest(path)
+            if e["event"] == "cell" and e["phase"] == "finish"
+        ]
+        return raised.value, finishes, store
+
+    def test_rows_and_error_event_survive(self, tmp_path):
+        _, seq_finish, seq_store = self._fail(tmp_path, "seq", 1)
+        error, par_finish, par_store = self._fail(tmp_path, "par", 2)
+
+        # The worker's traceback rides along as the cause.
+        assert "deadlock oracle fired" in str(error.__cause__)
+        assert [(e["id"], e["status"]) for e in par_finish] == [
+            (e["id"], e["status"]) for e in seq_finish
+        ] == [("nhop", "ok"), ("phop", "error")]
+        assert all(e["worker"] not in (0, os.getpid()) for e in par_finish)
+        assert [e["cache"] for e in par_finish] == [
+            e["cache"] for e in seq_finish
+        ]
+        # nhop's and phop's rows, in declaration order, as in process;
+        # then any duato-nbc row its terminated worker had simulated.
+        seq_rows = (seq_store / "rows.jsonl").read_bytes()
+        par_rows = (par_store / "rows.jsonl").read_bytes()
+        assert par_rows.startswith(seq_rows)
+        assert len(seq_rows.splitlines()) == 2 * len(SMOKE_PROFILE.sweep_loads)
+        assert not any((par_store / "held").iterdir())
+        assert summarize_manifest(
+            read_manifest(tmp_path / "par.jsonl")
+        )["status"] == "error"

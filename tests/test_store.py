@@ -21,6 +21,7 @@ from repro.store import (
     run_key,
     run_key_payload,
 )
+from repro.store.cache import HeldRows, fold_held, fold_orphans, held_dir
 from repro.store.cli import main as store_cli
 from repro.topology.mesh import Mesh2D
 from repro.util.serialization import result_from_dict, result_to_dict
@@ -337,6 +338,37 @@ class TestSecondRunIsAllHits:
         monkeypatch.setattr(Evaluator, "_execute", counting_execute)
         run_sweep(SMOKE_PROFILE, ("nhop",))
         assert len(executions) == len(SMOKE_PROFILE.sweep_loads)
+
+
+class TestHeldRows:
+    """A pool worker's view of a store: it reads the store, puts into a
+    private one, and the parent folds that in."""
+
+    def test_puts_are_held_and_folded_in_put_order(self, tmp_path):
+        store = ResultStore(tmp_path / "s", fsync=False)
+        store.put("k0", {"x": 0})
+        held = held_dir(store, "nhop")
+        view = HeldRows(tmp_path / "s", held)
+        assert not view.put("k0", {"x": 9})  # the store has it
+        assert view.put("k2", {"x": 2}, algorithm="nhop")
+        assert view.put("k1", {"x": 1}, algorithm="nhop")
+        assert view.get("k0") == {"x": 0} and view.get("k1") == {"x": 1}
+        assert "k1" not in store  # nothing written until the fold
+        assert fold_held(store, held) == 2
+        assert [r["key"] for r in store.rows()] == ["k0", "k2", "k1"]
+        assert store.get_row("k2")["algorithm"] == "nhop"
+        assert not held.exists()
+
+    def test_orphans_of_dead_processes_only_are_folded(self, tmp_path):
+        store = ResultStore(tmp_path / "s", fsync=False)
+        mine = held_dir(store, "nhop")  # this (live) process's
+        # Beyond any pid_max: a process that no longer exists.
+        orphan = store.root / "held" / "999999999.phop.x"
+        for root, key in ((mine, "live"), (orphan, "dead")):
+            ResultStore(root, fsync=False).put(key, {"x": 1})
+        assert fold_orphans(store) == 1
+        assert store.keys() == ["dead"]
+        assert mine.exists() and not orphan.exists()
 
 
 # ----------------------------------------------------------------------
