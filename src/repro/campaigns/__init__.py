@@ -1,13 +1,14 @@
-"""Persistent, shardable simulation campaigns.
+"""Persistent, pooled simulation campaigns.
 
 ``repro.campaigns`` is the layer between the evaluator and the serving
 end-state: a declared parameter space (:class:`CampaignSpec`) becomes a
 persistent key table (:class:`CampaignDB`) over the content-addressed
-result store, a shard-and-merge executor fills in exactly the missing
-runs (:func:`run_campaign`), and a query layer serves the completed
-space as dense labeled arrays (:func:`query`).
+result store, the executor the figure drivers share fills in exactly
+the missing runs on every usable CPU (:func:`run_campaign`), and a
+query layer serves the completed space as dense labeled arrays
+(:func:`query`).
 
-CLI: ``python -m repro.campaigns {plan,run,status,query,merge}``.
+CLI: ``python -m repro.campaigns {plan,run,status,query}``.
 """
 
 from repro.campaigns.db import CampaignDB, CampaignPlan, store_digest

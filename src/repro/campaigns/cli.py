@@ -1,21 +1,18 @@
-"""Campaign verbs: ``python -m repro.campaigns {plan,run,status,query,merge}``.
+"""Campaign verbs: ``python -m repro.campaigns {plan,run,status,query}``.
 
 ::
 
     # declare a campaign (spec JSON) and see what is missing
     python -m repro.campaigns plan runs/c1 --spec spec.json
 
-    # execute the missing cells (3 shards, merged back automatically)
-    python -m repro.campaigns run runs/c1 --shards 3 --telemetry
+    # execute the missing cells (pooled over every usable CPU)
+    python -m repro.campaigns run runs/c1 --telemetry
 
     # per-cell progress + linear ETA from the manifest
     python -m repro.campaigns status runs/c1
 
     # dense labeled arrays over the declared space
     python -m repro.campaigns query runs/c1 --csv results.csv
-
-    # fold shard directories shipped from other hosts into the store
-    python -m repro.campaigns merge runs/c1 runs/c1/shards/shard-*
 
 The spec file is a ``campaign-spec`` payload
 (:meth:`repro.campaigns.CampaignSpec.to_dict`); ``plan --spec`` binds
@@ -81,7 +78,6 @@ def _cmd_run(args: argparse.Namespace, db: CampaignDB) -> int:
         progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
     summary = run_campaign(
         db,
-        shards=args.shards,
         workers=args.workers,
         telemetry=args.telemetry,
         progress=progress,
@@ -150,20 +146,6 @@ def _cmd_query(args: argparse.Namespace, db: CampaignDB) -> int:
     return 0
 
 
-def _cmd_merge(args: argparse.Namespace, db: CampaignDB) -> int:
-    from repro.campaigns.shard import merge_shards
-
-    registry = None
-    if args.telemetry:
-        from repro.obs.telemetry import TelemetryRegistry
-
-        registry = TelemetryRegistry()
-    with refusing():  # a root that is not a shard directory
-        summary = merge_shards(db, args.shard_roots, registry=registry)
-    print(json.dumps(summary, indent=2))
-    return 0
-
-
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("root", type=Path, help="campaign directory")
     parser.add_argument(
@@ -178,10 +160,8 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _run_flags(parser: argparse.ArgumentParser) -> None:
     add = parser.add_argument
-    add("--shards", type=positive_count, default=1,
-        help="shard count (default: 1, sequential)")
     add("--workers", type=positive_count, default=None,
-        help="pool size (default: one per shard)")
+        help="pool size (default: the usable CPUs; 1 runs in process)")
     add("--telemetry", action="store_true",
         help="collect and merge telemetry registries")
     add("--quiet", action="store_true",
@@ -202,13 +182,6 @@ def _query_flags(parser: argparse.ArgumentParser) -> None:
         help="print mean ± 95%% CI over repeats as JSON")
     add("--allow-missing", action="store_true",
         help="leave NaN holes instead of failing")
-
-
-def _merge_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("shard_roots", nargs="+", type=Path,
-                        help="shard directories (each with store/ inside)")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="merge shard telemetry.json snapshots too")
 
 
 def _verb(name: str, help: str, cmd, flags) -> Verb:
@@ -232,8 +205,6 @@ VERBS: tuple[Verb, ...] = (
               "--json", action="store_true", help="machine-readable status")),
     _verb("query", "Dense labeled result arrays (CSV/JSON).", _cmd_query,
           _query_flags),
-    _verb("merge", "Fold shard directories into the campaign store.",
-          _cmd_merge, _merge_flags),
 )
 
 

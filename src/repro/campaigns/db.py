@@ -14,8 +14,7 @@ Layout under the campaign root::
 
     campaign.json   spec + cell/key table (atomic rewrite)
     store/          default ResultStore holding the completed runs
-    events.jsonl    run manifest segments (sequential runs and merges)
-    shards/         scratch roots of shard executors (see shard.py)
+    events.jsonl    run manifest segments, one per run
 
 Resume semantics: :meth:`CampaignDB.plan` re-derives the key table from
 the spec (recomputing it if ``ENGINE_VERSION`` moved, which invalidates
@@ -71,10 +70,10 @@ def store_digest(store: ResultStore) -> str:
     """Content digest of a store: sha256 over its key-sorted rows.
 
     Two stores holding the same results — however the rows were
-    produced, sequentially or merged from shards — digest identically,
-    because :meth:`ResultStore.rows` deduplicates and every row is
-    canonical JSON.  This is the proof-of-equality primitive for the
-    shard-and-merge executor.
+    produced, in whatever order — digest identically, because
+    :meth:`ResultStore.rows` deduplicates and every row is canonical
+    JSON.  This is the proof-of-equality primitive for the campaign
+    executor.
     """
     rows = sorted(store.rows(), key=lambda row: row["key"])
     return content_digest(rows)
@@ -132,6 +131,7 @@ class CampaignDB:
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / "campaign.json"
         self.events_path = self.root / "events.jsonl"
+        # Only bench/workloads.py uses this, until the benchmark drops shards.
         self.shards_root = self.root / "shards"
         if store is None:
             store = self.root / "store"
@@ -278,9 +278,10 @@ class CampaignDB:
         """Progress per algorithm/fault-case plus a linear ETA.
 
         The ETA extrapolates the mean per-cell wall seconds of the
-        *latest* manifest segment in ``events.jsonl`` (each run or merge
-        appends its own segment, so resumed campaigns never mix stale
-        timings into the estimate) over the missing cells.
+        *latest* manifest segment in ``events.jsonl`` (each run appends
+        its own segment, so resumed campaigns never mix stale timings
+        into the estimate) over the missing cells, spread across that
+        segment's ``workers`` (no more than there are missing cells).
         """
         plan = self.plan()
         missing_ids = {c["id"] for c in plan.missing}
@@ -291,9 +292,11 @@ class CampaignDB:
                 g["total"] += 1
                 g["done"] += c["id"] not in missing_ids
         eta = None
-        seconds = self._segment_cell_seconds()
+        workers, seconds = self._last_segment()
         if seconds and plan.missing:
-            eta = sum(seconds) / len(seconds) * len(plan.missing)
+            eta = sum(seconds) / len(seconds) * len(plan.missing) / min(
+                workers, len(plan.missing)
+            )
         return {
             "name": self.spec.name,
             "root": str(self.root),
@@ -309,19 +312,21 @@ class CampaignDB:
             "eta_seconds": eta,
         }
 
-    def _segment_cell_seconds(self) -> list[float]:
-        """Per-cell durations from the last segment of ``events.jsonl``."""
+    def _last_segment(self) -> tuple[int, list[float]]:
+        """``(workers, per-cell durations)`` of the last segment of
+        ``events.jsonl``."""
         from repro.obs.manifest import read_manifest
 
+        workers, seconds = 1, []
         if not self.events_path.exists():
-            return []
-        seconds: list[float] = []
+            return workers, seconds
         for ev in read_manifest(self.events_path):
             if ev.get("event") == "run-start":
-                seconds = []  # ETA must not mix resume segments
+                # ETA must not mix resume segments
+                workers, seconds = max(1, int(ev.get("workers", 1))), []
             elif ev.get("event") == "cell" and ev.get("phase") == "finish":
                 seconds.append(float(ev.get("seconds", 0.0)))
-        return seconds
+        return workers, seconds
 
     # ------------------------------------------------------------------
     def missing_coords(self) -> list[dict]:

@@ -1,39 +1,23 @@
-"""Shard-and-merge execution of a campaign's missing cells.
+"""Campaign execution: the plan's missing cells, pooled or in process.
 
-The executor turns a :class:`~repro.campaigns.db.CampaignDB` plan into
-work: the missing cells are partitioned **deterministically** across N
-shards (round-robin in plan order, so shard membership is a pure
-function of the plan), each shard runs against its *own*
-:class:`~repro.store.ResultStore`, its own telemetry registry and its
-own JSONL manifest — today as processes of an in-process pool, tomorrow
-as N independent hosts shipping their shard directories home — and a
-merge step folds everything back into the campaign:
+:func:`run_campaign` runs a :class:`~repro.campaigns.db.CampaignDB`
+plan's missing cells through the figure drivers' executor,
+:func:`~repro.experiments.parallel.pool_cells`: one pool job per cell,
+its new rows held privately and folded into the campaign store in plan
+order as it comes home.  ``workers=1`` runs the same cells in this
+process — the reference a pool of any size reproduces exactly:
+``store/rows.jsonl`` byte for byte (seeds and fault cases derive from
+the spec, and only this process writes the store), the merged
+telemetry's :meth:`~repro.obs.telemetry.TelemetryRegistry.merge_digest`
+(snapshots sum value-exactly) and the
+:func:`~repro.obs.spans.spans_merge_digest` of the cells' spans under
+the campaign's deterministic trace id (span ids are position-derived).
+Each pooled cell's manifest ``finish`` names its worker's pid.  Rows a
+SIGKILLed run left held are folded in by the next run before it plans.
 
-* **results** — shard store rows are re-``put`` into the campaign
-  store.  Rows are canonical JSON keyed by the canonical run key, and
-  cell results do not depend on which shard ran them (seeds derive from
-  the spec, fault cases are redrawn from the spec seed), so the merged
-  store is *bit-identical* (see :func:`~repro.campaigns.db.
-  store_digest`) to what a sequential run produces;
-* **telemetry** — shard registry snapshots merge in shard order into
-  one registry (:meth:`~repro.obs.telemetry.TelemetryRegistry.merge`
-  sums counters/histograms/series value-exactly), so the merged
-  :meth:`~repro.obs.telemetry.TelemetryRegistry.merge_digest` equals
-  the sequential run's;
-* **manifest** — per-cell timings from every shard manifest are
-  replayed into one new segment of the campaign's ``events.jsonl``,
-  each cell attributed to the pid its shard's ``run-start`` recorded;
-* **spans** — every cell records a trace span under the campaign's
-  deterministic trace id (``trace_id_from("campaign", spec.name)``),
-  shipped home through the shard manifests and re-merged with
-  :func:`~repro.obs.spans.merge_spans`.  Span ids are position-derived
-  (cell id keys a direct child of the campaign root), so the merged
-  :func:`~repro.obs.spans.spans_merge_digest` equals the sequential
-  run's — a fourth proof-of-equality value.
-
-That equality is the subsystem's proof obligation, exercised by the
-shard-equality tests and summarized by :func:`merge_shards`'s return
-value.
+:func:`run_shard`, :func:`partition_cells` and :func:`merge_shards`
+(self-contained shard directories replayed into the campaign) are kept
+for the benchmark harness alone.
 """
 
 from __future__ import annotations
@@ -52,14 +36,15 @@ from repro.campaigns.spec import (
     draw_cases,
     execute_cell,
 )
+from repro.cli import usable_cpus
 from repro.experiments.parallel import (
-    parallel_map,
+    Cell,
+    pool_cells,
     timed_cell,
     worker_evaluator,
 )
 from repro.obs.manifest import ManifestWriter, read_manifest
 from repro.obs.spans import (
-    SpanRecorder,
     Trace,
     merge_spans,
     spans_from_manifest,
@@ -67,6 +52,7 @@ from repro.obs.spans import (
     trace_id_from,
 )
 from repro.store.backend import ResultStore, atomic_write
+from repro.store.cache import fold_orphans
 
 __all__ = [
     "merge_shards",
@@ -76,6 +62,7 @@ __all__ = [
 ]
 
 
+# Only bench/workloads.py uses this, until the benchmark drops shards.
 def partition_cells(cells: list[dict], n_shards: int) -> list[list[dict]]:
     """Round-robin split of *cells* into *n_shards* lists.
 
@@ -94,6 +81,12 @@ def _cell_run(evaluator, cases: dict, key: dict) -> tuple[None, int]:
     return None, int(extract_metric(result, "simulated_cycles"))
 
 
+def _campaign_body(evaluator, spec: CampaignSpec, coord: dict):
+    """A pooled campaign cell's ``run``: the spec's fault cases redrawn
+    on the worker's evaluator, bound to *coord*."""
+    return partial(_cell_run, evaluator, draw_cases(evaluator, spec), coord)
+
+
 def _execute(
     spec: CampaignSpec,
     coords: list[dict],
@@ -103,31 +96,32 @@ def _execute(
     kind: str,
     with_telemetry: bool,
     trace_context: tuple[str, str | None] | None,
+    workers: int = 1,
     progress=None,
     **meta,
 ):
     """Run *coords* against *store*, logging one run to *events_path*.
 
-    The one executor behind a shard (own store, own manifest) and the
-    sequential campaign (the campaign's store and manifest): a fresh
-    evaluator and registry, every cell through :func:`~repro.
-    experiments.parallel.timed_cell` (results go to *store*; only
-    ``id/seconds/cycles`` are kept here), each cell's ``cell`` span,
-    keyed by its id, written to the manifest as it closes.
-    *trace_context* places the cells: under ``(trace_id, root_id)`` a
-    shard's cells hang off the campaign root the merge records; at the
-    root position ``(trace_id, None)`` this run is the whole campaign
-    and opens the ``campaign`` root span itself.  Returns
-    ``(registry, cells, spans)``.
+    Behind a campaign run and a shard alike: every cell through
+    :func:`~repro.experiments.parallel.timed_cell`, in this process or,
+    with ``workers > 1``, through
+    :func:`~repro.experiments.parallel.pool_cells`.  *trace_context*
+    places the cells: under ``(trace_id, root_id)`` a shard's cells hang
+    off the campaign root the merge records; at ``(trace_id, None)`` this
+    run opens the ``campaign`` root span itself.  Returns ``(registry,
+    cells, spans)``, each cell as ``id/seconds/cycles``.
     """
     registry, evaluator = worker_evaluator(
         spec.config, spec.seed, store, with_telemetry
     )
-    cases = draw_cases(evaluator, spec)
-    cells = []
+
+    def note(cid: str) -> None:
+        if progress:
+            progress(f"[{spec.name}] {cid}")
+
     with ManifestWriter(events_path) as events:
         events.run_start(
-            spec.name, kind=kind, store=str(store.root),
+            spec.name, kind=kind, workers=workers, store=str(store.root),
             pending=len(coords), **meta,
         )
         trace = None
@@ -135,21 +129,32 @@ def _execute(
             trace = Trace(events, *trace_context)
         scope: AbstractContextManager[Trace | None] = nullcontext(trace)
         if trace is not None and trace.span_id is None:
-            scope = trace.span("campaign", name=spec.name, shards=1)
+            scope = trace.span("campaign", name=spec.name, workers=workers)
         with scope as parent:
-            for coord in coords:
-                cid = cell_id(coord)
-                cell = timed_cell(
-                    cid, partial(_cell_run, evaluator, cases, coord),
-                    evaluator, manifest=events, trace=parent, key=cid,
+            if workers > 1:
+                cells = pool_cells(
+                    [Cell(cell_id(c), _campaign_body, (spec, c), key=cell_id(c))
+                     for c in coords],
+                    spec.config, spec.seed, workers, store=store,
+                    manifest=events, trace=parent, registry=registry,
+                    progress=note,
                 )
-                cells.append({k: cell[k] for k in ("id", "seconds", "cycles")})
-                if progress:
-                    progress(f"[{spec.name}] {cell['id']}")
+            else:
+                cases = draw_cases(evaluator, spec)
+                cells = []
+                for coord in coords:
+                    cid = cell_id(coord)
+                    cells.append(timed_cell(
+                        cid, partial(_cell_run, evaluator, cases, coord),
+                        evaluator, manifest=events, trace=parent, key=cid,
+                    ))
+                    note(cid)
         events.run_finish(telemetry=registry)
+    cells = [{k: cell[k] for k in ("id", "seconds", "cycles")} for cell in cells]
     return registry, cells, events.spans
 
 
+# Only bench/workloads.py uses this, until the benchmark drops shards.
 def run_shard(
     spec: CampaignSpec,
     coords: list[dict],
@@ -195,20 +200,7 @@ def run_shard(
     }
 
 
-def _shard_worker(
-    args: tuple[dict, list[dict], str, bool, tuple | None]
-) -> dict:
-    """Picklable pool entry point around :func:`run_shard`."""
-    spec_payload, coords, shard_root, with_telemetry, trace_context = args
-    return run_shard(
-        CampaignSpec.from_dict(spec_payload),
-        coords,
-        shard_root,
-        with_telemetry=with_telemetry,
-        trace_context=trace_context,
-    )
-
-
+# Only bench/workloads.py uses this, until the benchmark drops shards.
 def merge_shards(
     db: CampaignDB,
     shard_roots: list[Path | str],
@@ -295,89 +287,42 @@ def merge_shards(
 def run_campaign(
     db: CampaignDB,
     *,
-    shards: int = 1,
     workers: int | None = None,
+    shards: int | None = None,
     telemetry: bool = False,
     progress=None,
 ) -> dict:
-    """Plan, execute the missing cells, and (for shards > 1) merge.
+    """Execute the plan's missing cells into the campaign store.
 
-    ``shards == 1`` runs the missing cells sequentially, straight
-    against the campaign store, with one fresh telemetry registry —
-    the reference behavior the shard path must reproduce exactly.
-    ``shards > 1`` partitions the missing cells round-robin, runs each
-    shard under ``shards/shard-NN/`` (in a process pool of *workers*,
-    default one process per shard), then :func:`merge_shards`.
-
-    Both paths record one trace under the campaign's deterministic
-    trace id: a ``campaign`` root span plus one ``cell`` child per
-    executed cell, written into the campaign manifest.  The summary's
-    ``span_digest`` is identical for any shard count.
-
-    Returns a JSON-safe summary including the campaign store digest
-    and, when *telemetry* is on, the merged registry digest.
+    The cells run in a pool of *workers* (default: the CPUs this
+    process may use; *shards*, the benchmark harness's spelling, stands
+    in when only it is given), one job per cell, or with ``workers=1``
+    in this process.  Rows a killed run left held are folded in first.
+    Returns a JSON-safe summary whose store, span and (with *telemetry*)
+    telemetry digests are the same for any worker count.
     """
+    fold_orphans(db.store)
     missing = db.missing_coords()
     planned = len(db.cells())
     already_done = planned - len(missing)
     db.save()
-    summary = {
+    workers = max(1, min(workers or shards or usable_cpus(), len(missing)))
+    registry, _, spans = _execute(
+        db.spec, missing, db.store, db.events_path, kind="campaign",
+        with_telemetry=telemetry,
+        trace_context=(trace_id_from("campaign", db.spec.name), None),
+        workers=workers, progress=progress,
+        resumed=already_done,
+    )
+    return {
         "name": db.spec.name,
         "planned": planned,
         "already_done": already_done,
         "executed": len(missing),
-        "shards": shards,
-    }
-    trace_id = trace_id_from("campaign", db.spec.name)
-    if shards <= 1:
-        registry, _, spans = _execute(
-            db.spec, missing, db.store, db.events_path, kind="campaign",
-            with_telemetry=telemetry, trace_context=(trace_id, None),
-            progress=progress, resumed=already_done,
-        )
-        summary["telemetry_digest"] = (
+        "workers": workers,
+        "telemetry_digest": (
             registry.merge_digest() if registry is not None else None
-        )
-        summary["store_digest"] = store_digest(db.store)
-        summary["span_digest"] = spans_merge_digest(spans)
-        return summary
-
-    parts = partition_cells(missing, shards)
-    spec_payload = db.spec.to_dict()
-    shard_roots = [
-        db.shards_root / f"shard-{i:02d}" for i in range(shards)
-    ]
-    recorder = SpanRecorder()
-    with Trace(recorder, trace_id).span(
-        "campaign", name=db.spec.name, shards=shards
-    ) as campaign:
-        context = campaign.context()
-        jobs = [
-            (spec_payload, part, str(shard_root), telemetry, context)
-            for part, shard_root in zip(parts, shard_roots)
-        ]
-        n_workers = workers if workers is not None else shards
-        results = parallel_map(
-            _shard_worker, jobs, n_workers, progress=progress,
-            label=db.spec.name,
-        )
-    registry = None
-    if telemetry:
-        from repro.obs.telemetry import TelemetryRegistry
-
-        registry = TelemetryRegistry()
-    merge = merge_shards(
-        db, shard_roots, registry=registry, spans=recorder.spans
-    )
-    summary.update(
-        shard_results=[
-            {"root": r["root"], "executed": r["executed"]}
-            for r in results if r
-        ],
-        merged_rows=merge["merged_rows"],
-        store_digest=merge["store_digest"],
-        telemetry_digest=merge["telemetry_digest"],
-        span_digest=merge["span_digest"],
-    )
-    return summary
-
+        ),
+        "store_digest": store_digest(db.store),
+        "span_digest": spans_merge_digest(spans),
+    }

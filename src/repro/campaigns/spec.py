@@ -4,7 +4,7 @@ A *campaign* is the cross product of algorithms × injection rates ×
 fault cases × repeats over one :class:`~repro.simulator.config.SimConfig`.
 :class:`CampaignSpec` is the JSON-safe description of that space; every
 other piece of :mod:`repro.campaigns` — the :class:`~repro.campaigns.db.
-CampaignDB` key table, the shard executor, the query arrays — derives
+CampaignDB` key table, the executor, the query arrays — derives
 from a spec deterministically, so two hosts holding the same spec agree
 on every cell without exchanging anything else.
 """

@@ -275,7 +275,7 @@ VERBS: tuple[Verb, ...] = (
              "--out", type=Path, default=Path("results"), metavar="DIR",
              help="directory of saved JSON (default: results)"),
          _report),
-    delegate("campaigns", "Campaign verbs: plan, run, status, query, merge.",
+    delegate("campaigns", "Campaign verbs: plan, run, status, query.",
              "repro.campaigns.cli"),
     delegate("obs", "Observability verbs (bench, profile, report, ...).",
              "repro.obs.cli"),

@@ -1,4 +1,4 @@
-"""The one cell path: figure cells, pool workers and campaign shards.
+"""The one cell path: figure cells, campaign cells and pool workers.
 
 Every result in the paper is a per-algorithm series over a small grid,
 and every runner in this repository does the same thing to produce one:
@@ -9,31 +9,34 @@ traffic, and record its trace span.  That happens in exactly one place,
 evaluator the cell runs against and in which process:
 
 * **in process** — cells run against the caller's evaluator (a figure's
-  shared one, a shard's or sequential campaign's own) and
-  :func:`timed_cell` writes ``cell_start`` + ``cell_finish`` (with the
-  cell's cache delta) straight into the manifest;
+  shared one, a ``workers=1`` campaign's own) and :func:`timed_cell`
+  writes ``cell_start`` + ``cell_finish`` (with the cell's cache delta)
+  straight into the manifest;
 * **probed** (``--workers N`` figures with a store) — each cell first
   runs in process against a shared evaluator that serves what the
   store holds and raises :class:`StoreMiss` where it would simulate.
   A cell the store holds completely finishes there, recorded exactly
   as in process, so a warm figure never starts a pool; the first miss
   stops the cell before anything is simulated, leaves no record, and
-  sends the cell to the pool;
-* **pooled** — the same call runs in a worker against a *fresh*
-  evaluator (:func:`worker_evaluator`) that reads the store but puts
-  into a private one beside it (:class:`~repro.store.cache.HeldRows`).
-  The parent, sole writer of the manifest *and* of the store, folds
-  each cell's private rows in as the cell comes home, in declaration
-  order (``imap`` hands cells back in that order), and records the
-  cell's ``cell_finish`` with the worker pid — ``status="error"`` for
-  a cell that raised, whose exception it then re-raises — and its span
-  (:func:`run_per_algorithm`).  ``rows.jsonl`` is therefore
-  byte-identical for any worker count, and a failed or interrupted
-  figure still folds in every row its workers simulated.
+  sends the cell to the pool (a campaign needs no probe: its plan
+  already names the missing cells);
+* **pooled** (:func:`pool_cells`, figure and campaign cells alike) —
+  the same call runs in a worker against a *fresh* evaluator
+  (:func:`worker_evaluator`) that reads the store but puts into a
+  private one beside it (:class:`~repro.store.cache.HeldRows`).  The
+  parent, sole writer of the manifest *and* of the store, folds each
+  cell's private rows in as the cell comes home, in declaration order
+  (``imap`` hands cells back in that order), and records the cell's
+  ``cell_finish`` with the worker pid — ``status="error"`` for a cell
+  that raised, whose exception it then re-raises — and its span.
+  ``rows.jsonl`` is therefore byte-identical for any worker count, and
+  a failed or interrupted run still folds in every row its workers
+  simulated.
 
 Workers receive only picklable values (the frozen
-:class:`~repro.experiments.profiles.Profile` or a spec payload, the job
-function by import path, a store *directory*, the parent span's
+:class:`~repro.experiments.profiles.Profile` or
+:class:`~repro.campaigns.spec.CampaignSpec`, the cell body by import
+path, a store *directory*, the parent span's
 :meth:`~repro.obs.spans.Trace.context`), so the pool works with the
 ``spawn`` and ``fork`` start methods alike.  A cell any process stored
 earlier is a cache hit in every worker.
@@ -56,6 +59,7 @@ from collections.abc import Callable, Iterator, Sequence
 from contextlib import closing, suppress
 from functools import partial
 from traceback import format_exc
+from typing import NamedTuple
 
 from repro.obs.profile import clock
 from repro.obs.spans import SpanRecorder, Trace
@@ -105,7 +109,7 @@ def pool_safe_instrument(instrument) -> bool:
 
 
 def worker_evaluator(config, seed: int, store, with_telemetry: bool):
-    """A fresh ``(registry, evaluator)`` pair for one worker or shard.
+    """A fresh ``(registry, evaluator)`` pair for one worker or run.
 
     *registry* is ``None`` unless *with_telemetry*; the evaluator is
     cached when *store* (a store, a directory or a worker's
@@ -208,20 +212,17 @@ def timed_cell(
 
 
 # ----------------------------------------------------------------------
-# Per-algorithm fan-out (the figure drivers)
+# Pooled cells (figures and campaigns)
 # ----------------------------------------------------------------------
-def _algorithm_cell(
-    run: Callable, evaluator, manifest, trace, registry, algorithm: str,
-    probe: bool = False,
-) -> tuple[str, dict, dict | None]:
-    """One figure cell, traced as ``cell.<algorithm>`` under *trace*
-    (if given), plus *registry*'s snapshot to ship."""
-    cell = timed_cell(
-        algorithm, partial(run, algorithm), evaluator,
-        manifest=manifest, trace=trace, span=f"cell.{algorithm}",
-        probe=probe,
-    )
-    return algorithm, cell, None if registry is None else registry.snapshot()
+class Cell(NamedTuple):
+    """One pooled cell: ``body(evaluator, *args)``, a module-level
+    function, returns its ``run`` (see :func:`timed_cell`)."""
+
+    id: str
+    body: Callable
+    args: tuple
+    span: str = "cell"
+    key: str | None = None
 
 
 class _HeldFinish:
@@ -237,32 +238,110 @@ class _HeldFinish:
         self.finish = fields
 
 
-def _algorithm_worker(args: tuple) -> tuple[str, dict, dict | None]:
-    """Pool body of :func:`run_per_algorithm`: the same cell, run against
-    a fresh evaluator and registry (top level so that it pickles); its
-    span is recorded under the shipped parent context, its rows go to
-    its private store *held*, and its ``finish`` fields ride home in
-    ``cell["finish"]``.  A cell that raises comes home too, as
-    ``cell["error"]``, for the parent to record and re-raise."""
-    (job, profile, algorithm, seed, store_dir, held, with_telemetry,
-     context) = args
+def _pooled_cell(args: tuple) -> dict:
+    """Pool body of :func:`pool_cells` (top level so that it pickles):
+    one cell against a fresh evaluator and registry, its span recorded
+    under the shipped parent context, its new rows put into its private
+    store *held*.  Its ``finish`` fields and registry snapshot ride home
+    in the cell — as does an exception, in ``cell["error"]``."""
+    cell, config, seed, store_dir, held, with_telemetry, context = args
     registry, evaluator = worker_evaluator(
-        profile.config, seed,
+        config, seed,
         None if store_dir is None else HeldRows(store_dir, held),
         with_telemetry,
     )
     trace = None if context is None else Trace(SpanRecorder(), *context)
     events = _HeldFinish()
     try:
-        _, cell, snapshot = _algorithm_cell(
-            job(evaluator, profile), evaluator, events, trace, registry,
-            algorithm,
+        done = timed_cell(
+            cell.id, cell.body(evaluator, *cell.args), evaluator,
+            manifest=events, trace=trace, span=cell.span, key=cell.key,
         )
     except Exception as exc:
-        cell = {"error": exc, "traceback": format_exc()}
-        snapshot = None if registry is None else registry.snapshot()
-    cell.update(pid=os.getpid(), finish=events.finish)
-    return algorithm, cell, snapshot
+        done = {"error": exc, "traceback": format_exc()}
+    done.update(
+        pid=os.getpid(), finish=events.finish,
+        snapshot=None if registry is None else registry.snapshot(),
+    )
+    return done
+
+
+def pool_cells(
+    cells: Sequence[Cell],
+    config,
+    seed: int,
+    workers: int,
+    *,
+    store=None,
+    manifest=None,
+    trace: Trace | None = None,
+    registry=None,
+    progress: Callable[[str], None] | None = None,
+) -> list[dict]:
+    """Run *cells* in a pool of *workers*, each against a fresh evaluator
+    on *config* and *seed*, cached on *store* (a
+    :class:`~repro.store.ResultStore`); returns the finished cells (see
+    :func:`timed_cell`) in declaration order.
+
+    This process, sole writer, takes each cell home in that order: its
+    held rows appended to *store*, its snapshot merged into *registry*,
+    its ``cell_finish`` written into *manifest* with the worker pid, its
+    span added to *trace*'s recorder, then ``progress(cell.id)``.  A
+    cell that raised is recorded with ``status="error"`` and its
+    exception re-raised, the worker's traceback as the cause; the rows
+    every worker held are folded in all the same.
+    """
+    held = [
+        None if store is None else held_dir(store, str(i))
+        for i in range(len(cells))
+    ]
+    context = None if trace is None else trace.context()
+    jobs = [
+        (cell, config, seed, store_dir_of(store), path, registry is not None,
+         context)
+        for cell, path in zip(cells, held)
+    ]
+    finished = []
+    try:
+        with closing(iter_parallel(_pooled_cell, jobs, workers)) as done:
+            for i, cell in enumerate(done):
+                # The cell's rows land where an in-process run appends
+                # them, and its puts count the rows actually written.
+                finish = cell["finish"]
+                if held[i] is not None:
+                    puts = fold_held(store, held[i])
+                    held[i] = None
+                    if finish is not None:
+                        finish["cache"]["puts"] = puts
+                if cell["snapshot"] and registry is not None:
+                    registry.merge(cell["snapshot"])
+                if manifest is not None and finish is not None:
+                    manifest.cell_finish(
+                        cells[i].id, worker=cell["pid"], **finish
+                    )
+                if "error" in cell:
+                    raise cell["error"] from WorkerTraceback(cell["traceback"])
+                if trace is not None:
+                    trace.recorder.add(cell["span"])
+                finished.append(cell)
+                if progress:
+                    progress(cells[i].id)
+    finally:
+        # A cell raised or the run was interrupted: the pool is gone, and
+        # the rows the unfinished cells held are kept all the same.
+        for path in held:
+            if path is not None:
+                fold_held(store, path)
+    return finished
+
+
+# ----------------------------------------------------------------------
+# Per-algorithm fan-out (the figure drivers)
+# ----------------------------------------------------------------------
+def _algorithm_body(evaluator, job: Callable, profile, algorithm: str):
+    """A pooled figure cell's ``run``: *job* prepared on the worker's
+    evaluator, bound to *algorithm*."""
+    return partial(job(evaluator, profile), algorithm)
 
 
 def run_per_algorithm(
@@ -286,12 +365,12 @@ def run_per_algorithm(
     cell body ``run(algorithm) -> (series, cycles)``.  *job* is a
     module-level function: it is pickled by import path, and lint rule
     REP012 holds it to pool-worker purity.  ``workers > 1`` runs each
-    cell the store cannot serve whole in a pool worker against a fresh
-    evaluator (see the module docstring); otherwise all cells share one
-    evaluator in this process.  Results are identical either way —
-    per-run seeds derive from ``(seed, algorithm, set, rate)`` and fault
-    cases from ``(seed, count)``, never from execution order — and so
-    is the store, which only this process writes, in declaration order.
+    cell the store cannot serve whole through :func:`pool_cells`;
+    otherwise all cells share one evaluator in this process.  Results
+    are identical either way — per-run seeds derive from ``(seed,
+    algorithm, set, rate)`` and fault cases from ``(seed, count)``,
+    never from execution order — and so is the store, which only this
+    process writes, in declaration order.
 
     *store* (a :class:`repro.store.ResultStore` or directory) routes
     every simulation through the result cache: runs simulated before —
@@ -322,59 +401,29 @@ def run_per_algorithm(
         evaluator = (_Probe if probed else make_evaluator)(
             profile.config, seed=seed, instrument=instrument, store=store,
         )
-        run_cell = partial(
-            _algorithm_cell, job(evaluator, profile), evaluator, manifest,
-            trace, None, probe=probed,
-        )
-        if not pooled:
-            done = parallel_map(run_cell, algorithms, 1, progress, label)
-            return {alg: cell["value"] for alg, cell, _ in done}
-        # Warm cells finish here; the first miss sends one to the pool.
-        fold_orphans(evaluator.store)
+        run = job(evaluator, profile)
+        if probed:
+            fold_orphans(evaluator.store)
+        # Cells run here; a probed one stops at its first miss and goes
+        # to the pool instead.
         for alg in algorithms:
             with suppress(StoreMiss):
-                cells[alg] = run_cell(alg)[1]
+                cells[alg] = timed_cell(
+                    alg, partial(run, alg), evaluator, manifest=manifest,
+                    trace=trace, span=f"cell.{alg}", probe=probed,
+                )
                 if progress:
                     progress(f"[{label}] {alg}: done")
     missing = [alg for alg in algorithms if alg not in cells]
-    held = {
-        alg: held_dir(evaluator.store, alg) for alg in missing if probed
-    }
-    registry = getattr(instrument, "telemetry", None)
-    context = None if trace is None else trace.context()
-    jobs = [
-        (job, profile, alg, seed, store_dir_of(store), held.get(alg),
-         registry is not None, context)
-        for alg in missing
-    ]
-    try:
-        with closing(iter_parallel(_algorithm_worker, jobs, workers)) as done:
-            for alg, cell, snapshot in done:
-                # The parent, sole writer, first hears of a pooled cell
-                # here, in declaration order: its rows are appended as a
-                # sequential run appends them, and its puts are the rows
-                # actually written.
-                finish = cell["finish"]
-                if alg in held:
-                    puts = fold_held(evaluator.store, held.pop(alg))
-                    if finish is not None:
-                        finish["cache"]["puts"] = puts
-                if snapshot and registry is not None:
-                    registry.merge(snapshot)
-                if manifest is not None and finish is not None:
-                    manifest.cell_finish(alg, worker=cell["pid"], **finish)
-                if "error" in cell:
-                    raise cell["error"] from WorkerTraceback(cell["traceback"])
-                if trace is not None:
-                    trace.recorder.add(cell["span"])
-                cells[alg] = cell
-                if progress:
-                    progress(f"[{label}] {alg}: done")
-    finally:
-        # A cell raised or the run was interrupted: the pool is gone, and
-        # the rows the unfinished cells held are kept all the same.
-        for path in held.values():
-            fold_held(evaluator.store, path)
+    cells.update(zip(missing, pool_cells(
+        [Cell(alg, _algorithm_body, (job, profile, alg), f"cell.{alg}")
+         for alg in missing],
+        profile.config, seed, workers,
+        store=evaluator.store if probed else None,
+        manifest=manifest, trace=trace,
+        registry=getattr(instrument, "telemetry", None),
+        progress=progress and (lambda alg: progress(f"[{label}] {alg}: done")),
+    )))
     return {alg: cells[alg]["value"] for alg in algorithms}
 
 

@@ -499,7 +499,7 @@ def _serve_campaign(params: dict):
         _campaign_spec("bench-serve", params), Path(tmp.name) / "campaign"
     )
     db.save()
-    run_campaign(db)
+    run_campaign(db, workers=1)
     return tmp, db
 
 
@@ -567,9 +567,12 @@ def _ops_runner(params: dict):
 
         def run() -> None:
             # Fresh campaign directory per repeat: every sample pays the
-            # full plan-simulate-and-put cost, never a cache hit.
+            # full plan-simulate-and-put cost, never a cache hit; in
+            # process, the path the ledger has always timed.
             with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-                executed = run_campaign(CampaignDB(spec, tmp))["executed"]
+                executed = run_campaign(
+                    CampaignDB(spec, tmp), workers=1
+                )["executed"]
                 if executed != spec.n_jobs:
                     raise RuntimeError(
                         f"campaign bench executed {executed} of "

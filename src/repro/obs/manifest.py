@@ -1,14 +1,15 @@
 """Run manifests: a JSONL event log per campaign / figure run.
 
-Every run (a figure sweep with ``--workers N``, a
-:func:`~repro.campaigns.run_campaign` campaign, each of its shards, and
-the merge that folds them back) can append its lifecycle to a
-**manifest** — one JSON object per line, written by one process only,
-so the log is crash-safe and never interleaved:
+Every run (a figure sweep or a :func:`~repro.campaigns.run_campaign`
+campaign, pooled or in process) can append its lifecycle to a
+**manifest** — one JSON object per line, written by one process only
+(the parent of any pool), so the log is crash-safe and never
+interleaved:
 
-* ``run-start`` — label, run kind (``figure`` / ``campaign`` /
-  ``campaign-shard`` / ``campaign-merge``), worker count, store
-  directory, wall-clock epoch, free-form ``meta``;
+* ``run-start`` — label, run kind (``figure`` / ``campaign``; the
+  benchmark's shard directories also write ``campaign-shard`` /
+  ``campaign-merge``), worker count, store directory, wall-clock epoch,
+  free-form ``meta``;
 * ``cell`` — one unit of work (a per-algorithm figure job, a campaign
   job key): ``phase`` is ``start`` (in-process cells only — a pooled
   parent first hears of a cell when its result arrives) or ``finish``
@@ -22,9 +23,8 @@ so the log is crash-safe and never interleaved:
   :class:`~repro.obs.spans.Trace`, so a crash loses no closed span;
 * ``run-finish`` — total seconds, the run's telemetry registry's
   :meth:`~repro.obs.telemetry.TelemetryRegistry.merge_digest` (the
-  partition-independent digest, so a figure run pooled or in process
-  and a campaign sharded or sequential record the same value for the
-  same cells) with its series slice, and a terminal ``status``
+  partition-independent digest, so a figure or campaign run pooled or
+  in process records the same value for the same cells) with its series slice, and a terminal ``status``
   (``error`` when the run died on an exception: leaving the writer's
   ``with`` block that way closes the run).
 

@@ -31,7 +31,7 @@ spans — the cycle stamps, which *are* deterministic.
 
 Context crosses process boundaries one way: as the picklable
 ``(trace_id, span_id)`` tuple of :meth:`Trace.context`, carried in the
-job of a pool worker or a campaign shard and rebuilt there as
+job of a pool worker and rebuilt there as
 ``Trace(recorder, *context)``.  A recorder is anything with
 :meth:`SpanRecorder.add` — a :class:`SpanRecorder`, or a run's
 :class:`~repro.obs.manifest.ManifestWriter`, which writes each span the

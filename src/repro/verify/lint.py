@@ -502,8 +502,8 @@ _MUTATOR_METHODS = {"append", "extend", "add", "update", "setdefault",
 
 def _worker_names(mods: list[_Module]) -> set[str]:
     """Terminal names of callables handed to ``parallel_map`` /
-    ``iter_parallel`` / pools,
-    and of the figure jobs handed to ``run_per_algorithm`` (its one
+    ``iter_parallel`` / pools, of the figure jobs handed to
+    ``run_per_algorithm`` and of the cell bodies a ``Cell`` names (one
     generic pool worker runs them, so they are worker bodies too)."""
     names: set[str] = set()
     for mod in mods:
@@ -517,6 +517,9 @@ def _worker_names(mods: list[_Module]) -> set[str]:
                 worker = node.args[2] if len(node.args) > 2 else next(
                     (kw.value for kw in node.keywords if kw.arg == "job"), None
                 )
+            elif dispatch == "Cell" and len(node.args) > 1:
+                # Cell(id, body, args, ...)
+                worker = node.args[1]
             elif node.args and (
                 dispatch in ("parallel_map", "iter_parallel")
                 or (isinstance(func, ast.Attribute)
@@ -959,7 +962,7 @@ RULES: dict[str, tuple[str, str, Callable[..., Iterable[tuple]]]] = {
     ),
     "REP012": (
         "project",
-        "pool workers (parallel_map / campaign shards) never mutate "
+        "pool workers (parallel_map / pooled cells) never mutate "
         "module-level state",
         _rule_pool_worker_purity,
     ),

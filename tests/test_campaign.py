@@ -131,7 +131,7 @@ class TestRunnerWorkers:
         )
         seq = CampaignDB(spec, tmp_path / "seq")
         par = CampaignDB(spec, tmp_path / "par")
-        s, p = run_campaign(seq), run_campaign(par, shards=2)
+        s, p = run_campaign(seq, workers=1), run_campaign(par, workers=2)
         assert s["executed"] == p["executed"] == 12
         assert s["store_digest"] == p["store_digest"]
         assert query(seq).values == query(par).values
@@ -143,9 +143,9 @@ class TestRunnerWorkers:
             tiny_spec(algorithms=("nhop",), rates=(0.005, 0.02)),
             tmp_path / "h", store=db.store,
         )
-        assert run_campaign(half, shards=2)["executed"] == 2
-        assert run_campaign(db, shards=2)["executed"] == 2
-        assert run_campaign(db, shards=2)["executed"] == 0
+        assert run_campaign(half, workers=2)["executed"] == 2
+        assert run_campaign(db, workers=2)["executed"] == 2
+        assert run_campaign(db, workers=2)["executed"] == 0
         assert len(db.store) == 4
 
 
@@ -169,9 +169,9 @@ class TestRunnerStore:
         spec = tiny_spec(algorithms=("nhop", "phop"), rates=(0.005, 0.02))
         store = tmp_path / "store"
         warm = CampaignDB(spec, tmp_path / "warm", store=store)
-        run_campaign(warm)  # sequential fill
+        run_campaign(warm, workers=1)  # sequential fill
         par = CampaignDB(spec, tmp_path / "par", store=store)
-        assert run_campaign(par, shards=2)["executed"] == 0  # all stored
+        assert run_campaign(par, workers=2)["executed"] == 0  # all stored
         assert query(warm).values == query(par).values
         assert len(ResultStore(store)) == 4  # nothing duplicated
 

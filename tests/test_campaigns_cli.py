@@ -159,42 +159,26 @@ class TestRunStatusQuery:
         assert red["latency"]["dims"] == ["algorithm", "rate", "fault_case"]
 
 
-class TestShardedVerbs:
-    def test_run_shards_then_merge_noop(self, tmp_path, spec_file, capsys):
-        root = tmp_path / "c"
-        code, out, _ = run_cli(
-            capsys, "run", root, "--spec", spec_file,
-            "--shards", "2", "--telemetry", "--quiet",
-        )
-        assert code == 0
-        summary = json.loads(out)
-        assert summary["merged_rows"] == 4
-        assert summary["telemetry_digest"]
-        shard_roots = sorted((root / "shards").iterdir())
-        assert len(shard_roots) == 2
-        # Re-merging the shipped shard directories is a no-op.
-        code, out, _ = run_cli(
-            capsys, "merge", root, *shard_roots, "--telemetry"
-        )
-        assert code == 0
-        merge = json.loads(out)
-        assert merge["merged_rows"] == 0
-        assert merge["store_digest"] == summary["store_digest"]
-        assert merge["telemetry_digest"] == summary["telemetry_digest"]
-
-
-    def test_merge_refuses_a_root_that_is_not_a_shard(
-        self, tmp_path, spec_file, capsys
-    ):
-        root = tmp_path / "c"
-        run_cli(capsys, "run", root, "--spec", spec_file, "--quiet")
-        events_before = (root / "events.jsonl").read_text()
-        typo = root / "shards" / "shard-typo"
-        code, out, err = run_cli(capsys, "merge", root, typo)
-        assert code == 2 and out == ""
-        assert err == f"error: {typo}: not a shard directory\n"
-        assert not typo.exists()  # nothing created
-        assert (root / "events.jsonl").read_text() == events_before
+class TestPooledRun:
+    def test_run_workers_matches_in_process(self, tmp_path, spec_file, capsys):
+        summaries = []
+        for workers in ("1", "2"):
+            root = tmp_path / f"w{workers}"
+            code, out, _ = run_cli(
+                capsys, "run", root, "--spec", spec_file,
+                "--workers", workers, "--telemetry", "--quiet",
+            )
+            assert code == 0
+            summaries.append(json.loads(out))
+        seq, pooled = summaries
+        assert seq["workers"] == 1 and pooled["workers"] == 2
+        assert seq["executed"] == pooled["executed"] == 4
+        for digest in ("store_digest", "telemetry_digest", "span_digest"):
+            assert seq[digest] == pooled[digest] is not None
+        assert (tmp_path / "w1" / "store" / "rows.jsonl").read_bytes() == (
+            tmp_path / "w2" / "store" / "rows.jsonl"
+        ).read_bytes()
+        assert not (tmp_path / "w2" / "shards").exists()
 
 
 def _without(payload: dict, field: str) -> dict:
@@ -282,16 +266,16 @@ class TestHostileInput:
         )
         assert code == 0 and "0/4 cells stored" in out
 
-    @pytest.mark.parametrize("shards", ["0", "-3", "two"])
-    def test_shard_count_below_one_is_a_usage_error(
-        self, tmp_path, spec_file, capsys, shards
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_worker_count_below_one_is_a_usage_error(
+        self, tmp_path, spec_file, capsys, workers
     ):
         root = tmp_path / "c"
         code, out, err = run_cli(
-            capsys, "run", root, "--spec", spec_file, "--shards", shards
+            capsys, "run", root, "--spec", spec_file, "--workers", workers
         )
         assert code == 2 and out == ""
-        assert err.startswith("error: argument --shards")
+        assert err.startswith("error: argument --workers")
         assert not root.exists()  # refused before anything ran
 
 

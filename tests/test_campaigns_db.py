@@ -239,6 +239,24 @@ class TestStatus:
         assert status["recent_cell_seconds"] == pytest.approx(3.0)
         assert status["eta_seconds"] == pytest.approx(3.0 * 24)
 
+    def test_eta_spreads_over_the_segment_workers(self, tmp_path):
+        from repro.obs.manifest import ManifestWriter
+
+        db = CampaignDB(small_spec(), tmp_path / "c")
+        with ManifestWriter(db.events_path) as m:
+            m.run_start("pooled", kind="campaign", workers=2)
+            m.cell_finish("y/0", seconds=2.0, worker=101)
+            m.cell_finish("y/1", seconds=4.0, worker=102)
+            m.run_finish(status="ok")
+        status = db.status()
+        assert status["recent_cell_seconds"] == pytest.approx(3.0)
+        assert status["eta_seconds"] == pytest.approx(3.0 * 24 / 2)
+        # No more workers than missing cells: the last one runs alone.
+        cells = db.cells()
+        for cell in cells[:-1]:
+            db.store.put(cell["key"], {"stub": 1})
+        assert db.status()["eta_seconds"] == pytest.approx(3.0)
+
     def test_no_manifest_no_eta(self, tmp_path):
         status = CampaignDB(small_spec(), tmp_path / "c").status()
         assert status["eta_seconds"] is None

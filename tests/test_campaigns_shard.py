@@ -1,14 +1,17 @@
-"""Shard-and-merge executor (`repro.campaigns.shard`): the sequential
-run is the reference; the sharded run must reproduce it exactly —
-bit-identical store contents, equal query arrays, equal merged
-telemetry digests (satellite proof-of-equality for PR 6)."""
+"""Campaign executor (`repro.campaigns.shard`): the in-process run
+(``workers=1``) is the reference; a pooled run must reproduce it
+exactly — byte-identical ``store/rows.jsonl``, equal query arrays,
+equal merged telemetry and span digests.  The benchmark's own shard
+directories (``run_shard`` / ``merge_shards``) are checked here too."""
 
-import filecmp
+import multiprocessing
 import os
+import subprocess
 
 import pytest
 
-from repro.campaigns.db import CampaignDB
+from repro.campaigns import shard as shard_module
+from repro.campaigns.db import CampaignDB, store_digest
 from repro.campaigns.query import query
 from repro.campaigns.shard import (
     merge_shards,
@@ -17,11 +20,14 @@ from repro.campaigns.shard import (
     run_shard,
 )
 from repro.campaigns.spec import CampaignSpec
+from repro.cli import usable_cpus
+from repro.experiments.parallel import WorkerTraceback
 from repro.obs.cli import main as obs_main
-from repro.obs.manifest import read_manifest
+from repro.obs.manifest import read_manifest, summarize_manifest
 from repro.obs.spans import merge_spans, spans_from_manifest, spans_merge_digest
 from repro.obs.telemetry import TelemetryRegistry
 from repro.simulator.config import SimConfig
+from repro.store import ResultStore
 
 
 def faulty_spec(**overrides) -> CampaignSpec:
@@ -62,70 +68,65 @@ class TestPartition:
 
 
 class TestShardEquality:
-    """The acceptance case: 1 shard vs 3 shards, same campaign."""
+    """The acceptance case: one campaign in process (``workers=1``) and
+    pooled over 2 and over every usable CPU (each worker a shard of
+    the cells)."""
+
+    POOLED = sorted({2, usable_cpus()} - {1})
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("shard-eq")
         spec = faulty_spec()
-        seq_db = CampaignDB(spec, tmp / "sequential")
-        seq = run_campaign(seq_db, telemetry=True)
-        sharded_db = CampaignDB(spec, tmp / "sharded")
-        sharded = run_campaign(sharded_db, shards=3, telemetry=True)
-        return tmp, seq_db, seq, sharded_db, sharded
+        runs = {}
+        for workers in [1, *self.POOLED]:
+            db = CampaignDB(spec, tmp / f"w{workers}")
+            runs[workers] = db, run_campaign(
+                db, workers=workers, telemetry=True
+            )
+        return runs
 
     def test_all_cells_executed(self, runs):
-        _, seq_db, seq, sharded_db, sharded = runs
-        assert seq["executed"] == seq_db.spec.n_jobs == 12
-        assert sharded["merged_rows"] == 12
-        assert not seq_db.plan().missing
-        assert not sharded_db.plan().missing
+        for db, summary in runs.values():
+            assert summary["executed"] == db.spec.n_jobs == 12
+            assert not db.plan().missing
+        assert [runs[w][1]["workers"] for w in self.POOLED] == [
+            min(w, 12) for w in self.POOLED
+        ]
 
     def test_store_contents_bit_identical(self, runs):
-        tmp, seq_db, seq, sharded_db, sharded = runs
-        assert seq["store_digest"] == sharded["store_digest"]
-        seq_db.store.export(tmp / "seq.jsonl")
-        sharded_db.store.export(tmp / "sharded.jsonl")
-        assert filecmp.cmp(
-            tmp / "seq.jsonl", tmp / "sharded.jsonl", shallow=False
-        )
+        seq_db, seq = runs[1]
+        rows = (seq_db.store.root / "rows.jsonl").read_bytes()
+        for workers in self.POOLED:
+            db, summary = runs[workers]
+            assert summary["store_digest"] == seq["store_digest"]
+            assert (db.store.root / "rows.jsonl").read_bytes() == rows
+            assert not any((db.store.root / "held").iterdir())
 
     def test_query_arrays_identical(self, runs):
-        _, seq_db, _, sharded_db, _ = runs
-        a = query(seq_db)
-        b = query(sharded_db)
-        assert a.coords == b.coords
-        assert a.values == b.values
+        a = query(runs[1][0])
+        for workers in self.POOLED:
+            b = query(runs[workers][0])
+            assert a.coords == b.coords
+            assert a.values == b.values
 
     def test_merged_telemetry_digest_matches_sequential(self, runs):
-        _, _, seq, _, sharded = runs
-        assert seq["telemetry_digest"] is not None
-        assert seq["telemetry_digest"] == sharded["telemetry_digest"]
+        digests = {summary["telemetry_digest"] for _, summary in runs.values()}
+        assert len(digests) == 1 and None not in digests
 
     def test_merged_span_digest_matches_sequential(self, runs):
-        """Cell spans land in shard manifests, merge back into the
-        campaign manifest, and digest identically to a sequential run
-        (span ids are position-derived, so sharding cannot move them)."""
-        _, seq_db, seq, sharded_db, sharded = runs
+        """Pooled cells' spans come home into the campaign manifest and
+        digest identically to an in-process run (span ids are
+        position-derived, so the pool cannot move them)."""
+        seq = runs[1][1]
         assert seq["span_digest"] is not None
-        assert seq["span_digest"] == sharded["span_digest"]
-        for db in (seq_db, sharded_db):
+        for db, summary in runs.values():
+            assert summary["span_digest"] == seq["span_digest"]
             spans = spans_from_manifest(list(read_manifest(db.events_path)))
             assert spans_merge_digest(merge_spans(spans)) == seq["span_digest"]
             names = {s["name"] for s in spans}
             assert names == {"campaign", "cell"}
             assert sum(1 for s in spans if s["name"] == "cell") == 12
-
-    def test_shard_layout_on_disk(self, runs):
-        _, _, _, sharded_db, _ = runs
-        roots = sorted(sharded_db.shards_root.iterdir())
-        assert [p.name for p in roots] == [
-            "shard-00", "shard-01", "shard-02",
-        ]
-        for root in roots:
-            assert (root / "store" / "rows.jsonl").exists()
-            assert (root / "events.jsonl").exists()
-            assert (root / "telemetry.json").exists()
 
 
 class TestRunShard:
@@ -186,22 +187,75 @@ class TestRunShard:
 
 
 def test_merged_cells_keep_their_shard_worker(tmp_path, capsys):
-    """Each shard's run-start records its pid and the merge replays the
-    shard's cells under it: two pooled shards, two distinct workers,
-    neither ``0`` (this process) — and ``obs report`` shows both."""
+    """Each pooled cell's ``finish`` names the worker that ran it: two
+    workers, two distinct pids, neither ``0`` (this process) — and
+    ``obs report`` shows both."""
     spec = faulty_spec(fault_counts=(0,), fault_sets=1)
     db = CampaignDB(spec, tmp_path / "c")
-    run_campaign(db, shards=2, workers=2)
+    run_campaign(db, workers=2)
     events = read_manifest(db.events_path)
-    assert events[0]["kind"] == "campaign-merge" and events[0]["workers"] == 2
+    assert events[0]["kind"] == "campaign" and events[0]["workers"] == 2
     workers = {e["worker"] for e in events if e["event"] == "cell"}
     assert len(workers) == 2 and not workers & {0, os.getpid()}
-    for shard in sorted(db.shards_root.iterdir()):
-        shard_start = read_manifest(shard / "events.jsonl")[0]
-        assert shard_start["meta"]["pid"] in workers
+    assert not db.shards_root.exists()  # no shard directories
     assert obs_main(["report", str(tmp_path / "c")]) == 0
     report = capsys.readouterr().out
     assert all(f"  w{worker}  " in report for worker in workers)
+
+
+_cell_run = shard_module._cell_run
+
+
+def _phop_raises(evaluator, cases, key):
+    if key["algorithm"] == "phop":
+        raise RuntimeError("deadlock oracle fired")
+    return _cell_run(evaluator, cases, key)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the failing cell body reaches the workers by fork",
+)
+class TestFailedPoolKeepsItsWork:
+    """A pooled campaign cell that raises is recorded like an in-process
+    one, and every row the pool simulated reaches the store."""
+
+    def _fail(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(shard_module, "_cell_run", _phop_raises)
+        spec = faulty_spec(
+            algorithms=("nhop", "phop", "duato-nbc"), rates=(0.01,),
+            fault_counts=(0,), fault_sets=1,
+        )
+        db = CampaignDB(spec, tmp_path / f"w{workers}")
+        with pytest.raises(RuntimeError, match="oracle") as raised:
+            run_campaign(db, workers=workers)
+        events = read_manifest(db.events_path)
+        finishes = [
+            e for e in events if e["event"] == "cell" and e["phase"] == "finish"
+        ]
+        return raised.value, finishes, events, db
+
+    def test_rows_and_error_event_survive(self, tmp_path, monkeypatch):
+        _, seq_finish, _, seq_db = self._fail(tmp_path, monkeypatch, 1)
+        error, par_finish, events, db = self._fail(tmp_path, monkeypatch, 2)
+
+        # The worker's traceback rides along as the cause.
+        assert isinstance(error.__cause__, WorkerTraceback)
+        assert "deadlock oracle fired" in str(error.__cause__)
+        assert [(e["id"], e["status"]) for e in par_finish] == [
+            (e["id"], e["status"]) for e in seq_finish
+        ]
+        assert [(e["id"].split("/")[0], e["status"]) for e in par_finish] == [
+            ("nhop", "ok"), ("phop", "error")
+        ]
+        assert all(e["worker"] not in (0, os.getpid()) for e in par_finish)
+        # nhop's row, as in process; then any duato-nbc row its
+        # terminated worker had simulated.
+        seq_rows = (seq_db.store.root / "rows.jsonl").read_bytes()
+        par_rows = (db.store.root / "rows.jsonl").read_bytes()
+        assert par_rows.startswith(seq_rows) and seq_rows.count(b"\n") == 1
+        assert not any((db.store.root / "held").iterdir())
+        assert summarize_manifest(events)["status"] == "error"
 
 
 class TestResume:
@@ -216,16 +270,39 @@ class TestResume:
         assert first["store_digest"] == second["store_digest"]
 
     def test_sharded_resume_after_partial_sequential(self, tmp_path):
-        """Finish a half-done campaign with shards; result still exact."""
+        """Finish a half-done campaign in a pool; result still exact."""
         spec = faulty_spec(rates=(0.01, 0.02), fault_counts=(0,),
                            fault_sets=1)
         db = CampaignDB(spec, tmp_path / "c")
         # Complete half the cells sequentially via a throwaway campaign
         # sharing the store.
         half = faulty_spec(rates=(0.01,), fault_counts=(0,), fault_sets=1)
-        run_campaign(CampaignDB(half, tmp_path / "h", store=db.store))
+        run_campaign(
+            CampaignDB(half, tmp_path / "h", store=db.store), workers=1
+        )
         plan = db.plan()
         assert plan.done == 2 and len(plan.missing) == 2
-        summary = run_campaign(db, shards=2)
+        summary = run_campaign(db, workers=2)
         assert summary["executed"] == 2
         assert not db.plan().missing
+
+    def test_resume_after_a_kill_folds_held_rows(self, tmp_path):
+        """A pooled run SIGKILLed mid-way leaves its finished cells' rows
+        held under the pid of a process that is gone; the next run folds
+        them in before it plans, and does not simulate them again."""
+        spec = faulty_spec(rates=(0.01, 0.02), fault_counts=(0,),
+                           fault_sets=1)
+        done = CampaignDB(spec, tmp_path / "done")
+        run_campaign(done, workers=1)
+        db = CampaignDB(spec, tmp_path / "c")
+        dead = subprocess.Popen(["true"])
+        dead.wait()
+        held = ResultStore(
+            db.store.root / "held" / f"{dead.pid}.0.killed", fsync=False
+        )
+        row = next(done.store.rows())
+        held.put(row["key"], row["payload"], algorithm=row.get("algorithm", ""))
+        summary = run_campaign(db, workers=1)
+        assert summary["executed"] == spec.n_jobs - 1
+        assert summary["store_digest"] == store_digest(done.store)
+        assert not any((db.store.root / "held").iterdir())

@@ -300,7 +300,7 @@ class TestFailedRunIsClosed:
     def test_campaign_runner(self, tmp_path, second_cell_raises):
         db = CampaignDB(self.SPEC, tmp_path / "out")
         with pytest.raises(RuntimeError, match="oracle"):
-            run_campaign(db)
+            run_campaign(db, workers=1)  # the counting fixture is per process
         assert self._statuses(db.events_path) == (["ok", "error"], "error")
         assert len(db.store) == 1  # the finished cell survived
 

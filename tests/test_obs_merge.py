@@ -14,6 +14,7 @@ import pytest
 from repro.campaigns import CampaignDB, CampaignSpec, run_campaign
 from repro.experiments.fig_sweep import run_sweep
 from repro.experiments.profiles import SMOKE_PROFILE
+from repro.obs.manifest import read_manifest
 from repro.obs.telemetry import (
     Counter,
     Gauge,
@@ -189,7 +190,7 @@ class TestWorkersMatchSequential:
         assert par_reg.value("engine.node_flit_hops") > 0
 
     def test_campaign_workers4_merges_to_sequential_values(self, tmp_path):
-        # The issue's acceptance case: a faulty 10x10 grid, 4 shards.
+        # A faulty 10x10 grid, in process and over 4 pool workers.
         spec = CampaignSpec(
             name="merge-determinism",
             algorithms=("nhop", "duato-nbc"),
@@ -203,18 +204,19 @@ class TestWorkersMatchSequential:
         )
         assert spec.n_jobs == 4
         seq = run_campaign(
-            CampaignDB(spec, tmp_path / "seq"), shards=1, telemetry=True
+            CampaignDB(spec, tmp_path / "seq"), workers=1, telemetry=True
         )
         par = run_campaign(
-            CampaignDB(spec, tmp_path / "par"), shards=4, telemetry=True
+            CampaignDB(spec, tmp_path / "par"), workers=4, telemetry=True
         )
         assert seq["executed"] == par["executed"] == 4
         assert par["store_digest"] == seq["store_digest"]
         # merge_digest is the order-independent values view, hashed.
         assert par["telemetry_digest"] == seq["telemetry_digest"] is not None
-        # The faulty layout exercises the ring counters too.
-        shard = tmp_path / "par" / "shards" / "shard-00" / "telemetry.json"
+        # The faulty layout exercises the rings too: the pooled run's
+        # merged telemetry shows ring VCs busy.
+        finish = read_manifest(tmp_path / "par" / "events.jsonl")[-1]
+        assert finish["event"] == "run-finish"
         assert any(
-            name.startswith("engine.fring.")
-            for name in json.loads(shard.read_text())
+            finish["telemetry_series"]["engine.series.vc_busy.ring"]["values"]
         )
