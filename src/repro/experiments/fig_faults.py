@@ -45,20 +45,18 @@ class FaultStudyResult:
 
 
 def fault_study_job(evaluator, profile: Profile):
-    """Figures 4/5 cell: one algorithm's full-load point per fault count."""
-    cases = [
-        evaluator.fault_case(n, profile.fault_sets) for n in profile.fault_counts
-    ]
-    rate = profile.full_load_rate
+    """Figures 4/5 job: a full-load point per fault count, one run per
+    fault set.  A point draws its own case, once per evaluator."""
+    cases = {}
+    sets, rate = profile.fault_sets, profile.full_load_rate
 
-    def cell(algorithm: str):
-        points = [
-            evaluator.run_case(algorithm, case, injection_rate=rate)
-            for case in cases
-        ]
-        return points, sum(p.simulated_cycles for p in points)
+    def point(algorithm: str, n: int):
+        if n not in cases:
+            cases[n] = evaluator.fault_case(n, sets)
+        result = evaluator.run_case(algorithm, cases[n], injection_rate=rate)
+        return result, result.simulated_cycles
 
-    return cell
+    return point, [((sets if n else 1) * rate, n) for n in profile.fault_counts]
 
 
 def run_fault_study(

@@ -56,8 +56,14 @@ class FRingResult:
         }
 
 
+#: Figure 6's two points: the layout's nodes healthy, then faulty.
+LAYOUTS = ("0%", "faulty")
+
+
 def fring_job(evaluator, profile: Profile):
-    """Figure 6 cell: one algorithm's load splits, faults absent and present.
+    """Figure 6 job: a point per layout, one run each — the load split
+    with the faults absent, then present (with its corner-vs-side
+    ratio).
 
     The per-node load counters are part of the cached payload.  With a
     telemetry registry attached, the engine's
@@ -67,23 +73,23 @@ def fring_job(evaluator, profile: Profile):
     :mod:`repro.obs.heatmap`).
     """
     faulty = figure6_fault_pattern(evaluator.mesh)
-    fault_free = FaultPattern.fault_free(evaluator.mesh)
-    ring_nodes = faulty.ring_nodes
+    patterns = dict(
+        zip(LAYOUTS, (FaultPattern.fault_free(evaluator.mesh), faulty))
+    )
     rate = profile.full_load_rate
 
-    def cell(algorithm: str):
-        splits: dict[str, TrafficLoadSplit] = {}
-        cycles = 0
-        for label, fp in (("0%", fault_free), ("faulty", faulty)):
-            run = evaluator.run_single(
-                algorithm, fp, injection_rate=rate, collect_node_stats=True
-            )
-            splits[label] = traffic_load_split(run, ring_nodes, exclude=fp.faulty)
-            cycles += run.measured_cycles + run.config.warmup
-        # ``run`` is the faulty run here: its corner-vs-side ratio.
-        return (splits, ring_corner_split(run, faulty).corner_ratio), cycles
+    def point(algorithm: str, layout: str):
+        fp = patterns[layout]
+        run = evaluator.run_single(
+            algorithm, fp, injection_rate=rate, collect_node_stats=True
+        )
+        split = traffic_load_split(run, faulty.ring_nodes, exclude=fp.faulty)
+        ratio = None
+        if fp is faulty:
+            ratio = ring_corner_split(run, faulty).corner_ratio
+        return (split, ratio), run.measured_cycles + run.config.warmup
 
-    return cell
+    return point, [(rate, layout) for layout in LAYOUTS]
 
 
 def run_fring_study(
@@ -101,8 +107,11 @@ def run_fring_study(
     return FRingResult(
         profile=profile.name,
         n_faults=figure6_fault_pattern(mesh).n_faulty,
-        splits={alg: splits for alg, (splits, _) in series.items()},
-        corner_ratios={alg: ratio for alg, (_, ratio) in series.items()},
+        splits={
+            alg: {layout: split for layout, (split, _) in zip(LAYOUTS, points)}
+            for alg, points in series.items()
+        },
+        corner_ratios={alg: points[-1][1] for alg, points in series.items()},
     )
 
 

@@ -52,13 +52,14 @@ class SweepResult:
 
 
 def sweep_job(evaluator, profile: Profile):
-    """Figures 1/2 cell: one algorithm's fault-free rate sweep."""
+    """Figures 1/2 job: a fault-free point per rate, one run each."""
+    case = evaluator.fault_case(0, 1)
 
-    def cell(algorithm: str):
-        points = evaluator.rate_sweep(algorithm, profile.sweep_rates)
-        return points, sum(p.simulated_cycles for p in points)
+    def point(algorithm: str, rate: float):
+        result = evaluator.run_case(algorithm, case, injection_rate=rate)
+        return result, result.simulated_cycles
 
-    return cell
+    return point, [(rate, rate) for rate in profile.sweep_rates]
 
 
 def run_sweep(

@@ -45,7 +45,7 @@ class VcUsageResult:
 
 
 def vc_usage_job(evaluator, profile: Profile):
-    """Figure 3 cell: one algorithm's per-VC busy percentages.
+    """Figure 3 job: one point, a single run's per-VC busy percentages.
 
     The per-VC busy counters are part of the cached payload.  With a
     telemetry registry attached, the engine feeds Figure 3's ``vc_busy``
@@ -56,13 +56,13 @@ def vc_usage_job(evaluator, profile: Profile):
     faults = evaluator.fault_case(profile.vc_usage_faults, 1).patterns[0]
     rate = profile.rate(profile.vc_usage_load)
 
-    def cell(algorithm: str):
+    def point(algorithm: str, _):
         run = evaluator.run_single(
             algorithm, faults, injection_rate=rate, collect_vc_stats=True
         )
         return vc_usage_percent(run), run.measured_cycles + run.config.warmup
 
-    return cell
+    return point, [(rate, None)]
 
 
 def run_vc_usage(
@@ -76,9 +76,12 @@ def run_vc_usage(
     return VcUsageResult(
         profile=profile.name,
         n_faults=profile.vc_usage_faults,
-        usage=run_per_algorithm(
-            profile, algorithms, vc_usage_job, label="fig3", **run
-        ),
+        usage={
+            alg: usage
+            for alg, [usage] in run_per_algorithm(
+                profile, algorithms, vc_usage_job, label="fig3", **run
+            ).items()
+        },
     )
 
 

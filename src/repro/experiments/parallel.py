@@ -21,55 +21,62 @@ evaluator the cell runs against and in which process:
   sends the cell to the pool (a campaign needs no probe: its plan
   already names the missing cells);
 * **pooled** (:func:`pool_cells`, figure and campaign cells alike) —
-  the same call runs in a worker against a *fresh* evaluator
+  one pool job per campaign cell, and one per *point* of a figure
+  algorithm (a rate, a fault count, a run, a layout), so a figure waits
+  on its heaviest point rather than its slowest algorithm.  Jobs are
+  dispatched heaviest first: a figure declares each point's weight
+  (runs × injection rate), campaign cells keep plan order.  Each job
+  runs in a worker against a *fresh* evaluator
   (:func:`worker_evaluator`) that reads the store but puts into a
   private one beside it (:class:`~repro.store.cache.HeldRows`).  The
-  parent, sole writer of the manifest *and* of the store, folds each
-  cell's private rows in as the cell comes home, in declaration order
-  (``imap`` hands cells back in that order), and records the cell's
-  ``cell_finish`` with the worker pid — ``status="error"`` for a cell
-  that raised, whose exception it then re-raises — and its span.
-  ``rows.jsonl`` is therefore byte-identical for any worker count, and
-  a failed or interrupted run still folds in every row its workers
-  simulated.
+  parent, sole writer of the manifest *and* of the store, takes jobs
+  home through a reorder buffer in declaration order — folding each
+  one's private rows in, merging its snapshot — and writes one record
+  per cell: a figure algorithm's ``cell_finish`` sums its points'
+  seconds, cycles and cache counters and names the pid that ran its
+  last point, ``status="error"`` if a point raised (whose exception it
+  then re-raises); its span runs from its earliest point's start to its
+  latest point's end.  ``rows.jsonl`` is therefore byte-identical for
+  any worker count, and a failed or interrupted run still folds in
+  every row its workers simulated.
 
 Workers receive only picklable values (the frozen
 :class:`~repro.experiments.profiles.Profile` or
 :class:`~repro.campaigns.spec.CampaignSpec`, the cell body by import
-path, a store *directory*, the parent span's
-:meth:`~repro.obs.spans.Trace.context`), so the pool works with the
-``spawn`` and ``fork`` start methods alike.  A cell any process stored
-earlier is a cache hit in every worker.
+path, a store *directory*), so the pool works with the ``spawn`` and
+``fork`` start methods alike.  A run any process stored earlier is a
+cache hit in every worker.
 
-Telemetry and trace spans distribute by **snapshot + merge** — a
-registry never crosses a process boundary.  Each worker fills a fresh
-registry whose JSON-safe snapshot the parent folds in with
+Telemetry distributes by **snapshot + merge** — a registry never
+crosses a process boundary.  Each worker fills a fresh registry whose
+JSON-safe snapshot the parent folds in with
 :meth:`~repro.obs.telemetry.TelemetryRegistry.merge` (counters and
-histograms come out identical to a sequential run), and span ids are
-derived from position in the trace, not from time or pid, so the merged
-span set is identical too.  A tracer (ordered event log) cannot merge:
-instruments carrying one keep the in-process path
-(:func:`pool_safe_instrument`).
+histograms come out identical to a sequential run).  Spans are
+recorded by the parent, and span ids are derived from position in the
+trace, not from time or pid, so the span set is identical too.  A
+tracer (ordered event log) cannot merge: instruments carrying one keep
+the in-process path (:func:`pool_safe_instrument`).
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import closing, suppress
+from contextlib import AbstractContextManager, closing, nullcontext, suppress
 from functools import partial
+from pathlib import Path
 from traceback import format_exc
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from repro.obs.profile import clock
-from repro.obs.spans import SpanRecorder, Trace
+from repro.obs.spans import Trace
 from repro.store.backend import store_dir_of
 from repro.store.cache import (
     CachedEvaluator,
     HeldRows,
     fold_held,
     fold_orphans,
-    held_dir,
+    holding,
     make_evaluator,
 )
 
@@ -150,7 +157,7 @@ def timed_cell(
     runs against, read here for cache accounting only.  The finished
     cell is a dict, JSON-safe apart from ``value``::
 
-        {"id", "value", "seconds", "cycles", "cache", "pid", "span"}
+        {"id", "value", "start", "seconds", "cycles", "cache", "pid", "span"}
 
     ``cache`` is the evaluator's cache-counter delta over the cell
     (``None`` without a store).  With a *trace* (the parent position)
@@ -200,6 +207,7 @@ def timed_cell(
     return {
         "id": cell_id,
         "value": value,
+        "start": t0,
         "seconds": t1 - t0,
         "cycles": cycles,
         "cache": cache,
@@ -215,14 +223,21 @@ def timed_cell(
 # Pooled cells (figures and campaigns)
 # ----------------------------------------------------------------------
 class Cell(NamedTuple):
-    """One pooled cell: ``body(evaluator, *args)``, a module-level
-    function, returns its ``run`` (see :func:`timed_cell`)."""
+    """One pool job: ``body(evaluator, *args)``, a module-level function,
+    returns its ``run`` (see :func:`timed_cell`).
+
+    Consecutive cells sharing an ``id`` are the parts of one record (a
+    figure algorithm's points), which :func:`pool_cells` writes as one
+    manifest ``finish`` and one span.  *weight* orders dispatch, heaviest
+    first, and nothing else: it never reaches a record.
+    """
 
     id: str
     body: Callable
     args: tuple
     span: str = "cell"
     key: str | None = None
+    weight: float = 0.0
 
 
 class _HeldFinish:
@@ -240,22 +255,21 @@ class _HeldFinish:
 
 def _pooled_cell(args: tuple) -> dict:
     """Pool body of :func:`pool_cells` (top level so that it pickles):
-    one cell against a fresh evaluator and registry, its span recorded
-    under the shipped parent context, its new rows put into its private
-    store *held*.  Its ``finish`` fields and registry snapshot ride home
-    in the cell — as does an exception, in ``cell["error"]``."""
-    cell, config, seed, store_dir, held, with_telemetry, context = args
+    one cell against a fresh evaluator and registry, its new rows put
+    into its private store *held*.  Its ``finish`` fields and registry
+    snapshot ride home in the cell — as does an exception, in
+    ``cell["error"]``."""
+    cell, config, seed, store_dir, held, with_telemetry = args
     registry, evaluator = worker_evaluator(
         config, seed,
         None if store_dir is None else HeldRows(store_dir, held),
         with_telemetry,
     )
-    trace = None if context is None else Trace(SpanRecorder(), *context)
     events = _HeldFinish()
     try:
         done = timed_cell(
             cell.id, cell.body(evaluator, *cell.args), evaluator,
-            manifest=events, trace=trace, span=cell.span, key=cell.key,
+            manifest=events,
         )
     except Exception as exc:
         done = {"error": exc, "traceback": format_exc()}
@@ -264,6 +278,53 @@ def _pooled_cell(args: tuple) -> dict:
         snapshot=None if registry is None else registry.snapshot(),
     )
     return done
+
+
+def _close_record(cell: Cell, parts: list[dict], manifest, trace) -> dict:
+    """Write the record *parts* make up (see :func:`pool_cells`) and
+    return it; re-raise what its last part raised."""
+    last = parts[-1]
+    finishes = [part["finish"] for part in parts if part["finish"]]
+    cache = finishes[0]["cache"] if finishes else None
+    fields: dict[str, Any] = {
+        "seconds": sum(f["seconds"] for f in finishes),
+        "cycles": sum(f["cycles"] for f in finishes),
+        "cache": cache and {
+            k: sum(f["cache"][k] for f in finishes) for k in cache
+        },
+        "status": "error" if "error" in last else "ok",
+    }
+    if manifest is not None and finishes:
+        manifest.cell_finish(cell.id, worker=last["pid"], **fields)
+    if "error" in last:
+        raise last["error"] from WorkerTraceback(last["traceback"])
+    record = {
+        "id": cell.id,
+        "value": [part["value"] for part in parts],
+        "seconds": fields["seconds"],
+        "cycles": fields["cycles"],
+        "cache": fields["cache"],
+        "pid": last["pid"],
+    }
+    record["span"] = None if trace is None else trace.record(
+        cell.span, key=cell.key, id=cell.id, cycles=record["cycles"],
+        pid=record["pid"],
+        start=min(part["start"] for part in parts),
+        end=max(part["start"] + part["seconds"] for part in parts),
+    )
+    return record
+
+
+def _in_order(order: list[int], done: Iterator) -> Iterator[tuple]:
+    """``(index, result)`` in index order from results that arrive in
+    *order*: the reorder buffer holds each until those before it came."""
+    waiting: dict[int, object] = {}
+    home = 0
+    for i, result in zip(order, done):
+        waiting[i] = result
+        while home in waiting:
+            yield home, waiting.pop(home)
+            home += 1
 
 
 def pool_cells(
@@ -280,68 +341,91 @@ def pool_cells(
 ) -> list[dict]:
     """Run *cells* in a pool of *workers*, each against a fresh evaluator
     on *config* and *seed*, cached on *store* (a
-    :class:`~repro.store.ResultStore`); returns the finished cells (see
-    :func:`timed_cell`) in declaration order.
+    :class:`~repro.store.ResultStore`); returns one record (see
+    :func:`timed_cell`) per run of cells sharing an id, in declaration
+    order, its ``value`` the list of its cells' values.
 
-    This process, sole writer, takes each cell home in that order: its
-    held rows appended to *store*, its snapshot merged into *registry*,
-    its ``cell_finish`` written into *manifest* with the worker pid, its
-    span added to *trace*'s recorder, then ``progress(cell.id)``.  A
-    cell that raised is recorded with ``status="error"`` and its
-    exception re-raised, the worker's traceback as the cause; the rows
-    every worker held are folded in all the same.
+    Cells are dispatched heaviest first (``Cell.weight``; equal weights
+    in declaration order) and a reorder buffer takes them home in
+    declaration order: each cell's held rows appended to *store*, its
+    snapshot merged into *registry*.  This process is their sole
+    writer.  A record's last cell then writes the record's
+    ``cell_finish`` into *manifest* — seconds, cycles and cache counters
+    summed over its cells, ``worker`` the pid that ran the last one —
+    and its span, from the earliest cell's start to the latest cell's
+    end, into *trace*, then calls ``progress(id)``.  A cell that raised
+    ends its record with ``status="error"`` and its exception is
+    re-raised, the worker's traceback as the cause; the rows every
+    worker held are folded in all the same.
     """
-    held = [
-        None if store is None else held_dir(store, str(i))
-        for i in range(len(cells))
-    ]
-    context = None if trace is None else trace.context()
-    jobs = [
-        (cell, config, seed, store_dir_of(store), path, registry is not None,
-         context)
-        for cell, path in zip(cells, held)
-    ]
-    finished = []
-    try:
-        with closing(iter_parallel(_pooled_cell, jobs, workers)) as done:
-            for i, cell in enumerate(done):
-                # The cell's rows land where an in-process run appends
-                # them, and its puts count the rows actually written.
-                finish = cell["finish"]
-                if held[i] is not None:
-                    puts = fold_held(store, held[i])
-                    held[i] = None
-                    if finish is not None:
-                        finish["cache"]["puts"] = puts
-                if cell["snapshot"] and registry is not None:
-                    registry.merge(cell["snapshot"])
-                if manifest is not None and finish is not None:
-                    manifest.cell_finish(
-                        cells[i].id, worker=cell["pid"], **finish
-                    )
-                if "error" in cell:
-                    raise cell["error"] from WorkerTraceback(cell["traceback"])
-                if trace is not None:
-                    trace.recorder.add(cell["span"])
-                finished.append(cell)
-                if progress:
-                    progress(cells[i].id)
-    finally:
-        # A cell raised or the run was interrupted: the pool is gone, and
-        # the rows the unfinished cells held are kept all the same.
-        for path in held:
-            if path is not None:
-                fold_held(store, path)
+    if not cells:  # a warm figure: no pool, no held directory
+        return []
+    order = sorted(range(len(cells)), key=lambda i: -cells[i].weight)
+    finished: list[dict] = []
+    parts: list[dict] = []
+    scope: AbstractContextManager[Path | None] = (
+        nullcontext() if store is None else holding(store)
+    )
+    with scope as run_dir:
+        held = [
+            None if run_dir is None else run_dir / str(i)
+            for i in range(len(cells))
+        ]
+        jobs = [
+            (cells[i], config, seed, store_dir_of(store), held[i],
+             registry is not None)
+            for i in order
+        ]
+        try:
+            with closing(iter_parallel(_pooled_cell, jobs, workers)) as done:
+                for i, part in _in_order(order, done):
+                    # The cell's rows land where an in-process run
+                    # appends them, and its puts count the rows actually
+                    # written.
+                    if held[i] is not None:
+                        puts = fold_held(store, held[i])
+                        held[i] = None
+                        if part["finish"] is not None:
+                            part["finish"]["cache"]["puts"] = puts
+                    if part["snapshot"] and registry is not None:
+                        registry.merge(part["snapshot"])
+                    parts.append(part)
+                    last = i + 1 == len(cells) or cells[i + 1].id != cells[i].id
+                    if last or "error" in part:
+                        finished.append(
+                            _close_record(cells[i], parts, manifest, trace)
+                        )
+                        parts = []
+                        if progress:
+                            progress(cells[i].id)
+        finally:
+            # A cell raised or the run was interrupted: the pool is gone,
+            # and the rows the unfinished cells held are kept all the same.
+            for path in held:
+                if path is not None:
+                    fold_held(store, path)
     return finished
 
 
 # ----------------------------------------------------------------------
 # Per-algorithm fan-out (the figure drivers)
 # ----------------------------------------------------------------------
-def _algorithm_body(evaluator, job: Callable, profile, algorithm: str):
-    """A pooled figure cell's ``run``: *job* prepared on the worker's
-    evaluator, bound to *algorithm*."""
-    return partial(job(evaluator, profile), algorithm)
+def _point_body(evaluator, job: Callable, profile, algorithm: str, point):
+    """A pooled figure point's ``run``: *job* prepared on the worker's
+    evaluator, bound to *algorithm* and *point*."""
+    run, _ = job(evaluator, profile)
+    return partial(run, algorithm, point)
+
+
+def _whole(run: Callable, points, algorithm: str):
+    """An in-process figure cell's ``run``: every point of *algorithm*,
+    in order."""
+    series, cycles = [], 0
+    for _, point in points:
+        value, point_cycles = run(algorithm, point)
+        series.append(value)
+        cycles += point_cycles
+    return series, cycles
 
 
 def run_per_algorithm(
@@ -358,19 +442,24 @@ def run_per_algorithm(
     manifest=None,
     trace: Trace | None = None,
 ) -> dict:
-    """``{algorithm: series}`` from one cell per algorithm.
+    """``{algorithm: series}``, one series value per x-axis point.
 
-    ``job(evaluator, profile)`` prepares whatever every algorithm shares
-    (fault cases are drawn here, once per evaluator) and returns the
-    cell body ``run(algorithm) -> (series, cycles)``.  *job* is a
-    module-level function: it is pickled by import path, and lint rule
-    REP012 holds it to pool-worker purity.  ``workers > 1`` runs each
-    cell the store cannot serve whole through :func:`pool_cells`;
-    otherwise all cells share one evaluator in this process.  Results
-    are identical either way — per-run seeds derive from ``(seed,
-    algorithm, set, rate)`` and fault cases from ``(seed, count)``,
-    never from execution order — and so is the store, which only this
-    process writes, in declaration order.
+    ``job(evaluator, profile)`` prepares whatever the points share and
+    returns ``(run, points)``: *points* declares the x-axis as
+    ``(weight, point)`` pairs, the weight being the point's runs ×
+    injection rate, and ``run(algorithm, point) -> (value, cycles)``
+    simulates one.  *job* is a module-level function: it is pickled by
+    import path, and lint rule REP012 holds it to pool-worker purity.
+
+    In process, each algorithm is one cell running all its points
+    against one shared evaluator.  ``workers > 1`` pools one job per
+    point of every algorithm the store cannot serve whole, heaviest
+    first, through :func:`pool_cells`, so a figure waits on its heaviest
+    point rather than its slowest algorithm; the weights order dispatch
+    only.  Results are identical either way — per-run seeds derive from
+    ``(seed, algorithm, set, rate)`` and fault cases from ``(seed,
+    count)``, never from execution order — and so is the store, which
+    only this process writes, in declaration order.
 
     *store* (a :class:`repro.store.ResultStore` or directory) routes
     every simulation through the result cache: runs simulated before —
@@ -396,12 +485,12 @@ def run_per_algorithm(
         and pool_safe_instrument(instrument)
     )
     probed = pooled and store is not None
+    evaluator = (_Probe if probed else make_evaluator)(
+        profile.config, seed=seed, instrument=instrument, store=store,
+    )
+    run, points = job(evaluator, profile)
     cells: dict[str, dict] = {}
     if not pooled or probed:
-        evaluator = (_Probe if probed else make_evaluator)(
-            profile.config, seed=seed, instrument=instrument, store=store,
-        )
-        run = job(evaluator, profile)
         if probed:
             fold_orphans(evaluator.store)
         # Cells run here; a probed one stops at its first miss and goes
@@ -409,21 +498,23 @@ def run_per_algorithm(
         for alg in algorithms:
             with suppress(StoreMiss):
                 cells[alg] = timed_cell(
-                    alg, partial(run, alg), evaluator, manifest=manifest,
-                    trace=trace, span=f"cell.{alg}", probe=probed,
+                    alg, partial(_whole, run, points, alg), evaluator,
+                    manifest=manifest, trace=trace, span=f"cell.{alg}",
+                    probe=probed,
                 )
                 if progress:
                     progress(f"[{label}] {alg}: done")
     missing = [alg for alg in algorithms if alg not in cells]
-    cells.update(zip(missing, pool_cells(
-        [Cell(alg, _algorithm_body, (job, profile, alg), f"cell.{alg}")
-         for alg in missing],
+    cells.update((cell["id"], cell) for cell in pool_cells(
+        [Cell(alg, _point_body, (job, profile, alg, point), f"cell.{alg}",
+              weight=weight)
+         for alg in missing for weight, point in points],
         profile.config, seed, workers,
         store=evaluator.store if probed else None,
         manifest=manifest, trace=trace,
         registry=getattr(instrument, "telemetry", None),
         progress=progress and (lambda alg: progress(f"[{label}] {alg}: done")),
-    )))
+    ))
     return {alg: cells[alg]["value"] for alg in algorithms}
 
 

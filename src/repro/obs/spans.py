@@ -30,9 +30,9 @@ reproducible, so the digest covers the structural view only
 spans — the cycle stamps, which *are* deterministic.
 
 Context crosses process boundaries one way: as the picklable
-``(trace_id, span_id)`` tuple of :meth:`Trace.context`, carried in the
-job of a pool worker and rebuilt there as
-``Trace(recorder, *context)``.  A recorder is anything with
+``(trace_id, span_id)`` pair, rebuilt on the other side as
+``Trace(recorder, trace_id, span_id)``.  (Pool workers need none: the
+parent records their cells' spans.)  A recorder is anything with
 :meth:`SpanRecorder.add` — a :class:`SpanRecorder`, or a run's
 :class:`~repro.obs.manifest.ManifestWriter`, which writes each span the
 moment it closes.
@@ -168,8 +168,9 @@ class Trace:
     ``attrs`` dict may be filled until the block exits.  The recorder
     receives each span as it closes: a :class:`SpanRecorder`, or a
     run's :class:`~repro.obs.manifest.ManifestWriter`.  The handle is
-    cheap and immutable apart from ``attrs``; ship :meth:`context`
-    across process boundaries and rebuild with ``Trace(recorder, *ctx)``.
+    cheap and immutable apart from ``attrs``; across a process boundary,
+    ship ``(trace_id, span_id)`` and rebuild with
+    ``Trace(recorder, trace_id, span_id)``.
     """
 
     __slots__ = ("recorder", "trace_id", "span_id", "attrs")
@@ -184,10 +185,6 @@ class Trace:
         self.trace_id = trace_id
         self.span_id = span_id
         self.attrs: dict = {}
-
-    def context(self) -> tuple[str, str | None]:
-        """The picklable ``(trace_id, span_id)`` propagation tuple."""
-        return (self.trace_id, self.span_id)
 
     @contextmanager
     def span(self, name: str, /, *, key=None, **attrs):

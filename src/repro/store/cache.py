@@ -19,15 +19,16 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
 
 from repro.core.evaluator import Evaluator
 from repro.faults.pattern import FaultPattern
 from repro.simulator.config import SimConfig
 from repro.simulator.engine import SimulationResult
-from repro.store.backend import ResultStore
+from repro.store.backend import ResultStore, fcntl
 from repro.store.keys import algorithm_token, run_key
 from repro.util.serialization import result_from_dict, result_to_dict
 
@@ -38,7 +39,7 @@ __all__ = [
     "fold_held",
     "fold_orphans",
     "get_or_run",
-    "held_dir",
+    "holding",
     "make_evaluator",
 ]
 
@@ -88,13 +89,50 @@ class HeldRows:
         )
 
 
-def held_dir(store: ResultStore, cell: str) -> Path:
-    """A fresh private directory for one pooled cell's :class:`HeldRows`,
-    under the store's ``held/`` and named for this (the folding)
-    process."""
+def _lock(path: Path, *, wait: bool) -> int | None:
+    """A descriptor of directory *path* holding an exclusive ``flock``,
+    or ``None``: *path* is gone, the platform has no ``flock``, or
+    another descriptor holds the lock and *wait* is false."""
+    if fcntl is None:
+        return None
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        return None
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | (0 if wait else fcntl.LOCK_NB))
+    except BlockingIOError:
+        os.close(fd)
+        return None
+    return fd
+
+
+@contextmanager
+def holding(store: ResultStore) -> Iterator[Path]:
+    """A fresh directory under the store's ``held/`` for one pooling
+    run, the parent of its cells' :class:`HeldRows` directories, locked
+    (``flock``) while the block runs and removed when it exits.
+
+    The lock is the run's liveness: :func:`fold_orphans` folds only a
+    directory whose lock nobody holds, so a run that died is recognised
+    even when the kernel has since handed its pid to another process.
+    """
     root = store.root / "held"
     root.mkdir(exist_ok=True)
-    return Path(tempfile.mkdtemp(prefix=f"{os.getpid()}.{cell}.", dir=root))
+    while True:
+        run = Path(tempfile.mkdtemp(prefix=f"{os.getpid()}.", dir=root))
+        fd = _lock(run, wait=True)
+        if run.is_dir():
+            break
+        # Folded as an orphan between its creation and its lock.
+        if fd is not None:
+            os.close(fd)
+    try:
+        yield run
+    finally:
+        shutil.rmtree(run, ignore_errors=True)
+        if fd is not None:
+            os.close(fd)
 
 
 def fold_held(store: ResultStore, held: Path) -> int:
@@ -113,20 +151,27 @@ def fold_held(store: ResultStore, held: Path) -> int:
 
 
 def fold_orphans(store: ResultStore) -> int:
-    """Fold in the rows held for a process that died before it folded
-    them (killed outright: one that raises folds its own); returns the
-    rows written."""
+    """Fold in the rows held for a run that died before it folded them
+    (killed outright: one that raises folds its own) — every directory
+    under ``held/`` whose :func:`holding` lock nobody holds, its cells in
+    declaration order; returns the rows written.  A live run's directory,
+    in this process or another, is left alone (and, without ``flock``,
+    every directory)."""
     root = store.root / "held"
-    if os.name != "posix" or not root.is_dir():
+    if not root.is_dir():
         return 0
     written = 0
-    for held in sorted(root.iterdir()):
+    for run in sorted(root.iterdir()):
+        fd = _lock(run, wait=False) if run.is_dir() else None
+        if fd is None:
+            continue
         try:
-            os.kill(int(held.name.split(".", 1)[0]), 0)
-        except ProcessLookupError:
-            written += fold_held(store, held)
-        except (ValueError, PermissionError):
-            pass  # not a held directory, or another user's live process
+            cells = [cell for cell in run.iterdir() if cell.name.isdigit()]
+            for cell in sorted(cells, key=lambda cell: int(cell.name)):
+                written += fold_held(store, cell)
+            written += fold_held(store, run)
+        finally:
+            os.close(fd)
     return written
 
 

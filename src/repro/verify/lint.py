@@ -504,7 +504,8 @@ def _worker_names(mods: list[_Module]) -> set[str]:
     """Terminal names of callables handed to ``parallel_map`` /
     ``iter_parallel`` / pools, of the figure jobs handed to
     ``run_per_algorithm`` and of the cell bodies a ``Cell`` names (one
-    generic pool worker runs them, so they are worker bodies too)."""
+    generic pool worker runs them, so they are worker bodies too).  A
+    job's point body is a closure inside it, checked with the job."""
     names: set[str] = set()
     for mod in mods:
         for node in ast.walk(mod.tree):

@@ -19,8 +19,9 @@ from repro.campaigns.shard import (
     run_campaign,
     run_shard,
 )
-from repro.campaigns.spec import CampaignSpec
+from repro.campaigns.spec import CampaignSpec, cell_id
 from repro.cli import usable_cpus
+from repro.experiments import parallel
 from repro.experiments.parallel import WorkerTraceback
 from repro.obs.cli import main as obs_main
 from repro.obs.manifest import read_manifest, summarize_manifest
@@ -256,6 +257,25 @@ class TestFailedPoolKeepsItsWork:
         assert par_rows.startswith(seq_rows) and seq_rows.count(b"\n") == 1
         assert not any((db.store.root / "held").iterdir())
         assert summarize_manifest(events)["status"] == "error"
+
+
+class TestPlanOrder:
+    def test_pooled_cells_dispatch_in_plan_order(self, tmp_path, monkeypatch):
+        """Campaign cells carry no weights: the pool takes them in plan
+        order, as the store then receives them."""
+        dispatched = []
+        iter_parallel = parallel.iter_parallel
+
+        def spy(worker, jobs, workers):
+            dispatched.extend(job[0].id for job in jobs)
+            return iter_parallel(worker, jobs, workers)
+
+        monkeypatch.setattr(parallel, "iter_parallel", spy)
+        db = CampaignDB(faulty_spec(fault_counts=(0,), fault_sets=1),
+                        tmp_path / "c")
+        planned = [cell_id(coord) for coord in db.missing_coords()]
+        run_campaign(db, workers=2)
+        assert dispatched == planned and len(planned) == 4
 
 
 class TestResume:

@@ -338,11 +338,11 @@ class TestFailedRunIsClosed:
 
 def _phop_raises(evaluator, profile):
     """A figure job (module level, so a pool worker can unpickle it)
-    whose ``phop`` cell raises."""
+    whose one point raises for ``phop``."""
 
-    def cell(algorithm):
+    def point(algorithm, _):
         if algorithm == "phop":
             raise RuntimeError("deadlock oracle fired")
-        return [], 0
+        return None, 0
 
-    return cell
+    return point, [(1.0, None)]

@@ -6,11 +6,17 @@ from dataclasses import replace
 
 import pytest
 
+import repro.experiments.parallel as parallel
+from repro.cli import usable_cpus
 from repro.experiments.fig_faults import run_fault_study
 from repro.experiments.fig_fring import run_fring_study
 from repro.experiments.fig_sweep import run_sweep, sweep_job
 from repro.experiments.fig_vc_usage import run_vc_usage
-from repro.experiments.parallel import parallel_map, run_per_algorithm
+from repro.experiments.parallel import (
+    WorkerTraceback,
+    parallel_map,
+    run_per_algorithm,
+)
 from repro.experiments.profiles import SMOKE_PROFILE
 from repro.obs.cli import main as obs_main
 from repro.obs.manifest import ManifestWriter, read_manifest, summarize_manifest
@@ -141,12 +147,30 @@ class TestParallelFaultStudy:
         assert json.dumps(par.to_payload()) == json.dumps(seq.to_payload())
 
 
+def pool_spy(monkeypatch) -> list[list]:
+    """Record the jobs of every pool :func:`pool_cells` starts; the pool
+    itself is unchanged."""
+    pools = []
+    iter_parallel = parallel.iter_parallel
+
+    def spy(worker, jobs, workers):
+        pools.append(list(jobs))
+        return iter_parallel(worker, jobs, workers)
+
+    monkeypatch.setattr(parallel, "iter_parallel", spy)
+    return pools
+
+
 class TestOneCellPath:
     """Every driver, in process and pooled, with store + telemetry +
     manifest + spans attached: the two dispatches of the one cell path
-    must agree on everything but who ran the cell."""
+    must agree on everything but who ran the cell.  Pooled, the unit of
+    work is one point (a rate, a fault count, a run, a layout); the
+    records stay one cell per algorithm."""
 
     ALGS = ("nhop", "duato-nbc")
+    POINTS = {"run_sweep": 3, "run_fault_study": 2, "run_vc_usage": 1,
+              "run_fring_study": 2}
 
     def _observed(self, driver, workers, root):
         registry, spans = TelemetryRegistry(), SpanRecorder()
@@ -172,8 +196,9 @@ class TestOneCellPath:
         [run_sweep, run_fault_study, run_vc_usage, run_fring_study],
         ids=lambda driver: driver.__name__,
     )
-    def test_pooled_equals_in_process(self, driver, tmp_path):
+    def test_pooled_equals_in_process(self, driver, tmp_path, monkeypatch):
         seq, seq_reg, seq_spans, seq_cells = self._observed(driver, 1, tmp_path)
+        pools = pool_spy(monkeypatch)
         par, par_reg, par_spans, par_cells = self._observed(driver, 2, tmp_path)
         assert json.dumps(par.to_payload()) == json.dumps(seq.to_payload())
         assert par_reg.merge_digest() == seq_reg.merge_digest()
@@ -182,6 +207,12 @@ class TestOneCellPath:
             f"cell.{a}" for a in self.ALGS
         }
         assert spans_merge_digest(par_spans) == spans_merge_digest(seq_spans)
+        rows = (tmp_path / "store-w1" / "rows.jsonl").read_bytes()
+        assert (tmp_path / "store-w2" / "rows.jsonl").read_bytes() == rows
+        # One pool job per (algorithm, point), one record per algorithm.
+        assert [len(jobs) for jobs in pools] == [
+            len(self.ALGS) * self.POINTS[driver.__name__]
+        ]
 
         def finishes(cells):
             return [c for c in cells if c["phase"] == "finish"]
@@ -197,23 +228,31 @@ class TestOneCellPath:
         for cell in finishes(seq_cells):
             assert cell["worker"] == 0
             assert cell["cache"]["misses"] > 0 and cell["cache"]["hits"] == 0
-        assert sum(c["cache"]["misses"] for c in finishes(seq_cells)) == sum(
-            c["cache"]["misses"] for c in finishes(par_cells)
-        )
-        # Pooled: the parent only hears of finished cells, from a worker.
+        assert [c["cache"] for c in finishes(par_cells)] == [
+            c["cache"] for c in finishes(seq_cells)
+        ]
+        # Pooled: the parent only hears of finished cells, from a worker
+        # (one int pid per algorithm, whichever ran its last point).
         assert [c["phase"] for c in par_cells] == ["finish"] * 2
         assert all(
-            c["worker"] not in (0, os.getpid()) for c in finishes(par_cells)
+            isinstance(c["worker"], int) and c["worker"] not in (0, os.getpid())
+            for c in finishes(par_cells)
         )
+        if usable_cpus() > 2:  # and every core gives the same bytes
+            many, *_ = self._observed(driver, usable_cpus(), tmp_path)
+            assert json.dumps(many.to_payload()) == json.dumps(seq.to_payload())
+            assert (
+                tmp_path / f"store-w{usable_cpus()}" / "rows.jsonl"
+            ).read_bytes() == rows
 
 
 def _second_cell_raises(evaluator, profile):
-    def cell(algorithm):
+    def point(algorithm, _):
         if algorithm == "phop":
             raise RuntimeError("deadlock oracle fired")
-        return [1.0], 7
+        return 1.0, 7
 
-    return cell
+    return point, [(1.0, None)]
 
 
 class TestFailedCellIsRecorded:
@@ -262,7 +301,7 @@ class TestOnlyMissingCellsArePooled:
         cells = [e for e in read_manifest(path) if e["event"] == "cell"]
         return result, cells
 
-    def test_mixed_store(self, tmp_path):
+    def test_mixed_store(self, tmp_path, monkeypatch):
         n = len(SMOKE_PROFILE.sweep_loads)
         full = tmp_path / "full"
         run_sweep(SMOKE_PROFILE, self.ALGS, store=full)
@@ -273,8 +312,18 @@ class TestOnlyMissingCellsArePooled:
             (tmp_path / name).mkdir()
             (tmp_path / name / "rows.jsonl").write_bytes(b"".join(rows[:n + 1]))
         seq, seq_cells = self._run(tmp_path / "seq", 1, tmp_path / "seq.jsonl")
+        pools = pool_spy(monkeypatch)
         par, par_cells = self._run(tmp_path / "par", 2, tmp_path / "par.jsonl")
 
+        # The pool gets every point of the two algorithms the store cannot
+        # serve whole (duato-nbc's first point too: a hit in its worker).
+        assert [
+            [(job[0].id, job[0].args[-1]) for job in jobs] for jobs in pools
+        ] == [sorted(
+            ((alg, rate) for alg in ("duato-nbc", "phop")
+             for rate in SMOKE_PROFILE.sweep_rates),
+            key=lambda job: -job[1],
+        )]
         assert json.dumps(par.to_payload()) == json.dumps(seq.to_payload())
         for name in ("seq", "par"):
             assert (tmp_path / name / "rows.jsonl").read_bytes() == b"".join(rows)
@@ -330,22 +379,23 @@ class TestOnlyMissingCellsArePooled:
             assert start["t"] <= finish["t"] - finish["seconds"] + 1e-5
 
 
-def _sweep_then_phop_raises(evaluator, profile):
-    run = sweep_job(evaluator, profile)
+def _phop_middle_point_raises(evaluator, profile):
+    run, points = sweep_job(evaluator, profile)
 
-    def cell(algorithm):
-        series, cycles = run(algorithm)
-        if algorithm == "phop":
+    def point(algorithm, rate):
+        done = run(algorithm, rate)  # simulated and stored, then:
+        if algorithm == "phop" and rate == points[1][1]:
             raise RuntimeError("deadlock oracle fired")
-        return series, cycles
+        return done
 
-    return cell
+    return point, points
 
 
 class TestFailedPoolKeepsItsWork:
-    """A pooled cell that raises is recorded like an in-process one, and
-    every row the pool simulated reaches the store: the finished cells',
-    the failed cell's own, and whatever the unfinished ones had done."""
+    """A pooled point that raises is recorded like an in-process cell —
+    its algorithm's one ``finish``, ``status="error"`` — and every row
+    the pool simulated reaches the store: the finished points', the
+    failed point's own, and whatever the unfinished ones had done."""
 
     ALGS = ("nhop", "phop", "duato-nbc")
 
@@ -355,7 +405,7 @@ class TestFailedPoolKeepsItsWork:
             with ManifestWriter(path) as manifest:
                 manifest.run_start("fig1", kind="figure", workers=workers)
                 run_per_algorithm(
-                    SMOKE_PROFILE, self.ALGS, _sweep_then_phop_raises,
+                    SMOKE_PROFILE, self.ALGS, _phop_middle_point_raises,
                     label="t", workers=workers, store=store,
                     manifest=manifest,
                 )
@@ -370,21 +420,68 @@ class TestFailedPoolKeepsItsWork:
         error, par_finish, par_store = self._fail(tmp_path, "par", 2)
 
         # The worker's traceback rides along as the cause.
+        assert isinstance(error.__cause__, WorkerTraceback)
         assert "deadlock oracle fired" in str(error.__cause__)
         assert [(e["id"], e["status"]) for e in par_finish] == [
             (e["id"], e["status"]) for e in seq_finish
         ] == [("nhop", "ok"), ("phop", "error")]
         assert all(e["worker"] not in (0, os.getpid()) for e in par_finish)
+        # phop's record sums its two points: the finished one and the
+        # one that raised after storing its run.
         assert [e["cache"] for e in par_finish] == [
             e["cache"] for e in seq_finish
         ]
-        # nhop's and phop's rows, in declaration order, as in process;
-        # then any duato-nbc row its terminated worker had simulated.
+        assert par_finish[1]["cache"]["puts"] == 2
+        # nhop's and phop's rows up to the failure, in declaration order,
+        # as in process; then the rows of every point that came home
+        # (dispatched heaviest first, all but the last, duato-nbc's
+        # lightest, had) and whatever that one had done.
         seq_rows = (seq_store / "rows.jsonl").read_bytes()
         par_rows = (par_store / "rows.jsonl").read_bytes()
         assert par_rows.startswith(seq_rows)
-        assert len(seq_rows.splitlines()) == 2 * len(SMOKE_PROFILE.sweep_loads)
+        assert len(seq_rows.splitlines()) == len(SMOKE_PROFILE.sweep_loads) + 2
+        n_points = len(self.ALGS) * len(SMOKE_PROFILE.sweep_loads)
+        assert len(par_rows.splitlines()) in (n_points - 1, n_points)
+        assert len(set(par_rows.splitlines())) == len(par_rows.splitlines())
         assert not any((par_store / "held").iterdir())
         assert summarize_manifest(
             read_manifest(tmp_path / "par.jsonl")
         )["status"] == "error"
+
+
+class TestHeaviestFirst:
+    """The pool takes points heaviest first (runs × injection rate); the
+    parent still takes them home — rows, records, progress — in
+    declaration order."""
+
+    ALGS = ("nhop", "phop")
+
+    def test_dispatch_by_weight_fold_by_declaration(self, tmp_path,
+                                                    monkeypatch):
+        dispatched = []
+
+        def in_process(worker, jobs, workers):
+            dispatched.extend((job[0].id, job[0].weight) for job in jobs)
+            yield from map(worker, jobs)  # here, in dispatch order
+
+        monkeypatch.setattr(parallel, "iter_parallel", in_process)
+        progress = []
+        custom = replace(SMOKE_PROFILE, fault_counts=(0, 3, 5), fault_sets=2)
+        par = run_fault_study(
+            custom, self.ALGS, workers=2, store=tmp_path / "par",
+            progress=progress.append,
+        )
+        seq = run_fault_study(custom, self.ALGS, store=tmp_path / "seq")
+        rate = custom.full_load_rate
+        # Both faulty counts weigh 2 runs × rate, the fault-free one 1 run.
+        assert dispatched == [
+            ("nhop", 2 * rate), ("nhop", 2 * rate),
+            ("phop", 2 * rate), ("phop", 2 * rate),
+            ("nhop", rate), ("phop", rate),
+        ]
+        assert progress == ["[fig4/5] nhop: done", "[fig4/5] phop: done"]
+        assert json.dumps(par.to_payload()) == json.dumps(seq.to_payload())
+        # Run heaviest first, folded in declaration order: the same rows.
+        assert (tmp_path / "par" / "rows.jsonl").read_bytes() == (
+            tmp_path / "seq" / "rows.jsonl"
+        ).read_bytes()

@@ -2,6 +2,9 @@
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,7 +24,7 @@ from repro.store import (
     run_key,
     run_key_payload,
 )
-from repro.store.cache import HeldRows, fold_held, fold_orphans, held_dir
+from repro.store.cache import HeldRows, fold_held, fold_orphans, holding
 from repro.store.cli import main as store_cli
 from repro.topology.mesh import Mesh2D
 from repro.util.serialization import result_from_dict, result_to_dict
@@ -347,28 +350,64 @@ class TestHeldRows:
     def test_puts_are_held_and_folded_in_put_order(self, tmp_path):
         store = ResultStore(tmp_path / "s", fsync=False)
         store.put("k0", {"x": 0})
-        held = held_dir(store, "nhop")
-        view = HeldRows(tmp_path / "s", held)
-        assert not view.put("k0", {"x": 9})  # the store has it
-        assert view.put("k2", {"x": 2}, algorithm="nhop")
-        assert view.put("k1", {"x": 1}, algorithm="nhop")
-        assert view.get("k0") == {"x": 0} and view.get("k1") == {"x": 1}
-        assert "k1" not in store  # nothing written until the fold
-        assert fold_held(store, held) == 2
-        assert [r["key"] for r in store.rows()] == ["k0", "k2", "k1"]
-        assert store.get_row("k2")["algorithm"] == "nhop"
-        assert not held.exists()
+        with holding(store) as run:
+            held = run / "0"
+            view = HeldRows(tmp_path / "s", held)
+            assert not view.put("k0", {"x": 9})  # the store has it
+            assert view.put("k2", {"x": 2}, algorithm="nhop")
+            assert view.put("k1", {"x": 1}, algorithm="nhop")
+            assert view.get("k0") == {"x": 0} and view.get("k1") == {"x": 1}
+            assert "k1" not in store  # nothing written until the fold
+            assert fold_held(store, held) == 2
+            assert [r["key"] for r in store.rows()] == ["k0", "k2", "k1"]
+            assert store.get_row("k2")["algorithm"] == "nhop"
+            assert not held.exists()
+        assert not any((store.root / "held").iterdir())
 
     def test_orphans_of_dead_processes_only_are_folded(self, tmp_path):
         store = ResultStore(tmp_path / "s", fsync=False)
-        mine = held_dir(store, "nhop")  # this (live) process's
-        # Beyond any pid_max: a process that no longer exists.
+        # Beyond any pid_max: a process that no longer exists, from
+        # before run directories (its rows held directly).
         orphan = store.root / "held" / "999999999.phop.x"
-        for root, key in ((mine, "live"), (orphan, "dead")):
-            ResultStore(root, fsync=False).put(key, {"x": 1})
+        ResultStore(orphan, fsync=False).put("dead", {"x": 1})
+        with holding(store) as mine:  # this (live) run's
+            ResultStore(mine / "0", fsync=False).put("live", {"x": 1})
+            assert fold_orphans(store) == 1
+            assert store.keys() == ["dead"]
+            assert (mine / "0").exists() and not orphan.exists()
+
+    def test_unlocked_run_of_a_live_pid_is_folded(self, tmp_path):
+        """A run directory named for a live pid, say a recycled one, whose
+        lock nobody holds is an orphan: its cells fold in index order."""
+        store = ResultStore(tmp_path / "s", fsync=False)
+        run = store.root / "held" / f"{os.getpid()}.killed"
+        for cell, key in ((10, "b"), (2, "a")):
+            ResultStore(run / str(cell), fsync=False).put(key, {"x": cell})
+        assert fold_orphans(store) == 2
+        assert store.keys() == ["a", "b"]
+        assert not any((store.root / "held").iterdir())
+
+    def test_locked_run_is_left_alone(self, tmp_path):
+        """A run whose lock is held — by another process here — stays
+        untouched however its name reads, and is folded once it dies."""
+        store = ResultStore(tmp_path / "s", fsync=False)
+        run = store.root / "held" / "999999999.live"
+        ResultStore(run / "0", fsync=False).put("held", {"x": 1})
+        owner = subprocess.Popen(
+            [sys.executable, "-c",
+             "import fcntl, os, sys; fd = os.open(sys.argv[1], os.O_RDONLY);"
+             " fcntl.flock(fd, fcntl.LOCK_EX); print(flush=True);"
+             " sys.stdin.read()", str(run)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            owner.stdout.readline()  # the lock is taken
+            assert fold_orphans(store) == 0
+            assert (run / "0" / "rows.jsonl").exists() and not len(store)
+        finally:
+            owner.communicate("", timeout=60)
         assert fold_orphans(store) == 1
-        assert store.keys() == ["dead"]
-        assert mine.exists() and not orphan.exists()
+        assert store.keys() == ["held"]
 
 
 # ----------------------------------------------------------------------
