@@ -157,12 +157,12 @@ def timed_cell(
     runs against, read here for cache accounting only.  The finished
     cell is a dict, JSON-safe apart from ``value``::
 
-        {"id", "value", "start", "seconds", "cycles", "cache", "pid", "span"}
+        {"id", "value", "start", "seconds", "cycles", "cache", "pid"}
 
     ``cache`` is the evaluator's cache-counter delta over the cell
     (``None`` without a store).  With a *trace* (the parent position)
     the cell's clock span *span*, keyed by *key*, is recorded through
-    :meth:`~repro.obs.spans.Trace.record` and returned as ``span``.
+    :meth:`~repro.obs.spans.Trace.record`.
 
     With a *manifest* (:class:`~repro.obs.manifest.ManifestWriter`) the
     cell's ``start`` and ``finish`` events are written here.  A cell
@@ -204,6 +204,11 @@ def timed_cell(
                 status=status,
             )
     pid = os.getpid()
+    if trace is not None:
+        trace.record(
+            span, start=t0, end=t1, key=key, id=cell_id, cycles=cycles,
+            pid=pid,
+        )
     return {
         "id": cell_id,
         "value": value,
@@ -212,10 +217,6 @@ def timed_cell(
         "cycles": cycles,
         "cache": cache,
         "pid": pid,
-        "span": None if trace is None else trace.record(
-            span, start=t0, end=t1, key=key, id=cell_id, cycles=cycles,
-            pid=pid,
-        ),
     }
 
 
@@ -298,7 +299,14 @@ def _close_record(cell: Cell, parts: list[dict], manifest, trace) -> dict:
         manifest.cell_finish(cell.id, worker=last["pid"], **fields)
     if "error" in last:
         raise last["error"] from WorkerTraceback(last["traceback"])
-    record = {
+    if trace is not None:
+        trace.record(
+            cell.span, key=cell.key, id=cell.id, cycles=fields["cycles"],
+            pid=last["pid"],
+            start=min(part["start"] for part in parts),
+            end=max(part["start"] + part["seconds"] for part in parts),
+        )
+    return {
         "id": cell.id,
         "value": [part["value"] for part in parts],
         "seconds": fields["seconds"],
@@ -306,13 +314,6 @@ def _close_record(cell: Cell, parts: list[dict], manifest, trace) -> dict:
         "cache": fields["cache"],
         "pid": last["pid"],
     }
-    record["span"] = None if trace is None else trace.record(
-        cell.span, key=cell.key, id=cell.id, cycles=record["cycles"],
-        pid=record["pid"],
-        start=min(part["start"] for part in parts),
-        end=max(part["start"] + part["seconds"] for part in parts),
-    )
-    return record
 
 
 def _in_order(order: list[int], done: Iterator) -> Iterator[tuple]:

@@ -138,13 +138,18 @@ class ManifestWriter:
             fields["cache"] = cache
         return self.event("cell", **fields)
 
-    def add(self, span: dict) -> dict:
+    def add(self, span) -> dict:
         """Append one finished trace span (see :mod:`repro.obs.spans`).
 
         Spans ride in the manifest as ``span`` events so a run's trace
         survives next to its cells; :func:`repro.obs.spans.
         spans_from_manifest` recovers them for merging and rendering.
+        A span a :class:`~repro.obs.spans.Trace` closes arrives as its
+        position and stamps: its dict is built and written here, before
+        the run goes on.
         """
+        if type(span) is not dict:
+            span = span.as_dict()
         self.event("span", **span)
         self.spans.append(span)
         return span

@@ -29,19 +29,27 @@ reproducible, so the digest covers the structural view only
 (:func:`span_merge_view`): ids, names, parentage, and — for cycle
 spans — the cycle stamps, which *are* deterministic.
 
+Ids are derived when a span is **read**, not when it closes: a
+:class:`Trace` position holds its parent, name and key (a root its id
+material, or explicit ids), and derives ``trace_id``/``span_id`` through
+the two functions above on first access, caching them.  Recording a
+span therefore costs two clock readings and no hashing; the values are
+the ones an eager hash would give.
+
 Context crosses process boundaries one way: as the picklable
 ``(trace_id, span_id)`` pair, rebuilt on the other side as
 ``Trace(recorder, trace_id, span_id)``.  (Pool workers need none: the
 parent records their cells' spans.)  A recorder is anything with
-:meth:`SpanRecorder.add` — a :class:`SpanRecorder`, or a run's
-:class:`~repro.obs.manifest.ManifestWriter`, which writes each span the
-moment it closes.
+:meth:`SpanRecorder.add` — a :class:`SpanRecorder`, which keeps the
+closed spans and builds their dicts only when read (the serve process's
+``/trace`` store), or a run's :class:`~repro.obs.manifest.
+ManifestWriter`, which builds and writes each span the moment it closes.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+from collections import deque
 from pathlib import Path
 
 from repro.obs.manifest import ManifestWriter, read_jsonl
@@ -113,10 +121,7 @@ def make_span(
     ``kind="cycle"`` stamps are simulation cycles.  This constructor does
     not read any clock itself, so it is safe anywhere (REP017).
     """
-    if kind not in ("clock", "cycle"):
-        raise ValueError(f"span kind must be 'clock' or 'cycle', not {kind!r}")
-    if end < start:
-        raise ValueError(f"span {name!r} ends ({end}) before it starts ({start})")
+    _check_stamps(name, kind, start, end)
     return {
         "trace_id": trace_id,
         "span_id": (
@@ -133,47 +138,88 @@ def make_span(
     }
 
 
-class SpanRecorder:
-    """An append-only collection of finished spans.
+def _check_stamps(name: str, kind: str, start, end) -> None:
+    if kind not in ("clock", "cycle"):
+        raise ValueError(f"span kind must be 'clock' or 'cycle', not {kind!r}")
+    if end < start:
+        raise ValueError(f"span {name!r} ends ({end}) before it starts ({start})")
 
-    Plain list semantics plus an optional *limit* (oldest spans drop
-    first) for long-lived holders like the serve process, where only
-    the event-loop thread touches it (no locking here).
+
+class SpanRecorder:
+    """An append-only collection of finished spans, read as span dicts.
+
+    :meth:`add` takes a finished span dict or a closed :class:`Trace`
+    span, which holds its position and stamps only: its ids are derived
+    (and its dict built through :func:`make_span`) when :attr:`spans` or
+    :meth:`of_trace` reads it.  With a *limit* only the newest *limit*
+    spans are kept (oldest drop first), for long-lived holders like the
+    serve process, where only the event-loop thread touches it (no
+    locking here).
     """
 
-    __slots__ = ("spans", "limit")
+    __slots__ = ("_spans",)
 
     def __init__(self, spans=None, *, limit: int | None = None) -> None:
-        self.spans: list[dict] = list(spans) if spans else []
-        self.limit = limit
+        self._spans: deque = deque(spans or (), maxlen=limit)
 
-    def add(self, span: dict) -> dict:
-        self.spans.append(span)
-        if self.limit is not None and len(self.spans) > self.limit:
-            del self.spans[: len(self.spans) - self.limit]
+    def add(self, span):
+        self._spans.append(span)
         return span
 
+    @property
+    def spans(self) -> list[dict]:
+        """Every kept span as a dict, oldest first."""
+        return [_as_dict(span) for span in self._spans]
+
     def of_trace(self, trace_id: str) -> list[dict]:
-        return [s for s in self.spans if s["trace_id"] == trace_id]
+        """The kept spans of one trace, oldest first.
+
+        A closed span's trace id is its root's, derived once per root,
+        so only the matching spans have their span ids derived.
+        """
+        return [
+            _as_dict(span) for span in self._spans
+            if (span["trace_id"] if type(span) is dict
+                else span.node.trace_id) == trace_id
+        ]
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._spans)
+
+
+def _as_dict(span) -> dict:
+    return span if type(span) is dict else span.as_dict()
+
+
+#: ``Trace._span_id`` of a child position whose id is not derived yet
+#: (a root's span id may be ``None``).
+_UNDERIVED = object()
 
 
 class Trace:
     """A position in one trace: recorder + current parent span.
 
     ``Trace(recorder, trace_id)`` is the root position (children get
-    ``parent_id=None``); :meth:`span` yields a child ``Trace`` whose
-    ``attrs`` dict may be filled until the block exits.  The recorder
-    receives each span as it closes: a :class:`SpanRecorder`, or a
-    run's :class:`~repro.obs.manifest.ManifestWriter`.  The handle is
-    cheap and immutable apart from ``attrs``; across a process boundary,
-    ship ``(trace_id, span_id)`` and rebuild with
-    ``Trace(recorder, trace_id, span_id)``.
+    ``parent_id=None``), and :meth:`root` builds the same position from
+    the material of :func:`trace_id_from`; :meth:`span` opens a child
+    whose ``attrs`` dict may be filled until the block exits.  A child
+    holds its parent, name and key, not its ids: ``trace_id`` and
+    ``span_id`` are derived on first read (the values
+    :func:`trace_id_from`/:func:`make_span_id` give, then cached), so
+    recording a span costs no hashing until someone reads it.
+
+    The recorder receives each span as it closes: a
+    :class:`SpanRecorder`, which keeps it as is, or a run's
+    :class:`~repro.obs.manifest.ManifestWriter`, which builds and writes
+    its dict at once.  The handle is cheap and immutable apart from
+    ``attrs``; across a process boundary, ship ``(trace_id, span_id)``
+    and rebuild with ``Trace(recorder, trace_id, span_id)``.
     """
 
-    __slots__ = ("recorder", "trace_id", "span_id", "attrs")
+    __slots__ = (
+        "recorder", "attrs", "_parent", "_name", "_key", "_material",
+        "_trace_id", "_span_id",
+    )
 
     def __init__(
         self,
@@ -182,63 +228,122 @@ class Trace:
         span_id: str | None = None,
     ) -> None:
         self.recorder = recorder
-        self.trace_id = trace_id
-        self.span_id = span_id
         self.attrs: dict = {}
+        self._parent = None
+        self._trace_id = trace_id
+        self._span_id = span_id
 
-    @contextmanager
-    def span(self, name: str, /, *, key=None, **attrs):
+    @classmethod
+    def root(cls, recorder: SpanRecorder | ManifestWriter, *material) -> Trace:
+        """The root position of ``trace_id_from(*material)``, derived
+        when first read."""
+        root = cls(recorder, None)
+        root._material = material
+        return root
+
+    def child(self, name: str, /, *, key=None, **attrs) -> Trace:
+        """The child position *name* (keyed by *key*), no span opened."""
+        child = Trace.__new__(Trace)
+        child.recorder = self.recorder
+        child.attrs = attrs
+        child._parent = self
+        child._name = name
+        child._key = key
+        child._trace_id = None
+        child._span_id = _UNDERIVED
+        return child
+
+    @property
+    def trace_id(self) -> str:
+        trace_id = self._trace_id
+        if trace_id is None:
+            parent = self._parent
+            trace_id = self._trace_id = (
+                trace_id_from(*self._material) if parent is None
+                else parent.trace_id
+            )
+        return trace_id
+
+    @property
+    def span_id(self) -> str | None:
+        span_id = self._span_id
+        if span_id is _UNDERIVED:
+            parent = self._parent
+            span_id = self._span_id = make_span_id(
+                parent.trace_id, parent.span_id, self._name, self._key
+            )
+        return span_id
+
+    def span(self, name: str, /, *, key=None, **attrs) -> _Span:
         """A clock-stamped child span around the ``with`` block.
 
         Yields the child :class:`Trace`; mutate its ``attrs`` inside the
         block to annotate the outcome (recorded at exit, even on an
         exception — a refused tier still leaves its span behind).
         """
-        sid = make_span_id(self.trace_id, self.span_id, name, key)
-        child = Trace(self.recorder, self.trace_id, sid)
-        child.attrs.update(attrs)
-        start = clock()
-        try:
-            yield child
-        finally:
-            self.recorder.add(
-                make_span(
-                    name,
-                    trace_id=self.trace_id,
-                    parent_id=self.span_id,
-                    span_id=sid,
-                    kind="clock",
-                    start=start,
-                    end=clock(),
-                    attrs=child.attrs,
-                )
-            )
+        return _Span(self.child(name, key=key, **attrs), "clock")
 
     def record(
         self, name: str, /, *, start, end, kind: str = "clock", key=None,
         **attrs,
-    ) -> dict:
-        """Record a finished child span post-hoc (explicit stamps)."""
+    ):
+        """Record a finished child span post-hoc (explicit stamps);
+        returns what the recorder returns for it."""
+        _check_stamps(name, kind, start, end)
         return self.recorder.add(
-            make_span(
-                name,
-                trace_id=self.trace_id,
-                parent_id=self.span_id,
-                kind=kind,
-                start=start,
-                end=end,
-                key=key,
-                attrs=attrs,
-            )
+            _Span(self.child(name, key=key, **attrs), kind, start, end)
         )
 
     def cycle_span(
         self, name: str, *, start: int, end: int, key=None, **attrs
-    ) -> dict:
+    ):
         """Record a cycle-stamped child span (simulated time)."""
         return self.record(
             name, start=start, end=end, kind="cycle", key=key, **attrs
         )
+
+
+class _Span:
+    """One child span: its :class:`Trace` position and its stamps.
+
+    As returned by :meth:`Trace.span` it is the ``with`` block that
+    stamps and records it; once closed it is what a recorder receives,
+    read field by field (``span["kind"]``) or whole (:meth:`as_dict`).
+    """
+
+    __slots__ = ("node", "kind", "start", "end")
+
+    def __init__(self, node: Trace, kind: str, start=None, end=None) -> None:
+        self.node = node
+        self.kind = kind
+        self.start = start
+        self.end = end
+
+    def __enter__(self) -> Trace:
+        self.start = clock()
+        return self.node
+
+    def __exit__(self, *exc) -> None:
+        self.end = clock()
+        self.node.recorder.add(self)
+
+    def as_dict(self) -> dict:
+        """The finished span, ids derived (see :func:`make_span`)."""
+        node = self.node
+        parent = node._parent
+        return make_span(
+            node._name,
+            trace_id=parent.trace_id,
+            parent_id=parent.span_id,
+            span_id=node.span_id,
+            kind=self.kind,
+            start=self.start,
+            end=self.end,
+            attrs=node.attrs,
+        )
+
+    def __getitem__(self, field: str):
+        return self.as_dict()[field]
 
 
 # ----------------------------------------------------------------------

@@ -66,7 +66,9 @@ identity: each exchange opens an ``http.request`` span under
 nests an ``engine.run`` span deeper still — so ``GET
 /trace?request=ID`` shows one merged timeline from socket to simulator
 (spans live in a bounded in-process :class:`~repro.obs.spans.
-SpanRecorder`; oldest drop first).  The HTTP layer additionally
+SpanRecorder`; oldest drop first).  A request records its spans as
+positions and stamps: no id is hashed while answering, only when
+``/trace`` reads the trace.  The HTTP layer additionally
 publishes per-request counters next to the resolver's tier metrics —
 ``serve.http.requests``, ``serve.http.status.<code>``,
 ``serve.http.latency_us``, ``serve.http.query.tier.<tier>`` for
@@ -147,6 +149,17 @@ class _Refused(ValueError):
         self.status = status
 
 
+def _integer(value, name: str) -> int:
+    """Parameter *name* read as ``int()`` reads it, except that a
+    boolean, fractional or non-finite number is refused, naming *name*,
+    instead of truncated or overflowing."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise _Refused(f"{name} must be an integer, not {json.dumps(value)}")
+    return int(value)
+
+
 def _parse_query_params(params: dict) -> Query:
     try:
         algorithm = str(params["algorithm"])
@@ -160,7 +173,7 @@ def _parse_query_params(params: dict) -> Query:
             algorithm=algorithm,
             rate=rate,
             metric=str(params.get("metric", "latency")),
-            n_faults=int(params.get("n_faults", 0)),
+            n_faults=_integer(params.get("n_faults", 0), "n_faults"),
         )
     except (TypeError, ValueError) as exc:
         raise _Refused(str(exc)) from None
@@ -169,14 +182,16 @@ def _parse_query_params(params: dict) -> Query:
 def _parse_reliability_params(params: dict) -> dict:
     try:
         kwargs = {
-            "width": int(params["width"]),
+            "width": _integer(params["width"], "width"),
             "failure_rate": float(params["failure_rate"]),
-            "trials": int(params.get("trials", 1000)),
-            "seed": int(params.get("seed", 2007)),
-            "workers": int(params.get("workers", 1)),
+            "trials": _integer(params.get("trials", 1000), "trials"),
+            "seed": _integer(params.get("seed", 2007), "seed"),
+            "workers": _integer(params.get("workers", 1), "workers"),
         }
         if params.get("height") is not None:
-            kwargs["height"] = int(params["height"])
+            kwargs["height"] = _integer(params["height"], "height")
+    except _Refused:
+        raise
     except KeyError as exc:
         raise _Refused(f"missing parameter {exc.args[0]!r}") from None
     except (TypeError, ValueError):
@@ -567,9 +582,9 @@ class _Connection:
             if not isinstance(decoded, dict):
                 raise _Refused("request body must be a JSON object")
             params.update(decoded)
-        self.span = Trace(
-            server.spans, trace_id_from("serve", self.request_id)
-        ).span("http.request", method=self.method, path=url.path)
+        self.span = Trace.root(server.spans, "serve", self.request_id).span(
+            "http.request", method=self.method, path=url.path
+        )
         self.request_span = self.span.__enter__()
         routed = server._route(
             self.method, url.path, params, self.request_span

@@ -63,7 +63,6 @@ from repro.campaigns.spec import cell_set_index
 from repro.core.evaluator import ENGINE_VERSION
 from repro.obs.converge import batch_means_ci
 from repro.obs.profile import clock
-from repro.obs.spans import Trace, make_span_id
 from repro.obs.telemetry import TelemetryRegistry
 from repro.serve import calibrate
 from repro.serve.surrogate import GridSurrogate, SurrogateError
@@ -446,10 +445,7 @@ class Resolver:
             if run.error is None:
                 engine_attrs = {"n_runs": len(run.samples), "cycles": run.cycles}
                 tier_attrs = {"outcome": "answered"}
-            sim_id = make_span_id(
-                trace.trace_id, trace.span_id, "tier.simulation"
-            )
-            Trace(trace.recorder, trace.trace_id, sim_id).record(
+            trace.child("tier.simulation").record(
                 "engine.run", start=run.started, end=run.ended, **engine_attrs
             )
             trace.record(

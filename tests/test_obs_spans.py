@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments.fig_sweep import run_sweep
 from repro.experiments.profiles import SMOKE_PROFILE
+from repro.obs.manifest import ManifestWriter, read_jsonl
 from repro.obs.spans import (
     CYCLE_SAFE_NAMES,
     SpanRecorder,
@@ -109,6 +110,99 @@ class TestTraceAndRecorder:
         span = trace.cycle_span("measure", start=500, end=1500)
         assert span["kind"] == "cycle"
         assert (span["start"], span["end"]) == (500, 1500)
+
+
+class TestIdsDerivedOnRead:
+    """Spans record positions; the ids a recorder hands out are the ones
+    the eager constructors build from the same positions."""
+
+    def test_recorded_spans_equal_eagerly_built_ones(self):
+        rec = SpanRecorder()
+        root = Trace.root(rec, "serve", "req-7")
+        with root.span("http.request", method="GET") as req:
+            with req.span("tier.store") as store:
+                with store.span("store.get", key="row-1"):
+                    pass
+                with store.span("store.get", key="row-2") as sibling:
+                    sibling.attrs["hit"] = True
+            with pytest.raises(RuntimeError):
+                with req.span("tier.model"):
+                    raise RuntimeError("refused")
+            req.child("tier.simulation").record(
+                "engine.run", start=1.0, end=2.0, n_runs=3
+            )
+            req.record("tier.simulation", start=0.5, end=2.5,
+                       outcome="answered")
+            req.cycle_span("engine.measure", start=500, end=1500, key=0)
+        resumed = Trace(rec, "t-explicit", "s-explicit")
+        with resumed.span("cell", key="c1"):
+            pass
+        got = rec.spans
+
+        tid = trace_id_from("serve", "req-7")
+        http = make_span_id(tid, None, "http.request")
+        store_id = make_span_id(tid, http, "tier.store")
+        sim = make_span_id(tid, http, "tier.simulation")
+        stamps = iter((s["start"], s["end"]) for s in got)
+
+        def eager(name, trace_id, parent_id, *, key=None, kind="clock",
+                  attrs=None):
+            start, end = next(stamps)
+            return make_span(name, trace_id=trace_id, parent_id=parent_id,
+                             kind=kind, start=start, end=end, key=key,
+                             attrs=attrs)
+
+        assert got == [
+            eager("store.get", tid, store_id, key="row-1"),
+            eager("store.get", tid, store_id, key="row-2",
+                  attrs={"hit": True}),
+            eager("tier.store", tid, http),
+            eager("tier.model", tid, http),
+            eager("engine.run", tid, sim, attrs={"n_runs": 3}),
+            eager("tier.simulation", tid, http,
+                  attrs={"outcome": "answered"}),
+            eager("engine.measure", tid, http, key=0, kind="cycle"),
+            eager("http.request", tid, None, attrs={"method": "GET"}),
+            eager("cell", "t-explicit", "s-explicit", key="c1"),
+        ]
+        assert (got[6]["start"], got[6]["end"]) == (500, 1500)
+        assert [s["trace_id"] for s in rec.of_trace(tid)] == [tid] * 8
+        assert (root.trace_id, root.span_id) == (tid, None)
+        assert (req.trace_id, req.span_id) == (tid, http)
+
+    def test_record_refuses_bad_stamps_when_recorded(self):
+        trace = Trace.root(SpanRecorder(), "t")
+        with pytest.raises(ValueError, match="kind"):
+            trace.record("x", start=0, end=1, kind="wall")
+        with pytest.raises(ValueError, match="ends"):
+            trace.cycle_span("x", start=5, end=4)
+
+    def test_a_recorder_given_more_than_its_limit_keeps_the_newest(self):
+        spans = [make_span(f"s{i}", trace_id="t", start=i, end=i)
+                 for i in range(5)]
+        rec = SpanRecorder(spans, limit=3)
+        assert len(rec) == 3
+        assert [s["name"] for s in rec.spans] == ["s2", "s3", "s4"]
+
+    def test_a_manifest_holds_each_span_once_its_block_exits(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        tid = trace_id_from("figure", "fig1")
+        with ManifestWriter(path) as manifest:
+            trace = Trace(manifest, tid)
+            with trace.span("fig1") as fig:
+                with fig.span("cell.nhop", key="nhop"):
+                    pass
+                written = spans_from_manifest(read_jsonl(path))
+                assert [s["name"] for s in written] == ["cell.nhop"]
+                assert written[0]["span_id"] == make_span_id(
+                    tid, make_span_id(tid, None, "fig1"), "cell.nhop",
+                    "nhop",
+                )
+            assert [s["name"] for s in
+                    spans_from_manifest(read_jsonl(path))] == [
+                "cell.nhop", "fig1",
+            ]
+            assert manifest.spans == spans_from_manifest(read_jsonl(path))
 
 
 class TestMergeAndDigest:

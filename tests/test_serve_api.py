@@ -319,6 +319,62 @@ class TestTraces:
         assert trace["spans"] == []
 
 
+class TestTraceIsRecordedWithoutHashing:
+    """A served request records its spans as positions: no span or trace
+    id is hashed until ``/trace`` reads them, and then they are the ids
+    the eager constructors give."""
+
+    QUERIES = {
+        "lazy-store": ("/query?algorithm=nhop&rate=0.01", 200, "store"),
+        "lazy-surrogate": ("/query?algorithm=nhop&rate=0.015", 200,
+                           "surrogate"),
+        "lazy-model": ("/query?algorithm=nhop&rate=0.002", 200, "model"),
+        "lazy-refused": ("/query?algorithm=nhop&rate=0.9&metric=throughput",
+                         422, None),
+    }
+
+    def test_answering_hashes_nothing_and_trace_reads_the_ids(
+        self, server, monkeypatch
+    ):
+        import repro.obs.spans as spans_mod
+        from repro.obs.spans import make_span_id, trace_id_from
+
+        digests = []
+
+        def counting(*args, **kwargs):
+            digests.append(args)
+            return real(*args, **kwargs)
+
+        real = spans_mod.content_digest
+        monkeypatch.setattr(spans_mod, "content_digest", counting)
+        for request_id, (path, status, tier) in self.QUERIES.items():
+            got, payload, _ = _request_raw(
+                server, path, headers={"x-request-id": request_id}
+            )
+            assert got == status
+            if tier is not None:
+                assert payload["answer"]["tier"] == tier
+        assert digests == []
+
+        monkeypatch.undo()
+        status, trace, _ = _request_raw(server, "/trace?request=lazy-store")
+        assert status == 200
+        trace_id = trace_id_from("serve", "lazy-store")
+        root = make_span_id(trace_id, None, "http.request")
+        assert trace["trace_id"] == trace_id
+        assert [
+            (s["trace_id"], s["span_id"], s["parent_id"], s["name"])
+            for s in trace["spans"]
+        ] == [
+            (trace_id, make_span_id(trace_id, root, "tier.store"), root,
+             "tier.store"),
+            (trace_id, root, None, "http.request"),
+        ]
+        assert trace["spans"][1]["attrs"] == {
+            "method": "GET", "path": "/query", "status": 200,
+        }
+
+
 # ----------------------------------------------------------------------
 # Raw-socket client: framing, hostile input, loop/executor split
 # ----------------------------------------------------------------------
@@ -463,6 +519,23 @@ _HOSTILE = [
     (_request_bytes(
         "POST", "/reliability", body=b'{"width":0,"failure_rate":0.1}'),
      400, f"1..{api._MAX_NODES} nodes"),
+    # A JSON integer is integral and finite: never truncated, never a 500.
+    (_request_bytes("POST", "/query",
+                    body=b'{"algorithm":"nhop","rate":0.01,"n_faults":1e999}'),
+     400, "n_faults must be an integer, not Infinity"),
+    (_request_bytes("POST", "/query",
+                    body=b'{"algorithm":"nhop","rate":0.01,"n_faults":2.7}'),
+     400, "n_faults must be an integer, not 2.7"),
+    (_request_bytes("POST", "/query",
+                    body=b'{"algorithm":"nhop","rate":0.01,"n_faults":true}'),
+     400, "n_faults must be an integer, not true"),
+    (_request_bytes(
+        "POST", "/reliability", body=b'{"width":1e999,"failure_rate":0.1}'),
+     400, "width must be an integer, not Infinity"),
+    (_request_bytes(
+        "POST", "/reliability",
+        body=b'{"width":6,"failure_rate":0.1,"trials":1e999}'),
+     400, "trials must be an integer, not Infinity"),
 ]
 
 
