@@ -1,19 +1,20 @@
 """Campaign execution: the plan's missing cells, pooled or in process.
 
 :func:`run_campaign` runs a :class:`~repro.campaigns.db.CampaignDB`
-plan's missing cells through the figure drivers' executor,
-:func:`~repro.experiments.parallel.pool_cells`: one pool job per cell,
-its new rows held privately and folded into the campaign store in plan
-order as it comes home.  ``workers=1`` runs the same cells in this
-process — the reference a pool of any size reproduces exactly:
-``store/rows.jsonl`` byte for byte (seeds and fault cases derive from
-the spec, and only this process writes the store), the merged
-telemetry's :meth:`~repro.obs.telemetry.TelemetryRegistry.merge_digest`
-(snapshots sum value-exactly) and the
-:func:`~repro.obs.spans.spans_merge_digest` of the cells' spans under
-the campaign's deterministic trace id (span ids are position-derived).
-Each pooled cell's manifest ``finish`` names its worker's pid.  Rows a
-SIGKILLed run left held are folded in by the next run before it plans.
+plan's missing cells through the figure drivers' loop,
+:func:`~repro.experiments.parallel.run_cells`: with ``workers > 1`` one
+pool job per cell, its new rows held privately and folded into the
+campaign store in plan order as it comes home; with ``workers=1`` the
+same cells in this process, the spec's fault cases drawn once — the
+reference a pool of any size reproduces exactly: ``store/rows.jsonl``
+byte for byte (seeds and fault cases derive from the spec, and only
+this process writes the store), the merged telemetry's
+:meth:`~repro.obs.telemetry.TelemetryRegistry.merge_digest` (snapshots
+sum value-exactly) and the :func:`~repro.obs.spans.spans_merge_digest`
+of the cells' spans under the campaign's deterministic trace id (span
+ids are position-derived).  Each pooled cell's manifest ``finish``
+names its worker's pid.  Rows a SIGKILLed run left held are folded in
+by the next run before it plans.
 
 :func:`run_shard`, :func:`partition_cells` and :func:`merge_shards`
 (self-contained shard directories replayed into the campaign) are kept
@@ -36,11 +37,10 @@ from repro.campaigns.spec import (
     draw_cases,
     execute_cell,
 )
-from repro.cli import usable_cpus
 from repro.experiments.parallel import (
     Cell,
-    pool_cells,
-    timed_cell,
+    run_cells,
+    worker_count,
     worker_evaluator,
 )
 from repro.obs.manifest import ManifestWriter, read_manifest
@@ -81,10 +81,10 @@ def _cell_run(evaluator, cases: dict, key: dict) -> tuple[None, int]:
     return None, int(extract_metric(result, "simulated_cycles"))
 
 
-def _campaign_body(evaluator, spec: CampaignSpec, coord: dict):
-    """A pooled campaign cell's ``run``: the spec's fault cases redrawn
-    on the worker's evaluator, bound to *coord*."""
-    return partial(_cell_run, evaluator, draw_cases(evaluator, spec), coord)
+def _campaign_run(evaluator, spec: CampaignSpec):
+    """A campaign's setup: the spec's fault cases drawn on *evaluator*,
+    its ``run(coord)``."""
+    return partial(_cell_run, evaluator, draw_cases(evaluator, spec))
 
 
 def _execute(
@@ -103,13 +103,12 @@ def _execute(
     """Run *coords* against *store*, logging one run to *events_path*.
 
     Behind a campaign run and a shard alike: every cell through
-    :func:`~repro.experiments.parallel.timed_cell`, in this process or,
-    with ``workers > 1``, through
-    :func:`~repro.experiments.parallel.pool_cells`.  *trace_context*
-    places the cells: under ``(trace_id, root_id)`` a shard's cells hang
-    off the campaign root the merge records; at ``(trace_id, None)`` this
-    run opens the ``campaign`` root span itself.  Returns ``(registry,
-    cells, spans)``, each cell as ``id/seconds/cycles``.
+    :func:`~repro.experiments.parallel.run_cells`, in this process or,
+    with ``workers > 1``, in a pool.  *trace_context* places the cells:
+    under ``(trace_id, root_id)`` a shard's cells hang off the campaign
+    root the merge records; at ``(trace_id, None)`` this run opens the
+    ``campaign`` root span itself.  Returns ``(registry, cells, spans)``,
+    each cell as ``id/seconds/cycles``.
     """
     registry, evaluator = worker_evaluator(
         spec.config, spec.seed, store, with_telemetry
@@ -131,24 +130,13 @@ def _execute(
         if trace is not None and trace.span_id is None:
             scope = trace.span("campaign", name=spec.name, workers=workers)
         with scope as parent:
-            if workers > 1:
-                cells = pool_cells(
-                    [Cell(cell_id(c), _campaign_body, (spec, c), key=cell_id(c))
-                     for c in coords],
-                    spec.config, spec.seed, workers, store=store,
-                    manifest=events, trace=parent, registry=registry,
-                    progress=note,
-                )
-            else:
-                cases = draw_cases(evaluator, spec)
-                cells = []
-                for coord in coords:
-                    cid = cell_id(coord)
-                    cells.append(timed_cell(
-                        cid, partial(_cell_run, evaluator, cases, coord),
-                        evaluator, manifest=events, trace=parent, key=cid,
-                    ))
-                    note(cid)
+            cells = run_cells(
+                [Cell(cell_id(c), (c,), key=cell_id(c)) for c in coords],
+                workers, setup=(_campaign_run, spec), evaluator=evaluator,
+                config=spec.config, seed=spec.seed, store=store,
+                manifest=events, trace=parent, registry=registry,
+                progress=note,
+            )
         events.run_finish(telemetry=registry)
     cells = [{k: cell[k] for k in ("id", "seconds", "cycles")} for cell in cells]
     return registry, cells, events.spans
@@ -296,17 +284,19 @@ def run_campaign(
 
     The cells run in a pool of *workers* (default: the CPUs this
     process may use; *shards*, the benchmark harness's spelling, stands
-    in when only it is given), one job per cell, or with ``workers=1``
-    in this process.  Rows a killed run left held are folded in first.
+    in when only it is given; below 1 is refused), one job per cell, or
+    with ``workers=1`` in this process.  Rows a killed run left held are
+    folded in first.
     Returns a JSON-safe summary whose store, span and (with *telemetry*)
     telemetry digests are the same for any worker count.
     """
+    workers = worker_count(shards if workers is None else workers)
     fold_orphans(db.store)
     missing = db.missing_coords()
     planned = len(db.cells())
     already_done = planned - len(missing)
     db.save()
-    workers = max(1, min(workers or shards or usable_cpus(), len(missing)))
+    workers = max(1, min(workers, len(missing)))
     registry, _, spans = _execute(
         db.spec, missing, db.store, db.events_path, kind="campaign",
         with_telemetry=telemetry,

@@ -1,27 +1,31 @@
-"""The one cell path: figure cells, campaign cells and pool workers.
+"""The one cell loop: figure cells, campaign cells and pool workers.
 
 Every result in the paper is a per-algorithm series over a small grid,
 and every runner in this repository does the same thing to produce one:
-execute a **cell** (one algorithm's figure job, one campaign grid
-point) against an evaluator, time it, log it, account its cache
-traffic, and record its trace span.  That happens in exactly one place,
-:func:`timed_cell`; the runners differ only in *dispatch* — which
-evaluator the cell runs against and in which process:
+execute **cells** (one point of a figure algorithm, one campaign grid
+point) against an evaluator, time them, log them, account their cache
+traffic, and record their trace spans.  Consecutive cells sharing an id
+make one **record** (a figure algorithm, a campaign cell).  One loop,
+:func:`run_cells`, runs cells, and one function, :func:`_close_record`,
+writes a record's manifest ``finish`` and span; the runners differ
+only in *dispatch* — which evaluator the cells run against and in which
+process:
 
-* **in process** — cells run against the caller's evaluator (a figure's
-  shared one, a ``workers=1`` campaign's own) and :func:`timed_cell`
-  writes ``cell_start`` + ``cell_finish`` (with the cell's cache delta)
-  straight into the manifest;
-* **probed** (``--workers N`` figures with a store) — each cell first
-  runs in process against a shared evaluator that serves what the
-  store holds and raises :class:`StoreMiss` where it would simulate.
-  A cell the store holds completely finishes there, recorded exactly
-  as in process, so a warm figure never starts a pool; the first miss
-  stops the cell before anything is simulated, leaves no record, and
-  sends the cell to the pool (a campaign needs no probe: its plan
-  already names the missing cells);
-* **pooled** (:func:`pool_cells`, figure and campaign cells alike) —
-  one pool job per campaign cell, and one per *point* of a figure
+* **in process** (``workers=1``) — cells run against the caller's
+  evaluator (a figure's shared one, a ``workers=1`` campaign's own),
+  each record measured as one part: ``cell_start`` is written as it
+  begins, its ``finish`` (with its cache delta, worker 0) when it ends;
+* **probed** (``--workers N`` figures with a store) — the records first
+  run in process against a shared evaluator that serves what the store
+  holds and raises :class:`StoreMiss` where it would simulate.  A
+  record the store holds completely finishes there, recorded exactly as
+  in process but for its ``start``, written with its ``finish`` and
+  stamped when it began, so a warm figure never starts a pool; the
+  first miss stops the record before anything is simulated, leaves no
+  record, and sends its cells to the pool (a campaign needs no probe:
+  its plan already names the missing cells);
+* **pooled** (``workers > 1``, figure and campaign cells alike) — one
+  pool job per cell: per campaign cell, and per *point* of a figure
   algorithm (a rate, a fault count, a run, a layout), so a figure waits
   on its heaviest point rather than its slowest algorithm.  Jobs are
   dispatched heaviest first: a figure declares each point's weight
@@ -31,8 +35,8 @@ evaluator the cell runs against and in which process:
   private one beside it (:class:`~repro.store.cache.HeldRows`).  The
   parent, sole writer of the manifest *and* of the store, takes jobs
   home through a reorder buffer in declaration order — folding each
-  one's private rows in, merging its snapshot — and writes one record
-  per cell: a figure algorithm's ``cell_finish`` sums its points'
+  one's private rows in, merging its snapshot — and closes each record
+  from its parts: a figure algorithm's ``cell_finish`` sums its points'
   seconds, cycles and cache counters and names the pid that ran its
   last point, ``status="error"`` if a point raised (whose exception it
   then re-raises); its span runs from its earliest point's start to its
@@ -40,10 +44,14 @@ evaluator the cell runs against and in which process:
   any worker count, and a failed or interrupted run still folds in
   every row its workers simulated.
 
+What the cells of one call share is prepared by its *setup* — a figure
+job's ``run``, a campaign's drawn fault cases — once per evaluator:
+once in process, once per job in a pool worker.
+
 Workers receive only picklable values (the frozen
 :class:`~repro.experiments.profiles.Profile` or
-:class:`~repro.campaigns.spec.CampaignSpec`, the cell body by import
-path, a store *directory*), so the pool works with the ``spawn`` and
+:class:`~repro.campaigns.spec.CampaignSpec`, the setup by import path,
+a store *directory*), so the pool works with the ``spawn`` and
 ``fork`` start methods alike.  A run any process stored earlier is a
 cache hit in every worker.
 
@@ -61,13 +69,13 @@ the in-process path (:func:`pool_safe_instrument`).
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import AbstractContextManager, closing, nullcontext, suppress
-from functools import partial
+from collections.abc import Callable, Generator, Iterator, Sequence
+from contextlib import AbstractContextManager, closing, nullcontext
 from pathlib import Path
-from traceback import format_exc
+from traceback import format_exception
 from typing import Any, NamedTuple
 
+from repro.cli import usable_cpus
 from repro.obs.profile import clock
 from repro.obs.spans import Trace
 from repro.store.backend import store_dir_of
@@ -88,7 +96,7 @@ class StoreMiss(LookupError):
 class _Probe(CachedEvaluator):
     """A cached evaluator that serves what the store holds and raises
     :class:`StoreMiss` where it would simulate (after counting the miss,
-    which :func:`timed_cell` takes back)."""
+    which :func:`run_cells` takes back)."""
 
     def _execute(self, alg, cfg, faults):
         raise StoreMiss
@@ -135,185 +143,174 @@ def worker_evaluator(config, seed: int, store, with_telemetry: bool):
 
 def _cache_counters(evaluator) -> dict | None:
     """The evaluator's cumulative cache counters (``None`` if uncached):
-    a shallow copy — ``as_dict()`` deep-copies, twice per warm cell."""
+    a shallow copy — ``as_dict()`` deep-copies, twice per warm record."""
     stats = getattr(evaluator, "stats", None)
     return None if stats is None else dict(vars(stats))
 
 
-def timed_cell(
-    cell_id: str,
-    run: Callable,
-    evaluator,
-    *,
-    manifest=None,
-    trace: Trace | None = None,
-    span: str = "cell",
-    key=None,
-    probe: bool = False,
-) -> dict:
-    """Run one cell: the only place a cell is timed and logged.
-
-    ``run()`` returns ``(value, cycles)``; *evaluator* is the one it
-    runs against, read here for cache accounting only.  The finished
-    cell is a dict, JSON-safe apart from ``value``::
-
-        {"id", "value", "start", "seconds", "cycles", "cache", "pid"}
-
-    ``cache`` is the evaluator's cache-counter delta over the cell
-    (``None`` without a store).  With a *trace* (the parent position)
-    the cell's clock span *span*, keyed by *key*, is recorded through
-    :meth:`~repro.obs.spans.Trace.record`.
-
-    With a *manifest* (:class:`~repro.obs.manifest.ManifestWriter`) the
-    cell's ``start`` and ``finish`` events are written here.  A cell
-    that raises still gets its ``finish`` — with ``status="error"`` —
-    before the exception propagates, so a failed run's manifest names
-    the cell that killed it.
-
-    A *probe* runs against a :class:`_Probe`: a cell that stops at a
-    :class:`StoreMiss` leaves nothing behind (no event, no span, no
-    cache counts) and the miss propagates.  Any other
-    outcome is recorded as without *probe*, its ``start`` written with
-    its ``finish`` and stamped with the time the cell began.
-    """
-    if manifest is not None and not probe:
-        manifest.cell_start(cell_id)
-    before = _cache_counters(evaluator)
-    value, cycles, status = None, 0, "error"
-    t0 = clock()
-    try:
-        value, cycles = run()
-        status = "ok"
-    except StoreMiss:
-        if probe:  # nothing was simulated: the attempt leaves no record
-            manifest = None
-            if before is not None:
-                vars(evaluator.stats).update(before)
-        raise
-    finally:
-        t1 = clock()
-        cache = None
-        if before is not None:
-            after = _cache_counters(evaluator)
-            cache = {k: after[k] - before[k] for k in after}
-        if manifest is not None:
-            if probe:
-                manifest.cell_start(cell_id, at=t0)
-            manifest.cell_finish(
-                cell_id, seconds=t1 - t0, cycles=cycles, cache=cache,
-                status=status,
-            )
-    pid = os.getpid()
-    if trace is not None:
-        trace.record(
-            span, start=t0, end=t1, key=key, id=cell_id, cycles=cycles,
-            pid=pid,
-        )
-    return {
-        "id": cell_id,
-        "value": value,
-        "start": t0,
-        "seconds": t1 - t0,
-        "cycles": cycles,
-        "cache": cache,
-        "pid": pid,
-    }
+def worker_count(workers: int | None) -> int:
+    """*workers* as a worker count: ``None`` is the CPUs this process may
+    use, and fewer than 1 is refused, as the command lines refuse it."""
+    if workers is None:
+        return usable_cpus()
+    if workers < 1:
+        raise ValueError(f"need at least 1, not {workers}")
+    return workers
 
 
-# ----------------------------------------------------------------------
-# Pooled cells (figures and campaigns)
-# ----------------------------------------------------------------------
 class Cell(NamedTuple):
-    """One pool job: ``body(evaluator, *args)``, a module-level function,
-    returns its ``run`` (see :func:`timed_cell`).
+    """One cell: ``run(*args) -> (value, cycles)``, where ``run`` is what
+    the :func:`run_cells` call's *setup* prepared.
 
     Consecutive cells sharing an ``id`` are the parts of one record (a
-    figure algorithm's points), which :func:`pool_cells` writes as one
-    manifest ``finish`` and one span.  *weight* orders dispatch, heaviest
+    figure algorithm's points), written as one manifest ``finish`` and
+    one *span*, keyed by *key*.  *weight* orders pool dispatch, heaviest
     first, and nothing else: it never reaches a record.
     """
 
     id: str
-    body: Callable
     args: tuple
     span: str = "cell"
     key: str | None = None
     weight: float = 0.0
 
 
-class _HeldFinish:
-    """A pool worker's manifest: it holds the cell's ``finish`` fields,
-    which the parent writes with the worker's pid."""
+def _ends_record(cells: Sequence[Cell], i: int) -> bool:
+    return i + 1 == len(cells) or cells[i + 1].id != cells[i].id
 
-    finish: dict | None = None
 
-    def cell_start(self, cell_id: str) -> None:
-        pass
+def _timed(run: Callable, cells: Sequence[Cell], evaluator) -> dict:
+    """Run *cells* as one part of a record, measured once: one clock pair
+    and one cache-counter snapshot around them all.  The part is::
 
-    def cell_finish(self, cell_id: str, **fields) -> None:
-        self.finish = fields
+        {"value": [value, ...], "start", "seconds", "cycles", "cache"}
+
+    ``cache`` is *evaluator*'s cache-counter delta (``None`` without a
+    store).  A cell that raises ends the part with its exception in
+    ``"error"`` and ``cycles`` 0 — an interrupt too, so that its record
+    is closed as an error before it is re-raised.  A :class:`StoreMiss`
+    propagates with the counters taken back: a probe's attempt leaves
+    nothing behind.
+    """
+    before = _cache_counters(evaluator)
+    part: dict[str, Any] = {"value": None, "cycles": 0}
+    t0 = clock()
+    try:
+        values, cycles = [], 0
+        for cell in cells:
+            value, n = run(*cell.args)
+            values.append(value)
+            cycles += n
+        part.update(value=values, cycles=cycles)
+    except StoreMiss:
+        if before is not None:
+            vars(evaluator.stats).update(before)
+        raise
+    except BaseException as exc:
+        part["error"] = exc
+    t1 = clock()
+    cache = None
+    if before is not None:
+        after = _cache_counters(evaluator)
+        cache = {k: after[k] - before[k] for k in after}
+    part.update(start=t0, seconds=t1 - t0, cache=cache)
+    return part
 
 
 def _pooled_cell(args: tuple) -> dict:
-    """Pool body of :func:`pool_cells` (top level so that it pickles):
-    one cell against a fresh evaluator and registry, its new rows put
-    into its private store *held*.  Its ``finish`` fields and registry
-    snapshot ride home in the cell — as does an exception, in
-    ``cell["error"]``."""
-    cell, config, seed, store_dir, held, with_telemetry = args
+    """Pool job of :func:`run_cells` (top level so that it pickles): the
+    setup prepared on a fresh evaluator and registry, then one cell, its
+    new rows put into its private store *held*.  The part rides home
+    with this worker's pid and registry snapshot — and, if the cell or
+    the setup raised, with the exception and its traceback."""
+    cell, setup, config, seed, store_dir, held, with_telemetry = args
     registry, evaluator = worker_evaluator(
         config, seed,
         None if store_dir is None else HeldRows(store_dir, held),
         with_telemetry,
     )
-    events = _HeldFinish()
+    prepare, *setup_args = setup
     try:
-        done = timed_cell(
-            cell.id, cell.body(evaluator, *cell.args), evaluator,
-            manifest=events,
+        part = _timed(prepare(evaluator, *setup_args), [cell], evaluator)
+    except Exception as exc:  # the setup raised: nothing was timed
+        part = {"error": exc}
+    if "error" in part:
+        error = part["error"]
+        part["traceback"] = "".join(
+            format_exception(type(error), error, error.__traceback__)
         )
-    except Exception as exc:
-        done = {"error": exc, "traceback": format_exc()}
-    done.update(
-        pid=os.getpid(), finish=events.finish,
+    part.update(
+        pid=os.getpid(),
         snapshot=None if registry is None else registry.snapshot(),
     )
-    return done
+    return part
 
 
 def _close_record(cell: Cell, parts: list[dict], manifest, trace) -> dict:
-    """Write the record *parts* make up (see :func:`pool_cells`) and
-    return it; re-raise what its last part raised."""
+    """Write the record *parts* make up and return it; re-raise what its
+    last part raised.  The only writer of a cell's ``finish`` and span:
+    seconds, cycles and cache counters summed over the timed parts,
+    ``worker`` the pid that ran the last one (0 in process, where parts
+    carry no pid), the span from the earliest start to the latest end.
+    """
     last = parts[-1]
-    finishes = [part["finish"] for part in parts if part["finish"]]
-    cache = finishes[0]["cache"] if finishes else None
+    timed = [part for part in parts if "seconds" in part]
+    cache = timed[0]["cache"] if timed else None
     fields: dict[str, Any] = {
-        "seconds": sum(f["seconds"] for f in finishes),
-        "cycles": sum(f["cycles"] for f in finishes),
+        "seconds": sum(part["seconds"] for part in timed),
+        "cycles": sum(part["cycles"] for part in timed),
         "cache": cache and {
-            k: sum(f["cache"][k] for f in finishes) for k in cache
+            k: sum(part["cache"][k] for part in timed) for k in cache
         },
         "status": "error" if "error" in last else "ok",
     }
-    if manifest is not None and finishes:
-        manifest.cell_finish(cell.id, worker=last["pid"], **fields)
+    if manifest is not None and timed:
+        manifest.cell_finish(cell.id, worker=last.get("pid", 0), **fields)
     if "error" in last:
-        raise last["error"] from WorkerTraceback(last["traceback"])
+        if "traceback" in last:
+            raise last["error"] from WorkerTraceback(last["traceback"])
+        raise last["error"]
     if trace is not None:
         trace.record(
             cell.span, key=cell.key, id=cell.id, cycles=fields["cycles"],
-            pid=last["pid"],
+            pid=last.get("pid", os.getpid()),
             start=min(part["start"] for part in parts),
             end=max(part["start"] + part["seconds"] for part in parts),
         )
     return {
         "id": cell.id,
-        "value": [part["value"] for part in parts],
+        "value": [value for part in parts for value in part["value"]],
         "seconds": fields["seconds"],
         "cycles": fields["cycles"],
-        "cache": fields["cache"],
-        "pid": last["pid"],
     }
+
+
+def _in_process(
+    cells: Sequence[Cell], setup: tuple, evaluator, manifest
+) -> Generator[tuple[int, dict], None, None]:
+    """``(index of its last cell, part)`` for each record of *cells*, run
+    here against *evaluator*, on which *setup* is prepared once.  A
+    record's ``start`` is written as it begins; a probe's (a
+    :class:`_Probe` evaluator) only once it finished, stamped when it
+    began, and a probed record that reaches a :class:`StoreMiss`
+    yields nothing."""
+    probe = isinstance(evaluator, _Probe)
+    prepare, *args = setup
+    run = prepare(evaluator, *args)
+    first = 0
+    for i in range(len(cells)):
+        if not _ends_record(cells, i):
+            continue
+        record, first = cells[first:i + 1], i + 1
+        if manifest is not None and not probe:
+            manifest.cell_start(cells[i].id)
+        try:
+            part = _timed(run, record, evaluator)
+        except StoreMiss:
+            continue
+        if manifest is not None and probe:
+            manifest.cell_start(cells[i].id, at=part["start"])
+        yield i, part
 
 
 def _in_order(order: list[int], done: Iterator) -> Iterator[tuple]:
@@ -328,42 +325,18 @@ def _in_order(order: list[int], done: Iterator) -> Iterator[tuple]:
             home += 1
 
 
-def pool_cells(
-    cells: Sequence[Cell],
-    config,
-    seed: int,
-    workers: int,
-    *,
-    store=None,
-    manifest=None,
-    trace: Trace | None = None,
-    registry=None,
-    progress: Callable[[str], None] | None = None,
-) -> list[dict]:
-    """Run *cells* in a pool of *workers*, each against a fresh evaluator
-    on *config* and *seed*, cached on *store* (a
-    :class:`~repro.store.ResultStore`); returns one record (see
-    :func:`timed_cell`) per run of cells sharing an id, in declaration
-    order, its ``value`` the list of its cells' values.
-
-    Cells are dispatched heaviest first (``Cell.weight``; equal weights
-    in declaration order) and a reorder buffer takes them home in
-    declaration order: each cell's held rows appended to *store*, its
-    snapshot merged into *registry*.  This process is their sole
-    writer.  A record's last cell then writes the record's
-    ``cell_finish`` into *manifest* — seconds, cycles and cache counters
-    summed over its cells, ``worker`` the pid that ran the last one —
-    and its span, from the earliest cell's start to the latest cell's
-    end, into *trace*, then calls ``progress(id)``.  A cell that raised
-    ends its record with ``status="error"`` and its exception is
-    re-raised, the worker's traceback as the cause; the rows every
-    worker held are folded in all the same.
-    """
-    if not cells:  # a warm figure: no pool, no held directory
-        return []
+def _pooled(
+    cells: Sequence[Cell], setup: tuple, workers: int, config, seed: int,
+    store, registry,
+) -> Generator[tuple[int, dict], None, None]:
+    """``(index, part)`` for each of *cells*, one pool job per cell
+    (:func:`_pooled_cell`), dispatched heaviest first and taken home
+    through a reorder buffer in declaration order: the cell's held rows
+    appended to *store* — its ``puts`` the rows actually written — and
+    its snapshot merged into *registry*.  If a record raises or the run
+    is interrupted, the pool is terminated and the rows every worker
+    held are folded in all the same."""
     order = sorted(range(len(cells)), key=lambda i: -cells[i].weight)
-    finished: list[dict] = []
-    parts: list[dict] = []
     scope: AbstractContextManager[Path | None] = (
         nullcontext() if store is None else holding(store)
     )
@@ -373,60 +346,95 @@ def pool_cells(
             for i in range(len(cells))
         ]
         jobs = [
-            (cells[i], config, seed, store_dir_of(store), held[i],
+            (cells[i], setup, config, seed, store_dir_of(store), held[i],
              registry is not None)
             for i in order
         ]
         try:
             with closing(iter_parallel(_pooled_cell, jobs, workers)) as done:
                 for i, part in _in_order(order, done):
-                    # The cell's rows land where an in-process run
-                    # appends them, and its puts count the rows actually
-                    # written.
                     if held[i] is not None:
                         puts = fold_held(store, held[i])
                         held[i] = None
-                        if part["finish"] is not None:
-                            part["finish"]["cache"]["puts"] = puts
+                        if part.get("cache"):
+                            part["cache"]["puts"] = puts
                     if part["snapshot"] and registry is not None:
                         registry.merge(part["snapshot"])
-                    parts.append(part)
-                    last = i + 1 == len(cells) or cells[i + 1].id != cells[i].id
-                    if last or "error" in part:
-                        finished.append(
-                            _close_record(cells[i], parts, manifest, trace)
-                        )
-                        parts = []
-                        if progress:
-                            progress(cells[i].id)
+                    yield i, part
         finally:
-            # A cell raised or the run was interrupted: the pool is gone,
-            # and the rows the unfinished cells held are kept all the same.
             for path in held:
                 if path is not None:
                     fold_held(store, path)
+
+
+def run_cells(
+    cells: Sequence[Cell],
+    workers: int,
+    *,
+    setup: tuple,
+    evaluator=None,
+    config=None,
+    seed: int = 0,
+    store=None,
+    manifest=None,
+    trace: Trace | None = None,
+    registry=None,
+    progress: Callable[[str], None] | None = None,
+) -> list[dict]:
+    """Run *cells*: the one loop of every figure and campaign.  Returns
+    one record per run of cells sharing an id, in declaration order::
+
+        {"id", "value", "seconds", "cycles"}
+
+    its ``value`` the list of its cells' values.
+
+    ``setup = (prepare, *args)``: ``prepare(evaluator, *args)`` returns
+    the ``run`` each cell calls, once per evaluator; *prepare* is a
+    module-level function (pickled by import path, and held to
+    pool-worker purity by lint rule REP012).  *workers* decides only
+    where the cells run:
+
+    * ``1`` — here, against *evaluator*, each record measured as one
+      part; *evaluator* may be a :class:`_Probe`, whose records that
+      reach a :class:`StoreMiss` are skipped;
+    * more — in a pool of *workers*, one job per cell against a fresh
+      evaluator on *config* and *seed* that reads *store* (a
+      :class:`~repro.store.ResultStore`), whose rows, and snapshots
+      merged into *registry*, this process alone writes.
+
+    Either way :func:`_close_record` writes each record into *manifest*
+    and *trace*, then ``progress(id)`` is called.  A cell that raised
+    ends its record with ``status="error"`` and its exception is
+    re-raised: the original in process, with the worker's traceback as
+    its cause from a pool.
+    """
+    if not cells:  # a warm figure: no pool, no held directory
+        return []
+    parts = (
+        _in_process(cells, setup, evaluator, manifest) if workers <= 1
+        else _pooled(cells, setup, workers, config, seed, store, registry)
+    )
+    finished: list[dict] = []
+    record: list[dict] = []
+    with closing(parts):
+        for i, part in parts:
+            record.append(part)
+            if "error" in part or _ends_record(cells, i):
+                finished.append(_close_record(cells[i], record, manifest, trace))
+                record = []
+                if progress:
+                    progress(cells[i].id)
     return finished
 
 
 # ----------------------------------------------------------------------
 # Per-algorithm fan-out (the figure drivers)
 # ----------------------------------------------------------------------
-def _point_body(evaluator, job: Callable, profile, algorithm: str, point):
-    """A pooled figure point's ``run``: *job* prepared on the worker's
-    evaluator, bound to *algorithm* and *point*."""
+def _job_run(evaluator, job: Callable, profile) -> Callable:
+    """A figure's setup: *job* prepared on *evaluator*, its
+    ``run(algorithm, point)``."""
     run, _ = job(evaluator, profile)
-    return partial(run, algorithm, point)
-
-
-def _whole(run: Callable, points, algorithm: str):
-    """An in-process figure cell's ``run``: every point of *algorithm*,
-    in order."""
-    series, cycles = [], 0
-    for _, point in points:
-        value, point_cycles = run(algorithm, point)
-        series.append(value)
-        cycles += point_cycles
-    return series, cycles
+    return run
 
 
 def run_per_algorithm(
@@ -452,15 +460,17 @@ def run_per_algorithm(
     simulates one.  *job* is a module-level function: it is pickled by
     import path, and lint rule REP012 holds it to pool-worker purity.
 
-    In process, each algorithm is one cell running all its points
-    against one shared evaluator.  ``workers > 1`` pools one job per
-    point of every algorithm the store cannot serve whole, heaviest
-    first, through :func:`pool_cells`, so a figure waits on its heaviest
-    point rather than its slowest algorithm; the weights order dispatch
-    only.  Results are identical either way — per-run seeds derive from
-    ``(seed, algorithm, set, rate)`` and fault cases from ``(seed,
-    count)``, never from execution order — and so is the store, which
-    only this process writes, in declaration order.
+    Every (algorithm, point) is one :class:`Cell`, and every algorithm
+    one record, run by :func:`run_cells`.  In process, an algorithm's
+    points run against one shared evaluator.  ``workers > 1`` pools one
+    job per point of every algorithm the store cannot serve whole,
+    heaviest first, so a figure waits on its heaviest point rather than
+    its slowest algorithm; the weights order dispatch only.  Results
+    are identical either way — per-run seeds derive from ``(seed,
+    algorithm, set, rate)`` and fault cases from ``(seed, count)``,
+    never from execution order — and so is the store, which only this
+    process writes, in declaration order.  *workers* below 1 is refused
+    and ``None`` is the usable CPUs (:func:`worker_count`).
 
     *store* (a :class:`repro.store.ResultStore` or directory) routes
     every simulation through the result cache: runs simulated before —
@@ -480,6 +490,7 @@ def run_per_algorithm(
     identical ids whether the cells ran pooled or in process.
     """
     algorithms = algorithms or profile.algorithms
+    workers = worker_count(workers)
     pooled = (
         workers > 1
         and len(algorithms) > 1
@@ -489,55 +500,35 @@ def run_per_algorithm(
     evaluator = (_Probe if probed else make_evaluator)(
         profile.config, seed=seed, instrument=instrument, store=store,
     )
-    run, points = job(evaluator, profile)
-    cells: dict[str, dict] = {}
+    _, points = job(evaluator, profile)
+    cells = [
+        Cell(alg, (alg, point), f"cell.{alg}", weight=weight)
+        for alg in algorithms for weight, point in points
+    ]
+    report = progress and (lambda alg: progress(f"[{label}] {alg}: done"))
+    done: dict[str, dict] = {}
     if not pooled or probed:
         if probed:
             fold_orphans(evaluator.store)
-        # Cells run here; a probed one stops at its first miss and goes
-        # to the pool instead.
-        for alg in algorithms:
-            with suppress(StoreMiss):
-                cells[alg] = timed_cell(
-                    alg, partial(_whole, run, points, alg), evaluator,
-                    manifest=manifest, trace=trace, span=f"cell.{alg}",
-                    probe=probed,
-                )
-                if progress:
-                    progress(f"[{label}] {alg}: done")
-    missing = [alg for alg in algorithms if alg not in cells]
-    cells.update((cell["id"], cell) for cell in pool_cells(
-        [Cell(alg, _point_body, (job, profile, alg, point), f"cell.{alg}",
-              weight=weight)
-         for alg in missing for weight, point in points],
-        profile.config, seed, workers,
+        # Records run here; a probed one stops at its first miss and
+        # goes to the pool instead.
+        done = {record["id"]: record for record in run_cells(
+            cells, 1, setup=(_job_run, job, profile), evaluator=evaluator,
+            manifest=manifest, trace=trace, progress=report,
+        )}
+    done.update((record["id"], record) for record in run_cells(
+        [cell for cell in cells if cell.id not in done], workers,
+        setup=(_job_run, job, profile), config=profile.config, seed=seed,
         store=evaluator.store if probed else None,
         manifest=manifest, trace=trace,
-        registry=getattr(instrument, "telemetry", None),
-        progress=progress and (lambda alg: progress(f"[{label}] {alg}: done")),
+        registry=getattr(instrument, "telemetry", None), progress=report,
     ))
-    return {alg: cells[alg]["value"] for alg in algorithms}
+    return {alg: done[alg]["value"] for alg in algorithms}
 
 
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
-def _progress_label(result, index: int) -> str:
-    """A printable label for a finished job.
-
-    Workers that return ``(name, ...)`` tuples are labeled by name;
-    anything else (scalars, dicts, row lists) falls back to the 1-based
-    job index instead of blowing up on ``result[0]``.
-    """
-    if (
-        isinstance(result, tuple)
-        and result
-        and isinstance(result[0], str)
-    ):
-        return result[0]
-    return f"job {index + 1}"
-
-
 def iter_parallel(
     worker: Callable, jobs: Sequence, workers: int
 ) -> Iterator:
@@ -555,19 +546,3 @@ def iter_parallel(
     with get_context().Pool(processes=min(workers, len(jobs))) as pool:
         yield from pool.imap(worker, jobs)
 
-
-def parallel_map(
-    worker: Callable,
-    jobs: Sequence,
-    workers: int,
-    progress: Callable[[str], None] | None = None,
-    label: str = "",
-) -> list:
-    """Run *worker* over *jobs* with a process pool (ordered results);
-    see :func:`iter_parallel`."""
-    out = []
-    for i, result in enumerate(iter_parallel(worker, jobs, workers)):
-        out.append(result)
-        if progress:
-            progress(f"[{label}] {_progress_label(result, i)}: done")
-    return out

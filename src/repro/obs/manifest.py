@@ -16,8 +16,9 @@ interleaved:
   with the cell's wall ``seconds``, the ``worker`` pid that ran it
   (``0``: this process), simulated ``cycles``, per-cell cache counters
   when a store was in play, and a ``status`` (``error`` for a cell that
-  raised).  One function writes both phases for every runner:
-  :func:`repro.experiments.parallel.timed_cell`;
+  raised).  One loop runs every runner's cells,
+  :func:`repro.experiments.parallel.run_cells`, and one function in it
+  writes every ``finish``, in process or pooled;
 * ``span`` — one trace span (:mod:`repro.obs.spans`), written when it
   closes: a writer is the recorder of the run's
   :class:`~repro.obs.spans.Trace`, so a crash loses no closed span;

@@ -199,6 +199,11 @@ def _parse_reliability_params(params: dict) -> dict:
             "width/height/trials/seed/workers must be integers, "
             "failure_rate a number"
         ) from None
+    # What the estimator would refuse is refused here, on the loop.
+    if not 0.0 <= kwargs["failure_rate"] <= 1.0:  # NaN fails it too
+        raise _Refused("failure_rate must lie in [0, 1]")
+    if kwargs["trials"] < 1:
+        raise _Refused("trials must be positive")
     # The request sizes work done inside the serving process: cap it.
     if kwargs["trials"] > _MAX_TRIALS:
         raise _Refused(f"trials is capped at {_MAX_TRIALS} per request")

@@ -9,7 +9,7 @@ healthy source/destination pairs remains **routable** even when it is
 not?
 
 Estimation is seeded Monte-Carlo over failure sets, batched so the
-trials fan out across :func:`repro.experiments.parallel.parallel_map`
+trials fan out across :func:`repro.experiments.parallel.iter_parallel`
 workers.  Determinism contract: each batch derives its RNG from
 ``f"{seed}/reliability/{p:.9f}/{batch_index}"`` — a pure function of
 the request, never of the process — so an estimate is bit-identical
@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from repro.core.evaluator import ENGINE_VERSION
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import iter_parallel
 from repro.faults.connectivity import reachable_from
 from repro.topology.mesh import Mesh2D
 
@@ -186,9 +186,7 @@ def estimate(
         )
         remaining -= batch
         batch_index += 1
-    outputs = parallel_map(
-        _reliability_batch, jobs, workers, label="reliability"
-    )
+    outputs = list(iter_parallel(_reliability_batch, jobs, workers))
     connected = sum(o["connected"] for o in outputs)
     routable_sum = sum(o["routable_sum"] for o in outputs)
     low, high = wilson_interval(connected, trials)

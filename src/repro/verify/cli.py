@@ -92,23 +92,19 @@ def check_main(args: argparse.Namespace) -> int:
     patterns = args.pattern or list(CORPUS_NAMES)
     # The (algorithm, pattern) cases are independent; fan them out over a
     # process pool when --workers > 1 (workers <= 1 stays in process).
-    from repro.experiments.parallel import parallel_map
+    from repro.experiments.parallel import iter_parallel
 
     jobs = [
         (name, pname, args.width, args.vcs)
         for name in names
         for pname in patterns
     ]
-    progress = (
-        (lambda s: print(s, file=sys.stderr))
-        if getattr(args, "workers", 1) > 1 and not args.json
-        else None
-    )
+    workers = getattr(args, "workers", 1)
     results: dict[str, list[CdgReport]] = {name: [] for name in names}
-    for name, _pname, report in parallel_map(
-        _check_job, jobs, getattr(args, "workers", 1), progress, label="check"
-    ):
+    for name, _pname, report in iter_parallel(_check_job, jobs, workers):
         results[name].append(report)
+        if workers > 1 and not args.json:
+            print(f"[check] {name}: done", file=sys.stderr)
 
     verdicts = {name: _algorithm_verdict(reports) for name, reports in results.items()}
     ok = all(passed for passed, _ in verdicts.values())

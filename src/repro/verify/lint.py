@@ -503,9 +503,10 @@ _MUTATOR_METHODS = {"append", "extend", "add", "update", "setdefault",
 def _worker_names(mods: list[_Module]) -> set[str]:
     """Terminal names of callables handed to ``parallel_map`` /
     ``iter_parallel`` / pools, of the figure jobs handed to
-    ``run_per_algorithm`` and of the cell bodies a ``Cell`` names (one
-    generic pool worker runs them, so they are worker bodies too).  A
-    job's point body is a closure inside it, checked with the job."""
+    ``run_per_algorithm`` and of the setups a ``run_cells(...,
+    setup=(prepare, ...))`` call names (a pool worker runs them, so
+    they are worker bodies too).  A job's point body is a closure
+    inside it, checked with the job."""
     names: set[str] = set()
     for mod in mods:
         for node in ast.walk(mod.tree):
@@ -518,9 +519,16 @@ def _worker_names(mods: list[_Module]) -> set[str]:
                 worker = node.args[2] if len(node.args) > 2 else next(
                     (kw.value for kw in node.keywords if kw.arg == "job"), None
                 )
-            elif dispatch == "Cell" and len(node.args) > 1:
-                # Cell(id, body, args, ...)
-                worker = node.args[1]
+            elif dispatch == "run_cells":
+                # run_cells(cells, workers, setup=(prepare, *args), ...)
+                setup = next(
+                    (kw.value for kw in node.keywords if kw.arg == "setup"),
+                    None,
+                )
+                worker = (
+                    setup.elts[0]
+                    if isinstance(setup, ast.Tuple) and setup.elts else None
+                )
             elif node.args and (
                 dispatch in ("parallel_map", "iter_parallel")
                 or (isinstance(func, ast.Attribute)
@@ -963,7 +971,7 @@ RULES: dict[str, tuple[str, str, Callable[..., Iterable[tuple]]]] = {
     ),
     "REP012": (
         "project",
-        "pool workers (parallel_map / pooled cells) never mutate "
+        "pool workers (iter_parallel / run_cells setups) never mutate "
         "module-level state",
         _rule_pool_worker_purity,
     ),

@@ -326,3 +326,30 @@ class TestResume:
         assert summary["executed"] == spec.n_jobs - 1
         assert summary["store_digest"] == store_digest(done.store)
         assert not any((db.store.root / "held").iterdir())
+
+
+class TestOneLoop:
+    def test_in_process_campaign_draws_its_cases_once(self, tmp_path,
+                                                       monkeypatch):
+        """In process, a campaign's setup runs once for all its cells."""
+        real, calls = shard_module.draw_cases, []
+
+        def counting(evaluator, spec):
+            calls.append(spec.name)
+            return real(evaluator, spec)
+
+        monkeypatch.setattr(shard_module, "draw_cases", counting)
+        db = CampaignDB(faulty_spec(fault_counts=(0,), fault_sets=1),
+                        tmp_path / "c")
+        summary = run_campaign(db, workers=1)
+        assert summary["executed"] == 4
+        assert calls == ["shard-eq"]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, tmp_path, workers):
+        db = CampaignDB(faulty_spec(), tmp_path / "c")
+        with pytest.raises(ValueError, match=f"need at least 1, not {workers}"):
+            run_campaign(db, workers=workers)
+        assert len(db.store) == 0
+        with pytest.raises(ValueError, match="need at least 1, not 0"):
+            run_campaign(db, shards=0)

@@ -1,6 +1,6 @@
 """Cross-layer trace spans (`repro.obs.spans`): deterministic ids,
 partition-independent merge + digest, explicit context propagation
-through `parallel_map` workers, IO round-trips, and rendering."""
+through pool workers, IO round-trips, and rendering."""
 
 import json
 

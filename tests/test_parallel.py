@@ -14,7 +14,7 @@ from repro.experiments.fig_sweep import run_sweep, sweep_job
 from repro.experiments.fig_vc_usage import run_vc_usage
 from repro.experiments.parallel import (
     WorkerTraceback,
-    parallel_map,
+    iter_parallel,
     run_per_algorithm,
 )
 from repro.experiments.profiles import SMOKE_PROFILE
@@ -37,42 +37,16 @@ def double(job):
 
 class TestParallelMap:
     def test_sequential_path(self):
-        out = parallel_map(double, [1, 2, 3], workers=1)
+        out = list(iter_parallel(double, [1, 2, 3], workers=1))
         assert out == [(1, 2), (2, 4), (3, 6)]
 
     def test_single_job_stays_in_process(self):
-        out = parallel_map(double, [7], workers=8)
+        out = list(iter_parallel(double, [7], workers=8))
         assert out == [(7, 14)]
 
     def test_pool_path_ordered(self):
-        out = parallel_map(double, [1, 2, 3, 4], workers=2)
+        out = list(iter_parallel(double, [1, 2, 3, 4], workers=2))
         assert out == [(1, 2), (2, 4), (3, 6), (4, 8)]
-
-    def test_progress_callback(self):
-        seen = []
-        parallel_map(double, [1, 2], workers=1, progress=seen.append, label="x")
-        assert len(seen) == 2 and seen[0].startswith("[x]")
-
-    def test_progress_with_named_tuple_results(self):
-        seen = []
-        parallel_map(
-            lambda job: (f"alg-{job}", job),
-            [1, 2],
-            workers=1,
-            progress=seen.append,
-            label="x",
-        )
-        assert seen == ["[x] alg-1: done", "[x] alg-2: done"]
-
-    @pytest.mark.parametrize("worker", [lambda j: j * 2, lambda j: {"v": j}])
-    def test_progress_falls_back_to_job_index(self, worker):
-        # Workers returning scalars or dicts must not break the progress
-        # callback (it used to assume result[0] was a printable label).
-        seen = []
-        out = parallel_map(worker, [5, 6], workers=1, progress=seen.append,
-                           label="x")
-        assert len(out) == 2
-        assert seen == ["[x] job 1: done", "[x] job 2: done"]
 
 
 class TestParallelSweep:
@@ -485,3 +459,37 @@ class TestHeaviestFirst:
         assert (tmp_path / "par" / "rows.jsonl").read_bytes() == (
             tmp_path / "seq" / "rows.jsonl"
         ).read_bytes()
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, workers):
+        with pytest.raises(ValueError, match=f"need at least 1, not {workers}"):
+            run_sweep(SMOKE_PROFILE, ("nhop",), workers=workers)
+
+    def test_none_is_the_usable_cpus(self):
+        assert parallel.worker_count(None) == usable_cpus()
+        assert parallel.worker_count(3) == 3
+
+
+class TestWarmProbe:
+    def test_warm_fig4_draws_each_fault_count_once(self, tmp_path,
+                                                   monkeypatch):
+        """A warm pooled figure prepares its job once per evaluator, not
+        once per point: each fault case is drawn once."""
+        from repro.core.evaluator import Evaluator
+        from repro.experiments.cli import main as experiments_main
+
+        argv = ["fig4", "--profile", "smoke", "--algorithms", "nhop", "phop",
+                "--workers", "2", "--store", str(tmp_path / "s"), "--quiet"]
+        assert experiments_main(argv) == 0
+        real, drawn = Evaluator.fault_case, []
+
+        def counting(self, n_faults, n_sets, label=None):
+            drawn.append(n_faults)
+            return real(self, n_faults, n_sets, label)
+
+        monkeypatch.setattr(Evaluator, "fault_case", counting)
+        monkeypatch.setattr(parallel, "iter_parallel", None)  # no pool
+        assert experiments_main(argv) == 0
+        assert sorted(drawn) == sorted(SMOKE_PROFILE.fault_counts)

@@ -536,6 +536,20 @@ _HOSTILE = [
         "POST", "/reliability",
         body=b'{"width":6,"failure_rate":0.1,"trials":1e999}'),
      400, "trials must be an integer, not Infinity"),
+    # Out of the estimator's range: refused on the loop, not a 500.
+    (_request_bytes(
+        "POST", "/reliability", body=b'{"width":6,"failure_rate":1.5}'),
+     400, "failure_rate must lie in [0, 1]"),
+    (_request_bytes(
+        "POST", "/reliability", body=b'{"width":6,"failure_rate":-0.1}'),
+     400, "failure_rate must lie in [0, 1]"),
+    (_request_bytes(
+        "POST", "/reliability?width=6&failure_rate=nan", body=b"{}"),
+     400, "failure_rate must lie in [0, 1]"),
+    (_request_bytes(
+        "POST", "/reliability",
+        body=b'{"width":6,"failure_rate":0.1,"trials":0}'),
+     400, "trials must be positive"),
 ]
 
 
@@ -1032,5 +1046,6 @@ def _replay_matches_the_recording(tmp_path, send):
         assert _same(got, want), (i, _SCRIPT[i], got, want)
     assert _same(run["counters"], golden["counters"])
     assert _same(run["spans"], golden["spans"])
-    # 3 /reliability runs on the executor; 3 engine-tier queries likewise.
-    assert resolved == {"mix": (30, 3), "sim": (4, 3)}
+    # 2 /reliability runs on the executor (an out-of-range one is refused
+    # on the loop); 3 engine-tier queries likewise.
+    assert resolved == {"mix": (31, 2), "sim": (4, 3)}

@@ -57,6 +57,24 @@ class TestCheckVerb:
         assert pooled == serial
 
 
+    def test_pooled_check_reports_each_case_on_stderr(self, capsys):
+        """``--workers 2`` prints one progress line per case on stderr,
+        in case order, and the stdout of an in-process check."""
+        argv = [
+            "check", "--algorithm", "ecube", "--algorithm", "duato",
+            "--pattern", "fault-free", "--pattern", "corner-block",
+        ]
+        assert main(argv + ["--workers", "1"]) == 0
+        serial = capsys.readouterr()
+        assert main(argv + ["--workers", "2"]) == 0
+        pooled = capsys.readouterr()
+        assert pooled.out == serial.out and serial.err == ""
+        assert pooled.err.splitlines() == [
+            "[check] ecube: done", "[check] ecube: done",
+            "[check] duato: done", "[check] duato: done",
+        ]
+
+
 class TestLintVerb:
     def test_clean_tree_exits_zero(self, capsys):
         assert main(["lint", "src/repro"]) == 0

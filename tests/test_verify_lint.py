@@ -647,6 +647,25 @@ class TestPoolWorkerPurity:
         assert "'sweep_job'" in findings[0].message
         assert self.check(src.replace("SEEN[algorithm] = True", "pass")) == []
 
+    def test_flags_setup_handed_to_run_cells(self):
+        # A pool worker prepares the setup a run_cells call names, so the
+        # setup is a worker body although no pool call names it.
+        src = (
+            "DRAWN = []\n"
+            "def prep(evaluator, spec):\n"
+            "    global DRAWN\n"
+            "    DRAWN = [spec]\n"
+            "    return evaluator.run\n"
+            "def run(cells, workers, spec):\n"
+            "    return run_cells(cells, workers, setup=(prep, spec))\n"
+        )
+        findings = self.check(src)
+        assert rules_of(findings) == {"REP012"}
+        assert all("'prep'" in f.message for f in findings)
+        assert self.check(
+            src.replace("    global DRAWN\n    DRAWN = [spec]\n", "")
+        ) == []
+
     def test_non_workers_may_touch_module_state(self):
         # only callables actually handed to a pool are constrained
         src = (
