@@ -30,7 +30,8 @@ for alg in ("phop", "minimal-adaptive"):
     )
     usage = vc_usage_percent(run)
     peak = max(usage) or 1.0
-    print(f"\n{alg}  (imbalance coefficient {usage_imbalance(usage):.2f})")
+    imbalance = usage_imbalance(usage[:-4])  # over the non-ring VCs
+    print(f"\n{alg}  (imbalance coefficient {imbalance:.2f})")
     for v, pct in enumerate(usage):
         tag = "ring" if v >= len(usage) - 4 else "    "
         bar = "#" * round(40 * pct / peak)

@@ -16,7 +16,8 @@ ends (``experiments``, ``campaigns``, ``serve``, ``verify``, the
 
 Exit codes, the same for every front end: 0 done; 1 a check or gate
 found a failure; 2 the input was refused; 3 the question has no answer
-(``serve query`` unresolved, ``obs history --gate`` without a baseline).
+(``serve query`` unresolved, ``obs history --gate`` without a baseline,
+``verify check`` on a case whose exploration overflowed).
 
 Standard library only: importing the runner loads nothing a verb has not
 asked for.

@@ -1,7 +1,8 @@
 """Experiment harness: regenerate every figure of the paper.
 
-Each figure has a driver returning structured data plus a printer that
-emits the same rows/series the paper reports:
+Each figure has a driver returning structured data and a printer that
+reads the driver's payload (the dict ``--out`` saves) and emits the same
+rows/series the paper reports:
 
 * Figure 1 / Figure 2 — :mod:`repro.experiments.fig_sweep`
   (throughput and latency vs traffic generation rate, fault-free),
@@ -17,6 +18,7 @@ Run them from the command line::
 
     python -m repro.experiments fig1 --profile quick
     python -m repro.experiments all --profile paper --out results/
+    python -m repro.experiments report --out results/  # print them again
 """
 
 from repro.experiments.profiles import PAPER_PROFILE, QUICK_PROFILE, SMOKE_PROFILE, Profile

@@ -47,14 +47,22 @@ class AblationResult:
     rows: list[dict] = field(default_factory=list)
 
     def to_payload(self) -> dict:
-        return {"experiment": f"ablation-{self.study}", "rows": self.rows}
+        return {
+            "experiment": f"ablation-{self.study}",
+            "knob": self.knob,
+            "rows": self.rows,
+        }
 
-    def render(self) -> str:
-        if not self.rows:
-            return f"Ablation {self.study}: no rows"
-        headers = list(self.rows[0])
-        body = [[row[h] for h in headers] for row in self.rows]
-        return table(headers, body, title=f"Ablation: {self.study} (knob: {self.knob})")
+
+def print_ablation(payload: dict) -> str:
+    """One study's rows as a table."""
+    study = payload["experiment"].removeprefix("ablation-")
+    rows = payload["rows"]
+    if not rows:
+        return f"Ablation {study}: no rows"
+    headers = list(rows[0])
+    body = [[row[h] for h in headers] for row in rows]
+    return table(headers, body, title=f"Ablation: {study} (knob: {payload['knob']})")
 
 
 def _run(cfg: SimConfig, algorithm, store: ResultStore | None = None) -> dict:

@@ -8,7 +8,7 @@ plotting dependency.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 _MARKERS = "ox+*#@%&sd^v"
 
@@ -123,6 +123,41 @@ def table(
     for row in cells[1:]:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def series_figure(
+    xs: Sequence[float],
+    series: Mapping[str, Sequence[float]],
+    *,
+    title: str,
+    x_head: Callable[[float], str],
+    cell: Callable[[float], str],
+    chart: str,
+    xlabel: str,
+    ylabel: str,
+    column: tuple[str, Callable[[Sequence[float]], str]] | None = None,
+) -> str:
+    """An ``algorithm`` x *xs* table of ``{label: ys}`` *series*, with an
+    optional derived ``(header, ys -> text)`` *column*, above its line
+    chart."""
+    head = ["algorithm"] + [x_head(x) for x in xs]
+    rows = [[label] + [cell(y) for y in ys] for label, ys in series.items()]
+    if column is not None:
+        head.append(column[0])
+        for row, ys in zip(rows, series.values()):
+            row.append(column[1](ys))
+    return "\n\n".join([
+        table(head, rows, title=title),
+        line_chart(
+            {label: (list(xs), ys) for label, ys in series.items()},
+            title=chart, xlabel=xlabel, ylabel=ylabel,
+        ),
+    ])
+
+
+def whole_or_dash(value: float) -> str:
+    """A table cell for a mean that may be NaN (no message delivered)."""
+    return f"{value:.0f}" if value == value else "-"
 
 
 def _fmt(value: object) -> str:

@@ -21,10 +21,12 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
 from contextlib import nullcontext
 from functools import partial
 from importlib import import_module
 from pathlib import Path
+from typing import Any
 
 from repro.cli import Verb, delegate, positive_count, run, usable_cpus
 from repro.experiments.profiles import PROFILES, get_profile
@@ -43,10 +45,11 @@ ABLATION_COMMANDS = (
     "ablation-vc-count",
 )
 
-#: The figure phases in run order: the span that times each, the
-#: driver module and its runner, and the ``--out`` file stem.  A phase
-#: runs when any figure in its span name is wanted and prints each
-#: wanted one with the module's ``print_<figure>``.
+#: The figure phases in run order: the span that times each (also the
+#: ``experiment`` its payload names), the driver module and its runner,
+#: and the ``--out`` file stem.  A phase runs when any figure in its span
+#: name is wanted and prints each wanted one with the module's
+#: ``print_<figure>``, which reads the phase's payload.
 FIGURE_PHASES = (
     ("fig1-fig2", "fig_sweep", "run_sweep", "sweep"),
     ("fig3", "fig_vc_usage", "run_vc_usage", "fig3"),
@@ -62,6 +65,10 @@ def _dump(out_dir: Path | None, name: str, payload: dict) -> None:
     path = out_dir / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2))
     print(f"[saved {path}]")
+
+
+def _figures_text(driver, figures, payload: dict) -> str:
+    return "\n\n".join(getattr(driver, f"print_{fig}")(payload) for fig in figures)
 
 
 def _run_figures(wanted, profile, algorithms, out, run: dict, trace=None):
@@ -80,15 +87,23 @@ def _run_figures(wanted, profile, algorithms, out, run: dict, trace=None):
             result = getattr(driver, runner)(
                 profile, algorithms, trace=span, **run
             )
-        _dump(out, f"{stem}_{profile.name}", result.to_payload())
-        for fig in figures:
-            print(getattr(driver, f"print_{fig}")(result))
-            print()
+        payload = result.to_payload()
+        _dump(out, f"{stem}_{profile.name}", payload)
+        print(_figures_text(driver, figures, payload))
+        print()
 
 
-def _flags(parser: argparse.ArgumentParser) -> None:
-    """The flags every figure and ablation command shares."""
-    add = parser.add_argument
+def _flags(*names: str) -> Callable[[argparse.ArgumentParser], None]:
+    """Declare the flags in *names*, or every figure flag without names;
+    a command is given only the flags it reads."""
+    return partial(_declare, names)
+
+
+def _declare(names: tuple[str, ...], parser: argparse.ArgumentParser) -> None:
+    def add(flag: str, **spec: Any) -> None:
+        if not names or flag in names:
+            parser.add_argument(flag, **spec)
+
     add("--profile", default="quick", choices=sorted(PROFILES),
         help="simulation scale (default: quick; 'paper' is full scale)")
     add("--algorithms", nargs="+", default=None, choices=ALGORITHM_NAMES,
@@ -136,15 +151,56 @@ def _flags(parser: argparse.ArgumentParser) -> None:
         "deterministically by message id (default 1 = all)")
 
 
-def _experiment(command: str, args: argparse.Namespace) -> int:
-    """Run one figure, ablation or ``all``/``ablations`` command."""
+def _open_store(args: argparse.Namespace):
     if args.store is False:  # flag absent: caching off
-        store = None
-    else:
-        from repro.store.cli import open_store
+        return None
+    from repro.store.cli import open_store
 
-        store = open_store(args.store)
+    return open_store(args.store)
 
+
+def _timed(
+    handler: Callable[[argparse.Namespace], int],
+) -> Callable[[argparse.Namespace], int]:
+    """*handler*, closed by a ``[total Ns]`` progress line."""
+    def timed(args: argparse.Namespace) -> int:
+        t0 = time.time()
+        code = handler(args)
+        if not args.quiet:
+            print(f"[total {time.time() - t0:.1f}s]", file=sys.stderr)
+        return code
+    return timed
+
+
+def _budgets(args: argparse.Namespace) -> int:
+    """The VC budget table on the ``--profile`` mesh."""
+    from repro.experiments.budgets_table import print_budgets
+
+    config = get_profile(args.profile).config
+    print(print_budgets(config.width, config.vcs_per_channel))
+    print()
+    return 0
+
+
+def _ablations(command: str, args: argparse.Namespace) -> int:
+    """Run, dump and print one ablation study, or all of them."""
+    from repro.experiments.ablations import print_ablation, run_ablation
+
+    store = _open_store(args)
+    for study in ABLATION_COMMANDS if command == "ablations" else (command,):
+        name = study.removeprefix("ablation-")
+        if not args.quiet:
+            print(f"[ablation] {name}: running", file=sys.stderr)
+        payload = run_ablation(name, store=store).to_payload()
+        _dump(args.out, f"ablation_{name}", payload)
+        print(print_ablation(payload))
+        print()
+    return 0
+
+
+def _experiment(command: str, args: argparse.Namespace) -> int:
+    """Run one figure command or ``all``."""
+    store = _open_store(args)
     telemetry = tracer = instrument = None
     if args.telemetry or args.trace_out is not None:
         from repro.obs.telemetry import Instrument, TelemetryRegistry
@@ -161,33 +217,10 @@ def _experiment(command: str, args: argparse.Namespace) -> int:
         profile_name = f"{profile_name}+auto"
     profile = get_profile(profile_name)
     algorithms = tuple(args.algorithms) if args.algorithms else None
-    progress = None if args.quiet else lambda s: print(s, file=sys.stderr)
-    if command == "all":
-        wanted: tuple[str, ...] = EXPERIMENTS
-    elif command == "ablations":
-        wanted = ABLATION_COMMANDS
-    else:
-        wanted = (command,)
-    t0 = time.time()
-
-    for ablation in wanted:
-        if not ablation.startswith("ablation-"):
-            continue
-        from repro.experiments.ablations import run_ablation
-
-        name = ablation.removeprefix("ablation-")
-        if progress:
-            progress(f"[ablation] {name}: running")
-        result = run_ablation(name, store=store)
-        _dump(args.out, f"ablation_{name}", result.to_payload())
-        print(result.render())
-        print()
-
+    wanted = EXPERIMENTS if command == "all" else (command,)
     if "budgets" in wanted:
-        from repro.experiments.budgets_table import print_budgets
-
-        print(print_budgets(profile.config.width, profile.config.vcs_per_channel))
-        print()
+        _budgets(args)
+    progress = None if args.quiet else lambda s: print(s, file=sys.stderr)
     options = dict(
         seed=args.seed, progress=progress, workers=args.workers, store=store,
         instrument=instrument,
@@ -240,24 +273,51 @@ def _experiment(command: str, args: argparse.Namespace) -> int:
             telemetry_snapshot=snapshot,
         )
         print(f"[trace: {n} events -> {args.trace_out}]")
-    if progress:
-        progress(f"[total {time.time() - t0:.1f}s]")
     return 0
 
 
-def _report(args: argparse.Namespace) -> int:
-    from repro.experiments.report import summarize_directory
+def _payload_text(payload: dict) -> str:
+    """What the command that saved *payload* printed for it: an
+    ablation's table, or every figure of a figure phase."""
+    experiment = payload["experiment"]
+    if experiment.startswith("ablation-"):
+        from repro.experiments.ablations import print_ablation
 
-    print(summarize_directory(args.out))
+        return print_ablation(payload)
+    module = {p: m for p, m, _, _ in FIGURE_PHASES}[experiment]
+    driver = import_module(f"repro.experiments.{module}")
+    return _figures_text(driver, experiment.split("-"), payload)
+
+
+def _report(args: argparse.Namespace) -> int:
+    """Print every payload saved in ``--out`` as its command printed it."""
+    parts = [f"# Experiment report — {args.out}"]
+    found = False
+    for path in sorted(args.out.glob("*.json")):
+        try:
+            block = f"```\n{_payload_text(json.loads(path.read_text()))}\n```"
+            found = True
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
+            block = "(unrecognized payload, skipped)"
+        parts.append(f"### {path.name}\n\n{block}")
+    if not found:
+        parts.append("(no experiment payloads found)")
+    print("\n\n".join(parts))
     return 0
 
 
 def _row(name: str, help: str) -> Verb:
-    return Verb(name, help, _flags, partial(_experiment, name))
+    return Verb(name, help, _flags(), _timed(partial(_experiment, name)))
+
+
+def _study(name: str, help: str) -> Verb:
+    return Verb(name, help, _flags("--store", "--out", "--quiet"),
+                _timed(partial(_ablations, name)))
 
 
 VERBS: tuple[Verb, ...] = (
-    _row("budgets", "Sections 3-4: the VC budget of every algorithm."),
+    Verb("budgets", "Sections 3-4: the VC budget of every algorithm.",
+         _flags("--profile", "--quiet"), _timed(_budgets)),
     _row("fig1", "Figure 1: throughput vs injection rate."),
     _row("fig2", "Figure 2: latency vs injection rate."),
     _row("fig3", "Figure 3: VC usage under faults."),
@@ -265,12 +325,12 @@ VERBS: tuple[Verb, ...] = (
     _row("fig5", "Figure 5: latency vs fault percentage."),
     _row("fig6", "Figure 6: traffic load on f-ring nodes vs the rest."),
     _row("all", "Every figure and the budgets table."),
-    _row("ablations", "Every design-knob ablation study."),
+    _study("ablations", "Every design-knob ablation study."),
     *(
-        _row(command, f"Ablation study: {command.removeprefix('ablation-')}.")
+        _study(command, f"Ablation study: {command.removeprefix('ablation-')}.")
         for command in ABLATION_COMMANDS
     ),
-    Verb("report", "Render saved --out JSON as markdown.",
+    Verb("report", "Print saved --out JSON as its command printed it.",
          lambda parser: parser.add_argument(
              "--out", type=Path, default=Path("results"), metavar="DIR",
              help="directory of saved JSON (default: results)"),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.ascii_plot import line_chart, table
+from repro.experiments.ascii_plot import series_figure, whole_or_dash
 from repro.experiments.parallel import run_per_algorithm
 from repro.experiments.profiles import Profile
 from repro.metrics.aggregate import AggregateResult
@@ -78,71 +78,37 @@ def run_fault_study(
     )
 
 
-def print_fig4(result: FaultStudyResult) -> str:
+def _figure(payload: dict, metric: str, **style) -> str:
+    """One of the study's two figures: *metric* per algorithm vs fault
+    percentage."""
+    return series_figure(
+        payload["fault_percents"],
+        {display_name(a): ys for a, ys in payload[metric].items()},
+        x_head="{:g}%".format, xlabel="% faulty nodes", **style,
+    )
+
+
+def print_fig4(payload: dict) -> str:
     """Figure 4: normalized throughput vs percentage of faults."""
-    rows = [
-        [display_name(alg)] + [f"{p.throughput:.3f}" for p in pts]
-        for alg, pts in result.points.items()
-    ]
-    head = ["algorithm"] + [f"{p:g}%" for p in result.fault_percents]
-    out = [
-        table(
-            head,
-            rows,
-            title=(
-                "Figure 4 - normalized throughput (flits/node/cycle) vs "
-                "percentage of faulty nodes, 100% offered load"
-            ),
+    return _figure(
+        payload, "throughput",
+        title=(
+            "Figure 4 - normalized throughput (flits/node/cycle) vs "
+            "percentage of faulty nodes, 100% offered load"
         ),
-        line_chart(
-            {
-                display_name(a): (
-                    list(result.fault_percents),
-                    [p.throughput for p in pts],
-                )
-                for a, pts in result.points.items()
-            },
-            title="Figure 4 (shape)",
-            xlabel="% faulty nodes",
-            ylabel="throughput",
-        ),
-    ]
-    return "\n\n".join(out)
+        cell="{:.3f}".format,
+        chart="Figure 4 (shape)", ylabel="throughput",
+    )
 
 
-def print_fig5(result: FaultStudyResult) -> str:
+def print_fig5(payload: dict) -> str:
     """Figure 5: normalized message latency vs percentage of faults."""
-    rows = [
-        [display_name(alg)]
-        + [
-            f"{p.network_latency:.0f}"
-            if p.network_latency == p.network_latency
-            else "-"
-            for p in pts
-        ]
-        for alg, pts in result.points.items()
-    ]
-    head = ["algorithm"] + [f"{p:g}%" for p in result.fault_percents]
-    out = [
-        table(
-            head,
-            rows,
-            title=(
-                "Figure 5 - normalized message latency (flit cycles) vs "
-                "percentage of faulty nodes, 100% offered load"
-            ),
+    return _figure(
+        payload, "latency",
+        title=(
+            "Figure 5 - normalized message latency (flit cycles) vs "
+            "percentage of faulty nodes, 100% offered load"
         ),
-        line_chart(
-            {
-                display_name(a): (
-                    list(result.fault_percents),
-                    [p.network_latency for p in pts],
-                )
-                for a, pts in result.points.items()
-            },
-            title="Figure 5 (shape)",
-            xlabel="% faulty nodes",
-            ylabel="latency (cycles)",
-        ),
-    ]
-    return "\n\n".join(out)
+        cell=whole_or_dash,
+        chart="Figure 5 (shape)", ylabel="latency (cycles)",
+    )

@@ -18,6 +18,7 @@ from repro.faults.generator import figure6_fault_pattern
 from repro.faults.pattern import FaultPattern
 from repro.metrics.traffic_load import (
     TrafficLoadSplit,
+    hotspot_ratio,
     ring_corner_split,
     traffic_load_split,
 )
@@ -53,6 +54,7 @@ class FRingResult:
                 }
                 for alg, cases in self.splits.items()
             },
+            "corner_ratio": dict(self.corner_ratios),
         }
 
 
@@ -115,20 +117,21 @@ def run_fring_study(
     )
 
 
-def print_fig6(result: FRingResult) -> str:
+def print_fig6(payload: dict) -> str:
     """Figure 6 as a table plus grouped bars."""
+    corners = payload.get("corner_ratio", {})
     rows = []
-    for alg, cases in result.splits.items():
+    for alg, cases in payload["splits"].items():
         ff, fy = cases["0%"], cases["faulty"]
-        corner = result.corner_ratios.get(alg, float("nan"))
+        corner = corners.get(alg, float("nan"))
         rows.append(
             [
                 display_name(alg),
-                f"{ff.ring_load_pct:.1f}",
-                f"{ff.other_load_pct:.1f}",
-                f"{fy.ring_load_pct:.1f}",
-                f"{fy.other_load_pct:.1f}",
-                f"{fy.hotspot_ratio:.2f}",
+                f"{ff['ring_pct']:.1f}",
+                f"{ff['other_pct']:.1f}",
+                f"{fy['ring_pct']:.1f}",
+                f"{fy['other_pct']:.1f}",
+                f"{hotspot_ratio(fy['ring_pct'], fy['other_pct']):.2f}",
                 f"{corner:.2f}" if corner == corner else "-",
             ]
         )
@@ -147,7 +150,7 @@ def print_fig6(result: FRingResult) -> str:
             rows,
             title=(
                 f"Figure 6 - traffic load on f-ring nodes vs other nodes "
-                f"(% of peak node load), {result.n_faults} faulty nodes in "
+                f"(% of peak node load), {payload['n_faults']} faulty nodes in "
                 "the 2x3 + 1x1 + 1x1 layout"
             ),
         ),
@@ -156,11 +159,11 @@ def print_fig6(result: FRingResult) -> str:
                 (
                     display_name(alg),
                     {
-                        "f-ring(faulty)": cases["faulty"].ring_load_pct,
-                        "other (faulty)": cases["faulty"].other_load_pct,
+                        "f-ring(faulty)": cases["faulty"]["ring_pct"],
+                        "other (faulty)": cases["faulty"]["other_pct"],
                     },
                 )
-                for alg, cases in result.splits.items()
+                for alg, cases in payload["splits"].items()
             ],
             title="Figure 6 (faulty case, shape)",
             unit="%",

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.ascii_plot import line_chart, table
+from repro.experiments.ascii_plot import series_figure, whole_or_dash
 from repro.experiments.parallel import run_per_algorithm
 from repro.experiments.profiles import Profile
-from repro.metrics.saturation import SaturationPoint, find_saturation, peak_throughput
+from repro.metrics.saturation import find_saturation, peak_throughput
 from repro.routing.registry import display_name
 
 
@@ -27,18 +27,6 @@ class SweepResult:
     rates: tuple[float, ...]
     throughput: dict[str, list[float]] = field(default_factory=dict)
     latency: dict[str, list[float]] = field(default_factory=dict)
-
-    def saturation_points(self) -> dict[str, SaturationPoint | None]:
-        return {
-            alg: find_saturation(self.rates, lats)
-            for alg, lats in self.latency.items()
-        }
-
-    def peaks(self) -> dict[str, tuple[float, float]]:
-        return {
-            alg: peak_throughput(self.rates, thr)
-            for alg, thr in self.throughput.items()
-        }
 
     def to_payload(self) -> dict:
         return {
@@ -82,72 +70,46 @@ def run_sweep(
     )
 
 
-def print_fig1(result: SweepResult) -> str:
+def _figure(payload: dict, metric: str, **style) -> str:
+    """One of the sweep's two figures: *metric* per algorithm vs rate."""
+    return series_figure(
+        payload["rates"],
+        {display_name(a): ys for a, ys in payload[metric].items()},
+        x_head="{:.4g}".format, xlabel="injection rate (msgs/node/cycle)",
+        **style,
+    )
+
+
+def print_fig1(payload: dict) -> str:
     """Figure 1: saturation throughput vs traffic generation rate."""
-    rows = []
-    peaks = result.peaks()
-    for alg, thr in result.throughput.items():
-        rows.append(
-            [display_name(alg)]
-            + [f"{t:.3f}" for t in thr]
-            + [f"{peaks[alg][1]:.3f}"]
-        )
-    head = ["algorithm"] + [f"{r:.4g}" for r in result.rates] + ["peak"]
-    out = [
-        table(
-            head,
-            rows,
-            title=(
-                "Figure 1 - normalized accepted throughput (flits/node/cycle) "
-                "vs injection rate (messages/node/cycle)"
-            ),
-        )
-    ]
-    out.append(
-        line_chart(
-            {
-                display_name(a): (list(result.rates), t)
-                for a, t in result.throughput.items()
-            },
-            title="Figure 1 (shape)",
-            xlabel="injection rate (msgs/node/cycle)",
-            ylabel="throughput (flits/node/cycle)",
-        )
+    rates = payload["rates"]
+    return _figure(
+        payload, "throughput",
+        title=(
+            "Figure 1 - normalized accepted throughput (flits/node/cycle) "
+            "vs injection rate (messages/node/cycle)"
+        ),
+        cell="{:.3f}".format,
+        column=("peak", lambda thr: f"{peak_throughput(rates, thr)[1]:.3f}"),
+        chart="Figure 1 (shape)", ylabel="throughput (flits/node/cycle)",
     )
-    return "\n\n".join(out)
 
 
-def print_fig2(result: SweepResult) -> str:
+def _onset(rates, lats) -> str:
+    sat = find_saturation(rates, lats)
+    return f"{sat.rate:.4g}" if sat else ">max"
+
+
+def print_fig2(payload: dict) -> str:
     """Figure 2: average message latency vs traffic generation rate."""
-    rows = []
-    sats = result.saturation_points()
-    for alg, lats in result.latency.items():
-        sat = sats[alg]
-        rows.append(
-            [display_name(alg)]
-            + [f"{latv:.0f}" if latv == latv else "-" for latv in lats]
-            + [f"{sat.rate:.4g}" if sat else ">max"]
-        )
-    head = ["algorithm"] + [f"{r:.4g}" for r in result.rates] + ["sat@"]
-    out = [
-        table(
-            head,
-            rows,
-            title=(
-                "Figure 2 - average message latency (flit cycles) vs "
-                "injection rate (messages/node/cycle)"
-            ),
-        )
-    ]
-    out.append(
-        line_chart(
-            {
-                display_name(a): (list(result.rates), lats)
-                for a, lats in result.latency.items()
-            },
-            title="Figure 2 (shape)",
-            xlabel="injection rate (msgs/node/cycle)",
-            ylabel="latency (cycles)",
-        )
+    rates = payload["rates"]
+    return _figure(
+        payload, "latency",
+        title=(
+            "Figure 2 - average message latency (flit cycles) vs "
+            "injection rate (messages/node/cycle)"
+        ),
+        cell=whole_or_dash,
+        column=("sat@", lambda lats: _onset(rates, lats)),
+        chart="Figure 2 (shape)", ylabel="latency (cycles)",
     )
-    return "\n\n".join(out)

@@ -32,9 +32,6 @@ class VcUsageResult:
     n_faults: int
     usage: dict[str, list[float]] = field(default_factory=dict)
 
-    def imbalance(self) -> dict[str, float]:
-        return {a: usage_imbalance(u) for a, u in self.usage.items()}
-
     def to_payload(self) -> dict:
         return {
             "experiment": "fig3",
@@ -85,39 +82,38 @@ def run_vc_usage(
     )
 
 
-def _panel(result: VcUsageResult, names: tuple[str, ...], label: str) -> str:
-    present = [a for a in names if a in result.usage]
+def _panel(payload: dict, names: tuple[str, ...], label: str) -> str:
+    usage = payload["usage"]
+    present = [a for a in names if a in usage]
     if not present:
         return f"Figure 3{label}: (no algorithms run)"
-    n_vcs = len(next(iter(result.usage.values())))
-    rows = []
-    imb = result.imbalance()
-    for alg in present:
-        u = result.usage[alg]
-        rows.append(
-            [display_name(alg)]
-            + [f"{x:.2f}" for x in u]
-            + [f"{imb[alg]:.2f}"]
-        )
+    n_vcs = len(next(iter(usage.values())))
+    rows = [
+        [display_name(alg)]
+        + [f"{x:.2f}" for x in usage[alg]]
+        + [f"{usage_imbalance(usage[alg][:-4]):.2f}"]
+        for alg in present
+    ]
     head = ["algorithm"] + [f"VC{i}" for i in range(n_vcs)] + ["imbalance"]
     return table(
         head,
         rows,
         title=(
             f"Figure 3{label} - average VC usage (% of channel-cycles busy), "
-            f"{result.n_faults} faulty nodes"
+            f"{payload['n_faults']} faulty nodes"
         ),
     )
 
 
-def print_fig3(result: VcUsageResult) -> str:
-    """Both panels of Figure 3 plus the ring-VC summary."""
-    parts = [_panel(result, PANEL_A, "a"), _panel(result, PANEL_B, "b")]
-    ring_rows = []
-    for alg, u in result.usage.items():
-        ring = sum(u[-4:])
-        normal = sum(u[:-4])
-        ring_rows.append([display_name(alg), f"{normal:.2f}", f"{ring:.2f}"])
+def print_fig3(payload: dict) -> str:
+    """Both panels of Figure 3 plus the ring-VC summary.  The imbalance
+    coefficient is taken over the non-ring VCs: the last four are the
+    ring VCs, idle wherever no message meets a fault."""
+    parts = [_panel(payload, PANEL_A, "a"), _panel(payload, PANEL_B, "b")]
+    ring_rows = [
+        [display_name(alg), f"{sum(u[:-4]):.2f}", f"{sum(u[-4:]):.2f}"]
+        for alg, u in payload["usage"].items()
+    ]
     parts.append(
         table(
             ["algorithm", "sum non-ring VC %", "sum ring VC %"],

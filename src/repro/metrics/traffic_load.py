@@ -34,9 +34,15 @@ class TrafficLoadSplit:
     @property
     def hotspot_ratio(self) -> float:
         """Ring-to-other mean load ratio (>1 means f-rings run hotter)."""
-        if self.other_load_pct == 0:
-            return float("inf")
-        return self.ring_load_pct / self.other_load_pct
+        return hotspot_ratio(self.ring_load_pct, self.other_load_pct)
+
+
+def hotspot_ratio(ring_pct: float, other_pct: float) -> float:
+    """Ring-to-other mean load ratio; infinite when the other nodes
+    carry nothing."""
+    if other_pct == 0:
+        return float("inf")
+    return ring_pct / other_pct
 
 
 def surface_split(

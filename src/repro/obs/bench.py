@@ -800,7 +800,7 @@ def _ops_runner(params: dict):
                     total_vcs=vcs,
                     pattern_name=pname,
                 ).run()
-                if report.status not in ("ok", "ring-residual", "ring-proved"):
+                if not report.passed:
                     raise RuntimeError(
                         f"verify bench: {name} on {pname} unexpectedly "
                         f"reported {report.status}"

@@ -323,20 +323,32 @@ class CdgReport:
     @property
     def status(self) -> str:
         """``ok`` | ``ring-proved`` | ``ring-residual`` | ``cycle`` |
-        ``violation``.
+        ``violation`` | ``unknown``.
 
         ``ring-proved`` is strictly stronger than ``ring-residual``: a
         ring-traversing cycle was found, but every cycle in the graph is
         a full single-class wrap of a closed ring, which the exit-bar/
         bounded-occupancy lemma proves unreachable (DESIGN.md §3.7).
+        ``unknown``: the exploration overflowed ``max_states`` before it
+        met any other violation or a cycle avoiding the ring VCs, so the
+        graph it saw is partial and the case is undecided.
         """
-        if self.violations:
+        overflow = [v for v in self.violations if v.kind == "state-overflow"]
+        if len(overflow) < len(self.violations):
             return "violation"
+        if self.cycle is not None and not self.ring_cycle:
+            return "cycle"
+        if overflow:
+            return "unknown"
         if self.cycle is None:
             return "ok"
-        if not self.ring_cycle:
-            return "cycle"
         return "ring-proved" if self.ring_proved else "ring-residual"
+
+    @property
+    def passed(self) -> bool:
+        """Whether the case meets a deadlock-free declaration: no
+        violation and no cycle but the documented ring residual."""
+        return self.status in ("ok", "ring-residual", "ring-proved")
 
     def to_payload(self) -> dict:
         return {

@@ -19,8 +19,10 @@ declaration — a ``deadlock_free=True`` algorithm must produce no pure
 cycle and no invariant violation on any corpus pattern (documented
 ring-residual cycles are reported but tolerated, DESIGN.md §3.7), and a
 ``deadlock_free=False`` algorithm must produce at least one concrete
-counterexample cycle (the negative oracle).  ``lint`` is 0 iff there are
-no findings.
+counterexample cycle (the negative oracle).  A case whose exploration
+overflows ``max_states`` is ``unknown``: it never passes, and when no
+algorithm failed ``check`` (and ``cdg``) exit 3, "no answer".  ``lint``
+is 0 iff there are no findings.
 """
 
 from __future__ import annotations
@@ -46,25 +48,26 @@ def _fmt_cycle(cycle: list[tuple[int, int, int]]) -> str:
     return " -> ".join(f"({n},{d},{vc})" for n, d, vc in cycle)
 
 
-def _algorithm_verdict(reports: list[CdgReport]) -> tuple[bool, str]:
-    """(passed, reason) for one algorithm's corpus reports."""
-    declared = reports[0].declared_deadlock_free
-    statuses = {r.pattern: r.status for r in reports}
-    if declared:
-        bad = {p: s for p, s in statuses.items() if s in ("cycle", "violation")}
+def _algorithm_verdict(reports: list[CdgReport]) -> tuple[str, str]:
+    """(``PASS`` | ``FAIL`` | ``UNKNOWN``, reason) for one algorithm's
+    corpus reports; a case whose exploration overflowed passes nothing."""
+    unknown = [r.pattern for r in reports if r.status == "unknown"]
+    if reports[0].declared_deadlock_free:
+        bad = {
+            r.pattern: r.status for r in reports
+            if not r.passed and r.status != "unknown"
+        }
         if bad:
-            return False, f"declared deadlock-free but found {bad}"
-        notes = [
-            f"{s} on {p}"
-            for p, s in statuses.items()
-            if s in ("ring-residual", "ring-proved")
-        ]
-        if notes:
-            return True, f"ok ({', '.join(notes)})"
-        return True, "ok"
-    if any(r.cycle is not None for r in reports):
-        return True, "counterexample cycle found (declared not deadlock-free)"
-    return False, "declared NOT deadlock-free but no counterexample cycle found"
+            return "FAIL", f"declared deadlock-free but found {bad}"
+        notes = [f"{r.status} on {r.pattern}" for r in reports
+                 if r.passed and r.status != "ok"]
+        if not unknown:
+            return "PASS", f"ok ({', '.join(notes)})" if notes else "ok"
+    elif any(r.cycle is not None for r in reports):
+        return "PASS", "counterexample cycle found (declared not deadlock-free)"
+    elif not unknown:
+        return "FAIL", "declared NOT deadlock-free but no counterexample cycle found"
+    return "UNKNOWN", f"state overflow on {', '.join(unknown)}"
 
 
 def _checker(name: str, pname: str, width: int, vcs: int) -> CdgChecker:
@@ -107,16 +110,18 @@ def check_main(args: argparse.Namespace) -> int:
             print(f"[check] {name}: done", file=sys.stderr)
 
     verdicts = {name: _algorithm_verdict(reports) for name, reports in results.items()}
-    ok = all(passed for passed, _ in verdicts.values())
+    outcomes = [verdict for verdict, _ in verdicts.values()]
+    code = 1 if "FAIL" in outcomes else 3 if "UNKNOWN" in outcomes else 0
 
     if args.json:
         payload = {
-            "ok": ok,
+            "ok": code == 0,
             "mesh": [args.width, args.width],
             "total_vcs": args.vcs,
             "algorithms": {
                 name: {
-                    "passed": verdicts[name][0],
+                    "passed": verdicts[name][0] == "PASS",
+                    "verdict": verdicts[name][0].lower(),
                     "reason": verdicts[name][1],
                     "reports": [r.to_payload() for r in reports],
                 }
@@ -124,12 +129,11 @@ def check_main(args: argparse.Namespace) -> int:
             },
         }
         print(json.dumps(payload, indent=2))
-        return 0 if ok else 1
+        return code
 
     for name, reports in results.items():
-        passed, reason = verdicts[name]
-        flag = "PASS" if passed else "FAIL"
-        print(f"{flag}  {name:<18} {reason}")
+        verdict, reason = verdicts[name]
+        print(f"{verdict}  {name:<18} {reason}")
         for r in reports:
             line = f"      {r.pattern:<14} {r.status:<14} states={r.n_states}"
             line += f" channels={r.n_channels} edges={r.n_edges}"
@@ -150,12 +154,12 @@ def check_main(args: argparse.Namespace) -> int:
                     )
             for v in r.violations:
                 print(f"        violation[{v.kind}] at node {v.node}: {v.detail}")
-    n_fail = sum(1 for passed, _ in verdicts.values() if not passed)
+    n_pass = sum(1 for verdict, _ in verdicts.values() if verdict == "PASS")
     print(
-        f"{len(results) - n_fail}/{len(results)} algorithms meet their "
+        f"{n_pass}/{len(results)} algorithms meet their "
         f"declaration on the {args.width}x{args.width} corpus"
     )
-    return 0 if ok else 1
+    return code
 
 
 def lint_main(args: argparse.Namespace) -> int:
@@ -204,7 +208,9 @@ def cdg_main(args: argparse.Namespace) -> int:
         if args.edges:
             for a, b in checker.concrete_edges():
                 print(f"  {a} -> {b}")
-    return 0 if report.status in ("ok", "ring-residual", "ring-proved") else 1
+    if report.passed:
+        return 0
+    return 3 if report.status == "unknown" else 1
 
 
 def drift_main(args: argparse.Namespace) -> int:

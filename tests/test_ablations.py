@@ -11,6 +11,7 @@ from repro.experiments.ablations import (
     mesh_size_ablation,
     message_length_ablation,
     misroute_limit_ablation,
+    print_ablation,
     run_ablation,
     vc_count_ablation,
 )
@@ -45,7 +46,7 @@ class TestStudies:
         assert len(res.rows) == 2
         for row in res.rows:
             assert row["delivered"] > 0
-        assert "Ablation" in res.render()
+        assert "Ablation" in print_ablation(res.to_payload())
 
     def test_vc_count_too_small_budget_degrades_gracefully(self):
         res = vc_count_ablation(

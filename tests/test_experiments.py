@@ -20,6 +20,7 @@ from repro.experiments.profiles import (
     SMOKE_PROFILE,
     get_profile,
 )
+from repro.metrics.saturation import find_saturation, peak_throughput
 
 TINY_ALGS = ("nhop", "duato-nbc")
 
@@ -70,13 +71,14 @@ class TestSweepDriver:
             assert len(sweep_result.latency[alg]) == len(sweep_result.rates)
 
     def test_saturation_and_peaks(self, sweep_result):
-        peaks = sweep_result.peaks()
-        assert all(thr > 0 for _, thr in peaks.values())
-        sweep_result.saturation_points()  # must not raise
+        rates = sweep_result.rates
+        for alg in TINY_ALGS:
+            assert peak_throughput(rates, sweep_result.throughput[alg])[1] > 0
+            find_saturation(rates, sweep_result.latency[alg])  # must not raise
 
     def test_printers(self, sweep_result):
-        out1 = print_fig1(sweep_result)
-        out2 = print_fig2(sweep_result)
+        out1 = print_fig1(sweep_result.to_payload())
+        out2 = print_fig2(sweep_result.to_payload())
         assert "Figure 1" in out1 and "NHop" in out1
         assert "Figure 2" in out2 and "Duato-Nbc" in out2
 
@@ -91,8 +93,8 @@ class TestFaultDriver:
             assert len(fault_result.points[alg]) == len(SMOKE_PROFILE.fault_counts)
 
     def test_printers(self, fault_result):
-        assert "Figure 4" in print_fig4(fault_result)
-        assert "Figure 5" in print_fig5(fault_result)
+        assert "Figure 4" in print_fig4(fault_result.to_payload())
+        assert "Figure 5" in print_fig5(fault_result.to_payload())
 
     def test_payload(self, fault_result):
         payload = fault_result.to_payload()
@@ -103,7 +105,7 @@ class TestFaultDriver:
 class TestVcUsageDriver:
     def test_run_and_print(self):
         result = run_vc_usage(SMOKE_PROFILE, TINY_ALGS)
-        out = print_fig3(result)
+        out = print_fig3(result.to_payload())
         assert "Figure 3" in out
         for alg in TINY_ALGS:
             assert len(result.usage[alg]) == SMOKE_PROFILE.config.vcs_per_channel
@@ -113,7 +115,7 @@ class TestVcUsageDriver:
 class TestFRingDriver:
     def test_run_and_print(self):
         result = run_fring_study(SMOKE_PROFILE, ("nhop",))
-        out = print_fig6(result)
+        out = print_fig6(result.to_payload())
         assert "Figure 6" in out
         split = result.splits["nhop"]["faulty"]
         assert split.ring_load_pct > 0
@@ -205,6 +207,47 @@ class TestCli:
         parser = argparse.ArgumentParser()
         next(v for v in VERBS if v.name == "fig4").add_arguments(parser)
         assert parser.parse_args([]).workers == usable_cpus() >= 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "3"], ["--telemetry"], ["--manifest", "m.jsonl"],
+        ["--trace-out", "t.json"], ["--algorithms", "nhop"], ["--seed", "5"],
+        ["--store"], ["--out", "o"],
+    ])
+    def test_budgets_refuses_the_flags_it_does_not_read(
+        self, flags, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["budgets", "--quiet", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: unrecognized")
+        assert not list(tmp_path.iterdir())  # no manifest, no trace
+
+    @pytest.mark.parametrize("command", ["ablations", "ablation-vc-count"])
+    def test_ablations_take_only_store_out_and_quiet(self, command):
+        from repro.cli import Refused, _Parser
+        from repro.experiments.cli import VERBS
+
+        parser = _Parser()
+        next(v for v in VERBS if v.name == command).add_arguments(parser)
+        args = parser.parse_args(["--store", "s", "--out", "o", "--quiet"])
+        assert (str(args.store), str(args.out), args.quiet) == ("s", "o", True)
+        for flags in (["--profile", "smoke"], ["--workers", "2"],
+                      ["--seed", "5"], ["--telemetry"], ["--manifest"]):
+            with pytest.raises(Refused):
+                parser.parse_args(flags)
+
+    def test_all_keeps_every_figure_flag(self):
+        from repro.cli import _Parser
+        from repro.experiments.cli import VERBS
+
+        parser = _Parser()
+        next(v for v in VERBS if v.name == "all").add_arguments(parser)
+        args = parser.parse_args([
+            "--profile", "smoke", "--algorithms", "nhop", "--adaptive-cycles",
+            "--seed", "5", "--out", "o", "--quiet", "--workers", "2",
+            "--store", "--telemetry", "--manifest", "--trace-out", "t",
+            "--trace-sample", "3",
+        ])
+        assert args.trace_sample == 3 and args.workers == 2
 
     def test_unknown_experiment_rejected(self, capsys):
         assert main(["fig9"]) == 2

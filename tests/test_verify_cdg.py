@@ -18,6 +18,7 @@ from repro.verify.cdg import (
     RING_PREMISES,
     CdgChecker,
     CdgReport,
+    Violation,
     analyze_ring_cycle,
     check_algorithm,
 )
@@ -296,6 +297,41 @@ class TestInvariantViolations:
         report = checker.run()
         assert any(v.kind == "tier-shape" for v in report.violations)
         assert report.status == "violation"
+
+
+class TestStateOverflow:
+    def test_overflow_is_unknown_and_never_passes(self):
+        """An exploration cut at ``max_states`` has seen a partial graph:
+        its case is undecided, neither a pass nor a routing violation."""
+        report = CdgChecker(
+            make_algorithm("phop"), corpus_pattern("center-block"), 16,
+            pattern_name="center-block", max_states=50,
+        ).run()
+        assert [v.kind for v in report.violations] == ["state-overflow"]
+        assert report.status == "unknown"
+        assert not report.passed
+
+    def test_overflow_beside_another_violation_is_a_violation(self):
+        report = CdgReport("x", True, "p", 4, 4, 16)
+        for kind in ("state-overflow", "tier-shape"):
+            report.violations.append(_violation(kind))
+        assert report.status == "violation"
+
+    def test_overflow_beside_a_pure_cycle_is_a_cycle(self):
+        report = CdgReport("x", True, "p", 4, 4, 16, ring_vcs=(12, 13, 14, 15))
+        report.violations.append(_violation("state-overflow"))
+        report.cycle = [(0, 0, 1), (1, 0, 1)]
+        assert report.status == "cycle"
+        report.cycle = [(0, 0, 12), (1, 0, 12)]  # a ring cycle: undecided
+        assert report.status == "unknown"
+
+    def test_passed_is_the_accepted_statuses(self):
+        report = CdgReport("x", True, "p", 4, 4, 16)
+        assert report.status == "ok" and report.passed
+
+
+def _violation(kind: str) -> Violation:
+    return Violation(kind, 0, 0, 1, "test")
 
 
 class TestReportShape:

@@ -96,6 +96,60 @@ class TestLintVerb:
         assert main(["lint", str(tmp_path / "nope")]) == 2
 
 
+class TestStateOverflowExit:
+    """A case whose exploration overflows has no answer: exit 3 when
+    nothing failed, 1 when something did."""
+
+    @pytest.fixture
+    def tiny_budget(self, monkeypatch):
+        from functools import partial
+
+        import repro.verify.cli as cli
+
+        monkeypatch.setattr(cli, "CdgChecker", partial(cli.CdgChecker, max_states=50))
+
+    def test_check_exits_3_on_unknown(self, tiny_budget, capsys):
+        rc = main(["check", "--algorithm", "phop", "--pattern", "center-block"])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "UNKNOWN  phop" in out and "unknown" in out
+
+    def test_check_json_marks_unknown(self, tiny_budget, capsys):
+        rc = main([
+            "check", "--algorithm", "phop", "--pattern", "center-block", "--json",
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 3 and payload["ok"] is False
+        verdict = payload["algorithms"]["phop"]
+        assert verdict["verdict"] == "unknown" and verdict["passed"] is False
+
+    def test_a_failure_still_exits_1(self, tiny_budget, capsys, monkeypatch):
+        import repro.verify.cli as cli
+        from repro.verify.cdg import Violation
+
+        real = cli._check_job
+
+        def job(case):  # nhop's case also breaks an invariant
+            name, pname, report = real(case)
+            if name == "nhop":
+                report.violations.append(Violation("tier-shape", 0, 0, 1, "x"))
+            return name, pname, report
+
+        monkeypatch.setattr(cli, "_check_job", job)
+        rc = main([
+            "check", "--algorithm", "phop", "--algorithm", "nhop",
+            "--pattern", "center-block",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "UNKNOWN  phop" in out and "FAIL  nhop" in out
+
+    def test_cdg_exits_3_on_unknown(self, tiny_budget, capsys):
+        rc = main(["cdg", "--algorithm", "phop", "--pattern", "center-block"])
+        assert rc == 3
+        assert "unknown" in capsys.readouterr().out
+
+
 class TestCdgVerb:
     def test_dumps_cycle_for_unsafe_algorithm(self, capsys):
         rc = main([
