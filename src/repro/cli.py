@@ -82,7 +82,7 @@ def usable_cpus() -> int:
 
 
 def positive_count(text: str) -> int:
-    """An argparse ``type``: a worker count, at least 1."""
+    """An argparse ``type``: a worker or repeat count, at least 1."""
     count = int(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"need at least 1, not {count}")

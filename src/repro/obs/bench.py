@@ -8,6 +8,13 @@ ledger keeps one condensed row per label).  ``python -m repro.obs compare A.json
 a non-blocking CI lane can track the repo's performance trajectory
 commit over commit.
 
+The suite times kernels and paths no end-to-end workload isolates: the
+engine, instrument prices, fault generation, routing candidates,
+construction, store contention and the model checker.  How long a
+figure, a campaign or a served answer takes end to end is
+``bench/run.py``'s to time (``fig1_smoke_cold``, ``campaign_small_cells``,
+``serve_http_loopback``); a path one of those runs has no workload here.
+
 Methodology:
 
 * **Engine workloads**: the network is warmed to steady state, then a
@@ -153,75 +160,13 @@ WORKLOADS: tuple[Workload, ...] = (
         "op": "construction", "algorithm": "duato-nbc", "widths": [6, 10],
         "vcs": 24, "message_length": 4, "builds": 50,
     }),
-    # Campaign-scale path: spec -> grid -> store round-trip per cell.
-    # Times the orchestration overhead (planning, key hashing, the
-    # campaign.json save, manifest appends, store puts, the digest) on
-    # top of the small engine runs, which the engine_* workloads cannot
-    # see.
-    Workload("campaign_grid_store", "ops", {
-        "op": "campaign", "algorithms": ["nhop", "duato-nbc"],
-        "width": 8, "vcs": 20, "message_length": 16, "cycles": 300,
-        "warmup": 100, "rates": [0.01, 0.03], "fault_counts": [0, 3],
-        "seed": 13,
-    }),
-    # Write-side store scaling: N processes hammer one ResultStore at
-    # once (the pool-worker pattern of the figure drivers).  Times the
-    # locked-append path under real contention, which the
-    # single-process campaign workload cannot see.
+    # Write-side store scaling: N processes append to one ResultStore at
+    # once, as two commands sharing --store do (a figure's pool workers
+    # write private held/ stores; only the parent appends).  Times the
+    # locked-append path under real cross-process contention.
     Workload("store_contention", "ops", {
         "op": "store_contention", "writers": 4, "puts_per_writer": 25,
         "payload_floats": 32,
-    }),
-    # Campaign planning path: declare a space, mark half the cells done
-    # in the store, replan.  Times run-key derivation (prepare_run +
-    # run_key per cell) and the index diff without simulating anything —
-    # the cost a resumed million-run campaign pays before its first
-    # cell, invisible to every other workload.
-    Workload("campaign_plan_resume", "ops", {
-        "op": "campaign_plan_resume", "algorithms": ["nhop", "duato-nbc"],
-        "width": 8, "vcs": 20, "message_length": 16, "cycles": 300,
-        "warmup": 100, "rates": [0.005, 0.01, 0.02, 0.03, 0.05],
-        "fault_counts": [0, 3], "fault_sets": 2, "repeats": 2,
-        "seed": 17,
-    }),
-    # Serving path: tiered resolution latency over a prebuilt campaign
-    # grid.  The grid is simulated and the surrogate/calibration fitted
-    # once, untimed, at setup; timed passes issue store-hit, surrogate-
-    # interpolation and calibrated-model queries and self-check the tier
-    # each answer came from — so the pinned trajectory tracks how fast
-    # an answer is served, not how fast it is computed from scratch.
-    Workload("serve_query_tiers", "ops", {
-        "op": "serve_query_tiers", "algorithms": ["nhop", "duato-nbc"],
-        "width": 6, "vcs": 24, "message_length": 4, "cycles": 300,
-        "warmup": 100, "rates": [0.005, 0.01, 0.02], "repeats": 2,
-        "passes": 50, "seed": 19,
-    }),
-    # The same answers over a real socket: an in-process QueryServer on a
-    # background event loop, one closed-loop client, a fresh connection
-    # per GET (the server closes after each reply), store / surrogate /
-    # model / refused in equal shares, status and tier self-checked.
-    # What serve_query_tiers leaves out is the transport; the gap between
-    # the two is what a served answer pays for it.
-    Workload("serve_http_roundtrip", "ops", {
-        "op": "serve_http_roundtrip", "algorithms": ["nhop", "duato-nbc"],
-        "width": 6, "vcs": 24, "message_length": 4, "cycles": 300,
-        "warmup": 100, "rates": [0.005, 0.01, 0.02, 0.03], "repeats": 2,
-        "passes": 50, "seed": 19,
-    }),
-    # What a call that never simulates pays before its few ms of work:
-    # three fresh interpreters per repeat — the bare import of the three
-    # entry points (``bench/run.py``'s set-up probe), ``campaigns
-    # status`` on a completed 4-cell campaign and a fully warm figure —
-    # each self-checked (exit 0, "complete", figure output identical to
-    # the cold call's, store untouched).  The campaign and the warm
-    # store are built once, untimed.  Process start is the whole cost
-    # here, so this is the row an import creeping back to module level
-    # shows up on.
-    Workload("cli_cold_start", "ops", {
-        "op": "cli_cold_start", "algorithms": ["nhop", "duato-nbc"],
-        "width": 6, "vcs": 24, "message_length": 4, "cycles": 300,
-        "warmup": 100, "rates": [0.01, 0.02], "repeats": 1, "seed": 2007,
-        "figure": "fig1", "profile": "smoke",
     }),
     Workload("verify_check_corpus", "ops", {
         # Model-checker runtime on a representative slice of the 4x4
@@ -458,51 +403,6 @@ def _run_attached_cost(params: dict, repeats: int) -> dict:
     }
 
 
-def _campaign_spec(name: str, params: dict):
-    """The ``CampaignSpec`` a campaign-shaped workload's *params* pin;
-    an axis the workload does not name keeps the spec's default."""
-    from repro.campaigns.spec import CampaignSpec
-    from repro.simulator.config import SimConfig
-
-    axes = {k: params[k] for k in ("fault_sets", "repeats") if k in params}
-    if "fault_counts" in params:
-        axes["fault_counts"] = tuple(params["fault_counts"])
-    return CampaignSpec(
-        name=name,
-        algorithms=tuple(params["algorithms"]),
-        config=SimConfig(
-            width=params["width"],
-            vcs_per_channel=params["vcs"],
-            message_length=params["message_length"],
-            cycles=params["cycles"],
-            warmup=params["warmup"],
-            seed=params["seed"],
-            on_deadlock="drain",
-        ),
-        rates=tuple(params["rates"]),
-        seed=params["seed"],
-        **axes,
-    )
-
-
-def _serve_campaign(params: dict):
-    """``(tmp dir, completed CampaignDB)`` for the serving workloads: the
-    grid is simulated once, untimed.  The caller's closure keeps the tmp
-    dir object alive so the campaign outlives every timed repeat."""
-    import tempfile
-
-    from repro.campaigns.db import CampaignDB
-    from repro.campaigns.shard import run_campaign
-
-    tmp = tempfile.TemporaryDirectory(prefix="repro-bench-")
-    db = CampaignDB(
-        _campaign_spec("bench-serve", params), Path(tmp.name) / "campaign"
-    )
-    db.save()
-    run_campaign(db, workers=1)
-    return tmp, db
-
-
 def _ops_runner(params: dict):
     """(callable, ops) for an ``"ops"`` workload."""
     op = params["op"]
@@ -558,61 +458,6 @@ def _ops_runner(params: dict):
                     Simulation(cfg, make_algorithm(params["algorithm"]))
 
         return run, builds * len(configs)
-    if op == "campaign":
-        import tempfile
-
-        from repro.campaigns import CampaignDB, run_campaign
-
-        spec = _campaign_spec("bench-grid", params)
-
-        def run() -> None:
-            # Fresh campaign directory per repeat: every sample pays the
-            # full plan-simulate-and-put cost, never a cache hit; in
-            # process, the path the ledger has always timed.
-            with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-                executed = run_campaign(
-                    CampaignDB(spec, tmp), workers=1
-                )["executed"]
-                if executed != spec.n_jobs:
-                    raise RuntimeError(
-                        f"campaign bench executed {executed} of "
-                        f"{spec.n_jobs} cells"
-                    )
-
-        return run, spec.n_jobs
-    if op == "campaign_plan_resume":
-        import tempfile
-
-        from repro.campaigns.db import CampaignDB
-
-        spec = _campaign_spec("bench-plan", params)
-
-        def run() -> None:
-            # Plan the full space, mark every other cell done with a
-            # dummy payload ("kill half the cells"), replan: the second
-            # plan must list exactly the untouched half.  No simulation
-            # runs — this times pure planning (key hashing + index diff).
-            with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-                db = CampaignDB(spec, Path(tmp) / "campaign")
-                full = db.plan()
-                if len(full.missing) != spec.n_jobs:
-                    raise RuntimeError(
-                        f"fresh plan found {len(full.missing)} missing "
-                        f"cells, expected {spec.n_jobs}"
-                    )
-                survivors = full.missing[::2]
-                for cell in survivors:
-                    db.store.put(cell["key"], {"bench": True})
-                resumed = CampaignDB(spec, Path(tmp) / "campaign").plan()
-                expect = {c["key"] for c in full.missing[1::2]}
-                got = {c["key"] for c in resumed.missing}
-                if got != expect:
-                    raise RuntimeError(
-                        "resume plan diverged from the killed half: "
-                        f"{len(got ^ expect)} keys differ"
-                    )
-
-        return run, 2 * spec.n_jobs  # cells keyed across the two plans
     if op == "store_contention":
         import tempfile
         from multiprocessing import get_context
@@ -641,145 +486,6 @@ def _ops_runner(params: dict):
                     )
 
         return run, writers * per
-    if op == "serve_query_tiers":
-        from repro.serve.resolver import Query, Resolver
-
-        tmp, db = _serve_campaign(params)
-        spec = db.spec
-        resolver = Resolver(db)
-        resolver.surrogate()
-        resolver.calibration()
-        rates = list(params["rates"])
-        mids = [
-            (a + b) / 2.0 for a, b in zip(rates, rates[1:])
-        ]
-        below = rates[0] / 2.0
-        queries = (
-            [(Query(alg, r), "store")
-             for alg in spec.algorithms for r in rates]
-            + [(Query(alg, m), "surrogate")
-               for alg in spec.algorithms for m in mids]
-            + [(Query(alg, below), "model") for alg in spec.algorithms]
-        )
-        passes = params["passes"]
-
-        def run() -> None:
-            keep_alive = tmp  # noqa: F841  (pin the campaign dir)
-            for _ in range(passes):
-                for q, expected in queries:
-                    answer = resolver.resolve(q)
-                    if answer.tier != expected:
-                        raise RuntimeError(
-                            f"serve bench: {q.to_dict()} resolved from "
-                            f"tier {answer.tier!r}, expected {expected!r}"
-                        )
-
-        return run, passes * len(queries)
-    if op == "serve_http_roundtrip":
-        import asyncio
-        import socket
-        import threading
-
-        from repro.serve.api import QueryServer
-
-        tmp, db = _serve_campaign(params)
-        rates = list(params["rates"])
-        mids = [(a + b) / 2.0 for a, b in zip(rates, rates[1:])]
-        targets = [
-            (f"/query?algorithm={alg}&rate={rate!r}&metric={metric}", expected)
-            for alg in params["algorithms"]
-            for rate, metric, expected in (
-                [(r, "latency", b'"tier": "store"') for r in rates[:3]]
-                + [(m, "latency", b'"tier": "surrogate"') for m in mids]
-                + [(rates[0] * f, "latency", b'"tier": "model"')
-                   for f in (0.3, 0.5, 0.7)]
-                + [(rates[-1] * f, "throughput", b" 422 ")
-                   for f in (2.0, 2.5, 3.0)]
-            )
-        ]
-        passes = params["passes"]
-
-        def run() -> None:
-            # A fresh server per repeat; binding and fitting it (~10 ms)
-            # is timed with the requests.
-            keep_alive = tmp  # noqa: F841  (pin the campaign dir)
-            loop = asyncio.new_event_loop()
-            thread = threading.Thread(target=loop.run_forever, daemon=True)
-            thread.start()
-            server = QueryServer(db)
-            asyncio.run_coroutine_threadsafe(server.start(), loop).result(60)
-            try:
-                for _ in range(passes):
-                    for target, expected in targets:
-                        with socket.create_connection(
-                            ("127.0.0.1", server.port), timeout=60
-                        ) as conn:
-                            conn.sendall(
-                                f"GET {target} HTTP/1.1\r\n"
-                                "Host: bench\r\n\r\n".encode()
-                            )
-                            reply = b""
-                            while chunk := conn.recv(65536):
-                                reply += chunk
-                        if expected not in reply:
-                            raise RuntimeError(
-                                f"serve http bench: GET {target} answered "
-                                f"{reply[:200]!r}, expected {expected!r}"
-                            )
-            finally:
-                asyncio.run_coroutine_threadsafe(server.stop(), loop).result(60)
-                loop.call_soon_threadsafe(loop.stop)
-                thread.join(60)
-                loop.close()
-
-        return run, passes * len(targets)
-    if op == "cli_cold_start":
-        import os
-        import subprocess
-
-        tmp, db = _serve_campaign(params)
-        # The children run the source tree this module was loaded from.
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(Path(__file__).resolve().parents[2]),
-        }
-
-        def fresh(*argv: str) -> str:
-            return subprocess.run(
-                [sys.executable, *argv], env=env, check=True,
-                capture_output=True, text=True,
-            ).stdout
-
-        store_rows = Path(tmp.name) / "figure-store" / "rows.jsonl"
-        figure = (
-            "-m", "repro.experiments", params["figure"],
-            "--profile", params["profile"],
-            "--algorithms", *params["algorithms"],
-            "--store", str(store_rows.parent), "--quiet",
-        )
-        cold = fresh(*figure)  # untimed: simulates, fills the store
-        rows = store_rows.read_bytes()
-        starts = (
-            ("-c", "import repro.experiments.cli, repro.campaigns, "
-                   "repro.serve.api"),
-            ("-m", "repro.campaigns", "status", str(db.root)),
-            figure,
-        )
-
-        def run() -> None:
-            keep_alive = tmp  # noqa: F841  (pin the campaign dir)
-            _, status, warm = (fresh(*argv) for argv in starts)
-            if "complete" not in status:
-                raise RuntimeError(
-                    f"cli cold-start bench: campaign not complete: {status}"
-                )
-            if warm != cold or store_rows.read_bytes() != rows:
-                raise RuntimeError(
-                    "cli cold-start bench: the warm figure was not served "
-                    "from the store"
-                )
-
-        return run, len(starts)
     if op == "verify_check":
         from repro.routing.registry import make_algorithm
         from repro.verify.cdg import CdgChecker

@@ -16,7 +16,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from repro.cli import Refused, Verb, refusing, run
+from repro.cli import Refused, Verb, positive_count, refusing, run
 
 
 def _try(call, arg, prefix: str = ""):
@@ -125,7 +125,7 @@ def _bench_flags(parser: argparse.ArgumentParser) -> None:
     add = parser.add_argument
     add("--label", required=True,
         help="output label: writes BENCH_<label>.json")
-    add("--repeats", type=int, default=3,
+    add("--repeats", type=positive_count, default=3,
         help="timing repetitions per workload; minimum is kept (default 3)")
     add("--only", nargs="+", default=None, metavar="NAME",
         choices=[w.name for w in WORKLOADS],
