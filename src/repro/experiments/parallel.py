@@ -58,12 +58,12 @@ cache hit in every worker.
 Telemetry distributes by **snapshot + merge** — a registry never
 crosses a process boundary.  Each worker fills a fresh registry whose
 JSON-safe snapshot the parent folds in with
-:meth:`~repro.obs.telemetry.TelemetryRegistry.merge` (counters and
-histograms come out identical to a sequential run).  Spans are
-recorded by the parent, and span ids are derived from position in the
-trace, not from time or pid, so the span set is identical too.  A
-tracer (ordered event log) cannot merge: instruments carrying one keep
-the in-process path (:func:`pool_safe_instrument`).
+:meth:`~repro.obs.telemetry.TelemetryRegistry.merge` (every instrument
+is a sum, so the snapshot comes out identical to a sequential run's).
+Spans are recorded by the parent, and span ids are derived from
+position in the trace, not from time or pid, so the span set is
+identical too.  A tracer (ordered event log) cannot merge: instruments
+carrying one keep the in-process path (:func:`pool_safe_instrument`).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ All opt-in and zero-cost when unused.  Every engine instrument is an
 observer subscribed with ``Simulation.attach`` to the fixed event set
 in :data:`repro.simulator.engine.EVENTS`:
 
-* :mod:`repro.obs.telemetry` — cycle-stamped counters, gauges,
-  histograms and series in a
+* :mod:`repro.obs.telemetry` — counters, histograms and series, each
+  a plain sum, in a
   :class:`~repro.obs.telemetry.TelemetryRegistry`
   (``sim.attach(EngineTelemetry(registry))``).
 * :mod:`repro.obs.trace_export` — message-lifecycle traces (from an
@@ -69,7 +69,7 @@ _EXPORTS = {
     ),
     "profile": ("PHASE_NAMES", "PhaseProfiler", "clock", "render_profile"),
     "telemetry": (
-        "Counter", "EngineTelemetry", "Gauge", "Histogram", "Instrument",
+        "Counter", "EngineTelemetry", "Histogram", "Instrument",
         "LabeledCounter", "Series", "TelemetryRegistry", "series_snapshot",
     ),
     "spans": (

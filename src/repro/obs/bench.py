@@ -540,6 +540,8 @@ def run_suite(
     progress=None,
 ) -> dict:
     """Execute the suite; returns the per-workload metrics dict."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, not {repeats}")
     out: dict[str, dict] = {}
     for w in workloads:
         if select and w.name not in select:

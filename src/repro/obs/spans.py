@@ -371,8 +371,7 @@ def span_merge_view(span: dict) -> dict:
     Structure (ids, name, parentage, kind) always; stamps only for
     cycle spans, whose start/end are simulated time and therefore
     reproducible.  Clock stamps and attrs (worker pids, cache counters)
-    vary run-to-run and are excluded — the gauge exclusion of
-    telemetry's ``merge_view``, transplanted.
+    vary run-to-run and are excluded.
     """
     view = {
         key: span[key]

@@ -1,10 +1,11 @@
-"""Near-zero-overhead engine telemetry: counters, gauges, histograms.
+"""Near-zero-overhead engine telemetry: counters, series, histograms.
 
 The registry is the sanctioned runtime-observability mechanism for the
 simulation engine (the project linter's REP006 forbids wall-clock calls
-inside :mod:`repro.simulator`): every instrument is **cycle-stamped** —
-updates carry the simulation cycle, never ``time.time()`` — so telemetry
-is exactly reproducible and free of clock syscalls in the hot path.
+inside :mod:`repro.simulator`): every instrument is a **plain sum** of
+the values it is given, and the engine gives counts and latencies in
+cycles, never ``time.time()`` — so engine telemetry is exactly
+reproducible and free of clock syscalls in the hot path.
 
 Design rules:
 
@@ -12,20 +13,20 @@ Design rules:
   :class:`EngineTelemetry` subscribes to its events
   (``Simulation.attach``); nothing attached, no instrument code runs.
 * **Enabled = attribute bumps.**  :meth:`EngineTelemetry.bind` resolves
-  the instruments once; event methods do ``counter.inc(cycle)`` — a
-  slot write and an int add, no dict lookup, no string formatting.
+  the instruments once; event methods do ``counter.inc()`` — an int
+  add, no dict lookup, no string formatting.
 * **One registry, many runs.**  A registry may be attached to several
   simulations in sequence (e.g. one per algorithm in a figure sweep);
-  counters then accumulate across runs.  Use :meth:`TelemetryRegistry.
-  reset` or a fresh registry for per-run numbers.
+  counters then accumulate across runs.  Use a fresh registry for
+  per-run numbers.
 * **Distribution = snapshot + merge.**  Registries never cross process
   boundaries; pool workers attach a *fresh* registry each, ship its
   JSON-safe :meth:`~TelemetryRegistry.snapshot` back with their result,
   and the parent folds the snapshots into its own registry with
-  :meth:`~TelemetryRegistry.merge` (counters sum, gauges keep the
-  cycle-latest value, histograms merge bucket-wise).  Counter and
-  histogram contents are therefore identical to a sequential run over
-  the same cells, independent of merge order.
+  :meth:`~TelemetryRegistry.merge`.  Every instrument merges by
+  summation (histograms bucket-wise, series window-wise), so the merged
+  snapshot is identical to a sequential run's over the same cells,
+  independent of how they were split or of merge order.
 
 The engine's counter catalog is documented in ``docs/observability.md``;
 :func:`repro.metrics.vc_usage.reconcile_vc_usage` cross-checks the
@@ -41,7 +42,6 @@ from repro.routing.budgets import ROLE_NAMES
 __all__ = [
     "Counter",
     "EngineTelemetry",
-    "Gauge",
     "Histogram",
     "Instrument",
     "LabeledCounter",
@@ -52,41 +52,30 @@ __all__ = [
 
 
 class Counter:
-    """A monotonically increasing, cycle-stamped counter."""
+    """A monotonically increasing counter."""
 
-    __slots__ = ("name", "value", "last_cycle")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0
-        self.last_cycle = -1
 
-    def inc(self, cycle: int, n: int = 1) -> None:
+    def inc(self, n: int = 1) -> None:
         self.value += n
-        self.last_cycle = cycle
-
-    def reset(self) -> None:
-        self.value = 0
-        self.last_cycle = -1
 
     def snapshot(self) -> dict:
-        return {
-            "type": "counter",
-            "value": self.value,
-            "last_cycle": self.last_cycle,
-        }
+        return {"type": "counter", "value": self.value}
 
     def merge(self, payload: dict) -> None:
         """Fold another counter's snapshot in: values sum."""
         self.value += payload["value"]
-        self.last_cycle = max(self.last_cycle, payload["last_cycle"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name!r}, value={self.value})"
 
 
 class LabeledCounter:
-    """A fixed-size vector of cycle-stamped counts (e.g. one per node).
+    """A fixed-size vector of counts (e.g. one per node).
 
     One instrument object covers a whole index space — the engine's
     spatial counters (``engine.node_flit_hops``, ``engine.node_blocked``)
@@ -95,18 +84,16 @@ class LabeledCounter:
     snapshot ships the whole surface as one array.
     """
 
-    __slots__ = ("name", "values", "last_cycle")
+    __slots__ = ("name", "values")
 
     def __init__(self, name: str, size: int) -> None:
         if size <= 0:
             raise ValueError("labeled counter needs a positive size")
         self.name = name
         self.values = [0] * size
-        self.last_cycle = -1
 
-    def inc(self, cycle: int, index: int, n: int = 1) -> None:
+    def inc(self, index: int, n: int = 1) -> None:
         self.values[index] += n
-        self.last_cycle = cycle
 
     @property
     def value(self) -> int:
@@ -114,16 +101,8 @@ class LabeledCounter:
         and :meth:`~TelemetryRegistry.render` report)."""
         return sum(self.values)
 
-    def reset(self) -> None:
-        self.values = [0] * len(self.values)
-        self.last_cycle = -1
-
     def snapshot(self) -> dict:
-        return {
-            "type": "labeled_counter",
-            "values": list(self.values),
-            "last_cycle": self.last_cycle,
-        }
+        return {"type": "labeled_counter", "values": list(self.values)}
 
     def merge(self, payload: dict) -> None:
         """Fold another labeled counter's snapshot in: slot-wise sums."""
@@ -136,7 +115,6 @@ class LabeledCounter:
         values = self.values
         for i, v in enumerate(other):
             values[i] += v
-        self.last_cycle = max(self.last_cycle, payload["last_cycle"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LabeledCounter({self.name!r}, size={len(self.values)})"
@@ -161,7 +139,7 @@ class Series:
       coordinates (earlier windows merge with implicit zeros).
     """
 
-    __slots__ = ("name", "window", "values", "last_cycle")
+    __slots__ = ("name", "window", "values")
 
     def __init__(self, name: str, window: int) -> None:
         if window <= 0:
@@ -169,7 +147,6 @@ class Series:
         self.name = name
         self.window = window
         self.values: list[int] = []
-        self.last_cycle = -1
 
     def add(self, cycle: int, n: int = 1) -> None:
         idx = cycle // self.window
@@ -177,7 +154,6 @@ class Series:
         if idx >= len(values):
             values.extend([0] * (idx + 1 - len(values)))
         values[idx] += n
-        self.last_cycle = cycle
 
     @property
     def value(self):
@@ -185,20 +161,11 @@ class Series:
         and :meth:`~TelemetryRegistry.render` report)."""
         return sum(self.values)
 
-    def window_start(self, index: int) -> int:
-        """First cycle covered by window *index*."""
-        return index * self.window
-
-    def reset(self) -> None:
-        self.values = []
-        self.last_cycle = -1
-
     def snapshot(self) -> dict:
         return {
             "type": "series",
             "window": self.window,
             "values": list(self.values),
-            "last_cycle": self.last_cycle,
         }
 
     def merge(self, payload: dict) -> None:
@@ -219,56 +186,12 @@ class Series:
             values.extend([0] * (len(other) - len(values)))
         for i, v in enumerate(other):
             values[i] += v
-        self.last_cycle = max(self.last_cycle, payload["last_cycle"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Series({self.name!r}, window={self.window}, "
             f"n={len(self.values)})"
         )
-
-
-class Gauge:
-    """A point-in-time value with the cycle it was last set."""
-
-    __slots__ = ("name", "value", "last_cycle")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-        self.last_cycle = -1
-
-    def set(self, cycle: int, value) -> None:
-        self.value = value
-        self.last_cycle = cycle
-
-    def reset(self) -> None:
-        self.value = 0
-        self.last_cycle = -1
-
-    def snapshot(self) -> dict:
-        return {
-            "type": "gauge",
-            "value": self.value,
-            "last_cycle": self.last_cycle,
-        }
-
-    def merge(self, payload: dict) -> None:
-        """Fold another gauge's snapshot in: the cycle-latest value wins.
-
-        Ties on ``last_cycle`` (e.g. two workers both sampled at the
-        final watchdog tick) keep the larger value so the outcome is
-        independent of merge order.
-        """
-        if payload["last_cycle"] > self.last_cycle or (
-            payload["last_cycle"] == self.last_cycle
-            and payload["value"] > self.value
-        ):
-            self.value = payload["value"]
-            self.last_cycle = payload["last_cycle"]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name!r}, value={self.value})"
 
 
 #: Default histogram bucket upper bounds (cycles): powers of two give a
@@ -279,7 +202,7 @@ DEFAULT_BOUNDS = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 class Histogram:
     """A fixed-bucket histogram (upper-bound buckets plus overflow)."""
 
-    __slots__ = ("name", "bounds", "counts", "total", "sum", "last_cycle")
+    __slots__ = ("name", "bounds", "counts", "total", "sum")
 
     def __init__(self, name: str, bounds: tuple[int, ...] = DEFAULT_BOUNDS) -> None:
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
@@ -289,23 +212,15 @@ class Histogram:
         self.counts = [0] * (len(bounds) + 1)  # last bucket = overflow
         self.total = 0
         self.sum = 0
-        self.last_cycle = -1
 
-    def observe(self, cycle: int, value: int) -> None:
+    def observe(self, value: int) -> None:
         self.counts[bisect_right(self.bounds, value)] += 1
         self.total += 1
         self.sum += value
-        self.last_cycle = cycle
 
     @property
     def mean(self) -> float:
         return self.sum / self.total if self.total else float("nan")
-
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-        self.sum = 0
-        self.last_cycle = -1
 
     def snapshot(self) -> dict:
         return {
@@ -314,7 +229,6 @@ class Histogram:
             "counts": list(self.counts),
             "total": self.total,
             "sum": self.sum,
-            "last_cycle": self.last_cycle,
         }
 
     def merge(self, payload: dict) -> None:
@@ -329,7 +243,6 @@ class Histogram:
             counts[i] += c
         self.total += payload["total"]
         self.sum += payload["sum"]
-        self.last_cycle = max(self.last_cycle, payload["last_cycle"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name!r}, total={self.total})"
@@ -345,7 +258,7 @@ class TelemetryRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[
-            str, Counter | Gauge | Histogram | LabeledCounter | Series
+            str, Counter | Histogram | LabeledCounter | Series
         ] = {}
 
     # ------------------------------------------------------------------
@@ -354,14 +267,6 @@ class TelemetryRegistry:
         if inst is None:
             inst = self._instruments[name] = Counter(name)
         elif not isinstance(inst, Counter):
-            raise TypeError(f"{name!r} is already a {type(inst).__name__}")
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        inst = self._instruments.get(name)
-        if inst is None:
-            inst = self._instruments[name] = Gauge(name)
-        elif not isinstance(inst, Gauge):
             raise TypeError(f"{name!r} is already a {type(inst).__name__}")
         return inst
 
@@ -405,7 +310,7 @@ class TelemetryRegistry:
         return self._instruments.get(name)
 
     def value(self, name: str, default: int = 0):
-        """Shorthand: the value of a counter/gauge (``default`` if absent)."""
+        """Shorthand: the value of a counter (``default`` if absent)."""
         inst = self._instruments.get(name)
         return default if inst is None else inst.value
 
@@ -417,11 +322,6 @@ class TelemetryRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._instruments
-
-    def reset(self) -> None:
-        """Zero every instrument (names and types are kept)."""
-        for inst in self._instruments.values():
-            inst.reset()
 
     def snapshot(self) -> dict:
         """JSON-safe dump of every instrument, sorted by name."""
@@ -436,12 +336,11 @@ class TelemetryRegistry:
         *other* is either a :meth:`snapshot` dict or a
         :class:`TelemetryRegistry`.  Instruments absent here are created
         with the snapshot's type (and bounds/size, for histograms and
-        labeled counters); instruments present in both merge per type —
-        counters and labeled counters sum, gauges keep the value with the
-        larger ``last_cycle`` (ties keep the larger value), histograms
-        add bucket-wise.  Counter/histogram contents are therefore
-        independent of merge order, so a parent that merges N worker
-        snapshots matches a sequential run over the same cells exactly.
+        labeled counters); instruments present in both sum per type —
+        counters and labeled counters slot-wise, histograms bucket-wise,
+        series window-wise.  The result is therefore independent of
+        merge order, so a parent that merges N worker snapshots has the
+        snapshot of a sequential run over the same cells exactly.
 
         Raises ``TypeError`` when a name is bound to a different
         instrument type on the two sides, ``ValueError`` on histogram
@@ -456,8 +355,6 @@ class TelemetryRegistry:
             if inst is None:
                 if kind == "counter":
                     inst = self.counter(name)
-                elif kind == "gauge":
-                    inst = self.gauge(name)
                 elif kind == "histogram":
                     inst = self.histogram(name, tuple(payload["bounds"]))
                 elif kind == "labeled_counter":
@@ -471,7 +368,6 @@ class TelemetryRegistry:
             else:
                 expected = {
                     Counter: "counter",
-                    Gauge: "gauge",
                     Histogram: "histogram",
                     LabeledCounter: "labeled_counter",
                     Series: "series",
@@ -483,42 +379,17 @@ class TelemetryRegistry:
                     )
             inst.merge(payload)
 
-    def digest(self) -> str:
-        """A short stable hash of the current snapshot.
+    def merge_digest(self) -> str:
+        """A short stable hash of :meth:`snapshot`, equal across sharding.
 
-        Run manifests record this so two runs' telemetry can be compared
-        at a glance (and the workers=N merge checked against workers=1)
-        without embedding the full snapshot in every event.
+        Run manifests record this (``telemetry_digest``) so two runs'
+        telemetry can be compared at a glance without embedding the full
+        snapshot: a sequential run and an N-worker or N-shard merged run
+        over the same cells produce the same digest by construction.
         """
         from repro.store.keys import content_digest
 
         return content_digest(self.snapshot(), 16)
-
-    def merge_view(self) -> dict:
-        """The partition-independent slice of the snapshot.
-
-        Counters, labeled counters, histograms and series merge
-        value-exactly regardless of how the cells were split across
-        workers or shards.  Gauges ("most recent value") and the
-        ``last_cycle`` bookkeeping depend on *which* registry observed
-        the temporally-last event, so they are excluded here.
-        """
-        return {
-            name: {k: v for k, v in sorted(payload.items()) if k != "last_cycle"}
-            for name, payload in sorted(self.snapshot().items())
-            if payload["type"] != "gauge"
-        }
-
-    def merge_digest(self) -> str:
-        """Digest of :meth:`merge_view` — equal across any sharding.
-
-        This is the proof-of-equality value :mod:`repro.campaigns`
-        records: a sequential run and an N-shard merged run over the
-        same cells produce the same ``merge_digest`` by construction.
-        """
-        from repro.store.keys import content_digest
-
-        return content_digest(self.merge_view(), 16)
 
     def render(self, prefix: str = "") -> str:
         """A human-readable table of instruments (optionally filtered)."""
@@ -588,7 +459,6 @@ class EngineTelemetry:
         self._alloc_role = tuple(c(f"engine.vc_alloc.{r}") for r in ROLE_NAMES)
         self._busy_role = tuple(c(f"engine.vc_busy.{r}") for r in ROLE_NAMES)
         self._latency = registry.histogram("engine.latency")
-        self._inflight = registry.gauge("engine.inflight_flits")
         per_node = registry.labeled_counter
         self._node_hops = per_node("engine.node_flit_hops", sim.mesh.n_nodes)
         self._node_blocked = per_node("engine.node_blocked", sim.mesh.n_nodes)
@@ -610,20 +480,20 @@ class EngineTelemetry:
 
     # -- engine events (see repro.simulator.engine.EVENTS) --------------
     def generated(self, cycle, msg) -> None:
-        self._generated.inc(cycle)
+        self._generated.inc()
 
     def injected(self, cycle, msg, node) -> None:
-        self._injected.inc(cycle)
+        self._injected.inc()
 
     def blocked(self, cycle, msg, node) -> None:
-        self._blocked.inc(cycle)
-        self._node_blocked.inc(cycle, node)
+        self._blocked.inc()
+        self._node_blocked.inc(node)
         self._s_blocked.add(cycle)
 
     def granted(self, cycle, msg, node, port, vc, role, on_ring) -> None:
         if role is None:  # ejection grant
             return
-        self._alloc_role[role].inc(cycle)
+        self._alloc_role[role].inc()
         if on_ring:
             ring = msg.ring
             counter = self._fring.get(id(ring))
@@ -634,24 +504,24 @@ class EngineTelemetry:
                     f"engine.fring.{kind}[{r.x0},{r.y0},{r.x1},{r.y1}]"
                     ".traversals"
                 )
-            counter.inc(cycle)
+            counter.inc()
 
     def flit_moved(self, cycle, msg, kind, node, ejected) -> None:
-        self._flit_hops.inc(cycle)
-        self._node_hops.inc(cycle, node)
+        self._flit_hops.inc()
+        self._node_hops.inc(node)
         if ejected:
-            self._ejected.inc(cycle)
+            self._ejected.inc()
             self._s_ejected.add(cycle)
 
     def delivered(self, cycle, msg) -> None:
         latency = cycle - msg.created
-        self._delivered.inc(cycle)
-        self._latency.observe(cycle, latency)
+        self._delivered.inc()
+        self._latency.observe(latency)
         self._s_delivered.add(cycle)
         self._s_latency.add(cycle, latency)
 
     def dropped(self, cycle, msg, livelock) -> None:
-        self._drain[livelock].inc(cycle)
+        self._drain[livelock].inc()
 
     def vc_sampled(self, cycle, busy) -> None:
         role_of = self._role_of
@@ -659,11 +529,8 @@ class EngineTelemetry:
         s_busy_role = self._s_busy_role
         for vc in busy:
             role = role_of[vc]
-            busy_role[role].inc(cycle)
+            busy_role[role].inc()
             s_busy_role[role].add(cycle)
-
-    def inflight_sampled(self, cycle, flits) -> None:
-        self._inflight.set(cycle, flits)
 
 
 class Instrument:

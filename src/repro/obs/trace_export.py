@@ -70,7 +70,8 @@ def chrome_trace(
     messages (still in flight when the trace ended) emit no slice but
     keep their instants.  When *telemetry_snapshot* (a
     :meth:`~repro.obs.telemetry.TelemetryRegistry.snapshot`) is given,
-    every counter becomes one "C" sample at its last-update cycle.
+    every counter becomes one "C" sample at the trace's last event
+    cycle (the counters' values as the trace ends).
     """
     events = (
         list(tracer_or_events.events)
@@ -126,13 +127,14 @@ def chrome_trace(
             "args": {"node": node, **_event_args(kind, detail)},
         })
     if telemetry_snapshot:
+        ts = events[-1][0] if events else 0
         for name, inst in sorted(telemetry_snapshot.items()):
             if inst.get("type") != "counter":
                 continue
             out.append({
                 "name": name,
                 "ph": "C",
-                "ts": max(inst.get("last_cycle", 0), 0),
+                "ts": ts,
                 "pid": 0,
                 "tid": 0,
                 "args": {"value": inst.get("value", 0)},

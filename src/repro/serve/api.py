@@ -279,9 +279,7 @@ class QueryServer:
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-engine"
         )
-        # Monotonic request ordinal: the fallback x-request-id suffix
-        # and the stamp on the serve.http.* instruments (the serving
-        # registry's cycle axis, matching the resolver's convention).
+        # Monotonic request ordinal: the fallback x-request-id suffix.
         self._http_requests = 0
         # Bounded span store behind /trace; one trace per request id.
         self.spans = SpanRecorder(limit=2048)
@@ -366,22 +364,21 @@ class QueryServer:
     # Request handling (event-loop thread)
     # ------------------------------------------------------------------
     def _record_http(
-        self, request: int, status: int, payload: dict, started: float,
-        where: str,
+        self, status: int, payload: dict, started: float, where: str
     ) -> None:
         """Per-request HTTP metrics, visible at ``/metrics``."""
         elapsed_us = int((clock() - started) * 1e6)
-        self.telemetry.counter("serve.http.requests").inc(request)
-        self.telemetry.counter(f"serve.http.status.{status}").inc(request)
-        self.telemetry.counter(f"serve.http.resolved.{where}").inc(request)
+        self.telemetry.counter("serve.http.requests").inc()
+        self.telemetry.counter(f"serve.http.status.{status}").inc()
+        self.telemetry.counter(f"serve.http.resolved.{where}").inc()
         self.telemetry.histogram(
             "serve.http.latency_us", LATENCY_BOUNDS
-        ).observe(request, elapsed_us)
+        ).observe(elapsed_us)
         answer = payload.get("answer") if isinstance(payload, dict) else None
         if isinstance(answer, dict) and "tier" in answer:
             self.telemetry.counter(
                 f"serve.http.query.tier.{answer['tier']}"
-            ).inc(request)
+            ).inc()
 
     def _route(
         self, method: str, path: str, params: dict, trace: Trace
@@ -454,9 +451,8 @@ class _Connection:
         self.sock = sock
         server._open.add(self)
         server._http_requests += 1
-        self.seq = server._http_requests
         self.started = clock()
-        self.request_id = f"req-{self.seq}"
+        self.request_id = f"req-{server._http_requests}"
         self.buffer = bytearray()
         self.body_start = -1  # index past the header block, once seen
         self.content_length = 0
@@ -626,9 +622,7 @@ class _Connection:
         server = self.server
         if self.span is not None:
             self.span.__exit__(None, None, None)
-        server._record_http(
-            self.seq, status, payload, self.started, self.where
-        )
+        server._record_http(status, payload, self.started, self.where)
         body = json.dumps(payload).encode("utf-8")
         self.out = memoryview(
             (

@@ -33,13 +33,12 @@ each tier's refusal reason; the resolver never invents an answer.
 The resolver is observable with the engine's own tooling: pass a
 :class:`~repro.obs.telemetry.TelemetryRegistry` and it maintains
 per-tier hit counters (``serve.tier.<tier>``) and wall-latency
-histograms (``serve.latency_us`` overall plus per tier), stamped with
-the request index as the "cycle".  Pass a :class:`~repro.obs.spans.
-Trace` to :meth:`Resolver.resolve` and the cascade additionally records
-one ``tier.<name>`` span per attempted tier (attr ``outcome`` says
-``answered`` or ``refused``) with an ``engine.run`` child span around
-any bounded-simulation fallback — the serve half of the cross-layer
-trace (:mod:`repro.obs.spans`).
+histograms (``serve.latency_us`` overall plus per tier).  Pass a
+:class:`~repro.obs.spans.Trace` to :meth:`Resolver.resolve` and the
+cascade additionally records one ``tier.<name>`` span per attempted
+tier (attr ``outcome`` says ``answered`` or ``refused``) with an
+``engine.run`` child span around any bounded-simulation fallback — the
+serve half of the cross-layer trace (:mod:`repro.obs.spans`).
 
 The cascade runs in two steps so a server can keep the cheap part on
 its event loop: :meth:`Resolver.begin` walks store → surrogate → model
@@ -156,11 +155,10 @@ class Resolution:
     """One query part-way through the cascade (see :meth:`Resolver.begin`)."""
 
     __slots__ = (
-        "request", "started", "trace", "refusals", "answer", "engine_started",
+        "started", "trace", "refusals", "answer", "engine_started",
     )
 
-    def __init__(self, request: int, started: float, trace) -> None:
-        self.request = request
+    def __init__(self, started: float, trace) -> None:
         self.started = started
         self.trace = trace
         self.refusals: dict[str, str] = {}
@@ -208,7 +206,6 @@ class Resolver:
         self.db = db
         self.simulate = simulate
         self.telemetry = telemetry
-        self._requests = 0
         self._surrogate: GridSurrogate | None = None
         self._calibration: (
             calibrate.Calibration | calibrate.CalibrationError | None
@@ -355,10 +352,9 @@ class Resolver:
         raises :class:`UnresolvedQueryError` here.  Call on the thread
         that owns this resolver (its counters, telemetry and spans).
         """
-        self._requests += 1
-        res = Resolution(self._requests, clock(), trace)
+        res = Resolution(clock(), trace)
         if self.telemetry is not None:
-            self.telemetry.counter("serve.queries").inc(res.request)
+            self.telemetry.counter("serve.queries").inc()
         tiers = (
             ("store", self._try_store),
             ("surrogate", self._try_surrogate),
@@ -395,7 +391,7 @@ class Resolver:
                 outcome="refused",
             )
         if self.telemetry is not None:
-            self.telemetry.counter("serve.unresolved").inc(res.request)
+            self.telemetry.counter("serve.unresolved").inc()
         raise UnresolvedQueryError(q, res.refusals)
 
     def run_engine(self, q: Query) -> EngineRun:
@@ -486,10 +482,10 @@ class Resolver:
         if self.telemetry is None:
             return
         elapsed_us = int((clock() - res.started) * 1e6)
-        self.telemetry.counter(f"serve.tier.{tier}").inc(res.request)
+        self.telemetry.counter(f"serve.tier.{tier}").inc()
         self.telemetry.histogram(
             "serve.latency_us", LATENCY_BOUNDS
-        ).observe(res.request, elapsed_us)
+        ).observe(elapsed_us)
         self.telemetry.histogram(
             f"serve.latency_us.{tier}", LATENCY_BOUNDS
-        ).observe(res.request, elapsed_us)
+        ).observe(elapsed_us)

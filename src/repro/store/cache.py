@@ -9,9 +9,9 @@ that is field-for-field identical to what the simulation would produce —
 figure drivers, ablations and campaigns can all share one store.
 
 Caching is bypassed (not silently mis-keyed) when the evaluator uses a
-custom ``pattern_factory`` without a ``traffic_label``: an arbitrary
-traffic object cannot be hashed into the key, so those runs always
-execute.  Pass a stable ``traffic_label`` to opt such workloads in.
+custom ``pattern_factory``: an arbitrary traffic object cannot be hashed
+into the key, so those runs always execute.  Every cached run is keyed
+as uniform traffic.
 """
 
 from __future__ import annotations
@@ -212,10 +212,9 @@ class CachedEvaluator(Evaluator):
         directory path, or ``None`` for the default directory
         (``$REPRO_STORE_DIR`` / ``.repro-store``).  (The uncached path is
         :func:`make_evaluator` with no store.)
-    traffic_label:
-        Stable label of the traffic workload for the run key.  Defaults
-        to ``"uniform"`` when no ``pattern_factory`` is set; required to
-        enable caching when one is.
+
+    A custom ``pattern_factory`` bypasses the cache: its runs execute
+    and count in ``stats.bypassed``.
     """
 
     def __init__(
@@ -226,7 +225,6 @@ class CachedEvaluator(Evaluator):
         pattern_factory=None,
         instrument=None,
         store: ResultStore | HeldRows | Path | str | None = None,
-        traffic_label: str | None = None,
     ) -> None:
         super().__init__(
             base_config,
@@ -238,9 +236,6 @@ class CachedEvaluator(Evaluator):
             store if isinstance(store, (ResultStore, HeldRows))
             else ResultStore(store)
         )
-        if traffic_label is None and pattern_factory is None:
-            traffic_label = "uniform"
-        self.traffic_label = traffic_label
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -260,13 +255,13 @@ class CachedEvaluator(Evaluator):
             set_index=set_index,
             **overrides,
         )
-        if self.traffic_label is None:
+        if self.pattern_factory is not None:
             self.stats.bypassed += 1
             return self._execute(alg, cfg, faults)
         token = algorithm_token(algorithm)
         return get_or_run(
             self.store,
-            run_key(cfg, token, faults, traffic=self.traffic_label),
+            run_key(cfg, token, faults),
             token,
             lambda: self._execute(alg, cfg, faults),
             self.stats,
@@ -280,7 +275,6 @@ def make_evaluator(
     pattern_factory=None,
     instrument=None,
     store: ResultStore | HeldRows | Path | str | None = None,
-    **cache_kwargs,
 ) -> Evaluator:
     """A plain Evaluator, or a cached one when *store* is given.
 
@@ -302,5 +296,4 @@ def make_evaluator(
         pattern_factory=pattern_factory,
         instrument=instrument,
         store=store,
-        **cache_kwargs,
     )

@@ -184,7 +184,7 @@ class TestRunShard:
         registry = TelemetryRegistry()
         merge = merge_shards(db, [tmp_path / "s0"], registry=registry)
         assert merge["telemetry_digest"] == registry.merge_digest()
-        assert registry.merge_view()  # non-empty: engine counters merged
+        assert registry.snapshot()  # non-empty: engine counters merged
 
 
 def test_merged_cells_keep_their_shard_worker(tmp_path, capsys):

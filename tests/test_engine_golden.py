@@ -147,7 +147,7 @@ def twin_digests(sim: Simulation) -> dict:
     sim.run()
     return {
         "row": row_digest(sim),
-        "telemetry": registry.digest(),
+        "telemetry": registry.merge_digest(),
         "blame": _sha(recorder.records),
         "trace": _sha([list(e) for e in tracer.events]),
     }
@@ -329,19 +329,19 @@ GOLDEN = {
 GOLDEN_TWINS = {
     ('fully-adaptive', True, 0): {
         'row': '906b526ad9fa1e9bf4c8f6af2969c4e94f6764237414191a017820f3b70bd912',
-        'telemetry': '7829c73d07a29dbe',
+        'telemetry': '3598300f96e4bf13',
         'blame': '7d28f681d92a26ccbe82903afec4742acf9b845e6f9734cbaaa58ed85e864402',
         'trace': '10c740e64a00115a28a76c32d0e3872a748b75447e598ce320e5bf1679d34ccc',
     },
     ('duato-nbc', True, 11): {
         'row': '49e919904ae672a5b2fc16fb87e2b2541d96aa8ef18720112a46f15bca74a901',
-        'telemetry': 'e223cc92f221411d',
+        'telemetry': 'e13803380acbe20a',
         'blame': 'f6dcd1f9aa1577e50e3caf17dc250ae50b5416198d53008176403e2cfe3a9034',
         'trace': '06c73b131b7f29f92254b06122404f630f208a382c9e00ef5a381483f92de139',
     },
     ('nhop', False, 2007): {
         'row': '8f29885cc9a0e858240d5d2bfdeb1c305326ff6d810066a133dce25c804f2be1',
-        'telemetry': '332aa9308caf66cb',
+        'telemetry': 'b7a3d4bdc59c2b41',
         'blame': 'b4802035c93a7b52949e8a9dce05ca0989d5b04876cbb40ba723bd1e5c263252',
         'trace': 'cca08e598b2f4306f3fb00989854b45e0c9ca93152a06d1eabc500feb0aa6fed',
     },
@@ -350,21 +350,21 @@ GOLDEN_TWINS = {
 GOLDEN_LOADED = {
     ('pbc', 1): {
         'row': 'f134c6a38612f52b74e6058378f052adba82534b70250c66fa25a096fad1c8cc',
-        'telemetry': 'c2290bacce815361',
+        'telemetry': 'dd72fcdd44911689',
         'blame': '1745c37177e464dccc5f15fa3d45ce17209b3782c15d593d45af553d0b60015f',
         'trace': '990ddaca0584dd5a0652334d8d73797823b5480597d7167e8a1ea37e32b45bcc',
         'rng': '412abedbd8fdf8ebc51447300f793a318e21138e3781e2b5dbeafb1999b7843b',
     },
     ('boura-ft', 2): {
         'row': 'f4ac627ea93835d057a71327ac26409f8f9b1dcbef2ed6ae59d5280d42f4ea2d',
-        'telemetry': '0c14bd94f966ac02',
+        'telemetry': '83769fca86f6e79b',
         'blame': '0bc719aedbd3cc8f5bdfe796d4cbb163a332e69fbb153655286dadb497e59a45',
         'trace': '219e72a28ea7cf13980ab14f4409382d6aa42b6213fbf047b811ddb1f3352a9d',
         'rng': 'be565d90e5269cb75848515366daf601ef8fadd764e17d7c28c451ab5d6a25f7',
     },
     ('duato', 1): {
         'row': '8bd653ddec5b56360fc33e6e6cf1d39f682188c65c1310c230bb24012e645de8',
-        'telemetry': '5e9067723616f478',
+        'telemetry': 'cfeb3d3213d3eccb',
         'blame': 'eba4ba5813969b833d0f85771cf16e3a193ea74b8194e63a875396efc3ab8c9e',
         'trace': 'f6f23f7da1465ea1c2b5ce7f965da298f08bd040966d6382e11c0580e83ea66d',
         'rng': 'd0bde604620bf31204d8947c7ab7f39079ceffc375629ff689f2c198f932804a',

@@ -53,7 +53,7 @@ def make_observer(kind: str):
         return tracer, lambda: list(tracer.events)
     if kind == "telemetry":
         registry = TelemetryRegistry()
-        return EngineTelemetry(registry), registry.digest
+        return EngineTelemetry(registry), registry.merge_digest
     if kind == "blame":
         recorder = BlameRecorder()
         return recorder, lambda: (recorder.records, recorder.blocked_events)

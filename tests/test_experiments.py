@@ -166,27 +166,35 @@ class TestCli:
         assert saved["experiment"] == "fig1-fig2"
 
     def test_manifest_records_the_run_the_same_way_for_any_workers(
-        self, tmp_path
+        self, tmp_path, capsys
     ):
         """A figure manifest writes each span as it closes (cells, then
         the phase, then the root, then run-finish) and closes with the
-        partition-independent telemetry digest: pooled == in process."""
+        partition-independent telemetry digest: pooled == in process.
+        The ``engine.`` block ``--telemetry`` prints is the same too:
+        every instrument is a sum.  (phop's saturated run ends with more
+        flits in flight than nhop's, so a "latest value" instrument
+        would print two different lines.)"""
         from repro.obs.manifest import read_manifest
         from repro.obs.spans import spans_from_manifest, spans_merge_digest
 
-        runs = {}
+        algs = ("phop", "nhop")
+        runs, printed = {}, {}
         for workers in (1, 2):
             path = tmp_path / f"w{workers}.jsonl"
             assert main([
-                "fig1", "--profile", "smoke", "--algorithms", *TINY_ALGS,
+                "fig1", "--profile", "smoke", "--algorithms", *algs,
                 "--workers", str(workers), "--telemetry", "--manifest",
                 str(path), "--quiet",
             ]) == 0
             runs[workers] = read_manifest(path)
+            out = capsys.readouterr().out.splitlines()
+            printed[workers] = [l for l in out if l.startswith("engine.")]
+        assert printed[1] and printed[1] == printed[2]
         for events in runs.values():
             spans = spans_from_manifest(events)
             assert [s["name"] for s in spans] == [
-                *(f"cell.{alg}" for alg in TINY_ALGS), "fig1-fig2", "fig1",
+                *(f"cell.{alg}" for alg in algs), "fig1-fig2", "fig1",
             ]
             ids = {s["name"]: s["span_id"] for s in spans}
             assert spans[-1]["parent_id"] is None

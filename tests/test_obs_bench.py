@@ -271,6 +271,19 @@ def test_cli_bench_refuses_repeats_below_one(repeats, tmp_path, capsys,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("repeats", [0, -1])
+def test_run_suite_refuses_repeats_below_one(repeats, monkeypatch):
+    """Refused before any workload runs, not after the untimed ones."""
+    import repro.obs.bench
+
+    def ran(*_args):
+        raise AssertionError("a workload ran")
+
+    monkeypatch.setattr(repro.obs.bench, "instrumented_run", ran)
+    with pytest.raises(ValueError, match="repeats"):
+        run_suite(repeats=repeats)
+
+
 def test_cli_history_ingest_render_and_gate(tmp_path, capsys):
     ledger = str(tmp_path / "ledger.jsonl")
     base = dict(_payload(1000.0), label="pr9", created_unix=100)

@@ -1,10 +1,7 @@
 """Snapshot/merge semantics of the telemetry registry, and the
-workers=N determinism guarantee the distribution protocol rests on.
-
-Equality caveat (by design): ``last_cycle`` watermarks are *not* part of
-the guarantee.  A sequential registry keeps the chronologically-last
-update per instrument while a parent merging worker snapshots takes the
-max, so only the **values** are compared — see ``values_view``.
+workers=N determinism guarantee the distribution protocol rests on:
+every instrument is a plain sum, so merged snapshots equal sequential
+ones exactly.
 """
 
 import json
@@ -17,7 +14,6 @@ from repro.experiments.profiles import SMOKE_PROFILE
 from repro.obs.manifest import read_manifest
 from repro.obs.telemetry import (
     Counter,
-    Gauge,
     Histogram,
     Instrument,
     LabeledCounter,
@@ -26,49 +22,23 @@ from repro.obs.telemetry import (
 from repro.simulator.config import SimConfig
 
 
-def values_view(registry: TelemetryRegistry) -> dict:
-    """Order-independent comparison view: no gauges, no last_cycle."""
-    return {
-        name: {k: v for k, v in payload.items() if k != "last_cycle"}
-        for name, payload in registry.snapshot().items()
-        if payload["type"] != "gauge"
-    }
-
-
 # ----------------------------------------------------------------------
 # Instrument-level merge
 # ----------------------------------------------------------------------
 def test_counter_merge_sums():
     a, b = Counter("x"), Counter("x")
-    a.inc(5, 3)
-    b.inc(9, 4)
+    a.inc(3)
+    b.inc(4)
     a.merge(b.snapshot())
     assert a.value == 7
-    assert a.last_cycle == 9
-
-
-def test_gauge_merge_takes_latest_cycle():
-    a, b = Gauge("x"), Gauge("x")
-    a.set(10, 111)
-    b.set(4, 999)
-    a.merge(b.snapshot())
-    assert (a.value, a.last_cycle) == (111, 10)  # kept its later stamp
-
-
-def test_gauge_merge_tie_takes_larger_value():
-    a, b = Gauge("x"), Gauge("x")
-    a.set(10, 3)
-    b.set(10, 8)
-    a.merge(b.snapshot())
-    assert a.value == 8
 
 
 def test_histogram_merge_bucketwise():
     a = Histogram("lat", bounds=(10, 100))
     b = Histogram("lat", bounds=(10, 100))
-    a.observe(1, 5)
-    b.observe(1, 50)
-    b.observe(1, 500)
+    a.observe(5)
+    b.observe(50)
+    b.observe(500)
     a.merge(b.snapshot())
     assert a.total == 3
     assert a.counts == [1, 1, 1]
@@ -83,9 +53,9 @@ def test_histogram_merge_rejects_different_bounds():
 
 def test_labeled_counter_basic():
     c = LabeledCounter("hops", 4)
-    c.inc(1, 2)
-    c.inc(3, 2, 5)
-    c.inc(3, 0)
+    c.inc(2)
+    c.inc(2, 5)
+    c.inc(0)
     assert c.values == [1, 0, 6, 0]
     assert c.value == 7
     snap = c.snapshot()
@@ -95,9 +65,9 @@ def test_labeled_counter_basic():
 
 def test_labeled_counter_merge_slotwise():
     a, b = LabeledCounter("hops", 3), LabeledCounter("hops", 3)
-    a.inc(1, 0)
-    b.inc(2, 0, 2)
-    b.inc(2, 2)
+    a.inc(0)
+    b.inc(0, 2)
+    b.inc(2)
     a.merge(b.snapshot())
     assert a.values == [3, 0, 1]
 
@@ -111,12 +81,12 @@ def test_labeled_counter_merge_rejects_size_mismatch():
 # ----------------------------------------------------------------------
 # Registry-level merge
 # ----------------------------------------------------------------------
-def _filled_registry(seed_cycle: int) -> TelemetryRegistry:
+def _filled_registry(seed: int) -> TelemetryRegistry:
     r = TelemetryRegistry()
-    r.counter("c").inc(seed_cycle, 2)
-    r.gauge("g").set(seed_cycle, seed_cycle * 10)
-    r.histogram("h", bounds=(10,)).observe(seed_cycle, seed_cycle)
-    r.labeled_counter("lc", 3).inc(seed_cycle, seed_cycle % 3)
+    r.counter("c").inc(2)
+    r.histogram("h", bounds=(10,)).observe(seed)
+    r.labeled_counter("lc", 3).inc(seed % 3)
+    r.series("s", 4).add(seed)
     return r
 
 
@@ -132,7 +102,7 @@ def test_registry_merge_accepts_json_roundtripped_snapshot():
     snapshot = json.loads(json.dumps(_filled_registry(5).snapshot()))
     parent.merge(snapshot)
     assert parent.value("c") == 4
-    assert parent.value("g") == 50  # cycle 5 beats cycle 1
+    assert parent.get("h").counts == [2, 0]
 
 
 def test_registry_merge_order_independent_values():
@@ -140,23 +110,23 @@ def test_registry_merge_order_independent_values():
     ab.merge(_filled_registry(5))
     ba = _filled_registry(5)
     ba.merge(_filled_registry(1))
-    assert values_view(ab) == values_view(ba)
+    assert ab.snapshot() == ba.snapshot()
 
 
 def test_registry_merge_type_conflict_raises():
     parent = TelemetryRegistry()
     parent.counter("x")
     other = TelemetryRegistry()
-    other.gauge("x")
+    other.histogram("x")
     with pytest.raises(TypeError):
         parent.merge(other)
 
 
 def test_digest_tracks_values():
     a, b = _filled_registry(3), _filled_registry(3)
-    assert a.digest() == b.digest()
-    b.counter("c").inc(9)
-    assert a.digest() != b.digest()
+    assert a.merge_digest() == b.merge_digest()
+    b.counter("c").inc()
+    assert a.merge_digest() != b.merge_digest()
 
 
 def test_instrument_pool_safety():
@@ -174,7 +144,10 @@ def test_instrument_pool_safety():
 # ----------------------------------------------------------------------
 class TestWorkersMatchSequential:
     def test_fig_sweep_pool_merges_to_sequential_values(self):
-        algs = ("nhop", "phop")
+        # phop's saturated run ends with more flits in flight than nhop's:
+        # a "latest value" instrument would keep nhop's in process and
+        # phop's pooled.
+        algs = ("phop", "nhop")
         seq_reg, par_reg = TelemetryRegistry(), TelemetryRegistry()
         seq = run_sweep(
             SMOKE_PROFILE, algs, workers=1,
@@ -186,7 +159,7 @@ class TestWorkersMatchSequential:
         )
         assert par.throughput == seq.throughput
         assert par.latency == seq.latency
-        assert values_view(par_reg) == values_view(seq_reg)
+        assert par_reg.snapshot() == seq_reg.snapshot()
         assert par_reg.value("engine.node_flit_hops") > 0
 
     def test_campaign_workers4_merges_to_sequential_values(self, tmp_path):
@@ -211,7 +184,7 @@ class TestWorkersMatchSequential:
         )
         assert seq["executed"] == par["executed"] == 4
         assert par["store_digest"] == seq["store_digest"]
-        # merge_digest is the order-independent values view, hashed.
+        # merge_digest hashes the snapshot, which is a sum of sums.
         assert par["telemetry_digest"] == seq["telemetry_digest"] is not None
         # The faulty layout exercises the rings too: the pooled run's
         # merged telemetry shows ring VCs busy.

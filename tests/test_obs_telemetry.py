@@ -13,7 +13,6 @@ from repro.metrics.vc_usage import (
 from repro.obs.telemetry import (
     Counter,
     EngineTelemetry,
-    Gauge,
     Histogram,
     Instrument,
     TelemetryRegistry,
@@ -45,26 +44,16 @@ def _config(**overrides) -> SimConfig:
 # ----------------------------------------------------------------------
 def test_counter_inc_and_snapshot():
     c = Counter("x")
-    c.inc(5)
-    c.inc(9, 3)
+    c.inc()
+    c.inc(3)
     assert c.value == 4
-    assert c.last_cycle == 9
-    assert c.snapshot() == {"type": "counter", "value": 4, "last_cycle": 9}
-    c.reset()
-    assert c.value == 0 and c.last_cycle == -1
-
-
-def test_gauge_set():
-    g = Gauge("x")
-    g.set(3, 17)
-    g.set(8, 2)
-    assert g.value == 2 and g.last_cycle == 8
+    assert c.snapshot() == {"type": "counter", "value": 4}
 
 
 def test_histogram_buckets_and_mean():
     h = Histogram("lat", bounds=(10, 100))
     for v in (1, 10, 11, 100, 101, 5000):
-        h.observe(1, v)
+        h.observe(v)
     # bucket edges are exclusive upper bounds: <10, <100, overflow
     assert h.counts == [1, 2, 3]
     assert h.total == 6
@@ -83,7 +72,7 @@ def test_registry_get_or_create_and_type_guard():
     c = reg.counter("a")
     assert reg.counter("a") is c
     with pytest.raises(TypeError):
-        reg.gauge("a")
+        reg.histogram("a")
     assert reg.value("missing", default=7) == 7
     assert "a" in reg and len(reg) == 1
 
@@ -91,7 +80,7 @@ def test_registry_get_or_create_and_type_guard():
 def test_registry_snapshot_and_render():
     reg = TelemetryRegistry()
     reg.counter("engine.x").inc(1)
-    reg.histogram("engine.lat").observe(2, 50)
+    reg.histogram("engine.lat").observe(50)
     snap = reg.snapshot()
     assert snap["engine.x"]["value"] == 1
     assert snap["engine.lat"]["type"] == "histogram"
@@ -158,7 +147,7 @@ def test_per_role_occupancy_reconciles():
 
 def test_reconcile_raises_on_mismatch():
     sim, result, reg = _instrumented_run()
-    reg.counter("engine.vc_busy.adaptive").inc(0, 1)  # corrupt one view
+    reg.counter("engine.vc_busy.adaptive").inc()  # corrupt one view
     with pytest.raises(ValueError, match="disagree"):
         reconcile_vc_usage(result, reg, sim.algorithm.budget)
 

@@ -66,10 +66,6 @@ def test_series_add_and_windows():
     s.add(25)
     assert s.values == [3, 0, 1]
     assert s.value == 4
-    assert s.last_cycle == 25
-    assert s.window_start(2) == 20
-    s.reset()
-    assert s.values == [] and s.last_cycle == -1
 
 
 def test_series_rejects_nonpositive_window():
@@ -84,7 +80,6 @@ def test_series_snapshot_shape():
         "type": "series",
         "window": 10,
         "values": [2],
-        "last_cycle": 5,
     }
 
 

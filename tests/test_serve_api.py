@@ -965,10 +965,10 @@ def _span_view(span):
 
 
 def _metrics_view(snapshot):
-    """Counter values, histogram totals and stamps: no latencies."""
+    """Counter values and histogram totals: no latencies."""
     return {
         name: {k: v for k, v in entry.items()
-               if k in ("type", "value", "total", "last_cycle")}
+               if k in ("type", "value", "total")}
         for name, entry in snapshot.items()
         if name.startswith("serve.") and not name.startswith(_NEW_COUNTERS)
     }
