@@ -11,7 +11,7 @@ reconstructions of the stored payloads, so a queried latency is exactly
 the ``avg_latency`` the simulation reported.
 
 Reduction over the repeat axis (:meth:`CampaignArray.reduce`) reuses
-the Student-t machinery from :mod:`repro.obs.converge` to report
+the Student-t machinery from :mod:`repro.metrics.confidence` to report
 ``mean ± 95% CI half-width`` per (algorithm, rate, fault_case) point —
 the error bars the paper's figures need.
 
@@ -28,7 +28,7 @@ from pathlib import Path
 
 from repro.campaigns.db import CampaignDB
 from repro.campaigns.spec import fault_case_label
-from repro.obs.converge import batch_means_ci
+from repro.metrics.confidence import batch_means_ci
 from repro.util.serialization import result_from_dict
 
 __all__ = [
@@ -149,7 +149,7 @@ class CampaignArray:
         Returns ``{"dims": (algorithm, rate, fault_case), "coords":
         {...}, "mean": [...], "ci95": [...]}``; NaN repeats are dropped
         before reduction and the half-width is NaN below two surviving
-        repeats (see :func:`repro.obs.converge.batch_means_ci`).
+        repeats (see :func:`repro.metrics.confidence.batch_means_ci`).
         """
         mean_block, ci_block = [], []
         for a_block in self.values[metric]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.faults.generator import generate_block_fault_pattern
 from repro.faults.pattern import FaultPattern
@@ -33,6 +34,9 @@ from repro.simulator.config import SimConfig
 from repro.simulator.engine import ENGINE_VERSION, Simulation, SimulationResult
 from repro.topology.mesh import Mesh2D
 from repro.traffic.patterns import TrafficPattern
+
+if TYPE_CHECKING:
+    from repro.obs.telemetry import TelemetryRegistry
 
 
 def deadlock_policy(algorithm: RoutingAlgorithm, faults: FaultPattern) -> str:
@@ -75,13 +79,13 @@ class Evaluator:
         Zero-argument callable producing a fresh
         :class:`~repro.traffic.patterns.TrafficPattern` per run
         (default: uniform traffic).
-    instrument:
-        Optional callable invoked with every :class:`Simulation` just
-        before ``run()`` — the observability hook (attach a telemetry
-        registry or tracer; see
-        :class:`repro.obs.telemetry.Instrument`).  Instrumentation
-        covers **executed** runs only: a :class:`~repro.store.cache.
-        CachedEvaluator` cache hit never constructs a Simulation.
+    telemetry:
+        Optional :class:`~repro.obs.telemetry.TelemetryRegistry`
+        attached (as :class:`~repro.obs.telemetry.EngineTelemetry`) to
+        every :class:`Simulation` just before ``run()``; its counters
+        accumulate across runs.  It covers **executed** runs only: a
+        :class:`~repro.store.cache.CachedEvaluator` cache hit never
+        constructs a Simulation.
     """
 
     def __init__(
@@ -90,13 +94,13 @@ class Evaluator:
         *,
         seed: int = 2007,
         pattern_factory=None,
-        instrument=None,
+        telemetry: TelemetryRegistry | None = None,
     ) -> None:
         self.base_config = base_config
         self.seed = seed
         self.mesh = Mesh2D(base_config.width, base_config.height)
         self.pattern_factory = pattern_factory
-        self.instrument = instrument
+        self.telemetry = telemetry
 
     # ------------------------------------------------------------------
     # Fault cases
@@ -175,8 +179,12 @@ class Evaluator:
             self.pattern_factory() if self.pattern_factory else None
         )
         sim = Simulation(cfg, alg, faults=faults, pattern=pattern)
-        if self.instrument is not None:
-            self.instrument(sim)
+        if self.telemetry is not None:
+            # Imported here: repro.core loads no repro.obs module until
+            # a run is observed.
+            from repro.obs.telemetry import EngineTelemetry
+
+            sim.attach(EngineTelemetry(self.telemetry))
         return sim.run()
 
     def run_single(

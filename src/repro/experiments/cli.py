@@ -108,13 +108,6 @@ def _declare(names: tuple[str, ...], parser: argparse.ArgumentParser) -> None:
         help="simulation scale (default: quick; 'paper' is full scale)")
     add("--algorithms", nargs="+", default=None, choices=ALGORITHM_NAMES,
         metavar="NAME", help="restrict to a subset of algorithm names")
-    add("--adaptive-cycles", action="store_true",
-        help="use the profile's '+auto' twin: every run may stop at the "
-        "first window boundary where the batch-means latency CI "
-        "converges (cycles_mode='auto'; deterministic, store keys "
-        "disjoint from fixed-cycle runs).  Not recommended for the "
-        "occupancy studies (fig3/fig6), whose per-cycle statistics "
-        "want the full fixed window.")
     add("--seed", type=int, default=2007, help="master seed (default 2007)")
     add("--out", type=Path, default=None, metavar="DIR",
         help="also dump raw series as JSON into DIR")
@@ -134,7 +127,7 @@ def _declare(names: tuple[str, ...], parser: argparse.ArgumentParser) -> None:
         "and print the aggregated engine counters at the end; with "
         "--workers N each worker fills a fresh registry and the parent "
         "merges the snapshots (cache hits are not re-simulated and "
-        "therefore not counted).  --trace-out keeps runs in process.")
+        "therefore not counted).")
     add("--manifest", type=Path, nargs="?", const=None, default=False,
         metavar="FILE",
         help="append a JSONL run manifest (cell timings, cache counters, "
@@ -142,13 +135,6 @@ def _declare(names: tuple[str, ...], parser: argparse.ArgumentParser) -> None:
         "manifests/<experiment>_<profile>.jsonl next to the store (or "
         "./manifests without one).  Render with 'python -m repro.obs "
         "report FILE'.")
-    add("--trace-out", type=Path, default=None, metavar="FILE",
-        help="record message lifecycles across all executed simulations "
-        "and export them (.jsonl for JSON-lines, anything else for "
-        "Chrome trace format)")
-    add("--trace-sample", type=int, default=1, metavar="N",
-        help="with --trace-out: trace only 1-in-N messages, chosen "
-        "deterministically by message id (default 1 = all)")
 
 
 def _open_store(args: argparse.Namespace):
@@ -201,21 +187,13 @@ def _ablations(command: str, args: argparse.Namespace) -> int:
 def _experiment(command: str, args: argparse.Namespace) -> int:
     """Run one figure command or ``all``."""
     store = _open_store(args)
-    telemetry = tracer = instrument = None
-    if args.telemetry or args.trace_out is not None:
-        from repro.obs.telemetry import Instrument, TelemetryRegistry
-        from repro.obs.trace_export import lifecycle_tracer
+    telemetry = None
+    if args.telemetry:
+        from repro.obs.telemetry import TelemetryRegistry
 
-        if args.telemetry:
-            telemetry = TelemetryRegistry()
-        if args.trace_out is not None:
-            tracer = lifecycle_tracer(sample=args.trace_sample)
-        instrument = Instrument(telemetry=telemetry, tracer=tracer)
+        telemetry = TelemetryRegistry()
 
-    profile_name = args.profile
-    if args.adaptive_cycles and not profile_name.endswith("+auto"):
-        profile_name = f"{profile_name}+auto"
-    profile = get_profile(profile_name)
+    profile = get_profile(args.profile)
     algorithms = tuple(args.algorithms) if args.algorithms else None
     wanted = EXPERIMENTS if command == "all" else (command,)
     if "budgets" in wanted:
@@ -223,7 +201,7 @@ def _experiment(command: str, args: argparse.Namespace) -> int:
     progress = None if args.quiet else lambda s: print(s, file=sys.stderr)
     options = dict(
         seed=args.seed, progress=progress, workers=args.workers, store=store,
-        instrument=instrument,
+        telemetry=telemetry,
     )
     if args.manifest is False:
         _run_figures(wanted, profile, algorithms, args.out, options)
@@ -237,8 +215,8 @@ def _experiment(command: str, args: argparse.Namespace) -> int:
                 store.root / "manifests" if store is not None
                 else Path("manifests")
             )
-            manifest_path = base / f"{command}_{profile_name}.jsonl"
-        trace_id = trace_id_from("figure", command, profile_name, args.seed)
+            manifest_path = base / f"{command}_{args.profile}.jsonl"
+        trace_id = trace_id_from("figure", command, args.profile, args.seed)
         # Each span is written as it closes; leaving this block on an
         # exception (a cell that raised) closes the manifest with
         # run-finish status="error" on the way out.
@@ -248,10 +226,10 @@ def _experiment(command: str, args: argparse.Namespace) -> int:
                 kind="figure",
                 workers=args.workers,
                 store=str(store.root) if store is not None else None,
-                profile=profile_name,
+                profile=args.profile,
             )
             with Trace(manifest, trace_id).span(
-                command, profile=profile_name, workers=args.workers
+                command, profile=args.profile, workers=args.workers
             ) as trace:
                 _run_figures(
                     wanted, profile, algorithms, args.out,
@@ -264,15 +242,6 @@ def _experiment(command: str, args: argparse.Namespace) -> int:
     if telemetry is not None:
         print(telemetry.render(prefix="engine."))
         print()
-    if tracer is not None:
-        from repro.obs.trace_export import write_trace
-
-        snapshot = telemetry.snapshot() if telemetry is not None else None
-        n = write_trace(
-            args.trace_out, tracer, label=command,
-            telemetry_snapshot=snapshot,
-        )
-        print(f"[trace: {n} events -> {args.trace_out}]")
     return 0
 
 

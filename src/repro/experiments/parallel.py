@@ -62,8 +62,7 @@ JSON-safe snapshot the parent folds in with
 is a sum, so the snapshot comes out identical to a sequential run's).
 Spans are recorded by the parent, and span ids are derived from
 position in the trace, not from time or pid, so the span set is
-identical too.  A tracer (ordered event log) cannot merge: instruments
-carrying one keep the in-process path (:func:`pool_safe_instrument`).
+identical too.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from collections.abc import Callable, Generator, Iterator, Sequence
 from contextlib import AbstractContextManager, closing, nullcontext
 from pathlib import Path
 from traceback import format_exception
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.cli import usable_cpus
 from repro.obs.profile import clock
@@ -87,6 +86,9 @@ from repro.store.cache import (
     holding,
     make_evaluator,
 )
+
+if TYPE_CHECKING:
+    from repro.obs.telemetry import TelemetryRegistry
 
 
 class StoreMiss(LookupError):
@@ -107,22 +109,6 @@ class WorkerTraceback(Exception):
     gives it when it re-raises it."""
 
 
-def pool_safe_instrument(instrument) -> bool:
-    """Whether cells may fan out to a pool with *instrument* attached.
-
-    ``None`` and telemetry-only :class:`~repro.obs.telemetry.Instrument`
-    objects are pool-safe (workers replicate the registry and the parent
-    merges snapshots).  Instruments carrying a tracer — and arbitrary
-    callables, whose internals the drivers cannot see — force the
-    sequential in-process path.
-    """
-    if instrument is None:
-        return True
-    from repro.obs.telemetry import Instrument
-
-    return isinstance(instrument, Instrument) and instrument.pool_safe
-
-
 def worker_evaluator(config, seed: int, store, with_telemetry: bool):
     """A fresh ``(registry, evaluator)`` pair for one worker or run.
 
@@ -130,14 +116,13 @@ def worker_evaluator(config, seed: int, store, with_telemetry: bool):
     cached when *store* (a store, a directory or a worker's
     :class:`~repro.store.cache.HeldRows`) is given.
     """
-    registry = instrument = None
+    registry = None
     if with_telemetry:
-        from repro.obs.telemetry import Instrument, TelemetryRegistry
+        from repro.obs.telemetry import TelemetryRegistry
 
         registry = TelemetryRegistry()
-        instrument = Instrument(telemetry=registry)
     return registry, make_evaluator(
-        config, seed=seed, store=store, instrument=instrument
+        config, seed=seed, store=store, telemetry=registry
     )
 
 
@@ -447,7 +432,7 @@ def run_per_algorithm(
     progress=None,
     workers: int = 1,
     store=None,
-    instrument=None,
+    telemetry: TelemetryRegistry | None = None,
     manifest=None,
     trace: Trace | None = None,
 ) -> dict:
@@ -476,12 +461,9 @@ def run_per_algorithm(
     every simulation through the result cache: runs simulated before —
     by any driver, campaign or worker — are served from the store.
 
-    *instrument* (see :class:`~repro.core.evaluator.Evaluator`) observes
-    every executed simulation.  A telemetry-only
-    :class:`~repro.obs.telemetry.Instrument` is pool-safe (snapshot +
-    merge, see the module docstring); one carrying a tracer, or an
-    arbitrary callable, keeps the cells in process whatever *workers*
-    says.
+    *telemetry* (a :class:`~repro.obs.telemetry.TelemetryRegistry`)
+    observes every executed simulation: in process directly, pooled by
+    merging each worker's snapshot (see the module docstring).
 
     *manifest* (a :class:`~repro.obs.manifest.ManifestWriter`) receives
     one ``cell`` per algorithm with its wall seconds, simulated cycles
@@ -491,14 +473,10 @@ def run_per_algorithm(
     """
     algorithms = algorithms or profile.algorithms
     workers = worker_count(workers)
-    pooled = (
-        workers > 1
-        and len(algorithms) > 1
-        and pool_safe_instrument(instrument)
-    )
+    pooled = workers > 1 and len(algorithms) > 1
     probed = pooled and store is not None
     evaluator = (_Probe if probed else make_evaluator)(
-        profile.config, seed=seed, instrument=instrument, store=store,
+        profile.config, seed=seed, telemetry=telemetry, store=store,
     )
     _, points = job(evaluator, profile)
     cells = [
@@ -521,7 +499,7 @@ def run_per_algorithm(
         setup=(_job_run, job, profile), config=profile.config, seed=seed,
         store=evaluator.store if probed else None,
         manifest=manifest, trace=trace,
-        registry=getattr(instrument, "telemetry", None), progress=report,
+        registry=telemetry, progress=report,
     ))
     return {alg: done[alg]["value"] for alg in algorithms}
 

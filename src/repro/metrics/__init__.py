@@ -12,12 +12,6 @@ from repro.metrics.aggregate import (
     mean,
     mean_std,
 )
-from repro.metrics.distribution import (
-    histogram,
-    percentile,
-    percentiles,
-    tail_ratio,
-)
 from repro.metrics.saturation import (
     SaturationPoint,
     find_saturation,
@@ -37,15 +31,11 @@ __all__ = [
     "TrafficLoadSplit",
     "aggregate",
     "find_saturation",
-    "histogram",
     "mean",
     "mean_std",
     "peak_throughput",
-    "percentile",
-    "percentiles",
     "ring_corner_split",
     "RingCornerSplit",
-    "tail_ratio",
     "traffic_load_split",
     "vc_usage_percent",
 ]

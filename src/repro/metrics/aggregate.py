@@ -54,7 +54,7 @@ class AggregateResult:
     #: (warmup + measured window each).  Fixed-cycle runs sum to
     #: ``n_runs * cycles``; ``cycles_mode="auto"`` runs that stopped
     #: early sum to less — the number the manifests and the
-    #: ``--adaptive-cycles`` savings accounting report.
+    #: ``--profile <name>+auto`` savings accounting report.
     simulated_cycles: int = 0
 
     @classmethod

@@ -4,9 +4,8 @@ The one CI rule the project uses: a two-sided 95% interval over batch
 means, exact Student-t quantile up to 30 degrees of freedom and the
 normal quantile beyond.  It lives in the metrics layer so the engine's
 ``cycles_mode="auto"`` early stop, the campaign query reductions, the
-serving tier and ``obs converge`` all share it without the simulator
-importing the observability layer (:mod:`repro.obs.converge` re-exports
-both names).
+serving tier and ``obs converge`` all import it from here, so the
+simulator never imports the observability layer.
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ in :data:`repro.simulator.engine.EVENTS`:
   Chrome-trace JSON or JSONL, with deterministic 1-in-N sampling.
 * :mod:`repro.obs.bench` — a headless pinned-workload perf harness
   (``python -m repro.obs bench``) writing ``BENCH_<label>.json``
-  trajectories, plus a regression gate (``python -m repro.obs
-  compare``).
+  trajectories.
 * :mod:`repro.obs.profile` — the engine phase profiler
   (``sim.attach(PhaseProfiler())``; ``python -m repro.obs profile``):
   per-phase wall-time shares and activity attribution, bit-identical
@@ -23,11 +22,11 @@ in :data:`repro.simulator.engine.EVENTS`:
 * :mod:`repro.obs.history` — the perf ledger
   (``tools/perf_ledger.jsonl``; ``python -m repro.obs history``):
   committed ``BENCH_*.json`` files as a per-workload time series with
-  a phase-attributing regression gate.
+  a phase-attributing regression gate (``history --gate``).
 * :mod:`repro.obs.spans` — cross-layer trace spans (``python -m
-  repro.obs spans``): clock-stamped outside the simulator,
-  cycle-stamped inside, deterministic ids, explicit context
-  propagation, partition-independent merge + digest.
+  repro.obs spans``): clock-stamped, outside the simulator only,
+  deterministic ids, explicit context propagation,
+  partition-independent merge + digest.
 * :mod:`repro.obs.blame` — per-message latency blame
   (``sim.attach(BlameRecorder())``; ``python -m repro.obs blame``):
   decomposes each delivered message's latency into source-queue /
@@ -69,8 +68,8 @@ _EXPORTS = {
     ),
     "profile": ("PHASE_NAMES", "PhaseProfiler", "clock", "render_profile"),
     "telemetry": (
-        "Counter", "EngineTelemetry", "Histogram", "Instrument",
-        "LabeledCounter", "Series", "TelemetryRegistry", "series_snapshot",
+        "Counter", "EngineTelemetry", "Histogram", "LabeledCounter",
+        "Series", "TelemetryRegistry", "series_snapshot",
     ),
     "spans": (
         "SpanRecorder", "Trace", "make_span", "make_span_id",

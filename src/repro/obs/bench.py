@@ -3,10 +3,11 @@
 ``python -m repro.obs bench --label mine`` executes every pinned workload
 and writes a canonical ``BENCH_mine.json`` at the current directory (the
 repo root, by convention; bench files are not committed — the perf
-ledger keeps one condensed row per label).  ``python -m repro.obs compare A.json B.json
---max-regress 15%`` exits nonzero when any shared workload regressed, so
-a non-blocking CI lane can track the repo's performance trajectory
-commit over commit.
+ledger keeps one condensed row per label).  ``python -m repro.obs
+history --gate BENCH_mine.json --max-regress 15%`` exits nonzero when
+any workload it shares with the ledger baseline regressed, so a
+non-blocking CI lane can track the repo's performance trajectory commit
+over commit.
 
 The suite times kernels and paths no end-to-end workload isolates: the
 engine, instrument prices, fault generation, routing candidates,
@@ -30,8 +31,9 @@ Methodology:
   all samples recorded.
 * Each workload carries a **key**: a SHA-256 digest (via
   :func:`repro.store.keys.content_digest`) of its full parameter spec.
-  ``compare`` only compares workloads whose keys match, so a re-pinned
-  workload silently stops gating instead of producing bogus deltas.
+  :func:`compare_payloads` only compares workloads whose keys match, so
+  a re-pinned workload silently stops gating instead of producing bogus
+  deltas.
 * ``peak_rss_kb`` is ``ru_maxrss`` after the workload (process-lifetime
   peak: monotone across the suite, meaningful per-file).
 * Engine workloads additionally carry ``phases`` (per-phase wall-time
@@ -116,7 +118,8 @@ class Workload:
 
 
 #: The pinned suite.  Changing any parameter changes the workload's key,
-#: which un-gates it in ``compare`` — bump deliberately, not silently.
+#: which un-gates it in :func:`compare_payloads` — bump deliberately,
+#: not silently.
 WORKLOADS: tuple[Workload, ...] = (
     Workload("engine_moderate", "engine", {
         "algorithm": "nhop", "width": 10, "vcs": 24, "message_length": 16,
@@ -621,7 +624,7 @@ def host_warnings(old: dict, new: dict) -> list[str]:
     """Comparability warnings between two bench payloads' host stanzas.
 
     Rates measured on different platforms or interpreter versions are
-    not the same experiment; ``obs compare`` and ``obs history`` print
+    not the same experiment; ``obs history --gate`` prints
     these instead of silently comparing (the gate still runs — a noisy
     warning beats a silent apples-to-oranges delta).
     """

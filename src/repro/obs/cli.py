@@ -118,7 +118,7 @@ def _profile_flags(parser, *, algorithm: str, then) -> None:
     then(parser)
 
 
-# bench, compare, history: the perf harness and its ledger
+# bench, history: the perf harness and its ledger
 def _bench_flags(parser: argparse.ArgumentParser) -> None:
     from repro.obs.bench import WORKLOADS
 
@@ -166,42 +166,6 @@ def _bench(args: argparse.Namespace) -> int:
         store.put(key, payload)
         print(f"[bench] archived under key {key[:16]}… in {store.root}")
     return 0
-
-
-def _compare_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("old", type=Path, help="baseline BENCH_*.json")
-    parser.add_argument("new", type=Path, help="candidate BENCH_*.json")
-    parser.add_argument(
-        "--max-regress", default="15%",
-        help="allowed rate-metric drop, '15%%' or '0.15' (default 15%%)")
-
-
-def _compare(args: argparse.Namespace) -> int:
-    from repro.obs.bench import (
-        compare_payloads, host_warnings, parse_regress, render_comparison,
-    )
-
-    tolerance = _try(parse_regress, args.max_regress)
-    old = _try(_bench_json, args.old)
-    new = _try(_bench_json, args.new)
-    for warning in host_warnings(old, new):
-        print(f"warning: {warning}", file=sys.stderr)
-    rows, code = compare_payloads(old, new, max_regress=tolerance)
-    print(
-        f"comparing {args.old.name} (engine v{old.get('engine_version', '?')})"
-        f" -> {args.new.name} (engine v{new.get('engine_version', '?')})"
-    )
-    print(render_comparison(rows, max_regress=tolerance))
-    if code == 1:
-        names = ", ".join(
-            f"{r['workload']}.{r['metric']} ({r['delta_pct']:+.1f}%)"
-            for r in rows if r["status"] == "REGRESSED"
-        )
-        print(f"regressed beyond {100 * tolerance:.0f}%: {names}",
-              file=sys.stderr)
-    elif code == 2:
-        print("no comparable workloads (keys changed?)", file=sys.stderr)
-    return code
 
 
 def _history_flags(parser: argparse.ArgumentParser) -> None:
@@ -614,9 +578,6 @@ def _spans(args: argparse.Namespace) -> int:
 VERBS: tuple[Verb, ...] = (
     Verb("bench", "Run the pinned perf suite and write BENCH_<label>.json.",
          _bench_flags, _bench),
-    Verb("compare", "Gate a new BENCH file against a baseline (exit 1 on "
-         "regression, 2 when nothing is comparable).",
-         _compare_flags, _compare),
     Verb("smoke", "One instrumented run: print counters, self-verify that "
          "telemetry reconciles with the engine's aggregates.",
          partial(_sim_flags, faults=5, then=_smoke_flags), _smoke),

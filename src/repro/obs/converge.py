@@ -9,8 +9,8 @@ Two classic output-analysis tools, applied to the engine's windowed
   width-proxy ``SSE(d) / (n - d)^2`` over the retained batch means.
   Applied to fixed-width window means this is the windowed analogue of
   MSER-5 batching: the window width plays the role of the batch size.
-* **Batch-means confidence intervals** (:func:`batch_means_ci`,
-  re-exported from :mod:`repro.metrics.confidence`) — a two-sided 95%
+* **Batch-means confidence intervals**
+  (:func:`repro.metrics.confidence.batch_means_ci`) — a two-sided 95%
   CI over the batch means, using the exact Student-t quantile for up to
   30 batches and the normal quantile beyond.
 
@@ -29,15 +29,13 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from repro.metrics.confidence import batch_means_ci, t_critical
+from repro.metrics.confidence import batch_means_ci
 
 __all__ = [
     "ConvergeVerdict",
     "analyze_profile",
-    "batch_means_ci",
     "mser_truncation",
     "render_verdicts",
-    "t_critical",
 ]
 
 def mser_truncation(values: list[float], *, max_frac: float = 0.5) -> int:

@@ -5,18 +5,17 @@ bench payload (label, host, engine version, and per-workload rate
 metrics + phase shares).  ``python -m repro.obs history`` renders the
 per-workload time series with sparklines; ``--delta A B`` prints the
 table between two labels; ``--gate CANDIDATE.json`` compares a fresh
-``BENCH_*.json`` against the ledger baseline and — unlike the bare
-``obs compare`` it replaces in CI — names the regressed workload,
-metric, *and* the phase whose wall-time share grew the most, so a slow
-PR lands with attribution instead of a bare percentage (and a fast one
-with the phases whose share fell).
+``BENCH_*.json`` against the ledger baseline and names the regressed
+workload, metric, *and* the phase whose wall-time share grew the most,
+so a slow PR lands with attribution instead of a bare percentage (and a
+fast one with the phases whose share fell).
 
 Entries are deduplicated by label (re-ingesting a label replaces it)
 and kept sorted by ``(created_unix, label)``, so the ledger is a merge-
 friendly append-only file in spirit but idempotent to re-ingest.  The
 condensed workload stanza keeps exactly the fields
 :func:`repro.obs.bench.compare_payloads` reads, so every comparison
-path (compare / delta / gate) shares one implementation.
+path (delta / gate) shares one implementation.
 """
 
 from __future__ import annotations
@@ -53,7 +52,8 @@ def ledger_entry(payload: dict) -> dict:
     """Condense one ``BENCH_*.json`` payload into a ledger line.
 
     Keeps the identity fields, the per-workload rate metrics (plus
-    ``key``, so stale specs stop gating exactly as in ``compare``), and
+    ``key``, so stale specs stop gating, as :func:`~repro.obs.bench.
+    compare_payloads` skips them), and
     the phase shares / per-instrument attached costs when present; drops
     raw samples and params — those
     stay in the committed ``BENCH_*.json`` files.

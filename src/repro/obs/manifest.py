@@ -270,7 +270,7 @@ def summarize_manifest(events: list[dict]) -> dict:
             run_finish = ev
 
     groups: dict[str, dict] = {}
-    cache_totals = {"hits": 0, "misses": 0, "puts": 0, "bypassed": 0}
+    cache_totals = {"hits": 0, "misses": 0, "puts": 0}
     have_cache = False
     for ev in finishes:
         g = groups.setdefault(
@@ -388,8 +388,7 @@ def render_report(summary: dict) -> str:
         rate_s = f"{100.0 * rate:.1f}%" if rate is not None else "n/a"
         lines.append(
             f"cache: {c['hits']} hits / {c['misses']} misses "
-            f"({rate_s} hit rate), {c['puts']} puts, "
-            f"{c['bypassed']} bypassed"
+            f"({rate_s} hit rate), {c['puts']} puts"
         )
 
     if summary["eta_checks"]:

@@ -1,20 +1,14 @@
 """Cross-layer trace spans: one causal timeline from HTTP to the engine.
 
 A **span** is a named interval with a parent, collected into a **trace**
-(one request, one figure run, one campaign).  Spans come in two kinds,
-mirroring the project's two time bases:
-
-* ``kind="clock"`` — wall-time spans stamped with the sanctioned
-  monotonic timer (:data:`repro.obs.profile.clock`, lint rule REP016).
-  Everything *outside* the simulator uses these: HTTP requests, resolver
-  tiers, campaign cells, figure-driver phases, pool-worker jobs.
-* ``kind="cycle"`` — simulated-time spans stamped with engine cycles.
-  Anything derived from *inside* the simulator uses these (message
-  lifecycles reconstructed from :class:`~repro.simulator.trace.Tracer`
-  events, warmup/measure segments); the simulator itself never reads a
-  wall clock (REP006), and lint rule REP017 keeps it that way by
-  restricting simulator-scope imports of this module to the cycle-safe
-  names in :data:`CYCLE_SAFE_NAMES`.
+(one request, one figure run, one campaign).  Every span is wall time,
+stamped with the sanctioned monotonic timer
+(:data:`repro.obs.profile.clock`, lint rule REP016), and records its
+``"kind"`` as ``"clock"``: HTTP requests, resolver tiers, campaign
+cells, figure-driver phases, pool-worker jobs.  Simulated time stays
+inside the engine, which never reads a wall clock (REP006) and may not
+import this module at all (REP003, REP017); what happens inside a run
+is observed through its telemetry and lifecycle tracer instead.
 
 Determinism contract (REP008/REP011): ids carry **no wall-clock or
 random material**.  A trace id is a short hash of caller-chosen
@@ -26,8 +20,7 @@ makes :func:`merge_spans` partition-independent and
 :func:`spans_merge_digest` a proof-of-equality value, exactly like
 telemetry's ``merge_digest``.  Wall-clock *timings* are of course not
 reproducible, so the digest covers the structural view only
-(:func:`span_merge_view`): ids, names, parentage, and — for cycle
-spans — the cycle stamps, which *are* deterministic.
+(:func:`span_merge_view`): ids, names and parentage.
 
 Ids are derived when a span is **read**, not when it closes: a
 :class:`Trace` position holds its parent, name and key (a root its id
@@ -57,7 +50,6 @@ from repro.obs.profile import clock
 from repro.store.keys import content_digest
 
 __all__ = [
-    "CYCLE_SAFE_NAMES",
     "SpanRecorder",
     "Trace",
     "make_span",
@@ -71,14 +63,6 @@ __all__ = [
     "trace_id_from",
     "write_spans_jsonl",
 ]
-
-#: Names simulator-scope modules may import from this module (lint rule
-#: REP017): pure id/construction helpers that never read a wall clock.
-#: ``Trace``/``SpanRecorder`` stay out — their ``span()`` path calls
-#: ``clock`` — as does anything file- or rendering-shaped, which has no
-#: business on the hot path.
-CYCLE_SAFE_NAMES = ("make_span", "make_span_id", "trace_id_from")
-
 
 def trace_id_from(*material) -> str:
     """A deterministic trace id from caller-chosen JSON-safe material.
@@ -109,19 +93,14 @@ def make_span(
     trace_id: str,
     parent_id: str | None = None,
     span_id: str | None = None,
-    kind: str = "clock",
     start,
     end,
     key=None,
     attrs: dict | None = None,
 ) -> dict:
-    """Build one finished span as a JSON-safe dict.
-
-    ``kind="clock"`` stamps are :data:`~repro.obs.profile.clock` seconds;
-    ``kind="cycle"`` stamps are simulation cycles.  This constructor does
-    not read any clock itself, so it is safe anywhere (REP017).
-    """
-    _check_stamps(name, kind, start, end)
+    """Build one finished span as a JSON-safe dict; its stamps are
+    :data:`~repro.obs.profile.clock` seconds."""
+    _check_stamps(name, start, end)
     return {
         "trace_id": trace_id,
         "span_id": (
@@ -131,16 +110,14 @@ def make_span(
         ),
         "parent_id": parent_id,
         "name": name,
-        "kind": kind,
+        "kind": "clock",
         "start": start,
         "end": end,
         "attrs": dict(attrs) if attrs else {},
     }
 
 
-def _check_stamps(name: str, kind: str, start, end) -> None:
-    if kind not in ("clock", "cycle"):
-        raise ValueError(f"span kind must be 'clock' or 'cycle', not {kind!r}")
+def _check_stamps(name: str, start, end) -> None:
     if end < start:
         raise ValueError(f"span {name!r} ends ({end}) before it starts ({start})")
 
@@ -281,25 +258,14 @@ class Trace:
         block to annotate the outcome (recorded at exit, even on an
         exception — a refused tier still leaves its span behind).
         """
-        return _Span(self.child(name, key=key, **attrs), "clock")
+        return _Span(self.child(name, key=key, **attrs))
 
-    def record(
-        self, name: str, /, *, start, end, kind: str = "clock", key=None,
-        **attrs,
-    ):
+    def record(self, name: str, /, *, start, end, key=None, **attrs):
         """Record a finished child span post-hoc (explicit stamps);
         returns what the recorder returns for it."""
-        _check_stamps(name, kind, start, end)
+        _check_stamps(name, start, end)
         return self.recorder.add(
-            _Span(self.child(name, key=key, **attrs), kind, start, end)
-        )
-
-    def cycle_span(
-        self, name: str, *, start: int, end: int, key=None, **attrs
-    ):
-        """Record a cycle-stamped child span (simulated time)."""
-        return self.record(
-            name, start=start, end=end, kind="cycle", key=key, **attrs
+            _Span(self.child(name, key=key, **attrs), start, end)
         )
 
 
@@ -308,14 +274,13 @@ class _Span:
 
     As returned by :meth:`Trace.span` it is the ``with`` block that
     stamps and records it; once closed it is what a recorder receives,
-    read field by field (``span["kind"]``) or whole (:meth:`as_dict`).
+    read field by field (``span["name"]``) or whole (:meth:`as_dict`).
     """
 
-    __slots__ = ("node", "kind", "start", "end")
+    __slots__ = ("node", "start", "end")
 
-    def __init__(self, node: Trace, kind: str, start=None, end=None) -> None:
+    def __init__(self, node: Trace, start=None, end=None) -> None:
         self.node = node
-        self.kind = kind
         self.start = start
         self.end = end
 
@@ -336,7 +301,6 @@ class _Span:
             trace_id=parent.trace_id,
             parent_id=parent.span_id,
             span_id=node.span_id,
-            kind=self.kind,
             start=self.start,
             end=self.end,
             attrs=node.attrs,
@@ -368,20 +332,14 @@ def merge_spans(*span_lists) -> list[dict]:
 def span_merge_view(span: dict) -> dict:
     """The partition-independent slice of one span.
 
-    Structure (ids, name, parentage, kind) always; stamps only for
-    cycle spans, whose start/end are simulated time and therefore
-    reproducible.  Clock stamps and attrs (worker pids, cache counters)
-    vary run-to-run and are excluded.
+    Structure (ids, name, parentage, kind) only: stamps and attrs
+    (worker pids, cache counters) vary run-to-run and are excluded.
     """
-    view = {
+    return {
         key: span[key]
         for key in sorted(span)
         if key in ("trace_id", "span_id", "parent_id", "name", "kind")
     }
-    if span["kind"] == "cycle":
-        view["start"] = span["start"]
-        view["end"] = span["end"]
-    return view
 
 
 def spans_merge_digest(spans) -> str:
@@ -426,8 +384,6 @@ def spans_from_manifest(events) -> list[dict]:
 # Rendering
 # ----------------------------------------------------------------------
 def _format_duration(span: dict) -> str:
-    if span["kind"] == "cycle":
-        return f"{span['end'] - span['start']} cyc"
     seconds = span["end"] - span["start"]
     if seconds < 1e-3:
         return f"{seconds * 1e6:.0f}us"
@@ -439,8 +395,7 @@ def _format_duration(span: dict) -> str:
 def render_waterfall(spans, *, width: int = 40) -> str:
     """An ASCII waterfall of every trace in *spans*.
 
-    Bars are positioned within per-trace, per-kind bounds (wall seconds
-    and simulated cycles cannot share a scale); hierarchy shows as
+    Bars are positioned within per-trace bounds; hierarchy shows as
     indentation in pre-order, siblings ordered by start then id.
     """
     spans = merge_spans(spans)
@@ -457,10 +412,8 @@ def render_waterfall(spans, *, width: int = 40) -> str:
             children.setdefault(parent, []).append(span)
         for sibs in children.values():
             sibs.sort(key=lambda s: (s["start"], s["span_id"]))
-        bounds: dict[str, tuple[float, float]] = {}
-        for span in trace_spans:
-            lo, hi = bounds.get(span["kind"], (span["start"], span["end"]))
-            bounds[span["kind"]] = (min(lo, span["start"]), max(hi, span["end"]))
+        lo = min(s["start"] for s in trace_spans)
+        span_width = max(max(s["end"] for s in trace_spans) - lo, 1e-12)
         lines.append(f"trace {trace_id} ({len(trace_spans)} spans)")
         name_width = min(
             36, max(len(s["name"]) + 2 * _depth(s, trace_spans) for s in trace_spans)
@@ -468,8 +421,6 @@ def render_waterfall(spans, *, width: int = 40) -> str:
 
         def walk(parent: str | None, depth: int) -> None:
             for span in children.get(parent, ()):
-                lo, hi = bounds[span["kind"]]
-                span_width = max(hi - lo, 1e-12)
                 a = int((span["start"] - lo) / span_width * width)
                 b = max(int((span["end"] - lo) / span_width * width), a + 1)
                 bar = " " * a + "#" * (b - a) + " " * (width - b)

@@ -43,7 +43,6 @@ __all__ = [
     "Counter",
     "EngineTelemetry",
     "Histogram",
-    "Instrument",
     "LabeledCounter",
     "Series",
     "TelemetryRegistry",
@@ -531,51 +530,4 @@ class EngineTelemetry:
             role = role_of[vc]
             busy_role[role].inc()
             s_busy_role[role].add(cycle)
-
-
-class Instrument:
-    """A per-run hook for :class:`repro.core.evaluator.Evaluator`.
-
-    Calling it on a :class:`~repro.simulator.engine.Simulation` attaches
-    *telemetry* (a shared registry, accumulating across runs) and/or
-    *tracer* (a shared :class:`~repro.simulator.trace.Tracer`).  Note
-    that cache hits in a :class:`~repro.store.CachedEvaluator` do not
-    re-simulate, so instrumented counters cover executed runs only.
-
-    The attributes are inspectable so the experiment drivers can decide
-    how to distribute work: a telemetry-only instrument is
-    **pool-safe** — workers attach fresh registries and the parent
-    merges their snapshots — while a tracer accumulates ordered events
-    in process and forces the sequential path.  Arbitrary callables
-    (the pre-merge API) still work everywhere but are treated like
-    tracers: the drivers cannot see inside them, so they stay in
-    process.
-    """
-
-    __slots__ = ("telemetry", "tracer")
-
-    def __init__(
-        self, telemetry: TelemetryRegistry | None = None, tracer=None
-    ) -> None:
-        self.telemetry = telemetry
-        self.tracer = tracer
-
-    def __call__(self, sim) -> None:
-        if self.telemetry is not None:
-            sim.attach(EngineTelemetry(self.telemetry))
-        if self.tracer is not None:
-            sim.attach(self.tracer)
-
-    @property
-    def pool_safe(self) -> bool:
-        """True when this instrument can be replicated across workers."""
-        return self.tracer is None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = []
-        if self.telemetry is not None:
-            parts.append("telemetry")
-        if self.tracer is not None:
-            parts.append("tracer")
-        return f"Instrument({'+'.join(parts) or 'noop'})"
 

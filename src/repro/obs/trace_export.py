@@ -211,10 +211,8 @@ def write_trace(
 def spans_chrome_trace(spans: Iterable[dict], *, label: str = "repro") -> dict:
     """Convert :mod:`repro.obs.spans` spans to a Chrome-trace object.
 
-    Each trace becomes one process row; within it, wall-clock spans
-    (seconds -> microseconds, zeroed at the trace's earliest clock
-    start) and cycle spans (1 cycle = 1 us, raw cycle stamps) land on
-    separate threads because the two time bases cannot share an axis.
+    Each trace becomes one process row of wall-clock slices (seconds ->
+    microseconds, zeroed at the trace's earliest start).
     """
     from repro.obs.spans import merge_spans
 
@@ -230,25 +228,16 @@ def spans_chrome_trace(spans: Iterable[dict], *, label: str = "repro") -> dict:
             "tid": 0,
             "args": {"name": f"{label} trace {trace_id}"},
         })
-        clock_zero = min(
-            (s["start"] for s in trace_spans if s["kind"] == "clock"),
-            default=0.0,
-        )
+        clock_zero = min(s["start"] for s in trace_spans)
         for span in trace_spans:
-            if span["kind"] == "clock":
-                tid, ts = 0, (span["start"] - clock_zero) * 1e6
-                dur = (span["end"] - span["start"]) * 1e6
-            else:
-                tid, ts = 1, span["start"]
-                dur = span["end"] - span["start"]
             out.append({
                 "name": span["name"],
                 "cat": span["kind"],
                 "ph": "X",
-                "ts": ts,
-                "dur": dur,
+                "ts": (span["start"] - clock_zero) * 1e6,
+                "dur": (span["end"] - span["start"]) * 1e6,
                 "pid": pid,
-                "tid": tid,
+                "tid": 0,
                 "args": {
                     "span_id": span["span_id"],
                     "parent_id": span["parent_id"],

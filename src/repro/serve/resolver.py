@@ -7,7 +7,7 @@ tier ``"store"``
     The query names an exact grid point of the campaign and **every**
     declared sample of that point (all fault sets × repeats) is in the
     store.  The answer is the pooled mean with a Student-t 95% CI from
-    :func:`repro.obs.converge.batch_means_ci` — identical to the
+    :func:`repro.metrics.confidence.batch_means_ci` — identical to the
     campaign query layer's own reduction.  No engine work.
 tier ``"surrogate"``
     The query is off-grid but inside the fitted hull: piecewise-linear
@@ -60,7 +60,7 @@ from repro.campaigns.db import CampaignDB
 from repro.campaigns.query import extract_metric, metric_names, query
 from repro.campaigns.spec import cell_set_index
 from repro.core.evaluator import ENGINE_VERSION
-from repro.obs.converge import batch_means_ci
+from repro.metrics.confidence import batch_means_ci
 from repro.obs.profile import clock
 from repro.obs.telemetry import TelemetryRegistry
 from repro.serve import calibrate
@@ -273,7 +273,7 @@ class Resolver:
         """Engine invocations this resolver has caused (cache hits: 0)."""
         if self._evaluator is None:
             return 0
-        return self._evaluator.stats.misses + self._evaluator.stats.bypassed
+        return self._evaluator.stats.misses
 
     # ------------------------------------------------------------------
     # Tiers

@@ -7,7 +7,7 @@ piecewise-linear interpolation **in the injection rate only**, per
 (algorithm, fault count) series — the one axis the paper sweeps
 continuously.  Fault sets and repeats are pooled into one sample set
 per grid point, whose mean and 95% CI half-width come from
-:func:`repro.obs.converge.batch_means_ci` — the same Student-t
+:func:`repro.metrics.confidence.batch_means_ci` — the same Student-t
 machinery the campaign query layer reduces with, so a surrogate answer
 at a grid rate equals the campaign's own reduction.
 
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from repro.campaigns.query import CampaignArray
-from repro.obs.converge import batch_means_ci
+from repro.metrics.confidence import batch_means_ci
 
 __all__ = [
     "GridPoint",

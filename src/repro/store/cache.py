@@ -8,10 +8,9 @@ pattern, the algorithm and the engine version, a hit returns a result
 that is field-for-field identical to what the simulation would produce —
 figure drivers, ablations and campaigns can all share one store.
 
-Caching is bypassed (not silently mis-keyed) when the evaluator uses a
-custom ``pattern_factory``: an arbitrary traffic object cannot be hashed
-into the key, so those runs always execute.  Every cached run is keyed
-as uniform traffic.
+Every cached run is uniform traffic, and is keyed as such: a custom
+traffic pattern cannot be hashed into a key, so only the plain
+:class:`~repro.core.evaluator.Evaluator` takes one.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.core.evaluator import Evaluator
 from repro.faults.pattern import FaultPattern
@@ -31,6 +31,9 @@ from repro.simulator.engine import SimulationResult
 from repro.store.backend import ResultStore, fcntl
 from repro.store.keys import algorithm_token, run_key
 from repro.util.serialization import result_from_dict, result_to_dict
+
+if TYPE_CHECKING:
+    from repro.obs.telemetry import TelemetryRegistry
 
 __all__ = [
     "CacheStats",
@@ -51,13 +54,10 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     puts: int = 0
-    #: Runs executed without consulting the store (an unlabeled custom
-    #: traffic pattern made the run unkeyable).
-    bypassed: int = 0
 
     @property
     def runs(self) -> int:
-        return self.hits + self.misses + self.bypassed
+        return self.hits + self.misses
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -212,9 +212,9 @@ class CachedEvaluator(Evaluator):
         directory path, or ``None`` for the default directory
         (``$REPRO_STORE_DIR`` / ``.repro-store``).  (The uncached path is
         :func:`make_evaluator` with no store.)
-
-    A custom ``pattern_factory`` bypasses the cache: its runs execute
-    and count in ``stats.bypassed``.
+    telemetry:
+        As for :class:`~repro.core.evaluator.Evaluator`: attached to
+        executed runs only (a hit constructs no simulation).
     """
 
     def __init__(
@@ -222,16 +222,10 @@ class CachedEvaluator(Evaluator):
         base_config: SimConfig,
         *,
         seed: int = 2007,
-        pattern_factory=None,
-        instrument=None,
+        telemetry: TelemetryRegistry | None = None,
         store: ResultStore | HeldRows | Path | str | None = None,
     ) -> None:
-        super().__init__(
-            base_config,
-            seed=seed,
-            pattern_factory=pattern_factory,
-            instrument=instrument,
-        )
+        super().__init__(base_config, seed=seed, telemetry=telemetry)
         self.store = (
             store if isinstance(store, (ResultStore, HeldRows))
             else ResultStore(store)
@@ -255,9 +249,6 @@ class CachedEvaluator(Evaluator):
             set_index=set_index,
             **overrides,
         )
-        if self.pattern_factory is not None:
-            self.stats.bypassed += 1
-            return self._execute(alg, cfg, faults)
         token = algorithm_token(algorithm)
         return get_or_run(
             self.store,
@@ -272,28 +263,18 @@ def make_evaluator(
     base_config: SimConfig,
     *,
     seed: int = 2007,
-    pattern_factory=None,
-    instrument=None,
+    telemetry: TelemetryRegistry | None = None,
     store: ResultStore | HeldRows | Path | str | None = None,
 ) -> Evaluator:
     """A plain Evaluator, or a cached one when *store* is given.
 
     This is the single switch the experiment drivers use: ``store=None``
-    preserves the original uncached behavior exactly.  ``instrument``
-    (see :class:`~repro.core.evaluator.Evaluator`) observes executed
-    runs only — cache hits skip the simulation entirely.
+    preserves the original uncached behavior exactly.  *telemetry* (see
+    :class:`~repro.core.evaluator.Evaluator`) observes executed runs
+    only — cache hits skip the simulation entirely.
     """
     if store is None:
-        return Evaluator(
-            base_config,
-            seed=seed,
-            pattern_factory=pattern_factory,
-            instrument=instrument,
-        )
+        return Evaluator(base_config, seed=seed, telemetry=telemetry)
     return CachedEvaluator(
-        base_config,
-        seed=seed,
-        pattern_factory=pattern_factory,
-        instrument=instrument,
-        store=store,
+        base_config, seed=seed, telemetry=telemetry, store=store
     )

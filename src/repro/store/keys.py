@@ -84,13 +84,13 @@ def run_key_payload(
     algorithm,
     faults: FaultPattern,
     *,
-    traffic: str = "uniform",
     engine_version: int | None = None,
 ) -> dict:
     """The JSON-safe dict a run key digests (useful for debugging).
 
     ``engine_version`` is resolved at call time (not bound as a default)
     so a bumped :data:`ENGINE_VERSION` takes effect everywhere at once.
+    Every stored run is uniform traffic, recorded as such.
     """
     if engine_version is None:
         engine_version = ENGINE_VERSION
@@ -107,7 +107,7 @@ def run_key_payload(
         "faults": pattern_to_dict(faults),
         "rate": rate,
         "seed": seed,
-        "traffic": traffic,
+        "traffic": "uniform",
     }
 
 
@@ -116,15 +116,11 @@ def run_key(
     algorithm,
     faults: FaultPattern,
     *,
-    traffic: str = "uniform",
     engine_version: int | None = None,
 ) -> str:
     """SHA-256 hex digest identifying one simulation cell."""
-    payload = run_key_payload(
-        config,
-        algorithm,
-        faults,
-        traffic=traffic,
-        engine_version=engine_version,
+    return content_digest(
+        run_key_payload(
+            config, algorithm, faults, engine_version=engine_version
+        )
     )
-    return content_digest(payload)

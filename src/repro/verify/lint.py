@@ -26,7 +26,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from repro.obs.spans import CYCLE_SAFE_NAMES
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
                      ast.SetComp)
@@ -758,7 +757,6 @@ _USE_CLOCK = (
     " outside the sanctioned timer module; use 'from repro.obs.profile "
     "import clock'"
 )
-_SAFE_SPANS = ", ".join(CYCLE_SAFE_NAMES)
 
 REFERENCE_ROWS: tuple[_Row, ...] = (
     # REP002 — seeded random.Random instances are fine everywhere; the
@@ -798,12 +796,10 @@ REFERENCE_ROWS: tuple[_Row, ...] = (
     ),
     # ... and the engine never imports the observability layer — observers
     # subscribe through Simulation.attach — function-level imports
-    # included (shared arithmetic lives in repro.metrics).  The cycle-safe
-    # span constructors may cross; REP017 polices exactly which names.
+    # included (shared arithmetic lives in repro.metrics).
     _Row(
         "REP003", _STATEMENT, ("repro.obs",), scope=("repro/simulator/",),
-        allow=frozenset({"repro.obs.spans"}), runtime_only=True,
-        message=_BOUNDARY,
+        runtime_only=True, message=_BOUNDARY,
     ),
     _Row(
         "REP006", ("name",), ("time",), scope=_CYCLE_DRIVEN,
@@ -840,23 +836,13 @@ REFERENCE_ROWS: tuple[_Row, ...] = (
         "REP016", ("attr",), ("time",), exempt=_TIMER_HOME, deny=_TIMER_ATTRS,
         message="time.{name}" + _USE_CLOCK,
     ),
-    # REP017 — everything in repro.obs.spans but the pure id/constructor
-    # helpers (Trace.span, file IO) reads the sanctioned
-    # clock or does IO, so only CYCLE_SAFE_NAMES cross into the engine.
+    # REP017 — every span is clock-stamped, so no part of repro.obs.spans
+    # belongs in a cycle-driven module.
     _Row(
-        "REP017", ("import",), ("repro.obs.spans",), scope=_CYCLE_DRIVEN,
+        "REP017", _STATEMENT, ("repro.obs.spans",), scope=_CYCLE_DRIVEN,
         runtime_only=True,
-        message="'import {module}' in a cycle-driven module exposes the "
-        "whole span API (clock-stamped Trace.span, file IO); import only "
-        f"the cycle-safe names {_SAFE_SPANS}",
-    ),
-    _Row(
-        "REP017", ("name",), ("repro.obs.spans",), scope=_CYCLE_DRIVEN,
-        allow=frozenset(CYCLE_SAFE_NAMES), runtime_only=True,
-        message="'from repro.obs.spans import {name}' in a cycle-driven "
-        f"module; only the cycle-safe constructors ({_SAFE_SPANS}) may cross "
-        "this boundary — wall-clock spans are recorded outside the engine "
-        "(REP006/REP016)",
+        message="importing {module} from a cycle-driven module; spans are "
+        "clock-stamped and recorded outside the engine (REP006/REP016)",
     ),
 )
 
@@ -1003,8 +989,7 @@ RULES: dict[str, tuple[str, str, Callable[..., Iterable[tuple]]]] = {
     ),
     "REP017": (
         "module",
-        "cycle-driven modules import only cycle-safe span constructors "
-        "from repro.obs.spans",
+        "cycle-driven modules do not import repro.obs.spans",
         _reference_rule("REP017"),
     ),
 }

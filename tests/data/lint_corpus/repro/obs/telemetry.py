@@ -27,3 +27,9 @@ if TYPE_CHECKING:
     from repro.obs.profile import clock
     from repro.obs.spans import Trace
     from time import perf_counter
+
+
+def stamp(self, cycle):
+    from repro.obs.spans import make_span_id, trace_id_from as tid
+
+    return make_span_id(cycle), tid(cycle)

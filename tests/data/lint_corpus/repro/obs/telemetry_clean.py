@@ -4,7 +4,6 @@ from typing import TYPE_CHECKING
 
 import time
 from time import strftime as fmt
-from repro.obs.spans import make_span, trace_id_from as tid
 from repro.obs.converge import batch_means_ci as ci
 import repro.obs.blame as blame
 
@@ -16,6 +15,4 @@ LABEL = time.strftime("%H")
 
 
 def stamp(self, cycle):
-    from repro.obs.spans import make_span_id
-
-    return make_span_id(cycle), self.clock.perf_counter
+    return cycle, self.clock.perf_counter

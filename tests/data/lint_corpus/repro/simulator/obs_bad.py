@@ -1,6 +1,6 @@
 """REP003, simulator row: the engine never imports repro.obs, at module
 level or inside a function.  The profile imports also trip REP016's
-first half; the whole-module spans import trips REP017, not REP003."""
+first half; the spans imports trip REP017 as well."""
 from typing import TYPE_CHECKING
 
 import repro.obs
@@ -39,3 +39,13 @@ else:
 
 # Under repro.obs (REP003), but not the timer home (no REP016).
 from repro.obs.profilex import clock
+
+# No span constructor is carved out.
+from repro.obs.spans import make_span
+from repro.obs.spans import make_span_id as span_id, trace_id_from
+
+
+def attach(self, observer):
+    from repro.obs.spans import make_span
+
+    return make_span

@@ -1,9 +1,7 @@
-"""REP017: the cycle-safe names, under any alias, at any level."""
+"""REP017: a cycle-driven module imports nothing from repro.obs.spans
+(``if TYPE_CHECKING:`` imports never execute)."""
 from typing import TYPE_CHECKING
 
-from repro.obs.spans import make_span
-from repro.obs.spans import make_span_id as span_id
-from repro.obs.spans import make_span, make_span_id, trace_id_from
 from repro.metrics.spans import Trace as Metric
 
 if TYPE_CHECKING:
@@ -11,9 +9,3 @@ if TYPE_CHECKING:
     import repro.obs.spans as spans
     from repro.obs.spans import Trace
     from repro.obs.spans import SpanRecorder as Recorder
-
-
-def record(cycle):
-    from repro.obs.spans import trace_id_from as trace_id
-
-    return trace_id(cycle)

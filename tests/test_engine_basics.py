@@ -1,5 +1,7 @@
 """End-to-end engine tests: single messages, timing, delivery."""
 
+import statistics
+
 import pytest
 
 from repro.faults.pattern import FaultPattern
@@ -194,3 +196,43 @@ class TestMeshMismatch:
         cfg = SimConfig(width=8, vcs_per_channel=24)
         with pytest.raises(ValueError, match="mesh"):
             Simulation(cfg, make_algorithm("nhop"), faults=other)
+
+
+class TestSampleCollection:
+    """``collect_latency_samples``: one latency per delivered message."""
+
+    def test_samples_collected_when_enabled(self):
+        cfg = SimConfig(
+            width=8, vcs_per_channel=24, message_length=4,
+            injection_rate=0.01, cycles=1500, warmup=400, seed=3,
+            collect_latency_samples=True,
+        )
+        sim = Simulation(cfg, make_algorithm("nhop"))
+        r = sim.run()
+        assert len(r.latency_samples) == r.delivered
+        assert sum(r.latency_samples) == r.latency_sum
+        assert max(r.latency_samples) == r.latency_max
+
+    def test_samples_off_by_default(self):
+        cfg = SimConfig(
+            width=8, vcs_per_channel=24, message_length=4,
+            injection_rate=0.01, cycles=800, warmup=200, seed=3,
+        )
+        r = Simulation(cfg, make_algorithm("nhop")).run()
+        assert r.latency_samples == []
+
+    def test_saturation_fattens_the_tail(self):
+        ratios = {}
+        for rate in (0.002, 0.05):
+            cfg = SimConfig(
+                width=8, vcs_per_channel=24, message_length=4,
+                injection_rate=rate, cycles=2500, warmup=600, seed=3,
+                collect_latency_samples=True,
+            )
+            samples = Simulation(cfg, make_algorithm("nhop")).run().latency_samples
+            # p99 over the median
+            ratios[rate] = (
+                statistics.quantiles(samples, n=100)[98]
+                / statistics.median(samples)
+            )
+        assert ratios[0.05] > ratios[0.002]

@@ -250,12 +250,28 @@ class TestCli:
         parser = _Parser()
         next(v for v in VERBS if v.name == "all").add_arguments(parser)
         args = parser.parse_args([
-            "--profile", "smoke", "--algorithms", "nhop", "--adaptive-cycles",
+            "--profile", "smoke+auto", "--algorithms", "nhop",
             "--seed", "5", "--out", "o", "--quiet", "--workers", "2",
-            "--store", "--telemetry", "--manifest", "--trace-out", "t",
-            "--trace-sample", "3",
+            "--store", "--telemetry", "--manifest",
         ])
-        assert args.trace_sample == 3 and args.workers == 2
+        assert args.profile == "smoke+auto" and args.workers == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--adaptive-cycles"], ["--trace-out", "t"], ["--trace-sample", "3"],
+    ])
+    def test_figures_refuse_the_flags_they_do_not_read(
+        self, flags, tmp_path, monkeypatch, capsys
+    ):
+        """An adaptive run is ``--profile <name>+auto``; a lifecycle
+        trace is ``obs smoke --trace-out``, one run whose ids are unique."""
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "fig1", "--profile", "smoke", "--algorithms", "nhop",
+            "--workers", "1", "--quiet", *flags,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_experiment_rejected(self, capsys):
         assert main(["fig9"]) == 2

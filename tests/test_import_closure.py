@@ -142,7 +142,7 @@ print(golden.row_digest(sim) == golden.GOLDEN[{case!r}])
 #: ``repro.obs.__all__`` as the eager package exported it.
 OBS_ALL = [
     "BlameRecorder", "COMPONENTS", "Counter", "EngineTelemetry",
-    "Histogram", "Instrument", "LabeledCounter", "ManifestWriter",
+    "Histogram", "LabeledCounter", "ManifestWriter",
     "PHASE_NAMES", "PhaseProfiler", "Series", "SpanRecorder",
     "TelemetryRegistry", "Trace", "WORKLOADS", "Workload", "aggregate_blame",
     "bench_key", "blame_cell", "blame_csv",

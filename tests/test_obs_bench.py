@@ -208,27 +208,34 @@ def _write(path, payload):
     return str(path)
 
 
-def test_cli_compare_exit_codes(tmp_path, capsys):
-    good = _write(tmp_path / "a.json", _payload(1000.0))
+def _gated(tmp_path, baseline_rate=1000.0):
+    """``history --gate`` argv prefix against a ledger holding one
+    payload at *baseline_rate*."""
+    base = _write(tmp_path / "a.json", {**_payload(baseline_rate), "label": "a"})
+    ledger = str(tmp_path / "ledger.jsonl")
+    assert obs_main(["history", base, "--ledger", ledger]) == 0
+    return ["history", "--ledger", ledger, "--gate"]
+
+
+def test_cli_history_gate_exit_codes(tmp_path, capsys):
+    gate = _gated(tmp_path)
     same = _write(tmp_path / "b.json", _payload(990.0))
     slow = _write(tmp_path / "c.json", _payload(100.0))
-    assert obs_main(["compare", good, same, "--max-regress", "15%"]) == 0
-    assert obs_main(["compare", good, slow, "--max-regress", "15%"]) == 1
+    assert obs_main([*gate, same, "--max-regress", "15%"]) == 0
+    assert obs_main([*gate, slow, "--max-regress", "15%"]) == 1
     out = capsys.readouterr().out
     assert "REGRESSED" in out
-    assert obs_main(["compare", good, str(tmp_path / "nope.json")]) == 2
-    assert obs_main(["compare", good, same, "--max-regress", "bogus"]) == 2
+    assert obs_main([*gate, str(tmp_path / "nope.json")]) == 2
+    assert obs_main([*gate, same, "--max-regress", "bogus"]) == 2
 
 
-def test_cli_compare_names_regressed_workloads(tmp_path, capsys):
+def test_cli_history_gate_names_regressed_workloads(tmp_path, capsys):
     """The failure message must say WHICH workload regressed."""
-    good = _write(tmp_path / "a.json", _payload(1000.0))
+    gate = _gated(tmp_path)
     slow = _write(tmp_path / "c.json", _payload(100.0))
-    assert obs_main(["compare", good, slow, "--max-regress", "15%"]) == 1
+    assert obs_main([*gate, slow, "--max-regress", "15%"]) == 1
     err = capsys.readouterr().err
-    assert "regressed beyond 15%" in err
-    assert "w.cycles_per_sec" in err
-    assert "-90.0%" in err
+    assert "REGRESSED: workload w, metric cycles_per_sec, -90.0%" in err
 
 
 def test_cli_unknown_verb():
@@ -245,9 +252,10 @@ def test_cli_bench_writes_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads((tmp_path / "BENCH_unit.json").read_text())
     assert list(payload["workloads"]) == ["fault_pattern_generation"]
-    # Self-compare of a fresh file is always clean.
+    # A fresh file gated against itself is always clean.
     path = str(tmp_path / "BENCH_unit.json")
-    assert obs_main(["compare", path, path]) == 0
+    ledger = str(tmp_path / "ledger.jsonl")
+    assert obs_main(["history", path, "--ledger", ledger, "--gate", path]) == 0
 
 
 @pytest.mark.parametrize("repeats", ["0", "-1"])

@@ -33,7 +33,7 @@ MANIFEST = DATA / "obs_cli_manifest.jsonl"
 REPO = DATA.parent.parent
 
 VERB_NAMES = (
-    "bench", "compare", "smoke", "report", "heatmap", "timeline",
+    "bench", "smoke", "report", "heatmap", "timeline",
     "converge", "profile", "history", "spans", "blame",
 )
 
@@ -88,12 +88,6 @@ CASES: dict[str, list[list[str]]] = {
     "spans": [["spans", "manifest.jsonl", "--digest", "--out",
                "spans.jsonl"]],
     "spans-none": [["spans", "manifest.jsonl", "--trace", "nope"]],
-    "compare": [["compare", "BENCH_base.json", "BENCH_same.json"],
-                ["compare", "BENCH_base.json", "BENCH_slow.json",
-                 "--max-regress", "0.2"],
-                ["compare", "BENCH_base.json", "BENCH_slow.json",
-                 "--max-regress", "bogus"],
-                ["compare", "BENCH_base.json", "nope.json"]],
     "history": [_INGEST,
                 ["history", "--ledger", "ledger.jsonl", "--workload",
                  "engine_w", "--metric", "cycles_per_sec"]],
@@ -241,7 +235,7 @@ def _verbs():
     return VERBS
 
 
-def test_table_declares_the_eleven_verbs():
+def test_table_declares_the_ten_verbs():
     assert sorted(v.name for v in _verbs()) == sorted(VERB_NAMES)
 
 

@@ -11,12 +11,11 @@ import math
 import pytest
 
 from repro.experiments.profiles import SMOKE_PROFILE, get_profile
+from repro.metrics.confidence import batch_means_ci, t_critical
 from repro.obs.converge import (
     analyze_profile,
-    batch_means_ci,
     mser_truncation,
     render_verdicts,
-    t_critical,
     window_latency_means,
 )
 from repro.obs.telemetry import TelemetryRegistry

@@ -29,7 +29,7 @@ def _write_run(path, *, cells=6, label="demo", with_cache=True):
                 worker=i % 2,
                 cycles=1000,
                 cache={"hits": i % 2, "misses": 1 - i % 2,
-                       "puts": 1 - i % 2, "bypassed": 0}
+                       "puts": 1 - i % 2}
                 if with_cache else None,
             )
         m.run_finish(status="ok", telemetry=TelemetryRegistry())

@@ -15,7 +15,6 @@ from repro.obs.manifest import read_manifest
 from repro.obs.telemetry import (
     Counter,
     Histogram,
-    Instrument,
     LabeledCounter,
     TelemetryRegistry,
 )
@@ -129,16 +128,6 @@ def test_digest_tracks_values():
     assert a.merge_digest() != b.merge_digest()
 
 
-def test_instrument_pool_safety():
-    telemetry_only = Instrument(telemetry=TelemetryRegistry())
-    assert isinstance(telemetry_only, Instrument)
-    assert telemetry_only.pool_safe
-    traced = Instrument(
-        telemetry=TelemetryRegistry(), tracer=lambda *a: None
-    )
-    assert not traced.pool_safe
-
-
 # ----------------------------------------------------------------------
 # Distribution determinism: merged worker snapshots == sequential
 # ----------------------------------------------------------------------
@@ -151,11 +140,11 @@ class TestWorkersMatchSequential:
         seq_reg, par_reg = TelemetryRegistry(), TelemetryRegistry()
         seq = run_sweep(
             SMOKE_PROFILE, algs, workers=1,
-            instrument=Instrument(telemetry=seq_reg),
+            telemetry=seq_reg,
         )
         par = run_sweep(
             SMOKE_PROFILE, algs, workers=2,
-            instrument=Instrument(telemetry=par_reg),
+            telemetry=par_reg,
         )
         assert par.throughput == seq.throughput
         assert par.latency == seq.latency

@@ -10,7 +10,6 @@ from repro.experiments.fig_sweep import run_sweep
 from repro.experiments.profiles import SMOKE_PROFILE
 from repro.obs.manifest import ManifestWriter, read_jsonl
 from repro.obs.spans import (
-    CYCLE_SAFE_NAMES,
     SpanRecorder,
     Trace,
     make_span,
@@ -41,19 +40,12 @@ class TestIds:
         assert a != make_span_id("t2", None, "cell", key="c1")
 
     def test_make_span_rejects_bad_kind_and_negative_duration(self):
-        with pytest.raises(ValueError, match="kind"):
-            make_span("x", trace_id="t", kind="wall", start=0, end=1)
+        # Every span is clock-stamped: there is no kind to choose.
+        with pytest.raises(TypeError, match="kind"):
+            make_span("x", trace_id="t", kind="cycle", start=0, end=1)
+        assert make_span("x", trace_id="t", start=0, end=1)["kind"] == "clock"
         with pytest.raises(ValueError, match="ends"):
             make_span("x", trace_id="t", start=5, end=4)
-
-    def test_cycle_safe_names_exist_and_are_clock_free(self):
-        import repro.obs.spans as spans_mod
-        for name in CYCLE_SAFE_NAMES:
-            assert callable(getattr(spans_mod, name))
-        # The explicitly cycle-safe constructor never reads a clock.
-        span = make_span("warmup", trace_id="t", kind="cycle",
-                         start=0, end=500)
-        assert span["kind"] == "cycle"
 
 
 class TestTraceAndRecorder:
@@ -104,13 +96,6 @@ class TestTraceAndRecorder:
         rec.add(make_span("b", trace_id="t2", start=0, end=1))
         assert [s["name"] for s in rec.of_trace("t2")] == ["b"]
 
-    def test_cycle_span_keeps_integer_stamps(self):
-        rec = SpanRecorder()
-        trace = Trace(rec, "t")
-        span = trace.cycle_span("measure", start=500, end=1500)
-        assert span["kind"] == "cycle"
-        assert (span["start"], span["end"]) == (500, 1500)
-
 
 class TestIdsDerivedOnRead:
     """Spans record positions; the ids a recorder hands out are the ones
@@ -133,7 +118,6 @@ class TestIdsDerivedOnRead:
             )
             req.record("tier.simulation", start=0.5, end=2.5,
                        outcome="answered")
-            req.cycle_span("engine.measure", start=500, end=1500, key=0)
         resumed = Trace(rec, "t-explicit", "s-explicit")
         with resumed.span("cell", key="c1"):
             pass
@@ -145,12 +129,10 @@ class TestIdsDerivedOnRead:
         sim = make_span_id(tid, http, "tier.simulation")
         stamps = iter((s["start"], s["end"]) for s in got)
 
-        def eager(name, trace_id, parent_id, *, key=None, kind="clock",
-                  attrs=None):
+        def eager(name, trace_id, parent_id, *, key=None, attrs=None):
             start, end = next(stamps)
             return make_span(name, trace_id=trace_id, parent_id=parent_id,
-                             kind=kind, start=start, end=end, key=key,
-                             attrs=attrs)
+                             start=start, end=end, key=key, attrs=attrs)
 
         assert got == [
             eager("store.get", tid, store_id, key="row-1"),
@@ -161,21 +143,19 @@ class TestIdsDerivedOnRead:
             eager("engine.run", tid, sim, attrs={"n_runs": 3}),
             eager("tier.simulation", tid, http,
                   attrs={"outcome": "answered"}),
-            eager("engine.measure", tid, http, key=0, kind="cycle"),
             eager("http.request", tid, None, attrs={"method": "GET"}),
             eager("cell", "t-explicit", "s-explicit", key="c1"),
         ]
-        assert (got[6]["start"], got[6]["end"]) == (500, 1500)
-        assert [s["trace_id"] for s in rec.of_trace(tid)] == [tid] * 8
+        assert (got[5]["start"], got[5]["end"]) == (0.5, 2.5)
+        assert [s["trace_id"] for s in rec.of_trace(tid)] == [tid] * 7
         assert (root.trace_id, root.span_id) == (tid, None)
         assert (req.trace_id, req.span_id) == (tid, http)
 
     def test_record_refuses_bad_stamps_when_recorded(self):
         trace = Trace.root(SpanRecorder(), "t")
-        with pytest.raises(ValueError, match="kind"):
-            trace.record("x", start=0, end=1, kind="wall")
         with pytest.raises(ValueError, match="ends"):
-            trace.cycle_span("x", start=5, end=4)
+            trace.record("x", start=5, end=4)
+        assert len(trace.recorder) == 0
 
     def test_a_recorder_given_more_than_its_limit_keeps_the_newest(self):
         spans = [make_span(f"s{i}", trace_id="t", start=i, end=i)
@@ -232,13 +212,13 @@ class TestMergeAndDigest:
         assert len(merged) == 1
         assert merged[0]["start"] == 5
 
-    def test_clock_stamps_excluded_from_view_cycle_stamps_kept(self):
-        clock_span = make_span("a", trace_id="t", start=1.5, end=2.5)
-        cycle_span = make_span("b", trace_id="t", kind="cycle",
-                               start=100, end=200)
-        assert "start" not in span_merge_view(clock_span)
-        view = span_merge_view(cycle_span)
-        assert (view["start"], view["end"]) == (100, 200)
+    def test_view_is_structure_without_stamps_or_attrs(self):
+        span = make_span("a", trace_id="t", start=1.5, end=2.5,
+                         attrs={"pid": 7})
+        assert span_merge_view(span) == {
+            "kind": "clock", "name": "a", "parent_id": None,
+            "span_id": span["span_id"], "trace_id": "t",
+        }
 
     def test_digest_ignores_timings_and_attrs(self):
         one = self._cells(["a", "b"])
@@ -310,18 +290,17 @@ class TestExportAndRender:
         with trace.span("http.request") as req:
             with req.span("tier.simulation"):
                 pass
-            req.cycle_span("engine.measure", start=500, end=1500)
         return rec.spans
 
-    def test_chrome_trace_separates_time_bases(self):
+    def test_chrome_trace_is_one_clock_row_from_zero(self):
         payload = spans_chrome_trace(self._trace())
         events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
-        assert len(events) == 3
-        tids = {e["name"]: e["tid"] for e in events}
-        assert tids["engine.measure"] != tids["http.request"]
-        cats = {e["name"]: e["cat"] for e in events}
-        assert cats["engine.measure"] == "cycle"
-        assert cats["http.request"] == "clock"
+        assert len(events) == 2
+        assert {(e["pid"], e["tid"], e["cat"]) for e in events} == {
+            (1, 0, "clock")
+        }
+        ts = {e["name"]: e["ts"] for e in events}
+        assert ts["http.request"] == 0 <= ts["tier.simulation"]
 
     def test_write_spans_trace_dispatches_on_suffix(self, tmp_path):
         spans = self._trace()
@@ -338,8 +317,7 @@ class TestExportAndRender:
         root_line = next(li for li in lines if "http.request" in li)
         child_line = next(li for li in lines if "tier.simulation" in li)
         assert child_line.index("tier") > root_line.index("http")
-        cycle_line = next(li for li in lines if "engine.measure" in li)
-        assert "1000 cyc" in cycle_line
+        assert root_line.endswith("us") or root_line.endswith("ms")
 
     def test_waterfall_empty(self):
         assert render_waterfall([]) == "(no spans)"

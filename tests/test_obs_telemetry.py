@@ -14,7 +14,6 @@ from repro.obs.telemetry import (
     Counter,
     EngineTelemetry,
     Histogram,
-    Instrument,
     TelemetryRegistry,
 )
 from repro.routing.budgets import ROLE_NAMES
@@ -175,9 +174,7 @@ def test_make_instrument_via_evaluator():
     from repro.faults.pattern import FaultPattern
 
     reg = TelemetryRegistry()
-    ev = Evaluator(
-        _config(), seed=3, instrument=Instrument(telemetry=reg)
-    )
+    ev = Evaluator(_config(), seed=3, telemetry=reg)
     result = ev.run_single("nhop", FaultPattern.fault_free(ev.mesh))
     assert reg.value("engine.messages.generated") == result.generated
     # A second run accumulates into the same registry.

@@ -143,3 +143,19 @@ def test_sampled_chrome_trace_only_has_sampled_tids():
     trace = chrome_trace(sampled)
     tids = {e["tid"] for e in trace["traceEvents"] if e["ph"] in ("X", "i")}
     assert tids and all(tid % 3 == 0 for tid in tids)
+
+
+def test_obs_smoke_traces_one_run_so_each_id_is_injected_once(
+    tmp_path, capsys
+):
+    """The one lifecycle export on a command line traces one run: its
+    message ids are unique, so no id is injected twice."""
+    from collections import Counter
+
+    from repro.obs.cli import main as obs_main
+
+    path = tmp_path / "x.jsonl"
+    assert obs_main(["smoke", "--cycles", "800", "--trace-out", str(path)]) == 0
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    injects = Counter(e["msg"] for e in events if e["kind"] == "inject")
+    assert injects and max(injects.values()) == 1

@@ -27,8 +27,7 @@ from repro.obs.spans import (
     spans_merge_digest,
     trace_id_from,
 )
-from repro.obs.telemetry import Instrument, TelemetryRegistry
-from repro.simulator.trace import Tracer
+from repro.obs.telemetry import TelemetryRegistry
 
 
 def double(job):
@@ -70,37 +69,6 @@ class TestParallelSweep:
         custom = replace(SMOKE_PROFILE, sweep_loads=(0.02,))
         res = run_sweep(custom, ("nhop",), workers=1)
         assert len(res.throughput["nhop"]) == 1
-
-
-class TestSampledTracerParallel:
-    """``Tracer(sample=N)`` determinism under ``--workers N``: a tracer
-    instrument is not pool-safe, so the drivers route traced sweeps
-    through the in-process path and the merged sampled lifecycle traces
-    must equal the sequential run's, event for event."""
-
-    def _traced_sweep(self, workers, sample):
-        tracer = Tracer(capacity=500_000, kinds={"inject", "deliver"},
-                        sample=sample)
-        run_sweep(SMOKE_PROFILE, ("nhop", "phop"), workers=workers,
-                  instrument=Instrument(tracer=tracer))
-        return tracer
-
-    def test_sampled_trace_is_worker_independent(self):
-        seq = self._traced_sweep(workers=1, sample=3)
-        par = self._traced_sweep(workers=2, sample=3)
-        assert seq.events, "sampled tracer captured nothing"
-        assert list(seq.events) == list(par.events)
-        assert seq.counts == par.counts
-        assert all(event[2] % 3 == 0 for event in seq.events)
-
-    def test_sampled_ids_are_the_divisible_slice_of_full(self):
-        full = self._traced_sweep(workers=1, sample=1)
-        sampled = self._traced_sweep(workers=1, sample=3)
-        delivered_full = {e[2] for e in full.events if e[1] == "deliver"}
-        delivered_sampled = {e[2] for e in sampled.events if e[1] == "deliver"}
-        assert delivered_sampled == {
-            mid for mid in delivered_full if mid % 3 == 0
-        }
 
 
 class TestParallelFaultStudy:
@@ -156,7 +124,7 @@ class TestOneCellPath:
             result = driver(
                 SMOKE_PROFILE, self.ALGS, workers=workers,
                 store=root / f"store-w{workers}",  # fresh: both simulate
-                instrument=Instrument(telemetry=registry),
+                telemetry=registry,
                 manifest=manifest, trace=trace,
             )
             manifest.run_finish(telemetry=registry)
@@ -319,7 +287,7 @@ class TestOnlyMissingCellsArePooled:
             alg: c["cache"] for alg, c in seq_finish.items()
         }
         assert par_finish["duato-nbc"]["cache"] == {
-            "hits": 1, "misses": n - 1, "puts": n - 1, "bypassed": 0,
+            "hits": 1, "misses": n - 1, "puts": n - 1,
         }
 
     def test_warm_store_never_pools(self, tmp_path, monkeypatch):

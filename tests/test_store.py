@@ -78,7 +78,6 @@ class TestRunKeys:
         assert run_key(cfg.with_(injection_rate=0.02), "nhop", fault_free) != base
         faulty = FaultPattern(mesh6, frozenset({7}))
         assert run_key(cfg, "nhop", faulty) != base
-        assert run_key(cfg, "nhop", fault_free, traffic="transpose") != base
 
     def test_engine_version_changes_key(self, fault_free):
         cfg = tiny_config()
@@ -93,6 +92,7 @@ class TestRunKeys:
         assert payload["rate"] == 0.01 and payload["seed"] == 9
         assert "injection_rate" not in payload["config"]
         assert "seed" not in payload["config"]
+        assert payload["traffic"] == "uniform"
 
     def test_algorithm_token_distinguishes_instances(self):
         default = FullyAdaptive()
@@ -250,16 +250,6 @@ class TestCachedEvaluator:
             "nhop", fault_free
         )
         assert plain == cached
-
-    def test_unlabeled_custom_traffic_bypasses(self, tmp_path, fault_free):
-        from repro.traffic.patterns import UniformTraffic
-
-        cfg = tiny_config()
-        ev = CachedEvaluator(
-            cfg, seed=5, store=tmp_path / "s", pattern_factory=UniformTraffic
-        )
-        ev.run_single("nhop", fault_free)
-        assert ev.stats.bypassed == 1 and len(ev.store) == 0
 
     def test_engine_version_bump_invalidates(
         self, tmp_path, fault_free, monkeypatch

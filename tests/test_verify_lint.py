@@ -90,14 +90,20 @@ class TestImportBoundaries:
         findings = lint_source(src, path="src/repro/simulator/x.py", select={"REP003"})
         assert rules_of(findings) == {"REP003"}
 
-    def test_simulator_may_import_metrics_and_cycle_safe_spans(self):
+    def test_simulator_may_import_metrics(self):
         src = (
             "from repro.metrics.confidence import batch_means_ci\n"
             "def attach(self):\n"
             "    from repro.routing.budgets import ROLE_RING\n"
-            "    from repro.obs.spans import make_span\n"
         )
         assert lint_source(src, path="src/repro/simulator/x.py", select={"REP003"}) == []
+
+    def test_simulator_span_constructor_import_flagged(self):
+        # No repro.obs module is carved out of the engine's boundary.
+        src = "from repro.obs.spans import make_span\n"
+        findings = lint_source(src, path="src/repro/simulator/x.py", select={"REP003"})
+        assert rules_of(findings) == {"REP003"}
+        assert "repro.obs.spans" in findings[0].message
 
 
 class TestAlgorithmDeclarations:
@@ -864,8 +870,8 @@ class TestSanctionedTimer:
 
 
 class TestSpanBlameDiscipline:
-    """REP017: cycle-driven modules import only cycle-safe span
-    constructors.  (Its former blame-hook half is REP009 now.)"""
+    """REP017: cycle-driven modules import nothing from repro.obs.spans.
+    (Its former blame-hook half is REP009 now.)"""
 
     PATH = "src/repro/simulator/x.py"
 
@@ -880,14 +886,17 @@ class TestSpanBlameDiscipline:
         src = "from repro.obs.spans import Trace\n"
         findings = self.check(src)
         assert rules_of(findings) == {"REP017"}
-        assert "cycle-safe" in findings[0].message
+        assert "clock-stamped" in findings[0].message
 
-    def test_accepts_cycle_safe_constructors(self):
+    def test_flags_the_pure_constructors_too(self):
         src = (
             "from repro.obs.spans import make_span, make_span_id, "
             "trace_id_from\n"
         )
-        assert self.check(src) == []
+        findings = self.check(src)
+        assert rules_of(findings) == {"REP017"} and len(findings) == 1
+        telemetry = self.check(src, path="src/repro/obs/telemetry.py")
+        assert rules_of(telemetry) == {"REP017"}
 
     def test_other_layers_are_out_of_scope(self):
         src = "from repro.obs.spans import Trace\n"
