@@ -15,21 +15,25 @@ process:
   evaluator (a figure's shared one, a ``workers=1`` campaign's own),
   each record measured as one part: ``cell_start`` is written as it
   begins, its ``finish`` (with its cache delta, worker 0) when it ends;
-* **probed** (``--workers N`` figures with a store) — the records first
-  run in process against a shared evaluator that serves what the store
-  holds and raises :class:`StoreMiss` where it would simulate.  A
-  record the store holds completely finishes there, recorded exactly as
-  in process but for its ``start``, written with its ``finish`` and
+* **probed** (``--workers N`` figures with a store, and a server's
+  simulation tier: :func:`run_store_first`) — the records first run in
+  process against a shared evaluator that serves what the store holds
+  and raises :class:`StoreMiss` where it would simulate.  A record the
+  store holds completely finishes there, recorded exactly as in
+  process but for its ``start``, written with its ``finish`` and
   stamped when it began, so a warm figure never starts a pool; the
   first miss stops the record before anything is simulated, leaves no
   record, and sends its cells to the pool (a campaign needs no probe:
   its plan already names the missing cells);
-* **pooled** (``workers > 1``, figure and campaign cells alike) — one
-  pool job per cell: per campaign cell, and per *point* of a figure
-  algorithm (a rate, a fault count, a run, a layout), so a figure waits
-  on its heaviest point rather than its slowest algorithm.  Jobs are
-  dispatched heaviest first: a figure declares each point's weight
-  (runs × injection rate), campaign cells keep plan order.  Each job
+* **pooled** (``workers > 1``, figure and campaign cells alike, or a
+  running pool: a server's samples) — one pool job per cell: per
+  campaign cell, per sample of a served query, and per *point* of a
+  figure algorithm (a rate, a fault count, a run, a layout), so a
+  figure waits on its heaviest point rather than its slowest algorithm.
+  A count starts a pool for the call; a running pool stays warm for
+  its owner.  Jobs are dispatched heaviest first: a figure declares
+  each point's weight (runs × injection rate), campaign cells and
+  samples keep declaration order.  Each job
   runs in a worker against a *fresh* evaluator
   (:func:`worker_evaluator`) that reads the store but puts into a
   private one beside it (:class:`~repro.store.cache.HeldRows`).  The
@@ -88,6 +92,8 @@ from repro.store.cache import (
 )
 
 if TYPE_CHECKING:
+    from multiprocessing.pool import Pool
+
     from repro.obs.telemetry import TelemetryRegistry
 
 
@@ -102,6 +108,14 @@ class _Probe(CachedEvaluator):
 
     def _execute(self, alg, cfg, faults):
         raise StoreMiss
+
+    @classmethod
+    def of(cls, evaluator: CachedEvaluator) -> _Probe:
+        """A probe on *evaluator*'s own state: its config, mesh, store
+        and cache counters are shared, not rebuilt."""
+        probe = cls.__new__(cls)
+        vars(probe).update(vars(evaluator))
+        return probe
 
 
 class WorkerTraceback(Exception):
@@ -131,6 +145,11 @@ def _cache_counters(evaluator) -> dict | None:
     a shallow copy — ``as_dict()`` deep-copies, twice per warm record."""
     stats = getattr(evaluator, "stats", None)
     return None if stats is None else dict(vars(stats))
+
+
+def _pools(workers: int | Pool) -> bool:
+    """Whether *workers* (a count or a running pool) runs cells in a pool."""
+    return not isinstance(workers, int) or workers > 1
 
 
 def worker_count(workers: int | None) -> int:
@@ -267,6 +286,7 @@ def _close_record(cell: Cell, parts: list[dict], manifest, trace) -> dict:
         "value": [value for part in parts for value in part["value"]],
         "seconds": fields["seconds"],
         "cycles": fields["cycles"],
+        "cache": fields["cache"],
     }
 
 
@@ -311,8 +331,8 @@ def _in_order(order: list[int], done: Iterator) -> Iterator[tuple]:
 
 
 def _pooled(
-    cells: Sequence[Cell], setup: tuple, workers: int, config, seed: int,
-    store, registry,
+    cells: Sequence[Cell], setup: tuple, workers: int | Pool, config,
+    seed: int, store, registry,
 ) -> Generator[tuple[int, dict], None, None]:
     """``(index, part)`` for each of *cells*, one pool job per cell
     (:func:`_pooled_cell`), dispatched heaviest first and taken home
@@ -354,7 +374,7 @@ def _pooled(
 
 def run_cells(
     cells: Sequence[Cell],
-    workers: int,
+    workers: int | Pool,
     *,
     setup: tuple,
     evaluator=None,
@@ -369,9 +389,10 @@ def run_cells(
     """Run *cells*: the one loop of every figure and campaign.  Returns
     one record per run of cells sharing an id, in declaration order::
 
-        {"id", "value", "seconds", "cycles"}
+        {"id", "value", "seconds", "cycles", "cache"}
 
-    its ``value`` the list of its cells' values.
+    its ``value`` the list of its cells' values, ``cache`` its cache
+    counters (``None`` without a store).
 
     ``setup = (prepare, *args)``: ``prepare(evaluator, *args)`` returns
     the ``run`` each cell calls, once per evaluator; *prepare* is a
@@ -382,10 +403,12 @@ def run_cells(
     * ``1`` — here, against *evaluator*, each record measured as one
       part; *evaluator* may be a :class:`_Probe`, whose records that
       reach a :class:`StoreMiss` are skipped;
-    * more — in a pool of *workers*, one job per cell against a fresh
-      evaluator on *config* and *seed* that reads *store* (a
-      :class:`~repro.store.ResultStore`), whose rows, and snapshots
-      merged into *registry*, this process alone writes.
+    * more, or a running :class:`multiprocessing.pool.Pool` — in a pool
+      of *workers* started for this call, or on the running one, one
+      job per cell against a fresh evaluator on *config* and *seed*
+      that reads *store* (a :class:`~repro.store.ResultStore`), whose
+      rows, and snapshots merged into *registry*, this process alone
+      writes.
 
     Either way :func:`_close_record` writes each record into *manifest*
     and *trace*, then ``progress(id)`` is called.  A cell that raised
@@ -396,8 +419,9 @@ def run_cells(
     if not cells:  # a warm figure: no pool, no held directory
         return []
     parts = (
-        _in_process(cells, setup, evaluator, manifest) if workers <= 1
-        else _pooled(cells, setup, workers, config, seed, store, registry)
+        _pooled(cells, setup, workers, config, seed, store, registry)
+        if _pools(workers)
+        else _in_process(cells, setup, evaluator, manifest)
     )
     finished: list[dict] = []
     record: list[dict] = []
@@ -410,6 +434,55 @@ def run_cells(
                 if progress:
                     progress(cells[i].id)
     return finished
+
+
+def run_store_first(
+    cells: Sequence[Cell],
+    workers: int | Pool,
+    *,
+    setup: tuple,
+    evaluator,
+    manifest=None,
+    trace: Trace | None = None,
+    registry=None,
+    progress: Callable[[str], None] | None = None,
+) -> dict[str, dict]:
+    """``{id: record}`` of :func:`run_cells` over *cells*, asking the
+    store before the pool.
+
+    With one worker every record runs here against *evaluator*.
+    Pooled, a cached *evaluator*'s store answers first: the records it
+    holds whole finish here, against a :class:`_Probe` sharing its store
+    and cache counters, so nothing is simulated in this process (rows a
+    dead run left held are folded in before); only the rest go to the
+    pool, whose workers run on *evaluator*'s config and seed and whose
+    new rows this process appends.  Their cache counters are added to
+    *evaluator*'s, which so count hits, misses and puts exactly as an
+    in-process run would.  An uncached *evaluator* pools every record.
+    """
+    store = getattr(evaluator, "store", None)
+    done: dict[str, dict] = {}
+    if not _pools(workers) or store is not None:
+        here = evaluator
+        if _pools(workers):
+            fold_orphans(store)
+            here = _Probe.of(evaluator)
+        done = {record["id"]: record for record in run_cells(
+            cells, 1, setup=setup, evaluator=here, manifest=manifest,
+            trace=trace, progress=progress,
+        )}
+    for record in run_cells(
+        [cell for cell in cells if cell.id not in done], workers,
+        setup=setup, config=evaluator.base_config, seed=evaluator.seed,
+        store=store, manifest=manifest, trace=trace, registry=registry,
+        progress=progress,
+    ):
+        done[record["id"]] = record
+        if record["cache"]:
+            counters = vars(evaluator.stats)
+            for name, count in record["cache"].items():
+                counters[name] += count
+    return done
 
 
 # ----------------------------------------------------------------------
@@ -473,9 +546,7 @@ def run_per_algorithm(
     """
     algorithms = algorithms or profile.algorithms
     workers = worker_count(workers)
-    pooled = workers > 1 and len(algorithms) > 1
-    probed = pooled and store is not None
-    evaluator = (_Probe if probed else make_evaluator)(
+    evaluator = make_evaluator(
         profile.config, seed=seed, telemetry=telemetry, store=store,
     )
     _, points = job(evaluator, profile)
@@ -484,23 +555,11 @@ def run_per_algorithm(
         for alg in algorithms for weight, point in points
     ]
     report = progress and (lambda alg: progress(f"[{label}] {alg}: done"))
-    done: dict[str, dict] = {}
-    if not pooled or probed:
-        if probed:
-            fold_orphans(evaluator.store)
-        # Records run here; a probed one stops at its first miss and
-        # goes to the pool instead.
-        done = {record["id"]: record for record in run_cells(
-            cells, 1, setup=(_job_run, job, profile), evaluator=evaluator,
-            manifest=manifest, trace=trace, progress=report,
-        )}
-    done.update((record["id"], record) for record in run_cells(
-        [cell for cell in cells if cell.id not in done], workers,
-        setup=(_job_run, job, profile), config=profile.config, seed=seed,
-        store=evaluator.store if probed else None,
-        manifest=manifest, trace=trace,
-        registry=telemetry, progress=report,
-    ))
+    done = run_store_first(
+        cells, workers if len(algorithms) > 1 else 1,
+        setup=(_job_run, job, profile), evaluator=evaluator,
+        manifest=manifest, trace=trace, registry=telemetry, progress=report,
+    )
     return {alg: done[alg]["value"] for alg in algorithms}
 
 
@@ -508,14 +567,22 @@ def run_per_algorithm(
 # Dispatch
 # ----------------------------------------------------------------------
 def iter_parallel(
-    worker: Callable, jobs: Sequence, workers: int
+    worker: Callable, jobs: Sequence, workers: int | Pool
 ) -> Iterator:
     """*worker* over *jobs* with a process pool, one result at a time in
-    job order; closing the iterator early terminates the pool.
+    job order.
 
-    ``workers <= 1`` (or one job) degrades to a plain in-process loop —
-    callers need no special casing, and coverage/debugging stay simple.
+    *workers* is a count: a pool of that many starts for this call, and
+    closing the iterator early terminates it; ``workers <= 1`` (or one
+    job) degrades to a plain in-process loop — callers need no special
+    casing, and coverage/debugging stay simple.  Or it is a running
+    :class:`multiprocessing.pool.Pool` (a server's, kept warm for its
+    lifetime), which takes every job, however few, and which only its
+    owner terminates.
     """
+    if not isinstance(workers, int):
+        yield from workers.imap(worker, jobs)
+        return
     if workers <= 1 or len(jobs) <= 1:
         yield from map(worker, jobs)
         return

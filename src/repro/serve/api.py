@@ -40,14 +40,24 @@ Thread ownership: the event loop thread owns the resolver's fitted
 state and request counter, the telemetry registry and the span
 recorder, and answers everything that needs no engine work on the spot
 — the store / surrogate / model tiers, refusals, ``/healthz``,
-``/metrics``, ``/trace`` — whether or not the server may simulate.  Only
-engine work (the simulation tier's ``CachedEvaluator`` runs, the
-``/reliability`` Monte-Carlo) goes to a single-thread executor, which
-touches none of that state; its result comes back to the loop to be
-recorded and written.  A cheap query or a health check therefore never
-queues behind a running simulation.  The surrogate, calibration and
-model are fitted in :meth:`QueryServer.start`, before the socket
-accepts — the loop never fits.
+``/metrics``, ``/trace`` — whether or not the server may simulate.
+Engine work goes to a single-thread executor, which touches none of
+that state: it answers the samples the store holds, and hands every
+sample it must simulate, and every ``/reliability`` batch, to the
+server's **engine pool** — one ``multiprocessing`` pool of
+:func:`~repro.cli.usable_cpus` workers, forked by
+:meth:`QueryServer.start` before the socket is bound and before the
+executor has a thread, kept warm for the server's lifetime and
+terminated by :meth:`QueryServer.stop` (``serve api`` stops on SIGTERM
+and SIGINT).  The executor waits on the pool, appends the rows the
+workers simulated to the store, and hands the result back to the loop
+to be recorded and written.  The simulating therefore holds neither
+the loop's thread nor its GIL; a cheap answer still shares the GIL
+with the executor's store work, which lengthens its tail while
+simulations run (``docs/serving.md`` gives the numbers).  The
+surrogate, calibration and model are fitted in
+:meth:`QueryServer.start`, before the socket accepts — the loop never
+fits.
 
 Hostile framing fails closed (limits are the module constants below):
 a header block over ``_MAX_HEADER`` is ``431``, a body over
@@ -89,6 +99,7 @@ import socket
 import sys
 from contextlib import AbstractContextManager, suppress
 from functools import partial
+from typing import TYPE_CHECKING
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.campaigns.db import CampaignDB
@@ -103,6 +114,9 @@ from repro.serve import reliability
 from repro.serve.resolver import (
     LATENCY_BOUNDS, Query, Resolver, UnresolvedQueryError,
 )
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool
 
 __all__ = ["QueryServer"]
 
@@ -274,8 +288,13 @@ class QueryServer:
         )
         self._listener: socket.socket | None = None
         self._open: set[_Connection] = set()
-        # Engine work only (simulation tier, /reliability), one job at a
-        # time: the resolver's evaluator is not shared between threads.
+        # Where engine work runs: in process (1) until start() forks the
+        # pool whose processes run every simulated sample and
+        # /reliability batch.
+        self._workers: int | Pool = 1
+        # Coordinates engine work (store reads and puts, the waits on the
+        # pool), one request at a time: the resolver's evaluator is not
+        # shared between threads.
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-engine"
         )
@@ -291,9 +310,30 @@ class QueryServer:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Fit the resolver, then bind the socket (resolves ``port=0``)."""
+        """Fit the resolver, fork the engine pool, then bind the socket
+        (resolves ``port=0``).
+
+        The pool has :func:`~repro.cli.usable_cpus` workers, forked
+        before the socket exists (no worker holds the port) and before
+        the executor starts its thread; it lives until :meth:`stop`.  A
+        server that may simulate loads numpy before it forks them.
+        """
+        from multiprocessing import get_context
+
         self.resolver.fit()
         self._loop = asyncio.get_running_loop()
+        if self.resolver.simulate:
+            # The engine's numpy, imported once here so that every worker
+            # is forked with it, not importing it at its first sample.
+            import numpy  # noqa: F401
+        self._workers = get_context().Pool(usable_cpus())
+        try:
+            self._listen()
+        except BaseException:
+            self._end_pool()
+            raise
+
+    def _listen(self) -> None:
         family, *_, address = socket.getaddrinfo(
             self.host, self.port, type=socket.SOCK_STREAM
         )[0]
@@ -318,13 +358,23 @@ class QueryServer:
             await self.stop()
 
     async def stop(self) -> None:
+        """Close the listener and every connection, drop queued engine
+        work, let the running job finish (a wait on the pool cannot be
+        interrupted), then terminate and join the pool's workers."""
         if self._listener is not None:
             self._loop.remove_reader(self._listener)
             self._listener.close()
             self._listener = None
         for connection in list(self._open):
             connection._close()
-        self._executor.shutdown(wait=False)
+        self._executor.shutdown(wait=True, cancel_futures=True)
+        self._end_pool()
+
+    def _end_pool(self) -> None:
+        if not isinstance(self._workers, int):
+            self._workers.terminate()
+            self._workers.join()
+            self._workers = 1
 
     def _watch(self) -> None:
         if self._listener is not None:
@@ -414,11 +464,15 @@ class QueryServer:
             if res.answer is not None:
                 return answered(res.answer)
             return _EngineWork(
-                lambda: self.resolver.run_engine(q),
+                lambda: self.resolver.run_engine(q, self._workers),
                 lambda run: answered(self.resolver.finish(res, run)),
             )
         if path == "/reliability":
-            kwargs = _parse_reliability_params(params)
+            # Validated and clamped all the same; the batches run on the
+            # server's pool, and the estimate never depends on workers.
+            kwargs = {
+                **_parse_reliability_params(params), "workers": self._workers
+            }
             return _EngineWork(
                 lambda: reliability.estimate(**kwargs),
                 lambda est: (200, est.to_dict()),
@@ -599,6 +653,8 @@ class _Connection:
             self._routed(*routed)
 
     def _engine_done(self, done, future: asyncio.Future) -> None:
+        if future.cancelled():  # queued when stop() closed the connection
+            return
         result, error = future.result()
         try:
             if error is not None:

@@ -128,6 +128,7 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
 
 def _cmd_api(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from repro.serve.api import QueryServer
 
@@ -138,17 +139,21 @@ def _cmd_api(args: argparse.Namespace) -> int:
 
     async def _run() -> None:
         await server.start()
+        loop = asyncio.get_running_loop()
+        serving = loop.create_task(server.serve_forever())
+        # After start(): the pool's workers must not inherit the handler.
+        loop.add_signal_handler(signal.SIGTERM, serving.cancel)
         print(
             f"serving campaign {db.spec.name!r} on "
             f"http://{server.host}:{server.port}",
             file=sys.stderr,
         )
-        await server.serve_forever()
+        await serving  # cancelled, it stops the server first
 
     try:
         asyncio.run(_run())
-    except KeyboardInterrupt:
-        pass
+    except (KeyboardInterrupt, asyncio.CancelledError):
+        pass  # SIGINT or SIGTERM: the server has stopped, its pool too
     return 0
 
 

@@ -10,7 +10,7 @@ not?
 
 Estimation is seeded Monte-Carlo over failure sets, batched so the
 trials fan out across :func:`repro.experiments.parallel.iter_parallel`
-workers.  Determinism contract: each batch derives its RNG from
+workers (a pool per call, or a server's running pool).  Determinism contract: each batch derives its RNG from
 ``f"{seed}/reliability/{p:.9f}/{batch_index}"`` — a pure function of
 the request, never of the process — so an estimate is bit-identical
 across repeat calls **and across worker counts** (the batch
@@ -26,11 +26,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.evaluator import ENGINE_VERSION
 from repro.experiments.parallel import iter_parallel
 from repro.faults.connectivity import reachable_from
 from repro.topology.mesh import Mesh2D
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool
 
 __all__ = [
     "ReliabilityEstimate",
@@ -164,12 +168,14 @@ def estimate(
     failure_rate: float,
     trials: int = 1000,
     seed: int = 2007,
-    workers: int = 1,
+    workers: int | Pool = 1,
 ) -> ReliabilityEstimate:
     """Estimate connectivity/routability of a mesh at *failure_rate*.
 
     Deterministic in ``(width, height, failure_rate, trials, seed)``
-    and independent of *workers* — batching is fixed by the request.
+    and independent of *workers* — a count or a running pool, see
+    :func:`~repro.experiments.parallel.iter_parallel` — batching is
+    fixed by the request.
     """
     if not 0.0 <= failure_rate <= 1.0:
         raise ValueError("failure_rate must lie in [0, 1]")

@@ -53,19 +53,25 @@ exactly those steps in sequence.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.campaigns.db import CampaignDB
 from repro.campaigns.query import extract_metric, metric_names, query
 from repro.campaigns.spec import cell_set_index
 from repro.core.evaluator import ENGINE_VERSION
+from repro.experiments.parallel import Cell, run_store_first
 from repro.metrics.confidence import batch_means_ci
 from repro.obs.profile import clock
 from repro.obs.telemetry import TelemetryRegistry
 from repro.serve import calibrate
 from repro.serve.surrogate import GridSurrogate, SurrogateError
 from repro.store.cache import CachedEvaluator
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool
 
 __all__ = [
     "Answer",
@@ -177,6 +183,30 @@ class EngineRun:
         self.cycles = 0
         self.cache: dict = {}
         self.error: Exception | None = None
+
+
+def _sample_run(evaluator, q: Query, n_sets: int) -> Callable:
+    """The simulation tier's setup: ``run(fault_set, repeat) -> (value,
+    cycles)``, one declared sample of *q* on *evaluator*, stopped at
+    statistical convergence (``cycles_mode="auto"``)."""
+    patterns = evaluator.fault_case(q.n_faults, n_sets).patterns
+
+    def run(fault_set: int, repeat: int) -> tuple[float, int]:
+        result = evaluator.run_single(
+            q.algorithm,
+            patterns[fault_set],
+            injection_rate=q.rate,
+            set_index=cell_set_index(
+                {"fault_set": fault_set, "repeat": repeat}
+            ),
+            cycles_mode="auto",
+        )
+        return (
+            extract_metric(result, q.metric),
+            int(extract_metric(result, "simulated_cycles")),
+        )
+
+    return run
 
 
 class Resolver:
@@ -394,9 +424,17 @@ class Resolver:
             self.telemetry.counter("serve.unresolved").inc()
         raise UnresolvedQueryError(q, res.refusals)
 
-    def run_engine(self, q: Query) -> EngineRun:
+    def run_engine(self, q: Query, workers: int | Pool = 1) -> EngineRun:
         """The simulation tier's engine work: every declared sample of *q*
-        through the :class:`~repro.store.cache.CachedEvaluator`.
+        (fault sets × repeats), one :class:`~repro.experiments.parallel.
+        Cell` each, through the :class:`~repro.store.cache.CachedEvaluator`.
+
+        *workers* says where: ``1`` runs every sample here; a running
+        pool (a server's) gets one job per sample the store lacks, after
+        the samples it holds were answered here
+        (:func:`~repro.experiments.parallel.run_store_first`).  Samples
+        come home in declaration order, so the answer, the cache
+        counters and the rows stored are the same either way.
 
         Touches no telemetry, span or fitted state, so it may run on a
         worker thread (one at a time: the evaluator is not shared).  An
@@ -408,22 +446,18 @@ class Resolver:
             spec = self.db.spec
             evaluator = self._cached_evaluator()
             n_sets = spec.fault_sets if q.n_faults else 1
-            case = evaluator.fault_case(q.n_faults, n_sets)
-            for fault_set, faults in enumerate(case.patterns):
-                for repeat in range(spec.repeats):
-                    result = evaluator.run_single(
-                        q.algorithm,
-                        faults,
-                        injection_rate=q.rate,
-                        set_index=cell_set_index(
-                            {"fault_set": fault_set, "repeat": repeat}
-                        ),
-                        cycles_mode="auto",
-                    )
-                    run.cycles += int(
-                        extract_metric(result, "simulated_cycles")
-                    )
-                    run.samples.append(extract_metric(result, q.metric))
+            cells = [
+                Cell(f"{fault_set}/{repeat}", (fault_set, repeat))
+                for fault_set in range(n_sets)
+                for repeat in range(spec.repeats)
+            ]
+            done = run_store_first(
+                cells, workers, setup=(_sample_run, q, n_sets),
+                evaluator=evaluator,
+            )
+            for cell in cells:
+                run.samples += done[cell.id]["value"]
+                run.cycles += done[cell.id]["cycles"]
             run.cache = evaluator.stats.as_dict()
         except Exception as exc:
             run.error = exc

@@ -59,7 +59,7 @@ class SimConfig:
         per-cycle overhead; required by Figures 3 and 6).
     collect_latency_samples:
         Record every delivered message's latency (generation to tail)
-        for distribution analysis (:func:`repro.metrics.percentiles`).
+        in :attr:`~repro.simulator.engine.SimulationResult.latency_samples`.
     cycles_mode:
         ``"fixed"`` (default) always simulates exactly ``cycles``.
         ``"auto"`` may stop earlier: at the first post-warmup window

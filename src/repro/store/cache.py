@@ -55,10 +55,6 @@ class CacheStats:
     misses: int = 0
     puts: int = 0
 
-    @property
-    def runs(self) -> int:
-        return self.hits + self.misses
-
     def as_dict(self) -> dict:
         return asdict(self)
 

@@ -503,8 +503,8 @@ def _worker_names(mods: list[_Module]) -> set[str]:
     """Terminal names of callables handed to ``parallel_map`` /
     ``iter_parallel`` / pools, of the figure jobs handed to
     ``run_per_algorithm`` and of the setups a ``run_cells(...,
-    setup=(prepare, ...))`` call names (a pool worker runs them, so
-    they are worker bodies too).  A job's point body is a closure
+    setup=(prepare, ...))`` or ``run_store_first`` call names (a pool
+    worker runs them, so they are worker bodies too).  A job's point body is a closure
     inside it, checked with the job."""
     names: set[str] = set()
     for mod in mods:
@@ -518,7 +518,7 @@ def _worker_names(mods: list[_Module]) -> set[str]:
                 worker = node.args[2] if len(node.args) > 2 else next(
                     (kw.value for kw in node.keywords if kw.arg == "job"), None
                 )
-            elif dispatch == "run_cells":
+            elif dispatch in ("run_cells", "run_store_first"):
                 # run_cells(cells, workers, setup=(prepare, *args), ...)
                 setup = next(
                     (kw.value for kw in node.keywords if kw.arg == "setup"),

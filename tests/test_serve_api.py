@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shutil
 import socket
 import struct
 import threading
@@ -20,9 +21,13 @@ import pytest
 from conftest import build_serve_campaign
 
 from repro.campaigns.db import CampaignDB
+from repro.campaigns.shard import run_campaign
+from repro.campaigns.spec import CampaignSpec
 from repro.core.evaluator import ENGINE_VERSION
 from repro.serve import api
 from repro.serve.api import QueryServer
+from repro.serve.resolver import Query, Resolver
+from repro.simulator.config import SimConfig
 
 
 @contextmanager
@@ -691,6 +696,77 @@ class TestLoopExecutorSplit:
         assert _counter(srv, "serve.http.resolved.executor") - on_executor == 1
 
 
+class TestPooledSimulation:
+    """A server simulates on its worker pool; nothing it answers or
+    stores shows where the samples ran."""
+
+    #: The serve benchmark's off-hull throughput queries, and one fault
+    #: count off the grid: two fault sets x two repeats.
+    QUERIES = [
+        *(Query("nhop", 0.03 * 1.3 + i * 1e-6, "throughput")
+          for i in (1, 2, 3)),
+        Query("nhop", 0.02, n_faults=1),
+    ]
+
+    def test_answers_counters_and_rows_equal_the_in_process_path(
+        self, tmp_path
+    ):
+        spec = CampaignSpec(
+            name="pooled-twin",
+            algorithms=("nhop",),
+            config=SimConfig(
+                width=6, vcs_per_channel=24, message_length=4,
+                cycles=300, warmup=100,
+            ),
+            rates=(0.005, 0.01, 0.02, 0.03),
+            fault_sets=2,
+            repeats=2,
+        )
+        db = CampaignDB(spec, tmp_path / "pooled")
+        db.save()
+        run_campaign(db)
+        # A copy: its campaign.json still names the first store.
+        shutil.copytree(db.root, tmp_path / "local")
+        local = Resolver(
+            CampaignDB.open(
+                tmp_path / "local", store=tmp_path / "local" / "store"
+            ),
+            simulate=True,
+        )
+
+        def in_process(q):
+            return json.loads(json.dumps(local.resolve(q).to_dict()))
+
+        with _serving(CampaignDB.open(db.root), simulate=True) as srv:
+            def pooled(q):
+                status, payload = _request(
+                    srv, "/query", body=q.to_dict()
+                )
+                assert status == 200, payload
+                return payload["answer"]
+
+            fresh = [(pooled(q), in_process(q)) for q in self.QUERIES]
+            assert [p["tier"] for p, _ in fresh] == ["simulation"] * 4
+            assert [p["n_samples"] for p, _ in fresh] == [2, 2, 2, 4]
+            for got, want in fresh:
+                assert got["detail"]["cache"] == want["detail"]["cache"]
+                assert got == want
+            rows = (db.root / "store" / "rows.jsonl").read_bytes()
+            assert rows == (
+                tmp_path / "local" / "store" / "rows.jsonl"
+            ).read_bytes()
+            misses = fresh[-1][0]["detail"]["cache"]["misses"]
+            assert misses == 10
+            again = [(pooled(q), in_process(q)) for q in self.QUERIES]
+        for got, want in again:
+            assert got == want
+            assert got["detail"]["cache"]["misses"] == misses
+        assert again[-1][0]["detail"]["cache"] == {
+            "hits": misses, "misses": misses, "puts": misses,
+        }
+        assert (db.root / "store" / "rows.jsonl").read_bytes() == rows
+
+
 # ----------------------------------------------------------------------
 # The socket layer: accept, cap, partial writes, departures, shutdown
 # ----------------------------------------------------------------------
@@ -846,6 +922,28 @@ class TestSockets:
             _counter(server, "serve.http.resolved.executor") == on_executor + 1
         )
         assert _parse(_send(server, self.HEALTHZ))[2]["ok"]
+
+    def test_stop_drops_queued_engine_work_without_an_error(
+        self, serve_campaign
+    ):
+        errors = []
+        with _serving(serve_campaign) as srv:
+            srv._loop.set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            release = threading.Event()
+            srv._executor.submit(release.wait, 60)
+            queued = socket.create_connection(("127.0.0.1", srv.port))
+            queued.sendall(_request_bytes(
+                "POST", "/reliability",
+                body=b'{"width": 4, "failure_rate": 0.1, "trials": 50}',
+            ))
+            assert _settles_at(srv, 1)  # parked behind the blocker
+            threading.Timer(0.2, release.set).start()
+            # stop() waits for the running job, cancels the queued one
+        with queued:
+            assert queued.recv(100) == b""  # closed by stop(), unanswered
+        assert errors == []
 
     def test_stop_closes_what_is_open(self, serve_campaign):
         fds = _open_fds()

@@ -2,12 +2,19 @@
 passthrough): verbs, exit codes, output shapes."""
 
 import json
+import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
+import urllib.request
+from pathlib import Path
 
 import pytest
+from conftest import build_serve_campaign
 
+from repro.cli import usable_cpus
 from repro.core.evaluator import ENGINE_VERSION
 from repro.serve.cli import main
 
@@ -151,6 +158,56 @@ class TestDamagedCampaign:
         assert proc.stderr.startswith("error:"), proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def _banner_port(log: Path, server: subprocess.Popen) -> int:
+    """The port a starting ``serve api`` names on stderr."""
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline and server.poll() is None:
+        match = re.search(r"on http://[^:]+:(\d+)", log.read_text())
+        if match:
+            return int(match.group(1))
+        time.sleep(0.05)
+    raise AssertionError(f"the server did not start: {log.read_text()}")
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(), reason="reads a process's children"
+)
+class TestApiVerb:
+    def test_sigterm_stops_the_server_and_every_pool_worker(self, tmp_path):
+        root = build_serve_campaign(tmp_path / "c").root
+        log = tmp_path / "serve.log"
+        with open(log, "w") as sink:
+            server = subprocess.Popen(
+                [sys.executable, "-m", "repro.serve", "api", str(root),
+                 "--port", "0", "--simulate"],
+                stdout=sink, stderr=sink, stdin=subprocess.DEVNULL,
+            )
+        try:
+            port = _banner_port(log, server)
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{port}/query?algorithm=nhop&rate=0.05"
+                "&metric=throughput", timeout=60,
+            ) as reply:
+                answer = json.loads(reply.read())["answer"]
+            assert answer["tier"] == "simulation"
+            assert answer["detail"]["cache"]["misses"] == 2
+            workers = [
+                int(pid)
+                for children in Path(f"/proc/{server.pid}/task").glob(
+                    "*/children")
+                for pid in children.read_text().split()
+            ]
+            assert len(workers) == usable_cpus()
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=10) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+        assert [pid for pid in workers if Path(f"/proc/{pid}").exists()] == []
+        assert "Traceback" not in log.read_text()
 
 
 class TestExperimentsPassthrough:

@@ -672,6 +672,22 @@ class TestPoolWorkerPurity:
             src.replace("    global DRAWN\n    DRAWN = [spec]\n", "")
         ) == []
 
+    def test_flags_setup_handed_to_run_store_first(self):
+        # The store-first helper pools its setup like run_cells does.
+        src = (
+            "CALLS = []\n"
+            "def sample_run(evaluator, q):\n"
+            "    CALLS.append(q)\n"
+            "    return evaluator.run\n"
+            "def resolve(cells, pool, q, evaluator):\n"
+            "    return run_store_first(\n"
+            "        cells, pool, setup=(sample_run, q), evaluator=evaluator)\n"
+        )
+        findings = self.check(src)
+        assert rules_of(findings) == {"REP012"}
+        assert "'sample_run'" in findings[0].message
+        assert self.check(src.replace("    CALLS.append(q)\n", "")) == []
+
     def test_non_workers_may_touch_module_state(self):
         # only callables actually handed to a pool are constrained
         src = (
