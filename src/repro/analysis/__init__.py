@@ -19,7 +19,7 @@ adaptive-minimal case:
 model against the flit-level simulator.
 """
 
-from repro.analysis.channel_load import ChannelLoadMap, channel_loads
+from repro.analysis.channel_load import ChannelLoadMap
 from repro.analysis.distance import distance_distribution, mean_distance
 from repro.analysis.faulty_load import FaultyChannelLoadMap, fault_throughput_bound
 from repro.analysis.latency_model import AnalyticalLatencyModel
@@ -28,7 +28,6 @@ __all__ = [
     "AnalyticalLatencyModel",
     "ChannelLoadMap",
     "FaultyChannelLoadMap",
-    "channel_loads",
     "distance_distribution",
     "fault_throughput_bound",
     "mean_distance",

@@ -109,8 +109,3 @@ class ChannelLoadMap:
         """Sum of unit flows; equals the mean distance by conservation
         (each message crosses exactly ``distance`` network channels)."""
         return sum(self._unit.values()) / self.mesh.n_nodes
-
-
-def channel_loads(mesh: Mesh2D) -> ChannelLoadMap:
-    """Convenience constructor (kept for a stable public name)."""
-    return ChannelLoadMap(mesh)

@@ -16,14 +16,13 @@ ids are position-derived).  Each pooled cell's manifest ``finish``
 names its worker's pid.  Rows a SIGKILLed run left held are folded in
 by the next run before it plans.
 
-:func:`run_shard`, :func:`partition_cells` and :func:`merge_shards`
-(self-contained shard directories replayed into the campaign) are kept
-for the benchmark harness alone.
+:func:`partition_cells`, :func:`run_shard` and :func:`merge_shards`
+are kept for the benchmark harness alone: shard directories of rows and
+cell timings, folded into the campaign store and manifest.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import AbstractContextManager, nullcontext
 from functools import partial
@@ -44,14 +43,8 @@ from repro.experiments.parallel import (
     worker_evaluator,
 )
 from repro.obs.manifest import ManifestWriter, read_manifest
-from repro.obs.spans import (
-    Trace,
-    merge_spans,
-    spans_from_manifest,
-    spans_merge_digest,
-    trace_id_from,
-)
-from repro.store.backend import ResultStore, atomic_write
+from repro.obs.spans import Trace, spans_merge_digest, trace_id_from
+from repro.store.backend import ResultStore
 from repro.store.cache import fold_orphans
 
 __all__ = [
@@ -94,8 +87,8 @@ def _execute(
     events_path: Path,
     *,
     kind: str,
-    with_telemetry: bool,
-    trace_context: tuple[str, str | None] | None,
+    with_telemetry: bool = False,
+    trace_id: str | None = None,
     workers: int = 1,
     progress=None,
     **meta,
@@ -104,11 +97,10 @@ def _execute(
 
     Behind a campaign run and a shard alike: every cell through
     :func:`~repro.experiments.parallel.run_cells`, in this process or,
-    with ``workers > 1``, in a pool.  *trace_context* places the cells:
-    under ``(trace_id, root_id)`` a shard's cells hang off the campaign
-    root the merge records; at ``(trace_id, None)`` this run opens the
-    ``campaign`` root span itself.  Returns ``(registry, cells, spans)``,
-    each cell as ``id/seconds/cycles``.
+    with ``workers > 1``, in a pool.  Under *trace_id* the cells' spans
+    hang off a ``campaign`` root span this run opens; without one
+    nothing is traced.  Returns ``(registry, cells, spans)``, each cell
+    as ``id/seconds/cycles``.
     """
     registry, evaluator = worker_evaluator(
         spec.config, spec.seed, store, with_telemetry
@@ -123,12 +115,11 @@ def _execute(
             spec.name, kind=kind, workers=workers, store=str(store.root),
             pending=len(coords), **meta,
         )
-        trace = None
-        if trace_context is not None:
-            trace = Trace(events, *trace_context)
-        scope: AbstractContextManager[Trace | None] = nullcontext(trace)
-        if trace is not None and trace.span_id is None:
-            scope = trace.span("campaign", name=spec.name, workers=workers)
+        scope: AbstractContextManager[Trace | None] = nullcontext()
+        if trace_id is not None:
+            scope = Trace(events, trace_id).span(
+                "campaign", name=spec.name, workers=workers
+            )
         with scope as parent:
             cells = run_cells(
                 [Cell(cell_id(c), (c,), key=cell_id(c)) for c in coords],
@@ -147,39 +138,26 @@ def run_shard(
     spec: CampaignSpec,
     coords: list[dict],
     shard_root: Path | str,
-    *,
-    with_telemetry: bool = False,
-    trace_context: tuple[str, str | None] | None = None,
 ) -> dict:
-    """Execute one shard's cells against its own store/registry/manifest.
+    """Execute one shard's cells in this process, untraced, against its
+    own store and manifest.
 
     Writes under *shard_root*::
 
         store/          shard-local ResultStore (all fresh puts)
         events.jsonl    the shard's own manifest segment
-        telemetry.json  registry snapshot (when *with_telemetry*)
 
-    *trace_context* is the campaign's ``(trace_id, root_span_id)``; when
-    set, every cell's ``cell`` span lands in the shard manifest for the
-    merge step to replay.  The shard's ``run-start`` records this
-    process's pid, the ``worker`` the merge attributes its cells to.
-
-    Returns a JSON-safe summary (shard root, per-cell timings, counts)
-    — the contract a remote host would ship home alongside the
-    directory itself.
+    The shard's ``run-start`` records this process's pid, the
+    ``worker`` the merge attributes its cells to.  Returns a JSON-safe
+    summary: shard root, per-cell timings and counts.
     """
     shard_root = Path(shard_root)
     shard_root.mkdir(parents=True, exist_ok=True)
     store = ResultStore(shard_root / "store")
-    registry, cells, _ = _execute(
+    _, cells, _ = _execute(
         spec, coords, store, shard_root / "events.jsonl",
-        kind="campaign-shard", with_telemetry=with_telemetry,
-        trace_context=trace_context, pid=os.getpid(),
+        kind="campaign-shard", pid=os.getpid(),
     )
-    if registry is not None:
-        atomic_write(
-            shard_root / "telemetry.json", json.dumps(registry.snapshot())
-        )
     return {
         "root": str(shard_root),
         "cells": cells,
@@ -192,22 +170,15 @@ def run_shard(
 def merge_shards(
     db: CampaignDB,
     shard_roots: list[Path | str],
-    *,
-    registry=None,
-    spans=None,
 ) -> dict:
-    """Fold shard stores/telemetry/manifests back into the campaign.
+    """Fold shard stores and cell timings back into the campaign.
 
-    *registry* (a :class:`~repro.obs.telemetry.TelemetryRegistry`)
-    receives every shard's ``telemetry.json`` snapshot, merged in shard
-    order; pass ``None`` to skip telemetry.  Trace spans recorded in
-    the shard manifests are re-merged (dedup by deterministic id) with
-    any extra *spans* from the caller — typically the campaign root
-    span — and replayed into the campaign manifest.  Returns a summary
-    with the merged row count, the campaign
-    :func:`~repro.campaigns.db.store_digest`, the merged telemetry
-    digest, and the merged span digest — the values a proof-of-equality
-    check compares against a sequential run.
+    Rows are folded in shard order, and each shard's cell ``finish``
+    events are replayed into the campaign manifest with the pid its
+    shard recorded.  Returns a summary with the merged row and cell
+    counts and the campaign :func:`~repro.campaigns.db.store_digest`,
+    the value a proof-of-equality check compares against a sequential
+    run.
 
     A root without a ``store/`` directory is not a shard: the merge
     raises :class:`ValueError` before touching the campaign (opening a
@@ -219,7 +190,6 @@ def merge_shards(
             raise ValueError(f"{shard_root}: not a shard directory")
     merged_rows = 0
     cell_events: list[tuple[dict, int]] = []
-    shard_spans: list[dict] = []
     for shard_root in shard_roots:
         shard_store = ResultStore(shard_root / "store")
         for row in shard_store.rows():
@@ -229,19 +199,14 @@ def merge_shards(
                 engine_version=row["engine_version"],
                 algorithm=row.get("algorithm", ""),
             )
-        snapshot_path = shard_root / "telemetry.json"
-        if registry is not None and snapshot_path.exists():
-            registry.merge(json.loads(snapshot_path.read_text()))
         events_path = shard_root / "events.jsonl"
         if events_path.exists():
-            shard_events = read_manifest(events_path)
             pid = 0
-            for ev in shard_events:
+            for ev in read_manifest(events_path):
                 if ev.get("event") == "run-start":
                     pid = ev.get("meta", {}).get("pid", 0)
                 elif ev.get("event") == "cell" and ev.get("phase") == "finish":
                     cell_events.append((ev, pid))
-            shard_spans.extend(spans_from_manifest(shard_events))
     with ManifestWriter(db.events_path) as events:
         events.run_start(
             db.spec.name,
@@ -255,20 +220,12 @@ def merge_shards(
                 ev["id"], seconds=ev["seconds"], worker=pid,
                 cycles=ev["cycles"],
             )
-        for span in merge_spans(shard_spans, spans or []):
-            events.add(span)
-        events.run_finish(telemetry=registry)
+        events.run_finish()
     return {
         "shards": len(shard_roots),
         "merged_rows": merged_rows,
         "merged_cells": len(cell_events),
         "store_digest": store_digest(db.store),
-        "telemetry_digest": (
-            registry.merge_digest() if registry is not None else None
-        ),
-        "span_digest": (
-            spans_merge_digest(events.spans) if events.spans else None
-        ),
     }
 
 
@@ -300,7 +257,7 @@ def run_campaign(
     registry, _, spans = _execute(
         db.spec, missing, db.store, db.events_path, kind="campaign",
         with_telemetry=telemetry,
-        trace_context=(trace_id_from("campaign", db.spec.name), None),
+        trace_id=trace_id_from("campaign", db.spec.name),
         workers=workers, progress=progress,
         resumed=already_done,
     )

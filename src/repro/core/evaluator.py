@@ -17,7 +17,7 @@ encodes the study's methodology:
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -52,17 +52,11 @@ def deadlock_policy(algorithm: RoutingAlgorithm, faults: FaultPattern) -> str:
 
 @dataclass(frozen=True)
 class FaultCase:
-    """A named fault scenario: either explicit patterns or a random draw."""
+    """A named fault scenario: the fault-free mesh or a random draw."""
 
     label: str
     n_faults: int
     patterns: tuple[FaultPattern, ...]
-
-    @property
-    def fault_percent(self) -> float:
-        if not self.patterns:
-            return 0.0
-        return 100.0 * self.n_faults / self.patterns[0].mesh.n_nodes
 
 
 class Evaluator:
@@ -121,16 +115,6 @@ class Evaluator:
         pct = 100.0 * n_faults / self.mesh.n_nodes
         return FaultCase(
             label=label or f"{pct:g}%", n_faults=n_faults, patterns=patterns
-        )
-
-    @staticmethod
-    def explicit_case(label: str, patterns: Sequence[FaultPattern]) -> FaultCase:
-        """Wrap explicit fault patterns (e.g. the Figure 6 layout)."""
-        patterns = tuple(patterns)
-        if not patterns:
-            raise ValueError("a fault case needs at least one pattern")
-        return FaultCase(
-            label=label, n_faults=patterns[0].n_faulty, patterns=patterns
         )
 
     # ------------------------------------------------------------------

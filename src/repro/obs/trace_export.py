@@ -41,9 +41,10 @@ EVENT_KINDS = ("inject", "alloc", "move", "deliver", "drain")
 _FLIT_NAMES = {HEAD: "head", BODY: "body", TAIL: "tail"}
 
 
-def lifecycle_tracer(sample: int = 1, capacity: int = 1_000_000) -> Tracer:
-    """A tracer capturing the full message lifecycle, sampled 1-in-N."""
-    return Tracer(capacity=capacity, sample=sample)
+def lifecycle_tracer(sample: int = 1) -> Tracer:
+    """A tracer capturing the full message lifecycle (up to a million
+    events), sampled 1-in-N."""
+    return Tracer(capacity=1_000_000, sample=sample)
 
 
 def _event_args(kind: str, detail) -> dict:

@@ -16,8 +16,8 @@
     tier can serve is ``422`` with the per-tier refusals, malformed
     parameters are ``400``.
 ``POST /reliability``
-    JSON body ``{width, failure_rate, trials?, seed?, height?,
-    workers?}`` answered with a
+    JSON body ``{width, failure_rate, trials?, seed?, height?}``
+    answered with a
     :meth:`~repro.serve.reliability.ReliabilityEstimate.to_dict`.
 ``GET /trace``
     The recorded trace spans for one request: ``?request=REQUEST_ID``
@@ -200,7 +200,6 @@ def _parse_reliability_params(params: dict) -> dict:
             "failure_rate": float(params["failure_rate"]),
             "trials": _integer(params.get("trials", 1000), "trials"),
             "seed": _integer(params.get("seed", 2007), "seed"),
-            "workers": _integer(params.get("workers", 1), "workers"),
         }
         if params.get("height") is not None:
             kwargs["height"] = _integer(params["height"], "height")
@@ -210,7 +209,7 @@ def _parse_reliability_params(params: dict) -> dict:
         raise _Refused(f"missing parameter {exc.args[0]!r}") from None
     except (TypeError, ValueError):
         raise _Refused(
-            "width/height/trials/seed/workers must be integers, "
+            "width/height/trials/seed must be integers, "
             "failure_rate a number"
         ) from None
     # What the estimator would refuse is refused here, on the loop.
@@ -226,7 +225,6 @@ def _parse_reliability_params(params: dict) -> dict:
         raise _Refused(
             f"width x height must lie in 1..{_MAX_NODES} nodes"
         )
-    kwargs["workers"] = max(1, min(kwargs["workers"], usable_cpus()))
     return kwargs
 
 
@@ -468,13 +466,9 @@ class QueryServer:
                 lambda run: answered(self.resolver.finish(res, run)),
             )
         if path == "/reliability":
-            # Validated and clamped all the same; the batches run on the
-            # server's pool, and the estimate never depends on workers.
-            kwargs = {
-                **_parse_reliability_params(params), "workers": self._workers
-            }
+            kwargs = _parse_reliability_params(params)
             return _EngineWork(
-                lambda: reliability.estimate(**kwargs),
+                lambda: reliability.estimate(**kwargs, workers=self._workers),
                 lambda est: (200, est.to_dict()),
             )
         # /trace

@@ -39,7 +39,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ReliabilityEstimate",
     "estimate",
-    "sweep",
     "wilson_interval",
 ]
 
@@ -207,26 +206,3 @@ def estimate(
         ci_high=high,
         routable_fraction=routable_sum / trials,
     )
-
-
-def sweep(
-    width: int,
-    failure_rates,
-    *,
-    height: int | None = None,
-    trials: int = 1000,
-    seed: int = 2007,
-    workers: int = 1,
-) -> list[ReliabilityEstimate]:
-    """One :func:`estimate` per failure rate (shared seed discipline)."""
-    return [
-        estimate(
-            width,
-            height=height,
-            failure_rate=rate,
-            trials=trials,
-            seed=seed,
-            workers=workers,
-        )
-        for rate in failure_rates
-    ]

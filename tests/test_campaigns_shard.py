@@ -26,7 +26,6 @@ from repro.experiments.parallel import WorkerTraceback
 from repro.obs.cli import main as obs_main
 from repro.obs.manifest import read_manifest, summarize_manifest
 from repro.obs.spans import merge_spans, spans_from_manifest, spans_merge_digest
-from repro.obs.telemetry import TelemetryRegistry
 from repro.simulator.config import SimConfig
 from repro.store import ResultStore
 
@@ -137,9 +136,7 @@ class TestRunShard:
         )
         db = CampaignDB(spec, tmp_path / "c")
         coords = db.missing_coords()[:1]
-        summary = run_shard(
-            spec, coords, tmp_path / "s0", with_telemetry=True
-        )
+        summary = run_shard(spec, coords, tmp_path / "s0")
         assert summary["executed"] == summary["store_rows"] == 1
         assert summary["cells"][0]["cycles"] > 0
         # Nothing leaked into the campaign store.
@@ -168,23 +165,36 @@ class TestRunShard:
         assert len(db.store) == 0
         assert not db.events_path.exists()
 
-    def test_merge_without_registry_skips_telemetry(self, tmp_path):
-        spec = faulty_spec(rates=(0.01,), fault_counts=(0,), fault_sets=1)
+    def test_merge_replays_each_cell_with_its_shard_worker(self, tmp_path):
+        """Two shards merged: every cell counted, one ``cell`` finish
+        per cell naming the pid its shard's ``run-start`` recorded, and
+        the store an in-process campaign run writes."""
+        spec = faulty_spec(fault_counts=(0,), fault_sets=1)
         db = CampaignDB(spec, tmp_path / "c")
-        run_shard(spec, db.missing_coords(), tmp_path / "s0",
-                  with_telemetry=True)
-        merge = merge_shards(db, [tmp_path / "s0"], registry=None)
-        assert merge["telemetry_digest"] is None
-
-    def test_merge_registry_sees_shard_snapshots(self, tmp_path):
-        spec = faulty_spec(rates=(0.01,), fault_counts=(0,), fault_sets=1)
-        db = CampaignDB(spec, tmp_path / "c")
-        run_shard(spec, db.missing_coords(), tmp_path / "s0",
-                  with_telemetry=True)
-        registry = TelemetryRegistry()
-        merge = merge_shards(db, [tmp_path / "s0"], registry=registry)
-        assert merge["telemetry_digest"] == registry.merge_digest()
-        assert registry.snapshot()  # non-empty: engine counters merged
+        coords = db.missing_coords()
+        roots = [tmp_path / "s0", tmp_path / "s1"]
+        for part, root in zip(partition_cells(coords, 2), roots):
+            run_shard(spec, part, root)
+        merged = merge_shards(db, roots)
+        assert merged["merged_cells"] == spec.n_jobs == 4
+        shard_pids = {}
+        for root in roots:
+            start, *cells = read_manifest(root / "events.jsonl")
+            assert start["event"] == "run-start"
+            shard_pids.update(
+                (e["id"], start["meta"]["pid"]) for e in cells
+                if e["event"] == "cell" and e["phase"] == "finish"
+            )
+        finishes = [
+            e for e in read_manifest(db.events_path)
+            if e["event"] == "cell" and e["phase"] == "finish"
+        ]
+        assert sorted(e["id"] for e in finishes) == sorted(map(cell_id, coords))
+        assert {e["id"]: e["worker"] for e in finishes} == shard_pids
+        twin = CampaignDB(spec, tmp_path / "twin")
+        assert merged["store_digest"] == (
+            run_campaign(twin, workers=1)["store_digest"]
+        )
 
 
 def test_merged_cells_keep_their_shard_worker(tmp_path, capsys):

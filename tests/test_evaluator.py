@@ -1,7 +1,5 @@
 """Tests for the core Evaluator (policies, fault cases, sweeps)."""
 
-import pytest
-
 from repro.core.evaluator import Evaluator, deadlock_policy
 from repro.faults.pattern import FaultPattern
 from repro.routing.registry import make_algorithm
@@ -51,24 +49,10 @@ class TestFaultCases:
         assert len(case.patterns) == 3
         assert all(p.n_faulty == 4 for p in case.patterns)
 
-    def test_fault_percent(self):
-        ev = small_evaluator()
-        case = ev.fault_case(4, 2)
-        assert case.fault_percent == pytest.approx(100 * 4 / 64)
-
     def test_deterministic_draws(self):
         a = small_evaluator().fault_case(5, 3)
         b = small_evaluator().fault_case(5, 3)
         assert [p.faulty for p in a.patterns] == [p.faulty for p in b.patterns]
-
-    def test_explicit_case(self, center_fault):
-        case = Evaluator.explicit_case("layout", [center_fault])
-        assert case.label == "layout"
-        assert case.n_faults == 4
-
-    def test_explicit_case_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Evaluator.explicit_case("x", [])
 
 
 class TestRuns:

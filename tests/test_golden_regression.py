@@ -4,14 +4,12 @@ These freeze the engine's behavior bit-for-bit: any change to the cycle
 ordering, arbitration RNG consumption, routing decisions or statistics
 accounting shifts these numbers and fails loudly.  When a change is
 *intentional* (e.g. a new arbitration scheme), regenerate the constants
-with the snippet in this file's docstring and say so in the change
-description.
+with :func:`regenerate`, which prints ``GOLDEN`` in this file's form,
+and say so in the change description.
 
 Regeneration::
 
-    python - <<'PY'
-    # run each case below and print the five counters
-    PY
+    PYTHONPATH=src:tests python -c "import test_golden_regression as g; g.regenerate()"
 """
 
 import random
@@ -66,6 +64,16 @@ def run_case(algorithm: str, faulty: bool, seed: int) -> dict:
         nlat=r.network_latency_sum,
         hops=r.hops_sum,
     )
+
+
+def regenerate() -> None:  # pragma: no cover - maintenance helper
+    print("GOLDEN = {")
+    for algorithm, faulty, seed in GOLDEN:
+        counters = run_case(algorithm, faulty, seed)
+        print(f'    ("{algorithm}", {faulty}, {seed}): dict(')
+        print("        " + ", ".join(f"{k}={v}" for k, v in counters.items()))
+        print("    ),")
+    print("}")
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: f"{c[0]}-{c[2]}")

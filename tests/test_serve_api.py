@@ -609,18 +609,6 @@ class TestHostileInput:
         )
         assert _open_fds() == fds
 
-    def test_reliability_workers_are_clamped_to_the_host(self, server):
-        kwargs = api._parse_reliability_params(
-            {"width": 6, "failure_rate": 0.1, "workers": 10_000}
-        )
-        assert 1 <= kwargs["workers"] <= (os.cpu_count() or 1)
-        body = {"width": 6, "failure_rate": 0.1, "trials": 600, "seed": 3}
-        status, alone = _request(server, "/reliability", body=body)
-        assert status == 200
-        assert _request(
-            server, "/reliability", body={**body, "workers": 10_000}
-        ) == (200, alone)
-
     @pytest.mark.parametrize("error", [StopIteration("odd"), KeyError("k")])
     def test_any_resolution_error_is_a_500_with_a_reason(
         self, server, monkeypatch, error

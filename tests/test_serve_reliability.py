@@ -11,7 +11,6 @@ from repro.serve.reliability import (
     _reliability_batch,
     _routable_fraction,
     estimate,
-    sweep,
     wilson_interval,
 )
 from repro.topology.mesh import Mesh2D
@@ -126,7 +125,10 @@ class TestSchema:
 
     def test_sweep_is_monotone_in_failure_rate(self):
         """More failures can only hurt connectivity (statistically)."""
-        points = sweep(8, (0.0, 0.3, 1.0), trials=150, seed=5)
+        points = [
+            estimate(8, failure_rate=rate, trials=150, seed=5)
+            for rate in (0.0, 0.3, 1.0)
+        ]
         probs = [p.p_connected for p in points]
         assert probs[0] == 1.0 and probs[-1] == 0.0
         assert probs[0] >= probs[1] >= probs[2]
