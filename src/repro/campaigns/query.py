@@ -6,9 +6,14 @@ with dims ``(algorithm, rate, fault_case, repeat)`` and one nested-list
 value block per metric (``latency``, ``network_latency``,
 ``throughput``, ``simulated_cycles``, ``delivered``, ``dropped`` and its
 two parts ``dropped_deadlock`` / ``dropped_livelock``, ``avg_hops``).
-Values come from :func:`repro.util.serialization.result_from_dict`
-reconstructions of the stored payloads, so a queried latency is exactly
-the ``avg_latency`` the simulation reported.
+The store reads the campaign's rows in one batched pass
+(:meth:`~repro.store.ResultStore.get_rows`), decoding each row once,
+and every metric is computed over the stored payload in place
+(:class:`~repro.util.serialization.StoredResult`) by the same
+:class:`~repro.simulator.engine.SimulationResult` property code a run
+reports through — no :class:`~repro.simulator.config.SimConfig` is
+built — so a queried latency is exactly the ``avg_latency`` the
+simulation reported.
 
 Reduction over the repeat axis (:meth:`CampaignArray.reduce`) reuses
 the Student-t machinery from :mod:`repro.metrics.confidence` to report
@@ -29,7 +34,7 @@ from pathlib import Path
 from repro.campaigns.db import CampaignDB
 from repro.campaigns.spec import fault_case_label
 from repro.metrics.confidence import batch_means_ci
-from repro.util.serialization import result_from_dict
+from repro.util.serialization import StoredResult
 
 __all__ = [
     "CampaignArray",
@@ -42,7 +47,7 @@ __all__ = [
 
 _SCHEMA_VERSION = 1
 
-#: metric name -> extractor over a reconstructed SimulationResult.
+#: metric name -> extractor over a SimulationResult or a StoredResult.
 _EXTRACTORS = {
     "latency": lambda r: r.avg_latency,
     "network_latency": lambda r: r.avg_network_latency,
@@ -67,7 +72,7 @@ def metric_names() -> tuple[str, ...]:
 
 
 def extract_metric(result, metric: str) -> float:
-    """One metric of a (reconstructed) SimulationResult.
+    """One metric of a SimulationResult (or a StoredResult).
 
     The exact extractors the dense arrays use, exposed so other
     consumers (the serving layer's simulation fallback) report values
@@ -267,12 +272,14 @@ def query(
     alg_index = {a: i for i, a in enumerate(coords["algorithm"])}
     rate_index = {r: i for i, r in enumerate(coords["rate"])}
     missing = []
-    for cell in db.cells():
-        payload = db.store.get(cell["key"])
-        if payload is None:
+    cells = db.cells()
+    stored = db.store.get_rows(cell["key"] for cell in cells)
+    for cell in cells:
+        row = stored.get(cell["key"])
+        if row is None:
             missing.append(cell["id"])
             continue
-        result = result_from_dict(payload)
+        result = StoredResult(row["payload"])
         ia = alg_index[cell["algorithm"]]
         ir = rate_index[cell["rate"]]
         ic = case_index[cell["fault_case"]]

@@ -228,7 +228,8 @@ def run_ablation(name: str, *, store=None, **kwargs) -> AblationResult:
     """Run an ablation study by name.
 
     *store* (a :class:`~repro.store.ResultStore` or directory) routes
-    every cell through the shared result cache.
+    every cell through the shared result cache; its index is
+    checkpointed when the study ends.
     """
     try:
         fn = ABLATIONS[name]
@@ -237,4 +238,8 @@ def run_ablation(name: str, *, store=None, **kwargs) -> AblationResult:
         raise ValueError(f"unknown ablation {name!r}; known: {known}") from None
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
-    return fn(store=store, **kwargs)
+    try:
+        return fn(store=store, **kwargs)
+    finally:
+        if store is not None:
+            store.write_index()

@@ -15,10 +15,16 @@ Design rules (the reasons the store survives concurrent
   writers never interleave.  Inside the lock the writer first re-scans
   the tail for rows other processes appended — that re-check is the
   cross-process dedup point.
-* ``index.json`` is a pure cache.  It is written via
-  :func:`atomic_write` (temp file + :func:`os.replace`, no fsync), and
-  any inconsistency — missing file, short file, offset pointing at the
-  wrong key — triggers a full rebuild from ``rows.jsonl``.
+* ``index.json`` is a pure cache, a checkpoint of the in-memory index.
+  It is written via :func:`atomic_write` (temp file +
+  :func:`os.replace`, no fsync) when a writing call ends
+  (:meth:`ResultStore.write_index`), and by :meth:`ResultStore.put`
+  only once the rows past its high-water mark reach
+  1/:data:`_CHECKPOINT_SHARE` of ``rows.jsonl`` — so a put costs the
+  same in a store of any size.  Rows past the mark are re-scanned on
+  open, and any inconsistency — missing file, short file, offset
+  pointing at the wrong key — triggers a full rebuild from
+  ``rows.jsonl``.
 * Readers keep an in-memory index plus a high-water byte offset; a
   lookup miss re-scans only the bytes appended since, so sharing one
   store between long-lived processes stays cheap.
@@ -30,7 +36,7 @@ import json
 import os
 import tempfile
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -43,6 +49,12 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 _SCHEMA_VERSION = 1
+
+#: :meth:`ResultStore.put` rewrites ``index.json`` once the bytes of
+#: ``rows.jsonl`` past its ``scanned`` mark reach 1/this of the file:
+#: rewrites grow geometrically with the store, so their cost per put is
+#: constant, and a reopen after a kill re-scans at most that share.
+_CHECKPOINT_SHARE = 8
 
 #: Environment variable overriding the default store location.
 STORE_DIR_ENV = "REPRO_STORE_DIR"
@@ -119,6 +131,7 @@ class ResultStore:
         #: key -> [byte offset, engine_version, algorithm token]
         self._index: dict[str, list] = {}
         self._scanned = 0  # bytes of rows.jsonl already folded into _index
+        self._indexed = 0  # index.json's ``scanned``, as last read or written
         self._load_index_file()
         self._refresh()
 
@@ -151,6 +164,7 @@ class ResultStore:
         except (OSError, ValueError, KeyError, TypeError):
             self._index = {}
             self._scanned = 0
+        self._indexed = self._scanned
 
     def _write_index_file(self) -> None:
         payload = {
@@ -160,6 +174,18 @@ class ResultStore:
             "keys": self._index,
         }
         atomic_write(self.index_path, json.dumps(payload))
+        self._indexed = self._scanned
+
+    def write_index(self) -> None:
+        """Checkpoint ``index.json`` at everything this handle has seen,
+        so the next open starts from a current index.  Every writing call
+        ends with this; it does nothing when the file is already current.
+        """
+        if self._scanned == self._indexed:
+            return
+        with self._locked():
+            self._refresh()
+            self._write_index_file()
 
     def _refresh(self) -> None:
         """Fold rows appended since the last scan into the index."""
@@ -240,6 +266,42 @@ class ResultStore:
         row = self.get_row(key)
         return row["payload"] if row is not None else None
 
+    def get_rows(self, keys: Iterable[str]) -> dict[str, dict]:
+        """``{key: full stored row}`` for those of *keys* the store holds.
+
+        One batched read: every wanted row is sought through a single
+        file handle, in file order, and decoded once.  A row whose offset
+        is stale is read again through :meth:`get_row`, which rebuilds
+        the index first.
+        """
+        wanted = set(keys)
+        if not wanted.issubset(self._index):
+            self._refresh()
+        located = sorted(
+            (self._index[key][0], key) for key in wanted if key in self._index
+        )
+        rows: dict[str, dict] = {}
+        stale = []
+        try:
+            with open(self.rows_path, "rb") as src:
+                for offset, key in located:
+                    src.seek(offset)
+                    try:
+                        row = json.loads(src.readline())
+                    except json.JSONDecodeError:
+                        row = None
+                    if row is not None and row.get("key") == key:
+                        rows[key] = row
+                    else:
+                        stale.append(key)
+        except OSError:
+            stale = [key for _, key in located]
+        for key in stale:
+            row = self.get_row(key)
+            if row is not None:
+                rows[key] = row
+        return rows
+
     def rows(self) -> Iterator[dict]:
         """All stored rows, deduplicated, in file order."""
         self._refresh()
@@ -302,7 +364,9 @@ class ResultStore:
                     os.fsync(sink.fileno())
             self._index[key] = [offset, engine_version, algorithm]
             self._scanned = offset + len(line)
-            self._write_index_file()
+            unindexed = self._scanned - self._indexed
+            if unindexed * _CHECKPOINT_SHARE >= self._scanned:
+                self._write_index_file()
         return True
 
     # ------------------------------------------------------------------

@@ -34,6 +34,14 @@ _RESULT_SCALARS = tuple(
 )
 
 
+def _check(payload: dict, kind: str) -> None:
+    """Refuse a *payload* that is not a current-schema *kind*."""
+    if payload.get("kind") != kind:
+        raise ValueError(f"payload is not a {kind}")
+    if payload.get("schema") != _SCHEMA_VERSION:
+        raise ValueError(f"unsupported {kind} schema {payload.get('schema')!r}")
+
+
 def config_to_dict(config: SimConfig) -> dict:
     """Plain-dict form of a :class:`SimConfig` (JSON-safe)."""
     payload = {name: getattr(config, name) for name in _CONFIG_FIELDS}
@@ -44,10 +52,7 @@ def config_to_dict(config: SimConfig) -> dict:
 
 def config_from_dict(payload: dict) -> SimConfig:
     """Rebuild a :class:`SimConfig` written by :func:`config_to_dict`."""
-    if payload.get("kind") != "sim-config":
-        raise ValueError("payload is not a sim-config")
-    if payload.get("schema") != _SCHEMA_VERSION:
-        raise ValueError(f"unsupported sim-config schema {payload.get('schema')!r}")
+    _check(payload, "sim-config")
     fields = {k: v for k, v in payload.items() if k not in ("schema", "kind")}
     return SimConfig(**fields)
 
@@ -69,12 +74,7 @@ def pattern_from_dict(payload: dict) -> FaultPattern:
     Validation (block model, connectivity) re-runs on load, so a
     hand-edited payload cannot smuggle in an unsupported layout.
     """
-    if payload.get("kind") != "fault-pattern":
-        raise ValueError("payload is not a fault-pattern")
-    if payload.get("schema") != _SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported fault-pattern schema {payload.get('schema')!r}"
-        )
+    _check(payload, "fault-pattern")
     mesh = Mesh2D(payload["width"], payload["height"])
     return FaultPattern(mesh, frozenset(payload["faulty"]))
 
@@ -101,12 +101,41 @@ def result_to_dict(result: SimulationResult) -> dict:
 
 def result_from_dict(payload: dict) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` written by :func:`result_to_dict`."""
-    if payload.get("kind") != "sim-result":
-        raise ValueError("payload is not a sim-result")
-    if payload.get("schema") != _SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported sim-result schema {payload.get('schema')!r}"
-        )
+    _check(payload, "sim-result")
     kwargs = {name: payload[name] for name in _RESULT_SCALARS}
     kwargs.update({name: list(payload[name]) for name in _RESULT_LISTS})
     return SimulationResult(config=config_from_dict(payload["config"]), **kwargs)
+
+
+class _Fields:
+    """A stored dict's entries as attributes: the dict itself, not a
+    copy, is the instance's namespace."""
+
+    def __init__(self, fields: dict) -> None:
+        self.__dict__ = fields
+
+
+class StoredResult(_Fields):
+    """A payload written by :func:`result_to_dict`, read in place.
+
+    Its fields are attributes, and its derived metrics (``avg_latency``,
+    ``throughput``, ...) are :class:`SimulationResult`'s own properties
+    run over them, so each equals what a :func:`result_from_dict`
+    rebuild reports.  Nothing is copied or rebuilt: ``config`` is the
+    stored config's fields as attributes, not a validated
+    :class:`SimConfig`.  Kind and schema are checked as on a rebuild.
+    """
+
+    def __init__(self, payload: dict) -> None:
+        _check(payload, "sim-result")
+        _check(payload["config"], "sim-config")
+        super().__init__(payload)
+
+    @property
+    def config(self) -> _Fields:
+        return _Fields(self.__dict__["config"])
+
+
+for _name, _member in vars(SimulationResult).items():
+    if isinstance(_member, property):
+        setattr(StoredResult, _name, _member)

@@ -35,6 +35,7 @@ from repro.verify.cdg import (
     Violation,
     analyze_ring_cycle,
     check_algorithm,
+    project_wait_cycle,
 )
 from repro.verify.corpus import CORPUS_NAMES, corpus_pattern, default_corpus
 from repro.verify.drift import (
@@ -54,6 +55,7 @@ __all__ = [
     "Violation",
     "analyze_ring_cycle",
     "check_algorithm",
+    "project_wait_cycle",
     "CORPUS_NAMES",
     "corpus_pattern",
     "default_corpus",

@@ -48,6 +48,7 @@ acyclicity, that is a concrete deadlock recipe.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.faults.pattern import FaultPattern
@@ -57,7 +58,7 @@ from repro.routing.budgets import ROLE_ADAPTIVE, ROLE_CLASS, ROLE_ESCAPE, ROLE_R
 from repro.routing.registry import make_algorithm
 from repro.simulator.deadlock import find_cycle
 from repro.simulator.message import RING_CLASS_NAMES, RING_NS, RING_WE, Message
-from repro.topology.directions import DIRECTIONS
+from repro.topology.directions import DIRECTIONS, OPPOSITE
 from repro.topology.mesh import Mesh2D
 
 #: A concrete channel: output VC ``vc`` of *node*'s port *direction*.
@@ -813,6 +814,32 @@ def _strongly_connected_components(
                             break
                     sccs.append(scc)
     return sccs
+
+
+def project_wait_cycle(
+    checker: CdgChecker, wait_cycle: Sequence[Channel]
+) -> list[Channel]:
+    """The checker channels an engine wait-for cycle holds, in order.
+
+    *wait_cycle* is a cycle of blocked input VCs ``(node, port, vc)`` as
+    :func:`~repro.simulator.deadlock.find_dependency_cycle` reports it.
+    Each cross-node edge ``a -> b`` is a held link: ``b``'s upstream
+    output VC, ``(mesh.neighbor(b.node, b.port), OPPOSITE[b.port], vc)``,
+    at the checker's VC class of ``b.vc`` (named by its sample VC, as
+    :meth:`CdgChecker.concrete_edges` names channels).  A same-node edge
+    (a header waiting on a VC another input VC of its router owns)
+    crosses no link and is skipped.  If the checker is sound, the
+    channels' consecutive pairs, taken cyclically, are edges of its
+    graph.
+    """
+    channels = []
+    for i, (node, _, _) in enumerate(wait_cycle):
+        down, port, vc = wait_cycle[(i + 1) % len(wait_cycle)]
+        if down != node:
+            up = checker.mesh.neighbor(down, port)
+            sample = checker._class_repr[checker._vc_class[vc]]
+            channels.append((up, OPPOSITE[port], sample))
+    return channels
 
 
 def check_algorithm(

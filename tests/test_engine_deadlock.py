@@ -232,6 +232,31 @@ class TestDeadlockWitnessCorpus:
         ring = {vc >= 20 for _, _, vc in WITNESSES[name]["wait_cycle"]}
         assert ring == {True, False}
 
+    def test_the_wait_cycle_projects_onto_a_checker_cycle(self, name):
+        """Dynamic -> static (ROADMAP 1(b)): the links the recorded
+        wait-for cycle holds form a cycle of the CDG checker's graph for
+        the same mesh, faults and 24 VCs.  The recorded cycle is what
+        ``find_dependency_cycle`` reports (the test above); the checker
+        and the fault draw use no engine randomness.  A miss would make
+        the checker unsound: it is not to be pinned around."""
+        import random
+
+        from repro.faults.generator import generate_block_fault_pattern
+        from repro.topology.mesh import Mesh2D
+        from repro.verify.cdg import CdgChecker, project_wait_cycle
+
+        w = WITNESSES[name]
+        faults = generate_block_fault_pattern(
+            Mesh2D(w["width"]), w["n_faults"], random.Random(w["seed"])
+        )
+        checker = CdgChecker(make_algorithm("phop"), faults, 24)
+        assert checker.run().status == "ring-residual"
+        channels = project_wait_cycle(checker, w["wait_cycle"])
+        assert len(channels) > 1
+        edges = set(checker.concrete_edges())
+        pairs = zip(channels, channels[1:] + channels[:1])
+        assert [pair for pair in pairs if pair not in edges] == []
+
     def test_drain_books_it_as_deadlock_not_livelock(self, name):
         result = self.build(name, "drain").run()
         assert (result.dropped_deadlock, result.dropped_livelock) == (

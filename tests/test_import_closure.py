@@ -125,16 +125,33 @@ class TestNothingHeavyWithoutSimulating:
         assert loaded(modules) == []
 
 
-def test_first_simulation_loads_numpy_and_matches_the_golden_pin():
-    case = ("nhop", False, 2007)
+#: The run both first-simulation tests build, a ``GOLDEN`` row of
+#: ``test_engine_golden.py``.
+FIRST_CASE = ("nhop", False, 2007)
+
+
+def test_first_simulation_loads_numpy():
+    """Invariant: numpy is loaded by the first ``Simulation``, not
+    before."""
     out = fresh("-c", f"""
 import sys
 import test_engine_golden as golden
 assert "numpy" not in sys.modules
-sim = golden.build(*{case!r})
+sim = golden.build(*{FIRST_CASE!r})
 assert "numpy" in sys.modules
+print(True)
+""")
+    assert out.strip() == "True"
+
+
+def test_first_simulation_matches_the_golden_pin():
+    """Pin: the first simulation of a fresh interpreter gives the
+    ``GOLDEN`` row digest (see ``docs/verify.md``, the pin inventory)."""
+    out = fresh("-c", f"""
+import test_engine_golden as golden
+sim = golden.build(*{FIRST_CASE!r})
 sim.run()
-print(golden.row_digest(sim) == golden.GOLDEN[{case!r}])
+print(golden.row_digest(sim) == golden.GOLDEN[{FIRST_CASE!r}])
 """)
     assert out.strip() == "True"
 
