@@ -8,8 +8,8 @@ value block per metric (``latency``, ``network_latency``,
 two parts ``dropped_deadlock`` / ``dropped_livelock``, ``avg_hops``).
 The store reads the campaign's rows in one batched pass
 (:meth:`~repro.store.ResultStore.get_rows`), decoding each row once,
-and every metric is computed over the stored payload in place
-(:class:`~repro.util.serialization.StoredResult`) by the same
+and every metric is computed over the stored payload
+(:func:`~repro.util.serialization.stored_result`) by the same
 :class:`~repro.simulator.engine.SimulationResult` property code a run
 reports through — no :class:`~repro.simulator.config.SimConfig` is
 built — so a queried latency is exactly the ``avg_latency`` the
@@ -34,7 +34,7 @@ from pathlib import Path
 from repro.campaigns.db import CampaignDB
 from repro.campaigns.spec import fault_case_label
 from repro.metrics.confidence import batch_means_ci
-from repro.util.serialization import StoredResult
+from repro.util.serialization import stored_result
 
 __all__ = [
     "CampaignArray",
@@ -47,7 +47,7 @@ __all__ = [
 
 _SCHEMA_VERSION = 1
 
-#: metric name -> extractor over a SimulationResult or a StoredResult.
+#: metric name -> extractor over a reconstructed SimulationResult.
 _EXTRACTORS = {
     "latency": lambda r: r.avg_latency,
     "network_latency": lambda r: r.avg_network_latency,
@@ -72,7 +72,7 @@ def metric_names() -> tuple[str, ...]:
 
 
 def extract_metric(result, metric: str) -> float:
-    """One metric of a SimulationResult (or a StoredResult).
+    """One metric of a (reconstructed) SimulationResult.
 
     The exact extractors the dense arrays use, exposed so other
     consumers (the serving layer's simulation fallback) report values
@@ -279,7 +279,7 @@ def query(
         if row is None:
             missing.append(cell["id"])
             continue
-        result = StoredResult(row["payload"])
+        result = stored_result(row["payload"])
         ia = alg_index[cell["algorithm"]]
         ir = rate_index[cell["rate"]]
         ic = case_index[cell["fault_case"]]

@@ -207,7 +207,6 @@ def merge_shards(
                     pid = ev.get("meta", {}).get("pid", 0)
                 elif ev.get("event") == "cell" and ev.get("phase") == "finish":
                     cell_events.append((ev, pid))
-    db.store.write_index()
     with ManifestWriter(db.events_path) as events:
         events.run_start(
             db.spec.name,

@@ -228,8 +228,7 @@ def run_ablation(name: str, *, store=None, **kwargs) -> AblationResult:
     """Run an ablation study by name.
 
     *store* (a :class:`~repro.store.ResultStore` or directory) routes
-    every cell through the shared result cache; its index is
-    checkpointed when the study ends.
+    every cell through the shared result cache.
     """
     try:
         fn = ABLATIONS[name]
@@ -238,8 +237,4 @@ def run_ablation(name: str, *, store=None, **kwargs) -> AblationResult:
         raise ValueError(f"unknown ablation {name!r}; known: {known}") from None
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
-    try:
-        return fn(store=store, **kwargs)
-    finally:
-        if store is not None:
-            store.write_index()
+    return fn(store=store, **kwargs)

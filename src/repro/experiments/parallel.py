@@ -81,7 +81,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 from repro.cli import usable_cpus
 from repro.obs.profile import clock
 from repro.obs.spans import Trace
-from repro.store.backend import ResultStore, store_dir_of
+from repro.store.backend import store_dir_of
 from repro.store.cache import (
     CachedEvaluator,
     HeldRows,
@@ -414,34 +414,25 @@ def run_cells(
     and *trace*, then ``progress(id)`` is called.  A cell that raised
     ends its record with ``status="error"`` and its exception is
     re-raised: the original in process, with the worker's traceback as
-    its cause from a pool.  However the call ends, the store it wrote
-    checkpoints its index (:meth:`~repro.store.ResultStore.write_index`).
+    its cause from a pool.
     """
     if not cells:  # a warm figure: no pool, no held directory
         return []
-    pooled = _pools(workers)
     parts = (
         _pooled(cells, setup, workers, config, seed, store, registry)
-        if pooled
+        if _pools(workers)
         else _in_process(cells, setup, evaluator, manifest)
     )
-    written = store if pooled else getattr(evaluator, "store", None)
     finished: list[dict] = []
     record: list[dict] = []
-    try:
-        with closing(parts):
-            for i, part in parts:
-                record.append(part)
-                if "error" in part or _ends_record(cells, i):
-                    finished.append(
-                        _close_record(cells[i], record, manifest, trace)
-                    )
-                    record = []
-                    if progress:
-                        progress(cells[i].id)
-    finally:
-        if isinstance(written, ResultStore):
-            written.write_index()
+    with closing(parts):
+        for i, part in parts:
+            record.append(part)
+            if "error" in part or _ends_record(cells, i):
+                finished.append(_close_record(cells[i], record, manifest, trace))
+                record = []
+                if progress:
+                    progress(cells[i].id)
     return finished
 
 

@@ -17,14 +17,12 @@ Design rules (the reasons the store survives concurrent
   cross-process dedup point.
 * ``index.json`` is a pure cache, a checkpoint of the in-memory index.
   It is written via :func:`atomic_write` (temp file +
-  :func:`os.replace`, no fsync) when a writing call ends
-  (:meth:`ResultStore.write_index`), and by :meth:`ResultStore.put`
-  only once the rows past its high-water mark reach
-  1/:data:`_CHECKPOINT_SHARE` of ``rows.jsonl`` — so a put costs the
-  same in a store of any size.  Rows past the mark are re-scanned on
-  open, and any inconsistency — missing file, short file, offset
-  pointing at the wrong key — triggers a full rebuild from
-  ``rows.jsonl``.
+  :func:`os.replace`, no fsync) by :meth:`ResultStore.put` only once
+  the rows past its high-water mark reach 1/:data:`_CHECKPOINT_SHARE`
+  of ``rows.jsonl`` — so a put costs the same in a store of any size.
+  Rows past the mark are re-scanned on open, and any inconsistency —
+  missing file, short file, offset pointing at the wrong key — triggers
+  a full rebuild from ``rows.jsonl``.
 * Readers keep an in-memory index plus a high-water byte offset; a
   lookup miss re-scans only the bytes appended since, so sharing one
   store between long-lived processes stays cheap.
@@ -53,7 +51,7 @@ _SCHEMA_VERSION = 1
 #: :meth:`ResultStore.put` rewrites ``index.json`` once the bytes of
 #: ``rows.jsonl`` past its ``scanned`` mark reach 1/this of the file:
 #: rewrites grow geometrically with the store, so their cost per put is
-#: constant, and a reopen after a kill re-scans at most that share.
+#: constant, and any reopen re-scans at most that share.
 _CHECKPOINT_SHARE = 8
 
 #: Environment variable overriding the default store location.
@@ -175,17 +173,6 @@ class ResultStore:
         }
         atomic_write(self.index_path, json.dumps(payload))
         self._indexed = self._scanned
-
-    def write_index(self) -> None:
-        """Checkpoint ``index.json`` at everything this handle has seen,
-        so the next open starts from a current index.  Every writing call
-        ends with this; it does nothing when the file is already current.
-        """
-        if self._scanned == self._indexed:
-            return
-        with self._locked():
-            self._refresh()
-            self._write_index_file()
 
     def _refresh(self) -> None:
         """Fold rows appended since the last scan into the index."""

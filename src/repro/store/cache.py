@@ -152,7 +152,7 @@ def fold_orphans(store: ResultStore) -> int:
     under ``held/`` whose :func:`holding` lock nobody holds, its cells in
     declaration order; returns the rows written.  A live run's directory,
     in this process or another, is left alone (and, without ``flock``,
-    every directory).  The store's index is checkpointed after."""
+    every directory)."""
     root = store.root / "held"
     if not root.is_dir():
         return 0
@@ -168,7 +168,6 @@ def fold_orphans(store: ResultStore) -> int:
             written += fold_held(store, run)
         finally:
             os.close(fd)
-    store.write_index()
     return written
 
 
